@@ -18,24 +18,14 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraShape,
-    block_projectors,
-    pair_mask,
-)
+from .algebra import AlgebraShape, block_mask, block_projectors, pair_mask
 from .conditional import ConditionalState
 from .errors import (
     InvariantViolation,
     NotTracePreserving,
     ShapeMismatch,
 )
-from .matcore import (
-    RANK_TOL_FLOOR,
-    herm_eig,
-    kron,
-    max_abs,
-    partial_trace,
-)
+from .matcore import RANK_TOL_FLOOR, herm_deviation, herm_eig, max_abs
 from .states import State
 
 CHANNEL_TP_TOL = 1e-9
@@ -57,14 +47,14 @@ def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
 
 
 def _choi_matrix(kraus: tuple[np.ndarray, ...], shape_in: AlgebraShape) -> np.ndarray:
-    base = max_ent_matrix(shape_in)
-    eye_in = np.eye(shape_in.total_dim, dtype=np.complex128)
-    out = None
-    for k in kraus:
-        op = kron(eye_in, k)
-        term = op @ base @ op.conj().T
-        out = term if out is None else out + term
-    return out
+    # (I ⊗ K) applied to the block vectors of the max-ent matrix is vec(K)
+    # restricted to one input block (index j * dout + i holds K[i, j]), so the
+    # Choi matrix is Σ_K vec(K) vec(K)† with the input block mask on the slow
+    # index of its 4-index view.
+    din, dout = shape_in.total_dim, kraus[0].shape[0]
+    vecs = np.stack([k.T.reshape(-1) for k in kraus])
+    full = (vecs.T @ vecs.conj()).reshape(din, dout, din, dout)
+    return (full * block_mask(shape_in)[:, None, :, None]).reshape(din * dout, din * dout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +87,14 @@ class Channel:
             sup.setflags(write=False)
             object.__setattr__(self, "input_support", sup)
         if check:
-            target = self.input_support if self.input_support is not None else np.eye(din)
+            target = np.eye(din)
+            if self.input_support is not None:
+                target = self.input_support
+                if target.shape != (din, din):
+                    raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
+                proj_dev = max(max_abs(target @ target - target), herm_deviation(target))
+                if proj_dev > CHANNEL_TP_TOL:
+                    raise InvariantViolation("support_projector", proj_dev)
             tp_dev = max_abs(sum(k.conj().T @ k for k in ops) - target)
             if tp_dev > CHANNEL_TP_TOL:
                 raise NotTracePreserving(
@@ -158,11 +155,11 @@ def apply_via_conditional(cond: ConditionalState, s: State) -> np.ndarray:
     """
     if s.shape != cond.shape_in:
         raise ShapeMismatch("state does not live on the conditional's conditioning algebra")
-    din = cond.shape_in.total_dim
-    dout = cond.shape_out.total_dim
-    left = kron(max_ent_matrix(cond.shape_in), np.eye(dout, dtype=np.complex128))
-    right = kron(s.matrix, cond.matrix)
-    return partial_trace(left @ right, din * din, dout, keep="right")
+    din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
+    # Contracting the max-ent factor leaves the pinched transpose of the input
+    # on the conditioning index: out[o, r] = Σ ρ[q, p] C[q, o, p, r], p ~ q.
+    pinched_t = s.matrix.T * block_mask(cond.shape_in)
+    return np.einsum("pq,qopr->or", pinched_t, cond.matrix.reshape(din, dout, din, dout))
 
 
 def channel_from_conditional(cond: ConditionalState, cutoff: float = KRAUS_CUTOFF) -> Channel:

@@ -27,7 +27,6 @@ from .matcore import (
     gen_inv_sqrt,
     herm_deviation,
     hermitize,
-    kron,
     mat_sqrt,
     matrix_rank_psd,
     max_abs,
@@ -100,8 +99,11 @@ class ConditionalState:
 
 
 def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -> np.ndarray:
-    op = kron(factor, np.eye(dim_other))
-    return op @ matrix @ op
+    """kron(factor, I) @ matrix @ kron(factor, I), contracted on the slow index."""
+    n = factor.shape[0]
+    left = (factor @ matrix.reshape(n, -1)).reshape(n * dim_other, n, dim_other)
+    # the right product on the slow column index is a batched matmul over rows
+    return (left.swapaxes(1, 2) @ factor).swapaxes(1, 2).reshape(matrix.shape)
 
 
 def conditional_from_joint(j: JointState, condition_on: str = "a") -> ConditionalState:
@@ -158,8 +160,9 @@ def bayes_invert(cond_ab: ConditionalState, marg_a: State, marg_b: State) -> Con
         raise ShapeMismatch("marg_b must live on the conditioning algebra of cond_ab")
     if matrix_rank_psd(marg_b.matrix, DEFAULT_RANK_TOL) < marg_b.shape.total_dim:
         raise SupportMismatch("marg_b is rank-deficient; Bayes inversion needs full rank")
-    op = kron(mat_sqrt(marg_b.matrix), gen_inv_sqrt(marg_a.matrix))
-    inverted = op @ cond_ab.matrix @ op
+    # kron(root_b, inv_a) sandwich, one factor at a time on the slow index,
+    # with the factor swap in between that reorders the result to A-slow.
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim
-    reindexed = swap_factors(inverted, db, da)
-    return ConditionalState(shape_in=marg_a.shape, shape_out=marg_b.shape, matrix=reindexed)
+    half = swap_factors(_sandwich_on_first(mat_sqrt(marg_b.matrix), cond_ab.matrix, da), db, da)
+    inverted = _sandwich_on_first(gen_inv_sqrt(marg_a.matrix), half, db)
+    return ConditionalState(shape_in=marg_a.shape, shape_out=marg_b.shape, matrix=inverted)

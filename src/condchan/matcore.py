@@ -4,7 +4,10 @@ Conventions fixed here once and relied on project-wide:
 
 * matrices are 2-D ``numpy.ndarray`` of complex128 in row-major order;
 * ``kron(a, b)`` places the FIRST factor on the slow (outer) index, so a
-  composite index reads ``i_a * dim_b + i_b``;
+  composite index reads ``i_a * dim_b + i_b``; hence a bipartite matrix has
+  the 4-index view ``t[i_a, i_b, j_a, j_b] = m.reshape(da, db, da, db)``,
+  and every local operator product, partial trace or sandwich is a
+  contraction of ``t`` rather than a product with a materialized ``kron``;
 * eigenvalues are returned in descending order, with each eigenvector's
   phase fixed so that its first nonzero component is real and positive.
 """

@@ -17,7 +17,7 @@ unitaries used by the test suites and the CLI selftest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,14 +31,7 @@ from .channels import (
 )
 from .conditional import conditional_from_joint
 from .errors import BasisNotPOVM, DimensionMismatch, ShapeMismatch
-from .matcore import (
-    gen_inv_sqrt,
-    hermitize,
-    kron,
-    mat_sqrt,
-    max_abs,
-    partial_trace,
-)
+from .matcore import _fix_phases, gen_inv_sqrt, hermitize, kron, mat_sqrt, max_abs
 from .povm import POVM
 from .states import JointState, State, reduce
 
@@ -92,10 +85,15 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
         raise ShapeMismatch("POVM n must live on the first factor of the joint state")
     if m.shape != j.shape_b:
         raise ShapeMismatch("POVM m must live on the second factor of the joint state")
-    lhs = np.empty((len(n), len(m)))
-    for jj, nj in enumerate(n.elements):
-        for kk, mk in enumerate(m.elements):
-            lhs[jj, kk] = float(np.trace(kron(nj, mk) @ j.matrix).real)
+    da, db = j.shape_a.total_dim, j.shape_b.total_dim
+    # Tr((N_j ⊗ M_k) ρ) for all pairs at once on the 4-index view of ρ.
+    lhs = np.einsum(
+        "jax,kby,xyab->jk",
+        np.stack(n.elements),
+        np.stack(m.elements),
+        j.matrix.reshape(da, db, da, db),
+        optimize=True,
+    ).real
 
     rho_a = reduce(j, "a")
     cond = conditional_from_joint(j, "a")
@@ -129,14 +127,11 @@ def _weyl(dim: int, a: int, b: int) -> np.ndarray:
 def bell_basis(dim: int) -> tuple[np.ndarray, ...]:
     """The dim^2 maximally entangled rank-one effects, ordered so that the
     plain maximally entangled projector comes first."""
-    phi = np.zeros(dim * dim, dtype=np.complex128)
-    for j in range(dim):
-        phi[j * dim + j] = 1.0
-    phi /= np.sqrt(dim)
     effects = []
     for a in range(dim):
         for b in range(dim):
-            vec = kron(np.eye(dim), _weyl(dim, a, b)) @ phi
+            # (I ⊗ W) Σ_j |jj> / √d has entry W[i, j] / √d at index j * dim + i
+            vec = _weyl(dim, a, b).T.reshape(-1) / np.sqrt(dim)
             effects.append(np.outer(vec, vec.conj()))
     return tuple(effects)
 
@@ -160,21 +155,21 @@ def _run_branches(
     input_matrix: np.ndarray,
     resource_matrix: np.ndarray,
     effects: list[np.ndarray],
-    dim_pair: int,
     dim_out: int,
     shape_out: AlgebraShape,
 ):
-    total = kron(input_matrix, resource_matrix)
-    eye_out = np.eye(dim_out, dtype=np.complex128)
-    probs = np.empty(len(effects))
+    # Tr_pair((E_i ⊗ I)(ρ ⊗ R)): first F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x],
+    # then Σ F_i[a, b] R[b, o, a, r] on the 4-index view of the resource.
+    d = input_matrix.shape[0]
+    stacked = np.stack(effects).reshape(len(effects), d, d, d, d)
+    reduced = np.einsum("ixayb,yx->iab", stacked, input_matrix)
+    resource = resource_matrix.reshape(d, dim_out, d, dim_out)
+    unnormalized = np.einsum("iab,boar->ior", reduced, resource, optimize=True)
+    probs = np.trace(unnormalized, axis1=1, axis2=2).real
     branches: list[State | None] = []
-    for i, effect in enumerate(effects):
-        op = kron(effect, eye_out) @ total
-        p = float(np.trace(op).real)
-        probs[i] = p
+    for p, branch in zip(probs, unnormalized):
         if p > BRANCH_PROB_FLOOR:
-            branch = partial_trace(op, dim_pair, dim_out, keep="right") / p
-            branches.append(State(shape_out, hermitize(branch)))
+            branches.append(State(shape_out, hermitize(branch / p)))
         else:
             branches.append(None)
     return probs, branches
@@ -210,9 +205,7 @@ def teleport_general(
     if not 0 <= int(success_index) < len(effects):
         raise BasisNotPOVM(f"success index {success_index} out of range")
     resource = choi_conditional(c).matrix / d_in
-    probs, branches = _run_branches(
-        input_state.matrix, resource, effects, d_in * d_in, d_out, c.shape_out
-    )
+    probs, branches = _run_branches(input_state.matrix, resource, effects, d_out, c.shape_out)
     success = int(success_index)
     bob = branches[success]
     if bob is None:
@@ -270,15 +263,7 @@ def teleport(
             a, b = divmod(idx, d)
             u = _weyl(d, a, b).T
             corrected.append(State(c.shape_out, hermitize(u @ branch.matrix @ u.conj().T)))
-        report = TeleportReport(
-            success_probability=report.success_probability,
-            outcome_probabilities=report.outcome_probabilities,
-            success_index=report.success_index,
-            bob_state_on_success=report.bob_state_on_success,
-            branch_states=report.branch_states,
-            corrected_states=tuple(corrected),
-            grouping_used=False,
-        )
+        report = replace(report, corrected_states=tuple(corrected), grouping_used=False)
     return report
 
 
@@ -311,15 +296,7 @@ def teleport_classical(c: Channel, input_state: State) -> TeleportReport:
             if branch_odd is None
             else State(c.shape_out, flip @ branch_odd.matrix @ flip),
         )
-    return TeleportReport(
-        success_probability=report.success_probability,
-        outcome_probabilities=report.outcome_probabilities,
-        success_index=report.success_index,
-        bob_state_on_success=report.bob_state_on_success,
-        branch_states=report.branch_states,
-        corrected_states=corrected,
-        grouping_used=True,
-    )
+    return replace(report, corrected_states=corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +312,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-style random unitary: QR of a Gaussian matrix with each column's
     phase fixed by the project-wide convention."""
     q, r = np.linalg.qr(_gaussian_matrix(rng, dim, dim))
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    for j in range(dim):
-        col = q[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        pivot = col[nz[0]]
-        q[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return q
+    return _fix_phases(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def random_block_unitary(shape: AlgebraShape, rng: np.random.Generator) -> np.ndarray:

@@ -41,10 +41,11 @@ def _decode_matrix(payload, label: str) -> np.ndarray:
 
 
 def _decode_shape(payload, label: str) -> AlgebraShape:
-    try:
-        return AlgebraShape(tuple(int(d) for d in payload))
-    except (TypeError, ValueError) as exc:
-        raise DocumentSyntaxError(f"malformed shape in {label!r}: {exc}") from exc
+    if not isinstance(payload, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in payload
+    ):
+        raise DocumentSyntaxError(f"shape in {label!r} must be a JSON list of integers")
+    return AlgebraShape(tuple(payload))
 
 
 def _require(obj: dict, key: str) -> object:

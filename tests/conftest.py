@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ QUBIT = AlgebraShape((2,))
 QUTRIT = AlgebraShape((3,))
 BIT = AlgebraShape((1, 1))
 MIXED = AlgebraShape((2, 1))
+
+
+def pytest_configure(config):
+    # The CLI tests run ``python -m condchan.cli`` in a subprocess; point it at
+    # the source tree that the ``pythonpath`` setting in pyproject.toml puts
+    # on sys.path for the test process itself.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -259,6 +259,29 @@ class TestValidateChannel:
         with pytest.raises(InvariantViolation):
             Channel(QUBIT, BIT, (HADAMARD,))
 
+    def test_constructor_rejects_non_projector_support(self):
+        # K†K matches the support exactly, but 0.5·I is not a projector
+        with pytest.raises(InvariantViolation) as info:
+            Channel(QUBIT, QUBIT, (np.eye(2) / np.sqrt(2),), input_support=0.5 * np.eye(2))
+        assert info.value.invariant == "support_projector"
+        assert info.value.deviation == pytest.approx(0.25)
+
+    def test_constructor_rejects_non_hermitian_support(self):
+        support = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
+        kraus = (np.array([[1.0, 1.0], [0.0, 0.0]]) / np.sqrt(2),)
+        with pytest.raises(InvariantViolation) as info:
+            Channel(QUBIT, QUBIT, kraus, input_support=support)
+        assert info.value.invariant == "support_projector"
+
+    def test_constructor_rejects_misshaped_support(self):
+        with pytest.raises(ShapeMismatch):
+            Channel(QUBIT, QUBIT, (np.eye(2),), input_support=np.eye(3))
+
+    def test_constructor_accepts_projector_support(self):
+        support = np.diag([1.0, 0.0]).astype(complex)
+        c = Channel(QUBIT, QUBIT, (support,), input_support=support)
+        np.testing.assert_array_equal(c.input_support, support)
+
 
 class TestIsIsometry:
     def test_hadamard(self):

@@ -163,6 +163,22 @@ class TestExitCodes:
     def test_missing_file_is_2(self):
         run_cli("choi", "--channel", "/nonexistent.json", expect=2)
 
+    @pytest.mark.parametrize("shape", [[2.7], "2", [True]])
+    def test_malformed_shape_is_2(self, tmp_path, shape):
+        doc = json.loads(serialize(maximally_mixed(QUBIT)))
+        doc["shape"] = shape
+        bad = tmp_path / "shape.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        completed = run_cli(
+            "teleport",
+            "--channel",
+            str(FIXTURES / "identity_channel.json"),
+            "--input",
+            str(bad),
+            expect=2,
+        )
+        assert "list of integers" in completed.stderr
+
     def test_wrong_kind_is_2(self):
         run_cli("choi", "--channel", str(FIXTURES / "qubit_state.json"), expect=2)
 

@@ -103,6 +103,15 @@ def test_non_object_root():
         parse("[1, 2, 3]")
 
 
+@pytest.mark.parametrize(
+    "shape", ["[2.7]", "[2.0]", '"2"', "[true]", "[false, 2]", "2", '{"0": 2}', "null"]
+)
+def test_shape_must_be_a_list_of_integers(shape):
+    doc = MINIMAL_STATE.replace('"shape": [2]', f'"shape": {shape}')
+    with pytest.raises(DocumentSyntaxError, match="list of integers"):
+        parse(doc)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False, min_value=0.0, max_value=1.0))
 def test_float_payload_round_trips_exactly(x):
