@@ -4,9 +4,13 @@
 Fixtures are committed as data; rerun this only when the schema changes.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
+
+# Import condchan from this checkout's src/, as pytest does via pyproject.toml.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from condchan import AlgebraShape, Channel, State, random_joint_state, random_povm, random_state
 from condchan.serialize import serialize

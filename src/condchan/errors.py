@@ -64,7 +64,7 @@ class DocumentSyntaxError(CondChanError):
     def __init__(self, message: str, line: int = 0, column: int = 0):
         self.line = int(line)
         self.column = int(column)
-        super().__init__(f"{message} (line {line}, column {column})")
+        super().__init__(f"{message} (line {line}, column {column})" if line > 0 else message)
 
 
 class UsageError(CondChanError):

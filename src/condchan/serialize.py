@@ -5,6 +5,12 @@ metadata as integer arrays, and numeric payloads as row-major nested arrays
 with each complex entry a two-element [re, im] array.  Floats are emitted
 with Python's shortest round-tripping representation, so
 ``parse(serialize(x))`` reproduces ``x`` bit-exactly.
+
+Layout: a document is byte for byte ``json.dumps(to_payload(x),
+sort_keys=True, indent=1) + "\n"``: indent 1, sorted keys.  Each matrix is
+written from one ``%``-template of that layout, filled with the float tokens
+of one ``json.dumps`` call on its flat [re, im] entries, so ``NaN``,
+``Infinity`` and ``-0.0`` appear exactly as json writes them.
 """
 
 from __future__ import annotations
@@ -23,21 +29,22 @@ from .states import JointState, State
 KINDS = ("state", "joint_state", "conditional", "channel", "povm", "ensemble")
 
 
+def _pairs(m: np.ndarray) -> np.ndarray:
+    return np.stack((np.real(m), np.imag(m)), -1)
+
+
 def encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    return _pairs(m).tolist()
 
 
 def _decode_matrix(payload, label: str) -> np.ndarray:
     try:
-        rows = []
-        for row in payload:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
-        arr = np.array(rows, dtype=np.complex128)
-    except (TypeError, ValueError, IndexError) as exc:
+        arr = np.array(payload)
+    except ValueError as exc:
         raise DocumentSyntaxError(f"malformed matrix payload in {label!r}: {exc}") from exc
-    if arr.ndim != 2:
-        raise DocumentSyntaxError(f"matrix payload in {label!r} is not two-dimensional")
-    return arr
+    if arr.dtype.kind not in "fi" or arr.ndim != 3 or arr.shape[2] != 2:
+        raise DocumentSyntaxError(f"matrix {label!r} must be rows of [re, im] number pairs")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _decode_shape(payload, label: str) -> AlgebraShape:
@@ -54,58 +61,85 @@ def _require(obj: dict, key: str) -> object:
     return obj[key]
 
 
-def to_payload(obj) -> dict:
-    """Document payload (a plain dict) for any serializable object."""
+def _fields(obj) -> dict:
+    """Document fields of any serializable object, matrices kept as arrays."""
     if isinstance(obj, State):
-        return {
-            "kind": "state",
-            "shape": list(obj.shape.block_dims),
-            "matrix": encode_matrix(obj.matrix),
-        }
+        return {"kind": "state", "shape": list(obj.shape.block_dims), "matrix": obj.matrix}
     if isinstance(obj, JointState):
         return {
             "kind": "joint_state",
             "shape_a": list(obj.shape_a.block_dims),
             "shape_b": list(obj.shape_b.block_dims),
-            "matrix": encode_matrix(obj.matrix),
+            "matrix": obj.matrix,
         }
     if isinstance(obj, ConditionalState):
         return {
             "kind": "conditional",
             "shape_in": list(obj.shape_in.block_dims),
             "shape_out": list(obj.shape_out.block_dims),
-            "matrix": encode_matrix(obj.matrix),
+            "matrix": obj.matrix,
         }
     if isinstance(obj, Channel):
-        payload = {
+        fields = {
             "kind": "channel",
             "shape_in": list(obj.shape_in.block_dims),
             "shape_out": list(obj.shape_out.block_dims),
-            "kraus": [encode_matrix(k) for k in obj.kraus],
+            "kraus": list(obj.kraus),
         }
         if obj.input_support is not None:
-            payload["input_support"] = encode_matrix(obj.input_support)
-        return payload
+            fields["input_support"] = obj.input_support
+        return fields
     if isinstance(obj, POVM):
-        return {
-            "kind": "povm",
-            "shape": list(obj.shape.block_dims),
-            "elements": [encode_matrix(e) for e in obj.elements],
-        }
+        return {"kind": "povm", "shape": list(obj.shape.block_dims), "elements": list(obj.elements)}
     if isinstance(obj, Ensemble):
         return {
             "kind": "ensemble",
             "shape": list(obj.average.shape.block_dims),
             "weights": [float(w) for w in obj.weights],
-            "members": [encode_matrix(m.matrix) for m in obj.members],
-            "average": encode_matrix(obj.average.matrix),
+            "members": [m.matrix for m in obj.members],
+            "average": obj.average.matrix,
         }
     raise DocumentSyntaxError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return encode_matrix(value) if isinstance(value, np.ndarray) else value
+
+
+def to_payload(obj) -> dict:
+    """Document payload (a plain dict) for any serializable object."""
+    return _plain(_fields(obj))
+
+
+def _block(items: list, level: int, brackets: str = "[]") -> str:
+    """json's indent=1 layout of items inside a bracket pair closed at level."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
+
+
+def _write(value, level: int) -> str:
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_write(value[k], level + 1)}" for k in sorted(value)]
+        return _block(items, level, "{}")
+    if isinstance(value, list):
+        return _block([_write(v, level + 1) for v in value], level)
+    if isinstance(value, np.ndarray):
+        rows, cols = value.shape
+        row = _block([_block(["%s", "%s"], level + 2)] * cols, level + 1)
+        tokens = json.dumps(_pairs(value).ravel().tolist())[1:-1].split(", ")
+        return _block([row] * rows, level) % tuple(tokens)
+    return json.dumps(value)
+
+
 def serialize(obj) -> str:
     """Serialize to a JSON document string (sorted keys, newline-terminated)."""
-    return json.dumps(to_payload(obj), sort_keys=True, indent=1) + "\n"
+    return _write(_fields(obj), 0) + "\n"
 
 
 def from_payload(obj: dict):
@@ -145,13 +179,15 @@ def from_payload(obj: dict):
         return POVM(shape, tuple(_decode_matrix(e, f"elements[{i}]") for i, e in enumerate(elements)))
     if kind == "ensemble":
         shape = _decode_shape(_require(obj, "shape"), "shape")
+        weights, members = _require(obj, "weights"), _require(obj, "members")
+        if not isinstance(weights, list) or not isinstance(members, list):
+            raise DocumentSyntaxError("ensemble document needs 'weights' and 'members' lists")
         try:
-            weights = np.array([float(w) for w in _require(obj, "weights")])
-        except (TypeError, ValueError) as exc:
+            weights = np.array([float(w) for w in weights])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DocumentSyntaxError(f"malformed weights: {exc}") from exc
         members = tuple(
-            State(shape, _decode_matrix(m, f"members[{i}]"))
-            for i, m in enumerate(_require(obj, "members"))
+            State(shape, _decode_matrix(m, f"members[{i}]")) for i, m in enumerate(members)
         )
         average = State(shape, _decode_matrix(_require(obj, "average"), "average"))
         return Ensemble(weights=weights, members=members, average=average)
@@ -161,12 +197,15 @@ def from_payload(obj: dict):
 def parse(text: str):
     """Parse a JSON document string into a validated object.
 
-    JSON syntax errors surface as ``DocumentSyntaxError`` with line/column;
-    failed construction invariants propagate as ``InvariantViolation`` with
-    the invariant's name and measured deviation.
+    JSON syntax errors surface as ``DocumentSyntaxError`` with line/column,
+    and so does nesting too deep for the JSON decoder; failed construction
+    invariants propagate as ``InvariantViolation`` with the invariant's name
+    and measured deviation.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError("JSON nesting is too deep") from exc
     return from_payload(payload)

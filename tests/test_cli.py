@@ -179,6 +179,29 @@ class TestExitCodes:
         )
         assert "list of integers" in completed.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "state", "shape": [2], "matrix": [[{"a": 1}]]}',
+            '{"kind": "ensemble", "shape": [2], "weights": [1.0], "members": 5, "average": []}',
+            "[" * 100_000,
+        ],
+        ids=["matrix-object-entry", "ensemble-members-not-a-list", "deep-nesting"],
+    )
+    def test_malformed_document_is_2(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        completed = run_cli(
+            "teleport",
+            "--channel",
+            str(FIXTURES / "identity_channel.json"),
+            "--input",
+            str(bad),
+            expect=2,
+        )
+        assert completed.stderr.startswith("parse error: ")
+        assert "(line 0" not in completed.stderr
+
     def test_wrong_kind_is_2(self):
         run_cli("choi", "--channel", str(FIXTURES / "qubit_state.json"), expect=2)
 

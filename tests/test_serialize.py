@@ -1,12 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condchan import (
+    AlgebraShape,
+    CondChanError,
     DocumentSyntaxError,
     InvariantViolation,
     State,
+    channel_from_conditional,
+    conditional_from_joint,
     maximally_mixed,
     prepare,
     random_channel,
@@ -15,8 +22,15 @@ from condchan import (
     random_state,
 )
 from condchan.channels import choi_conditional
-from condchan.serialize import parse, serialize
+from condchan.serialize import parse, serialize, to_payload
 from conftest import BIT, MIXED, QUBIT
+
+FIXTURES = Path(__file__).parent / "fixtures"
+ONE = AlgebraShape((1,))
+TRIT = AlgebraShape((1, 1, 1))
+D16 = AlgebraShape((16,))
+REDUCIBLE16 = AlgebraShape((8, 4, 2, 1, 1))
+QUART = AlgebraShape((4,))
 
 MINIMAL_STATE = """
 {"kind": "state", "shape": [2], "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
@@ -98,6 +112,63 @@ def test_malformed_matrix():
         parse('{"kind": "state", "shape": [2], "matrix": [[1, 2], [3, 4]]}')
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        '[[{"a": 1}, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]',
+        "[[[0.5, 0.0, 7], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]",
+        "[[[0.5, 0.0], null], [[0.0, 0.0], [0.5, 0.0]]]",
+        '[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["0.5", 0.0]]]',
+        "[[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]",
+        "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5]]]",
+        "[[[true, false], [false, false]], [[false, false], [true, false]]]",
+        "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [100000000000000000000000, 0.0]]]",
+        "[[]]",
+        "[]",
+        "0.5",
+    ],
+    ids=["object", "triple", "null", "string", "ragged-rows", "short-pair",
+         "booleans", "huge-int", "empty-row", "empty", "scalar"],
+)
+def test_malformed_matrix_entries(matrix):
+    with pytest.raises(DocumentSyntaxError, match="matrix"):
+        parse(f'{{"kind": "state", "shape": [2], "matrix": {matrix}}}')
+
+
+def test_integer_entries_decode_as_floats():
+    s = parse(MINIMAL_STATE.replace("[0.0, 0.0]", "[0, 0]"))
+    assert s.matrix.dtype == np.complex128
+    assert np.array_equal(s.matrix, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("key", ["weights", "members"])
+@pytest.mark.parametrize("value", ["5", '"1"', '{"0": 1.0}', "null"])
+def test_ensemble_lists_must_be_lists(rng, key, value):
+    doc = json.loads(serialize(prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng))))
+    doc[key] = json.loads(value)
+    with pytest.raises(DocumentSyntaxError, match="lists"):
+        parse(json.dumps(doc))
+
+
+def test_weight_too_large_for_a_float(rng):
+    doc = json.loads(serialize(prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng))))
+    doc["weights"][0] = 10**400
+    with pytest.raises(DocumentSyntaxError, match="weights"):
+        parse(json.dumps(doc))
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(DocumentSyntaxError, match="too deep"):
+        parse("[" * 100_000)
+
+
+def test_error_without_position_has_no_position():
+    with pytest.raises(DocumentSyntaxError) as err:
+        parse('{"kind": "state", "shape": [2]}')
+    assert str(err.value) == "missing required key 'matrix'"
+    assert (err.value.line, err.value.column) == (0, 0)
+
+
 def test_non_object_root():
     with pytest.raises(DocumentSyntaxError):
         parse("[1, 2, 3]")
@@ -140,3 +211,98 @@ def test_maximally_mixed_example():
     assert '"kind": "state"' in text
     back = parse(text)
     np.testing.assert_allclose(back.matrix, np.eye(2) / 2)
+
+
+def json_oracle(obj) -> str:
+    """The layout serialize() must reproduce byte for byte: json's own
+    indent=1 writer over the plain payload."""
+    return json.dumps(to_payload(obj), sort_keys=True, indent=1) + "\n"
+
+
+def _support_restricted_channel(rng):
+    j = random_joint_state(QUBIT, QUBIT, rng, rank_a=1)
+    return channel_from_conditional(conditional_from_joint(j, "a"))
+
+
+def _unchecked_state(*entries):
+    return State(QUBIT, np.array(entries, dtype=np.complex128).reshape(2, 2), check=False)
+
+
+PINNED = {
+    "state-1x1": lambda rng: random_state(ONE, rng),
+    "state-reducible": lambda rng: random_state(MIXED, rng),
+    "state-classical": lambda rng: random_state(TRIT, rng),
+    "state-d16": lambda rng: random_state(D16, rng),
+    "state-reducible-d16": lambda rng: random_state(REDUCIBLE16, rng),
+    "joint-1x1": lambda rng: random_joint_state(ONE, ONE, rng),
+    "joint-mixed": lambda rng: random_joint_state(QUBIT, BIT, rng),
+    "joint-classical": lambda rng: random_joint_state(BIT, TRIT, rng),
+    "joint-d16": lambda rng: random_joint_state(QUART, QUART, rng),
+    "conditional-reducible": lambda rng: choi_conditional(random_channel(MIXED, QUBIT, 2, rng)),
+    "conditional-classical": lambda rng: choi_conditional(random_channel(BIT, TRIT, 2, rng)),
+    "conditional-d16": lambda rng: choi_conditional(random_channel(QUART, QUART, 2, rng)),
+    "channel-1x1": lambda rng: random_channel(ONE, ONE, 1, rng),
+    "channel-reducible": lambda rng: random_channel(QUBIT, MIXED, 2, rng),
+    "channel-d16": lambda rng: random_channel(D16, REDUCIBLE16, 1, rng),
+    "channel-input-support": _support_restricted_channel,
+    "povm-classical": lambda rng: random_povm(BIT, 3, rng),
+    "povm-d16": lambda rng: random_povm(REDUCIBLE16, 2, rng),
+    "ensemble": lambda rng: prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng)),
+    "ensemble-reducible": lambda rng: prepare(random_povm(MIXED, 3, rng), random_state(MIXED, rng)),
+    "unchecked-nonfinite": lambda rng: _unchecked_state(np.nan, complex(np.inf, -np.inf), complex(-np.inf, np.nan), 0.5),
+    "unchecked-signed-zero": lambda rng: _unchecked_state(complex(-0.0, -0.0), complex(0.0, -0.0), -0.0, 1.0),
+    "unchecked-extremes": lambda rng: _unchecked_state(5e-324, complex(2.2250738585072014e-308, -1e300), 1e300, complex(-1.7976931348623157e308, 1e-320)),
+}
+
+
+@pytest.mark.parametrize("build", PINNED.values(), ids=PINNED.keys())
+def test_serialize_matches_json_layout_byte_for_byte(rng, build):
+    obj = build(rng)
+    assert serialize(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
+def test_fixture_documents_reserialize_unchanged(path):
+    text = path.read_text(encoding="utf-8")
+    assert serialize(parse(text)) == text
+
+
+def _pair_matrices(entries):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.lists(entries, min_size=2, max_size=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=12,
+)
+MATRICES = _pair_matrices(JSON_SCALARS) | _pair_matrices(st.floats()) | JSON_VALUES
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["state", "channel", "ensemble"]),
+    matrix=MATRICES,
+    kraus=st.lists(MATRICES, max_size=2) | JSON_VALUES,
+    members=st.lists(MATRICES, max_size=2) | JSON_VALUES,
+    weights=st.lists(JSON_SCALARS, max_size=2) | JSON_VALUES,
+)
+def test_hostile_payloads_raise_only_package_errors(kind, matrix, kraus, members, weights):
+    shape = [2]
+    docs = {
+        "state": {"kind": "state", "shape": shape, "matrix": matrix},
+        "channel": {"kind": "channel", "shape_in": shape, "shape_out": shape, "kraus": kraus},
+        "ensemble": {"kind": "ensemble", "shape": shape, "weights": weights,
+                     "members": members, "average": matrix},
+    }
+    try:
+        parse(json.dumps(docs[kind]))
+    except CondChanError:
+        pass
