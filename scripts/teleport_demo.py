@@ -7,8 +7,13 @@ lifts the success probability to 1/2 (the one-time-pad degeneration).
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
+
+# Import condchan from this checkout's src/, as pytest does via pyproject.toml.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from condchan import (
     AlgebraShape,

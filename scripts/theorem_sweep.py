@@ -7,8 +7,13 @@ tabulates the worst disagreement between the two outcome distributions.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
+
+# Import condchan from this checkout's src/, as pytest does via pyproject.toml.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from condchan import AlgebraShape, random_joint_state, random_povm, verify_theorem
 

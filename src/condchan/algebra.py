@@ -12,6 +12,7 @@ instead of a single merged shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,18 +86,32 @@ def embed(e: AlgebraElement) -> np.ndarray:
     return out
 
 
+# Shapes whose support masks are kept; a process touches only a few.
+MASK_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only support mask of the tensor product of ``shapes`` on the kron
+    space, and its complement (the off-block entries)."""
+    mask = np.ones((1, 1), dtype=bool)
+    for shape in shapes:
+        labels = np.repeat(np.arange(len(shape.block_dims)), shape.block_dims)
+        mask = np.kron(mask, labels[:, None] == labels[None, :])
+    off = ~mask
+    mask.setflags(write=False)
+    off.setflags(write=False)
+    return mask, off
+
+
 def block_mask(shape: AlgebraShape) -> np.ndarray:
-    """Boolean mask of the entries an algebra element may occupy."""
-    d = shape.total_dim
-    mask = np.zeros((d, d), dtype=bool)
-    for sl in shape.block_slices():
-        mask[sl, sl] = True
-    return mask
+    """Boolean mask of the entries an algebra element may occupy (cached, read-only)."""
+    return _masks((shape,))[0]
 
 
 def pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
-    """Support mask of the tensor-product algebra on the kron space."""
-    return np.kron(block_mask(shape_a), block_mask(shape_b))
+    """Support mask of the tensor-product algebra on the kron space (cached, read-only)."""
+    return _masks((shape_a, shape_b))[0]
 
 
 def project_matrix(m, shape: AlgebraShape) -> np.ndarray:
@@ -130,14 +145,23 @@ def project_pair(m, shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
     return arr * pair_mask(shape_a, shape_b)
 
 
+def _off_support_deviation(m, off: np.ndarray) -> float:
+    arr = np.asarray(m)
+    if arr.shape[-2:] != off.shape:
+        raise DimensionMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
+    return max_abs(arr[..., off])
+
+
 def block_support_deviation(m, shape: AlgebraShape) -> float:
-    """Largest entry of m outside the algebra's block support."""
-    return max_abs(np.asarray(m) - project_matrix(m, shape))
+    """Largest entry of m (or of a stack of matrices) outside the algebra's
+    block support."""
+    return _off_support_deviation(m, _masks((shape,))[1])
 
 
 def pair_support_deviation(m, shape_a: AlgebraShape, shape_b: AlgebraShape) -> float:
-    """Largest entry of m outside the tensor-product algebra's support."""
-    return max_abs(np.asarray(m) - project_pair(m, shape_a, shape_b))
+    """Largest entry of m (or of a stack of matrices) outside the
+    tensor-product algebra's support."""
+    return _off_support_deviation(m, _masks((shape_a, shape_b))[1])
 
 
 def tensor_shape(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:

@@ -1,6 +1,8 @@
 """Trace-preserving completely positive maps and their conditional-state form.
 
-A channel is held canonically in Kraus form; the conditional-state (Choi)
+A channel is held canonically in Kraus form, as one read-only
+``(r, d_out, d_in)`` complex tensor of its r Kraus operators, so every sum
+over them is a single batched product; the conditional-state (Choi)
 form is computed on demand by letting the channel act on the conditioned
 factor of the maximally entangled conditional of the input algebra.  Going
 back, Kraus operators are extracted from the eigendecomposition of the
@@ -18,7 +20,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_mask, block_projectors, pair_mask
+from .algebra import AlgebraShape, block_mask, block_projectors, pair_support_deviation
 from .conditional import ConditionalState
 from .errors import (
     InvariantViolation,
@@ -36,23 +38,26 @@ KRAUS_CUTOFF = 1e-10
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
     """Unnormalized maximally entangled conditional matrix of an algebra,
     pinched onto the block diagonal (trace = total dimension)."""
+    # Σ over blocks of v v† with v = Σ_j |jj> in the block: entry ((j, j), (k, k))
+    # is 1 exactly when j and k share a block.
     d = shape.total_dim
     out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for sl in shape.block_slices():
-        v = np.zeros(d * d, dtype=np.complex128)
-        for j in range(sl.start, sl.stop):
-            v[j * d + j] = 1.0
-        out += np.outer(v, v.conj())
+    out[:: d + 1, :: d + 1] = block_mask(shape)
     return out
 
 
-def _choi_matrix(kraus: tuple[np.ndarray, ...], shape_in: AlgebraShape) -> np.ndarray:
+def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
+    """Σ_K K†K over a Kraus tensor."""
+    return (kraus.conj().swapaxes(1, 2) @ kraus).sum(0)
+
+
+def _choi_matrix(kraus: np.ndarray, shape_in: AlgebraShape) -> np.ndarray:
     # (I ⊗ K) applied to the block vectors of the max-ent matrix is vec(K)
     # restricted to one input block (index j * dout + i holds K[i, j]), so the
     # Choi matrix is Σ_K vec(K) vec(K)† with the input block mask on the slow
     # index of its 4-index view.
-    din, dout = shape_in.total_dim, kraus[0].shape[0]
-    vecs = np.stack([k.T.reshape(-1) for k in kraus])
+    r, dout, din = kraus.shape
+    vecs = kraus.swapaxes(1, 2).reshape(r, din * dout)
     full = (vecs.T @ vecs.conj()).reshape(din, dout, din, dout)
     return (full * block_mask(shape_in)[:, None, :, None]).reshape(din * dout, din * dout)
 
@@ -61,54 +66,65 @@ def _choi_matrix(kraus: tuple[np.ndarray, ...], shape_in: AlgebraShape) -> np.nd
 class Channel:
     """A CP map in Kraus form between two algebras.
 
-    ``input_support`` is None for trace-preserving channels; for channels
-    recovered from a conditional with deficient conditioning support it is
-    the projector that the Kraus operators resolve instead of the identity.
+    ``kraus`` is one read-only ``(r, d_out, d_in)`` array; iterating it gives
+    the Kraus operators.  ``input_support`` is None for trace-preserving
+    channels; for channels recovered from a conditional with deficient
+    conditioning support it is the projector that the Kraus operators resolve
+    instead of the identity.
     """
 
     shape_in: AlgebraShape
     shape_out: AlgebraShape
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     input_support: np.ndarray | None = None
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool):
-        ops = tuple(np.array(k, dtype=np.complex128, copy=True) for k in self.kraus)
-        if not ops:
+        try:
+            ops = np.array(list(self.kraus), dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise ShapeMismatch(f"Kraus operators do not stack into one tensor: {exc}") from exc
+        if ops.shape[:1] == (0,):
             raise ShapeMismatch("a channel needs at least one Kraus operator")
         din, dout = self.shape_in.total_dim, self.shape_out.total_dim
-        for k in ops:
-            if k.shape != (dout, din):
-                raise ShapeMismatch(f"Kraus operator shape {k.shape}, expected {(dout, din)}")
-            k.setflags(write=False)
+        if ops.shape[1:] != (dout, din):
+            raise ShapeMismatch(f"Kraus operator shape {ops.shape[1:]}, expected {(dout, din)}")
+        ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         if self.input_support is not None:
             sup = np.array(self.input_support, dtype=np.complex128, copy=True)
             sup.setflags(write=False)
             object.__setattr__(self, "input_support", sup)
         if check:
+            if not np.isfinite(ops).all():
+                raise InvariantViolation("finite", np.inf, "Kraus operators have non-finite entries")
             target = np.eye(din)
             if self.input_support is not None:
                 target = self.input_support
                 if target.shape != (din, din):
                     raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
                 proj_dev = max(max_abs(target @ target - target), herm_deviation(target))
-                if proj_dev > CHANNEL_TP_TOL:
+                if not proj_dev <= CHANNEL_TP_TOL:
                     raise InvariantViolation("support_projector", proj_dev)
-            tp_dev = max_abs(sum(k.conj().T @ k for k in ops) - target)
-            if tp_dev > CHANNEL_TP_TOL:
+            # Finite Kraus operators can still overflow K†K; the deviation is
+            # then inf or NaN, which the NaN-safe tests here reject.
+            with np.errstate(over="ignore", invalid="ignore"):
+                tp_dev = max_abs(_kraus_gram(ops) - target)
+            if not tp_dev <= CHANNEL_TP_TOL:
                 raise NotTracePreserving(
                     f"sum of K†K deviates from the required resolution by {tp_dev:.3e}"
                 )
             choi = _choi_matrix(ops, self.shape_in)
-            block_dev = max_abs(choi * ~pair_mask(self.shape_in, self.shape_out))
-            if block_dev > CHANNEL_BLOCK_TOL:
+            block_dev = pair_support_deviation(choi, self.shape_in, self.shape_out)
+            if not block_dev <= CHANNEL_BLOCK_TOL:
                 raise InvariantViolation("output_block_support", block_dev)
 
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
-    """Action of the channel on a raw matrix (no state validation)."""
-    return sum(k @ x @ k.conj().T for k in c.kraus)
+    """Action of the channel on a raw matrix, or on each matrix of a stack
+    (no state validation)."""
+    k = c.kraus
+    return (k @ x[..., None, :, :] @ k.conj().swapaxes(1, 2)).sum(-3)
 
 
 def apply(c: Channel, s: State) -> State:
@@ -182,19 +198,16 @@ def channel_from_conditional(cond: ConditionalState, cutoff: float = KRAUS_CUTOF
 
     es = herm_eig(cond.matrix)
     top = max(float(es.eigenvalues[0]), 0.0) if es.eigenvalues.size else 0.0
-    thresh = max(cutoff * top, RANK_TOL_FLOOR)
-    kraus = []
-    for lam, vec in zip(es.eigenvalues, es.eigenvectors.T):
-        if lam <= thresh:
-            continue
-        # column index convention: vec[a * dout + b] -> K[b, a]
-        kraus.append(np.sqrt(lam) * vec.reshape(din, dout).T)
-    if not kraus:
+    keep = es.eigenvalues > max(cutoff * top, RANK_TOL_FLOOR)
+    if not keep.any():
         raise NotTracePreserving("conditional has no spectral weight above the cutoff")
+    # column index convention: vec[a * dout + b] -> K[b, a]
+    vecs = es.eigenvectors.T[keep] * np.sqrt(es.eigenvalues[keep])[:, None]
+    kraus = vecs.reshape(-1, din, dout).swapaxes(1, 2)
     return Channel(
         shape_in=cond.shape_in,
         shape_out=cond.shape_out,
-        kraus=tuple(kraus),
+        kraus=kraus,
         input_support=None if full else support.T,
     )
 
@@ -238,11 +251,10 @@ class ChannelReport:
 def validate_channel(c: Channel, tol: float = CHANNEL_TP_TOL) -> ChannelReport:
     """Measure trace preservation, complete positivity (via the minimum
     eigenvalue of the conditional form) and output block support."""
-    din = c.shape_in.total_dim
-    tp_dev = max_abs(sum(k.conj().T @ k for k in c.kraus) - np.eye(din))
+    tp_dev = max_abs(_kraus_gram(c.kraus) - np.eye(c.shape_in.total_dim))
     choi = _choi_matrix(c.kraus, c.shape_in)
     w = herm_eig(choi).eigenvalues
-    block_dev = max_abs(choi * ~pair_mask(c.shape_in, c.shape_out))
+    block_dev = pair_support_deviation(choi, c.shape_in, c.shape_out)
     return ChannelReport(
         tp_deviation=float(tp_dev),
         choi_min_eigenvalue=float(w[-1]) if w.size else 0.0,

@@ -26,14 +26,13 @@ from .matcore import (
     as_matrix,
     gen_inv_sqrt,
     herm_deviation,
-    hermitize,
     mat_sqrt,
     matrix_rank_psd,
     max_abs,
     partial_trace,
     swap_factors,
 )
-from .states import JointState, State, _side
+from .states import JointState, State, _side, _validate_psd
 
 COND_PSD_TOL = 1e-10
 COND_BLOCK_TOL = 1e-12
@@ -66,17 +65,8 @@ class ConditionalState:
             self._validate(arr)
 
     def _validate(self, arr: np.ndarray) -> None:
-        if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
-            raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
-        dev = herm_deviation(arr)
-        if dev > COND_PSD_TOL:
-            raise InvariantViolation("hermitian", dev)
         block_dev = pair_support_deviation(arr, self.shape_in, self.shape_out)
-        if block_dev > COND_BLOCK_TOL:
-            raise InvariantViolation("block_support", block_dev)
-        w = np.linalg.eigvalsh(hermitize(arr))
-        if w.size and w[0] < -COND_PSD_TOL:
-            raise InvariantViolation("positive", -float(w[0]))
+        _validate_psd(arr[None], block_dev, COND_PSD_TOL, COND_BLOCK_TOL, COND_PSD_TOL)
         p = self.conditioning_support()
         proj_dev = max(max_abs(p @ p - p), herm_deviation(p))
         if proj_dev > COND_PROJECTOR_TOL:

@@ -73,22 +73,27 @@ def herm_deviation(m: np.ndarray) -> float:
 
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude (0 for empty input)."""
-    return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
+    arr = np.asarray(m)
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible component is real positive."""
+    """Rotate each column so its first non-negligible component is real positive.
+
+    Columns with no component above ``PHASE_TOL`` times their largest one
+    (all zero, or holding NaN or infinity) are left as they are.
+    """
     out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        scale = np.max(np.abs(col))
-        if scale == 0.0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > PHASE_TOL * scale)
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    mag = np.abs(out)
+    above = mag > PHASE_TOL * mag.max(axis=0)
+    first = above.argmax(axis=0)
+    cols = np.flatnonzero(above[first, np.arange(out.shape[1])])
+    pivot = out[first[cols], cols]
+    # Rounded as a per-column loop rounds them, so phases (and documents) stay
+    # bit-stable: hypot matches the scalar abs, which np.abs of a complex array
+    # may not, and each column is scaled by its own broadcast scalar.
+    factor = pivot.conjugate() / np.hypot(pivot.real, pivot.imag)
+    out.T[cols] = out.T[cols] * factor[:, None]
     return out
 
 

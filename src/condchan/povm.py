@@ -17,13 +17,11 @@ from .errors import InvariantViolation, ShapeMismatch, SupportViolation
 from .matcore import (
     as_matrix,
     gen_inv_sqrt,
-    herm_deviation,
-    hermitize,
     mat_sqrt,
     max_abs,
     support_projector,
 )
-from .states import State
+from .states import State, _validate_psd
 
 POVM_PSD_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
@@ -52,19 +50,10 @@ class POVM:
                 raise ShapeMismatch(f"element shape {e.shape} does not match total dim {d}")
         object.__setattr__(self, "elements", elems)
         if check:
-            for e in elems:
-                if not np.all(np.isfinite(e.real) & np.isfinite(e.imag)):
-                    raise InvariantViolation("finite", np.inf, "element has non-finite entries")
-                dev = herm_deviation(e)
-                if dev > POVM_PSD_TOL:
-                    raise InvariantViolation("hermitian", dev)
-                bdev = block_support_deviation(e, self.shape)
-                if bdev > POVM_BLOCK_TOL:
-                    raise InvariantViolation("block_support", bdev)
-                w = np.linalg.eigvalsh(hermitize(e))
-                if w.size and w[0] < -POVM_PSD_TOL:
-                    raise InvariantViolation("positive", -float(w[0]))
-            sum_dev = max_abs(sum(elems) - np.eye(d))
+            stack = np.stack(elems)
+            block_dev = block_support_deviation(stack, self.shape)
+            _validate_psd(stack, block_dev, POVM_PSD_TOL, POVM_BLOCK_TOL, POVM_PSD_TOL)
+            sum_dev = max_abs(stack.sum(0) - np.eye(d))
             if sum_dev > POVM_SUM_TOL:
                 raise InvariantViolation("povm_sum", sum_dev)
 
@@ -90,6 +79,8 @@ class Ensemble:
         if len(members) != w.size:
             raise ShapeMismatch("one weight per member required")
         if check:
+            if not np.isfinite(w).all():
+                raise InvariantViolation("finite", np.inf, "weights have non-finite entries")
             if w.size and float(w.min()) < -ENSEMBLE_TOL:
                 raise InvariantViolation("weights_nonnegative", -float(w.min()))
             wsum_dev = abs(float(w.sum()) - 1.0)

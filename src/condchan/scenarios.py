@@ -86,25 +86,19 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
     if m.shape != j.shape_b:
         raise ShapeMismatch("POVM m must live on the second factor of the joint state")
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
+    ns, ms = np.stack(n.elements), np.stack(m.elements)
     # Tr((N_j ⊗ M_k) ρ) for all pairs at once on the 4-index view of ρ.
     lhs = np.einsum(
-        "jax,kby,xyab->jk",
-        np.stack(n.elements),
-        np.stack(m.elements),
-        j.matrix.reshape(da, db, da, db),
-        optimize=True,
+        "jax,kby,xyab->jk", ns, ms, j.matrix.reshape(da, db, da, db), optimize=True
     ).real
 
     rho_a = reduce(j, "a")
     cond = conditional_from_joint(j, "a")
     chan = channel_from_conditional(cond)
     root_t = mat_sqrt(rho_a.matrix.T)
-    rhs = np.empty_like(lhs)
-    for jj, nj in enumerate(n.elements):
-        prepared = root_t @ nj.T @ root_t
-        evolved = apply_matrix(chan, prepared)
-        for kk, mk in enumerate(m.elements):
-            rhs[jj, kk] = float(np.trace(mk @ evolved).real)
+    # prepare with every N_j transposed, evolve the stack, then Tr(M_k ·) per pair
+    evolved = apply_matrix(chan, root_t @ ns.swapaxes(1, 2) @ root_t)
+    rhs = np.trace(ms @ evolved[:, None], axis1=2, axis2=3).real
 
     return TheoremReport(
         lhs=lhs,

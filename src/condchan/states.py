@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, pair_support_deviation, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import as_matrix, herm_deviation, hermitize, partial_trace, swap_factors
+from .matcore import as_matrix, partial_trace, swap_factors
 
 STATE_HERM_TOL = 1e-10
 STATE_PSD_TOL = 1e-10
@@ -23,20 +23,42 @@ STATE_TRACE_TOL = 1e-10
 STATE_BLOCK_TOL = 1e-12
 
 
-def _validate_density(matrix: np.ndarray, block_dev: float) -> None:
-    if not np.all(np.isfinite(matrix.real) & np.isfinite(matrix.imag)):
+def _validate_psd(
+    stack: np.ndarray,
+    block_dev: float,
+    herm_tol: float,
+    block_tol: float,
+    psd_tol: float,
+    trace_tol: float | None = None,
+) -> None:
+    """Hermitian-PSD checks on a (n, d, d) stack; a single matrix is a batch
+    of one.  Invariants are checked in the order finite, hermitian,
+    block_support, trace (unit trace of each matrix, when ``trace_tol`` is
+    given) and positive, each over the whole stack, with one eigvalsh call."""
+    if not np.isfinite(stack).all():
         raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
-    dev = herm_deviation(matrix)
-    if dev > STATE_HERM_TOL:
+    adj = stack.conj().swapaxes(-1, -2)
+    dev = float(np.abs(stack - adj).max())
+    if dev > herm_tol:
         raise InvariantViolation("hermitian", dev)
-    if block_dev > STATE_BLOCK_TOL:
+    if block_dev > block_tol:
         raise InvariantViolation("block_support", block_dev)
-    trace_dev = abs(np.trace(matrix).real - 1.0) + abs(np.trace(matrix).imag)
-    if trace_dev > STATE_TRACE_TOL:
-        raise InvariantViolation("trace", trace_dev)
-    w = np.linalg.eigvalsh(hermitize(matrix))
-    if w.size and w[0] < -STATE_PSD_TOL:
-        raise InvariantViolation("positive", -float(w[0]))
+    if trace_tol is not None:
+        traces = stack.trace(axis1=1, axis2=2).tolist()
+        trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
+        if trace_dev > trace_tol:
+            raise InvariantViolation("trace", trace_dev)
+    # NaN-safe: entries near the float limit overflow the Hermitian part, and
+    # the NaN spectrum of that must not pass as positive.
+    low = float(np.linalg.eigvalsh((stack + adj) / 2).min())
+    if not low >= -psd_tol:
+        raise InvariantViolation("positive", -low)
+
+
+def _validate_density(matrix: np.ndarray, block_dev: float) -> None:
+    _validate_psd(
+        matrix[None], block_dev, STATE_HERM_TOL, STATE_BLOCK_TOL, STATE_PSD_TOL, STATE_TRACE_TOL
+    )
 
 
 @dataclass(frozen=True, eq=False)

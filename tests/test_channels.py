@@ -277,6 +277,41 @@ class TestValidateChannel:
         with pytest.raises(ShapeMismatch):
             Channel(QUBIT, QUBIT, (np.eye(2),), input_support=np.eye(3))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_constructor_rejects_non_finite_kraus(self, entry):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = entry
+        with pytest.raises(InvariantViolation) as info:
+            Channel(QUBIT, QUBIT, (k, np.zeros((2, 2))))
+        assert info.value.invariant == "finite"
+
+    def test_constructor_rejects_overflowing_kraus(self):
+        # finite entries whose K†K overflows make the TP deviation inf or NaN
+        k = np.eye(2, dtype=complex)
+        k[0, 0] = 1e308 + 1e308j
+        with pytest.raises(NotTracePreserving):
+            Channel(QUBIT, QUBIT, (k,))
+
+    def test_constructor_rejects_ragged_or_missing_kraus(self):
+        with pytest.raises(ShapeMismatch):
+            Channel(QUBIT, QUBIT, (np.eye(2), np.eye(3)))
+        with pytest.raises(ShapeMismatch):
+            Channel(QUBIT, QUBIT, ())
+        with pytest.raises(ShapeMismatch):
+            Channel(QUBIT, QUBIT, np.eye(2))
+        with pytest.raises(ShapeMismatch):
+            Channel(QUBIT, QUBIT, None)
+
+    def test_constructor_accepts_any_iterable_of_kraus(self):
+        c = Channel(QUBIT, QUBIT, (k for k in [np.eye(2)]))
+        assert c.kraus.shape == (1, 2, 2)
+
+    def test_constructor_copies_the_kraus_operators(self):
+        k = np.eye(2, dtype=complex)
+        c = Channel(QUBIT, QUBIT, (k,))
+        k[0, 0] = 5.0
+        np.testing.assert_array_equal(c.kraus[0], np.eye(2))
+
     def test_constructor_accepts_projector_support(self):
         support = np.diag([1.0, 0.0]).astype(complex)
         c = Channel(QUBIT, QUBIT, (support,), input_support=support)

@@ -243,6 +243,29 @@ class TestExitCodes:
         )
         assert "finite" in completed.stderr
 
+    @pytest.mark.parametrize(
+        "entry", [[float("nan"), 0.0], [1e308, 1e308]], ids=["nan", "overflowing"]
+    )
+    @pytest.mark.parametrize("command", ["choi", "teleport"])
+    def test_non_finite_or_overflowing_kraus_is_3(self, tmp_path, command, entry):
+        doc = json.loads((FIXTURES / "identity_channel.json").read_text(encoding="utf-8"))
+        doc["kraus"][0][0][0] = entry
+        bad = tmp_path / "kraus.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["--channel", str(bad)]
+        if command == "teleport":
+            args += ["--input", str(FIXTURES / "qubit_state.json")]
+        completed = run_cli(command, *args, expect=3)
+        assert completed.stderr.startswith("invariant violation: ")
+
+    def test_overflowing_conditional_is_3(self, tmp_path):
+        big = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+        doc = {"kind": "conditional", "shape_in": [1], "shape_out": [2], "matrix": big}
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        completed = run_cli("channel", "--conditional", str(bad), expect=3)
+        assert "invariant violation: invariant 'positive'" in completed.stderr
+
     def test_unattained_tolerance_is_4(self):
         # deviations are ~1e-15; an impossible tolerance must exit as a
         # numerical failure, not silently pass

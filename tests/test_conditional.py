@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from condchan import (
+    AlgebraShape,
     ConditionalState,
     InvariantViolation,
     JointState,
@@ -195,4 +196,14 @@ class TestValidation:
         m = np.diag([1.0, -0.2, 1.0, 0.2]).astype(complex)
         with pytest.raises(InvariantViolation) as err:
             ConditionalState(BIT, BIT, m)
+        assert err.value.invariant == "positive"
+
+    @pytest.mark.parametrize("diag", [[1e308, -1e308], [1e308, 1e308]], ids=["indefinite", "huge"])
+    def test_rejects_spectrum_lost_to_overflow(self, diag):
+        # the Hermitian part overflows to ±inf, so eigvalsh returns NaN; the
+        # indefinite matrix was accepted and the huge one crashed the rank test
+        one = AlgebraShape((1,))
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(InvariantViolation) as err:
+                ConditionalState(one, QUBIT, np.diag(diag).astype(complex))
         assert err.value.invariant == "positive"

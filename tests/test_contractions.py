@@ -4,7 +4,13 @@ Each oracle below is the explicit ``np.kron`` construction of the same
 quantity, kept here (and only here) so that every contraction in the
 library is pinned to it within 1e-12 on irreducible, classical and mixed
 algebras of dimension 2 to 8, rank-deficient first marginals included.
+The same holds for the batched forms of per-item loops: products over the
+stacked Kraus tensor, the cached support masks and the vectorized phase
+convention, the last two bit for bit.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +36,20 @@ from condchan import (
     teleport_general,
     verify_theorem,
 )
-from condchan.channels import max_ent_matrix
-from condchan.matcore import gen_inv_sqrt, hermitize, mat_sqrt
+from condchan.algebra import (
+    block_mask,
+    block_support_deviation,
+    pair_mask,
+    pair_support_deviation,
+)
+from condchan.channels import (
+    _kraus_gram,
+    apply_matrix,
+    channel_from_conditional,
+    max_ent_matrix,
+    validate_channel,
+)
+from condchan.matcore import PHASE_TOL, _fix_phases, gen_inv_sqrt, herm_eig, hermitize, mat_sqrt
 from condchan.scenarios import CLASSICAL_BIT, _weyl
 
 ATOL = 1e-12
@@ -234,3 +252,196 @@ def test_teleport_classical_matches_kron_oracle(rng):
 def test_random_unitary_is_bit_identical_to_inline_phase_fix(dim):
     got = random_unitary(dim, np.random.default_rng(dim))
     np.testing.assert_array_equal(got, oracle_random_unitary(dim, np.random.default_rng(dim)))
+
+
+# -- oracles: the per-item loops the batched forms replace ------------------
+
+
+def oracle_apply_matrix(kraus, x):
+    return sum(k @ x @ k.conj().T for k in kraus)
+
+
+def oracle_kraus_gram(kraus):
+    return sum(k.conj().T @ k for k in kraus)
+
+
+def oracle_kraus_from_conditional(cond, cutoff=1e-10):
+    din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
+    es = herm_eig(cond.matrix)
+    thresh = max(cutoff * max(float(es.eigenvalues[0]), 0.0), 1e-14)
+    return [
+        np.sqrt(lam) * vec.reshape(din, dout).T
+        for lam, vec in zip(es.eigenvalues, es.eigenvectors.T)
+        if lam > thresh
+    ]
+
+
+def oracle_block_mask(shape):
+    d = shape.total_dim
+    mask = np.zeros((d, d), dtype=bool)
+    for sl in shape.block_slices():
+        mask[sl, sl] = True
+    return mask
+
+
+def oracle_fix_phases(vectors):
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        scale = np.max(np.abs(col))
+        if scale == 0.0:
+            continue
+        nz = np.flatnonzero(np.abs(col) > PHASE_TOL * scale)
+        if nz.size == 0:
+            continue
+        pivot = col[nz[0]]
+        out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+# -- tests: stacked Kraus tensor --------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_stacked_kraus_products_match_loop_oracle(rng, shape):
+    for shape_out in (shape, AlgebraShape((2, 1))):
+        c = random_channel(shape, shape_out, shape.total_dim, rng)
+        x = random_state(shape, rng).matrix
+        close(apply_matrix(c, x), oracle_apply_matrix(c.kraus, x))
+        stack = np.stack([random_state(shape, rng).matrix for _ in range(3)])
+        close(apply_matrix(c, stack), np.stack([oracle_apply_matrix(c.kraus, m) for m in stack]))
+        gram = oracle_kraus_gram(c.kraus)
+        close(_kraus_gram(c.kraus), gram)
+        tp_dev = np.max(np.abs(gram - np.eye(shape.total_dim)))
+        assert validate_channel(c).tp_deviation == pytest.approx(tp_dev, abs=ATOL)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_kraus_extraction_is_bit_identical_to_loop(rng, shape):
+    full = choi_conditional(random_channel(shape, AlgebraShape((2, 1)), shape.total_dim, rng))
+    deficient = conditional_from_joint(
+        random_joint_state(shape, AlgebraShape((2,)), rng, rank_a=max(1, shape.total_dim // 2)), "a"
+    )
+    for cond in (full, deficient):
+        got = channel_from_conditional(cond).kraus
+        expected = oracle_kraus_from_conditional(cond)
+        assert len(got) == len(expected)
+        for k, want in zip(got, expected):
+            np.testing.assert_array_equal(k, want)
+
+
+def test_kraus_are_one_read_only_tensor(rng):
+    c = random_channel(AlgebraShape((2, 1)), AlgebraShape((4,)), 3, rng)
+    assert c.kraus.shape == (len(c.kraus), 4, 3)
+    assert c.kraus.dtype == np.complex128
+    with pytest.raises(ValueError):
+        c.kraus[0, 0, 0] = 1.0
+    ops = list(c.kraus)
+    assert all(k.shape == (4, 3) and np.shares_memory(k, c.kraus) for k in ops)
+
+
+# -- tests: cached support masks --------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_cached_masks_are_read_only_and_match_the_loop(rng, shape):
+    other = AlgebraShape((1, 2))
+    cases = [
+        (block_mask(shape), oracle_block_mask(shape)),
+        (pair_mask(shape, other), np.kron(oracle_block_mask(shape), oracle_block_mask(other))),
+    ]
+    for got, expected in cases:
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, expected)
+        with pytest.raises(ValueError):
+            got[0, -1] = not got[0, -1]
+    assert block_mask(AlgebraShape(shape.block_dims)) is block_mask(shape)
+    # the deviation helpers equal the old project-and-subtract formula
+    d = shape.total_dim
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert block_support_deviation(m, shape) == np.max(np.abs(m - m * oracle_block_mask(shape)))
+    n = other.total_dim * d
+    mm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    pair = np.kron(oracle_block_mask(other), oracle_block_mask(shape))
+    assert pair_support_deviation(mm, other, shape) == np.max(np.abs(mm - mm * pair))
+
+
+@pytest.mark.parametrize("shape", SHAPES + [AlgebraShape((1,))], ids=shape_id)
+def test_max_ent_matrix_is_bit_identical_to_loop(shape):
+    d = shape.total_dim
+    expected = np.zeros((d * d, d * d), dtype=np.complex128)
+    for sl in shape.block_slices():
+        v = np.zeros(d * d, dtype=np.complex128)
+        for j in range(sl.start, sl.stop):
+            v[j * d + j] = 1.0
+        expected += np.outer(v, v.conj())
+    got = max_ent_matrix(shape)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+# -- tests: vectorized phase convention --------------------------------------
+
+
+def _phase_cases(rng):
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    zero_column = gaussian(5, 4)
+    zero_column[:, 2] = 0.0
+    tiny_leading = gaussian(6, 5)
+    tiny_leading[:3, 1] *= PHASE_TOL / 10  # first entries below the relative cutoff
+    tiny_leading[:5, 3] *= PHASE_TOL / 10
+    all_tiny = gaussian(4, 3) * 1e-300
+    unitary, _ = np.linalg.qr(gaussian(8, 8))
+    g = gaussian(6, 6)
+    return {
+        "random": gaussian(7, 7),
+        "eigenvectors": np.linalg.eigh(g + g.conj().T)[1],
+        "unitary": unitary,
+        "zero-column": zero_column,
+        "all-zero": np.zeros((3, 3), dtype=complex),
+        "tiny-leading": tiny_leading,
+        "subnormal-scale": all_tiny,
+        "single-column": gaussian(5, 1),
+        "single-entry": gaussian(1, 1),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random", "eigenvectors", "unitary", "zero-column", "all-zero", "tiny-leading",
+     "subnormal-scale", "single-column", "single-entry"],
+)
+def test_fix_phases_is_bit_identical_to_loop(case):
+    vectors = _phase_cases(np.random.default_rng(31))[case]
+    got = _fix_phases(vectors)
+    expected = oracle_fix_phases(vectors)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_fix_phases_is_bit_identical_on_many_random_matrices():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 9, size=2)
+        v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        v[: rng.integers(0, rows + 1)] *= PHASE_TOL / 3
+        assert _fix_phases(v).tobytes() == oracle_fix_phases(v).tobytes()
+
+
+# -- tests: documents -------------------------------------------------------
+
+
+def test_make_fixtures_regenerates_the_committed_fixtures(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("make_fixtures", root / "scripts" / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURES", tmp_path)
+    script.main()
+    committed = root / "tests" / "fixtures"
+    names = sorted(p.name for p in committed.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name

@@ -45,6 +45,15 @@ class TestPOVMValidation:
                 random_povm(shape, k, rng)  # constructor validates
 
 
+class TestEnsembleValidation:
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_rejects_non_finite_weights(self, rng, weights):
+        s = random_state(QUBIT, rng)
+        with pytest.raises(InvariantViolation) as err:
+            Ensemble(weights, (s, s), s)
+        assert err.value.invariant == "finite"
+
+
 class TestMeasure:
     def test_trivial_povm(self, rng):
         povm = POVM(QUBIT, (np.eye(2, dtype=complex),))

@@ -150,6 +150,15 @@ def test_ensemble_lists_must_be_lists(rng, key, value):
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("weight", ["NaN", '"nan"', '"inf"'])
+def test_non_finite_weights_are_rejected(rng, weight):
+    doc = json.loads(serialize(prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng))))
+    doc["weights"] = [json.loads(weight)] * len(doc["weights"])
+    with pytest.raises(InvariantViolation) as err:
+        parse(json.dumps(doc))
+    assert err.value.invariant == "finite"
+
+
 def test_weight_too_large_for_a_float(rng):
     doc = json.loads(serialize(prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng))))
     doc["weights"][0] = 10**400
