@@ -62,8 +62,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m†)/2."""
-    return (m + m.conj().T) / 2
+    """Return the Hermitian part (m + m†)/2 of a matrix or of each matrix in
+    a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def herm_deviation(m: np.ndarray) -> float:

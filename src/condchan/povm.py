@@ -21,7 +21,7 @@ from .matcore import (
     max_abs,
     support_projector,
 )
-from .states import State, _validate_psd
+from .states import State, _validate_psd, states_from_stack
 
 POVM_PSD_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
@@ -53,8 +53,10 @@ class POVM:
             stack = np.stack(elems)
             block_dev = block_support_deviation(stack, self.shape)
             _validate_psd(stack, block_dev, POVM_PSD_TOL, POVM_BLOCK_TOL, POVM_PSD_TOL)
-            sum_dev = max_abs(stack.sum(0) - np.eye(d))
-            if sum_dev > POVM_SUM_TOL:
+            # elements that pass the PSD checks can still overflow their sum
+            with np.errstate(over="ignore"):
+                sum_dev = max_abs(stack.sum(0) - np.eye(d))
+            if not sum_dev <= POVM_SUM_TOL:
                 raise InvariantViolation("povm_sum", sum_dev)
 
     def __len__(self) -> int:
@@ -96,7 +98,7 @@ def measure(m: POVM, s: State) -> np.ndarray:
     """Outcome probabilities Tr(M_j rho) as a real vector."""
     if m.shape != s.shape:
         raise ShapeMismatch("POVM and state live on different algebras")
-    return np.array([float(np.trace(e @ s.matrix).real) for e in m.elements])
+    return np.einsum("jab,ba->j", np.stack(m.elements), s.matrix).real
 
 
 def prepare(m: POVM, s: State) -> Ensemble:
@@ -104,14 +106,9 @@ def prepare(m: POVM, s: State) -> Ensemble:
     sqrt(s) M_j sqrt(s) normalized.  Zero-probability outcomes are dropped."""
     probs = measure(m, s)
     root = mat_sqrt(s.matrix)
-    weights = []
-    members = []
-    for p, e in zip(probs, m.elements):
-        if p <= ZERO_PROB_THRESHOLD:
-            continue
-        weights.append(p)
-        members.append(State(s.shape, (root @ e @ root) / p))
-    return Ensemble(weights=np.array(weights), members=tuple(members), average=s)
+    kept = probs > ZERO_PROB_THRESHOLD
+    members = root @ np.stack(m.elements)[kept] @ root / probs[kept, None, None]
+    return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
 
 
 def povm_from_ensemble(e: Ensemble, s: State, tol: float = ENSEMBLE_TOL) -> POVM:

@@ -9,7 +9,11 @@ runnable here:
 * ``teleport`` / ``teleport_classical`` run noisy-gate teleportation with a
   maximally entangled measurement, including the classical-bit degeneration
   where grouping parity outcomes doubles the success probability and the
-  protocol becomes a one-time pad.
+  protocol becomes a one-time pad.  Each run works on stacks: the
+  measurement effects are one (n, D, D) array, checked to be a POVM with one
+  eigvalsh call; the branch states (and the identity channel's corrected
+  states) are normalized and validated as one stack; and the channel's
+  conditional form is built and validated once per run.
 
 Also home to the seeded random generators for states, channels, POVMs and
 unitaries used by the test suites and the CLI selftest.
@@ -29,11 +33,11 @@ from .channels import (
     choi_conditional,
     max_ent_matrix,
 )
-from .conditional import conditional_from_joint
+from .conditional import ConditionalState, conditional_from_joint
 from .errors import BasisNotPOVM, DimensionMismatch, ShapeMismatch
 from .matcore import _fix_phases, gen_inv_sqrt, hermitize, kron, mat_sqrt, max_abs
 from .povm import POVM
-from .states import JointState, State, reduce
+from .states import JointState, State, reduce, states_from_stack
 
 THEOREM_TOL = 1e-9
 EFFECT_MATCH_TOL = 1e-9
@@ -108,71 +112,105 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
     )
 
 
-def _weyl(dim: int, a: int, b: int) -> np.ndarray:
-    """Shift-and-phase unitary X^a Z^b on C^dim."""
-    omega = np.exp(2j * np.pi / dim)
-    z = np.diag(omega ** np.arange(dim))
-    x = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        x[(j + a) % dim, j] = 1.0
-    return x @ np.linalg.matrix_power(z, b)
+def _weyl_operators(dim: int) -> np.ndarray:
+    """All dim^2 shift-and-phase unitaries X^a Z^b on C^dim as one
+    (dim^2, dim, dim) stack, indexed a * dim + b."""
+    j = np.arange(dim)
+    # X^a[i, j] = 1 exactly when i = j + a (mod dim); Z^b = diag(ω^(b j))
+    shifts = np.eye(dim)[(j[None, :] - j[:, None]) % dim]
+    phases = np.exp(2j * np.pi * (np.outer(j, j) % dim) / dim)
+    return (shifts[:, None] * phases[None, :, None, :]).reshape(dim * dim, dim, dim)
 
 
 def bell_basis(dim: int) -> tuple[np.ndarray, ...]:
     """The dim^2 maximally entangled rank-one effects, ordered so that the
     plain maximally entangled projector comes first."""
-    effects = []
-    for a in range(dim):
-        for b in range(dim):
-            # (I ⊗ W) Σ_j |jj> / √d has entry W[i, j] / √d at index j * dim + i
-            vec = _weyl(dim, a, b).T.reshape(-1) / np.sqrt(dim)
-            effects.append(np.outer(vec, vec.conj()))
-    return tuple(effects)
+    # (I ⊗ W) Σ_j |jj> / √d has entry W[i, j] / √d at index j * dim + i
+    vecs = _weyl_operators(dim).swapaxes(1, 2).reshape(dim * dim, -1) / np.sqrt(dim)
+    return tuple(vecs[:, :, None] * vecs[:, None, :].conj())
 
 
-def _validate_effects(effects, dim: int, tol: float) -> list[np.ndarray]:
+def _validate_effects(effects, dim: int, tol: float) -> np.ndarray:
+    """Check that the effects form a POVM on C^dim; return them as one
+    (n, dim, dim) stack."""
     ops = [np.asarray(e, dtype=np.complex128) for e in effects]
     for e in ops:
         if e.shape != (dim, dim):
             raise BasisNotPOVM(f"effect shape {e.shape}, expected {(dim, dim)}")
-        if max_abs(e - e.conj().T) > 1e-9:
-            raise BasisNotPOVM("effect is not Hermitian")
-        w = np.linalg.eigvalsh(hermitize(e))
-        if w.size and w[0] < -1e-9:
-            raise BasisNotPOVM(f"effect has negative eigenvalue {w[0]:.3e}")
-    if max_abs(sum(ops) - np.eye(dim)) > tol:
+    if not ops:
+        raise BasisNotPOVM("the basis has no effects")
+    stack = np.stack(ops)
+    if not np.isfinite(stack).all():
+        raise BasisNotPOVM("effect has non-finite entries")
+    if max_abs(stack - stack.conj().swapaxes(1, 2)) > 1e-9:
+        raise BasisNotPOVM("effect is not Hermitian")
+    low = float(np.linalg.eigvalsh(hermitize(stack)).min())
+    if low < -1e-9:
+        raise BasisNotPOVM(f"effect has negative eigenvalue {low:.3e}")
+    if max_abs(stack.sum(0) - np.eye(dim)) > tol:
         raise BasisNotPOVM("effects do not sum to the identity")
-    return ops
+    return stack
 
 
 def _run_branches(
     input_matrix: np.ndarray,
     resource_matrix: np.ndarray,
-    effects: list[np.ndarray],
-    dim_out: int,
+    effects: np.ndarray,
     shape_out: AlgebraShape,
 ):
     # Tr_pair((E_i ⊗ I)(ρ ⊗ R)): first F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x],
     # then Σ F_i[a, b] R[b, o, a, r] on the 4-index view of the resource.
-    d = input_matrix.shape[0]
-    stacked = np.stack(effects).reshape(len(effects), d, d, d, d)
+    d, dim_out = input_matrix.shape[0], shape_out.total_dim
+    stacked = effects.reshape(len(effects), d, d, d, d)
     reduced = np.einsum("ixayb,yx->iab", stacked, input_matrix)
     resource = resource_matrix.reshape(d, dim_out, d, dim_out)
     unnormalized = np.einsum("iab,boar->ior", reduced, resource, optimize=True)
     probs = np.trace(unnormalized, axis1=1, axis2=2).real
-    branches: list[State | None] = []
-    for p, branch in zip(probs, unnormalized):
-        if p > BRANCH_PROB_FLOOR:
-            branches.append(State(shape_out, hermitize(branch / p)))
-        else:
-            branches.append(None)
-    return probs, branches
+    kept = probs > BRANCH_PROB_FLOOR
+    branches = hermitize(unnormalized[kept] / probs[kept, None, None])
+    return probs, _states_where(kept, shape_out, branches)
 
 
-def _acts_as_identity(c: Channel, tol: float = 1e-9) -> bool:
-    if c.shape_in != c.shape_out:
+def _states_where(kept, shape: AlgebraShape, matrices: np.ndarray) -> list[State | None]:
+    """One State per kept position, validated as one stack; None elsewhere."""
+    states = iter(states_from_stack(shape, matrices))
+    return [next(states) if k else None for k in kept]
+
+
+def _acts_as_identity(cond: ConditionalState, tol: float = 1e-9) -> bool:
+    if cond.shape_in != cond.shape_out:
         return False
-    return max_abs(choi_conditional(c).matrix - max_ent_matrix(c.shape_in)) <= tol
+    return max_abs(cond.matrix - max_ent_matrix(cond.shape_in)) <= tol
+
+
+def _run_protocol(
+    cond: ConditionalState,
+    input_state: State,
+    effects: np.ndarray,
+    success_index: int,
+    grouping_used: bool,
+) -> TeleportReport:
+    """Measure ``effects`` on the input and the resource built from the
+    channel's conditional form; report every branch."""
+    if input_state.shape != cond.shape_in:
+        raise ShapeMismatch("input state does not live on the channel's input algebra")
+    if not 0 <= int(success_index) < len(effects):
+        raise BasisNotPOVM(f"success index {success_index} out of range")
+    resource = cond.matrix / cond.shape_in.total_dim
+    probs, branches = _run_branches(input_state.matrix, resource, effects, cond.shape_out)
+    success = int(success_index)
+    bob = branches[success]
+    if bob is None:
+        raise BasisNotPOVM("success outcome has vanishing probability")
+    return TeleportReport(
+        success_probability=float(probs[success]),
+        outcome_probabilities=probs,
+        success_index=success,
+        bob_state_on_success=bob,
+        branch_states=tuple(branches),
+        corrected_states=None,
+        grouping_used=grouping_used,
+    )
 
 
 def teleport_general(
@@ -191,28 +229,9 @@ def teleport_general(
     marginal; the basis measures the input system together with the
     resource's input-side half.
     """
-    if input_state.shape != c.shape_in:
-        raise ShapeMismatch("input state does not live on the channel's input algebra")
     d_in = c.shape_in.total_dim
-    d_out = c.shape_out.total_dim
     effects = _validate_effects(measurement_basis, d_in * d_in, tol)
-    if not 0 <= int(success_index) < len(effects):
-        raise BasisNotPOVM(f"success index {success_index} out of range")
-    resource = choi_conditional(c).matrix / d_in
-    probs, branches = _run_branches(input_state.matrix, resource, effects, d_out, c.shape_out)
-    success = int(success_index)
-    bob = branches[success]
-    if bob is None:
-        raise BasisNotPOVM("success outcome has vanishing probability")
-    return TeleportReport(
-        success_probability=float(probs[success]),
-        outcome_probabilities=probs,
-        success_index=success,
-        bob_state_on_success=bob,
-        branch_states=tuple(branches),
-        corrected_states=None,
-        grouping_used=grouping_used,
-    )
+    return _run_protocol(choi_conditional(c), input_state, effects, success_index, grouping_used)
 
 
 def teleport(
@@ -237,27 +256,23 @@ def teleport(
         )
     d = c.shape_in.total_dim
     canonical = measurement_basis is None
-    effects = list(bell_basis(d)) if canonical else list(measurement_basis)
+    effects = _validate_effects(bell_basis(d) if canonical else measurement_basis, d * d, tol)
     target = max_ent_matrix(c.shape_in) / d
-    success_index = None
-    for i, e in enumerate(effects):
-        if np.asarray(e).shape == target.shape and max_abs(np.asarray(e) - target) <= tol:
-            success_index = i
-            break
-    if success_index is None:
+    matches = np.flatnonzero(np.abs(effects - target).max(axis=(1, 2)) <= tol)
+    if not matches.size:
         raise BasisNotPOVM("basis does not contain the maximally entangled success effect")
-    report = teleport_general(c, input_state, effects, success_index, tol=tol)
+    cond = choi_conditional(c)
+    report = _run_protocol(cond, input_state, effects, int(matches[0]), False)
 
-    if canonical and _acts_as_identity(c):
-        corrected: list[State | None] = []
-        for idx, branch in enumerate(report.branch_states):
-            if branch is None:
-                corrected.append(None)
-                continue
-            a, b = divmod(idx, d)
-            u = _weyl(d, a, b).T
-            corrected.append(State(c.shape_out, hermitize(u @ branch.matrix @ u.conj().T)))
-        report = replace(report, corrected_states=tuple(corrected), grouping_used=False)
+    if canonical and _acts_as_identity(cond):
+        # outcome a * d + b is undone by W_ab^T, the conjugate of its Weyl operator
+        kept = [b is not None for b in report.branch_states]
+        u = _weyl_operators(d)[kept].swapaxes(1, 2)
+        branches = np.stack([b.matrix for b in report.branch_states if b is not None])
+        corrected = hermitize(u @ branches @ u.conj().swapaxes(1, 2))
+        report = replace(
+            report, corrected_states=tuple(_states_where(kept, c.shape_out, corrected))
+        )
     return report
 
 
@@ -278,10 +293,12 @@ def teleport_classical(c: Channel, input_state: State) -> TeleportReport:
         raise ShapeMismatch("teleport_classical needs the two-block classical bit algebra")
     even = np.diag(np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128))
     odd = np.diag(np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128))
-    report = teleport_general(c, input_state, [even, odd], 0, grouping_used=True)
+    effects = _validate_effects([even, odd], 4, EFFECT_MATCH_TOL)
+    cond = choi_conditional(c)
+    report = _run_protocol(cond, input_state, effects, 0, grouping_used=True)
 
     corrected = None
-    if c.shape_out == CLASSICAL_BIT and _acts_as_identity(c):
+    if c.shape_out == CLASSICAL_BIT and _acts_as_identity(cond):
         flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         branch_even, branch_odd = report.branch_states
         corrected = (

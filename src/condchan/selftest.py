@@ -246,35 +246,41 @@ def _check_sampling(rng, trials):
     return 0.0
 
 
+# Tolerance classes: ``--tol`` replaces the threshold of an overridable
+# check (a floating-point identity judged at 1e-9); exact-arithmetic,
+# integer-rank and boolean checks keep their own threshold.
+OVERRIDABLE = "overridable"
+EXACT = "exact"
+
 CHECKS = (
-    ("matrix_roots", _check_matrix_roots, 1e-9),
-    ("partial_trace_preserves_trace", _check_partial_trace, 1e-12),
-    ("conditional_round_trip", _check_conditional_round_trip, 1e-9),
-    ("conditioning_support_projector", _check_conditional_support, 1e-9),
-    ("conditional_integer_rank", _check_integer_rank, 1e-6),
-    ("classical_conditional_rows", _check_classical_conditional, 1e-12),
-    ("isomorphism_round_trip", _check_isomorphism, 1e-9),
-    ("purity_iff_isometry", _check_purity_isometry, 0.5),
-    ("prepare_measure_theorem", _check_theorem, 1e-9),
-    ("teleport_success_probability", _check_teleport, 1e-9),
-    ("classical_teleport_grouping", _check_teleport_classical, 1e-12),
-    ("povm_preparation_round_trip", _check_lemma, 1e-9),
-    ("bayes_involution", _check_bayes, 1e-9),
-    ("sampling_determinism", _check_sampling, 0.5),
+    ("matrix_roots", _check_matrix_roots, 1e-9, OVERRIDABLE),
+    ("partial_trace_preserves_trace", _check_partial_trace, 1e-12, EXACT),
+    ("conditional_round_trip", _check_conditional_round_trip, 1e-9, OVERRIDABLE),
+    ("conditioning_support_projector", _check_conditional_support, 1e-9, OVERRIDABLE),
+    ("conditional_integer_rank", _check_integer_rank, 1e-6, EXACT),
+    ("classical_conditional_rows", _check_classical_conditional, 1e-12, EXACT),
+    ("isomorphism_round_trip", _check_isomorphism, 1e-9, OVERRIDABLE),
+    ("purity_iff_isometry", _check_purity_isometry, 0.5, EXACT),
+    ("prepare_measure_theorem", _check_theorem, 1e-9, OVERRIDABLE),
+    ("teleport_success_probability", _check_teleport, 1e-9, OVERRIDABLE),
+    ("classical_teleport_grouping", _check_teleport_classical, 1e-12, EXACT),
+    ("povm_preparation_round_trip", _check_lemma, 1e-9, OVERRIDABLE),
+    ("bayes_involution", _check_bayes, 1e-9, OVERRIDABLE),
+    ("sampling_determinism", _check_sampling, 0.5, EXACT),
 )
 
 
 def run_selftest(seed: int, trials: int, tol: float | None = None) -> list[CheckResult]:
     """Run every check with child seeds spawned from ``seed``.
 
-    ``tol`` overrides the 1e-9-class thresholds uniformly; exact-arithmetic
-    thresholds (1e-12 and boolean checks) keep their own values.
+    ``tol`` replaces the threshold of every ``OVERRIDABLE`` check; ``EXACT``
+    checks keep their own.
     """
     results = []
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(len(CHECKS))
-    for (name, fn, threshold), child in zip(CHECKS, children):
-        if tol is not None and threshold == 1e-9:
+    for (name, fn, threshold, tolerance_class), child in zip(CHECKS, children):
+        if tol is not None and tolerance_class == OVERRIDABLE:
             threshold = tol
         rng = np.random.default_rng(child)
         results.append(CheckResult(name, float(fn(rng, trials)), float(threshold)))

@@ -23,6 +23,7 @@ STATE_TRACE_TOL = 1e-10
 STATE_BLOCK_TOL = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _validate_psd(
     stack: np.ndarray,
     block_dev: float,
@@ -32,12 +33,19 @@ def _validate_psd(
     trace_tol: float | None = None,
 ) -> None:
     """Hermitian-PSD checks on a (n, d, d) stack; a single matrix is a batch
-    of one.  Invariants are checked in the order finite, hermitian,
+    of one.  Invariants are checked in the order finite, overflow, hermitian,
     block_support, trace (unit trace of each matrix, when ``trace_tol`` is
-    given) and positive, each over the whole stack, with one eigvalsh call."""
-    if not np.isfinite(stack).all():
-        raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
+    given) and positive, each over the whole stack, with one eigvalsh call.
+
+    Finite entries near the float limit can overflow m + m† and the traces;
+    numpy's warnings are off here, the Hermitian part that overflows raises
+    ``overflow`` and every later test is NaN-safe."""
     adj = stack.conj().swapaxes(-1, -2)
+    herm = (stack + adj) / 2
+    if not np.isfinite(herm).all():
+        if not np.isfinite(stack).all():
+            raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
+        raise InvariantViolation("overflow", np.inf)
     dev = float(np.abs(stack - adj).max())
     if dev > herm_tol:
         raise InvariantViolation("hermitian", dev)
@@ -46,18 +54,16 @@ def _validate_psd(
     if trace_tol is not None:
         traces = stack.trace(axis1=1, axis2=2).tolist()
         trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
-        if trace_dev > trace_tol:
+        if not trace_dev <= trace_tol:
             raise InvariantViolation("trace", trace_dev)
-    # NaN-safe: entries near the float limit overflow the Hermitian part, and
-    # the NaN spectrum of that must not pass as positive.
-    low = float(np.linalg.eigvalsh((stack + adj) / 2).min())
+    low = float(np.linalg.eigvalsh(herm).min())
     if not low >= -psd_tol:
         raise InvariantViolation("positive", -low)
 
 
-def _validate_density(matrix: np.ndarray, block_dev: float) -> None:
+def _validate_density(stack: np.ndarray, block_dev: float) -> None:
     _validate_psd(
-        matrix[None], block_dev, STATE_HERM_TOL, STATE_BLOCK_TOL, STATE_PSD_TOL, STATE_TRACE_TOL
+        stack, block_dev, STATE_HERM_TOL, STATE_BLOCK_TOL, STATE_PSD_TOL, STATE_TRACE_TOL
     )
 
 
@@ -76,7 +82,15 @@ class State:
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
         object.__setattr__(self, "matrix", arr)
         if check:
-            _validate_density(arr, block_support_deviation(arr, self.shape))
+            _validate_density(arr[None], block_support_deviation(arr, self.shape))
+
+
+def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:
+    """Validate a (n, d, d) stack of density matrices with one shared check
+    (one eigvalsh for the whole stack) and wrap each matrix as a State."""
+    if len(stack):
+        _validate_density(stack, block_support_deviation(stack, shape))
+    return tuple(State(shape, m, check=False) for m in stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +109,7 @@ class JointState:
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
         object.__setattr__(self, "matrix", arr)
         if check:
-            _validate_density(arr, pair_support_deviation(arr, self.shape_a, self.shape_b))
+            _validate_density(arr[None], pair_support_deviation(arr, self.shape_a, self.shape_b))
 
 
 def _side(keep: str) -> str:

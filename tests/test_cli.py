@@ -264,7 +264,8 @@ class TestExitCodes:
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         completed = run_cli("channel", "--conditional", str(bad), expect=3)
-        assert "invariant violation: invariant 'positive'" in completed.stderr
+        assert "invariant violation: invariant 'overflow'" in completed.stderr
+        assert "RuntimeWarning" not in completed.stderr
 
     def test_unattained_tolerance_is_4(self):
         # deviations are ~1e-15; an impossible tolerance must exit as a

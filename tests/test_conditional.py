@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,10 +202,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("diag", [[1e308, -1e308], [1e308, 1e308]], ids=["indefinite", "huge"])
     def test_rejects_spectrum_lost_to_overflow(self, diag):
-        # the Hermitian part overflows to ±inf, so eigvalsh returns NaN; the
-        # indefinite matrix was accepted and the huge one crashed the rank test
+        # the Hermitian part overflows to ±inf (once the indefinite matrix was
+        # accepted and the huge one crashed the rank test); that is reported as
+        # an overflow, with no numpy warning on the way
         one = AlgebraShape((1,))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InvariantViolation) as err:
                 ConditionalState(one, QUBIT, np.diag(diag).astype(complex))
-        assert err.value.invariant == "positive"
+        assert err.value.invariant == "overflow"
+        assert err.value.deviation == np.inf

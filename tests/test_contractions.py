@@ -6,7 +6,8 @@ library is pinned to it within 1e-12 on irreducible, classical and mixed
 algebras of dimension 2 to 8, rank-deficient first marginals included.
 The same holds for the batched forms of per-item loops: products over the
 stacked Kraus tensor, the cached support masks and the vectorized phase
-convention, the last two bit for bit.
+convention (the last two bit for bit), and the stacked teleport and
+preparation paths, whose eigendecomposition counts are pinned as well.
 """
 
 import importlib.util
@@ -16,15 +17,21 @@ import numpy as np
 import pytest
 
 from condchan import (
+    POVM,
     AlgebraShape,
+    BasisNotPOVM,
     Channel,
+    State,
     apply_via_conditional,
     bayes_invert,
     bell_basis,
     choi_conditional,
     conditional_from_joint,
+    identity_channel,
     joint_from_conditional,
+    measure,
     partial_trace,
+    prepare,
     random_channel,
     random_joint_state,
     random_povm,
@@ -32,6 +39,7 @@ from condchan import (
     random_unitary,
     reduce,
     swap_factors,
+    teleport,
     teleport_classical,
     teleport_general,
     verify_theorem,
@@ -50,7 +58,8 @@ from condchan.channels import (
     validate_channel,
 )
 from condchan.matcore import PHASE_TOL, _fix_phases, gen_inv_sqrt, herm_eig, hermitize, mat_sqrt
-from condchan.scenarios import CLASSICAL_BIT, _weyl
+from condchan.povm import ZERO_PROB_THRESHOLD
+from condchan.scenarios import BRANCH_PROB_FLOOR, CLASSICAL_BIT
 
 ATOL = 1e-12
 MIXED_BY_DIM = {3: (2, 1), 4: (2, 1, 1), 5: (3, 2), 6: (3, 2, 1), 7: (4, 2, 1), 8: (4, 2, 1, 1)}
@@ -112,10 +121,21 @@ def oracle_theorem_lhs(j, n, m):
     )
 
 
+def oracle_weyl(dim, a, b):
+    """Shift-and-phase unitary X^a Z^b on C^dim, one operator at a time."""
+    omega = np.exp(2j * np.pi / dim)
+    z = np.diag(omega ** np.arange(dim))
+    x = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        x[(j + a) % dim, j] = 1.0
+    return x @ np.linalg.matrix_power(z, b)
+
+
 def oracle_bell_basis(dim):
     phi = np.zeros(dim * dim, dtype=complex)
     phi[:: dim + 1] = 1 / np.sqrt(dim)
-    vecs = [np.kron(np.eye(dim), _weyl(dim, a, b)) @ phi for a in range(dim) for b in range(dim)]
+    weyls = [oracle_weyl(dim, a, b) for a in range(dim) for b in range(dim)]
+    vecs = [np.kron(np.eye(dim), w) @ phi for w in weyls]
     return [np.outer(v, v.conj()) for v in vecs]
 
 
@@ -145,14 +165,24 @@ def oracle_random_unitary(dim, rng):
 
 
 def check_branches(report, c, s, effects):
-    """Compare a teleport report with the oracle; return the oracle's branches."""
-    resource = oracle_choi(c.kraus, c.shape_in) / c.shape_in.total_dim
-    probs, branches = oracle_branches(s.matrix, resource, effects, c.shape_out.total_dim)
+    """Compare a teleport report with the per-effect validator, the kron
+    formula and the per-branch State loop (None at or below the floor);
+    return the oracle's branch states."""
+    d = c.shape_in.total_dim
+    ops = oracle_validate_effects(effects, d * d)
+    resource = oracle_choi(c.kraus, c.shape_in) / d
+    probs, branches = oracle_branches(s.matrix, resource, ops, c.shape_out.total_dim)
+    states = [
+        State(c.shape_out, hermitize(branch / p)) if p > BRANCH_PROB_FLOOR else None
+        for p, branch in zip(probs, branches)
+    ]
     close(report.outcome_probabilities, probs)
-    for state, p, branch in zip(report.branch_states, probs, branches, strict=True):
-        if state is not None:
-            close(state.matrix, hermitize(branch / p))
-    return [hermitize(branch / p) for p, branch in zip(probs, branches)]
+    assert [b is None for b in report.branch_states] == [b is None for b in states]
+    for got, want in zip(report.branch_states, states):
+        if want is not None:
+            close(got.matrix, want.matrix)
+    close(report.bob_state_on_success.matrix, states[report.success_index].matrix)
+    return states
 
 
 def check_teleport_general(c, s, effects):
@@ -221,9 +251,15 @@ def test_bell_basis_matches_kron_oracle(dim):
 @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
 def test_teleport_branches_match_kron_oracle(rng, shape):
     d = shape.total_dim
-    for shape_out in (AlgebraShape((d,)), AlgebraShape((2, 1))):
+    # measuring which basis state the input is in: on the pure first basis
+    # state every outcome past the first is a branch below the floor
+    which_input = [np.kron(np.diag(np.eye(d)[k]), np.eye(d)) for k in range(d)]
+    for shape_out in output_classes(d):
         c = random_channel(shape, shape_out, 2, rng)
         check_teleport_general(c, random_state(shape, rng), list(bell_basis(d)))
+        report = teleport_general(c, pure_first(shape), which_input, 0)
+        assert all(branch is None for branch in report.branch_states[1:])
+        check_branches(report, c, pure_first(shape), which_input)
 
 
 @pytest.mark.parametrize("shape", [AlgebraShape((8,)), AlgebraShape((4, 2, 1, 1))], ids=shape_id)
@@ -239,13 +275,13 @@ def test_teleport_classical_matches_kron_oracle(rng):
     odd = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     identity = Channel(CLASSICAL_BIT, CLASSICAL_BIT, (np.diag([1.0, 0]), np.diag([0, 1.0])))
-    for c in (identity, random_channel(CLASSICAL_BIT, AlgebraShape((2,)), 2, rng)):
-        s = random_state(CLASSICAL_BIT, rng)
-        report = teleport_classical(c, s)
-        branch_even, branch_odd = check_branches(report, c, s, [even, odd])
-        close(report.bob_state_on_success.matrix, branch_even)
-        if c is identity:
-            close(report.corrected_states[1].matrix, flip @ branch_odd @ flip)
+    outputs = (CLASSICAL_BIT, AlgebraShape((2,)), AlgebraShape((2, 1)))
+    for c in (identity, *(random_channel(CLASSICAL_BIT, out, 2, rng) for out in outputs)):
+        for s in (random_state(CLASSICAL_BIT, rng), pure_first(CLASSICAL_BIT)):
+            report = teleport_classical(c, s)
+            _, branch_odd = check_branches(report, c, s, [even, odd])
+            if c is identity:
+                close(report.corrected_states[1].matrix, flip @ branch_odd.matrix @ flip)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -428,6 +464,109 @@ def test_fix_phases_is_bit_identical_on_many_random_matrices():
         v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         v[: rng.integers(0, rows + 1)] *= PHASE_TOL / 3
         assert _fix_phases(v).tobytes() == oracle_fix_phases(v).tobytes()
+
+
+# -- oracles: the per-effect validator, the per-element and per-member loops
+
+
+def oracle_validate_effects(effects, dim, tol=1e-9):
+    ops = [np.asarray(e, dtype=complex) for e in effects]
+    for e in ops:
+        if e.shape != (dim, dim):
+            raise BasisNotPOVM(f"effect shape {e.shape}, expected {(dim, dim)}")
+        if np.max(np.abs(e - e.conj().T)) > 1e-9:
+            raise BasisNotPOVM("effect is not Hermitian")
+        w = np.linalg.eigvalsh(hermitize(e))
+        if w.size and w[0] < -1e-9:
+            raise BasisNotPOVM(f"effect has negative eigenvalue {w[0]:.3e}")
+    if np.max(np.abs(sum(ops) - np.eye(dim))) > tol:
+        raise BasisNotPOVM("effects do not sum to the identity")
+    return ops
+
+
+def oracle_measure(m, s):
+    return np.array([float(np.trace(e @ s.matrix).real) for e in m.elements])
+
+
+def oracle_prepare(m, s):
+    root = mat_sqrt(s.matrix)
+    weights, members = [], []
+    for p, e in zip(oracle_measure(m, s), m.elements):
+        if p <= ZERO_PROB_THRESHOLD:
+            continue
+        weights.append(p)
+        members.append(State(s.shape, (root @ e @ root) / p))
+    return np.array(weights), members
+
+
+def output_classes(d):
+    """Irreducible, classical and mixed output algebras for input dimension d."""
+    return [AlgebraShape((d,)), AlgebraShape((1,) * d), AlgebraShape(MIXED_BY_DIM.get(d, (2, 1)))]
+
+
+def pure_first(shape):
+    d = shape.total_dim
+    return State(shape, np.diag(np.eye(d)[0]).astype(complex))
+
+
+# -- tests: stacked teleport and preparation --------------------------------
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_teleport_matches_loop_oracle(rng, d):
+    shape = AlgebraShape((d,))
+    for shape_out in output_classes(d):
+        c = random_channel(shape, shape_out, 2, rng)
+        s = random_state(shape, rng)
+        check_branches(teleport(c, s), c, s, oracle_bell_basis(d))
+    # the identity channel's corrected states, one Weyl operator at a time
+    c, s = identity_channel(shape), random_state(shape, rng)
+    report = teleport(c, s)
+    states = check_branches(report, c, s, oracle_bell_basis(d))
+    for idx, (got, branch) in enumerate(zip(report.corrected_states, states, strict=True)):
+        u = oracle_weyl(d, *divmod(idx, d)).T
+        close(got.matrix, hermitize(u @ branch.matrix @ u.conj().T))
+        close(got.matrix, s.matrix)
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
+def test_prepare_and_measure_match_loop_oracle(rng, shape):
+    d = shape.total_dim
+    first = np.diag(np.eye(d)[0]).astype(complex)
+    # on the pure first basis state the second outcome has probability zero
+    split = POVM(shape, (first, np.eye(d) - first))
+    cases = ((random_povm(shape, 4, rng), random_state(shape, rng)), (split, pure_first(shape)))
+    for m, s in cases:
+        close(measure(m, s), oracle_measure(m, s))
+        ensemble = prepare(m, s)
+        weights, members = oracle_prepare(m, s)
+        close(ensemble.weights, weights)
+        assert len(ensemble.members) == len(members)
+        for got, want in zip(ensemble.members, members):
+            close(got.matrix, want.matrix)
+
+
+def test_teleport_and_prepare_eigendecomposition_counts(rng, monkeypatch):
+    # one eigvalsh per effect stack and one per set of branches or members;
+    # the identity channel is left out, its corrected states add one more
+    shape = AlgebraShape((5,))
+    c = random_channel(shape, shape, 2, rng)
+    s = random_state(shape, rng)
+    m = random_povm(shape, 4, rng)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    teleport(c, s)
+    assert len(calls) <= 6, calls
+    calls.clear()
+    prepare(m, s)
+    assert len(calls) <= 3, calls
 
 
 # -- tests: documents -------------------------------------------------------

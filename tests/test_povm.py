@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ class TestPOVMValidation:
         with pytest.raises(InvariantViolation) as err:
             POVM(QUBIT, (np.diag([0.5, 0.5]).astype(complex),))
         assert err.value.invariant == "povm_sum"
+
+    def test_overflowing_sum_is_named_without_numpy_warnings(self):
+        # each element passes the PSD checks, but three times 8e307 overflows
+        big = np.diag([8e307, 0.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation) as err:
+                POVM(QUBIT, (big, big, big))
+        assert err.value.invariant == "povm_sum"
+        assert err.value.deviation == np.inf
 
     def test_rejects_negative_element(self):
         with pytest.raises(InvariantViolation):

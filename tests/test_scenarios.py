@@ -155,6 +155,61 @@ class TestTeleport:
                 )
 
 
+def bad_bell_basis(kind, position):
+    """The qubit Bell basis with one effect at ``position`` made invalid."""
+    effects = [np.array(e) for e in bell_basis(2)]
+    other = 1 if position == 0 else 0
+    if kind == "shape":
+        effects[position] = np.eye(3, dtype=complex)
+    elif kind == "hermitian":
+        effects[position][0, 1] += 1e-6
+    elif kind == "negative":
+        # keeps the sum at the identity: the other effect takes the weight
+        effects[position] = effects[position] - 0.1 * effects[other]
+        effects[other] = 1.1 * effects[other]
+    elif kind == "non_finite":
+        effects[position][0, 0] = np.nan
+    return effects
+
+
+class TestBasisValidation:
+    @pytest.mark.parametrize("position", [0, 3], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("shape", r"effect shape \(3, 3\), expected \(4, 4\)"),
+            ("hermitian", "not Hermitian"),
+            ("negative", "negative eigenvalue -1.000e-01"),
+            ("non_finite", "non-finite"),
+        ],
+        ids=["shape", "hermitian", "negative", "non_finite"],
+    )
+    def test_rejects_one_bad_effect(self, rng, kind, message, position):
+        c = random_channel(QUBIT, QUBIT, 2, rng)
+        s = random_state(QUBIT, rng)
+        basis = bad_bell_basis(kind, position)
+        with pytest.raises(BasisNotPOVM, match=message):
+            teleport_general(c, s, basis, 0)
+        with pytest.raises(BasisNotPOVM, match=message):
+            teleport(c, s, measurement_basis=basis)
+
+    def test_rejects_empty_basis(self, rng):
+        c = random_channel(QUBIT, QUBIT, 2, rng)
+        with pytest.raises(BasisNotPOVM, match="no effects"):
+            teleport_general(c, random_state(QUBIT, rng), [], 0)
+
+    def test_rejects_success_index_out_of_range(self, rng):
+        c = random_channel(QUBIT, QUBIT, 2, rng)
+        with pytest.raises(BasisNotPOVM, match="out of range"):
+            teleport_general(c, random_state(QUBIT, rng), bell_basis(2), 4)
+
+    def test_rejects_input_on_another_algebra(self, rng):
+        c = random_channel(QUBIT, QUBIT, 2, rng)
+        for run in (teleport, lambda c, s: teleport_general(c, s, bell_basis(2), 0)):
+            with pytest.raises(ShapeMismatch):
+                run(c, random_state(BIT, rng))
+
+
 class TestTeleportClassical:
     def test_identity_pure_bit(self):
         c = identity_channel(BIT)

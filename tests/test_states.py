@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from condchan import (
     swap,
     transpose_in_basis,
 )
+from condchan.states import states_from_stack
 from condchan.scenarios import random_joint_state, random_state
 from conftest import BIT, MIXED, QUBIT, QUTRIT
 from test_matcore import partial_trace_oracle
@@ -48,6 +51,39 @@ class TestValidation:
         with pytest.raises(InvariantViolation) as err:
             State(BIT, m)
         assert err.value.invariant == "block_support"
+
+    @pytest.mark.parametrize(
+        "diag,invariant",
+        [([1e308, 1e308], "overflow"), ([1e308, -1e308], "overflow"), ([8e307] * 3, "trace")],
+        ids=["huge", "indefinite", "trace_overflows"],
+    )
+    def test_overflow_is_named_without_numpy_warnings(self, diag, invariant):
+        # m + m† (or, for three diagonal entries of 8e307, the trace) overflows;
+        # the error names that, and numpy prints no RuntimeWarning on the way
+        shape = QUTRIT if len(diag) == 3 else QUBIT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation) as err:
+                State(shape, np.diag(diag).astype(complex))
+        assert err.value.invariant == invariant
+        assert err.value.deviation == np.inf
+
+    def test_stack_is_checked_as_a_whole(self, rng):
+        good = np.stack([random_state(QUBIT, rng).matrix for _ in range(3)])
+        states = states_from_stack(QUBIT, good)
+        assert [s.matrix.tobytes() for s in states] == [m.tobytes() for m in good]
+        assert states_from_stack(QUBIT, good[:0]) == ()
+        for bad, invariant in (
+            (np.diag([1e308, 1e308]), "overflow"),
+            (np.diag([1.5, -0.5]), "positive"),
+            (np.diag([0.4, 0.5]), "trace"),
+        ):
+            stack = np.concatenate([good, bad[None].astype(complex)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvariantViolation) as err:
+                    states_from_stack(QUBIT, stack)
+            assert err.value.invariant == invariant
 
     def test_unchecked_constructor_allows_drift(self):
         State(QUBIT, np.diag([0.7, 0.7]).astype(complex), check=False)
