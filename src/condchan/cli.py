@@ -186,6 +186,8 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     start = time.monotonic()
     results = run_selftest(args.seed, args.trials, tol=args.tol)
     elapsed = time.monotonic() - start

@@ -67,6 +67,30 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
+def _min_eigenvalue_unless_certified(
+    stack: np.ndarray, herm: np.ndarray, psd_tol: float
+) -> float | None:
+    """Certify every matrix of a (n, d, d) stack positive up to ``psd_tol``.
+
+    ``herm`` is the Hermitian part of ``stack`` as a fresh C-contiguous array;
+    its diagonal is shifted by ``psd_tol`` in place and the whole stack goes
+    through one Cholesky factorization.  A factorization that succeeds is a
+    backward-stable certificate that herm + psd_tol·I is positive definite,
+    so every λmin ≥ -psd_tol (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10), and None is returned without a spectrum.
+    Only when it fails is the Hermitian part rebuilt from ``stack`` and the
+    lowest eigenvalue of the stack returned, from one eigvalsh call, for the
+    caller to judge and report.
+    """
+    n, d = herm.shape[0], herm.shape[-1]
+    herm.reshape(n, d * d)[:, :: d + 1] += psd_tol
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(hermitize(stack)).min())
+    return None
+
+
 def herm_deviation(m: np.ndarray) -> float:
     """Largest entry of |m - m†|."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, pair_support_deviation, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import as_matrix, partial_trace, swap_factors
+from .matcore import _min_eigenvalue_unless_certified, as_matrix, partial_trace, swap_factors
 
 STATE_HERM_TOL = 1e-10
 STATE_PSD_TOL = 1e-10
@@ -35,7 +35,10 @@ def _validate_psd(
     """Hermitian-PSD checks on a (n, d, d) stack; a single matrix is a batch
     of one.  Invariants are checked in the order finite, overflow, hermitian,
     block_support, trace (unit trace of each matrix, when ``trace_tol`` is
-    given) and positive, each over the whole stack, with one eigvalsh call.
+    given) and positive, each over the whole stack.  Positivity is certified
+    by one Cholesky factorization of the Hermitian part shifted by
+    ``psd_tol``; only a stack that fails it pays an eigvalsh call, whose
+    lowest eigenvalue decides and is reported as the deviation.
 
     Finite entries near the float limit can overflow m + m† and the traces;
     numpy's warnings are off here, the Hermitian part that overflows raises
@@ -56,8 +59,8 @@ def _validate_psd(
         trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
         if not trace_dev <= trace_tol:
             raise InvariantViolation("trace", trace_dev)
-    low = float(np.linalg.eigvalsh(herm).min())
-    if not low >= -psd_tol:
+    low = _min_eigenvalue_unless_certified(stack, herm, psd_tol)
+    if low is not None and not low >= -psd_tol:
         raise InvariantViolation("positive", -low)
 
 
@@ -87,7 +90,8 @@ class State:
 
 def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:
     """Validate a (n, d, d) stack of density matrices with one shared check
-    (one eigvalsh for the whole stack) and wrap each matrix as a State."""
+    (one Cholesky factorization for the whole stack) and wrap each matrix as
+    a State."""
     if len(stack):
         _validate_density(stack, block_support_deviation(stack, shape))
     return tuple(State(shape, m, check=False) for m in stack)

@@ -155,6 +155,12 @@ class TestExitCodes:
     def test_unknown_command_is_1(self):
         run_cli("frobnicate", expect=1)
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_selftest_without_trials_is_1(self, trials):
+        completed = run_cli("selftest", "--trials", trials, expect=1)
+        assert completed.stderr == f"usage error: --trials must be at least 1, got {trials}\n"
+        assert completed.stdout == ""
+
     def test_parse_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

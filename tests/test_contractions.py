@@ -8,6 +8,8 @@ The same holds for the batched forms of per-item loops: products over the
 stacked Kraus tensor, the cached support masks and the vectorized phase
 convention (the last two bit for bit), and the stacked teleport and
 preparation paths, whose eigendecomposition counts are pinned as well.
+The Cholesky positivity certificate is pinned to the eigvalsh verdict it
+replaced: the same acceptance, exception, invariant and deviation.
 """
 
 import importlib.util
@@ -21,6 +23,10 @@ from condchan import (
     AlgebraShape,
     BasisNotPOVM,
     Channel,
+    CondChanError,
+    ConditionalState,
+    InvariantViolation,
+    JointState,
     State,
     apply_via_conditional,
     bayes_invert,
@@ -58,8 +64,26 @@ from condchan.channels import (
     validate_channel,
 )
 from condchan.matcore import PHASE_TOL, _fix_phases, gen_inv_sqrt, herm_eig, hermitize, mat_sqrt
-from condchan.povm import ZERO_PROB_THRESHOLD
-from condchan.scenarios import BRANCH_PROB_FLOOR, CLASSICAL_BIT
+from condchan.povm import POVM_BLOCK_TOL, POVM_PSD_TOL, ZERO_PROB_THRESHOLD
+from condchan.scenarios import (
+    BRANCH_PROB_FLOOR,
+    CLASSICAL_BIT,
+    EFFECT_MATCH_TOL,
+    _bell_effects,
+    _parity_effects,
+    _validate_effects,
+    random_block_unitary,
+    random_support_projector,
+)
+from condchan.states import (
+    STATE_BLOCK_TOL,
+    STATE_HERM_TOL,
+    STATE_PSD_TOL,
+    STATE_TRACE_TOL,
+    _validate_psd,
+    states_from_stack,
+)
+from test_scenarios import bad_bell_basis
 
 ATOL = 1e-12
 MIXED_BY_DIM = {3: (2, 1), 4: (2, 1, 1), 5: (3, 2), 6: (3, 2, 1), 7: (4, 2, 1), 8: (4, 2, 1, 1)}
@@ -567,6 +591,264 @@ def test_teleport_and_prepare_eigendecomposition_counts(rng, monkeypatch):
     calls.clear()
     prepare(m, s)
     assert len(calls) <= 3, calls
+
+
+# -- oracles: the eigvalsh verdicts that the Cholesky certificate replaced --
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def oracle_validate_psd(stack, block_dev, herm_tol, block_tol, psd_tol, trace_tol=None):
+    adj = stack.conj().swapaxes(-1, -2)
+    herm = (stack + adj) / 2
+    if not np.isfinite(herm).all():
+        if not np.isfinite(stack).all():
+            raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
+        raise InvariantViolation("overflow", np.inf)
+    dev = float(np.abs(stack - adj).max())
+    if dev > herm_tol:
+        raise InvariantViolation("hermitian", dev)
+    if block_dev > block_tol:
+        raise InvariantViolation("block_support", block_dev)
+    if trace_tol is not None:
+        traces = stack.trace(axis1=1, axis2=2).tolist()
+        trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
+        if not trace_dev <= trace_tol:
+            raise InvariantViolation("trace", trace_dev)
+    low = float(np.linalg.eigvalsh(herm).min())
+    if not low >= -psd_tol:
+        raise InvariantViolation("positive", -low)
+
+
+def oracle_validate_effect_stack(effects, dim, tol):
+    ops = [np.asarray(e, dtype=np.complex128) for e in effects]
+    for e in ops:
+        if e.shape != (dim, dim):
+            raise BasisNotPOVM(f"effect shape {e.shape}, expected {(dim, dim)}")
+    if not ops:
+        raise BasisNotPOVM("the basis has no effects")
+    stack = np.stack(ops)
+    if not np.isfinite(stack).all():
+        raise BasisNotPOVM("effect has non-finite entries")
+    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > 1e-9:
+        raise BasisNotPOVM("effect is not Hermitian")
+    low = float(np.linalg.eigvalsh(hermitize(stack)).min())
+    if low < -1e-9:
+        raise BasisNotPOVM(f"effect has negative eigenvalue {low:.3e}")
+    if np.abs(stack.sum(0) - np.eye(dim)).max() > tol:
+        raise BasisNotPOVM("effects do not sum to the identity")
+    return stack
+
+
+def verdict(fn, *args):
+    """None when ``fn`` accepts its input; else the error's type, invariant,
+    deviation and message."""
+    try:
+        fn(*args)
+    except CondChanError as exc:
+        return type(exc), getattr(exc, "invariant", None), getattr(exc, "deviation", None), str(exc)
+    return None
+
+
+def mixed_dims(d):
+    return MIXED_BY_DIM.get(d, (d // 2, d - d // 2 - 1, 1))
+
+
+CERT_SHAPES = (
+    [AlgebraShape((d,)) for d in range(2, 17)]
+    + [AlgebraShape((1,) * d) for d in range(2, 17)]
+    + [AlgebraShape(mixed_dims(d)) for d in range(3, 17)]
+)
+STATE_TOLS = (STATE_HERM_TOL, STATE_BLOCK_TOL, STATE_PSD_TOL, STATE_TRACE_TOL)
+POVM_TOLS = (POVM_PSD_TOL, POVM_BLOCK_TOL, POVM_PSD_TOL)
+
+
+def with_spectrum(rng, shape, eigenvalues):
+    """U diag(eigenvalues) U† for a random unitary U inside the algebra."""
+    u = random_block_unitary(shape, rng)
+    return (u * eigenvalues) @ u.conj().T
+
+
+def density_cases(rng, shape):
+    """Unit-trace Hermitian matrices inside the algebra: full rank, rank one,
+    half rank, λmin = -tol·(1 ∓ 1e-3), and one far from positive."""
+    d, tol = shape.total_dim, STATE_PSD_TOL
+    full = rng.random(d) + 0.1
+    half = np.where(np.arange(d) < max(d // 2, 1), rng.random(d) + 0.1, 0.0)
+    spectra = [full / full.sum(), np.eye(d)[0], half / half.sum()]
+    for low in (-tol * (1 - 1e-3), -tol * (1 + 1e-3)):
+        rest = rng.random(d - 1) + 0.1
+        spectra.append(np.concatenate([[low], rest * (1 - low) / rest.sum()]))
+    cases = [with_spectrum(rng, shape, w) for w in spectra]
+    far = np.linspace(-1.0, 1.0, d)
+    cases.append(with_spectrum(rng, shape, far + (1 - far.sum()) / d))
+    return cases
+
+
+def psd_verdicts(stack, shape, tols):
+    block_dev = block_support_deviation(stack, shape)
+    return (
+        verdict(_validate_psd, stack, block_dev, *tols),
+        verdict(oracle_validate_psd, stack, block_dev, *tols),
+    )
+
+
+# -- tests: the Cholesky certificate against the eigvalsh verdict -----------
+
+
+@pytest.mark.parametrize("shape", CERT_SHAPES, ids=shape_id)
+def test_psd_certificate_gives_the_eigvalsh_verdict_on_densities(rng, shape):
+    cases = density_cases(rng, shape)
+    got, want = zip(*(psd_verdicts(m[None], shape, STATE_TOLS) for m in cases))
+    assert got == want
+    # the oracle accepts the first four, the last of them at
+    # λmin = -tol·(1 - 1e-3), and rejects λmin = -tol·(1 + 1e-3) and the
+    # indefinite one
+    assert want[:4] == (None,) * 4
+    assert [w[1] for w in want[4:]] == ["positive", "positive"]
+    # stacks where only the last element fails, and the valid stack
+    valid = np.stack(cases[:4])
+    for bad in cases[4:]:
+        alone = psd_verdicts(bad[None], shape, STATE_TOLS)
+        assert psd_verdicts(np.concatenate([valid, bad[None]]), shape, STATE_TOLS) == alone
+    assert psd_verdicts(valid, shape, STATE_TOLS) == (None, None)
+
+
+@pytest.mark.parametrize("shape", CERT_SHAPES, ids=shape_id)
+def test_psd_certificate_gives_the_eigvalsh_verdict_at_the_edges(rng, shape):
+    # rank-deficient projectors (rank 0 is the zero matrix), each also scaled
+    # by 1e-300, checked without a trace test as POVM elements are
+    d = shape.total_dim
+    projectors = [np.zeros((d, d), dtype=complex)] + [
+        random_support_projector(shape, rank, rng) for rank in range(1, d + 1)
+    ]
+    indefinite = density_cases(rng, shape)[-1]
+    for m in projectors + [indefinite]:
+        for scale in (1.0, 1e-300):
+            got, want = psd_verdicts(scale * m[None], shape, POVM_TOLS)
+            assert got == want
+    assert psd_verdicts(np.stack(projectors), shape, POVM_TOLS) == (None, None)
+    # a tiny state fails its trace, before positivity, in both
+    got, want = psd_verdicts(1e-300 * projectors[1][None], shape, STATE_TOLS)
+    assert got == want and want[1] == "trace"
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
+def test_constructors_give_the_eigvalsh_verdict(rng, shape, monkeypatch):
+    d = shape.total_dim
+    elements = [np.array(e) for e in random_povm(shape, 3, rng).elements]
+    p = random_support_projector(shape, 1, rng)
+    povms = [
+        elements,
+        [elements[0] - p, elements[1] + p, elements[2]],
+        [elements[0] + p, elements[1], elements[2] - p],
+        [p, np.eye(d) - p],
+    ]
+    states = density_cases(rng, shape)
+    chan = random_channel(shape, AlgebraShape((2,)), d, rng)
+    cond = np.array(choi_conditional(chan).matrix)
+    conds = [cond, cond - 1e-3 * np.eye(len(cond))]
+
+    def run():
+        return (
+            [verdict(POVM, shape, tuple(e)) for e in povms]
+            + [verdict(State, shape, m) for m in states]
+            + [verdict(ConditionalState, shape, AlgebraShape((2,)), m) for m in conds]
+        )
+
+    got = run()
+    for module in ("states", "povm", "conditional"):
+        monkeypatch.setattr(f"condchan.{module}._validate_psd", oracle_validate_psd)
+    want = run()
+    assert got == want
+    accepted = [True, False, False, True] + [True] * 4 + [False] * 2 + [True, False]
+    assert [w is None for w in want] == accepted
+
+
+def edge_bell_basis(scale):
+    """The qubit Bell basis with the first effect pushed to λmin = -scale;
+    the third effect takes the weight, so the sum stays the identity."""
+    effects = [np.array(e) for e in bell_basis(2)]
+    effects[0] = effects[0] - scale * effects[1]
+    effects[2] = effects[2] + scale * effects[1]
+    return effects
+
+
+@pytest.mark.parametrize("position", [0, 3], ids=["first", "last"])
+@pytest.mark.parametrize("kind", ["shape", "hermitian", "negative", "non_finite"])
+def test_effect_certificate_gives_the_eigvalsh_verdict(kind, position):
+    basis = bad_bell_basis(kind, position)
+    got = verdict(_validate_effects, basis, 4, EFFECT_MATCH_TOL)
+    assert got is not None
+    assert got == verdict(oracle_validate_effect_stack, basis, 4, EFFECT_MATCH_TOL)
+
+
+def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge():
+    verdicts = []
+    for basis in [edge_bell_basis(1e-9 * (1 - 1e-3)), edge_bell_basis(1e-9 * (1 + 1e-3))] + [
+        bell_basis(d) for d in range(2, 7)
+    ]:
+        d2 = len(basis[0])
+        got = verdict(_validate_effects, basis, d2, EFFECT_MATCH_TOL)
+        assert got == verdict(oracle_validate_effect_stack, basis, d2, EFFECT_MATCH_TOL)
+        verdicts.append(got)
+    assert verdicts[0] is None and "negative eigenvalue" in verdicts[1][3]
+    assert verdicts[2:] == [None] * 5
+
+
+def count_linalg(monkeypatch):
+    """Record (name, input shape) of every eigh, eigvalsh and cholesky call."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_valid_input_is_validated_without_eigvalsh(rng, monkeypatch):
+    shape, q = AlgebraShape((3, 2)), AlgebraShape((2,))
+    rho = random_state(shape, rng).matrix
+    joint = random_joint_state(shape, q, rng).matrix
+    cond = choi_conditional(random_channel(shape, q, 3, rng)).matrix
+    elements = random_povm(shape, 4, rng).elements
+    stack = np.stack([random_state(shape, rng).matrix for _ in range(3)])
+    calls = count_linalg(monkeypatch)
+    State(shape, rho)
+    JointState(shape, q, joint)
+    ConditionalState(shape, q, cond)
+    POVM(shape, elements)
+    states_from_stack(shape, stack)
+    _validate_effects(bell_basis(3), 9, EFFECT_MATCH_TOL)
+    assert [name for name, _ in calls] == ["cholesky"] * 6
+
+
+def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
+    d = 4
+    shape = AlgebraShape((d,))
+    c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
+    bell_stack = (d * d, d * d, d * d)
+    _bell_effects.cache_clear()
+    calls = count_linalg(monkeypatch)
+    first = teleport(c, s)
+    assert calls.count(("cholesky", bell_stack)) == 1
+    calls.clear()
+    second = teleport(c, s)
+    assert calls and all(shape != bell_stack for _, shape in calls)
+    assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
+
+
+def test_cached_effect_stacks_are_read_only():
+    effects, success = _bell_effects(3, EFFECT_MATCH_TOL)
+    assert success == 0
+    assert effects.tobytes() == np.stack(bell_basis(3)).tobytes()
+    parity = _parity_effects()
+    for stack in (effects, parity):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
 
 
 # -- tests: documents -------------------------------------------------------

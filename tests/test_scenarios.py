@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,16 @@ class TestVerifyTheorem:
             report = verify_theorem(j, random_povm(QUBIT, 3, rng), random_povm(QUBIT, 2, rng))
             assert report.support_restricted
             assert report.max_deviation < 1e-9
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+    def test_nan_distribution_is_invalid(self, rng, side, entry):
+        j = random_joint_state(QUBIT, QUBIT, rng)
+        report = verify_theorem(j, random_povm(QUBIT, 2, rng), random_povm(QUBIT, 2, rng))
+        assert report.distributions_valid()
+        bad = getattr(report, side).copy()
+        bad[entry] = np.nan
+        assert not replace(report, **{side: bad}).distributions_valid()
 
     def test_shape_mismatch(self, rng):
         j = random_joint_state(QUBIT, QUBIT, rng)

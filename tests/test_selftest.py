@@ -1,7 +1,10 @@
 """Selftest thresholds: ``--tol`` replaces only the overridable ones."""
 
+import math
+
 import pytest
 
+from condchan import selftest
 from condchan.selftest import CHECKS, EXACT, OVERRIDABLE, run_selftest
 
 # The thresholds of the report before the tolerance classes: --tol replaced
@@ -38,3 +41,28 @@ def test_tol_replaces_only_overridable_thresholds(tol):
     }
     assert {r.name: r.threshold for r in results} == expected
     assert all(r.passed for r in results)
+
+
+def test_nan_deviation_fails_its_check(monkeypatch):
+    # every check built on max_abs now measures NaN; none may report a pass
+    monkeypatch.setattr(selftest, "max_abs", lambda m: math.nan)
+    results = {r.name: r for r in run_selftest(3, 2)}
+    for name in ("matrix_roots", "conditional_round_trip", "isomorphism_round_trip",
+                 "teleport_success_probability", "povm_preparation_round_trip"):
+        assert math.isnan(results[name].max_deviation), name
+        assert not results[name].passed, name
+
+
+@pytest.mark.parametrize(
+    "devs", [(0.0, math.nan), (math.nan, 0.0), (math.nan, 2.0, 1.0), (1.0, math.nan, 2.0)]
+)
+def test_worst_deviation_keeps_nan(devs):
+    dev = 0.0
+    for x in devs:
+        dev = selftest._worse(dev, x)
+    assert math.isnan(dev)
+
+
+def test_worst_deviation_is_the_largest():
+    assert selftest._worse(1.0, 2.0) == 2.0
+    assert selftest._worse(2.0, 1.0) == 2.0
