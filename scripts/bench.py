@@ -6,19 +6,21 @@
 
 Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
 BLAS fixed to one thread.  For each call below and each algebra class
-(irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the median
-wall time of ``--repeats`` calls after one warm-up call, the time of that
-first call, and the ``eigvalsh``, ``eigh`` and ``cholesky`` calls one call
-makes:
+(irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the time
+of the first call, the median per-call wall time over ``--repeats`` later
+samples (each a batch of calls lasting about 2 ms), and the ``eigvalsh``,
+``eigh`` and ``cholesky`` calls one call makes:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
 * ``teleport`` from ``(d,)`` into each class, d = 2…8;
 * ``verify_theorem`` on the class paired with itself, d = 2…16.
 
-The run is stored under ``--label`` in ``--out`` with the ``src/condchan``
-line count and the environment; runs under other labels already in the file
-are kept, so one file holds the before and after of a change.
+Each run is appended to the list under ``--label`` in ``--out``, with the
+``src/condchan`` line count and the environment, and everything already in
+the file is kept.  So one file holds the before and after of a change, and
+runs of the two trees can be interleaved (parent, change, change, parent,
+...) to spread drift in machine speed over both.
 """
 
 import os
@@ -33,6 +35,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import timeit  # noqa: E402
 from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -41,6 +44,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
+BATCH_MS = 2.0
 
 
 def shape_classes(d):
@@ -52,16 +56,14 @@ def shape_classes(d):
 
 def cases(cc):
     """(call, d, class, zero-argument callable) for every measured call."""
-    from condchan import scenarios
-
     rng = np.random.default_rng(SEED)
     for d in range(2, 17):
         for cls, dims in shape_classes(d).items():
             shape = cc.AlgebraShape(dims)
-            rho = scenarios.random_state(shape, rng).matrix
-            joint = scenarios.random_joint_state(shape, shape, rng).matrix
-            cond = cc.choi_conditional(scenarios.random_channel(shape, shape, 2, rng)).matrix
-            elements = scenarios.random_povm(shape, 4, rng).elements
+            rho = cc.random_state(shape, rng).matrix
+            joint = cc.random_joint_state(shape, shape, rng).matrix
+            cond = cc.choi_conditional(cc.random_channel(shape, shape, 2, rng)).matrix
+            elements = cc.random_povm(shape, 4, rng).elements
             yield "State", d, cls, partial(cc.State, shape, rho)
             yield "JointState", d, cls, partial(cc.JointState, shape, shape, joint)
             yield "ConditionalState", d, cls, partial(cc.ConditionalState, shape, shape, cond)
@@ -69,15 +71,15 @@ def cases(cc):
     for d in range(2, 9):
         shape_in = cc.AlgebraShape((d,))
         for cls, dims in shape_classes(d).items():
-            c = scenarios.random_channel(shape_in, cc.AlgebraShape(dims), 2, rng)
-            s = scenarios.random_state(shape_in, rng)
+            c = cc.random_channel(shape_in, cc.AlgebraShape(dims), 2, rng)
+            s = cc.random_state(shape_in, rng)
             yield "teleport", d, cls, partial(cc.teleport, c, s)
     for d in range(2, 17):
         for cls, dims in shape_classes(d).items():
             shape = cc.AlgebraShape(dims)
-            j = scenarios.random_joint_state(shape, shape, rng)
-            n = scenarios.random_povm(shape, 4, rng)
-            m = scenarios.random_povm(shape, 4, rng)
+            j = cc.random_joint_state(shape, shape, rng)
+            n = cc.random_povm(shape, 4, rng)
+            m = cc.random_povm(shape, 4, rng)
             yield "verify_theorem", d, cls, partial(cc.verify_theorem, j, n, m)
 
 
@@ -103,23 +105,27 @@ def count_calls(fn):
     return counts
 
 
+def timed(fn):
+    start = time.perf_counter()
+    fn()
+    return 1e3 * (time.perf_counter() - start)
+
+
 def measure(cc, repeats):
     rows = []
     for call, d, cls, fn in cases(cc):
-        start = time.perf_counter()
-        fn()
-        first = time.perf_counter() - start
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
+        first = timed(fn)
+        # each sample times a batch of about BATCH_MS, so that timer
+        # resolution and scheduler noise stay small against short calls
+        number = max(1, round(BATCH_MS / first))
+        samples = timeit.Timer(fn).repeat(repeats, number)
+        median = 1e3 * statistics.median(samples) / number
         rows.append({
             "call": call,
             "d": d,
             "class": cls,
-            "median_ms": 1e3 * statistics.median(times),
-            "first_ms": 1e3 * first,
+            "median_ms": median,
+            "first_ms": first,
             **count_calls(fn),
         })
     return rows
@@ -175,7 +181,7 @@ def main():
         "results": measure(cc, args.repeats),
     }
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"runs": {}}
-    doc["runs"][args.label] = run
+    doc["runs"].setdefault(args.label, []).append(run)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 

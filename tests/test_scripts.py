@@ -1,5 +1,6 @@
 """The example scripts run from a plain checkout, as README shows them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +29,27 @@ def test_example_script_runs_without_an_install(tmp_path, script):
     assert len(lines) >= 5
     if script == "teleport_demo.py":
         assert lines[-1].endswith("reproduce the input: True")
+
+
+def test_bench_appends_its_run_under_the_label(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text('{"runs": {"a": [{"earlier": true}], "b": []}}', encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(out), "--label", "a",
+         "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
+    assert runs["b"] == [] and runs["a"][0] == {"earlier": True}
+    run = runs["a"][1]
+    src = SCRIPTS.parent / "src" / "condchan"
+    assert run["src_lines"] == sum(
+        len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
+    )
+    calls = {row["call"] for row in run["results"]}
+    assert calls == {"State", "JointState", "ConditionalState", "POVM", "teleport", "verify_theorem"}
+    # valid input is certified by Cholesky alone
+    assert all(row["eigvalsh"] == 0 for row in run["results"])
