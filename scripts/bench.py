@@ -14,7 +14,12 @@ samples (each a batch of calls lasting about 2 ms), and the ``eigvalsh``,
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
 * ``teleport`` from ``(d,)`` into each class, d = 2…8;
-* ``verify_theorem`` on the class paired with itself, d = 2…16.
+* ``verify_theorem`` on the class paired with itself, d = 2…16;
+* on a channel from the class to itself with two Kraus operators per
+  output block, d = 2…16: its construction from the Kraus tensor,
+  ``apply`` to a state, ``apply_matrix`` on a stack of 4 states,
+  ``choi_conditional``, and ``channel_from_conditional`` on its
+  conditional form.
 
 Each run is appended to the list under ``--label`` in ``--out``, with the
 ``src/condchan`` line count and the environment, and everything already in
@@ -81,6 +86,20 @@ def cases(cc):
             n = cc.random_povm(shape, 4, rng)
             m = cc.random_povm(shape, 4, rng)
             yield "verify_theorem", d, cls, partial(cc.verify_theorem, j, n, m)
+    # a generator of their own keeps the inputs of the cases above unchanged
+    rng = np.random.default_rng(SEED + 1)
+    for d in range(2, 17):
+        for cls, dims in shape_classes(d).items():
+            shape = cc.AlgebraShape(dims)
+            c = cc.random_channel(shape, shape, 2, rng)
+            s = cc.random_state(shape, rng)
+            stack = np.stack([cc.random_state(shape, rng).matrix for _ in range(4)])
+            cond = cc.choi_conditional(c)
+            yield "Channel", d, cls, partial(cc.Channel, shape, shape, c.kraus)
+            yield "apply", d, cls, partial(cc.apply, c, s)
+            yield "apply_matrix", d, cls, partial(cc.channels.apply_matrix, c, stack)
+            yield "choi_conditional", d, cls, partial(cc.choi_conditional, c)
+            yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
 
 
 def count_calls(fn):

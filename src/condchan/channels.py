@@ -1,13 +1,16 @@
 """Trace-preserving completely positive maps and their conditional-state form.
 
 A channel is held canonically in Kraus form, as one read-only
-``(r, d_out, d_in)`` complex tensor of its r Kraus operators, so every sum
-over them is a single batched product; the conditional-state (Choi)
-form is computed on demand by letting the channel act on the conditioned
-factor of the maximally entangled conditional of the input algebra.  Going
-back, Kraus operators are extracted from the eigendecomposition of the
-conditional with a relative eigenvalue cutoff and the project-wide phase
-convention, which makes the minimal Kraus set deterministic.
+``(r, d_out, d_in)`` complex tensor of its r Kraus operators, and as its
+superoperator Σ_K K ⊗ K̄: one read-only ``(d_in², d_out²)`` matrix of
+16·(d_in·d_out)² bytes (64 KB at d = 8, 1 MB at d = 16), formed once at
+construction.  The action on any matrix or stack is one product with it;
+the conditional-state (Choi) form, the channel acting on the conditioned
+factor of the maximally entangled conditional of the input algebra, is its
+entries reordered under the input block mask.  Going back, Kraus operators
+are extracted from the eigendecomposition of the conditional with a
+relative eigenvalue cutoff and the project-wide phase convention, which
+makes the minimal Kraus set deterministic.
 
 For reducible input algebras the maximally entangled conditional is pinched
 onto the block diagonal, which bakes the input pinching into the Choi form;
@@ -16,7 +19,7 @@ the action on algebra elements is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -47,19 +50,28 @@ def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
 
 
 def _kraus_gram(kraus: np.ndarray) -> np.ndarray:
-    """Σ_K K†K over a Kraus tensor."""
-    return (kraus.conj().swapaxes(1, 2) @ kraus).sum(0)
+    """Σ_K K†K over a Kraus tensor, as one product on its (r·d_out, d_in) view."""
+    kf = kraus.reshape(-1, kraus.shape[2])
+    return kf.conj().T @ kf
 
 
-def _choi_matrix(kraus: np.ndarray, shape_in: AlgebraShape) -> np.ndarray:
-    # (I ⊗ K) applied to the block vectors of the max-ent matrix is vec(K)
-    # restricted to one input block (index j * dout + i holds K[i, j]), so the
-    # Choi matrix is Σ_K vec(K) vec(K)† with the input block mask on the slow
-    # index of its 4-index view.
+def _superoperator(kraus: np.ndarray) -> np.ndarray:
+    """Σ_K K ⊗ K̄ as a read-only (d_in², d_out²) matrix: x.ravel() @ it is
+    Σ_K K x K† raveled.  It is the unpinched Choi matrix Σ_K vec(K) vec(K)†,
+    vec(K)[j * d_out + i] = K[i, j], with both input indices first."""
     r, dout, din = kraus.shape
     vecs = kraus.swapaxes(1, 2).reshape(r, din * dout)
     full = (vecs.T @ vecs.conj()).reshape(din, dout, din, dout)
-    return (full * block_mask(shape_in)[:, None, :, None]).reshape(din * dout, din * dout)
+    out = np.ascontiguousarray(full.transpose(0, 2, 1, 3)).reshape(din * din, dout * dout)
+    out.setflags(write=False)
+    return out
+
+
+def _choi_matrix(c: Channel) -> np.ndarray:
+    # the unpinched Choi matrix under the input block mask on its slow index
+    din, dout = c.shape_in.total_dim, c.shape_out.total_dim
+    full = c._superop.reshape(din, din, dout, dout).transpose(0, 2, 1, 3)
+    return (full * block_mask(c.shape_in)[:, None, :, None]).reshape(din * dout, din * dout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +79,11 @@ class Channel:
     """A CP map in Kraus form between two algebras.
 
     ``kraus`` is one read-only ``(r, d_out, d_in)`` array; iterating it gives
-    the Kraus operators.  ``input_support`` is None for trace-preserving
-    channels; for channels recovered from a conditional with deficient
-    conditioning support it is the projector that the Kraus operators resolve
-    instead of the identity.
+    the Kraus operators, and ``_superop`` holds their superoperator (16 bytes
+    per entry, formed also when ``check`` is False).  ``input_support`` is
+    None for trace-preserving channels; for channels recovered from a
+    conditional with deficient conditioning support it is the projector that
+    the Kraus operators resolve instead of the identity.
     """
 
     shape_in: AlgebraShape
@@ -78,6 +91,7 @@ class Channel:
     kraus: np.ndarray
     input_support: np.ndarray | None = None
     check: InitVar[bool] = True
+    _superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, check: bool):
         try:
@@ -114,17 +128,19 @@ class Channel:
                 raise NotTracePreserving(
                     f"sum of K†K deviates from the required resolution by {tp_dev:.3e}"
                 )
-            choi = _choi_matrix(ops, self.shape_in)
-            block_dev = pair_support_deviation(choi, self.shape_in, self.shape_out)
+        object.__setattr__(self, "_superop", _superoperator(ops))
+        if check:
+            block_dev = pair_support_deviation(_choi_matrix(self), self.shape_in, self.shape_out)
             if not block_dev <= CHANNEL_BLOCK_TOL:
                 raise InvariantViolation("output_block_support", block_dev)
 
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
     """Action of the channel on a raw matrix, or on each matrix of a stack
-    (no state validation)."""
-    k = c.kraus
-    return (k @ x[..., None, :, :] @ k.conj().swapaxes(1, 2)).sum(-3)
+    (no state validation): one product with the held superoperator."""
+    din, dout = c.shape_in.total_dim, c.shape_out.total_dim
+    lead = np.shape(x)[:-2]
+    return (np.reshape(x, (*lead, din * din)) @ c._superop).reshape(*lead, dout, dout)
 
 
 def apply(c: Channel, s: State) -> State:
@@ -157,7 +173,7 @@ def choi_conditional(c: Channel) -> ConditionalState:
     return ConditionalState(
         shape_in=c.shape_in,
         shape_out=c.shape_out,
-        matrix=_choi_matrix(c.kraus, c.shape_in),
+        matrix=_choi_matrix(c),
     )
 
 
@@ -252,7 +268,7 @@ def validate_channel(c: Channel, tol: float = CHANNEL_TP_TOL) -> ChannelReport:
     """Measure trace preservation, complete positivity (via the minimum
     eigenvalue of the conditional form) and output block support."""
     tp_dev = max_abs(_kraus_gram(c.kraus) - np.eye(c.shape_in.total_dim))
-    choi = _choi_matrix(c.kraus, c.shape_in)
+    choi = _choi_matrix(c)
     w = herm_eig(choi).eigenvalues
     block_dev = pair_support_deviation(choi, c.shape_in, c.shape_out)
     return ChannelReport(

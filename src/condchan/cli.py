@@ -280,6 +280,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
+            raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -15,7 +15,7 @@ runnable here:
   corrected states) are normalized and validated as one stack; and the
   channel's conditional form is built and validated once per run.  The
   default Bell basis and the parity pair are built and validated once per
-  dimension and tolerance and then reused, read-only.
+  dimension and tolerance and then reused, read-only, within a byte budget.
 
 Also home to the seeded random generators for states, channels, POVMs and
 unitaries used by the test suites and the CLI selftest.
@@ -23,6 +23,7 @@ unitaries used by the test suites and the CLI selftest.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -103,10 +104,9 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
         raise ShapeMismatch("POVM m must live on the second factor of the joint state")
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     ns, ms = np.stack(n.elements), np.stack(m.elements)
-    # Tr((N_j ⊗ M_k) ρ) for all pairs at once on the 4-index view of ρ.
-    lhs = np.einsum(
-        "jax,kby,xyab->jk", ns, ms, j.matrix.reshape(da, db, da, db), optimize=True
-    ).real
+    # Tr((N_j ⊗ M_k) ρ) for all pairs: Σ N_j[a, x] ρ[x, y, a, b] M_k[b, y], two products
+    rho = j.matrix.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
+    lhs = (ns.reshape(len(ns), -1) @ rho @ ms.reshape(len(ms), -1).T).real
 
     rho_a = reduce(j, "a")
     cond = conditional_from_joint(j, "a")
@@ -174,17 +174,25 @@ def _success_index(effects: np.ndarray, d: int, tol: float) -> int:
     return int(matches[0])
 
 
-# Canonical bases held at once; a Bell stack takes d^6 * 16 bytes.
-BASIS_CACHE_SIZE = 4
+BASIS_CACHE_BYTES = 8 * 2**20  # canonical bases held at once; each takes d^6 * 16 bytes
+_BASIS_CACHE: dict[tuple[int, float], tuple[np.ndarray, int]] = {}
+_BASIS_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _bell_effects(d: int, tol: float) -> tuple[np.ndarray, int]:
     """The validated Bell basis on C^d ⊗ C^d as one read-only (d², d², d²)
-    stack, and its success index."""
-    effects = _validate_effects(bell_basis(d), d * d, tol)
-    effects.setflags(write=False)
-    return effects, _success_index(effects, d, tol)
+    stack, and its success index, from a least-recently-used cache."""
+    with _BASIS_LOCK:
+        entry = _BASIS_CACHE.pop((d, tol), None)
+        if entry is None:
+            effects = _validate_effects(bell_basis(d), d * d, tol)
+            effects.setflags(write=False)
+            entry = effects, _success_index(effects, d, tol)
+        if entry[0].nbytes <= BASIS_CACHE_BYTES:
+            _BASIS_CACHE[d, tol] = entry  # (re)inserted last, as the most recent
+            while sum(e.nbytes for e, _ in _BASIS_CACHE.values()) > BASIS_CACHE_BYTES:
+                del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
+        return entry
 
 
 @lru_cache(maxsize=1)
@@ -203,13 +211,13 @@ def _run_branches(
     effects: np.ndarray,
     shape_out: AlgebraShape,
 ):
-    # Tr_pair((E_i ⊗ I)(ρ ⊗ R)): first F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x],
-    # then Σ F_i[a, b] R[b, o, a, r] on the 4-index view of the resource.
-    d, dim_out = input_matrix.shape[0], shape_out.total_dim
-    stacked = effects.reshape(len(effects), d, d, d, d)
-    reduced = np.einsum("ixayb,yx->iab", stacked, input_matrix)
-    resource = resource_matrix.reshape(d, dim_out, d, dim_out)
-    unnormalized = np.einsum("iab,boar->ior", reduced, resource, optimize=True)
+    # Tr_pair((E_i ⊗ I)(ρ ⊗ R)): F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x], then
+    # Σ F_i[a, b] R[b, o, a, r]; each one product on a reordered 4-index view.
+    n, d, dim_out = len(effects), input_matrix.shape[0], shape_out.total_dim
+    stacked = effects.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(n * d * d, d * d)
+    reduced = (stacked @ input_matrix.T.ravel()).reshape(n, d * d)
+    resource = resource_matrix.reshape(d, dim_out, d, dim_out).transpose(2, 0, 1, 3)
+    unnormalized = (reduced @ resource.reshape(d * d, -1)).reshape(n, dim_out, dim_out)
     probs = np.trace(unnormalized, axis1=1, axis2=2).real
     kept = probs > BRANCH_PROB_FLOOR
     branches = hermitize(unnormalized[kept] / probs[kept, None, None])
@@ -295,11 +303,10 @@ def teleport(
     identity channel measured in the default basis, the per-outcome
     correction unitaries are applied and reported as ``corrected_states``.
 
-    The default basis is built, validated and searched for its success
-    effect once per (d, tol) and kept read-only in a cache of the last
-    ``BASIS_CACHE_SIZE`` = 4 keys.  Each entry holds d^6 * 16 bytes: 250 KB
-    at d = 5, 4.2 MB at d = 8, 268 MB at d = 16.  An explicit
-    ``measurement_basis`` is validated on every call.
+    The default basis is validated once per (d, tol) and kept read-only in a
+    least-recently-used cache of at most ``BASIS_CACHE_BYTES`` = 8 MiB: d = 2…8
+    (d^6 * 16 bytes each, 7.2 MB together) stay cached, while a basis above the
+    budget (8.5 MB at d = 9), like an explicit one, is validated on every call.
     """
     if not c.shape_in.is_irreducible:
         raise ShapeMismatch(

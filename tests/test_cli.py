@@ -159,7 +159,26 @@ class TestExitCodes:
     def test_selftest_without_trials_is_1(self, trials):
         completed = run_cli("selftest", "--trials", trials, expect=1)
         assert completed.stderr == f"usage error: --trials must be at least 1, got {trials}\n"
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["selftest", "--trials", "1"],
+            ["teleport", "--channel", str(FIXTURES / "identity_channel.json"),
+             "--input", str(FIXTURES / "qubit_state.json")],
+            ["verify-theorem", "--joint", str(FIXTURES / "theorem_joint.json"),
+             "--povm-a", str(FIXTURES / "theorem_povm_a.json"),
+             "--povm-b", str(FIXTURES / "theorem_povm_b.json")],
+        ],
+        ids=lambda arg: arg[0] if isinstance(arg, list) else None,
+    )
+    def test_tolerance_that_is_not_positive_finite_is_1(self, command, tol):
+        # the built-in Bell basis used to fail as "not a POVM" (exit 3) here
+        completed = run_cli(*command, f"--tol={tol}", expect=1)
         assert completed.stdout == ""
+        message = f"--tol must be a positive finite number, got {float(tol)}"
+        assert completed.stderr == f"usage error: {message}\n"
 
     def test_parse_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -9,7 +9,11 @@ stacked Kraus tensor, the cached support masks and the vectorized phase
 convention (the last two bit for bit), and the stacked teleport and
 preparation paths, whose eigendecomposition counts are pinned as well.
 The Cholesky positivity certificate is pinned to the eigvalsh verdict it
-replaced: the same acceptance, exception, invariant and deviation.
+replaced: the same acceptance, exception, invariant and deviation.  The
+single products on the held superoperator and on reordered 4-index views
+are pinned to the per-Kraus sums and einsum contractions they replaced,
+the superoperator is formed once per channel, and the Bell-basis cache
+keeps a sweep over d = 2…8 while never keeping a basis above its budget.
 """
 
 import importlib.util
@@ -18,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import condchan.channels as channels_module
 from condchan import (
     POVM,
     AlgebraShape,
@@ -28,6 +33,7 @@ from condchan import (
     InvariantViolation,
     JointState,
     State,
+    apply,
     apply_via_conditional,
     bayes_invert,
     bell_basis,
@@ -66,11 +72,14 @@ from condchan.channels import (
 from condchan.matcore import PHASE_TOL, _fix_phases, gen_inv_sqrt, herm_eig, hermitize, mat_sqrt
 from condchan.povm import POVM_BLOCK_TOL, POVM_PSD_TOL, ZERO_PROB_THRESHOLD
 from condchan.scenarios import (
+    _BASIS_CACHE,
+    BASIS_CACHE_BYTES,
     BRANCH_PROB_FLOOR,
     CLASSICAL_BIT,
     EFFECT_MATCH_TOL,
     _bell_effects,
     _parity_effects,
+    _run_branches,
     _validate_effects,
     random_block_unitary,
     random_support_projector,
@@ -831,7 +840,7 @@ def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
     shape = AlgebraShape((d,))
     c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
     bell_stack = (d * d, d * d, d * d)
-    _bell_effects.cache_clear()
+    _BASIS_CACHE.clear()
     calls = count_linalg(monkeypatch)
     first = teleport(c, s)
     assert calls.count(("cholesky", bell_stack)) == 1
@@ -849,6 +858,164 @@ def test_cached_effect_stacks_are_read_only():
     for stack in (effects, parity):
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0] = 1.0
+
+
+# -- oracles: the per-Kraus sums and einsum contractions that became products
+
+
+def oracle_stacked_apply_matrix(kraus, x):
+    return (kraus @ x[..., None, :, :] @ kraus.conj().swapaxes(1, 2)).sum(-3)
+
+
+def oracle_stacked_kraus_gram(kraus):
+    return (kraus.conj().swapaxes(1, 2) @ kraus).sum(0)
+
+
+def oracle_choi_matrix(kraus, shape_in):
+    """The Choi matrix as formed from the Kraus tensor before the superoperator
+    was held; the held form must reproduce it bit for bit."""
+    r, dout, din = kraus.shape
+    vecs = kraus.swapaxes(1, 2).reshape(r, din * dout)
+    full = (vecs.T @ vecs.conj()).reshape(din, dout, din, dout)
+    return (full * block_mask(shape_in)[:, None, :, None]).reshape(din * dout, din * dout)
+
+
+def oracle_einsum_lhs(j, n, m):
+    da, db = j.shape_a.total_dim, j.shape_b.total_dim
+    ns, ms = np.stack(n.elements), np.stack(m.elements)
+    rho = j.matrix.reshape(da, db, da, db)
+    return np.einsum("jax,kby,xyab->jk", ns, ms, rho, optimize=True).real
+
+
+def oracle_einsum_branches(input_matrix, resource_matrix, effects, dim_out):
+    d = input_matrix.shape[0]
+    stacked = effects.reshape(len(effects), d, d, d, d)
+    reduced = np.einsum("ixayb,yx->iab", stacked, input_matrix)
+    resource = resource_matrix.reshape(d, dim_out, d, dim_out)
+    return np.einsum("iab,boar->ior", reduced, resource, optimize=True)
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def check_branch_products(rng, shape, c, effects):
+    s = random_state(shape, rng)
+    resource = choi_conditional(c).matrix / shape.total_dim
+    dim_out = c.shape_out.total_dim
+    probs, states = _run_branches(s.matrix, resource, effects, c.shape_out)
+    expected = oracle_einsum_branches(s.matrix, resource, effects, dim_out)
+    close(probs, np.trace(expected, axis1=1, axis2=2).real)
+    for p, state, branch in zip(probs, states, expected, strict=True):
+        assert (state is None) == (p <= BRANCH_PROB_FLOOR)
+        if state is not None:
+            close(state.matrix, hermitize(branch / p))
+
+
+D16 = [AlgebraShape((16,)), AlgebraShape((1,) * 16), AlgebraShape((8, 4, 2, 1, 1))]
+
+
+# -- tests: products on the held superoperator and reordered views -----------
+
+
+@pytest.mark.parametrize("shape", SHAPES + D16, ids=shape_id)
+def test_superoperator_products_match_stacked_kraus_oracle(rng, shape):
+    d = shape.total_dim
+    for shape_out in (shape, AlgebraShape((2, 1))):
+        c = random_channel(shape, shape_out, max(2, (d + 2) // 3), rng)
+        # algebra elements, a stack, a stack of stacks, and raw matrices with
+        # entries off the input blocks: the product is the exact Kraus action
+        for x in (
+            random_state(shape, rng).matrix,
+            np.stack([random_state(shape, rng).matrix for _ in range(4)]),
+            random_complex(rng, 2, 3, d, d),
+            random_complex(rng, d, d),
+        ):
+            close(apply_matrix(c, x), oracle_stacked_apply_matrix(c.kraus, x))
+        close(_kraus_gram(c.kraus), oracle_stacked_kraus_gram(c.kraus))
+        choi = choi_conditional(c).matrix
+        assert choi.tobytes() == oracle_choi_matrix(c.kraus, shape).tobytes()
+
+
+@pytest.mark.parametrize("shape", SHAPES + D16[:1], ids=shape_id)
+def test_theorem_lhs_products_match_einsum_oracle(rng, shape):
+    for rank_a in (None, max(1, shape.total_dim // 2)):
+        j = random_joint_state(shape, shape, rng, rank_a=rank_a)
+        n, m = random_povm(shape, 4, rng), random_povm(shape, 3, rng)
+        close(verify_theorem(j, n, m).lhs, oracle_einsum_lhs(j, n, m))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_branch_products_match_einsum_oracle(rng, shape):
+    d = shape.total_dim
+    for shape_out in output_classes(d):
+        c = random_channel(shape, shape_out, 2, rng)
+        check_branch_products(rng, shape, c, np.stack(bell_basis(d)))
+
+
+def test_branch_products_match_einsum_oracle_at_dim_16(rng):
+    # a two-outcome basis keeps the effects at 2 MB instead of 268 MB
+    shape = AlgebraShape((16,))
+    success = bell_basis(16)[0]
+    c = random_channel(shape, AlgebraShape((4, 2)), 3, rng)
+    check_branch_products(rng, shape, c, np.stack([success, np.eye(256) - success]))
+
+
+def test_superoperator_is_formed_once_per_channel(rng, monkeypatch):
+    shape = AlgebraShape((3, 2))
+    formed = []
+    original = channels_module._superoperator
+
+    def counted(kraus):
+        formed.append(kraus.shape)
+        return original(kraus)
+
+    monkeypatch.setattr(channels_module, "_superoperator", counted)
+    c = random_channel(shape, AlgebraShape((2, 1)), 3, rng)
+    unchecked = Channel(shape, AlgebraShape((2, 1)), c.kraus, check=False)
+    assert formed == [c.kraus.shape] * 2
+    s = random_state(shape, rng)
+    choi_conditional(c)
+    choi_conditional(c)
+    for _ in range(10):
+        apply(c, s)
+    assert validate_channel(c).ok
+    assert len(formed) == 2
+    assert unchecked._superop.tobytes() == c._superop.tobytes()
+    assert c._superop.shape == (25, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        c._superop[0, 0] = 1.0
+
+
+def test_bell_cache_keeps_a_sweep_over_d_2_to_8(rng, monkeypatch):
+    runs = []
+    for d in range(2, 9):
+        shape = AlgebraShape((d,))
+        runs.append((random_channel(shape, shape, 2, rng), random_state(shape, rng)))
+    bell_stacks = {(d**2,) * 3 for d in range(2, 9)}
+    _BASIS_CACHE.clear()
+    calls = count_linalg(monkeypatch)
+    for c, s in runs:
+        teleport(c, s)
+    assert sorted(shape for name, shape in calls if shape in bell_stacks) == sorted(bell_stacks)
+    calls.clear()
+    for c, s in runs:
+        teleport(c, s)
+    assert calls and not [shape for _, shape in calls if shape in bell_stacks]
+    assert sum(e.nbytes for e, _ in _BASIS_CACHE.values()) <= BASIS_CACHE_BYTES
+
+
+def test_bell_basis_above_the_budget_is_never_kept(rng, monkeypatch):
+    small, big = AlgebraShape((3,)), AlgebraShape((9,))
+    assert 16 * 9**6 > BASIS_CACHE_BYTES
+    _BASIS_CACHE.clear()
+    teleport(random_channel(small, small, 2, rng), random_state(small, rng))
+    c, s = random_channel(big, small, 3, rng), random_state(big, rng)
+    calls = count_linalg(monkeypatch)
+    first, second = teleport(c, s), teleport(c, s)
+    assert calls.count(("cholesky", (81, 81, 81))) == 2
+    assert list(_BASIS_CACHE) == [(3, EFFECT_MATCH_TOL)]
+    assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
 
 
 # -- tests: documents -------------------------------------------------------

@@ -50,6 +50,9 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
         len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
     )
     calls = {row["call"] for row in run["results"]}
-    assert calls == {"State", "JointState", "ConditionalState", "POVM", "teleport", "verify_theorem"}
+    assert calls == {
+        "State", "JointState", "ConditionalState", "POVM", "teleport", "verify_theorem",
+        "Channel", "apply", "apply_matrix", "choi_conditional", "channel_from_conditional",
+    }
     # valid input is certified by Cholesky alone
     assert all(row["eigvalsh"] == 0 for row in run["results"])
