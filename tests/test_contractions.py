@@ -987,6 +987,22 @@ def test_superoperator_is_formed_once_per_channel(rng, monkeypatch):
         c._superop[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_output_block_deviation_is_read_off_the_superoperator(rng, shape):
+    # Kraus operators onto a full output block, declared on a finer output
+    # algebra: trace preserving, but leaking off the output blocks
+    d_out = 3
+    kraus = random_channel(shape, AlgebraShape((d_out,)), shape.total_dim, rng).kraus
+    for shape_out in (AlgebraShape((2, 1)), AlgebraShape((1, 1, 1))):
+        expected = pair_support_deviation(oracle_choi_matrix(kraus, shape), shape, shape_out)
+        assert expected > 1e-3
+        with pytest.raises(InvariantViolation) as caught:
+            Channel(shape, shape_out, kraus)
+        assert caught.value.invariant == "output_block_support"
+        assert caught.value.deviation == expected
+        Channel(shape, shape_out, kraus, check=False)
+
+
 def test_bell_cache_keeps_a_sweep_over_d_2_to_8(rng, monkeypatch):
     runs = []
     for d in range(2, 9):
