@@ -4,7 +4,8 @@ A channel is held canonically in Kraus form, as one read-only
 ``(r, d_out, d_in)`` complex tensor of its r Kraus operators, and as its
 superoperator Σ_K K ⊗ K̄: one read-only ``(d_in², d_out²)`` matrix of
 16·(d_in·d_out)² bytes (64 KB at d = 8, 1 MB at d = 16), formed once at
-construction.  The action on any matrix or stack is one product with it;
+construction.  The action on any matrix or stack is one product with it,
+or the Kraus sum when r·(d_in + d_out) < d_in·d_out makes that cheaper;
 the conditional-state (Choi) form, the channel acting on the conditioned
 factor of the maximally entangled conditional of the input algebra, is its
 entries reordered under the input block mask.  Going back, Kraus operators
@@ -30,7 +31,7 @@ from .errors import (
     NotTracePreserving,
     ShapeMismatch,
 )
-from .matcore import RANK_TOL_FLOOR, herm_deviation, herm_eig, max_abs
+from .matcore import RANK_TOL_FLOOR, herm_deviation, herm_eig, herm_eigvals, max_abs
 from .states import State
 
 CHANNEL_TP_TOL = 1e-9
@@ -138,9 +139,15 @@ class Channel:
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
     """Action of the channel on a raw matrix, or on each matrix of a stack
-    (no state validation): one product with the held superoperator."""
-    lead, dout = np.shape(x)[:-2], c.shape_out.total_dim
-    return (np.reshape(x, (*lead, c._superop.shape[0])) @ c._superop).reshape(*lead, dout, dout)
+    (no state validation).  Both forms below are the exact Kraus action: the
+    sum Σ_K K x K† costs r·d_in·d_out·(d_in + d_out) multiply-adds per
+    matrix and the product with the held superoperator d_in²·d_out², so
+    the Kraus sum is taken when r·(d_in + d_out) < d_in·d_out."""
+    r, dout, din = c.kraus.shape
+    if r * (din + dout) < din * dout:
+        return (c.kraus @ np.asarray(x)[..., None, :, :] @ c.kraus.conj().swapaxes(1, 2)).sum(-3)
+    lead = np.shape(x)[:-2]
+    return (np.reshape(x, (*lead, din * din)) @ c._superop).reshape(*lead, dout, dout)
 
 
 def apply(c: Channel, s: State) -> State:
@@ -269,7 +276,7 @@ def validate_channel(c: Channel, tol: float = CHANNEL_TP_TOL) -> ChannelReport:
     eigenvalue of the conditional form) and output block support."""
     tp_dev = max_abs(_kraus_gram(c.kraus) - np.eye(c.shape_in.total_dim))
     choi = _choi_matrix(c)
-    w = herm_eig(choi).eigenvalues
+    w = herm_eigvals(choi)
     block_dev = pair_support_deviation(choi, c.shape_in, c.shape_out)
     return ChannelReport(
         tp_deviation=float(tp_dev),
@@ -283,7 +290,7 @@ def validate_channel(c: Channel, tol: float = CHANNEL_TP_TOL) -> ChannelReport:
 def is_isometry(c: Channel, tol: float = 1e-9) -> bool:
     """True iff the conditional form has rank one: a single eigenvalue within
     tol of the trace and the rest within tol of zero."""
-    w = herm_eig(choi_conditional(c).matrix).eigenvalues
+    w = herm_eigvals(_choi_matrix(c))
     if not w.size:
         return False
     trace = float(np.sum(w))

@@ -4,11 +4,15 @@ Every subcommand reads JSON documents (see ``serialize``), writes a JSON
 document or report to stdout and a one-line human summary to stderr.  Exit
 codes: 0 success, 1 usage, 2 parse error, 3 invariant violation, 4
 numerical failure.
+
+``main`` parses with one parser, built on its first call and shared by
+every later call in the process; each call still gets a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -218,7 +222,8 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="condchan", description=__doc__)
+    # the last docstring paragraph is for library callers, not for --help
+    parser = _Parser(prog="condchan", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("choi", help="conditional-state form of a channel")
@@ -276,8 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once, never handed out, and left
+    unchanged by parsing, so calls cannot affect each other."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not 0.0 < getattr(args, "tol", 1.0) < np.inf:

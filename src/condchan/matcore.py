@@ -140,18 +140,34 @@ def herm_eig(m, tol: float = DEFAULT_HERM_TOL) -> EigenSystem:
     NoConvergence
         If the underlying iterative solver fails.
     """
+    try:
+        w, v = np.linalg.eigh(_checked_hermitian(m, tol))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    order = np.argsort(-w, kind="stable")
+    return EigenSystem(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
+
+
+def herm_eigvals(m, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted descending, from one
+    ``eigvalsh``: ``herm_eig`` without the eigenvectors, with the same checks
+    and errors."""
+    try:
+        w = np.linalg.eigvalsh(_checked_hermitian(m, tol))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return w[::-1]
+
+
+def _checked_hermitian(m, tol: float) -> np.ndarray:
+    """Hermitian part of a square matrix that is Hermitian within ``tol``."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     dev = herm_deviation(arr)
     if dev > tol:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.3e})")
-    try:
-        w, v = np.linalg.eigh(hermitize(arr))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    order = np.argsort(-w, kind="stable")
-    return EigenSystem(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
+    return hermitize(arr)
 
 
 def mat_sqrt(p, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:

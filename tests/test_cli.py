@@ -1,14 +1,20 @@
-"""End-to-end CLI tests through subprocess, plus exit-code mapping."""
+"""End-to-end CLI tests through subprocess, plus exit-code mapping, and
+``main`` in process sharing one parser across calls and threads."""
 
+import argparse
+import io
 import json
 import subprocess
 import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from condchan import maximally_mixed
+from condchan import choi_conditional, cli, conditional_from_joint, maximally_mixed, reduce
+from condchan.selftest import run_selftest
 from condchan.serialize import parse, serialize
 from conftest import QUBIT
 
@@ -313,3 +319,191 @@ def test_data_on_stdout_summary_on_stderr():
     out = run_cli("choi", "--channel", str(FIXTURES / "identity_channel.json"))
     json.loads(out.stdout)  # stdout is pure JSON
     assert out.stderr.strip()  # summary goes to stderr
+
+
+# -- in process: main() shares one parser ------------------------------------
+
+
+class PerThreadStream:
+    """A stdout/stderr stand-in that keeps each thread's writes apart."""
+
+    def __init__(self):
+        self.local = threading.local()
+
+    def write(self, text):
+        if not hasattr(self.local, "parts"):
+            self.local.parts = []
+        self.local.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def take(self):
+        text = "".join(getattr(self.local, "parts", []))
+        self.local.parts = []
+        return text
+
+
+def call_main(argv, out, err):
+    """Run ``cli.main`` in this process while ``out`` and ``err`` stand in
+    for stdout and stderr; (exit code, this thread's stdout, its stderr)."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # --help
+        code = exc.code
+    return code, out.take(), err.take()
+
+
+def run_main(*argv):
+    out, err = PerThreadStream(), PerThreadStream()
+    with redirect_stdout(out), redirect_stderr(err):
+        return call_main(argv, out, err)
+
+
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    """argv of each of the nine subcommands on the fixtures."""
+    tmp = tmp_path_factory.mktemp("docs")
+    joint = parse((FIXTURES / "theorem_joint.json").read_text(encoding="utf-8"))
+    channel = parse((FIXTURES / "identity_channel.json").read_text(encoding="utf-8"))
+    docs = {
+        "choi": choi_conditional(channel),
+        "cond_a": conditional_from_joint(joint, "a"),
+        "cond_b": conditional_from_joint(joint, "b"),
+        "marg_a": reduce(joint, "a"),
+        "marg_b": reduce(joint, "b"),
+    }
+    path = {name: str(FIXTURES / f"{name}.json") for name in (
+        "identity_channel", "qubit_state", "theorem_joint", "theorem_povm_a", "theorem_povm_b",
+    )}
+    for name, obj in docs.items():
+        (tmp / f"{name}.json").write_text(serialize(obj), encoding="utf-8")
+        path[name] = str(tmp / f"{name}.json")
+    return {
+        "choi": ["choi", "--channel", path["identity_channel"]],
+        "channel": ["channel", "--conditional", path["choi"]],
+        "condition": ["condition", "--joint", path["theorem_joint"], "--on", "A"],
+        "join": ["join", "--marginal", path["marg_a"], "--conditional", path["cond_a"]],
+        "bayes": ["bayes", "--conditional", path["cond_b"],
+                  "--marginal-a", path["marg_a"], "--marginal-b", path["marg_b"]],
+        "verify-theorem": ["verify-theorem", "--joint", path["theorem_joint"],
+                           "--povm-a", path["theorem_povm_a"], "--povm-b", path["theorem_povm_b"]],
+        "teleport": ["teleport", "--channel", path["identity_channel"], "--input", path["qubit_state"]],
+        "prepare": ["prepare", "--povm", path["theorem_povm_a"], "--state", path["qubit_state"]],
+        "selftest": ["selftest", "--seed", "3", "--trials", "1"],
+    }
+
+
+BIT_TELEPORT = [
+    "teleport", "--channel", str(FIXTURES / "bit_identity_channel.json"),
+    "--input", str(FIXTURES / "bit_state.json"),
+]
+
+
+def test_main_builds_one_parser_for_all_commands(commands, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser()
+    one_parser = list(built)  # the top-level parser and its nine subparsers
+    assert one_parser.count("condchan") == 1 and len(one_parser) == 1 + len(commands)
+    built.clear()
+    cli._parser.cache_clear()
+    for argv in commands.values():
+        code, _, err = run_main(*argv)
+        assert code == 0, err
+    assert built == one_parser
+    run_main(*commands["choi"])
+    assert built == one_parser
+
+
+def test_store_true_flag_does_not_carry_to_the_next_call(commands):
+    code, out, _ = run_main(*BIT_TELEPORT, "--classical")
+    assert code == 0 and json.loads(out)["groupingUsed"] is True
+    code, out, _ = run_main(*commands["teleport"])
+    assert code == 0 and json.loads(out)["groupingUsed"] is False
+    # the bit documents without the flag take the irreducible route, which
+    # rejects them
+    run_main(*BIT_TELEPORT, "--classical")
+    code, _, err = run_main(*BIT_TELEPORT)
+    assert code == 3 and "irreducible input algebra" in err
+
+
+def test_tolerance_does_not_carry_to_the_next_call():
+    default = [r.threshold for r in run_selftest(3, 1)]
+    assert 1e-7 not in default
+
+    def thresholds(*extra):
+        code, out, _ = run_main("selftest", "--seed", "3", "--trials", "1", *extra)
+        assert code == 0
+        return [check["threshold"] for check in json.loads(out)["checks"]]
+
+    assert thresholds() == default
+    assert 1e-7 in thresholds("--tol", "1e-7")
+    assert thresholds() == default
+
+
+@pytest.mark.parametrize("bad", [
+    ["teleport", "--channel", str(FIXTURES / "identity_channel.json")],  # missing --input
+    ["teleport", "--classical", "--tol", "-1", *BIT_TELEPORT[1:]],
+    ["frobnicate"],
+])
+def test_usage_error_does_not_affect_the_next_call(commands, bad):
+    expected = run_main(*commands["teleport"])
+    code, out, err = run_main(*bad)
+    assert code == 1 and out == "" and err.startswith("usage error: ")
+    assert run_main(*commands["teleport"]) == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["teleport", "--help"], ["selftest", "--help"]])
+def test_help_equals_that_of_a_fresh_parser(commands, argv):
+    run_main(*commands["choi"])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(argv)
+    assert exited.value.code == 0
+    fresh = out.getvalue()
+    assert "usage: condchan" in fresh
+    assert run_main(*argv) == (0, fresh, "")
+    assert run_main(*argv) == (0, fresh, "")
+
+
+def test_main_from_two_threads_matches_sequential_calls(commands):
+    script = [
+        commands["choi"],
+        [*BIT_TELEPORT, "--classical"],
+        commands["teleport"],
+        ["teleport", "--tol", "0", *commands["teleport"][1:]],
+        commands["condition"],
+        ["condition", *commands["condition"][1:-1], "b"],
+        [*commands["verify-theorem"], "--tol", "1e-30"],
+        commands["verify-theorem"],
+    ]
+    out, err = PerThreadStream(), PerThreadStream()
+    results = {}
+
+    def worker(name, order):
+        results[name] = [(k, call_main(script[k], out, err)) for k in order for _ in range(2)]
+
+    forward, backward = list(range(len(script))), list(reversed(range(len(script))))
+    threads = [
+        threading.Thread(target=worker, args=("forward", forward)),
+        threading.Thread(target=worker, args=("backward", backward)),
+    ]
+    with redirect_stdout(out), redirect_stderr(err):
+        expected = [call_main(argv, out, err) for argv in script]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0, 0, 4, 0]
+    for name in ("forward", "backward"):
+        assert len(results[name]) == 2 * len(script)
+        for k, got in results[name]:
+            assert got == expected[k], script[k]

@@ -14,6 +14,9 @@ single products on the held superoperator and on reordered 4-index views
 are pinned to the per-Kraus sums and einsum contractions they replaced,
 the superoperator is formed once per channel, and the Bell-basis cache
 keeps a sweep over d = 2…8 while never keeping a basis above its budget.
+Channels with few Kraus operators act by the Kraus sum, pinned to the same
+oracles, and the isometry and channel checks read the Choi spectrum from
+one eigvalsh, pinned to the verdicts of the full eigendecomposition.
 """
 
 import importlib.util
@@ -66,10 +69,20 @@ from condchan.channels import (
     _kraus_gram,
     apply_matrix,
     channel_from_conditional,
+    is_isometry,
     max_ent_matrix,
     validate_channel,
 )
-from condchan.matcore import PHASE_TOL, _fix_phases, gen_inv_sqrt, herm_eig, hermitize, mat_sqrt
+from condchan.errors import NotHermitian
+from condchan.matcore import (
+    PHASE_TOL,
+    _fix_phases,
+    gen_inv_sqrt,
+    herm_eig,
+    herm_eigvals,
+    hermitize,
+    mat_sqrt,
+)
 from condchan.povm import POVM_BLOCK_TOL, POVM_PSD_TOL, ZERO_PROB_THRESHOLD
 from condchan.scenarios import (
     _BASIS_CACHE,
@@ -1032,6 +1045,105 @@ def test_bell_basis_above_the_budget_is_never_kept(rng, monkeypatch):
     assert calls.count(("cholesky", (81, 81, 81))) == 2
     assert list(_BASIS_CACHE) == [(3, EFFECT_MATCH_TOL)]
     assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
+
+
+
+# -- tests: the cheaper exact form of the action; spectra without vectors --
+
+
+def takes_kraus_sum(c, x):
+    """Whether apply_matrix reads only the Kraus tensor: the superoperator
+    of an unchecked copy is poisoned with NaN."""
+    poisoned = Channel(c.shape_in, c.shape_out, c.kraus, check=False)
+    object.__setattr__(poisoned, "_superop", np.full_like(c._superop, np.nan))
+    return not np.isnan(apply_matrix(poisoned, x)).any()
+
+
+@pytest.mark.parametrize("shape", SHAPES + D16, ids=shape_id)
+def test_apply_matrix_takes_the_cheaper_form_and_both_match_the_oracles(rng, shape):
+    d = shape.total_dim
+    branches = set()
+    for shape_out in (shape, AlgebraShape((d,)), AlgebraShape((2, 1))):
+        d_out = shape_out.total_dim
+        for env in sorted({-(-d // d_out), 2 * d}):
+            c = random_channel(shape, shape_out, env, rng)
+            r = len(c.kraus)
+            x = random_complex(rng, d, d)
+            stack = random_complex(rng, 2, 3, d, d)
+            kraus_sum = takes_kraus_sum(c, x)
+            assert kraus_sum == (r * (d + d_out) < d * d_out)
+            assert takes_kraus_sum(c, stack) == kraus_sum
+            branches.add(kraus_sum)
+            close(apply_matrix(c, x), oracle_apply_matrix(c.kraus, x))
+            close(apply_matrix(c, stack), oracle_stacked_apply_matrix(c.kraus, stack))
+            s = random_state(shape, rng)
+            close(apply(c, s).matrix, oracle_apply_matrix(c.kraus, s.matrix))
+    # at d = 2 even one Kraus operator costs as much as the superoperator
+    assert branches == ({True, False} if d > 2 else {False})
+
+
+def oracle_is_isometry(c, tol=1e-9):
+    w = herm_eig(choi_conditional(c).matrix).eigenvalues
+    if not w.size:
+        return False
+    trace = float(np.sum(w))
+    if abs(float(w[0]) - trace) > tol:
+        return False
+    return bool(np.all(np.abs(w[1:]) <= tol))
+
+
+def oracle_choi_min_eigenvalue(c):
+    return float(herm_eig(oracle_choi_matrix(c.kraus, c.shape_in)).eigenvalues[-1])
+
+
+def isometry_cases(rng, shape):
+    d = shape.total_dim
+    yield Channel(shape, AlgebraShape((d,)), (random_unitary(d, rng),))
+    yield Channel(shape, AlgebraShape((d + 1,)), (random_unitary(d + 1, rng)[:, :d],))
+    for env in (1, 2, d):
+        yield random_channel(shape, shape, env, rng)
+    # a second Kraus operator of norm 1e-6 leaves a Choi eigenvalue of about
+    # d·1e-12: isometric under tol 1e-9, not under 1e-12
+    u, v = random_unitary(d, rng), random_unitary(d, rng)
+    yield Channel(shape, AlgebraShape((d,)), (u, 1e-6 * v), check=False)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_spectral_checks_match_the_full_eigendecomposition(rng, shape):
+    verdicts = set()
+    for c in isometry_cases(rng, shape):
+        for tol in (1e-9, 1e-12):
+            assert is_isometry(c, tol) == oracle_is_isometry(c, tol)
+            verdicts.add(is_isometry(c, tol))
+        report = validate_channel(c)
+        assert abs(report.choi_min_eigenvalue - oracle_choi_min_eigenvalue(c)) <= ATOL
+    # the pinched Choi matrix of a reducible input has one rank per block
+    assert verdicts == ({True, False} if len(shape.block_dims) == 1 else {False})
+    h = hermitize(random_complex(rng, 2 * shape.total_dim, 2 * shape.total_dim))
+    w = herm_eigvals(h)
+    close(w, herm_eig(h).eigenvalues)
+    assert np.all(np.diff(w) <= 0)
+
+
+def test_spectral_checks_make_one_eigvalsh_call(rng, monkeypatch):
+    shape = AlgebraShape((4,))
+    unitary = Channel(shape, shape, (random_unitary(4, rng),))
+    noisy = random_channel(shape, AlgebraShape((2, 1)), 3, rng)
+    calls = count_linalg(monkeypatch)
+    assert is_isometry(unitary) and not is_isometry(noisy)
+    assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (12, 12))]
+    calls.clear()
+    assert validate_channel(noisy).ok
+    assert calls == [("eigvalsh", (12, 12))]
+
+
+def test_spectral_checks_keep_the_hermiticity_check(rng):
+    g = random_complex(rng, 4, 4)
+    with pytest.raises(NotHermitian):
+        herm_eigvals(g)
+    with pytest.raises(NotHermitian):
+        herm_eig(g)
+    assert herm_eigvals(g + g.conj().T).shape == (4,)
 
 
 # -- tests: documents -------------------------------------------------------
