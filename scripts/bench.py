@@ -44,7 +44,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -117,9 +116,10 @@ def cases(cc, workdir):
             yield "apply_matrix", d, cls, partial(cc.channels.apply_matrix, c, stack)
             yield "choi_conditional", d, cls, partial(cc.choi_conditional, c)
             yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
-    main = importlib.import_module("condchan.cli").main
+    from condchan import cli
+
     for command, argv in cli_commands(cc, workdir, np.random.default_rng(SEED + 2)):
-        yield f"cli {command}", 8, "irreducible", partial(run_cli, main, argv)
+        yield f"cli {command}", 8, "irreducible", partial(run_cli, cli.main, argv)
 
 
 def cli_commands(cc, workdir, rng):
@@ -139,7 +139,9 @@ def cli_commands(cc, workdir, rng):
         "povm_b": cc.random_povm(q8, 4, rng),
         "state": cc.random_state(q8, rng),
     }
-    serialize, path = importlib.import_module("condchan.serialize").serialize, {}
+    from condchan.serialize import serialize
+
+    path = {}
     for name, obj in docs.items():
         path[name] = str(workdir / f"{name}.json")
         Path(path[name]).write_text(serialize(obj), encoding="utf-8")

@@ -289,9 +289,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
             raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         return args.fn(args)

@@ -389,7 +389,8 @@ def commands(tmp_path_factory):
                   "--marginal-a", path["marg_a"], "--marginal-b", path["marg_b"]],
         "verify-theorem": ["verify-theorem", "--joint", path["theorem_joint"],
                            "--povm-a", path["theorem_povm_a"], "--povm-b", path["theorem_povm_b"]],
-        "teleport": ["teleport", "--channel", path["identity_channel"], "--input", path["qubit_state"]],
+        "teleport": ["teleport", "--channel", path["identity_channel"],
+                     "--input", path["qubit_state"]],
         "prepare": ["prepare", "--povm", path["theorem_povm_a"], "--state", path["qubit_state"]],
         "selftest": ["selftest", "--seed", "3", "--trials", "1"],
     }
@@ -474,7 +475,7 @@ def test_help_equals_that_of_a_fresh_parser(commands, argv):
     assert run_main(*argv) == (0, fresh, "")
 
 
-def test_main_from_two_threads_matches_sequential_calls(commands):
+def test_main_from_threads_matches_sequential_calls(commands):
     script = [
         commands["choi"],
         [*BIT_TELEPORT, "--classical"],
@@ -486,24 +487,30 @@ def test_main_from_two_threads_matches_sequential_calls(commands):
         commands["verify-theorem"],
     ]
     out, err = PerThreadStream(), PerThreadStream()
-    results = {}
+    n = len(script)
+    # more threads than the two cores of a small machine, each in its own
+    # order, and frequent thread switches to interleave the parsing
+    orders = [list(range(n)), list(reversed(range(n))), [(3 * k) % n for k in range(n)]]
+    results = [None] * len(orders)
 
-    def worker(name, order):
-        results[name] = [(k, call_main(script[k], out, err)) for k in order for _ in range(2)]
+    def worker(i):
+        results[i] = [(k, call_main(script[k], out, err)) for k in orders[i] for _ in range(2)]
 
-    forward, backward = list(range(len(script))), list(reversed(range(len(script))))
-    threads = [
-        threading.Thread(target=worker, args=("forward", forward)),
-        threading.Thread(target=worker, args=("backward", backward)),
-    ]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
     with redirect_stdout(out), redirect_stderr(err):
         expected = [call_main(argv, out, err) for argv in script]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0, 0, 4, 0]
-    for name in ("forward", "backward"):
-        assert len(results[name]) == 2 * len(script)
-        for k, got in results[name]:
-            assert got == expected[k], script[k]
+    for got in results:
+        assert len(got) == 2 * n
+        for k, result in got:
+            assert result == expected[k], script[k]

@@ -66,6 +66,7 @@ from condchan.algebra import (
     pair_support_deviation,
 )
 from condchan.channels import (
+    KRAUS_SUM_MIN_DIM,
     _kraus_gram,
     apply_matrix,
     channel_from_conditional,
@@ -1063,7 +1064,8 @@ def takes_kraus_sum(c, x):
 def test_apply_matrix_takes_the_cheaper_form_and_both_match_the_oracles(rng, shape):
     d = shape.total_dim
     branches = set()
-    for shape_out in (shape, AlgebraShape((d,)), AlgebraShape((2, 1))):
+    # the last output dimension brings d·d_out to the size floor of the sum
+    for shape_out in (shape, AlgebraShape((2, 1)), AlgebraShape((-(-KRAUS_SUM_MIN_DIM // d),))):
         d_out = shape_out.total_dim
         for env in sorted({-(-d // d_out), 2 * d}):
             c = random_channel(shape, shape_out, env, rng)
@@ -1071,15 +1073,14 @@ def test_apply_matrix_takes_the_cheaper_form_and_both_match_the_oracles(rng, sha
             x = random_complex(rng, d, d)
             stack = random_complex(rng, 2, 3, d, d)
             kraus_sum = takes_kraus_sum(c, x)
-            assert kraus_sum == (r * (d + d_out) < d * d_out)
+            assert kraus_sum == (d * d_out >= KRAUS_SUM_MIN_DIM and r * (d + d_out) < d * d_out)
             assert takes_kraus_sum(c, stack) == kraus_sum
             branches.add(kraus_sum)
             close(apply_matrix(c, x), oracle_apply_matrix(c.kraus, x))
             close(apply_matrix(c, stack), oracle_stacked_apply_matrix(c.kraus, stack))
             s = random_state(shape, rng)
             close(apply(c, s).matrix, oracle_apply_matrix(c.kraus, s.matrix))
-    # at d = 2 even one Kraus operator costs as much as the superoperator
-    assert branches == ({True, False} if d > 2 else {False})
+    assert branches == {True, False}
 
 
 def oracle_is_isometry(c, tol=1e-9):
