@@ -222,8 +222,10 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the last docstring paragraph is for library callers, not for --help
-    parser = _Parser(prog="condchan", description=__doc__.rsplit("\n\n", 1)[0])
+    # --help shows the module docstring without its last paragraph, which is
+    # for library callers (python -OO strips the docstring)
+    description = __doc__.rsplit("\n\n", 1)[0] if __doc__ else None
+    parser = _Parser(prog="condchan", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("choi", help="conditional-state form of a channel")
