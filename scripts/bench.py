@@ -9,13 +9,7 @@ BLAS fixed to one thread.  For each call below and each algebra class
 (irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the time
 of the first call, the median per-call wall time over ``--repeats`` later
 samples (each a batch of calls lasting about 2 ms), and the ``eigvalsh``,
-``eigh`` and ``cholesky`` calls one call makes.  Before each sample it also
-times a fixed control kernel that does not touch condchan (the calibration
-kernel of ``perfbench/calibrate.py``, from this checkout whatever ``--src``
-is) and records the median of those as ``control_ms`` and the call's median
-over it as ``ratio``.  The machine's speed drifts by tens of percent between
-and within runs; the ratio largely cancels that drift, so compare ratios,
-not times, between runs.  The calls are:
+``eigh`` and ``cholesky`` calls one call makes:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
@@ -25,11 +19,7 @@ not times, between runs.  The calls are:
   output block, d = 2…16: its construction from the Kraus tensor,
   ``apply`` to a state, ``apply_matrix`` on a stack of 4 states,
   ``choi_conditional``, and ``channel_from_conditional`` on its
-  conditional form;
-* ``cli.main`` in process, stdout and stderr captured, for each of the
-  nine subcommands on d = 8 irreducible documents written to a temporary
-  directory (``selftest`` with ``--trials 2``), each as call
-  ``cli <command>``.
+  conditional form.
 
 Each run is appended to the list under ``--label`` in ``--out``, with the
 ``src/condchan`` line count and the environment, and everything already in
@@ -44,24 +34,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
-import tempfile  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
-from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from calibrate import Calibration  # noqa: E402
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
 BATCH_MS = 2.0
@@ -74,9 +59,8 @@ def shape_classes(d):
     return classes
 
 
-def cases(cc, workdir):
-    """(call, d, class, zero-argument callable) for every measured call;
-    the CLI cases read documents written to ``workdir``."""
+def cases(cc):
+    """(call, d, class, zero-argument callable) for every measured call."""
     rng = np.random.default_rng(SEED)
     for d in range(2, 17):
         for cls, dims in shape_classes(d).items():
@@ -116,54 +100,6 @@ def cases(cc, workdir):
             yield "apply_matrix", d, cls, partial(cc.channels.apply_matrix, c, stack)
             yield "choi_conditional", d, cls, partial(cc.choi_conditional, c)
             yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
-    from condchan import cli
-
-    for command, argv in cli_commands(cc, workdir, np.random.default_rng(SEED + 2)):
-        yield f"cli {command}", 8, "irreducible", partial(run_cli, cli.main, argv)
-
-
-def cli_commands(cc, workdir, rng):
-    """(subcommand, argv) for each of the nine subcommands on d = 8 documents."""
-    q8 = cc.AlgebraShape((8,))
-    joint = cc.random_joint_state(q8, q8, rng)
-    channel = cc.random_channel(q8, q8, 2, rng)
-    docs = {
-        "channel": channel,
-        "choi": cc.choi_conditional(channel),
-        "joint": joint,
-        "marg_a": cc.reduce(joint, "a"),
-        "marg_b": cc.reduce(joint, "b"),
-        "cond_a": cc.conditional_from_joint(joint, "a"),
-        "cond_b": cc.conditional_from_joint(joint, "b"),
-        "povm_a": cc.random_povm(q8, 4, rng),
-        "povm_b": cc.random_povm(q8, 4, rng),
-        "state": cc.random_state(q8, rng),
-    }
-    from condchan.serialize import serialize
-
-    path = {}
-    for name, obj in docs.items():
-        path[name] = str(workdir / f"{name}.json")
-        Path(path[name]).write_text(serialize(obj), encoding="utf-8")
-    yield "choi", ["choi", "--channel", path["channel"]]
-    yield "channel", ["channel", "--conditional", path["choi"]]
-    yield "condition", ["condition", "--joint", path["joint"], "--on", "A"]
-    yield "join", ["join", "--marginal", path["marg_a"], "--conditional", path["cond_a"]]
-    yield "bayes", ["bayes", "--conditional", path["cond_b"],
-                    "--marginal-a", path["marg_a"], "--marginal-b", path["marg_b"]]
-    yield "verify-theorem", ["verify-theorem", "--joint", path["joint"],
-                             "--povm-a", path["povm_a"], "--povm-b", path["povm_b"]]
-    yield "teleport", ["teleport", "--channel", path["channel"], "--input", path["state"]]
-    yield "prepare", ["prepare", "--povm", path["povm_a"], "--state", path["state"]]
-    yield "selftest", ["selftest", "--seed", str(int(rng.integers(2**31))), "--trials", "2"]
-
-
-def run_cli(main, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    if code != 0:
-        raise RuntimeError(f"condchan {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
 
 
 def count_calls(fn):
@@ -194,27 +130,20 @@ def timed(fn):
     return 1e3 * (time.perf_counter() - start)
 
 
-def measure(cc, repeats, workdir):
-    control = Calibration()
+def measure(cc, repeats):
     rows = []
-    for call, d, cls, fn in cases(cc, workdir):
+    for call, d, cls, fn in cases(cc):
         first = timed(fn)
         # each sample times a batch of about BATCH_MS, so that timer
         # resolution and scheduler noise stay small against short calls
         number = max(1, round(BATCH_MS / first))
-        timer, samples, controls = timeit.Timer(fn), [], []
-        for _ in range(repeats):
-            controls.append(control.sample())
-            samples.append(timer.timeit(number))
+        samples = timeit.Timer(fn).repeat(repeats, number)
         median = 1e3 * statistics.median(samples) / number
-        control_ms = 1e3 * statistics.median(controls)
         rows.append({
             "call": call,
             "d": d,
             "class": cls,
             "median_ms": median,
-            "control_ms": control_ms,
-            "ratio": median / control_ms,
             "first_ms": first,
             **count_calls(fn),
         })
@@ -268,9 +197,8 @@ def main():
         ),
         "env": environment(),
         "repeats": args.repeats,
+        "results": measure(cc, args.repeats),
     }
-    with tempfile.TemporaryDirectory(prefix="condchan-bench-") as workdir:
-        run["results"] = measure(cc, args.repeats, Path(workdir))
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"runs": {}}
     doc["runs"].setdefault(args.label, []).append(run)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")

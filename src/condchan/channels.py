@@ -4,8 +4,7 @@ A channel is held canonically in Kraus form, as one read-only
 ``(r, d_out, d_in)`` complex tensor of its r Kraus operators, and as its
 superoperator Σ_K K ⊗ K̄: one read-only ``(d_in², d_out²)`` matrix of
 16·(d_in·d_out)² bytes (64 KB at d = 8, 1 MB at d = 16), formed once at
-construction.  The action on any matrix or stack is one product with it,
-or the Kraus sum for a channel with few Kraus operators on large spaces;
+construction.  The action on any matrix or stack is one product with it;
 the conditional-state (Choi) form, the channel acting on the conditioned
 factor of the maximally entangled conditional of the input algebra, is its
 entries reordered under the input block mask.  Going back, Kraus operators
@@ -37,12 +36,6 @@ from .states import State
 CHANNEL_TP_TOL = 1e-9
 CHANNEL_BLOCK_TOL = 1e-9
 KRAUS_CUTOFF = 1e-10
-# d_in·d_out from which ``apply_matrix`` may take the Kraus sum.  Below it the
-# superoperator has under 65,536 entries (1 MB), and one product with it costs
-# less than the sum's several numpy calls even where the sum needs fewer
-# multiply-adds (d = 8, r = 2: 3 µs against 8 µs per matrix on one OpenBLAS
-# thread of an x86-64 machine).
-KRAUS_SUM_MIN_DIM = 256
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -145,16 +138,9 @@ class Channel:
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
     """Action of the channel on a raw matrix, or on each matrix of a stack
-    (no state validation).  Both forms below are the exact Kraus action: the
-    sum Σ_K K x K† costs r·d_in·d_out·(d_in + d_out) multiply-adds per
-    matrix and the product with the held superoperator d_in²·d_out², so the
-    Kraus sum is taken when r·(d_in + d_out) < d_in·d_out, once d_in·d_out
-    reaches ``KRAUS_SUM_MIN_DIM``."""
-    r, dout, din = c.kraus.shape
-    if din * dout >= KRAUS_SUM_MIN_DIM and r * (din + dout) < din * dout:
-        return (c.kraus @ np.asarray(x)[..., None, :, :] @ c.kraus.conj().swapaxes(1, 2)).sum(-3)
-    lead = np.shape(x)[:-2]
-    return (np.reshape(x, (*lead, din * din)) @ c._superop).reshape(*lead, dout, dout)
+    (no state validation): one product with the held superoperator."""
+    lead, dout = np.shape(x)[:-2], c.shape_out.total_dim
+    return (np.reshape(x, (*lead, c._superop.shape[0])) @ c._superop).reshape(*lead, dout, dout)
 
 
 def apply(c: Channel, s: State) -> State:

@@ -4,9 +4,6 @@ Every subcommand reads JSON documents (see ``serialize``), writes a JSON
 document or report to stdout and a one-line human summary to stderr.  Exit
 codes: 0 success, 1 usage, 2 parse error, 3 invariant violation, 4
 numerical failure.
-
-``main`` parses with one parser, built on its first call and shared by
-every later call in the process; each call still gets a fresh namespace.
 """
 
 from __future__ import annotations
@@ -222,10 +219,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --help shows the module docstring without its last paragraph, which is
-    # for library callers (python -OO strips the docstring)
-    description = __doc__.rsplit("\n\n", 1)[0] if __doc__ else None
-    parser = _Parser(prog="condchan", description=description)
+    parser = _Parser(prog="condchan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("choi", help="conditional-state form of a channel")

@@ -475,15 +475,6 @@ def test_help_equals_that_of_a_fresh_parser(commands, argv):
     assert run_main(*argv) == (0, fresh, "")
 
 
-def test_help_without_docstrings():
-    # python -OO strips the module docstring that --help describes itself with
-    completed = subprocess.run(
-        [sys.executable, "-OO", "-m", "condchan.cli", "--help"], capture_output=True, text=True
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.startswith("usage: condchan")
-
-
 def test_main_from_threads_matches_sequential_calls(commands):
     script = [
         commands["choi"],

@@ -14,9 +14,8 @@ single products on the held superoperator and on reordered 4-index views
 are pinned to the per-Kraus sums and einsum contractions they replaced,
 the superoperator is formed once per channel, and the Bell-basis cache
 keeps a sweep over d = 2…8 while never keeping a basis above its budget.
-Channels with few Kraus operators act by the Kraus sum, pinned to the same
-oracles, and the isometry and channel checks read the Choi spectrum from
-one eigvalsh, pinned to the verdicts of the full eigendecomposition.
+The isometry and channel checks read the Choi spectrum from one eigvalsh,
+pinned to the verdicts of the full eigendecomposition.
 """
 
 import importlib.util
@@ -66,7 +65,6 @@ from condchan.algebra import (
     pair_support_deviation,
 )
 from condchan.channels import (
-    KRAUS_SUM_MIN_DIM,
     _kraus_gram,
     apply_matrix,
     channel_from_conditional,
@@ -1048,39 +1046,7 @@ def test_bell_basis_above_the_budget_is_never_kept(rng, monkeypatch):
     assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
 
 
-
-# -- tests: the cheaper exact form of the action; spectra without vectors --
-
-
-def takes_kraus_sum(c, x):
-    """Whether apply_matrix reads only the Kraus tensor: the superoperator
-    of an unchecked copy is poisoned with NaN."""
-    poisoned = Channel(c.shape_in, c.shape_out, c.kraus, check=False)
-    object.__setattr__(poisoned, "_superop", np.full_like(c._superop, np.nan))
-    return not np.isnan(apply_matrix(poisoned, x)).any()
-
-
-@pytest.mark.parametrize("shape", SHAPES + D16, ids=shape_id)
-def test_apply_matrix_takes_the_cheaper_form_and_both_match_the_oracles(rng, shape):
-    d = shape.total_dim
-    branches = set()
-    # the last output dimension brings d·d_out to the size floor of the sum
-    for shape_out in (shape, AlgebraShape((2, 1)), AlgebraShape((-(-KRAUS_SUM_MIN_DIM // d),))):
-        d_out = shape_out.total_dim
-        for env in sorted({-(-d // d_out), 2 * d}):
-            c = random_channel(shape, shape_out, env, rng)
-            r = len(c.kraus)
-            x = random_complex(rng, d, d)
-            stack = random_complex(rng, 2, 3, d, d)
-            kraus_sum = takes_kraus_sum(c, x)
-            assert kraus_sum == (d * d_out >= KRAUS_SUM_MIN_DIM and r * (d + d_out) < d * d_out)
-            assert takes_kraus_sum(c, stack) == kraus_sum
-            branches.add(kraus_sum)
-            close(apply_matrix(c, x), oracle_apply_matrix(c.kraus, x))
-            close(apply_matrix(c, stack), oracle_stacked_apply_matrix(c.kraus, stack))
-            s = random_state(shape, rng)
-            close(apply(c, s).matrix, oracle_apply_matrix(c.kraus, s.matrix))
-    assert branches == {True, False}
+# -- tests: spectra without eigenvectors ------------------------------------
 
 
 def oracle_is_isometry(c, tol=1e-9):

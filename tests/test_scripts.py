@@ -49,18 +49,10 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     assert run["src_lines"] == sum(
         len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
     )
-    library = {
+    calls = {row["call"] for row in run["results"]}
+    assert calls == {
         "State", "JointState", "ConditionalState", "POVM", "teleport", "verify_theorem",
         "Channel", "apply", "apply_matrix", "choi_conditional", "channel_from_conditional",
     }
-    commands = {
-        "choi", "channel", "condition", "join", "bayes", "verify-theorem", "teleport",
-        "prepare", "selftest",
-    }
-    calls = {row["call"] for row in run["results"]}
-    assert calls == library | {f"cli {command}" for command in commands}
-    for row in run["results"]:
-        assert row["control_ms"] > 0
-        assert row["ratio"] == row["median_ms"] / row["control_ms"]
-    # valid input is certified by Cholesky alone (selftest reads spectra)
-    assert all(row["eigvalsh"] == 0 for row in run["results"] if row["call"] in library)
+    # valid input is certified by Cholesky alone
+    assert all(row["eigvalsh"] == 0 for row in run["results"])
