@@ -9,15 +9,7 @@ entangled measurement, and the prepare-evolve-measure identity for joint
 outcome statistics).
 """
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraShape,
-    algebra_identity,
-    embed,
-    project,
-    project_matrix,
-    tensor_shape,
-)
+from .algebra import AlgebraShape
 from .channels import (
     Channel,
     ChannelReport,
@@ -28,7 +20,6 @@ from .channels import (
     choi_conditional,
     identity_channel,
     is_isometry,
-    max_ent_conditional,
     validate_channel,
 )
 from .conditional import (
@@ -76,14 +67,6 @@ from .scenarios import (
     teleport_general,
     verify_theorem,
 )
-from .states import (
-    JointState,
-    State,
-    is_classical,
-    maximally_mixed,
-    reduce,
-    swap,
-    transpose_in_basis,
-)
+from .states import JointState, State, reduce
 
 __version__ = "0.1.0"

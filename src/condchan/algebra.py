@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import as_matrix, max_abs
+from .matcore import max_abs
 
 
 @dataclass(frozen=True)
@@ -58,34 +58,6 @@ class AlgebraShape:
         return tuple(slices)
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """An algebra element stored block by block."""
-
-    shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = tuple(as_matrix(b) for b in self.blocks)
-        if len(blocks) != len(self.shape.block_dims):
-            raise DimensionMismatch(
-                f"expected {len(self.shape.block_dims)} blocks, got {len(blocks)}"
-            )
-        for b, d in zip(blocks, self.shape.block_dims):
-            if b.shape != (d, d):
-                raise DimensionMismatch(f"block of shape {b.shape} does not fit dimension {d}")
-        object.__setattr__(self, "blocks", blocks)
-
-
-def embed(e: AlgebraElement) -> np.ndarray:
-    """Place the blocks on the diagonal of a total_dim x total_dim matrix."""
-    d = e.shape.total_dim
-    out = np.zeros((d, d), dtype=np.complex128)
-    for block, sl in zip(e.blocks, e.shape.block_slices()):
-        out[sl, sl] = block
-    return out
-
-
 # Shapes whose support masks are kept; a process touches only a few.
 MASK_CACHE_SIZE = 32
 
@@ -114,37 +86,6 @@ def pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
     return _masks((shape_a, shape_b))[0]
 
 
-def project_matrix(m, shape: AlgebraShape) -> np.ndarray:
-    """Pinch onto the block diagonal: sum of P_j m P_j over block projectors.
-
-    Equivalent to zeroing every off-block entry.
-    """
-    arr = np.asarray(m, dtype=np.complex128)
-    d = shape.total_dim
-    if arr.shape != (d, d):
-        raise DimensionMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
-    return arr * block_mask(shape)
-
-
-def project(m, shape: AlgebraShape) -> AlgebraElement:
-    """Project a full matrix onto the algebra and return it block by block."""
-    arr = np.asarray(m, dtype=np.complex128)
-    d = shape.total_dim
-    if arr.shape != (d, d):
-        raise DimensionMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
-    blocks = tuple(arr[sl, sl] for sl in shape.block_slices())
-    return AlgebraElement(shape=shape, blocks=blocks)
-
-
-def project_pair(m, shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
-    """Pinch a kron-space matrix onto the tensor-product algebra."""
-    arr = np.asarray(m, dtype=np.complex128)
-    d = shape_a.total_dim * shape_b.total_dim
-    if arr.shape != (d, d):
-        raise DimensionMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
-    return arr * pair_mask(shape_a, shape_b)
-
-
 def _off_support_deviation(m, off: np.ndarray) -> float:
     arr = np.asarray(m)
     if arr.shape[-2:] != off.shape:
@@ -162,19 +103,6 @@ def pair_support_deviation(m, shape_a: AlgebraShape, shape_b: AlgebraShape) -> f
     """Largest entry of m (or of a stack of matrices) outside the
     tensor-product algebra's support."""
     return _off_support_deviation(m, _masks((shape_a, shape_b))[1])
-
-
-def tensor_shape(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:
-    """Block dimensions of the tensor-product algebra, products in (i, j)
-    lexicographic order to match the kron convention."""
-    return AlgebraShape(tuple(da * db for da in a.block_dims for db in b.block_dims))
-
-
-def algebra_identity(shape: AlgebraShape) -> AlgebraElement:
-    """The identity element: an identity block in every factor."""
-    return AlgebraElement(
-        shape=shape, blocks=tuple(np.eye(d, dtype=np.complex128) for d in shape.block_dims)
-    )
 
 
 def block_projectors(shape: AlgebraShape) -> tuple[np.ndarray, ...]:

@@ -8,8 +8,8 @@ construction.  The action on any matrix or stack is one product with it;
 the conditional-state (Choi) form, the channel acting on the conditioned
 factor of the maximally entangled conditional of the input algebra, is its
 entries reordered under the input block mask.  Going back, Kraus operators
-are extracted from the eigendecomposition of the conditional with a
-relative eigenvalue cutoff and the project-wide phase convention, which
+are extracted from the eigendecomposition of the conditional with the
+project-wide support cutoff and phase convention (see ``matcore``), which
 makes the minimal Kraus set deterministic.
 
 For reducible input algebras the maximally entangled conditional is pinched
@@ -30,12 +30,11 @@ from .errors import (
     NotTracePreserving,
     ShapeMismatch,
 )
-from .matcore import RANK_TOL_FLOOR, herm_deviation, herm_eig, herm_eigvals, max_abs
+from .matcore import herm_deviation, herm_eig, herm_eigvals, max_abs
 from .states import State
 
 CHANNEL_TP_TOL = 1e-9
 CHANNEL_BLOCK_TOL = 1e-9
-KRAUS_CUTOFF = 1e-10
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -156,17 +155,6 @@ def identity_channel(shape: AlgebraShape) -> Channel:
     return Channel(shape_in=shape, shape_out=shape, kraus=block_projectors(shape))
 
 
-def max_ent_conditional(shape: AlgebraShape) -> ConditionalState:
-    """Maximally entangled conditional of an algebra with itself.
-
-    For an irreducible algebra of dimension d this is the rank-one operator
-    built from the sum of |jj> over the construction basis (trace d); for
-    general algebras it is the block-pinched variant, one such operator per
-    block.
-    """
-    return ConditionalState(shape_in=shape, shape_out=shape, matrix=max_ent_matrix(shape))
-
-
 def choi_conditional(c: Channel) -> ConditionalState:
     """Conditional-state form of a channel: act with the channel on the
     conditioned factor of the maximally entangled conditional."""
@@ -194,11 +182,11 @@ def apply_via_conditional(cond: ConditionalState, s: State) -> np.ndarray:
     return np.einsum("pq,qopr->or", pinched_t, cond.matrix.reshape(din, dout, din, dout))
 
 
-def channel_from_conditional(cond: ConditionalState, cutoff: float = KRAUS_CUTOFF) -> Channel:
+def channel_from_conditional(cond: ConditionalState) -> Channel:
     """Recover the channel from its conditional-state form.
 
     Kraus operators come from the eigendecomposition of the conditional,
-    keeping eigenvalues above ``cutoff`` relative to the largest.  When the
+    keeping the eigenvalues above its support cutoff.  When the
     conditioning support is a proper projector rather than the identity, the
     returned channel is defined on that support subalgebra and carries it in
     ``input_support``.
@@ -213,8 +201,7 @@ def channel_from_conditional(cond: ConditionalState, cutoff: float = KRAUS_CUTOF
     full = max_abs(support - np.eye(din)) <= CHANNEL_TP_TOL
 
     es = herm_eig(cond.matrix)
-    top = max(float(es.eigenvalues[0]), 0.0) if es.eigenvalues.size else 0.0
-    keep = es.eigenvalues > max(cutoff * top, RANK_TOL_FLOOR)
+    keep = es.kept
     if not keep.any():
         raise NotTracePreserving("conditional has no spectral weight above the cutoff")
     # column index convention: vec[a * dout + b] -> K[b, a]

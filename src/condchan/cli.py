@@ -20,21 +20,7 @@ import numpy as np
 from . import serialize as docs
 from .channels import Channel, channel_from_conditional, choi_conditional
 from .conditional import ConditionalState, bayes_invert, conditional_from_joint, joint_from_conditional
-from .errors import (
-    BasisNotPOVM,
-    CondChanError,
-    DimensionMismatch,
-    DocumentSyntaxError,
-    InvariantViolation,
-    NoConvergence,
-    NotHermitian,
-    NotPositive,
-    NotTracePreserving,
-    ShapeMismatch,
-    SupportMismatch,
-    SupportViolation,
-    UsageError,
-)
+from .errors import CondChanError, DocumentSyntaxError, UsageError
 from .povm import POVM, prepare
 from .scenarios import TeleportReport, teleport, teleport_classical, verify_theorem
 from .selftest import run_selftest
@@ -46,17 +32,12 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERICAL = 4
 
-_INVARIANT_ERRORS = (
-    InvariantViolation,
-    NotHermitian,
-    NotPositive,
-    NotTracePreserving,
-    SupportMismatch,
-    SupportViolation,
-    ShapeMismatch,
-    DimensionMismatch,
-    BasisNotPOVM,
-)
+_LABELS = {
+    EXIT_USAGE: "usage error",
+    EXIT_PARSE: "parse error",
+    EXIT_INVARIANT: "invariant violation",
+    EXIT_NUMERICAL: "numerical failure",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str, want: type):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DocumentSyntaxError(f"cannot read {path}: {exc}") from exc
     obj = docs.parse(text)
     if not isinstance(obj, want):
@@ -189,6 +170,8 @@ def _cmd_prepare(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     start = time.monotonic()
     results = run_selftest(args.seed, args.trials, tol=args.tol)
     elapsed = time.monotonic() - start
@@ -290,21 +273,11 @@ def main(argv=None) -> int:
         if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
             raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except DocumentSyntaxError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except _INVARIANT_ERRORS as exc:
-        sys.stderr.write(f"invariant violation: {exc}\n")
-        return EXIT_INVARIANT
-    except (NoConvergence, FloatingPointError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
-    except CondChanError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVARIANT
+    except (CondChanError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        # numpy's own floating-point and linear-algebra errors are numerical failures
+        code = getattr(exc, "exit_code", EXIT_NUMERICAL)
+        sys.stderr.write(f"{_LABELS[code]}: {exc}\n")
+        return code
 
 
 def entry_point() -> None:

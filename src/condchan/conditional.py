@@ -22,12 +22,12 @@ import numpy as np
 from .algebra import AlgebraShape, pair_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
-    DEFAULT_RANK_TOL,
+    EigenSystem,
     as_matrix,
     gen_inv_sqrt,
     herm_deviation,
+    herm_eig,
     mat_sqrt,
-    matrix_rank_psd,
     max_abs,
     partial_trace,
     swap_factors,
@@ -96,6 +96,19 @@ def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -
     return (left.swapaxes(1, 2) @ factor).swapaxes(1, 2).reshape(matrix.shape)
 
 
+def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]:
+    """The conditional of ``j`` on ``side`` ("a" or "b") and the spectrum of
+    that side's marginal, from which its generalized inverse root was taken."""
+    da, db = j.shape_a.total_dim, j.shape_b.total_dim
+    if side == "a":
+        marg = herm_eig(partial_trace(j.matrix, da, db, keep="left"))
+        out = _sandwich_on_first(marg.inv_root(), j.matrix, db)
+        return ConditionalState(shape_in=j.shape_a, shape_out=j.shape_b, matrix=out), marg
+    marg = herm_eig(partial_trace(j.matrix, da, db, keep="right"))
+    out = _sandwich_on_first(marg.inv_root(), swap_factors(j.matrix, da, db), da)
+    return ConditionalState(shape_in=j.shape_b, shape_out=j.shape_a, matrix=out), marg
+
+
 def conditional_from_joint(j: JointState, condition_on: str = "a") -> ConditionalState:
     """Condition a joint state on one side.
 
@@ -103,18 +116,7 @@ def conditional_from_joint(j: JointState, condition_on: str = "a") -> Conditiona
     conditioning marginal (tensored with the identity).  A rank-deficient
     marginal is handled by restriction to its support.
     """
-    side = _side(condition_on)
-    da, db = j.shape_a.total_dim, j.shape_b.total_dim
-    if side == "a":
-        marg = partial_trace(j.matrix, da, db, keep="left")
-        inv = gen_inv_sqrt(marg)
-        out = _sandwich_on_first(inv, j.matrix, db)
-        return ConditionalState(shape_in=j.shape_a, shape_out=j.shape_b, matrix=out)
-    marg = partial_trace(j.matrix, da, db, keep="right")
-    inv = gen_inv_sqrt(marg)
-    swapped = swap_factors(j.matrix, da, db)
-    out = _sandwich_on_first(inv, swapped, da)
-    return ConditionalState(shape_in=j.shape_b, shape_out=j.shape_a, matrix=out)
+    return _condition(j, _side(condition_on))[0]
 
 
 def joint_from_conditional(marg: State, cond: ConditionalState) -> JointState:
@@ -148,11 +150,12 @@ def bayes_invert(cond_ab: ConditionalState, marg_a: State, marg_b: State) -> Con
         raise ShapeMismatch("marg_a must live on the conditioned algebra of cond_ab")
     if cond_ab.shape_in != marg_b.shape:
         raise ShapeMismatch("marg_b must live on the conditioning algebra of cond_ab")
-    if matrix_rank_psd(marg_b.matrix, DEFAULT_RANK_TOL) < marg_b.shape.total_dim:
+    spectrum_b = herm_eig(marg_b.matrix)
+    if spectrum_b.rank < marg_b.shape.total_dim:
         raise SupportMismatch("marg_b is rank-deficient; Bayes inversion needs full rank")
     # kron(root_b, inv_a) sandwich, one factor at a time on the slow index,
     # with the factor swap in between that reorders the result to A-slow.
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim
-    half = swap_factors(_sandwich_on_first(mat_sqrt(marg_b.matrix), cond_ab.matrix, da), db, da)
+    half = swap_factors(_sandwich_on_first(spectrum_b.root(), cond_ab.matrix, da), db, da)
     inverted = _sandwich_on_first(gen_inv_sqrt(marg_a.matrix), half, db)
     return ConditionalState(shape_in=marg_a.shape, shape_out=marg_b.shape, matrix=inverted)

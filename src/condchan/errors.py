@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class CondChanError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+
+    ``exit_code`` is the CLI exit status the error maps to: 3 (invariant
+    violation) unless a subclass says otherwise.
+    """
+
+    exit_code = 3
 
 
 class DimensionMismatch(CondChanError):
@@ -25,6 +31,8 @@ class NotPositive(CondChanError):
 
 class NoConvergence(CondChanError):
     """The iterative eigensolver failed to converge."""
+
+    exit_code = 4
 
 
 class SupportMismatch(CondChanError):
@@ -61,6 +69,8 @@ class InvariantViolation(CondChanError):
 class DocumentSyntaxError(CondChanError):
     """A document could not be parsed; carries line/column when known."""
 
+    exit_code = 2
+
     def __init__(self, message: str, line: int = 0, column: int = 0):
         self.line = int(line)
         self.column = int(column)
@@ -69,3 +79,5 @@ class DocumentSyntaxError(CondChanError):
 
 class UsageError(CondChanError):
     """Bad command-line usage."""
+
+    exit_code = 1

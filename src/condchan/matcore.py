@@ -9,7 +9,14 @@ Conventions fixed here once and relied on project-wide:
   and every local operator product, partial trace or sandwich is a
   contraction of ``t`` rather than a product with a materialized ``kron``;
 * eigenvalues are returned in descending order, with each eigenvector's
-  phase fixed so that its first nonzero component is real and positive.
+  phase fixed so that its first nonzero component is real and positive;
+* a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the
+  library reads off a PSD spectrum is a view of that ``EigenSystem``: the
+  root, the generalized inverse root, the support projector and the rank.
+  The last three, and Kraus extraction, keep the eigenvalues above one
+  cutoff, ``DEFAULT_RANK_TOL`` times the largest eigenvalue with the floor
+  ``RANK_TOL_FLOOR``; ``mat_sqrt``, ``gen_inv_sqrt`` and
+  ``support_projector`` are the views of a fresh decomposition.
 """
 
 from __future__ import annotations
@@ -32,19 +39,67 @@ PHASE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, and its PSD views.
 
     ``eigenvalues`` are real and sorted descending; column ``j`` of
     ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[j]``.
+    ``root`` clips eigenvalues in [-DEFAULT_HERM_TOL, 0) to 0; ``inv_root``
+    and ``support`` keep the eigenvalues above ``cutoff`` and raise
+    ``NotPositive`` for one below -``cutoff``, and ``rank`` counts them.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Return V @ diag(w) @ V†."""
+    @property
+    def cutoff(self) -> float:
+        """Support cutoff: DEFAULT_RANK_TOL times the largest eigenvalue,
+        at least RANK_TOL_FLOOR."""
+        w = self.eigenvalues
+        top = float(w[0]) if w.size else 0.0
+        return max(DEFAULT_RANK_TOL * max(top, 0.0), RANK_TOL_FLOOR)
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Mask of the eigenvalues above the cutoff."""
+        return self.eigenvalues > self.cutoff
+
+    @property
+    def rank(self) -> int:
+        """Number of eigenvalues above the cutoff."""
+        return int(np.count_nonzero(self.kept))
+
+    def _require_above(self, floor: float) -> None:
+        w = self.eigenvalues
+        if w.size and w[-1] < -floor:
+            raise NotPositive(f"minimum eigenvalue {w[-1]:.3e} below -{floor:.3e}")
+
+    def _with_eigenvalues(self, w: np.ndarray) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return hermitize((v * w) @ v.conj().T)
+
+    def root(self) -> np.ndarray:
+        """Unique PSD square root."""
+        self._require_above(DEFAULT_HERM_TOL)
+        return self._with_eigenvalues(np.sqrt(np.maximum(self.eigenvalues, 0.0)))
+
+    def inv_root(self) -> np.ndarray:
+        """Generalized inverse square root: 1/sqrt on the eigenvalues above
+        the cutoff, 0 on the rest."""
+        cutoff = self.cutoff
+        self._require_above(cutoff)
+        w = self.eigenvalues
+        inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
+        return self._with_eigenvalues(inv)
+
+    def support(self) -> np.ndarray:
+        """Orthogonal projector onto the eigenvectors above the cutoff."""
+        self._require_above(self.cutoff)
+        keep = self.eigenvectors[:, self.kept]
+        if keep.shape[1] == 0:
+            d = self.eigenvectors.shape[0]
+            return np.zeros((d, d), dtype=np.complex128)
+        return hermitize(keep @ keep.conj().T)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -54,11 +109,6 @@ def as_matrix(m) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
     arr.setflags(write=False)
     return arr
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -122,106 +172,63 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def herm_eig(m, tol: float = DEFAULT_HERM_TOL) -> EigenSystem:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix, Hermitian within ``tol`` (max entry of |m - m†|).
-    tol : float
-        Hermiticity tolerance; the matrix is symmetrized before
-        decomposition so floating-point drift cannot leak into spectra.
+def herm_eig(m) -> EigenSystem:
+    """Full spectral decomposition of a square matrix that is Hermitian
+    within ``DEFAULT_HERM_TOL`` (max entry of |m - m†|); the matrix is
+    symmetrized first, so floating-point drift cannot leak into spectra.
 
     Raises
     ------
     NotHermitian
-        If the Hermiticity deviation exceeds ``tol``.
+        If the Hermiticity deviation exceeds ``DEFAULT_HERM_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
     try:
-        w, v = np.linalg.eigh(_checked_hermitian(m, tol))
+        w, v = np.linalg.eigh(_checked_hermitian(m))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     order = np.argsort(-w, kind="stable")
     return EigenSystem(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
 
 
-def herm_eigvals(m, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+def herm_eigvals(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending, from one
     ``eigvalsh``: ``herm_eig`` without the eigenvectors, with the same checks
     and errors."""
     try:
-        w = np.linalg.eigvalsh(_checked_hermitian(m, tol))
+        w = np.linalg.eigvalsh(_checked_hermitian(m))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return w[::-1]
 
 
-def _checked_hermitian(m, tol: float) -> np.ndarray:
-    """Hermitian part of a square matrix that is Hermitian within ``tol``."""
+def _checked_hermitian(m) -> np.ndarray:
+    """Hermitian part of a square matrix that is Hermitian within DEFAULT_HERM_TOL."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     dev = herm_deviation(arr)
-    if dev > tol:
-        raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.3e})")
+    if dev > DEFAULT_HERM_TOL:
+        raise NotHermitian(
+            f"matrix deviates from Hermiticity by {dev:.3e} (tol {DEFAULT_HERM_TOL:.3e})"
+        )
     return hermitize(arr)
 
 
-def mat_sqrt(p, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
-    """Unique PSD square root of a PSD matrix.
-
-    Eigenvalues in [-tol, 0) are clipped to 0; anything below -tol raises
-    ``NotPositive``.
-    """
-    es = herm_eig(p, tol=tol)
-    w = es.eigenvalues
-    if w.size and w[-1] < -tol:
-        raise NotPositive(f"minimum eigenvalue {w[-1]:.3e} below -{tol:.3e}")
-    root = np.sqrt(np.maximum(w, 0.0))
-    v = es.eigenvectors
-    return hermitize((v * root) @ v.conj().T)
+def mat_sqrt(p) -> np.ndarray:
+    """Unique PSD square root of a PSD matrix (``EigenSystem.root``)."""
+    return herm_eig(p).root()
 
 
-def _support_cutoff(eigenvalues: np.ndarray, rank_tol: float) -> float:
-    top = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    return max(rank_tol * max(top, 0.0), RANK_TOL_FLOOR)
+def gen_inv_sqrt(p) -> np.ndarray:
+    """Generalized inverse square root (``EigenSystem.inv_root``)."""
+    return herm_eig(p).inv_root()
 
 
-def gen_inv_sqrt(p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Generalized inverse square root: eigenvalues above the relative cutoff
-    map to 1/sqrt, the rest to 0, eigenvectors preserved."""
-    es = herm_eig(p)
-    w = es.eigenvalues
-    cutoff = _support_cutoff(w, rank_tol)
-    if w.size and w[-1] < -cutoff:
-        raise NotPositive(f"minimum eigenvalue {w[-1]:.3e} below -{cutoff:.3e}")
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
-    v = es.eigenvectors
-    return hermitize((v * inv) @ v.conj().T)
-
-
-def support_projector(p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors above the cutoff."""
-    es = herm_eig(p)
-    w = es.eigenvalues
-    cutoff = _support_cutoff(w, rank_tol)
-    if w.size and w[-1] < -cutoff:
-        raise NotPositive(f"minimum eigenvalue {w[-1]:.3e} below -{cutoff:.3e}")
-    keep = es.eigenvectors[:, w > cutoff]
-    d = es.eigenvectors.shape[0]
-    if keep.shape[1] == 0:
-        return np.zeros((d, d), dtype=np.complex128)
-    return hermitize(keep @ keep.conj().T)
-
-
-def matrix_rank_psd(p, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of eigenvalues above the relative support cutoff."""
-    es = herm_eig(p)
-    cutoff = _support_cutoff(es.eigenvalues, rank_tol)
-    return int(np.count_nonzero(es.eigenvalues > cutoff))
+def support_projector(p) -> np.ndarray:
+    """Orthogonal projector onto the support (``EigenSystem.support``)."""
+    return herm_eig(p).support()
 
 
 def kron(a, b) -> np.ndarray:

@@ -14,13 +14,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportViolation
-from .matcore import (
-    as_matrix,
-    gen_inv_sqrt,
-    mat_sqrt,
-    max_abs,
-    support_projector,
-)
+from .matcore import as_matrix, herm_eig, mat_sqrt, max_abs
 from .states import State, _validate_psd, states_from_stack
 
 POVM_PSD_TOL = 1e-10
@@ -121,8 +115,8 @@ def povm_from_ensemble(e: Ensemble, s: State, tol: float = ENSEMBLE_TOL) -> POVM
     """
     if e.average.shape != s.shape:
         raise ShapeMismatch("ensemble and state live on different algebras")
-    proj = support_projector(s.matrix)
-    complement = np.eye(s.shape.total_dim) - proj
+    spectrum = herm_eig(s.matrix)
+    complement = np.eye(s.shape.total_dim) - spectrum.support()
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)
         if leak > tol:
@@ -132,7 +126,7 @@ def povm_from_ensemble(e: Ensemble, s: State, tol: float = ENSEMBLE_TOL) -> POVM
     mix_dev = max_abs(sum(p * m.matrix for p, m in zip(e.weights, e.members)) - s.matrix)
     if mix_dev > tol:
         raise InvariantViolation("mixture", mix_dev)
-    inv_root = gen_inv_sqrt(s.matrix)
+    inv_root = spectrum.inv_root()
     elements = [inv_root @ (p * member.matrix) @ inv_root for p, member in zip(e.weights, e.members)]
     remainder = np.eye(s.shape.total_dim) - sum(elements)
     if max_abs(remainder) > POVM_SUM_TOL:

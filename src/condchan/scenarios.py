@@ -37,7 +37,7 @@ from .channels import (
     choi_conditional,
     max_ent_matrix,
 )
-from .conditional import ConditionalState, conditional_from_joint
+from .conditional import ConditionalState, _condition
 from .errors import BasisNotPOVM, DimensionMismatch, ShapeMismatch
 from .matcore import (
     _fix_phases,
@@ -45,11 +45,10 @@ from .matcore import (
     gen_inv_sqrt,
     hermitize,
     kron,
-    mat_sqrt,
     max_abs,
 )
 from .povm import POVM
-from .states import JointState, State, reduce, states_from_stack
+from .states import JointState, State, states_from_stack
 
 THEOREM_TOL = 1e-9
 EFFECT_MATCH_TOL = 1e-9
@@ -108,10 +107,9 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
     rho = j.matrix.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
     lhs = (ns.reshape(len(ns), -1) @ rho @ ms.reshape(len(ms), -1).T).real
 
-    rho_a = reduce(j, "a")
-    cond = conditional_from_joint(j, "a")
+    cond, marg_a = _condition(j, "a")
     chan = channel_from_conditional(cond)
-    root_t = mat_sqrt(rho_a.matrix.T)
+    root_t = marg_a.root().T  # the root of the transposed marginal
     # prepare with every N_j transposed, evolve the stack, then Tr(M_k ·) per pair
     evolved = apply_matrix(chan, root_t @ ns.swapaxes(1, 2) @ root_t)
     rhs = np.trace(ms @ evolved[:, None], axis1=2, axis2=3).real

@@ -26,7 +26,7 @@ from .channels import (
     validate_channel,
 )
 from .conditional import bayes_invert, conditional_from_joint, joint_from_conditional
-from .matcore import gen_inv_sqrt, mat_sqrt, max_abs, partial_trace, support_projector
+from .matcore import herm_eig, max_abs, partial_trace, support_projector
 from .povm import measure, povm_from_ensemble, prepare, sample
 from .scenarios import (
     random_channel,
@@ -75,10 +75,11 @@ def _check_matrix_roots(rng, trials):
     for _ in range(trials):
         s = random_state(MIXED, rng)
         p = s.matrix * 3.0
-        root = mat_sqrt(p)
+        spectrum = herm_eig(p)
+        root = spectrum.root()
         dev = _worse(dev, max_abs(root @ root - p))
-        inv = gen_inv_sqrt(p)
-        dev = _worse(dev, max_abs(inv @ p @ inv - support_projector(p)))
+        inv = spectrum.inv_root()
+        dev = _worse(dev, max_abs(inv @ p @ inv - spectrum.support()))
     return dev
 
 

@@ -2,9 +2,7 @@
 
 States are stored in embedded form (a full matrix supported on the block
 diagonal) and validated eagerly at construction; pass ``check=False`` for
-intermediate values that are fixed up before observation.  The transpose
-below is always taken entry-wise in the standard embedding basis; callers
-wanting an eigenbasis variant must rotate explicitly first.
+intermediate values that are fixed up before observation.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, pair_support_deviation, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import _min_eigenvalue_unless_certified, as_matrix, partial_trace, swap_factors
+from .matcore import _min_eigenvalue_unless_certified, as_matrix, partial_trace
 
 STATE_HERM_TOL = 1e-10
 STATE_PSD_TOL = 1e-10
@@ -130,27 +128,3 @@ def reduce(j: JointState, keep: str) -> State:
     if k == "a":
         return State(j.shape_a, partial_trace(j.matrix, da, db, keep="left"))
     return State(j.shape_b, partial_trace(j.matrix, da, db, keep="right"))
-
-
-def swap(j: JointState) -> JointState:
-    """Exchange the two factors of a joint state."""
-    da, db = j.shape_a.total_dim, j.shape_b.total_dim
-    return JointState(j.shape_b, j.shape_a, swap_factors(j.matrix, da, db))
-
-
-def transpose_in_basis(s: State) -> State:
-    """Entry-wise transpose in the embedding basis (an involution that
-    preserves the spectrum and the algebra support)."""
-    return State(s.shape, s.matrix.T)
-
-
-def is_classical(s: State, tol: float = 1e-12) -> bool:
-    """True iff the state is diagonal in the embedding basis within tol."""
-    off = s.matrix - np.diag(np.diag(s.matrix))
-    return bool(np.max(np.abs(off)) <= tol) if off.size else True
-
-
-def maximally_mixed(shape: AlgebraShape) -> State:
-    """Identity over total dimension."""
-    d = shape.total_dim
-    return State(shape, np.eye(d, dtype=np.complex128) / d)

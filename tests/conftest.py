@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condchan import AlgebraShape
+from condchan import AlgebraShape, ConditionalState, State
+from condchan.channels import max_ent_matrix
 
 QUBIT = AlgebraShape((2,))
 QUTRIT = AlgebraShape((3,))
@@ -34,3 +35,14 @@ def random_psd(rng, dim, rank=None):
     cols = dim if rank is None else rank
     g = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
     return g @ g.conj().T
+
+
+def maximally_mixed(shape):
+    """The identity over the total dimension, as a State."""
+    d = shape.total_dim
+    return State(shape, np.eye(d, dtype=np.complex128) / d)
+
+
+def max_ent_conditional(shape):
+    """The maximally entangled conditional of an algebra with itself."""
+    return ConditionalState(shape, shape, max_ent_matrix(shape))

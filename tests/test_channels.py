@@ -19,14 +19,12 @@ from condchan import (
     is_isometry,
     joint_from_conditional,
     kron,
-    max_ent_conditional,
-    maximally_mixed,
     partial_trace,
     validate_channel,
 )
 from condchan.channels import apply_matrix
 from condchan.scenarios import random_channel, random_state, random_unitary
-from conftest import BIT, MIXED, QUBIT, QUTRIT
+from conftest import BIT, MIXED, QUBIT, QUTRIT, max_ent_conditional, maximally_mixed
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

@@ -1,7 +1,9 @@
 """End-to-end CLI tests through subprocess, plus exit-code mapping, and
-``main`` in process sharing one parser across calls and threads."""
+``main`` in process sharing one parser across calls and threads, raising
+every library error, and fuzzed over argv and documents."""
 
 import argparse
+import copy
 import io
 import json
 import subprocess
@@ -12,11 +14,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from condchan import choi_conditional, cli, conditional_from_joint, maximally_mixed, reduce
+from condchan import (
+    BasisNotPOVM,
+    CondChanError,
+    DimensionMismatch,
+    DocumentSyntaxError,
+    InvariantViolation,
+    NoConvergence,
+    NotHermitian,
+    NotPositive,
+    NotTracePreserving,
+    ShapeMismatch,
+    SupportMismatch,
+    SupportViolation,
+    choi_conditional,
+    cli,
+    conditional_from_joint,
+    reduce,
+)
+from condchan.errors import UsageError
 from condchan.selftest import run_selftest
-from condchan.serialize import parse, serialize
-from conftest import QUBIT
+from condchan.serialize import KINDS, parse, serialize
+from conftest import QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -165,6 +187,17 @@ class TestExitCodes:
     def test_selftest_without_trials_is_1(self, trials):
         completed = run_cli("selftest", "--trials", trials, expect=1)
         assert completed.stderr == f"usage error: --trials must be at least 1, got {trials}\n"
+
+    def test_negative_seed_is_1(self):
+        assert run_main("selftest", "--seed", "-1") == (
+            1, "", "usage error: --seed must be non-negative, got -1\n")
+
+    def test_document_that_is_not_utf8_is_2(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "st\xe4te"}')
+        code, out, err = run_main("choi", "--channel", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: cannot read {path}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize(
@@ -514,3 +547,208 @@ def test_main_from_threads_matches_sequential_calls(commands):
         assert len(got) == 2 * n
         for k, result in got:
             assert result == expected[k], script[k]
+
+
+def _error_cases():
+    labels = {1: "usage error", 2: "parse error", 3: "invariant violation", 4: "numerical failure"}
+    invariant = (ShapeMismatch, DimensionMismatch, NotHermitian, NotPositive, SupportMismatch,
+                 NotTracePreserving, BasisNotPOVM, SupportViolation)
+    cases = [(UsageError("bad flag"), 1), (DocumentSyntaxError("bad text", 3, 7), 2),
+             (InvariantViolation("positive", 0.5), 3),
+             *[(cls(f"{cls.__name__} raised"), 3) for cls in invariant],
+             (NoConvergence("eigh did not converge"), 4),
+             (FloatingPointError("overflow"), 4), (np.linalg.LinAlgError("singular"), 4)]
+    return [pytest.param(exc, code, f"{labels[code]}: {exc}\n", id=type(exc).__name__)
+            for exc, code in cases]
+
+
+def _subclasses(cls):
+    return {cls, *(s for sub in cls.__subclasses__() for s in _subclasses(sub))}
+
+
+def test_error_cases_cover_every_library_error():
+    covered = {param.values[0].__class__ for param in _error_cases()}
+    assert _subclasses(CondChanError) - {CondChanError} <= covered
+
+
+@pytest.mark.parametrize("exc, code, stderr", _error_cases())
+def test_error_raised_inside_a_command_maps_to_its_exit_code(commands, monkeypatch, exc, code, stderr):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "conditional_from_joint", failing)
+    assert run_main(*commands["condition"]) == (code, "", stderr)
+
+
+# -- fuzz: main in process over arbitrary argv and documents ------------------
+
+
+def _valid_docs():
+    """The fixture documents and the conditionals and marginals derived from
+    them, as JSON values."""
+    joint = parse((FIXTURES / "theorem_joint.json").read_text(encoding="utf-8"))
+    channel = parse((FIXTURES / "identity_channel.json").read_text(encoding="utf-8"))
+    derived = [conditional_from_joint(joint, "a"), conditional_from_joint(joint, "b"),
+               choi_conditional(channel), reduce(joint, "a"), reduce(joint, "b")]
+    return [json.loads(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.glob("*.json"))] + [
+        json.loads(serialize(obj)) for obj in derived]
+
+
+VALID_DOCS = _valid_docs()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+ODD_NUMBERS = st.sampled_from([float("nan"), float("inf"), -1e308, 1e308, -0.0, 0, -1, 2**70, True])
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid document with one to three entries replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is not None:
+            action = draw(st.sampled_from(["delete", "number", "value"]))
+            if action == "delete":
+                del parent[key]
+            else:
+                parent[key] = draw(ODD_NUMBERS if action == "number" else JSON_VALUES)
+    return doc
+
+
+def _is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+NOT_JSON = (
+    st.text(max_size=20).filter(lambda t: not _is_json(t)).map(str.encode)
+    | st.binary(max_size=20).filter(lambda b: not _is_json(b))
+)
+DOCUMENTS = NOT_JSON | st.one_of(JSON_VALUES, mutated_docs(), st.sampled_from(VALID_DOCS)).map(
+    lambda v: json.dumps(v).encode())
+SLOT_KINDS = {"--channel": "channel", "--conditional": "conditional", "--joint": "joint_state",
+              "--marginal": "state", "--marginal-a": "state", "--marginal-b": "state",
+              "--povm-a": "povm", "--povm-b": "povm", "--povm": "povm", "--input": "state",
+              "--state": "state"}
+# the options of every command: a document slot, or the kind of value it takes
+OPTIONS = {
+    "choi": ["--channel"],
+    "channel": ["--conditional"],
+    "condition": ["--joint", "--on"],
+    "join": ["--marginal", "--conditional"],
+    "bayes": ["--conditional", "--marginal-a", "--marginal-b"],
+    "verify-theorem": ["--joint", "--povm-a", "--povm-b", "--tol"],
+    "teleport": ["--channel", "--input", "--classical", "--tol"],
+    "prepare": ["--povm", "--state"],
+    "selftest": ["--seed", "--trials", "--tol"],
+}
+VALUES = {
+    "--tol": st.sampled_from(["1e-9", "1e-3", "1e300", "0", "-1", "nan", "inf", "1e-400"])
+    | st.floats(min_value=0.0).map(repr) | st.text(max_size=4),
+    "--on": st.sampled_from(["A", "b", "c", ""]),
+    "--seed": st.integers().map(str) | st.text(max_size=4),
+    # selftest runs 14 checks per trial: larger counts are valid, only slow
+    "--trials": st.integers(-2, 2).map(str) | st.text(max_size=4),
+}
+
+
+OFTEN = st.sampled_from([True] * 4 + [False])
+
+
+@st.composite
+def command_lines(draw, documents):
+    """argv of one of the nine commands, each option present or not, with a
+    drawn value; a document option names a valid document of its kind or any
+    of ``documents`` (the drawn ones, a missing file and a directory)."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag in OPTIONS[command]:
+        if not draw(OFTEN):
+            continue
+        if flag == "--classical":
+            argv.append(flag)
+        elif flag in SLOT_KINDS:
+            valid = [path for path, kind in documents["valid"] if kind == SLOT_KINDS[flag]]
+            argv += [flag, draw(st.sampled_from(valid if draw(OFTEN) else documents["any"]))]
+        else:
+            argv += [flag, draw(VALUES[flag])]
+    if not draw(OFTEN):
+        argv.append(draw(st.text(max_size=6)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_paths(fuzz_dir):
+    """(path, kind) of every valid document, written once."""
+    paths = []
+    for i, doc in enumerate(VALID_DOCS):
+        path = fuzz_dir / f"valid{i}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append((str(path), doc["kind"]))
+    return paths
+
+
+def run_main_catching_help(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help, and its abbreviations, print usage
+            assert exc.code == 0 and "usage: condchan" in out.getvalue()
+            code = 0
+    return code, err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), docs=st.lists(DOCUMENTS, min_size=1, max_size=3))
+def test_main_returns_an_exit_code_for_any_input(fuzz_dir, valid_paths, data, docs):
+    drawn = [str(fuzz_dir / "missing.json"), str(fuzz_dir)]
+    for i, doc in enumerate(docs):
+        path = fuzz_dir / f"doc{i}.json"
+        path.write_bytes(doc)
+        drawn.append(str(path))
+    argv = data.draw(command_lines({"valid": valid_paths, "any": drawn}))
+    code, err = run_main_catching_help(argv)
+    event(f"exit {code}")
+    assert code in range(5), (argv, err)
+
+
+NOT_A_KIND = (
+    NOT_JSON
+    | JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode())
+    | st.builds(
+        lambda v, kind: json.dumps(v if kind is None else {**v, "kind": kind}).encode(),
+        st.dictionaries(st.text(max_size=4).filter(lambda k: k != "kind"), JSON_VALUES, max_size=2),
+        st.none() | JSON_VALUES.filter(lambda k: k not in KINDS),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), doc=NOT_A_KIND | st.sampled_from(VALID_DOCS))
+def test_document_that_is_not_the_wanted_kind_exits_2(commands, fuzz_dir, data, doc):
+    argv = list(data.draw(st.sampled_from([a for a in commands.values() if a[0] != "selftest"])))
+    slot = data.draw(st.sampled_from([i for i, a in enumerate(argv) if a in SLOT_KINDS]))
+    if isinstance(doc, dict):  # a valid document, of another kind than the slot wants
+        assume(doc["kind"] != SLOT_KINDS[argv[slot]])
+        doc = json.dumps(doc).encode()
+    path = fuzz_dir / "wrong.json"
+    path.write_bytes(doc)
+    argv[slot + 1] = str(path)
+    code, err = run_main_catching_help(argv)
+    assert code == 2 and err.startswith("parse error: "), (argv, doc, err)

@@ -15,12 +15,11 @@ from condchan import (
     conditional_from_joint,
     joint_from_conditional,
     kron,
-    maximally_mixed,
     reduce,
     support_projector,
 )
 from condchan.scenarios import random_joint_state, random_state
-from conftest import BIT, MIXED, QUBIT, QUTRIT
+from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed
 
 # hand-computed from the diagonal joint (0.1, 0.2, 0.3, 0.4) on a pair of bits:
 # marginal (0.3, 0.7), rows renormalized

@@ -15,7 +15,9 @@ are pinned to the per-Kraus sums and einsum contractions they replaced,
 the superoperator is formed once per channel, and the Bell-basis cache
 keeps a sweep over d = 2…8 while never keeping a basis above its budget.
 The isometry and channel checks read the Choi spectrum from one eigvalsh,
-pinned to the verdicts of the full eigendecomposition.
+pinned to the verdicts of the full eigendecomposition.  Every public
+correspondence map decomposes each distinct matrix (a matrix and its
+transpose counted as one) at most once per call.
 """
 
 import importlib.util
@@ -45,6 +47,7 @@ from condchan import (
     joint_from_conditional,
     measure,
     partial_trace,
+    povm_from_ensemble,
     prepare,
     random_channel,
     random_joint_state,
@@ -1111,6 +1114,90 @@ def test_spectral_checks_keep_the_hermiticity_check(rng):
     with pytest.raises(NotHermitian):
         herm_eig(g)
     assert herm_eigvals(g + g.conj().T).shape == (4,)
+
+
+# -- tests: one spectrum per matrix ------------------------------------------
+
+
+def record_decompositions(monkeypatch):
+    """Record a copy of the input of every eigh and eigvalsh call."""
+    inputs = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            inputs.append(np.array(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return inputs
+
+
+def same_matrix(x, y):
+    """One matrix, counting a matrix and its transpose as one."""
+    if x.shape != y.shape:
+        return False
+    return any(np.allclose(x, z, rtol=0, atol=1e-13) for z in (y, y.swapaxes(-1, -2)))
+
+
+def correspondence_calls(rng, shape_a, shape_b, rank_a):
+    """Every public correspondence map on one random instance, as (name, call)."""
+    j = random_joint_state(shape_a, shape_b, rng, rank_a=rank_a)
+    full = random_joint_state(shape_a, shape_b, rng)
+    c = random_channel(shape_a, shape_b, 2, rng)
+    cond_a, cond_b = conditional_from_joint(j, "a"), conditional_from_joint(full, "b")
+    n, m = random_povm(shape_a, 3, rng), random_povm(shape_b, 2, rng)
+    s = random_state(shape_a, rng)
+    ensemble = prepare(n, s)
+    yield "conditional_from_joint a", lambda: conditional_from_joint(j, "a")
+    yield "conditional_from_joint b", lambda: conditional_from_joint(j, "b")
+    yield "joint_from_conditional", lambda: joint_from_conditional(reduce(j, "a"), cond_a)
+    yield "bayes_invert", lambda: bayes_invert(cond_b, reduce(full, "a"), reduce(full, "b"))
+    yield "choi_conditional", lambda: choi_conditional(c)
+    yield "channel_from_conditional", lambda: channel_from_conditional(cond_a)
+    yield "prepare", lambda: prepare(n, s)
+    yield "povm_from_ensemble", lambda: povm_from_ensemble(ensemble, s)
+    yield "verify_theorem", lambda: verify_theorem(j, n, m)
+    if shape_a.is_irreducible:
+        yield "teleport", lambda: teleport(c, s)
+    if shape_a == CLASSICAL_BIT:
+        yield "teleport_classical", lambda: teleport_classical(c, s)
+
+
+PAIRS = [(AlgebraShape((3,)), AlgebraShape((2,))), (CLASSICAL_BIT, AlgebraShape((2, 1))),
+         (AlgebraShape((2, 1)), AlgebraShape((1, 1, 1))), (AlgebraShape((2,)), AlgebraShape((4,)))]
+
+
+@pytest.mark.parametrize("rank_a", [None, 1])
+@pytest.mark.parametrize("shapes", PAIRS, ids=lambda p: f"{shape_id(p[0])}-{shape_id(p[1])}")
+def test_each_matrix_is_decomposed_at_most_once_per_call(rng, monkeypatch, shapes, rank_a):
+    calls = list(correspondence_calls(rng, *shapes, rank_a))
+    inputs = record_decompositions(monkeypatch)
+    for name, call in calls:
+        inputs.clear()
+        call()
+        repeats = [(i, k) for k in range(len(inputs)) for i in range(k)
+                   if same_matrix(inputs[i], inputs[k])]
+        assert not repeats, (name, [inputs[k].shape for _, k in repeats])
+
+
+def test_shared_spectra_take_one_eigh_per_marginal(rng, monkeypatch):
+    # the maps that read two views of one marginal: one decomposition each
+    qutrit, qubit = AlgebraShape((3,)), AlgebraShape((2,))
+    j = random_joint_state(qutrit, qubit, rng)
+    n, m = random_povm(qutrit, 3, rng), random_povm(qubit, 2, rng)
+    s = random_state(qutrit, rng)
+    ensemble = prepare(n, s)
+    cond_b = conditional_from_joint(j, "b")
+    calls = count_linalg(monkeypatch)
+    verify_theorem(j, n, m)
+    assert calls.count(("eigh", (3, 3))) == 1
+    calls.clear()
+    bayes_invert(cond_b, reduce(j, "a"), reduce(j, "b"))
+    assert calls.count(("eigh", (2, 2))) == 1
+    calls.clear()
+    povm_from_ensemble(ensemble, s)
+    assert [call for call in calls if call[0] != "cholesky"] == [("eigh", (3, 3))]
 
 
 # -- tests: documents -------------------------------------------------------

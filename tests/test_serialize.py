@@ -14,7 +14,6 @@ from condchan import (
     State,
     channel_from_conditional,
     conditional_from_joint,
-    maximally_mixed,
     prepare,
     random_channel,
     random_joint_state,
@@ -23,7 +22,7 @@ from condchan import (
 )
 from condchan.channels import choi_conditional
 from condchan.serialize import parse, serialize, to_payload
-from conftest import BIT, MIXED, QUBIT
+from conftest import BIT, MIXED, QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ONE = AlgebraShape((1,))

@@ -9,16 +9,15 @@ from condchan import (
     InvariantViolation,
     JointState,
     State,
-    is_classical,
     kron,
-    maximally_mixed,
+    mat_sqrt,
     reduce,
-    swap,
-    transpose_in_basis,
+    swap_factors,
 )
+from condchan.algebra import block_support_deviation
 from condchan.states import states_from_stack
 from condchan.scenarios import random_joint_state, random_state
-from conftest import BIT, MIXED, QUBIT, QUTRIT
+from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed
 from test_matcore import partial_trace_oracle
 
 
@@ -122,6 +121,12 @@ class TestReduce:
                 assert abs(np.trace(s.matrix).real - 1.0) < 1e-10
 
 
+def swap(j):
+    """The joint state with its two factors exchanged."""
+    da, db = j.shape_a.total_dim, j.shape_b.total_dim
+    return JointState(j.shape_b, j.shape_a, swap_factors(j.matrix, da, db))
+
+
 class TestSwap:
     def test_swap_involution(self, rng):
         j = random_joint_state(QUBIT, QUTRIT, rng)
@@ -135,44 +140,33 @@ class TestSwap:
 
 
 class TestTranspose:
-    def test_real_diagonal_fixed(self):
-        s = State(QUBIT, np.diag([0.3, 0.7]).astype(complex))
-        np.testing.assert_allclose(transpose_in_basis(s).matrix, s.matrix)
-
-    def test_moves_imaginary_entry(self):
-        m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
-        t = transpose_in_basis(State(QUBIT, m))
-        assert t.matrix[1, 0] == 0.25j
-        assert t.matrix[0, 1] == -0.25j
-
-    def test_diagonal_in_construction_basis_unchanged(self, rng):
-        # rotate a random state into its own eigenbasis, then transpose
-        s = random_state(QUTRIT, rng)
-        w = np.linalg.eigvalsh(s.matrix)
-        diag = State(QUTRIT, np.diag(w[::-1]).astype(complex))
-        np.testing.assert_allclose(transpose_in_basis(diag).matrix, diag.matrix, atol=1e-12)
-
     def test_involution_and_spectrum(self, rng):
+        # the entry-wise transpose is a valid state with the same spectrum,
+        # and its root is the transposed root (which verify_theorem relies on)
         s = random_state(MIXED, rng)
-        t = transpose_in_basis(s)
-        np.testing.assert_allclose(transpose_in_basis(t).matrix, s.matrix)
+        t = State(MIXED, s.matrix.T)
+        np.testing.assert_allclose(t.matrix.T, s.matrix)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(t.matrix), np.linalg.eigvalsh(s.matrix), atol=1e-9
         )
+        np.testing.assert_allclose(mat_sqrt(t.matrix), mat_sqrt(s.matrix).T, atol=1e-12)
 
 
 class TestIsClassical:
+    """A state is classical when it lies in the classical algebra of its
+    dimension: nothing outside the diagonal."""
+
     def test_diagonal_bit_state(self):
-        assert is_classical(State(BIT, np.diag([0.3, 0.7]).astype(complex)), 1e-12)
+        assert block_support_deviation(np.diag([0.3, 0.7]).astype(complex), BIT) <= 1e-12
 
     def test_bell_state_is_not(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
-        assert not is_classical(State(QUBIT, plus), 1e-12)
+        assert block_support_deviation(State(QUBIT, plus).matrix, BIT) > 1e-12
 
     def test_dephased_random_state(self, rng):
         s = random_state(QUBIT, rng)
         dephased = State(QUBIT, np.diag(np.diag(s.matrix)))
-        assert is_classical(dephased, 1e-12)
+        assert block_support_deviation(dephased.matrix, BIT) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
