@@ -32,9 +32,7 @@ from .errors import (
 )
 from .matcore import herm_deviation, herm_eig, herm_eigvals, max_abs
 from .states import State
-
-CHANNEL_TP_TOL = 1e-9
-CHANNEL_BLOCK_TOL = 1e-9
+from .tolerances import IDENTITY_TOL
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -117,13 +115,13 @@ class Channel:
                 if target.shape != (din, din):
                     raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
                 proj_dev = max(max_abs(target @ target - target), herm_deviation(target))
-                if not proj_dev <= CHANNEL_TP_TOL:
+                if not proj_dev <= IDENTITY_TOL:
                     raise InvariantViolation("support_projector", proj_dev)
             # Finite Kraus operators can still overflow K†K; the deviation is
             # then inf or NaN, which the NaN-safe tests here reject.
             with np.errstate(over="ignore", invalid="ignore"):
                 tp_dev = max_abs(_kraus_gram(ops) - target)
-            if not tp_dev <= CHANNEL_TP_TOL:
+            if not tp_dev <= IDENTITY_TOL:
                 raise NotTracePreserving(
                     f"sum of K†K deviates from the required resolution by {tp_dev:.3e}"
                 )
@@ -131,7 +129,7 @@ class Channel:
         if check:
             rows, off = block_mask(self.shape_in).ravel(), ~block_mask(self.shape_out).ravel()
             block_dev = max_abs(self._superop[rows][:, off])  # Choi entries off the pair blocks
-            if not block_dev <= CHANNEL_BLOCK_TOL:
+            if not block_dev <= IDENTITY_TOL:
                 raise InvariantViolation("output_block_support", block_dev)
 
 
@@ -194,11 +192,11 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     support = cond.conditioning_support()
     proj_dev = max_abs(support @ support - support)
-    if proj_dev > CHANNEL_TP_TOL:
+    if proj_dev > IDENTITY_TOL:
         raise NotTracePreserving(
             f"conditioning partial trace deviates from a projector by {proj_dev:.3e}"
         )
-    full = max_abs(support - np.eye(din)) <= CHANNEL_TP_TOL
+    full = max_abs(support - np.eye(din)) <= IDENTITY_TOL
 
     es = herm_eig(cond.matrix)
     keep = es.kept
@@ -251,7 +249,7 @@ class ChannelReport:
         )
 
 
-def validate_channel(c: Channel, tol: float = CHANNEL_TP_TOL) -> ChannelReport:
+def validate_channel(c: Channel) -> ChannelReport:
     """Measure trace preservation, complete positivity (via the minimum
     eigenvalue of the conditional form) and output block support."""
     tp_dev = max_abs(_kraus_gram(c.kraus) - np.eye(c.shape_in.total_dim))
@@ -262,12 +260,12 @@ def validate_channel(c: Channel, tol: float = CHANNEL_TP_TOL) -> ChannelReport:
         tp_deviation=float(tp_dev),
         choi_min_eigenvalue=float(w[-1]) if w.size else 0.0,
         block_support_deviation=float(block_dev),
-        tol=tol,
+        tol=IDENTITY_TOL,
         input_support_flagged=c.input_support is not None,
     )
 
 
-def is_isometry(c: Channel, tol: float = 1e-9) -> bool:
+def is_isometry(c: Channel, tol: float = IDENTITY_TOL) -> bool:
     """True iff the conditional form has rank one: a single eigenvalue within
     tol of the trace and the rest within tol of zero."""
     w = herm_eigvals(_choi_matrix(c))

@@ -25,6 +25,7 @@ from .povm import POVM, prepare
 from .scenarios import TeleportReport, teleport, teleport_classical, verify_theorem
 from .selftest import run_selftest
 from .states import JointState, State
+from .tolerances import IDENTITY_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -236,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", required=True)
     p.add_argument("--povm-a", required=True, dest="povm_a")
     p.add_argument("--povm-b", required=True, dest="povm_b")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=IDENTITY_TOL)
     p.set_defaults(fn=_cmd_verify_theorem)
 
     p = sub.add_parser("teleport", help="run noisy-gate teleportation")
     p.add_argument("--channel", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--classical", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=IDENTITY_TOL)
     p.set_defaults(fn=_cmd_teleport)
 
     p = sub.add_parser("prepare", help="POVM-preparation ensemble of a state")
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the randomized invariant suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=IDENTITY_TOL)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser
@@ -269,7 +270,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # --help: argparse has printed the text and exits
+            return exc.code
         if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
             raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         return args.fn(args)

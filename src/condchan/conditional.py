@@ -33,12 +33,7 @@ from .matcore import (
     swap_factors,
 )
 from .states import JointState, State, _side, _validate_psd
-
-COND_PSD_TOL = 1e-10
-COND_BLOCK_TOL = 1e-12
-COND_PROJECTOR_TOL = 1e-9
-COND_RANK_TOL = 1e-6
-JOIN_TRACE_TOL = 1e-8
+from .tolerances import IDENTITY_TOL, JOIN_TRACE_TOL, RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +61,14 @@ class ConditionalState:
 
     def _validate(self, arr: np.ndarray) -> None:
         block_dev = pair_support_deviation(arr, self.shape_in, self.shape_out)
-        _validate_psd(arr[None], block_dev, COND_PSD_TOL, COND_BLOCK_TOL, COND_PSD_TOL)
+        _validate_psd(arr[None], block_dev)
         p = self.conditioning_support()
         proj_dev = max(max_abs(p @ p - p), herm_deviation(p))
-        if proj_dev > COND_PROJECTOR_TOL:
+        if proj_dev > IDENTITY_TOL:
             raise InvariantViolation("support_projector", proj_dev)
         trace = float(np.trace(p).real)
         rank_dev = abs(trace - round(trace))
-        if rank_dev > COND_RANK_TOL:
+        if rank_dev > RANK_TOL:
             raise InvariantViolation("integer_rank", rank_dev)
 
     def conditioning_support(self) -> np.ndarray:

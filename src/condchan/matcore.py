@@ -14,8 +14,8 @@ Conventions fixed here once and relied on project-wide:
   library reads off a PSD spectrum is a view of that ``EigenSystem``: the
   root, the generalized inverse root, the support projector and the rank.
   The last three, and Kraus extraction, keep the eigenvalues above one
-  cutoff, ``DEFAULT_RANK_TOL`` times the largest eigenvalue with the floor
-  ``RANK_TOL_FLOOR``; ``mat_sqrt``, ``gen_inv_sqrt`` and
+  cutoff, ``CUTOFF_REL`` times the largest eigenvalue with the floor
+  ``CUTOFF_FLOOR`` (see ``tolerances``); ``mat_sqrt``, ``gen_inv_sqrt`` and
   ``support_projector`` are the views of a fresh decomposition.
 """
 
@@ -26,15 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPositive
-
-# Relative eigenvalue cutoff for support/rank decisions, scaled by the largest
-# eigenvalue; the absolute floor guards the all-zero matrix.
-DEFAULT_RANK_TOL = 1e-10
-RANK_TOL_FLOOR = 1e-14
-
-DEFAULT_HERM_TOL = 1e-10
-# Phase fixing treats components below this relative magnitude as zero.
-PHASE_TOL = 1e-12
+from .tolerances import CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +35,7 @@ class EigenSystem:
 
     ``eigenvalues`` are real and sorted descending; column ``j`` of
     ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[j]``.
-    ``root`` clips eigenvalues in [-DEFAULT_HERM_TOL, 0) to 0; ``inv_root``
+    ``root`` clips eigenvalues in [-INPUT_TOL, 0) to 0; ``inv_root``
     and ``support`` keep the eigenvalues above ``cutoff`` and raise
     ``NotPositive`` for one below -``cutoff``, and ``rank`` counts them.
     """
@@ -53,11 +45,11 @@ class EigenSystem:
 
     @property
     def cutoff(self) -> float:
-        """Support cutoff: DEFAULT_RANK_TOL times the largest eigenvalue,
-        at least RANK_TOL_FLOOR."""
+        """Support cutoff: CUTOFF_REL times the largest eigenvalue, at least
+        CUTOFF_FLOOR."""
         w = self.eigenvalues
         top = float(w[0]) if w.size else 0.0
-        return max(DEFAULT_RANK_TOL * max(top, 0.0), RANK_TOL_FLOOR)
+        return max(CUTOFF_REL * max(top, 0.0), CUTOFF_FLOOR)
 
     @property
     def kept(self) -> np.ndarray:
@@ -80,7 +72,7 @@ class EigenSystem:
 
     def root(self) -> np.ndarray:
         """Unique PSD square root."""
-        self._require_above(DEFAULT_HERM_TOL)
+        self._require_above(INPUT_TOL)
         return self._with_eigenvalues(np.sqrt(np.maximum(self.eigenvalues, 0.0)))
 
     def inv_root(self) -> np.ndarray:
@@ -155,12 +147,12 @@ def max_abs(m: np.ndarray) -> float:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible component is real positive.
 
-    Columns with no component above ``PHASE_TOL`` times their largest one
+    Columns with no component above ``NEGLIGIBLE`` times their largest one
     (all zero, or holding NaN or infinity) are left as they are.
     """
     out = np.array(vectors, copy=True)
     mag = np.abs(out)
-    above = mag > PHASE_TOL * mag.max(axis=0)
+    above = mag > NEGLIGIBLE * mag.max(axis=0)
     first = above.argmax(axis=0)
     cols = np.flatnonzero(above[first, np.arange(out.shape[1])])
     pivot = out[first[cols], cols]
@@ -174,13 +166,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def herm_eig(m) -> EigenSystem:
     """Full spectral decomposition of a square matrix that is Hermitian
-    within ``DEFAULT_HERM_TOL`` (max entry of |m - m†|); the matrix is
+    within ``INPUT_TOL`` (max entry of |m - m†|); the matrix is
     symmetrized first, so floating-point drift cannot leak into spectra.
 
     Raises
     ------
     NotHermitian
-        If the Hermiticity deviation exceeds ``DEFAULT_HERM_TOL``.
+        If the Hermiticity deviation exceeds ``INPUT_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
@@ -204,15 +196,13 @@ def herm_eigvals(m) -> np.ndarray:
 
 
 def _checked_hermitian(m) -> np.ndarray:
-    """Hermitian part of a square matrix that is Hermitian within DEFAULT_HERM_TOL."""
+    """Hermitian part of a square matrix that is Hermitian within INPUT_TOL."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     dev = herm_deviation(arr)
-    if dev > DEFAULT_HERM_TOL:
-        raise NotHermitian(
-            f"matrix deviates from Hermiticity by {dev:.3e} (tol {DEFAULT_HERM_TOL:.3e})"
-        )
+    if dev > INPUT_TOL:
+        raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
     return hermitize(arr)
 
 

@@ -16,14 +16,7 @@ from .algebra import AlgebraShape, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportViolation
 from .matcore import as_matrix, herm_eig, mat_sqrt, max_abs
 from .states import State, _validate_psd, states_from_stack
-
-POVM_PSD_TOL = 1e-10
-POVM_SUM_TOL = 1e-9
-POVM_BLOCK_TOL = 1e-12
-ENSEMBLE_TOL = 1e-9
-# Outcomes below this probability are dropped from ensembles; their
-# conditional state is undefined.
-ZERO_PROB_THRESHOLD = 1e-12
+from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +39,11 @@ class POVM:
         if check:
             stack = np.stack(elems)
             block_dev = block_support_deviation(stack, self.shape)
-            _validate_psd(stack, block_dev, POVM_PSD_TOL, POVM_BLOCK_TOL, POVM_PSD_TOL)
+            _validate_psd(stack, block_dev)
             # elements that pass the PSD checks can still overflow their sum
             with np.errstate(over="ignore"):
                 sum_dev = max_abs(stack.sum(0) - np.eye(d))
-            if not sum_dev <= POVM_SUM_TOL:
+            if not sum_dev <= IDENTITY_TOL:
                 raise InvariantViolation("povm_sum", sum_dev)
 
     def __len__(self) -> int:
@@ -77,14 +70,14 @@ class Ensemble:
         if check:
             if not np.isfinite(w).all():
                 raise InvariantViolation("finite", np.inf, "weights have non-finite entries")
-            if w.size and float(w.min()) < -ENSEMBLE_TOL:
+            if w.size and float(w.min()) < -IDENTITY_TOL:
                 raise InvariantViolation("weights_nonnegative", -float(w.min()))
             wsum_dev = abs(float(w.sum()) - 1.0)
-            if wsum_dev > ENSEMBLE_TOL:
+            if wsum_dev > IDENTITY_TOL:
                 raise InvariantViolation("weights_sum", wsum_dev)
             mix = sum(p * m.matrix for p, m in zip(w, members))
             mix_dev = max_abs(mix - self.average.matrix)
-            if mix_dev > ENSEMBLE_TOL:
+            if mix_dev > IDENTITY_TOL:
                 raise InvariantViolation("mixture", mix_dev)
 
 
@@ -97,15 +90,16 @@ def measure(m: POVM, s: State) -> np.ndarray:
 
 def prepare(m: POVM, s: State) -> Ensemble:
     """POVM-preparation of a state: weights from the Born rule, members
-    sqrt(s) M_j sqrt(s) normalized.  Zero-probability outcomes are dropped."""
+    sqrt(s) M_j sqrt(s) normalized.  Outcomes of negligible probability are
+    dropped; their conditional state is undefined."""
     probs = measure(m, s)
     root = mat_sqrt(s.matrix)
-    kept = probs > ZERO_PROB_THRESHOLD
+    kept = probs > NEGLIGIBLE
     members = root @ np.stack(m.elements)[kept] @ root / probs[kept, None, None]
     return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
 
 
-def povm_from_ensemble(e: Ensemble, s: State, tol: float = ENSEMBLE_TOL) -> POVM:
+def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
     """POVM whose preparation of ``s`` reproduces the ensemble.
 
     Elements are inv_sqrt(s) p_j rho_j inv_sqrt(s) with the generalized
@@ -119,17 +113,17 @@ def povm_from_ensemble(e: Ensemble, s: State, tol: float = ENSEMBLE_TOL) -> POVM
     complement = np.eye(s.shape.total_dim) - spectrum.support()
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)
-        if leak > tol:
+        if leak > IDENTITY_TOL:
             raise SupportViolation(
                 f"ensemble member leaks outside the support of the state by {leak:.3e}"
             )
     mix_dev = max_abs(sum(p * m.matrix for p, m in zip(e.weights, e.members)) - s.matrix)
-    if mix_dev > tol:
+    if mix_dev > IDENTITY_TOL:
         raise InvariantViolation("mixture", mix_dev)
     inv_root = spectrum.inv_root()
     elements = [inv_root @ (p * member.matrix) @ inv_root for p, member in zip(e.weights, e.members)]
     remainder = np.eye(s.shape.total_dim) - sum(elements)
-    if max_abs(remainder) > POVM_SUM_TOL:
+    if max_abs(remainder) > IDENTITY_TOL:
         elements.append(remainder)
     return POVM(shape=s.shape, elements=tuple(elements))
 

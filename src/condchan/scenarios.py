@@ -49,10 +49,7 @@ from .matcore import (
 )
 from .povm import POVM
 from .states import JointState, State, states_from_stack
-
-THEOREM_TOL = 1e-9
-EFFECT_MATCH_TOL = 1e-9
-BRANCH_PROB_FLOOR = 1e-12
+from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +61,7 @@ class TheoremReport:
     max_deviation: float
     support_restricted: bool
 
-    def distributions_valid(self, tol: float = THEOREM_TOL) -> bool:
+    def distributions_valid(self, tol: float = IDENTITY_TOL) -> bool:
         # written so that a NaN entry fails both tests
         for mat in (self.lhs, self.rhs):
             if not float(mat.min()) >= -tol:
@@ -152,10 +149,10 @@ def _validate_effects(effects, dim: int, tol: float) -> np.ndarray:
     stack = np.stack(ops)
     if not np.isfinite(stack).all():
         raise BasisNotPOVM("effect has non-finite entries")
-    if max_abs(stack - stack.conj().swapaxes(1, 2)) > 1e-9:
+    if max_abs(stack - stack.conj().swapaxes(1, 2)) > IDENTITY_TOL:
         raise BasisNotPOVM("effect is not Hermitian")
-    low = _min_eigenvalue_unless_certified(stack, hermitize(stack), 1e-9)
-    if low is not None and low < -1e-9:
+    low = _min_eigenvalue_unless_certified(stack, hermitize(stack), IDENTITY_TOL)
+    if low is not None and low < -IDENTITY_TOL:
         raise BasisNotPOVM(f"effect has negative eigenvalue {low:.3e}")
     if max_abs(stack.sum(0) - np.eye(dim)) > tol:
         raise BasisNotPOVM("effects do not sum to the identity")
@@ -198,7 +195,7 @@ def _parity_effects() -> np.ndarray:
     """The validated even/odd parity pair on the classical bit pair, read-only."""
     even = np.diag(np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128))
     odd = np.diag(np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128))
-    effects = _validate_effects([even, odd], 4, EFFECT_MATCH_TOL)
+    effects = _validate_effects([even, odd], 4, IDENTITY_TOL)
     effects.setflags(write=False)
     return effects
 
@@ -217,7 +214,7 @@ def _run_branches(
     resource = resource_matrix.reshape(d, dim_out, d, dim_out).transpose(2, 0, 1, 3)
     unnormalized = (reduced @ resource.reshape(d * d, -1)).reshape(n, dim_out, dim_out)
     probs = np.trace(unnormalized, axis1=1, axis2=2).real
-    kept = probs > BRANCH_PROB_FLOOR
+    kept = probs > NEGLIGIBLE
     branches = hermitize(unnormalized[kept] / probs[kept, None, None])
     return probs, _states_where(kept, shape_out, branches)
 
@@ -228,10 +225,10 @@ def _states_where(kept, shape: AlgebraShape, matrices: np.ndarray) -> list[State
     return [next(states) if k else None for k in kept]
 
 
-def _acts_as_identity(cond: ConditionalState, tol: float = 1e-9) -> bool:
+def _acts_as_identity(cond: ConditionalState) -> bool:
     if cond.shape_in != cond.shape_out:
         return False
-    return max_abs(cond.matrix - max_ent_matrix(cond.shape_in)) <= tol
+    return max_abs(cond.matrix - max_ent_matrix(cond.shape_in)) <= IDENTITY_TOL
 
 
 def _run_protocol(
@@ -270,7 +267,6 @@ def teleport_general(
     measurement_basis,
     success_index: int,
     grouping_used: bool = False,
-    tol: float = EFFECT_MATCH_TOL,
 ) -> TeleportReport:
     """Run the teleportation experiment with an explicit measurement basis.
 
@@ -281,7 +277,7 @@ def teleport_general(
     resource's input-side half.
     """
     d_in = c.shape_in.total_dim
-    effects = _validate_effects(measurement_basis, d_in * d_in, tol)
+    effects = _validate_effects(measurement_basis, d_in * d_in, IDENTITY_TOL)
     return _run_protocol(choi_conditional(c), input_state, effects, success_index, grouping_used)
 
 
@@ -289,7 +285,7 @@ def teleport(
     c: Channel,
     input_state: State,
     measurement_basis=None,
-    tol: float = EFFECT_MATCH_TOL,
+    tol: float = IDENTITY_TOL,
 ) -> TeleportReport:
     """Noisy-gate teleportation over an irreducible input algebra.
 
@@ -469,6 +465,6 @@ def random_povm(shape: AlgebraShape, k: int, rng: np.random.Generator) -> POVM:
     inv = gen_inv_sqrt(sum(raw))
     elements = [inv @ a @ inv for a in raw]
     slack = np.eye(d) - sum(elements)
-    if max_abs(slack) > 1e-12:
+    if max_abs(slack) > NEGLIGIBLE:
         elements[-1] = elements[-1] + slack
     return POVM(shape=shape, elements=tuple(elements))

@@ -39,6 +39,7 @@ from .scenarios import (
     verify_theorem,
 )
 from .states import reduce
+from .tolerances import IDENTITY_TOL, NEGLIGIBLE, RANK_TOL
 
 QUBIT = AlgebraShape((2,))
 QUTRIT = AlgebraShape((3,))
@@ -249,31 +250,31 @@ def _check_sampling(rng, trials):
     if not np.array_equal(a, b):
         return 1.0
     probs = measure(povm, s)
-    if not (float(probs.min()) >= -1e-12 and abs(float(probs.sum()) - 1.0) <= 1e-9):
+    if not (float(probs.min()) >= -NEGLIGIBLE and abs(float(probs.sum()) - 1.0) <= IDENTITY_TOL):
         return 1.0
     return 0.0
 
 
 # Tolerance classes: ``--tol`` replaces the threshold of an overridable
-# check (a floating-point identity judged at 1e-9); exact-arithmetic,
+# check (a floating-point identity judged at IDENTITY_TOL); exact-arithmetic,
 # integer-rank and boolean checks keep their own threshold.
 OVERRIDABLE = "overridable"
 EXACT = "exact"
 
 CHECKS = (
-    ("matrix_roots", _check_matrix_roots, 1e-9, OVERRIDABLE),
-    ("partial_trace_preserves_trace", _check_partial_trace, 1e-12, EXACT),
-    ("conditional_round_trip", _check_conditional_round_trip, 1e-9, OVERRIDABLE),
-    ("conditioning_support_projector", _check_conditional_support, 1e-9, OVERRIDABLE),
-    ("conditional_integer_rank", _check_integer_rank, 1e-6, EXACT),
-    ("classical_conditional_rows", _check_classical_conditional, 1e-12, EXACT),
-    ("isomorphism_round_trip", _check_isomorphism, 1e-9, OVERRIDABLE),
+    ("matrix_roots", _check_matrix_roots, IDENTITY_TOL, OVERRIDABLE),
+    ("partial_trace_preserves_trace", _check_partial_trace, NEGLIGIBLE, EXACT),
+    ("conditional_round_trip", _check_conditional_round_trip, IDENTITY_TOL, OVERRIDABLE),
+    ("conditioning_support_projector", _check_conditional_support, IDENTITY_TOL, OVERRIDABLE),
+    ("conditional_integer_rank", _check_integer_rank, RANK_TOL, EXACT),
+    ("classical_conditional_rows", _check_classical_conditional, NEGLIGIBLE, EXACT),
+    ("isomorphism_round_trip", _check_isomorphism, IDENTITY_TOL, OVERRIDABLE),
     ("purity_iff_isometry", _check_purity_isometry, 0.5, EXACT),
-    ("prepare_measure_theorem", _check_theorem, 1e-9, OVERRIDABLE),
-    ("teleport_success_probability", _check_teleport, 1e-9, OVERRIDABLE),
-    ("classical_teleport_grouping", _check_teleport_classical, 1e-12, EXACT),
-    ("povm_preparation_round_trip", _check_lemma, 1e-9, OVERRIDABLE),
-    ("bayes_involution", _check_bayes, 1e-9, OVERRIDABLE),
+    ("prepare_measure_theorem", _check_theorem, IDENTITY_TOL, OVERRIDABLE),
+    ("teleport_success_probability", _check_teleport, IDENTITY_TOL, OVERRIDABLE),
+    ("classical_teleport_grouping", _check_teleport_classical, NEGLIGIBLE, EXACT),
+    ("povm_preparation_round_trip", _check_lemma, IDENTITY_TOL, OVERRIDABLE),
+    ("bayes_involution", _check_bayes, IDENTITY_TOL, OVERRIDABLE),
     ("sampling_determinism", _check_sampling, 0.5, EXACT),
 )
 

@@ -14,29 +14,19 @@ import numpy as np
 from .algebra import AlgebraShape, pair_support_deviation, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import _min_eigenvalue_unless_certified, as_matrix, partial_trace
-
-STATE_HERM_TOL = 1e-10
-STATE_PSD_TOL = 1e-10
-STATE_TRACE_TOL = 1e-10
-STATE_BLOCK_TOL = 1e-12
+from .tolerances import BLOCK_TOL, INPUT_TOL
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _validate_psd(
-    stack: np.ndarray,
-    block_dev: float,
-    herm_tol: float,
-    block_tol: float,
-    psd_tol: float,
-    trace_tol: float | None = None,
-) -> None:
+def _validate_psd(stack: np.ndarray, block_dev: float, unit_trace: bool = False) -> None:
     """Hermitian-PSD checks on a (n, d, d) stack; a single matrix is a batch
     of one.  Invariants are checked in the order finite, overflow, hermitian,
-    block_support, trace (unit trace of each matrix, when ``trace_tol`` is
-    given) and positive, each over the whole stack.  Positivity is certified
-    by one Cholesky factorization of the Hermitian part shifted by
-    ``psd_tol``; only a stack that fails it pays an eigvalsh call, whose
-    lowest eigenvalue decides and is reported as the deviation.
+    block_support, trace (unit trace of each matrix, when ``unit_trace``) and
+    positive, each over the whole stack; ``block_dev`` is judged against
+    ``BLOCK_TOL``, the rest against ``INPUT_TOL``.  Positivity is certified by
+    one Cholesky factorization of the Hermitian part shifted by ``INPUT_TOL``;
+    only a stack that fails it pays an eigvalsh call, whose lowest eigenvalue
+    decides and is reported as the deviation.
 
     Finite entries near the float limit can overflow m + m† and the traces;
     numpy's warnings are off here, the Hermitian part that overflows raises
@@ -48,24 +38,18 @@ def _validate_psd(
             raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
         raise InvariantViolation("overflow", np.inf)
     dev = float(np.abs(stack - adj).max())
-    if dev > herm_tol:
+    if dev > INPUT_TOL:
         raise InvariantViolation("hermitian", dev)
-    if block_dev > block_tol:
+    if block_dev > BLOCK_TOL:
         raise InvariantViolation("block_support", block_dev)
-    if trace_tol is not None:
+    if unit_trace:
         traces = stack.trace(axis1=1, axis2=2).tolist()
         trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
-        if not trace_dev <= trace_tol:
+        if not trace_dev <= INPUT_TOL:
             raise InvariantViolation("trace", trace_dev)
-    low = _min_eigenvalue_unless_certified(stack, herm, psd_tol)
-    if low is not None and not low >= -psd_tol:
+    low = _min_eigenvalue_unless_certified(stack, herm, INPUT_TOL)
+    if low is not None and not low >= -INPUT_TOL:
         raise InvariantViolation("positive", -low)
-
-
-def _validate_density(stack: np.ndarray, block_dev: float) -> None:
-    _validate_psd(
-        stack, block_dev, STATE_HERM_TOL, STATE_BLOCK_TOL, STATE_PSD_TOL, STATE_TRACE_TOL
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +67,7 @@ class State:
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
         object.__setattr__(self, "matrix", arr)
         if check:
-            _validate_density(arr[None], block_support_deviation(arr, self.shape))
+            _validate_psd(arr[None], block_support_deviation(arr, self.shape), unit_trace=True)
 
 
 def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:
@@ -91,7 +75,7 @@ def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ..
     (one Cholesky factorization for the whole stack) and wrap each matrix as
     a State."""
     if len(stack):
-        _validate_density(stack, block_support_deviation(stack, shape))
+        _validate_psd(stack, block_support_deviation(stack, shape), unit_trace=True)
     return tuple(State(shape, m, check=False) for m in stack)
 
 
@@ -111,7 +95,8 @@ class JointState:
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
         object.__setattr__(self, "matrix", arr)
         if check:
-            _validate_density(arr[None], pair_support_deviation(arr, self.shape_a, self.shape_b))
+            block_dev = pair_support_deviation(arr, self.shape_a, self.shape_b)
+            _validate_psd(arr[None], block_dev, unit_trace=True)
 
 
 def _side(keep: str) -> str:

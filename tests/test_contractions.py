@@ -77,7 +77,6 @@ from condchan.channels import (
 )
 from condchan.errors import NotHermitian
 from condchan.matcore import (
-    PHASE_TOL,
     _fix_phases,
     gen_inv_sqrt,
     herm_eig,
@@ -85,13 +84,10 @@ from condchan.matcore import (
     hermitize,
     mat_sqrt,
 )
-from condchan.povm import POVM_BLOCK_TOL, POVM_PSD_TOL, ZERO_PROB_THRESHOLD
 from condchan.scenarios import (
     _BASIS_CACHE,
     BASIS_CACHE_BYTES,
-    BRANCH_PROB_FLOOR,
     CLASSICAL_BIT,
-    EFFECT_MATCH_TOL,
     _bell_effects,
     _parity_effects,
     _run_branches,
@@ -99,14 +95,8 @@ from condchan.scenarios import (
     random_block_unitary,
     random_support_projector,
 )
-from condchan.states import (
-    STATE_BLOCK_TOL,
-    STATE_HERM_TOL,
-    STATE_PSD_TOL,
-    STATE_TRACE_TOL,
-    _validate_psd,
-    states_from_stack,
-)
+from condchan.states import _validate_psd, states_from_stack
+from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, NEGLIGIBLE
 from test_scenarios import bad_bell_basis
 
 ATOL = 1e-12
@@ -221,7 +211,7 @@ def check_branches(report, c, s, effects):
     resource = oracle_choi(c.kraus, c.shape_in) / d
     probs, branches = oracle_branches(s.matrix, resource, ops, c.shape_out.total_dim)
     states = [
-        State(c.shape_out, hermitize(branch / p)) if p > BRANCH_PROB_FLOOR else None
+        State(c.shape_out, hermitize(branch / p)) if p > NEGLIGIBLE else None
         for p, branch in zip(probs, branches)
     ]
     close(report.outcome_probabilities, probs)
@@ -375,7 +365,7 @@ def oracle_fix_phases(vectors):
         scale = np.max(np.abs(col))
         if scale == 0.0:
             continue
-        nz = np.flatnonzero(np.abs(col) > PHASE_TOL * scale)
+        nz = np.flatnonzero(np.abs(col) > NEGLIGIBLE * scale)
         if nz.size == 0:
             continue
         pivot = col[nz[0]]
@@ -474,8 +464,8 @@ def _phase_cases(rng):
     zero_column = gaussian(5, 4)
     zero_column[:, 2] = 0.0
     tiny_leading = gaussian(6, 5)
-    tiny_leading[:3, 1] *= PHASE_TOL / 10  # first entries below the relative cutoff
-    tiny_leading[:5, 3] *= PHASE_TOL / 10
+    tiny_leading[:3, 1] *= NEGLIGIBLE / 10  # first entries below the relative cutoff
+    tiny_leading[:5, 3] *= NEGLIGIBLE / 10
     all_tiny = gaussian(4, 3) * 1e-300
     unitary, _ = np.linalg.qr(gaussian(8, 8))
     g = gaussian(6, 6)
@@ -510,7 +500,7 @@ def test_fix_phases_is_bit_identical_on_many_random_matrices():
     for _ in range(300):
         rows, cols = rng.integers(1, 9, size=2)
         v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        v[: rng.integers(0, rows + 1)] *= PHASE_TOL / 3
+        v[: rng.integers(0, rows + 1)] *= NEGLIGIBLE / 3
         assert _fix_phases(v).tobytes() == oracle_fix_phases(v).tobytes()
 
 
@@ -540,7 +530,7 @@ def oracle_prepare(m, s):
     root = mat_sqrt(s.matrix)
     weights, members = [], []
     for p, e in zip(oracle_measure(m, s), m.elements):
-        if p <= ZERO_PROB_THRESHOLD:
+        if p <= NEGLIGIBLE:
             continue
         weights.append(p)
         members.append(State(s.shape, (root @ e @ root) / p))
@@ -621,7 +611,7 @@ def test_teleport_and_prepare_eigendecomposition_counts(rng, monkeypatch):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def oracle_validate_psd(stack, block_dev, herm_tol, block_tol, psd_tol, trace_tol=None):
+def oracle_validate_psd(stack, block_dev, unit_trace=False):
     adj = stack.conj().swapaxes(-1, -2)
     herm = (stack + adj) / 2
     if not np.isfinite(herm).all():
@@ -629,17 +619,17 @@ def oracle_validate_psd(stack, block_dev, herm_tol, block_tol, psd_tol, trace_to
             raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
         raise InvariantViolation("overflow", np.inf)
     dev = float(np.abs(stack - adj).max())
-    if dev > herm_tol:
+    if dev > INPUT_TOL:
         raise InvariantViolation("hermitian", dev)
-    if block_dev > block_tol:
+    if block_dev > BLOCK_TOL:
         raise InvariantViolation("block_support", block_dev)
-    if trace_tol is not None:
+    if unit_trace:
         traces = stack.trace(axis1=1, axis2=2).tolist()
         trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
-        if not trace_dev <= trace_tol:
+        if not trace_dev <= INPUT_TOL:
             raise InvariantViolation("trace", trace_dev)
     low = float(np.linalg.eigvalsh(herm).min())
-    if not low >= -psd_tol:
+    if not low >= -INPUT_TOL:
         raise InvariantViolation("positive", -low)
 
 
@@ -682,8 +672,6 @@ CERT_SHAPES = (
     + [AlgebraShape((1,) * d) for d in range(2, 17)]
     + [AlgebraShape(mixed_dims(d)) for d in range(3, 17)]
 )
-STATE_TOLS = (STATE_HERM_TOL, STATE_BLOCK_TOL, STATE_PSD_TOL, STATE_TRACE_TOL)
-POVM_TOLS = (POVM_PSD_TOL, POVM_BLOCK_TOL, POVM_PSD_TOL)
 
 
 def with_spectrum(rng, shape, eigenvalues):
@@ -695,7 +683,7 @@ def with_spectrum(rng, shape, eigenvalues):
 def density_cases(rng, shape):
     """Unit-trace Hermitian matrices inside the algebra: full rank, rank one,
     half rank, λmin = -tol·(1 ∓ 1e-3), and one far from positive."""
-    d, tol = shape.total_dim, STATE_PSD_TOL
+    d, tol = shape.total_dim, INPUT_TOL
     full = rng.random(d) + 0.1
     half = np.where(np.arange(d) < max(d // 2, 1), rng.random(d) + 0.1, 0.0)
     spectra = [full / full.sum(), np.eye(d)[0], half / half.sum()]
@@ -708,11 +696,11 @@ def density_cases(rng, shape):
     return cases
 
 
-def psd_verdicts(stack, shape, tols):
+def psd_verdicts(stack, shape, unit_trace):
     block_dev = block_support_deviation(stack, shape)
     return (
-        verdict(_validate_psd, stack, block_dev, *tols),
-        verdict(oracle_validate_psd, stack, block_dev, *tols),
+        verdict(_validate_psd, stack, block_dev, unit_trace),
+        verdict(oracle_validate_psd, stack, block_dev, unit_trace),
     )
 
 
@@ -722,7 +710,7 @@ def psd_verdicts(stack, shape, tols):
 @pytest.mark.parametrize("shape", CERT_SHAPES, ids=shape_id)
 def test_psd_certificate_gives_the_eigvalsh_verdict_on_densities(rng, shape):
     cases = density_cases(rng, shape)
-    got, want = zip(*(psd_verdicts(m[None], shape, STATE_TOLS) for m in cases))
+    got, want = zip(*(psd_verdicts(m[None], shape, unit_trace=True) for m in cases))
     assert got == want
     # the oracle accepts the first four, the last of them at
     # λmin = -tol·(1 - 1e-3), and rejects λmin = -tol·(1 + 1e-3) and the
@@ -732,9 +720,9 @@ def test_psd_certificate_gives_the_eigvalsh_verdict_on_densities(rng, shape):
     # stacks where only the last element fails, and the valid stack
     valid = np.stack(cases[:4])
     for bad in cases[4:]:
-        alone = psd_verdicts(bad[None], shape, STATE_TOLS)
-        assert psd_verdicts(np.concatenate([valid, bad[None]]), shape, STATE_TOLS) == alone
-    assert psd_verdicts(valid, shape, STATE_TOLS) == (None, None)
+        alone = psd_verdicts(bad[None], shape, unit_trace=True)
+        assert psd_verdicts(np.concatenate([valid, bad[None]]), shape, unit_trace=True) == alone
+    assert psd_verdicts(valid, shape, unit_trace=True) == (None, None)
 
 
 @pytest.mark.parametrize("shape", CERT_SHAPES, ids=shape_id)
@@ -748,11 +736,11 @@ def test_psd_certificate_gives_the_eigvalsh_verdict_at_the_edges(rng, shape):
     indefinite = density_cases(rng, shape)[-1]
     for m in projectors + [indefinite]:
         for scale in (1.0, 1e-300):
-            got, want = psd_verdicts(scale * m[None], shape, POVM_TOLS)
+            got, want = psd_verdicts(scale * m[None], shape, unit_trace=False)
             assert got == want
-    assert psd_verdicts(np.stack(projectors), shape, POVM_TOLS) == (None, None)
+    assert psd_verdicts(np.stack(projectors), shape, unit_trace=False) == (None, None)
     # a tiny state fails its trace, before positivity, in both
-    got, want = psd_verdicts(1e-300 * projectors[1][None], shape, STATE_TOLS)
+    got, want = psd_verdicts(1e-300 * projectors[1][None], shape, unit_trace=True)
     assert got == want and want[1] == "trace"
 
 
@@ -801,9 +789,9 @@ def edge_bell_basis(scale):
 @pytest.mark.parametrize("kind", ["shape", "hermitian", "negative", "non_finite"])
 def test_effect_certificate_gives_the_eigvalsh_verdict(kind, position):
     basis = bad_bell_basis(kind, position)
-    got = verdict(_validate_effects, basis, 4, EFFECT_MATCH_TOL)
+    got = verdict(_validate_effects, basis, 4, IDENTITY_TOL)
     assert got is not None
-    assert got == verdict(oracle_validate_effect_stack, basis, 4, EFFECT_MATCH_TOL)
+    assert got == verdict(oracle_validate_effect_stack, basis, 4, IDENTITY_TOL)
 
 
 def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge():
@@ -812,8 +800,8 @@ def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge():
         bell_basis(d) for d in range(2, 7)
     ]:
         d2 = len(basis[0])
-        got = verdict(_validate_effects, basis, d2, EFFECT_MATCH_TOL)
-        assert got == verdict(oracle_validate_effect_stack, basis, d2, EFFECT_MATCH_TOL)
+        got = verdict(_validate_effects, basis, d2, IDENTITY_TOL)
+        assert got == verdict(oracle_validate_effect_stack, basis, d2, IDENTITY_TOL)
         verdicts.append(got)
     assert verdicts[0] is None and "negative eigenvalue" in verdicts[1][3]
     assert verdicts[2:] == [None] * 5
@@ -846,7 +834,7 @@ def test_valid_input_is_validated_without_eigvalsh(rng, monkeypatch):
     ConditionalState(shape, q, cond)
     POVM(shape, elements)
     states_from_stack(shape, stack)
-    _validate_effects(bell_basis(3), 9, EFFECT_MATCH_TOL)
+    _validate_effects(bell_basis(3), 9, IDENTITY_TOL)
     assert [name for name, _ in calls] == ["cholesky"] * 6
 
 
@@ -866,7 +854,7 @@ def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
 
 
 def test_cached_effect_stacks_are_read_only():
-    effects, success = _bell_effects(3, EFFECT_MATCH_TOL)
+    effects, success = _bell_effects(3, IDENTITY_TOL)
     assert success == 0
     assert effects.tobytes() == np.stack(bell_basis(3)).tobytes()
     parity = _parity_effects()
@@ -922,7 +910,7 @@ def check_branch_products(rng, shape, c, effects):
     expected = oracle_einsum_branches(s.matrix, resource, effects, dim_out)
     close(probs, np.trace(expected, axis1=1, axis2=2).real)
     for p, state, branch in zip(probs, states, expected, strict=True):
-        assert (state is None) == (p <= BRANCH_PROB_FLOOR)
+        assert (state is None) == (p <= NEGLIGIBLE)
         if state is not None:
             close(state.matrix, hermitize(branch / p))
 
@@ -1045,7 +1033,7 @@ def test_bell_basis_above_the_budget_is_never_kept(rng, monkeypatch):
     calls = count_linalg(monkeypatch)
     first, second = teleport(c, s), teleport(c, s)
     assert calls.count(("cholesky", (81, 81, 81))) == 2
-    assert list(_BASIS_CACHE) == [(3, EFFECT_MATCH_TOL)]
+    assert list(_BASIS_CACHE) == [(3, IDENTITY_TOL)]
     assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
 
 
