@@ -3,29 +3,41 @@
 
     python scripts/bench.py --out BENCH.json --label change
     python scripts/bench.py --src OTHER_CHECKOUT/src --out BENCH.json --label parent
+    python scripts/bench.py --out BENCH.json --compare parent change
 
 Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
 BLAS fixed to one thread.  For each call below and each algebra class
 (irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the time
 of the first call, the median per-call wall time over ``--repeats`` later
 samples (each a batch of calls lasting about 2 ms), and the ``eigvalsh``,
-``eigh`` and ``cholesky`` calls one call makes:
+``eigh`` and ``cholesky`` calls one call makes.  Beside every sample it
+runs the benchmark's calibration kernel (``perfbench/calibrate.py``), a
+fixed amount of work that does not touch condchan, and records the median
+kernel time and the median ratio of sample to kernel time.  The ratio
+cancels the machine's speed state, which shifts raw times of unchanged
+calls by 10 % and more between runs.  The calls:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
 * ``teleport`` from ``(d,)`` into each class, d = 2…8;
 * ``verify_theorem`` on the class paired with itself, d = 2…16;
+* ``conditional_from_joint`` on the class paired with itself (conditioned
+  on the first side), and ``bayes_invert`` of the conditional on the second
+  side with the joint's two marginals, d = 2…16;
 * on a channel from the class to itself with two Kraus operators per
   output block, d = 2…16: its construction from the Kraus tensor,
   ``apply`` to a state, ``apply_matrix`` on a stack of 4 states,
   ``choi_conditional``, and ``channel_from_conditional`` on its
   conditional form.
 
-Each run is appended to the list under ``--label`` in ``--out``, with the
-``src/condchan`` line count and the environment, and everything already in
-the file is kept.  So one file holds the before and after of a change, and
-runs of the two trees can be interleaved (parent, change, change, parent,
-...) to spread drift in machine speed over both.
+Each run appends to ``--out`` one JSON record per line: a ``"run"``
+record with the label, commit, ``src/condchan`` line count and environment,
+then one ``"result"`` record per call.  Everything already in the file is
+kept, so one file holds the before and after of a change, and runs of the
+two trees can be interleaved (parent, change, change, parent, ...) to spread
+drift in machine speed over both.  ``--compare A B`` prints, per call, the
+median ratio under label A over that under label B: above 1 where B is
+faster.
 """
 
 import os
@@ -47,6 +59,10 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from calibrate import Calibration  # noqa: E402
+
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
 BATCH_MS = 2.0
@@ -86,6 +102,10 @@ def cases(cc):
             n = cc.random_povm(shape, 4, rng)
             m = cc.random_povm(shape, 4, rng)
             yield "verify_theorem", d, cls, partial(cc.verify_theorem, j, n, m)
+            cond_b = cc.conditional_from_joint(j, "b")
+            marg_a, marg_b = cc.reduce(j, "a"), cc.reduce(j, "b")
+            yield "conditional_from_joint", d, cls, partial(cc.conditional_from_joint, j, "a")
+            yield "bayes_invert", d, cls, partial(cc.bayes_invert, cond_b, marg_a, marg_b)
     # a generator of their own keeps the inputs of the cases above unchanged
     rng = np.random.default_rng(SEED + 1)
     for d in range(2, 17):
@@ -131,20 +151,26 @@ def timed(fn):
 
 
 def measure(cc, repeats):
+    control = Calibration()
     rows = []
     for call, d, cls, fn in cases(cc):
         first = timed(fn)
         # each sample times a batch of about BATCH_MS, so that timer
         # resolution and scheduler noise stay small against short calls
         number = max(1, round(BATCH_MS / first))
-        samples = timeit.Timer(fn).repeat(repeats, number)
-        median = 1e3 * statistics.median(samples) / number
+        timer = timeit.Timer(fn)
+        samples, kernel = [], []
+        for _ in range(repeats):
+            kernel.append(control.sample())
+            samples.append(timer.timeit(number) / number)
         rows.append({
             "call": call,
             "d": d,
             "class": cls,
-            "median_ms": median,
+            "median_ms": 1e3 * statistics.median(samples),
             "first_ms": first,
+            "control_ms": 1e3 * statistics.median(kernel),
+            "ratio": statistics.median(s / k for s, k in zip(samples, kernel)),
             **count_calls(fn),
         })
     return rows
@@ -174,13 +200,40 @@ def environment():
     }
 
 
+def records(path):
+    if not path.exists():
+        return []
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+
+
+def compare(path, base, change):
+    """Print, per call, the median control ratio under ``base`` over that
+    under ``change``, with the number of runs of each."""
+    ratios = {}
+    for rec in records(path):
+        if rec["kind"] == "result" and rec["label"] in (base, change):
+            key = (rec["call"], rec["class"], rec["d"])
+            ratios.setdefault(key, {base: [], change: []})[rec["label"]].append(rec["ratio"])
+    for (call, cls, d), got in sorted(ratios.items()):
+        if got[base] and got[change]:
+            speedup = statistics.median(got[base]) / statistics.median(got[change])
+            print(f"{call:24s} {cls:11s} {d:3d} {speedup:6.2f}x "
+                  f"({len(got[base])} vs {len(got[change])} runs)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--label", required=True)
+    parser.add_argument("--label")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"))
     args = parser.parse_args()
+    if args.compare:
+        compare(args.out, *args.compare)
+        return
+    if not args.label:
+        parser.error("--label is required unless --compare is given")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     src = args.src.resolve()
@@ -190,6 +243,9 @@ def main():
     if Path(cc.__file__).resolve().parent != src / "condchan":
         sys.exit(f"condchan was imported from {cc.__file__}, not from {src}")
     run = {
+        "kind": "run",
+        "run": sum(rec["kind"] == "run" for rec in records(args.out)),
+        "label": args.label,
         "commit": git(src, "rev-parse", "HEAD"),
         "dirty": bool(git(src, "status", "--porcelain", "--", ".")),
         "src_lines": sum(
@@ -197,11 +253,13 @@ def main():
         ),
         "env": environment(),
         "repeats": args.repeats,
-        "results": measure(cc, args.repeats),
     }
-    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {"runs": {}}
-    doc["runs"].setdefault(args.label, []).append(run)
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    lines = [run] + [
+        {"kind": "result", "run": run["run"], "label": args.label, **row}
+        for row in measure(cc, args.repeats)
+    ]
+    with args.out.open("a", encoding="utf-8") as out:
+        out.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in lines)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ dimension d1 + ... + dn.  Elements of a tensor product of two algebras live
 on the kron space of the two embeddings and are supported on the kron of the
 two block masks (see ``pair_mask``); the tensor blocks are not contiguous
 there, which is why composite objects carry the pair of shapes as metadata
-instead of a single merged shape.
+instead of a single merged shape, and ``block_index`` gathers them for the
+decompositions that run per block.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import max_abs
+from .matcore import BlockIndex, max_abs
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,26 @@ class AlgebraShape:
         return tuple(slices)
 
 
-# Shapes whose support masks are kept; a process touches only a few.
+# Shapes whose support masks and block indices are kept; a process touches only a few.
 MASK_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=MASK_CACHE_SIZE)
-def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple[np.ndarray, np.ndarray, BlockIndex | None]:
     """Read-only support mask of the tensor product of ``shapes`` on the kron
-    space, and its complement (the off-block entries)."""
-    mask = np.ones((1, 1), dtype=bool)
+    space, its complement (the off-block entries), and the index of its
+    blocks (None for a single block)."""
+    # the block of a kron index is the tuple of its factors' blocks, numbered
+    # in the same slow-to-fast order
+    labels = np.zeros(1, dtype=np.intp)
     for shape in shapes:
-        labels = np.repeat(np.arange(len(shape.block_dims)), shape.block_dims)
-        mask = np.kron(mask, labels[:, None] == labels[None, :])
+        n = len(shape.block_dims)
+        labels = (labels[:, None] * n + np.repeat(np.arange(n), shape.block_dims)).ravel()
+    mask = labels[:, None] == labels[None, :]
     off = ~mask
     mask.setflags(write=False)
     off.setflags(write=False)
-    return mask, off
+    return mask, off, BlockIndex.from_labels(labels, off)
 
 
 def block_mask(shape: AlgebraShape) -> np.ndarray:
@@ -84,6 +89,12 @@ def block_mask(shape: AlgebraShape) -> np.ndarray:
 def pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
     """Support mask of the tensor-product algebra on the kron space (cached, read-only)."""
     return _masks((shape_a, shape_b))[0]
+
+
+def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
+    """Block index of the tensor product of ``shapes`` (of one algebra when
+    one shape is given) on the kron space, for ``herm_eig`` (cached)."""
+    return _masks(shapes)[2]
 
 
 def _off_support_deviation(m, off: np.ndarray) -> float:

@@ -23,7 +23,13 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_mask, block_projectors, pair_support_deviation
+from .algebra import (
+    AlgebraShape,
+    block_index,
+    block_mask,
+    block_projectors,
+    pair_support_deviation,
+)
 from .conditional import ConditionalState
 from .errors import (
     InvariantViolation,
@@ -32,7 +38,7 @@ from .errors import (
 )
 from .matcore import herm_deviation, herm_eig, herm_eigvals, max_abs
 from .states import State
-from .tolerances import IDENTITY_TOL
+from .tolerances import BLOCK_TOL, IDENTITY_TOL
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -91,8 +97,11 @@ class Channel:
     _superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, check: bool):
+        kraus = self.kraus
         try:
-            ops = np.array(list(self.kraus), dtype=np.complex128)
+            if not isinstance(kraus, np.ndarray):
+                kraus = list(kraus)
+            ops = np.array(kraus, dtype=np.complex128, order="C")
         except (TypeError, ValueError) as exc:
             raise ShapeMismatch(f"Kraus operators do not stack into one tensor: {exc}") from exc
         if ops.shape[:1] == (0,):
@@ -184,7 +193,9 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     """Recover the channel from its conditional-state form.
 
     Kraus operators come from the eigendecomposition of the conditional,
-    keeping the eigenvalues above its support cutoff.  When the
+    one per eigenvalue above its support cutoff; it is decomposed per block
+    of the tensor-product algebra, so each Kraus operator maps one input
+    block into one output block.  When the
     conditioning support is a proper projector rather than the identity, the
     returned channel is defined on that support subalgebra and carries it in
     ``input_support``.
@@ -198,7 +209,7 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
         )
     full = max_abs(support - np.eye(din)) <= IDENTITY_TOL
 
-    es = herm_eig(cond.matrix)
+    es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
     keep = es.kept
     if not keep.any():
         raise NotTracePreserving("conditional has no spectral weight above the cutoff")
@@ -249,13 +260,22 @@ class ChannelReport:
         )
 
 
+def _choi_spectrum(c: Channel) -> tuple[np.ndarray, float]:
+    """Eigenvalues of the Choi matrix, descending, and its largest entry off
+    the pair blocks.  The spectrum is taken per block unless that entry
+    exceeds ``BLOCK_TOL`` (a channel accepts up to ``IDENTITY_TOL``); then
+    the whole matrix is decomposed, leak included."""
+    choi = _choi_matrix(c)
+    leak = pair_support_deviation(choi, c.shape_in, c.shape_out)
+    blocks = block_index(c.shape_in, c.shape_out) if leak <= BLOCK_TOL else None
+    return herm_eigvals(choi, blocks), leak
+
+
 def validate_channel(c: Channel) -> ChannelReport:
     """Measure trace preservation, complete positivity (via the minimum
     eigenvalue of the conditional form) and output block support."""
     tp_dev = max_abs(_kraus_gram(c.kraus) - np.eye(c.shape_in.total_dim))
-    choi = _choi_matrix(c)
-    w = herm_eigvals(choi)
-    block_dev = pair_support_deviation(choi, c.shape_in, c.shape_out)
+    w, block_dev = _choi_spectrum(c)
     return ChannelReport(
         tp_deviation=float(tp_dev),
         choi_min_eigenvalue=float(w[-1]) if w.size else 0.0,
@@ -268,7 +288,7 @@ def validate_channel(c: Channel) -> ChannelReport:
 def is_isometry(c: Channel, tol: float = IDENTITY_TOL) -> bool:
     """True iff the conditional form has rank one: a single eigenvalue within
     tol of the trace and the rest within tol of zero."""
-    w = herm_eigvals(_choi_matrix(c))
+    w = _choi_spectrum(c)[0]
     if not w.size:
         return False
     trace = float(np.sum(w))

@@ -19,12 +19,11 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, pair_support_deviation
+from .algebra import AlgebraShape, block_index, pair_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
     as_matrix,
-    gen_inv_sqrt,
     herm_deviation,
     herm_eig,
     mat_sqrt,
@@ -96,10 +95,10 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
     that side's marginal, from which its generalized inverse root was taken."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     if side == "a":
-        marg = herm_eig(partial_trace(j.matrix, da, db, keep="left"))
+        marg = herm_eig(partial_trace(j.matrix, da, db, keep="left"), block_index(j.shape_a))
         out = _sandwich_on_first(marg.inv_root(), j.matrix, db)
         return ConditionalState(shape_in=j.shape_a, shape_out=j.shape_b, matrix=out), marg
-    marg = herm_eig(partial_trace(j.matrix, da, db, keep="right"))
+    marg = herm_eig(partial_trace(j.matrix, da, db, keep="right"), block_index(j.shape_b))
     out = _sandwich_on_first(marg.inv_root(), swap_factors(j.matrix, da, db), da)
     return ConditionalState(shape_in=j.shape_b, shape_out=j.shape_a, matrix=out), marg
 
@@ -145,12 +144,13 @@ def bayes_invert(cond_ab: ConditionalState, marg_a: State, marg_b: State) -> Con
         raise ShapeMismatch("marg_a must live on the conditioned algebra of cond_ab")
     if cond_ab.shape_in != marg_b.shape:
         raise ShapeMismatch("marg_b must live on the conditioning algebra of cond_ab")
-    spectrum_b = herm_eig(marg_b.matrix)
+    spectrum_b = herm_eig(marg_b.matrix, block_index(marg_b.shape))
     if spectrum_b.rank < marg_b.shape.total_dim:
         raise SupportMismatch("marg_b is rank-deficient; Bayes inversion needs full rank")
     # kron(root_b, inv_a) sandwich, one factor at a time on the slow index,
     # with the factor swap in between that reorders the result to A-slow.
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim
     half = swap_factors(_sandwich_on_first(spectrum_b.root(), cond_ab.matrix, da), db, da)
-    inverted = _sandwich_on_first(gen_inv_sqrt(marg_a.matrix), half, db)
+    inv_a = herm_eig(marg_a.matrix, block_index(marg_a.shape)).inv_root()
+    inverted = _sandwich_on_first(inv_a, half, db)
     return ConditionalState(shape_in=marg_a.shape, shape_out=marg_b.shape, matrix=inverted)

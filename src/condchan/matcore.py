@@ -16,17 +16,95 @@ Conventions fixed here once and relied on project-wide:
   The last three, and Kraus extraction, keep the eigenvalues above one
   cutoff, ``CUTOFF_REL`` times the largest eigenvalue with the floor
   ``CUTOFF_FLOOR`` (see ``tolerances``); ``mat_sqrt``, ``gen_inv_sqrt`` and
-  ``support_projector`` are the views of a fresh decomposition.
+  ``support_projector`` are the views of a fresh decomposition;
+* a matrix of a reducible algebra (or tensor product of algebras) is
+  decomposed per block: ``herm_eig`` and ``herm_eigvals`` take the algebra's
+  ``BlockIndex`` (from ``algebra.block_index``) and run one stacked solver
+  call per distinct block size, so its eigenvectors, and the Kraus
+  operators read off them, are exactly zero outside their block.  Within a
+  degenerate eigenspace the basis (and so a Kraus set) may differ from the
+  one a whole-matrix decomposition gives; the spanned subspaces do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPositive
-from .tolerances import CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NoConvergence,
+    NotHermitian,
+    NotPositive,
+)
+from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE
+
+
+class BlockGroup(NamedTuple):
+    """The n blocks of one size s: where their (n, s, s) stack sits in
+    ``BlockIndex.entries`` and their n·s eigenvectors in its columns."""
+
+    n: int
+    size: int
+    entries: slice
+    columns: slice
+
+
+@dataclass(frozen=True, eq=False)
+class BlockIndex:
+    """Where the blocks of a block-diagonal (D, D) matrix sit.
+
+    The blocks are grouped by size, ascending.  ``entries`` lists the flat
+    positions of every block entry, group by group, each group as its
+    (n, s, s) stack in C order, and ``mirror`` the positions of their
+    transposes.  ``off`` masks the entries outside every block.
+
+    The eigenvectors are laid out compactly first: column c of an (s_max, D)
+    matrix holds the s components of the c-th, zero-padded, where the
+    columns follow the groups, then the blocks, then each block's solver.
+    ``compact`` masks the components that exist, and ``scatter`` gives the
+    flat position of each (in C order) in the (D, D) eigenvector matrix.
+    """
+
+    groups: tuple[BlockGroup, ...]
+    entries: np.ndarray
+    mirror: np.ndarray
+    off: np.ndarray
+    compact: np.ndarray
+    scatter: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray, off: np.ndarray) -> BlockIndex | None:
+        """Index of the blocks that ``labels`` (the block 0, 1, ... of each
+        embedding index) defines, with ``off`` its read-only off-block mask;
+        None for a single block."""
+        d = labels.size
+        sets = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
+        if len(sets) == 1:
+            return None
+        sizes = sorted({len(idx) for idx in sets})
+        compact = np.zeros((sizes[-1], d), dtype=bool)
+        target = np.zeros((sizes[-1], d), dtype=np.intp)
+        groups, entries, mirror, start, col = [], [], [], 0, 0
+        for size in sizes:
+            idx = np.array([ix for ix in sets if len(ix) == size])
+            n = len(idx)
+            cols = slice(col, col + n * size)
+            groups.append(BlockGroup(n, size, slice(start, start + n * size * size), cols))
+            entries.append((idx[:, :, None] * d + idx[:, None, :]).ravel())
+            mirror.append((idx[:, None, :] * d + idx[:, :, None]).ravel())
+            # component i of the eigenvector in column b·s + k of the group
+            # sits in row idx[b, i]
+            compact[:size, cols] = True
+            target[:size, cols] = np.repeat(idx.T * d, size, axis=1) + np.arange(d)[cols]
+            start, col = start + n * size * size, col + n * size
+        arrays = (np.concatenate(entries), np.concatenate(mirror), off, compact, target[compact])
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(tuple(groups), *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,46 +242,80 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def herm_eig(m) -> EigenSystem:
+def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     """Full spectral decomposition of a square matrix that is Hermitian
     within ``INPUT_TOL`` (max entry of |m - m†|); the matrix is
     symmetrized first, so floating-point drift cannot leak into spectra.
+    With ``blocks`` it is decomposed per block, one stacked ``eigh`` per
+    block size, and each eigenvector is exactly zero outside its block.
 
     Raises
     ------
     NotHermitian
         If the Hermiticity deviation exceeds ``INPUT_TOL``.
+    InvariantViolation
+        ``block_support``, if ``blocks`` is given and an entry outside them
+        exceeds ``BLOCK_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
-    try:
-        w, v = np.linalg.eigh(_checked_hermitian(m))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    solved = [_solve(np.linalg.eigh, part) for part in _checked_hermitian(m, blocks)]
+    if blocks is None:
+        w, v = solved[0]
+        v = _fix_phases(v)
+    else:
+        w = np.concatenate([pw.ravel() for pw, _ in solved])
+        compact = np.zeros(blocks.compact.shape, dtype=np.complex128)
+        for group, (_, pv) in zip(blocks.groups, solved):
+            compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
+        v = np.zeros((w.size, w.size), dtype=np.complex128)
+        v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
     order = np.argsort(-w, kind="stable")
-    return EigenSystem(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
+    return EigenSystem(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
-def herm_eigvals(m) -> np.ndarray:
+def herm_eigvals(m, blocks: BlockIndex | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending, from one
-    ``eigvalsh``: ``herm_eig`` without the eigenvectors, with the same checks
-    and errors."""
+    ``eigvalsh`` call (one per block size with ``blocks``): ``herm_eig``
+    without the eigenvectors, with the same checks and errors."""
+    parts = [_solve(np.linalg.eigvalsh, part) for part in _checked_hermitian(m, blocks)]
+    if blocks is None:
+        return parts[0][::-1]
+    return np.sort(np.concatenate([w.ravel() for w in parts]))[::-1]
+
+
+def _solve(solver, arr: np.ndarray):
     try:
-        w = np.linalg.eigvalsh(_checked_hermitian(m))
+        return solver(arr)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return w[::-1]
 
 
-def _checked_hermitian(m) -> np.ndarray:
-    """Hermitian part of a square matrix that is Hermitian within INPUT_TOL."""
+def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
+    """Hermitian part of a square matrix that is Hermitian within INPUT_TOL:
+    the matrix as a list of one, or with ``blocks`` one (n, s, s) stack of
+    its blocks per group, if it is zero outside them within BLOCK_TOL."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    dev = herm_deviation(arr)
+    if blocks is None:
+        dev = herm_deviation(arr)
+        if dev > INPUT_TOL:
+            raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
+        return [hermitize(arr)]
+    if arr.shape != blocks.off.shape:
+        raise DimensionMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
+    leak = max_abs(arr[blocks.off])
+    entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
+    # a leak within BLOCK_TOL moves |m - m†| by at most 2·BLOCK_TOL < INPUT_TOL,
+    # so then the block entries alone decide Hermiticity
+    dev = max_abs(entries - adjoint) if leak <= BLOCK_TOL else herm_deviation(arr)
     if dev > INPUT_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
-    return hermitize(arr)
+    if not leak <= BLOCK_TOL:
+        raise InvariantViolation("block_support", leak)
+    herm = (entries + adjoint) / 2
+    return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups]
 
 
 def mat_sqrt(p) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_support_deviation
+from .algebra import AlgebraShape, block_index, block_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportViolation
 from .matcore import as_matrix, herm_eig, mat_sqrt, max_abs
 from .states import State, _validate_psd, states_from_stack
@@ -109,7 +109,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
     """
     if e.average.shape != s.shape:
         raise ShapeMismatch("ensemble and state live on different algebras")
-    spectrum = herm_eig(s.matrix)
+    spectrum = herm_eig(s.matrix, block_index(s.shape))
     complement = np.eye(s.shape.total_dim) - spectrum.support()
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)

@@ -62,6 +62,7 @@ from condchan import (
     verify_theorem,
 )
 from condchan.algebra import (
+    block_index,
     block_mask,
     block_support_deviation,
     pair_mask,
@@ -75,7 +76,7 @@ from condchan.channels import (
     max_ent_matrix,
     validate_channel,
 )
-from condchan.errors import NotHermitian
+from condchan.errors import NoConvergence, NotHermitian
 from condchan.matcore import (
     _fix_phases,
     gen_inv_sqrt,
@@ -339,9 +340,9 @@ def oracle_kraus_gram(kraus):
     return sum(k.conj().T @ k for k in kraus)
 
 
-def oracle_kraus_from_conditional(cond, cutoff=1e-10):
+def oracle_kraus_from_conditional(cond, cutoff=1e-10, blocks=True):
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
-    es = herm_eig(cond.matrix)
+    es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out) if blocks else None)
     thresh = max(cutoff * max(float(es.eigenvalues[0]), 0.0), 1e-14)
     return [
         np.sqrt(lam) * vec.reshape(din, dout).T
@@ -1089,10 +1090,12 @@ def test_spectral_checks_make_one_eigvalsh_call(rng, monkeypatch):
     noisy = random_channel(shape, AlgebraShape((2, 1)), 3, rng)
     calls = count_linalg(monkeypatch)
     assert is_isometry(unitary) and not is_isometry(noisy)
-    assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (12, 12))]
+    # the noisy Choi matrix has one block of 4·2 and one of 4·1
+    per_block = [("eigvalsh", (1, 4, 4)), ("eigvalsh", (1, 8, 8))]
+    assert calls == [("eigvalsh", (16, 16))] + per_block
     calls.clear()
     assert validate_channel(noisy).ok
-    assert calls == [("eigvalsh", (12, 12))]
+    assert calls == per_block
 
 
 def test_spectral_checks_keep_the_hermiticity_check(rng):
@@ -1186,6 +1189,104 @@ def test_shared_spectra_take_one_eigh_per_marginal(rng, monkeypatch):
     calls.clear()
     povm_from_ensemble(ensemble, s)
     assert [call for call in calls if call[0] != "cholesky"] == [("eigh", (3, 3))]
+
+
+# -- tests: spectra per algebra block ----------------------------------------
+
+
+def choi_from_kraus(kraus):
+    """Σ_K vec(K) vec(K)†, vec(K)[a * d_out + b] = K[b, a]: the conditional
+    the Kraus operators were read from."""
+    vecs = np.asarray(kraus).swapaxes(1, 2).reshape(len(kraus), -1)
+    return vecs.T @ vecs.conj()
+
+
+def block_cases(rng, shape):
+    """(matrix, block index, conditional or None) on ``shape``: Choi matrices
+    of random channels and of the identity channel (degenerate), conditionals
+    of rank-deficient joints, and those joints' rank-deficient marginals."""
+    for other in (shape, AlgebraShape((2, 1))):
+        j = random_joint_state(shape, other, rng, rank_a=max(1, shape.total_dim // 2))
+        conds = [
+            choi_conditional(random_channel(shape, other, shape.total_dim, rng)),
+            conditional_from_joint(j, "a"),
+        ]
+        if other == shape:
+            conds.append(choi_conditional(identity_channel(shape)))
+        for cond in conds:
+            yield cond.matrix, block_index(cond.shape_in, cond.shape_out), cond
+        yield reduce(j, "a").matrix, block_index(shape), None
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_block_spectra_match_the_full_eigendecomposition(rng, shape):
+    for m, blocks, cond in block_cases(rng, shape):
+        full = np.linalg.eigh(m)[0][::-1]
+        close(herm_eig(m, blocks).eigenvalues, full)
+        close(herm_eigvals(m, blocks), full)
+        if cond is not None:
+            # a degenerate eigenspace may give another Kraus basis, not another channel
+            dense = oracle_kraus_from_conditional(cond, blocks=False)
+            close(choi_from_kraus(channel_from_conditional(cond).kraus), choi_from_kraus(dense))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_block_eigenvectors_are_exactly_zero_off_their_block(rng, shape):
+    for m, blocks, cond in block_cases(rng, shape):
+        nonzero = herm_eig(m, blocks).eigenvectors.T != 0
+        off = np.zeros(m.shape, dtype=bool) if blocks is None else blocks.off
+        # no eigenvector has two nonzero entries in different blocks
+        assert not (nonzero[:, :, None] & nonzero[:, None, :] & off).any()
+        if cond is not None:
+            choi = choi_from_kraus(channel_from_conditional(cond).kraus)
+            assert pair_support_deviation(choi, cond.shape_in, cond.shape_out) == 0.0
+
+
+def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkeypatch):
+    shape = AlgebraShape((2, 1))
+    blocks = block_index(shape, shape)
+    m = choi_conditional(random_channel(shape, shape, 2, rng)).matrix
+    i, k = np.argwhere(blocks.off)[0]
+    for leak in (BLOCK_TOL, 2 * BLOCK_TOL):
+        leaky = np.array(m)
+        leaky[i, k] = leaky[k, i] = leak
+        if leak <= BLOCK_TOL:
+            close(herm_eigvals(leaky, blocks), herm_eig(leaky, blocks).eigenvalues)
+            continue
+        for fn in (herm_eig, herm_eigvals):
+            with pytest.raises(InvariantViolation) as info:
+                fn(leaky, blocks)
+            assert (info.value.invariant, info.value.deviation) == ("block_support", leak)
+        # an unchecked conditional does not lose its leak in Kraus extraction
+        with pytest.raises(InvariantViolation, match="block_support"):
+            channel_from_conditional(ConditionalState(shape, shape, leaky, check=False))
+        # without an index the whole matrix is decomposed, leak included
+        close(herm_eigvals(leaky), np.linalg.eigvalsh(leaky)[::-1])
+    with pytest.raises(NotHermitian):
+        herm_eig(random_complex(rng, 9, 9), blocks)
+    with pytest.raises(NotHermitian):
+        herm_eigvals(random_complex(rng, 9, 9), blocks)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    for name, fn in (("eigh", herm_eig), ("eigvalsh", herm_eigvals)):
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(NoConvergence):
+            fn(m, blocks)
+
+
+def test_channel_checks_read_a_leaking_choi_matrix_whole(rng):
+    # a checked channel may leave up to IDENTITY_TOL off the output blocks;
+    # its checks then decompose the whole Choi matrix instead of raising
+    shape = AlgebraShape((2, 1))
+    k = random_block_unitary(shape, rng)
+    k[2, 0] = 1e-10
+    c = Channel(shape, shape, (k,))
+    report = validate_channel(c)
+    assert BLOCK_TOL < report.block_support_deviation <= IDENTITY_TOL
+    assert abs(report.choi_min_eigenvalue - oracle_choi_min_eigenvalue(c)) <= ATOL
+    assert not is_isometry(c)  # the pinched Choi matrix has one rank per input block
 
 
 # -- tests: documents -------------------------------------------------------

@@ -33,7 +33,8 @@ def test_example_script_runs_without_an_install(tmp_path, script):
 
 def test_bench_appends_its_run_under_the_label(tmp_path):
     out = tmp_path / "bench.json"
-    out.write_text('{"runs": {"a": [{"earlier": true}], "b": []}}', encoding="utf-8")
+    earlier = '{"kind": "run", "label": "b", "run": 0}\n'
+    out.write_text(earlier, encoding="utf-8")
     completed = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(out), "--label", "a",
          "--repeats", "1"],
@@ -42,17 +43,32 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    runs = json.loads(out.read_text(encoding="utf-8"))["runs"]
-    assert runs["b"] == [] and runs["a"][0] == {"earlier": True}
-    run = runs["a"][1]
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith(earlier)
+    # one JSON record per line: the run, then one result per call
+    run, *results = [json.loads(line) for line in text.splitlines()[1:]]
+    assert (run["kind"], run["label"], run["run"]) == ("run", "a", 1)
     src = SCRIPTS.parent / "src" / "condchan"
     assert run["src_lines"] == sum(
         len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
     )
-    calls = {row["call"] for row in run["results"]}
+    assert all((row["kind"], row["label"], row["run"]) == ("result", "a", 1) for row in results)
+    calls = {row["call"] for row in results}
     assert calls == {
         "State", "JointState", "ConditionalState", "POVM", "teleport", "verify_theorem",
+        "conditional_from_joint", "bayes_invert",
         "Channel", "apply", "apply_matrix", "choi_conditional", "channel_from_conditional",
     }
+    # every sample is timed beside the calibration kernel
+    assert all(row["control_ms"] > 0 and row["ratio"] > 0 for row in results)
     # valid input is certified by Cholesky alone
-    assert all(row["eigvalsh"] == 0 for row in run["results"])
+    assert all(row["eigvalsh"] == 0 for row in results)
+    compared = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(out), "--compare", "a", "a"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert compared.returncode == 0, compared.stderr
+    assert len(compared.stdout.splitlines()) == len(results)
+    assert all(" 1.00x (1 vs 1 runs)" in line for line in compared.stdout.splitlines())
