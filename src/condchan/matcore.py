@@ -298,22 +298,22 @@ def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    if blocks is None:
-        dev = herm_deviation(arr)
-        if dev > INPUT_TOL:
-            raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
-        return [hermitize(arr)]
-    if arr.shape != blocks.off.shape:
+    if blocks is not None and arr.shape != blocks.off.shape:
         raise DimensionMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
-    leak = max_abs(arr[blocks.off])
-    entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
-    # a leak within BLOCK_TOL moves |m - m†| by at most 2·BLOCK_TOL < INPUT_TOL,
-    # so then the block entries alone decide Hermiticity
-    dev = max_abs(entries - adjoint) if leak <= BLOCK_TOL else herm_deviation(arr)
+    leak = 0.0 if blocks is None else max_abs(arr[blocks.off])
+    if blocks is None or not leak <= BLOCK_TOL:
+        dev = herm_deviation(arr)
+    else:
+        # a leak within BLOCK_TOL moves |m - m†| by at most 2·BLOCK_TOL <
+        # INPUT_TOL, so the block entries alone decide Hermiticity
+        entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
+        dev = max_abs(entries - adjoint)
     if dev > INPUT_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
     if not leak <= BLOCK_TOL:
         raise InvariantViolation("block_support", leak)
+    if blocks is None:
+        return [hermitize(arr)]
     herm = (entries + adjoint) / 2
     return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups]
 
