@@ -3,7 +3,6 @@
 
     python scripts/bench.py --out BENCH.json --label change
     python scripts/bench.py --src OTHER_CHECKOUT/src --out BENCH.json --label parent
-    python scripts/bench.py --out BENCH.json --compare parent change
 
 Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
 BLAS fixed to one thread.  For each call below and each algebra class
@@ -35,9 +34,7 @@ record with the label, commit, ``src/condchan`` line count and environment,
 then one ``"result"`` record per call.  Everything already in the file is
 kept, so one file holds the before and after of a change, and runs of the
 two trees can be interleaved (parent, change, change, parent, ...) to spread
-drift in machine speed over both.  ``--compare A B`` prints, per call, the
-median ratio under label A over that under label B: above 1 where B is
-faster.
+drift in machine speed over both.
 """
 
 import os
@@ -206,34 +203,13 @@ def records(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
-def compare(path, base, change):
-    """Print, per call, the median control ratio under ``base`` over that
-    under ``change``, with the number of runs of each."""
-    ratios = {}
-    for rec in records(path):
-        if rec["kind"] == "result" and rec["label"] in (base, change):
-            key = (rec["call"], rec["class"], rec["d"])
-            ratios.setdefault(key, {base: [], change: []})[rec["label"]].append(rec["ratio"])
-    for (call, cls, d), got in sorted(ratios.items()):
-        if got[base] and got[change]:
-            speedup = statistics.median(got[base]) / statistics.median(got[change])
-            print(f"{call:24s} {cls:11s} {d:3d} {speedup:6.2f}x "
-                  f"({len(got[base])} vs {len(got[change])} runs)")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--label")
+    parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"))
     args = parser.parse_args()
-    if args.compare:
-        compare(args.out, *args.compare)
-        return
-    if not args.label:
-        parser.error("--label is required unless --compare is given")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     src = args.src.resolve()

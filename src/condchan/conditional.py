@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, pair_support_deviation
+from .algebra import AlgebraShape, block_index, leak_and_block_index, pair_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
@@ -90,15 +90,23 @@ def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -
     return (left.swapaxes(1, 2) @ factor).swapaxes(1, 2).reshape(matrix.shape)
 
 
+def _marginal_spectrum(marg: np.ndarray, shape: AlgebraShape) -> EigenSystem:
+    """Spectrum of a joint's marginal, per block of ``shape``.  A valid joint
+    leaks at most BLOCK_TOL per entry off its pair blocks, and the partial
+    trace sums up to the traced dimension of those entries, so a marginal
+    above BLOCK_TOL is decomposed whole."""
+    return herm_eig(marg, leak_and_block_index(marg, shape)[1])
+
+
 def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]:
     """The conditional of ``j`` on ``side`` ("a" or "b") and the spectrum of
     that side's marginal, from which its generalized inverse root was taken."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     if side == "a":
-        marg = herm_eig(partial_trace(j.matrix, da, db, keep="left"), block_index(j.shape_a))
+        marg = _marginal_spectrum(partial_trace(j.matrix, da, db, keep="left"), j.shape_a)
         out = _sandwich_on_first(marg.inv_root(), j.matrix, db)
         return ConditionalState(shape_in=j.shape_a, shape_out=j.shape_b, matrix=out), marg
-    marg = herm_eig(partial_trace(j.matrix, da, db, keep="right"), block_index(j.shape_b))
+    marg = _marginal_spectrum(partial_trace(j.matrix, da, db, keep="right"), j.shape_b)
     out = _sandwich_on_first(marg.inv_root(), swap_factors(j.matrix, da, db), da)
     return ConditionalState(shape_in=j.shape_b, shape_out=j.shape_a, matrix=out), marg
 

@@ -44,13 +44,12 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 
 
 class BlockGroup(NamedTuple):
-    """The n blocks of one size s: where their (n, s, s) stack sits in
-    ``BlockIndex.entries`` and their n·s eigenvectors in its columns."""
+    """The n blocks of one size s: the slice of ``BlockIndex.entries`` (and
+    of ``BlockIndex.scatter``) that their (n, s, s) stack takes."""
 
     n: int
     size: int
-    entries: slice
-    columns: slice
+    span: slice
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,21 +58,16 @@ class BlockIndex:
 
     The blocks are grouped by size, ascending.  ``entries`` lists the flat
     positions of every block entry, group by group, each group as its
-    (n, s, s) stack in C order, and ``mirror`` the positions of their
-    transposes.  ``off`` masks the entries outside every block.
-
-    The eigenvectors are laid out compactly first: column c of an (s_max, D)
-    matrix holds the s components of the c-th, zero-padded, where the
-    columns follow the groups, then the blocks, then each block's solver.
-    ``compact`` masks the components that exist, and ``scatter`` gives the
-    flat position of each (in C order) in the (D, D) eigenvector matrix.
+    (n, s, s) stack in C order, and ``off`` masks the entries outside every
+    block.  The eigenvector columns follow the groups, then the blocks, then
+    each block's solver columns, so ``scatter`` gives, for entry [b, i, k] of
+    a group's (n, s, s) eigenvector stack, its flat position in the (D, D)
+    eigenvector matrix.
     """
 
     groups: tuple[BlockGroup, ...]
     entries: np.ndarray
-    mirror: np.ndarray
     off: np.ndarray
-    compact: np.ndarray
     scatter: np.ndarray
 
     @classmethod
@@ -85,23 +79,18 @@ class BlockIndex:
         sets = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
         if len(sets) == 1:
             return None
-        sizes = sorted({len(idx) for idx in sets})
-        compact = np.zeros((sizes[-1], d), dtype=bool)
-        target = np.zeros((sizes[-1], d), dtype=np.intp)
-        groups, entries, mirror, start, col = [], [], [], 0, 0
-        for size in sizes:
+        groups, entries, scatter, start, col = [], [], [], 0, 0
+        for size in sorted({len(idx) for idx in sets}):
             idx = np.array([ix for ix in sets if len(ix) == size])
             n = len(idx)
-            cols = slice(col, col + n * size)
-            groups.append(BlockGroup(n, size, slice(start, start + n * size * size), cols))
+            groups.append(BlockGroup(n, size, slice(start, start + n * size * size)))
             entries.append((idx[:, :, None] * d + idx[:, None, :]).ravel())
-            mirror.append((idx[:, None, :] * d + idx[:, :, None]).ravel())
-            # component i of the eigenvector in column b·s + k of the group
-            # sits in row idx[b, i]
-            compact[:size, cols] = True
-            target[:size, cols] = np.repeat(idx.T * d, size, axis=1) + np.arange(d)[cols]
+            # component i of solver column k of block b sits in row idx[b, i]
+            # and column col + b·s + k
+            cols = col + np.arange(n * size).reshape(n, 1, size)
+            scatter.append((idx[:, :, None] * d + cols).ravel())
             start, col = start + n * size * size, col + n * size
-        arrays = (np.concatenate(entries), np.concatenate(mirror), off, compact, target[compact])
+        arrays = (np.concatenate(entries), off, np.concatenate(scatter))
         for arr in arrays:
             arr.setflags(write=False)
         return cls(tuple(groups), *arrays)
@@ -262,16 +251,12 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     solved = [_solve(np.linalg.eigh, part) for part in _checked_hermitian(m, blocks)]
     if blocks is None:
         w, v = solved[0]
-        v = _fix_phases(v)
     else:
         w = np.concatenate([pw.ravel() for pw, _ in solved])
-        compact = np.zeros(blocks.compact.shape, dtype=np.complex128)
-        for group, (_, pv) in zip(blocks.groups, solved):
-            compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
         v = np.zeros((w.size, w.size), dtype=np.complex128)
-        v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
+        v.ravel()[blocks.scatter] = np.concatenate([pv.ravel() for _, pv in solved])
     order = np.argsort(-w, kind="stable")
-    return EigenSystem(eigenvalues=w[order], eigenvectors=v[:, order])
+    return EigenSystem(eigenvalues=w[order], eigenvectors=_fix_phases(v)[:, order])
 
 
 def herm_eigvals(m, blocks: BlockIndex | None = None) -> np.ndarray:
@@ -300,22 +285,17 @@ def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     if blocks is not None and arr.shape != blocks.off.shape:
         raise DimensionMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
-    leak = 0.0 if blocks is None else max_abs(arr[blocks.off])
-    if blocks is None or not leak <= BLOCK_TOL:
-        dev = herm_deviation(arr)
-    else:
-        # a leak within BLOCK_TOL moves |m - m†| by at most 2·BLOCK_TOL <
-        # INPUT_TOL, so the block entries alone decide Hermiticity
-        entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
-        dev = max_abs(entries - adjoint)
+    dev = herm_deviation(arr)
     if dev > INPUT_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
+    herm = hermitize(arr)
+    if blocks is None:
+        return [herm]
+    leak = max_abs(arr[blocks.off])
     if not leak <= BLOCK_TOL:
         raise InvariantViolation("block_support", leak)
-    if blocks is None:
-        return [hermitize(arr)]
-    herm = (entries + adjoint) / 2
-    return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups]
+    flat = herm.take(blocks.entries)
+    return [flat[g.span].reshape(g.n, g.size, g.size) for g in blocks.groups]
 
 
 def mat_sqrt(p) -> np.ndarray:

@@ -21,7 +21,9 @@ transpose counted as one) at most once per call.  Spectra taken per algebra
 block agree with the whole-matrix decomposition within 1e-12 (by Choi
 matrix where a degenerate eigenspace may change the Kraus basis), their
 eigenvectors are exactly zero off their block, and off-block weight above
-``BLOCK_TOL`` is rejected rather than dropped.
+``BLOCK_TOL`` is rejected rather than dropped, except in a derived matrix
+that may carry it (a joint's marginal, a checked channel's Choi matrix),
+which is decomposed whole.
 """
 
 import importlib.util
@@ -1294,6 +1296,21 @@ def test_channel_checks_read_a_leaking_choi_matrix_whole(rng):
     assert BLOCK_TOL < report.block_support_deviation <= IDENTITY_TOL
     assert abs(report.choi_min_eigenvalue - oracle_choi_min_eigenvalue(c)) <= ATOL
     assert not is_isometry(c)  # the pinched Choi matrix has one rank per input block
+
+
+def test_conditioning_reads_a_leaking_marginal_whole(rng):
+    # a joint may leave up to BLOCK_TOL on each entry off its pair blocks, and
+    # its marginal sums d_b of them; conditioning then decomposes the whole
+    # marginal, leak included, instead of raising
+    shape_a, shape_b = AlgebraShape((1, 1)), AlgebraShape((4,))
+    m = np.kron(np.diag([0.5, 0.5]), random_state(shape_b, rng).matrix)
+    for k in range(4):
+        m[k, 4 + k] = m[4 + k, k] = 0.4 * BLOCK_TOL
+    j = JointState(shape_a, shape_b, m)
+    assert block_support_deviation(partial_trace(m, 2, 4, keep="left"), shape_a) > BLOCK_TOL
+    close(conditional_from_joint(j, "a").matrix, oracle_conditional(j, "a"))
+    report = verify_theorem(j, random_povm(shape_a, 2, rng), random_povm(shape_b, 3, rng))
+    assert report.max_deviation <= 1e-9
 
 
 # -- tests: documents -------------------------------------------------------
