@@ -20,7 +20,8 @@ correspondence map decomposes each distinct matrix (a matrix and its
 transpose counted as one) at most once per call.  Spectra taken per algebra
 block agree with the whole-matrix decomposition within 1e-12 (by Choi
 matrix where a degenerate eigenspace may change the Kraus basis), their
-eigenvectors are exactly zero off their block, and off-block weight above
+eigenvectors are exactly zero off their block, a matrix below
+``BLOCKWISE_MIN_DIM`` is decomposed whole, and off-block weight above
 ``BLOCK_TOL`` is rejected rather than dropped, except in a derived matrix
 that may carry it (a joint's marginal, a checked channel's Choi matrix),
 which is decomposed whole.
@@ -84,6 +85,7 @@ from condchan.channels import (
 )
 from condchan.errors import NoConvergence, NotHermitian
 from condchan.matcore import (
+    BLOCKWISE_MIN_DIM,
     _fix_phases,
     gen_inv_sqrt,
     herm_eig,
@@ -1093,15 +1095,17 @@ def test_spectral_checks_match_the_full_eigendecomposition(rng, shape):
 def test_spectral_checks_make_one_eigvalsh_call(rng, monkeypatch):
     shape = AlgebraShape((4,))
     unitary = Channel(shape, shape, (random_unitary(4, rng),))
-    noisy = random_channel(shape, AlgebraShape((2, 1)), 3, rng)
+    noisy = random_channel(shape, AlgebraShape((3, 1)), 3, rng)
+    small = random_channel(shape, AlgebraShape((2, 1)), 3, rng)
     calls = count_linalg(monkeypatch)
     assert is_isometry(unitary) and not is_isometry(noisy)
-    # the noisy Choi matrix has one block of 4·2 and one of 4·1
-    per_block = [("eigvalsh", (1, 4, 4)), ("eigvalsh", (1, 8, 8))]
+    # the noisy Choi matrix has one block of 4·3 and one of 4·1
+    per_block = [("eigvalsh", (1, 4, 4)), ("eigvalsh", (1, 12, 12))]
     assert calls == [("eigvalsh", (16, 16))] + per_block
     calls.clear()
-    assert validate_channel(noisy).ok
-    assert calls == per_block
+    assert validate_channel(noisy).ok and validate_channel(small).ok
+    # a Choi matrix below BLOCKWISE_MIN_DIM is decomposed whole
+    assert calls == per_block + [("eigvalsh", (12, 12))]
 
 
 def test_spectral_checks_keep_the_hermiticity_check(rng):
@@ -1239,10 +1243,16 @@ def test_block_spectra_match_the_full_eigendecomposition(rng, shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_block_eigenvectors_are_exactly_zero_off_their_block(rng, shape):
     for m, blocks, cond in block_cases(rng, shape):
-        nonzero = herm_eig(m, blocks).eigenvectors.T != 0
-        off = np.zeros(m.shape, dtype=bool) if blocks is None else blocks.off
+        es = herm_eig(m, blocks)
+        if blocks is None or m.shape[0] < BLOCKWISE_MIN_DIM:
+            # decomposed whole, bit for bit as without an index
+            whole = herm_eig(m)
+            assert es.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
+            assert es.eigenvectors.tobytes() == whole.eigenvectors.tobytes()
+            continue
+        nonzero = es.eigenvectors.T != 0
         # no eigenvector has two nonzero entries in different blocks
-        assert not (nonzero[:, :, None] & nonzero[:, None, :] & off).any()
+        assert not (nonzero[:, :, None] & nonzero[:, None, :] & blocks.off).any()
         if cond is not None:
             choi = choi_from_kraus(channel_from_conditional(cond).kraus)
             assert pair_support_deviation(choi, cond.shape_in, cond.shape_out) == 0.0
@@ -1288,9 +1298,9 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
 def test_channel_checks_read_a_leaking_choi_matrix_whole(rng):
     # a checked channel may leave up to IDENTITY_TOL off the output blocks;
     # its checks then decompose the whole Choi matrix instead of raising
-    shape = AlgebraShape((2, 1))
+    shape = AlgebraShape((3, 1))
     k = random_block_unitary(shape, rng)
-    k[2, 0] = 1e-10
+    k[3, 0] = 1e-10
     c = Channel(shape, shape, (k,))
     report = validate_channel(c)
     assert BLOCK_TOL < report.block_support_deviation <= IDENTITY_TOL
@@ -1302,12 +1312,15 @@ def test_conditioning_reads_a_leaking_marginal_whole(rng):
     # a joint may leave up to BLOCK_TOL on each entry off its pair blocks, and
     # its marginal sums d_b of them; conditioning then decomposes the whole
     # marginal, leak included, instead of raising
-    shape_a, shape_b = AlgebraShape((1, 1)), AlgebraShape((4,))
-    m = np.kron(np.diag([0.5, 0.5]), random_state(shape_b, rng).matrix)
+    shape_a, shape_b = AlgebraShape((8, 8)), AlgebraShape((4,))
+    assert shape_a.total_dim >= BLOCKWISE_MIN_DIM
+    p = np.full(16, 0.1 / 14)
+    p[0] = p[8] = 0.45
+    m = np.kron(np.diag(p), np.eye(4) / 4)
     for k in range(4):
-        m[k, 4 + k] = m[4 + k, k] = 0.4 * BLOCK_TOL
+        m[k, 32 + k] = m[32 + k, k] = 0.4 * BLOCK_TOL
     j = JointState(shape_a, shape_b, m)
-    assert block_support_deviation(partial_trace(m, 2, 4, keep="left"), shape_a) > BLOCK_TOL
+    assert block_support_deviation(partial_trace(m, 16, 4, keep="left"), shape_a) > BLOCK_TOL
     close(conditional_from_joint(j, "a").matrix, oracle_conditional(j, "a"))
     report = verify_theorem(j, random_povm(shape_a, 2, rng), random_povm(shape_b, 3, rng))
     assert report.max_deviation <= 1e-9
