@@ -193,9 +193,9 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     """Recover the channel from its conditional-state form.
 
     Kraus operators come from the eigendecomposition of the conditional,
-    one per eigenvalue above its support cutoff; it is decomposed per block
-    of the tensor-product algebra, so each Kraus operator maps one input
-    block into one output block.  When the
+    one per eigenvalue above its support cutoff; from ``BLOCKWISE_MIN_DIM``
+    up it is decomposed per block of the tensor-product algebra, so each
+    Kraus operator maps one input block into one output block.  When the
     conditioning support is a proper projector rather than the identity, the
     returned channel is defined on that support subalgebra and carries it in
     ``input_support``.

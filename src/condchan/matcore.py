@@ -17,13 +17,15 @@ Conventions fixed here once and relied on project-wide:
   cutoff, ``CUTOFF_REL`` times the largest eigenvalue with the floor
   ``CUTOFF_FLOOR`` (see ``tolerances``); ``mat_sqrt``, ``gen_inv_sqrt`` and
   ``support_projector`` are the views of a fresh decomposition;
-* a matrix of a reducible algebra (or tensor product of algebras) is
-  decomposed per block: ``herm_eig`` and ``herm_eigvals`` take the algebra's
-  ``BlockIndex`` (from ``algebra.block_index``) and run one stacked solver
-  call per distinct block size, so its eigenvectors, and the Kraus
-  operators read off them, are exactly zero outside their block.  Within a
-  degenerate eigenspace the basis (and so a Kraus set) may differ from the
-  one a whole-matrix decomposition gives; the spanned subspaces do not.
+* a matrix of a reducible algebra (or tensor product of algebras) of
+  dimension at least ``BLOCKWISE_MIN_DIM`` is decomposed per block:
+  ``herm_eig`` and ``herm_eigvals`` take the algebra's ``BlockIndex`` (from
+  ``algebra.block_index``) and run one stacked solver call per distinct
+  block size, so its eigenvectors, and the Kraus operators read off them,
+  are exactly zero outside their block.  Within a degenerate eigenspace the
+  basis (and so a Kraus set) may differ from the one a whole-matrix
+  decomposition gives; the spanned subspaces do not.  A smaller matrix is
+  decomposed whole, where one solver call is cheaper.
 """
 
 from __future__ import annotations
