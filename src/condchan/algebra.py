@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .matcore import BlockIndex, max_abs
-from .tolerances import BLOCK_TOL
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,6 @@ def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
     """Block index of the tensor product of ``shapes`` (of one algebra when
     one shape is given) on the kron space, for ``herm_eig`` (cached)."""
     return _masks(shapes)[2]
-
-
-def leak_and_block_index(m, *shapes: AlgebraShape) -> tuple[float, BlockIndex | None]:
-    """Largest entry of ``m`` outside the blocks of ``shapes``, and their
-    block index for ``herm_eig`` while that entry is within ``BLOCK_TOL``;
-    None above it, so a derived matrix that may legitimately leak more (the
-    marginal of a joint, the Choi matrix of a checked channel) is decomposed
-    whole, leak included, instead of rejected."""
-    _, off, blocks = _masks(shapes)
-    leak = _off_support_deviation(m, off)
-    return leak, blocks if leak <= BLOCK_TOL else None
 
 
 def _off_support_deviation(m, off: np.ndarray) -> float:

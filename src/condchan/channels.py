@@ -28,7 +28,7 @@ from .algebra import (
     block_index,
     block_mask,
     block_projectors,
-    leak_and_block_index,
+    pair_support_deviation,
 )
 from .conditional import ConditionalState
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .matcore import herm_deviation, herm_eig, herm_eigvals, max_abs
 from .states import State
-from .tolerances import IDENTITY_TOL
+from .tolerances import BLOCK_TOL, IDENTITY_TOL
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -266,7 +266,8 @@ def _choi_spectrum(c: Channel) -> tuple[np.ndarray, float]:
     exceeds ``BLOCK_TOL`` (a channel accepts up to ``IDENTITY_TOL``); then
     the whole matrix is decomposed, leak included."""
     choi = _choi_matrix(c)
-    leak, blocks = leak_and_block_index(choi, c.shape_in, c.shape_out)
+    leak = pair_support_deviation(choi, c.shape_in, c.shape_out)
+    blocks = block_index(c.shape_in, c.shape_out) if leak <= BLOCK_TOL else None
     return herm_eigvals(choi, blocks), leak
 
 

@@ -19,7 +19,12 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, leak_and_block_index, pair_support_deviation
+from .algebra import (
+    AlgebraShape,
+    block_index,
+    block_support_deviation,
+    pair_support_deviation,
+)
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
@@ -32,7 +37,7 @@ from .matcore import (
     swap_factors,
 )
 from .states import JointState, State, _side, _validate_psd
-from .tolerances import IDENTITY_TOL, JOIN_TRACE_TOL, RANK_TOL
+from .tolerances import BLOCK_TOL, IDENTITY_TOL, JOIN_TRACE_TOL, RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +100,10 @@ def _marginal_spectrum(marg: np.ndarray, shape: AlgebraShape) -> EigenSystem:
     leaks at most BLOCK_TOL per entry off its pair blocks, and the partial
     trace sums up to the traced dimension of those entries, so a marginal
     above BLOCK_TOL is decomposed whole."""
-    return herm_eig(marg, leak_and_block_index(marg, shape)[1])
+    blocks = block_index(shape)
+    if blocks is not None and block_support_deviation(marg, shape) > BLOCK_TOL:
+        blocks = None
+    return herm_eig(marg, blocks)
 
 
 def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]:

@@ -24,8 +24,8 @@ Conventions fixed here once and relied on project-wide:
   block size, so its eigenvectors, and the Kraus operators read off them,
   are exactly zero outside their block.  Within a degenerate eigenspace the
   basis (and so a Kraus set) may differ from the one a whole-matrix
-  decomposition gives; the spanned subspaces do not.  A smaller matrix is
-  decomposed whole, where one solver call is cheaper.
+  decomposition gives; the spanned subspaces do not.  A smaller matrix has
+  no index and is decomposed whole, where one solver call is cheaper.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE
 
-# Smallest matrix dimension decomposed per block.  Below it one solver call
+# Smallest matrix dimension given a block index.  Below it one solver call
 # on the whole matrix costs less than one call per block size plus the
 # gather and scatter: on 1-thread OpenBLAS, over the reducible shape pairs
 # of dimension 4 to 64, the per-block ``herm_eig`` took 1.0-1.5x the
@@ -90,11 +90,12 @@ class BlockIndex:
     def from_labels(cls, labels: np.ndarray, off: np.ndarray) -> BlockIndex | None:
         """Index of the blocks that ``labels`` (the block 0, 1, ... of each
         embedding index) defines, with ``off`` its read-only off-block mask;
-        None for a single block."""
+        None for a single block or a dimension below ``BLOCKWISE_MIN_DIM``,
+        so that the matrix is decomposed whole."""
         d = labels.size
-        sets = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
-        if len(sets) == 1:
+        if d < BLOCKWISE_MIN_DIM or not labels.any():
             return None
+        sets = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
         sizes = sorted({len(idx) for idx in sets})
         compact = np.zeros((sizes[-1], d), dtype=bool)
         target = np.zeros((sizes[-1], d), dtype=np.intp)
@@ -256,10 +257,8 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     """Full spectral decomposition of a square matrix that is Hermitian
     within ``INPUT_TOL`` (max entry of |m - m†|); the matrix is
     symmetrized first, so floating-point drift cannot leak into spectra.
-    With ``blocks`` and a dimension of at least ``BLOCKWISE_MIN_DIM`` it is
-    decomposed per block, one stacked ``eigh`` per block size, and each
-    eigenvector is exactly zero outside its block; a smaller matrix is
-    decomposed whole.
+    With ``blocks`` it is decomposed per block, one stacked ``eigh`` per
+    block size, and each eigenvector is exactly zero outside its block.
 
     Raises
     ------
@@ -271,8 +270,7 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     NoConvergence
         If the underlying iterative solver fails.
     """
-    parts, blocks = _checked_hermitian(m, blocks)
-    solved = [_solve(np.linalg.eigh, part) for part in parts]
+    solved = [_solve(np.linalg.eigh, part) for part in _checked_hermitian(m, blocks)]
     if blocks is None:
         w, v = solved[0]
         v = _fix_phases(v)
@@ -289,14 +287,12 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
 
 def herm_eigvals(m, blocks: BlockIndex | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending, from one
-    ``eigvalsh`` call (one per block size where ``herm_eig`` decomposes per
-    block): ``herm_eig`` without the eigenvectors, with the same checks and
-    errors."""
-    parts, blocks = _checked_hermitian(m, blocks)
-    solved = [_solve(np.linalg.eigvalsh, part) for part in parts]
+    ``eigvalsh`` call (one per block size with ``blocks``): ``herm_eig``
+    without the eigenvectors, with the same checks and errors."""
+    parts = [_solve(np.linalg.eigvalsh, part) for part in _checked_hermitian(m, blocks)]
     if blocks is None:
-        return solved[0][::-1]
-    return np.sort(np.concatenate([w.ravel() for w in solved]))[::-1]
+        return parts[0][::-1]
+    return np.sort(np.concatenate([w.ravel() for w in parts]))[::-1]
 
 
 def _solve(solver, arr: np.ndarray):
@@ -306,36 +302,31 @@ def _solve(solver, arr: np.ndarray):
         raise NoConvergence(str(exc)) from exc
 
 
-def _checked_hermitian(
-    m, blocks: BlockIndex | None
-) -> tuple[list[np.ndarray], BlockIndex | None]:
-    """Hermitian part of a square matrix that is Hermitian within INPUT_TOL,
-    and the index to decompose it by.  With ``blocks``, the matrix must be
-    zero outside them within BLOCK_TOL; from BLOCKWISE_MIN_DIM up it is then
-    returned as one (n, s, s) stack of its blocks per group, with ``blocks``.
-    Otherwise it is returned whole, as a list of one, with None."""
+def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
+    """Hermitian part of a square matrix that is Hermitian within INPUT_TOL:
+    the matrix as a list of one, or with ``blocks`` one (n, s, s) stack of
+    its blocks per group, if it is zero outside them within BLOCK_TOL."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     if blocks is not None and arr.shape != blocks.off.shape:
         raise DimensionMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
     leak = 0.0 if blocks is None else max_abs(arr[blocks.off])
-    split = blocks is not None and leak <= BLOCK_TOL and arr.shape[0] >= BLOCKWISE_MIN_DIM
-    if split:
+    if blocks is None or not leak <= BLOCK_TOL:
+        dev = herm_deviation(arr)
+    else:
         # a leak within BLOCK_TOL moves |m - m†| by at most 2·BLOCK_TOL <
         # INPUT_TOL, so the block entries alone decide Hermiticity
         entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
         dev = max_abs(entries - adjoint)
-    else:
-        dev = herm_deviation(arr)
     if dev > INPUT_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
     if not leak <= BLOCK_TOL:
         raise InvariantViolation("block_support", leak)
-    if not split:
-        return [hermitize(arr)], None
+    if blocks is None:
+        return [hermitize(arr)]
     herm = (entries + adjoint) / 2
-    return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups], blocks
+    return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups]
 
 
 def mat_sqrt(p) -> np.ndarray:

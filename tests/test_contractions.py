@@ -1243,14 +1243,9 @@ def test_block_spectra_match_the_full_eigendecomposition(rng, shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_block_eigenvectors_are_exactly_zero_off_their_block(rng, shape):
     for m, blocks, cond in block_cases(rng, shape):
-        es = herm_eig(m, blocks)
-        if blocks is None or m.shape[0] < BLOCKWISE_MIN_DIM:
-            # decomposed whole, bit for bit as without an index
-            whole = herm_eig(m)
-            assert es.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
-            assert es.eigenvectors.tobytes() == whole.eigenvectors.tobytes()
+        if blocks is None:
             continue
-        nonzero = es.eigenvectors.T != 0
+        nonzero = herm_eig(m, blocks).eigenvectors.T != 0
         # no eigenvector has two nonzero entries in different blocks
         assert not (nonzero[:, :, None] & nonzero[:, None, :] & blocks.off).any()
         if cond is not None:
@@ -1258,8 +1253,19 @@ def test_block_eigenvectors_are_exactly_zero_off_their_block(rng, shape):
             assert pair_support_deviation(choi, cond.shape_in, cond.shape_out) == 0.0
 
 
+def test_block_index_starts_at_the_crossover_dimension():
+    # below BLOCKWISE_MIN_DIM (and for one block) there is no index, so the
+    # matrix is decomposed whole
+    shapes = [AlgebraShape(dims) for dims in ((3,), (2, 1), (1, 1, 1), (3, 1), (2, 2), (4, 2, 1, 1))]
+    for a in shapes:
+        for b in shapes:
+            split = a.total_dim * b.total_dim >= BLOCKWISE_MIN_DIM and len(a.block_dims) * len(b.block_dims) > 1
+            assert (block_index(a, b) is not None) == split
+        assert (block_index(a) is not None) == (a.total_dim >= BLOCKWISE_MIN_DIM)
+
+
 def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkeypatch):
-    shape = AlgebraShape((2, 1))
+    shape = AlgebraShape((3, 1))
     blocks = block_index(shape, shape)
     m = choi_conditional(random_channel(shape, shape, 2, rng)).matrix
     i, k = np.argwhere(blocks.off)[0]
@@ -1282,9 +1288,9 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
     for fn in (lambda x: herm_eig(x, blocks).eigenvalues, lambda x: herm_eigvals(x, blocks)):
         assert fn(drift).tobytes() == fn(hermitize(drift)).tobytes()
     with pytest.raises(NotHermitian):
-        herm_eig(random_complex(rng, 9, 9), blocks)
+        herm_eig(random_complex(rng, 16, 16), blocks)
     with pytest.raises(NotHermitian):
-        herm_eigvals(random_complex(rng, 9, 9), blocks)
+        herm_eigvals(random_complex(rng, 16, 16), blocks)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
