@@ -67,7 +67,7 @@ MASK_CACHE_SIZE = 32
 def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple[np.ndarray, np.ndarray, BlockIndex | None]:
     """Read-only support mask of the tensor product of ``shapes`` on the kron
     space, its complement (the off-block entries), and the index of its
-    blocks (None for a single block)."""
+    blocks (see ``BlockIndex.from_labels`` for when it is None)."""
     # the block of a kron index is the tuple of its factors' blocks, numbered
     # in the same slow-to-fast order
     labels = np.zeros(1, dtype=np.intp)
@@ -93,7 +93,8 @@ def pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
 
 def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
     """Block index of the tensor product of ``shapes`` (of one algebra when
-    one shape is given) on the kron space, for ``herm_eig`` (cached)."""
+    one shape is given) on the kron space, for ``herm_eig`` (cached); None
+    for a single block or a dimension below ``matcore.BLOCKWISE_MIN_DIM``."""
     return _masks(shapes)[2]
 
 
