@@ -8,8 +8,10 @@ Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
 BLAS fixed to one thread.  For each call below and each algebra class
 (irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the time
 of the first call, the median per-call wall time over ``--repeats`` later
-samples (each a batch of calls lasting about 2 ms), and the ``eigvalsh``,
-``eigh`` and ``cholesky`` calls one call makes.  Beside every sample it
+samples (each a batch of calls lasting about 2 ms), the ``eigvalsh``,
+``eigh`` and ``cholesky`` calls one call makes, and the peak resident set
+size of the process after the call's samples (a high-water mark, so it
+bounds the call's own peak).  Beside every sample it
 runs the benchmark's calibration kernel (``perfbench/calibrate.py``), a
 fixed amount of work that does not touch condchan, and records the median
 kernel time and the median ratio of sample to kernel time.  The ratio
@@ -18,7 +20,7 @@ calls by 10 % and more between runs.  The calls:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
-* ``teleport`` from ``(d,)`` into each class, d = 2…8;
+* ``teleport`` from ``(d,)`` into each class, d = 2…16;
 * ``verify_theorem`` on the class paired with itself, d = 2…16;
 * ``conditional_from_joint`` on the class paired with itself (conditioned
   on the first side), and ``bayes_invert`` of the conditional on the second
@@ -31,7 +33,9 @@ calls by 10 % and more between runs.  The calls:
 
 Each run appends to ``--out`` one JSON record per line: a ``"run"``
 record with the label, commit, ``src/condchan`` line count and environment,
-then one ``"result"`` record per call.  Everything already in the file is
+then one ``"result"`` record per call, or a ``"failed"`` record naming the
+error for a call that runs out of memory (under ``ulimit -v``, say), so that
+a tree that cannot run a case is recorded as such.  Everything already in the file is
 kept, so one file holds the before and after of a change, and runs of the
 two trees can be interleaved (parent, change, change, parent, ...) to spread
 drift in machine speed over both.
@@ -45,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -72,6 +77,15 @@ def shape_classes(d):
     return classes
 
 
+def teleport_cases(cc, rng, dims):
+    for d in dims:
+        shape_in = cc.AlgebraShape((d,))
+        for cls, out in shape_classes(d).items():
+            c = cc.random_channel(shape_in, cc.AlgebraShape(out), 2, rng)
+            s = cc.random_state(shape_in, rng)
+            yield "teleport", d, cls, partial(cc.teleport, c, s)
+
+
 def cases(cc):
     """(call, d, class, zero-argument callable) for every measured call."""
     rng = np.random.default_rng(SEED)
@@ -86,12 +100,7 @@ def cases(cc):
             yield "JointState", d, cls, partial(cc.JointState, shape, shape, joint)
             yield "ConditionalState", d, cls, partial(cc.ConditionalState, shape, shape, cond)
             yield "POVM", d, cls, partial(cc.POVM, shape, elements)
-    for d in range(2, 9):
-        shape_in = cc.AlgebraShape((d,))
-        for cls, dims in shape_classes(d).items():
-            c = cc.random_channel(shape_in, cc.AlgebraShape(dims), 2, rng)
-            s = cc.random_state(shape_in, rng)
-            yield "teleport", d, cls, partial(cc.teleport, c, s)
+    yield from teleport_cases(cc, rng, range(2, 9))
     for d in range(2, 17):
         for cls, dims in shape_classes(d).items():
             shape = cc.AlgebraShape(dims)
@@ -117,6 +126,8 @@ def cases(cc):
             yield "apply_matrix", d, cls, partial(cc.channels.apply_matrix, c, stack)
             yield "choi_conditional", d, cls, partial(cc.choi_conditional, c)
             yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
+    # the same for the teleport cases above d = 8
+    yield from teleport_cases(cc, np.random.default_rng(SEED + 2), range(9, 17))
 
 
 def count_calls(fn):
@@ -147,29 +158,40 @@ def timed(fn):
     return 1e3 * (time.perf_counter() - start)
 
 
-def measure(cc, repeats):
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def measure_call(fn, control, repeats):
+    first = timed(fn)
+    # each sample times a batch of about BATCH_MS, so that timer
+    # resolution and scheduler noise stay small against short calls
+    number = max(1, round(BATCH_MS / first))
+    timer = timeit.Timer(fn)
+    samples, kernel = [], []
+    for _ in range(repeats):
+        kernel.append(control.sample())
+        samples.append(timer.timeit(number) / number)
+    return {
+        "kind": "result",
+        "median_ms": 1e3 * statistics.median(samples),
+        "first_ms": first,
+        "control_ms": 1e3 * statistics.median(kernel),
+        "ratio": statistics.median(s / k for s, k in zip(samples, kernel)),
+        **count_calls(fn),
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
+def measure(calls, repeats):
     control = Calibration()
     rows = []
-    for call, d, cls, fn in cases(cc):
-        first = timed(fn)
-        # each sample times a batch of about BATCH_MS, so that timer
-        # resolution and scheduler noise stay small against short calls
-        number = max(1, round(BATCH_MS / first))
-        timer = timeit.Timer(fn)
-        samples, kernel = [], []
-        for _ in range(repeats):
-            kernel.append(control.sample())
-            samples.append(timer.timeit(number) / number)
-        rows.append({
-            "call": call,
-            "d": d,
-            "class": cls,
-            "median_ms": 1e3 * statistics.median(samples),
-            "first_ms": first,
-            "control_ms": 1e3 * statistics.median(kernel),
-            "ratio": statistics.median(s / k for s, k in zip(samples, kernel)),
-            **count_calls(fn),
-        })
+    for call, d, cls, fn in calls:
+        try:
+            row = measure_call(fn, control, repeats)
+        except MemoryError as exc:
+            row = {"kind": "failed", "error": type(exc).__name__}
+        rows.append({"call": call, "d": d, "class": cls, **row})
     return rows
 
 
@@ -231,8 +253,8 @@ def main():
         "repeats": args.repeats,
     }
     lines = [run] + [
-        {"kind": "result", "run": run["run"], "label": args.label, **row}
-        for row in measure(cc, args.repeats)
+        {"run": run["run"], "label": args.label, **row}
+        for row in measure(cases(cc), args.repeats)
     ]
     with args.out.open("a", encoding="utf-8") as out:
         out.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in lines)

@@ -64,7 +64,6 @@ from .scenarios import (
     random_unitary,
     teleport,
     teleport_classical,
-    teleport_general,
     verify_theorem,
 )
 from .states import JointState, State, reduce

@@ -151,7 +151,7 @@ def _cmd_teleport(args) -> int:
     if args.classical:
         report = teleport_classical(channel, input_state)
     else:
-        report = teleport(channel, input_state, tol=args.tol)
+        report = teleport(channel, input_state)
     _emit_json(
         _teleport_payload(report),
         f"success probability {report.success_probability:.6f}"
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--classical", action="store_true")
-    p.add_argument("--tol", type=float, default=IDENTITY_TOL)
     p.set_defaults(fn=_cmd_teleport)
 
     p = sub.add_parser("prepare", help="POVM-preparation ensemble of a state")

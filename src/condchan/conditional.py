@@ -37,7 +37,7 @@ from .matcore import (
     swap_factors,
 )
 from .states import JointState, State, _side, _validate_psd
-from .tolerances import BLOCK_TOL, IDENTITY_TOL, JOIN_TRACE_TOL, RANK_TOL
+from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +140,10 @@ def joint_from_conditional(marg: State, cond: ConditionalState) -> JointState:
         raise ShapeMismatch("marginal shape does not match the conditioning algebra")
     root = mat_sqrt(marg.matrix)
     out = _sandwich_on_first(root, cond.matrix, cond.shape_out.total_dim)
-    trace_dev = abs(np.trace(out).real - 1.0)
-    if trace_dev > JOIN_TRACE_TOL:
+    # the measure and threshold of the rebuilt joint's own unit-trace check
+    trace = np.trace(out)
+    trace_dev = abs(trace.real - 1.0) + abs(trace.imag)
+    if trace_dev > INPUT_TOL:
         raise SupportMismatch(
             f"reconstructed joint state has trace deviation {trace_dev:.3e}; "
             "the marginal leaks outside the conditional's conditioning support"

@@ -9,13 +9,14 @@ runnable here:
 * ``teleport`` / ``teleport_classical`` run noisy-gate teleportation with a
   maximally entangled measurement, including the classical-bit degeneration
   where grouping parity outcomes doubles the success probability and the
-  protocol becomes a one-time pad.  Each run works on stacks: the
-  measurement effects are one (n, D, D) array, certified positive by one
-  Cholesky factorization; the branch states (and the identity channel's
-  corrected states) are normalized and validated as one stack; and the
-  channel's conditional form is built and validated once per run.  The
-  default Bell basis and the parity pair are built and validated once per
-  dimension and tolerance and then reused, read-only, within a byte budget.
+  protocol becomes a one-time pad.  The generalized Bell basis is never
+  formed: every effect is rank one, and what it leaves on the resource's
+  input half is a rolled and phased copy of the transposed input, so all
+  d² reductions take O(d⁴) memory.  An explicit basis is validated as a
+  ``POVM`` and contracted with the input in one product.  The branch states
+  (and the identity channel's corrected states) are normalized and
+  validated as one stack, and the channel's conditional form is built and
+  validated once per run.
 
 Also home to the seeded random generators for states, channels, POVMs and
 unitaries used by the test suites and the CLI selftest.
@@ -23,9 +24,7 @@ unitaries used by the test suites and the CLI selftest.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,14 +38,7 @@ from .channels import (
 )
 from .conditional import ConditionalState, _condition
 from .errors import BasisNotPOVM, DimensionMismatch, ShapeMismatch
-from .matcore import (
-    _fix_phases,
-    _min_eigenvalue_unless_certified,
-    gen_inv_sqrt,
-    hermitize,
-    kron,
-    max_abs,
-)
+from .matcore import _fix_phases, gen_inv_sqrt, hermitize, kron, max_abs
 from .povm import POVM
 from .states import JointState, State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
@@ -137,82 +129,47 @@ def bell_basis(dim: int) -> tuple[np.ndarray, ...]:
     return tuple(vecs[:, :, None] * vecs[:, None, :].conj())
 
 
-def _validate_effects(effects, dim: int, tol: float) -> np.ndarray:
-    """Check that the effects form a POVM on C^dim; return them as one
-    (n, dim, dim) stack."""
-    ops = [np.asarray(e, dtype=np.complex128) for e in effects]
-    for e in ops:
-        if e.shape != (dim, dim):
-            raise BasisNotPOVM(f"effect shape {e.shape}, expected {(dim, dim)}")
-    if not ops:
-        raise BasisNotPOVM("the basis has no effects")
-    stack = np.stack(ops)
-    if not np.isfinite(stack).all():
-        raise BasisNotPOVM("effect has non-finite entries")
-    if max_abs(stack - stack.conj().swapaxes(1, 2)) > IDENTITY_TOL:
-        raise BasisNotPOVM("effect is not Hermitian")
-    low = _min_eigenvalue_unless_certified(stack, hermitize(stack), IDENTITY_TOL)
-    if low is not None and low < -IDENTITY_TOL:
-        raise BasisNotPOVM(f"effect has negative eigenvalue {low:.3e}")
-    if max_abs(stack.sum(0) - np.eye(dim)) > tol:
-        raise BasisNotPOVM("effects do not sum to the identity")
-    return stack
+def _bell_reduced(rho: np.ndarray) -> np.ndarray:
+    """What each Bell effect leaves on the resource's input half: the
+    operators F_ab = W_ab ρᵀ W_ab† / d, one flattened (d, d) operator per row
+    of a (d², d²) array, indexed a * d + b as ``bell_basis``.
+
+    Entry-wise F_ab[i, j] = ω^(b(i−j)) ρᵀ[i−a, j−a] / d, so each row is a
+    roll of ρᵀ times a phase: O(d⁴) memory, and no effect is formed."""
+    d = rho.shape[0]
+    j = np.arange(d)
+    back = (j - j[:, None]) % d  # back[a, i] = i − a (mod d)
+    rolled = rho.T[back[:, :, None], back[:, None, :]]
+    omega = np.exp(2j * np.pi * j / d) / d
+    phases = omega[j[:, None, None] * back.T % d]  # [b, i, j]: ω^(b(i−j)) / d
+    return (rolled[:, None] * phases).reshape(d * d, d * d)
 
 
-def _success_index(effects: np.ndarray, d: int, tol: float) -> int:
-    """Index of the first effect within ``tol`` of the normalized maximally
-    entangled projector on C^d ⊗ C^d."""
+def _success_index(effects: np.ndarray, d: int) -> int:
+    """Index of the first effect within ``IDENTITY_TOL`` of the normalized
+    maximally entangled projector on C^d ⊗ C^d."""
     target = max_ent_matrix(AlgebraShape((d,))) / d
-    matches = np.flatnonzero(np.abs(effects - target).max(axis=(1, 2)) <= tol)
+    matches = np.flatnonzero(np.abs(effects - target).max(axis=(1, 2)) <= IDENTITY_TOL)
     if not matches.size:
         raise BasisNotPOVM("basis does not contain the maximally entangled success effect")
     return int(matches[0])
 
 
-BASIS_CACHE_BYTES = 8 * 2**20  # canonical bases held at once; each takes d^6 * 16 bytes
-_BASIS_CACHE: dict[tuple[int, float], tuple[np.ndarray, int]] = {}
-_BASIS_LOCK = threading.Lock()
+def _groups_outcomes(effects: np.ndarray) -> bool:
+    """Whether some effect has rank above one: Tr(E)² > Tr(E²) beyond
+    rounding, which holds for a positive E exactly when it is not rank one."""
+    traces = np.trace(effects, axis1=1, axis2=2).real
+    squares = (effects.real**2 + effects.imag**2).sum(axis=(1, 2))
+    return bool(np.any(traces**2 - squares > NEGLIGIBLE * traces**2))
 
 
-def _bell_effects(d: int, tol: float) -> tuple[np.ndarray, int]:
-    """The validated Bell basis on C^d ⊗ C^d as one read-only (d², d², d²)
-    stack, and its success index, from a least-recently-used cache."""
-    with _BASIS_LOCK:
-        entry = _BASIS_CACHE.pop((d, tol), None)
-        if entry is None:
-            effects = _validate_effects(bell_basis(d), d * d, tol)
-            effects.setflags(write=False)
-            entry = effects, _success_index(effects, d, tol)
-        if entry[0].nbytes <= BASIS_CACHE_BYTES:
-            _BASIS_CACHE[d, tol] = entry  # (re)inserted last, as the most recent
-            while sum(e.nbytes for e, _ in _BASIS_CACHE.values()) > BASIS_CACHE_BYTES:
-                del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
-        return entry
-
-
-@lru_cache(maxsize=1)
-def _parity_effects() -> np.ndarray:
-    """The validated even/odd parity pair on the classical bit pair, read-only."""
-    even = np.diag(np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128))
-    odd = np.diag(np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128))
-    effects = _validate_effects([even, odd], 4, IDENTITY_TOL)
-    effects.setflags(write=False)
-    return effects
-
-
-def _run_branches(
-    input_matrix: np.ndarray,
-    resource_matrix: np.ndarray,
-    effects: np.ndarray,
-    shape_out: AlgebraShape,
-):
-    # Tr_pair((E_i ⊗ I)(ρ ⊗ R)): F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x], then
-    # Σ F_i[a, b] R[b, o, a, r]; each one product on a reordered 4-index view.
-    n, d, dim_out = len(effects), input_matrix.shape[0], shape_out.total_dim
-    stacked = effects.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(n * d * d, d * d)
-    reduced = (stacked @ input_matrix.T.ravel()).reshape(n, d * d)
+def _run_branches(reduced: np.ndarray, resource_matrix: np.ndarray, shape_out: AlgebraShape):
+    # each row of ``reduced`` is an operator F on the resource's input half;
+    # the branch is Σ F[a, b] R[b, o, a, r], one product on a reordered view
+    dim_out = shape_out.total_dim
+    d = resource_matrix.shape[0] // dim_out
     resource = resource_matrix.reshape(d, dim_out, d, dim_out).transpose(2, 0, 1, 3)
-    unnormalized = (reduced @ resource.reshape(d * d, -1)).reshape(n, dim_out, dim_out)
+    unnormalized = (reduced @ resource.reshape(d * d, -1)).reshape(-1, dim_out, dim_out)
     probs = np.trace(unnormalized, axis1=1, axis2=2).real
     kept = probs > NEGLIGIBLE
     branches = hermitize(unnormalized[kept] / probs[kept, None, None])
@@ -232,21 +189,14 @@ def _acts_as_identity(cond: ConditionalState) -> bool:
 
 
 def _run_protocol(
-    cond: ConditionalState,
-    input_state: State,
-    effects: np.ndarray,
-    success_index: int,
-    grouping_used: bool,
+    cond: ConditionalState, reduced: np.ndarray, success: int, grouping_used: bool
 ) -> TeleportReport:
-    """Measure ``effects`` on the input and the resource built from the
+    """Contract the input-side reductions with the resource built from the
     channel's conditional form; report every branch."""
-    if input_state.shape != cond.shape_in:
-        raise ShapeMismatch("input state does not live on the channel's input algebra")
-    if not 0 <= int(success_index) < len(effects):
-        raise BasisNotPOVM(f"success index {success_index} out of range")
+    if not 0 <= success < len(reduced):
+        raise BasisNotPOVM(f"success index {success} out of range")
     resource = cond.matrix / cond.shape_in.total_dim
-    probs, branches = _run_branches(input_state.matrix, resource, effects, cond.shape_out)
-    success = int(success_index)
+    probs, branches = _run_branches(reduced, resource, cond.shape_out)
     bob = branches[success]
     if bob is None:
         raise BasisNotPOVM("success outcome has vanishing probability")
@@ -261,70 +211,67 @@ def _run_protocol(
     )
 
 
-def teleport_general(
-    c: Channel,
-    input_state: State,
-    measurement_basis,
-    success_index: int,
-    grouping_used: bool = False,
-) -> TeleportReport:
-    """Run the teleportation experiment with an explicit measurement basis.
+def _corrected(report: TeleportReport, unitaries: np.ndarray, shape: AlgebraShape):
+    """``report`` with each kept branch conjugated by its correction unitary,
+    validated as one stack."""
+    kept = [b is not None for b in report.branch_states]
+    u = unitaries[kept]
+    branches = np.stack([b.matrix for b in report.branch_states if b is not None])
+    corrected = hermitize(u @ branches @ u.conj().swapaxes(1, 2))
+    return replace(report, corrected_states=tuple(_states_where(kept, shape, corrected)))
 
-    No closed-form success probability is asserted; the measured outcome
-    statistics are reported as-is.  The resource is the normalized joint
-    state built from the channel's conditional form with a maximally mixed
-    marginal; the basis measures the input system together with the
-    resource's input-side half.
-    """
-    d_in = c.shape_in.total_dim
-    effects = _validate_effects(measurement_basis, d_in * d_in, IDENTITY_TOL)
-    return _run_protocol(choi_conditional(c), input_state, effects, success_index, grouping_used)
+
+def _check_input(c: Channel, input_state: State) -> None:
+    if input_state.shape != c.shape_in:
+        raise ShapeMismatch("input state does not live on the channel's input algebra")
 
 
 def teleport(
     c: Channel,
     input_state: State,
     measurement_basis=None,
-    tol: float = IDENTITY_TOL,
+    success_index: int | None = None,
 ) -> TeleportReport:
-    """Noisy-gate teleportation over an irreducible input algebra.
+    """Noisy-gate teleportation: measure the input together with the input
+    half of the resource, the joint state of the channel's conditional form
+    and a maximally mixed marginal.
 
-    The measurement basis must be a POVM on the input-pair space containing
-    the normalized maximally entangled projector; by default the full
-    maximally entangled (generalized Bell) basis is used.  The probability
-    of the successful outcome is 1/d^2 independent of channel and input, and
-    Bob's state on success is the channel applied to the input.  For the
-    identity channel measured in the default basis, the per-outcome
-    correction unitaries are applied and reported as ``corrected_states``.
+    The default basis is the generalized Bell basis, on an irreducible input
+    algebra; its effects are never formed (``_bell_reduced``).  Its success
+    outcome, index 0, has probability 1/d^2 whatever the channel and input,
+    and leaves Bob with the channel applied to the input.  For the identity
+    channel every outcome's correction is applied (``corrected_states``).
 
-    The default basis is validated once per (d, tol) and kept read-only in a
-    least-recently-used cache of at most ``BASIS_CACHE_BYTES`` = 8 MiB: d = 2…8
-    (d^6 * 16 bytes each, 7.2 MB together) stay cached, while a basis above the
-    budget (8.5 MB at d = 9), like an explicit one, is validated on every call.
+    An explicit ``measurement_basis`` works over any input algebra and is
+    validated as a ``POVM`` on the input pair.  ``success_index`` defaults
+    to its first effect within ``IDENTITY_TOL`` of the normalized maximally
+    entangled projector; ``grouping_used`` says whether an effect has rank
+    above one.
     """
-    if not c.shape_in.is_irreducible:
-        raise ShapeMismatch(
-            "teleport needs an irreducible input algebra; see teleport_general/teleport_classical"
-        )
+    _check_input(c, input_state)
     d = c.shape_in.total_dim
     canonical = measurement_basis is None
     if canonical:
-        effects, success = _bell_effects(d, tol)
+        if not c.shape_in.is_irreducible:
+            raise ShapeMismatch("the Bell basis needs an irreducible input algebra; pass a basis")
+        reduced, grouping_used = _bell_reduced(input_state.matrix), False
     else:
-        effects = _validate_effects(measurement_basis, d * d, tol)
-        success = _success_index(effects, d, tol)
+        effects = np.stack(POVM(AlgebraShape((d * d,)), tuple(measurement_basis)).elements)
+        n = len(effects)
+        # F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x], one product on a reordered view
+        stacked = effects.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(n * d * d, -1)
+        reduced = (stacked @ input_state.matrix.T.ravel()).reshape(n, d * d)
+        grouping_used = _groups_outcomes(effects)
+    if success_index is not None:
+        success = int(success_index)
+    else:
+        success = 0 if canonical else _success_index(effects, d)
     cond = choi_conditional(c)
-    report = _run_protocol(cond, input_state, effects, success, False)
+    report = _run_protocol(cond, reduced, success, grouping_used)
 
     if canonical and _acts_as_identity(cond):
         # outcome a * d + b is undone by W_ab^T, the conjugate of its Weyl operator
-        kept = [b is not None for b in report.branch_states]
-        u = _weyl_operators(d)[kept].swapaxes(1, 2)
-        branches = np.stack([b.matrix for b in report.branch_states if b is not None])
-        corrected = hermitize(u @ branches @ u.conj().swapaxes(1, 2))
-        report = replace(
-            report, corrected_states=tuple(_states_where(kept, c.shape_out, corrected))
-        )
+        return _corrected(report, _weyl_operators(d).swapaxes(1, 2), c.shape_out)
     return report
 
 
@@ -336,27 +283,21 @@ def teleport_classical(c: Channel, input_state: State) -> TeleportReport:
 
     The four maximally entangled effects collapse pairwise under the block
     pinching, so Alice's measurement degenerates to a parity check with two
-    outcomes of probability 1/2 each.  The success branch outputs the
-    channel applied to the input; for the identity channel the failure
-    branch is corrected by a bit flip, which is exactly one-time-pad
-    decryption.
+    outcomes of probability 1/2 each: the Bell outcomes grouped by their
+    shift a.  The success branch outputs the channel applied to the input;
+    for the identity channel the failure branch is corrected by a bit flip,
+    which is exactly one-time-pad decryption.
     """
     if c.shape_in != CLASSICAL_BIT:
         raise ShapeMismatch("teleport_classical needs the two-block classical bit algebra")
+    _check_input(c, input_state)
     cond = choi_conditional(c)
-    report = _run_protocol(cond, input_state, _parity_effects(), 0, grouping_used=True)
-
-    corrected = None
-    if c.shape_out == CLASSICAL_BIT and _acts_as_identity(cond):
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        branch_even, branch_odd = report.branch_states
-        corrected = (
-            branch_even,
-            None
-            if branch_odd is None
-            else State(c.shape_out, flip @ branch_odd.matrix @ flip),
-        )
-    return replace(report, corrected_states=corrected)
+    reduced = _bell_reduced(input_state.matrix).reshape(2, 2, 4).sum(1)
+    report = _run_protocol(cond, reduced, 0, grouping_used=True)
+    if _acts_as_identity(cond):
+        # outcome a is undone by the bit flip X^a: one-time-pad decryption
+        return _corrected(report, _weyl_operators(2)[::2], c.shape_out)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,3 @@ NEGLIGIBLE = 1e-12
 
 RANK_TOL = 1e-6
 """Distance of a trace from the integer rank it stands for."""
-
-JOIN_TRACE_TOL = 1e-8
-"""Trace lost when a joint state is rebuilt from a marginal and a conditional."""

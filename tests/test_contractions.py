@@ -12,8 +12,9 @@ The Cholesky positivity certificate is pinned to the eigvalsh verdict it
 replaced: the same acceptance, exception, invariant and deviation.  The
 single products on the held superoperator and on reordered 4-index views
 are pinned to the per-Kraus sums and einsum contractions they replaced,
-the superoperator is formed once per channel, and the Bell-basis cache
-keeps a sweep over d = 2…8 while never keeping a basis above its budget.
+the superoperator is formed once per channel, and the closed-form Bell
+reductions are pinned to the effect contraction over the kron-built basis,
+which no teleport call forms.
 The isometry and channel checks read the Choi spectrum from one eigvalsh,
 pinned to the verdicts of the full eigendecomposition.  Every public
 correspondence map decomposes each distinct matrix (a matrix and its
@@ -37,7 +38,6 @@ import condchan.channels as channels_module
 from condchan import (
     POVM,
     AlgebraShape,
-    BasisNotPOVM,
     Channel,
     CondChanError,
     ConditionalState,
@@ -65,7 +65,6 @@ from condchan import (
     swap_factors,
     teleport,
     teleport_classical,
-    teleport_general,
     verify_theorem,
 )
 from condchan.algebra import (
@@ -94,13 +93,9 @@ from condchan.matcore import (
     mat_sqrt,
 )
 from condchan.scenarios import (
-    _BASIS_CACHE,
-    BASIS_CACHE_BYTES,
     CLASSICAL_BIT,
-    _bell_effects,
-    _parity_effects,
+    _bell_reduced,
     _run_branches,
-    _validate_effects,
     random_block_unitary,
     random_support_projector,
 )
@@ -216,7 +211,7 @@ def check_branches(report, c, s, effects):
     formula and the per-branch State loop (None at or below the floor);
     return the oracle's branch states."""
     d = c.shape_in.total_dim
-    ops = oracle_validate_effects(effects, d * d)
+    ops = oracle_povm_effects(effects, d * d)
     resource = oracle_choi(c.kraus, c.shape_in) / d
     probs, branches = oracle_branches(s.matrix, resource, ops, c.shape_out.total_dim)
     states = [
@@ -232,8 +227,8 @@ def check_branches(report, c, s, effects):
     return states
 
 
-def check_teleport_general(c, s, effects):
-    check_branches(teleport_general(c, s, effects, 0), c, s, effects)
+def check_explicit_basis(c, s, effects):
+    check_branches(teleport(c, s, effects, 0), c, s, effects)
 
 
 # -- tests -----------------------------------------------------------------
@@ -303,8 +298,8 @@ def test_teleport_branches_match_kron_oracle(rng, shape):
     which_input = [np.kron(np.diag(np.eye(d)[k]), np.eye(d)) for k in range(d)]
     for shape_out in output_classes(d):
         c = random_channel(shape, shape_out, 2, rng)
-        check_teleport_general(c, random_state(shape, rng), list(bell_basis(d)))
-        report = teleport_general(c, pure_first(shape), which_input, 0)
+        check_explicit_basis(c, random_state(shape, rng), list(bell_basis(d)))
+        report = teleport(c, pure_first(shape), which_input, 0)
         assert all(branch is None for branch in report.branch_states[1:])
         check_branches(report, c, pure_first(shape), which_input)
 
@@ -314,7 +309,7 @@ def test_teleport_branches_match_kron_oracle_at_dim_8(rng, shape):
     # a two-outcome basis keeps the 512 x 512 oracle products affordable
     success = bell_basis(8)[0]
     c = random_channel(shape, AlgebraShape((8,)), 2, rng)
-    check_teleport_general(c, random_state(shape, rng), [success, np.eye(64) - success])
+    check_explicit_basis(c, random_state(shape, rng), [success, np.eye(64) - success])
 
 
 def test_teleport_classical_matches_kron_oracle(rng):
@@ -516,18 +511,15 @@ def test_fix_phases_is_bit_identical_on_many_random_matrices():
 # -- oracles: the per-effect validator, the per-element and per-member loops
 
 
-def oracle_validate_effects(effects, dim, tol=1e-9):
+def oracle_povm_effects(effects, dim):
+    """The effects as arrays, after checking one at a time that they form a
+    POVM on C^dim (at the thresholds ``POVM`` judges)."""
     ops = [np.asarray(e, dtype=complex) for e in effects]
     for e in ops:
-        if e.shape != (dim, dim):
-            raise BasisNotPOVM(f"effect shape {e.shape}, expected {(dim, dim)}")
-        if np.max(np.abs(e - e.conj().T)) > 1e-9:
-            raise BasisNotPOVM("effect is not Hermitian")
-        w = np.linalg.eigvalsh(hermitize(e))
-        if w.size and w[0] < -1e-9:
-            raise BasisNotPOVM(f"effect has negative eigenvalue {w[0]:.3e}")
-    if np.max(np.abs(sum(ops) - np.eye(dim))) > tol:
-        raise BasisNotPOVM("effects do not sum to the identity")
+        assert e.shape == (dim, dim)
+        assert np.max(np.abs(e - e.conj().T)) <= 1e-10
+        assert np.linalg.eigvalsh(hermitize(e))[0] >= -1e-10
+    assert np.max(np.abs(sum(ops) - np.eye(dim))) <= 1e-9
     return ops
 
 
@@ -640,26 +632,6 @@ def oracle_validate_psd(stack, block_dev, unit_trace=False):
     low = float(np.linalg.eigvalsh(herm).min())
     if not low >= -INPUT_TOL:
         raise InvariantViolation("positive", -low)
-
-
-def oracle_validate_effect_stack(effects, dim, tol):
-    ops = [np.asarray(e, dtype=np.complex128) for e in effects]
-    for e in ops:
-        if e.shape != (dim, dim):
-            raise BasisNotPOVM(f"effect shape {e.shape}, expected {(dim, dim)}")
-    if not ops:
-        raise BasisNotPOVM("the basis has no effects")
-    stack = np.stack(ops)
-    if not np.isfinite(stack).all():
-        raise BasisNotPOVM("effect has non-finite entries")
-    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > 1e-9:
-        raise BasisNotPOVM("effect is not Hermitian")
-    low = float(np.linalg.eigvalsh(hermitize(stack)).min())
-    if low < -1e-9:
-        raise BasisNotPOVM(f"effect has negative eigenvalue {low:.3e}")
-    if np.abs(stack.sum(0) - np.eye(dim)).max() > tol:
-        raise BasisNotPOVM("effects do not sum to the identity")
-    return stack
 
 
 def verdict(fn, *args):
@@ -785,6 +757,15 @@ def test_constructors_give_the_eigvalsh_verdict(rng, shape, monkeypatch):
     assert [w is None for w in want] == accepted
 
 
+def teleport_basis(basis):
+    """``teleport`` of the maximally mixed state through the identity channel
+    with an explicit basis: every branch of a Bell-like basis is then a
+    multiple of the identity, so only the validation of the basis decides."""
+    shape = AlgebraShape((round(np.sqrt(len(basis[0]))),))
+    d = shape.total_dim
+    return teleport(identity_channel(shape), State(shape, np.eye(d) / d), basis, 0)
+
+
 def edge_bell_basis(scale):
     """The qubit Bell basis with the first effect pushed to λmin = -scale;
     the third effect takes the weight, so the sum stays the identity."""
@@ -796,23 +777,24 @@ def edge_bell_basis(scale):
 
 @pytest.mark.parametrize("position", [0, 3], ids=["first", "last"])
 @pytest.mark.parametrize("kind", ["shape", "hermitian", "negative", "non_finite"])
-def test_effect_certificate_gives_the_eigvalsh_verdict(kind, position):
+def test_effect_certificate_gives_the_eigvalsh_verdict(monkeypatch, kind, position):
+    # an explicit basis gets the verdict of a POVM of its effects, and the
+    # Cholesky certificate gives the verdict of the eigvalsh route
     basis = bad_bell_basis(kind, position)
-    got = verdict(_validate_effects, basis, 4, IDENTITY_TOL)
+    got = verdict(teleport_basis, basis)
     assert got is not None
-    assert got == verdict(oracle_validate_effect_stack, basis, 4, IDENTITY_TOL)
+    assert got == verdict(POVM, AlgebraShape((4,)), basis)
+    monkeypatch.setattr("condchan.povm._validate_psd", oracle_validate_psd)
+    assert got == verdict(teleport_basis, basis)
 
 
-def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge():
-    verdicts = []
-    for basis in [edge_bell_basis(1e-9 * (1 - 1e-3)), edge_bell_basis(1e-9 * (1 + 1e-3))] + [
-        bell_basis(d) for d in range(2, 7)
-    ]:
-        d2 = len(basis[0])
-        got = verdict(_validate_effects, basis, d2, IDENTITY_TOL)
-        assert got == verdict(oracle_validate_effect_stack, basis, d2, IDENTITY_TOL)
-        verdicts.append(got)
-    assert verdicts[0] is None and "negative eigenvalue" in verdicts[1][3]
+def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge(monkeypatch):
+    bases = [edge_bell_basis(INPUT_TOL * (1 - 1e-3)), edge_bell_basis(INPUT_TOL * (1 + 1e-3))]
+    bases += [bell_basis(d) for d in range(2, 7)]
+    verdicts = [verdict(teleport_basis, basis) for basis in bases]
+    monkeypatch.setattr("condchan.povm._validate_psd", oracle_validate_psd)
+    assert verdicts == [verdict(teleport_basis, basis) for basis in bases]
+    assert verdicts[0] is None and verdicts[1][:2] == (InvariantViolation, "positive")
     assert verdicts[2:] == [None] * 5
 
 
@@ -843,33 +825,36 @@ def test_valid_input_is_validated_without_eigvalsh(rng, monkeypatch):
     ConditionalState(shape, q, cond)
     POVM(shape, elements)
     states_from_stack(shape, stack)
-    _validate_effects(bell_basis(3), 9, IDENTITY_TOL)
+    POVM(AlgebraShape((9,)), bell_basis(3))  # how teleport validates an explicit basis
     assert [name for name, _ in calls] == ["cholesky"] * 6
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
+    # neither the first call nor a later one validates a (d², d², d²) stack
     d = 4
     shape = AlgebraShape((d,))
     c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
     bell_stack = (d * d, d * d, d * d)
-    _BASIS_CACHE.clear()
     calls = count_linalg(monkeypatch)
     first = teleport(c, s)
-    assert calls.count(("cholesky", bell_stack)) == 1
-    calls.clear()
     second = teleport(c, s)
     assert calls and all(shape != bell_stack for _, shape in calls)
     assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
 
 
-def test_cached_effect_stacks_are_read_only():
-    effects, success = _bell_effects(3, IDENTITY_TOL)
-    assert success == 0
-    assert effects.tobytes() == np.stack(bell_basis(3)).tobytes()
-    parity = _parity_effects()
-    for stack in (effects, parity):
-        with pytest.raises(ValueError, match="read-only"):
-            stack[0, 0, 0] = 1.0
+@pytest.mark.parametrize("d", [*range(2, 9), 16])
+def test_bell_reductions_match_the_effect_contraction(rng, d):
+    # Tr_1((E_ab ⊗ I)(ρ ⊗ I)) over the kron-built basis, on a matrix with
+    # entries everywhere; at d = 16 only against W ρᵀ W† / d, since the
+    # effects would take 268 MB
+    rho = random_complex(rng, d, d)
+    got = _bell_reduced(rho).reshape(d * d, d, d)
+    if d <= 8:
+        effects = np.stack(oracle_bell_basis(d)).reshape(d * d, d, d, d, d)
+        close(got, np.einsum("ixayb,yx->iab", effects, rho))
+    for idx in range(d * d):
+        w = oracle_weyl(d, *divmod(idx, d))
+        close(got[idx], w @ rho.T @ w.conj().T / d)
 
 
 # -- oracles: the per-Kraus sums and einsum contractions that became products
@@ -911,11 +896,19 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def check_branch_products(rng, shape, c, effects):
+def check_branch_products(rng, shape, c, effects=None):
+    """The branches of the Bell basis through its closed-form reduction
+    (``effects`` None), or of an explicit basis through ``teleport``,
+    against the einsum contraction over the effects."""
     s = random_state(shape, rng)
-    resource = choi_conditional(c).matrix / shape.total_dim
-    dim_out = c.shape_out.total_dim
-    probs, states = _run_branches(s.matrix, resource, effects, c.shape_out)
+    d, dim_out = shape.total_dim, c.shape_out.total_dim
+    resource = choi_conditional(c).matrix / d
+    if effects is None:
+        effects = np.stack(oracle_bell_basis(d))
+        probs, states = _run_branches(_bell_reduced(s.matrix), resource, c.shape_out)
+    else:
+        report = teleport(c, s, effects, 0)
+        probs, states = report.outcome_probabilities, report.branch_states
     expected = oracle_einsum_branches(s.matrix, resource, effects, dim_out)
     close(probs, np.trace(expected, axis1=1, axis2=2).real)
     for p, state, branch in zip(probs, states, expected, strict=True):
@@ -962,6 +955,7 @@ def test_branch_products_match_einsum_oracle(rng, shape):
     d = shape.total_dim
     for shape_out in output_classes(d):
         c = random_channel(shape, shape_out, 2, rng)
+        check_branch_products(rng, shape, c)
         check_branch_products(rng, shape, c, np.stack(bell_basis(d)))
 
 
@@ -1013,37 +1007,6 @@ def test_output_block_deviation_is_read_off_the_superoperator(rng, shape):
         assert caught.value.invariant == "output_block_support"
         assert caught.value.deviation == expected
         Channel(shape, shape_out, kraus, check=False)
-
-
-def test_bell_cache_keeps_a_sweep_over_d_2_to_8(rng, monkeypatch):
-    runs = []
-    for d in range(2, 9):
-        shape = AlgebraShape((d,))
-        runs.append((random_channel(shape, shape, 2, rng), random_state(shape, rng)))
-    bell_stacks = {(d**2,) * 3 for d in range(2, 9)}
-    _BASIS_CACHE.clear()
-    calls = count_linalg(monkeypatch)
-    for c, s in runs:
-        teleport(c, s)
-    assert sorted(shape for name, shape in calls if shape in bell_stacks) == sorted(bell_stacks)
-    calls.clear()
-    for c, s in runs:
-        teleport(c, s)
-    assert calls and not [shape for _, shape in calls if shape in bell_stacks]
-    assert sum(e.nbytes for e, _ in _BASIS_CACHE.values()) <= BASIS_CACHE_BYTES
-
-
-def test_bell_basis_above_the_budget_is_never_kept(rng, monkeypatch):
-    small, big = AlgebraShape((3,)), AlgebraShape((9,))
-    assert 16 * 9**6 > BASIS_CACHE_BYTES
-    _BASIS_CACHE.clear()
-    teleport(random_channel(small, small, 2, rng), random_state(small, rng))
-    c, s = random_channel(big, small, 3, rng), random_state(big, rng)
-    calls = count_linalg(monkeypatch)
-    first, second = teleport(c, s), teleport(c, s)
-    assert calls.count(("cholesky", (81, 81, 81))) == 2
-    assert list(_BASIS_CACHE) == [(3, IDENTITY_TOL)]
-    assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
 
 
 # -- tests: spectra without eigenvectors ------------------------------------

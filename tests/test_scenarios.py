@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from condchan import (
     AlgebraShape,
     BasisNotPOVM,
     Channel,
+    InvariantViolation,
     JointState,
     ShapeMismatch,
     State,
@@ -22,7 +24,6 @@ from condchan import (
     random_unitary,
     teleport,
     teleport_classical,
-    teleport_general,
     validate_channel,
     verify_theorem,
 )
@@ -135,6 +136,25 @@ class TestTeleport:
         report = teleport(c, random_state(QUBIT, rng))
         assert abs(report.outcome_probabilities.sum() - 1.0) < 1e-9
 
+    def test_dimension_16_without_a_basis_in_memory(self, rng):
+        # the effect stack of the Bell basis alone would take 268 MB here
+        shape = AlgebraShape((16,))
+        c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
+        identity = identity_channel(shape)
+        tracemalloc.start()
+        try:
+            report = teleport(c, s)
+            corrected = teleport(identity, s).corrected_states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert abs(report.success_probability - 1 / 256) < 1e-12
+        np.testing.assert_allclose(report.bob_state_on_success.matrix, apply(c, s).matrix, atol=1e-9)
+        assert len(corrected) == 256
+        for state in corrected:
+            np.testing.assert_allclose(state.matrix, s.matrix, atol=1e-9)
+
     def test_rejects_reducible_input_algebra(self, rng):
         with pytest.raises(ShapeMismatch):
             teleport(identity_channel(BIT), random_state(BIT, rng))
@@ -148,8 +168,9 @@ class TestTeleport:
     def test_rejects_non_povm_basis(self, rng):
         c = Channel(QUBIT, QUBIT, (np.eye(2, dtype=complex),))
         basis = list(bell_basis(2))[:3]  # dropped one effect: no resolution
-        with pytest.raises(BasisNotPOVM):
+        with pytest.raises(InvariantViolation) as caught:
             teleport(c, random_state(QUBIT, rng), measurement_basis=basis)
+        assert caught.value.invariant == "povm_sum"
 
     def test_bell_basis_is_a_povm_of_max_ent_effects(self):
         for d in (2, 3):
@@ -184,40 +205,60 @@ def bad_bell_basis(kind, position):
     return effects
 
 
+def rejection(run):
+    """The type, invariant, deviation and message ``run`` raises."""
+    with pytest.raises((InvariantViolation, ShapeMismatch)) as caught:
+        run()
+    exc = caught.value
+    return type(exc), getattr(exc, "invariant", None), getattr(exc, "deviation", None), str(exc)
+
+
 class TestBasisValidation:
+    """An explicit basis gets the verdict of a POVM of the same effects."""
+
     @pytest.mark.parametrize("position", [0, 3], ids=["first", "last"])
     @pytest.mark.parametrize(
-        "kind,message",
+        "kind,error,message",
         [
-            ("shape", r"effect shape \(3, 3\), expected \(4, 4\)"),
-            ("hermitian", "not Hermitian"),
-            ("negative", "negative eigenvalue -1.000e-01"),
-            ("non_finite", "non-finite"),
+            ("shape", ShapeMismatch, r"element shape \(3, 3\) does not match total dim 4"),
+            ("hermitian", InvariantViolation, "'hermitian' violated"),
+            ("negative", InvariantViolation, r"'positive' violated \(deviation 1.000e-01\)"),
+            ("non_finite", InvariantViolation, "non-finite entries"),
         ],
         ids=["shape", "hermitian", "negative", "non_finite"],
     )
-    def test_rejects_one_bad_effect(self, rng, kind, message, position):
+    def test_rejects_one_bad_effect(self, rng, kind, error, message, position):
         c = random_channel(QUBIT, QUBIT, 2, rng)
         s = random_state(QUBIT, rng)
         basis = bad_bell_basis(kind, position)
-        with pytest.raises(BasisNotPOVM, match=message):
-            teleport_general(c, s, basis, 0)
-        with pytest.raises(BasisNotPOVM, match=message):
+        with pytest.raises(error, match=message):
             teleport(c, s, measurement_basis=basis)
+        assert rejection(lambda: teleport(c, s, basis, 0)) == rejection(
+            lambda: POVM(AlgebraShape((4,)), basis)
+        )
+
+    def test_rejects_an_asymmetry_that_a_povm_rejects(self, rng):
+        # 5e-10 lies between INPUT_TOL, which judges a POVM, and IDENTITY_TOL
+        c = random_channel(QUBIT, QUBIT, 2, rng)
+        basis = [np.array(e) for e in bell_basis(2)]
+        basis[1][0, 1] += 5e-10
+        got = rejection(lambda: teleport(c, random_state(QUBIT, rng), basis))
+        assert got == rejection(lambda: POVM(AlgebraShape((4,)), basis))
+        assert got[:2] == (InvariantViolation, "hermitian")
 
     def test_rejects_empty_basis(self, rng):
         c = random_channel(QUBIT, QUBIT, 2, rng)
-        with pytest.raises(BasisNotPOVM, match="no effects"):
-            teleport_general(c, random_state(QUBIT, rng), [], 0)
+        with pytest.raises(ShapeMismatch, match="at least one element"):
+            teleport(c, random_state(QUBIT, rng), [], 0)
 
     def test_rejects_success_index_out_of_range(self, rng):
         c = random_channel(QUBIT, QUBIT, 2, rng)
         with pytest.raises(BasisNotPOVM, match="out of range"):
-            teleport_general(c, random_state(QUBIT, rng), bell_basis(2), 4)
+            teleport(c, random_state(QUBIT, rng), bell_basis(2), 4)
 
     def test_rejects_input_on_another_algebra(self, rng):
         c = random_channel(QUBIT, QUBIT, 2, rng)
-        for run in (teleport, lambda c, s: teleport_general(c, s, bell_basis(2), 0)):
+        for run in (teleport, lambda c, s: teleport(c, s, bell_basis(2), 0)):
             with pytest.raises(ShapeMismatch):
                 run(c, random_state(BIT, rng))
 
@@ -253,9 +294,10 @@ class TestTeleportClassical:
         c = random_channel(BIT, BIT, 2, rng)
         s = random_state(BIT, rng)
         grouped = teleport_classical(c, s)
-        ungrouped = teleport_general(c, s, bell_basis(2), 0)
+        ungrouped = teleport(c, s, bell_basis(2), 0)
         assert abs(grouped.success_probability - 0.5) < 1e-12
         assert abs(ungrouped.success_probability - 0.25) < 1e-12
+        assert grouped.grouping_used and not ungrouped.grouping_used
 
     def test_requires_bit_algebra(self, rng):
         with pytest.raises(ShapeMismatch):
@@ -263,6 +305,8 @@ class TestTeleportClassical:
 
 
 class TestTeleportGeneral:
+    """``teleport`` with an explicit measurement basis, on any input algebra."""
+
     def test_reducible_algebra_reports_measured_probability(self, rng):
         # no closed form is asserted for reducible algebras; the measured
         # probability is reported and checked against a loop-trace oracle
@@ -274,7 +318,7 @@ class TestTeleportGeneral:
         d = MIXED.total_dim
         grouped_success = support_projector(max_ent_matrix(MIXED))
         rest = np.eye(d * d, dtype=complex) - grouped_success
-        report = teleport_general(c, s, [grouped_success, rest], 0, grouping_used=True)
+        report = teleport(c, s, [grouped_success, rest], 0)
         assert report.grouping_used
         assert abs(report.outcome_probabilities.sum() - 1.0) < 1e-9
         assert report.outcome_probabilities.min() > -1e-12
@@ -286,13 +330,24 @@ class TestTeleportGeneral:
         ).real
         assert abs(report.success_probability - expected) < 1e-12
 
+    def test_grouping_used_says_whether_some_effect_has_rank_above_one(self, rng):
+        even = np.diag(np.array([1.0, 0, 0, 1.0], dtype=complex))
+        c, s = random_channel(BIT, BIT, 2, rng), random_state(BIT, rng)
+        assert teleport(c, s, [even, np.eye(4) - even], 0).grouping_used
+        assert not teleport(c, s, bell_basis(2)).grouping_used
+        success = bell_basis(3)[0]
+        c, s = random_channel(MIXED, QUBIT, 2, rng), random_state(MIXED, rng)
+        report = teleport(c, s, [success, np.eye(9) - success])
+        assert report.grouping_used and report.success_index == 0
+
     def test_matches_classical_grouping(self, rng):
         c = random_channel(BIT, BIT, 2, rng)
         s = random_state(BIT, rng)
         even = np.diag(np.array([1.0, 0, 0, 1.0], dtype=complex))
         odd = np.diag(np.array([0.0, 1.0, 1.0, 0.0], dtype=complex))
-        general = teleport_general(c, s, [even, odd], 0, grouping_used=True)
+        general = teleport(c, s, [even, odd], 0)
         dedicated = teleport_classical(c, s)
+        assert general.grouping_used and general.success_index == 0
         assert abs(general.success_probability - dedicated.success_probability) < 1e-12
         np.testing.assert_allclose(
             general.bob_state_on_success.matrix, dedicated.bob_state_on_success.matrix, atol=1e-12

@@ -48,6 +48,7 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     # one JSON record per line: the run, then one result per call
     run, *results = [json.loads(line) for line in text.splitlines()[1:]]
     assert (run["kind"], run["label"], run["run"]) == ("run", "a", 1)
+    assert {row["d"] for row in results if row["call"] == "teleport"} == set(range(2, 17))
     src = SCRIPTS.parent / "src" / "condchan"
     assert run["src_lines"] == sum(
         len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
@@ -61,5 +62,26 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     }
     # every sample is timed beside the calibration kernel
     assert all(row["control_ms"] > 0 and row["ratio"] > 0 for row in results)
+    assert all(row["peak_rss_mb"] > 0 for row in results)
     # valid input is certified by Cholesky alone
     assert all(row["eigvalsh"] == 0 for row in results)
+
+
+def test_bench_records_a_call_that_runs_out_of_memory():
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench\n"
+        "def oom():\n"
+        "    raise MemoryError\n"
+        "rows = bench.measure([('big', 16, 'mixed', oom), ('small', 2, 'mixed', int)], 1)\n"
+        "print(json.dumps(rows))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    failed, measured = json.loads(completed.stdout)
+    assert failed == {"call": "big", "d": 16, "class": "mixed", "kind": "failed",
+                      "error": "MemoryError"}
+    assert (measured["call"], measured["kind"]) == ("small", "result")
