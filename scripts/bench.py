@@ -11,12 +11,12 @@ of the first call, the median per-call wall time over ``--repeats`` later
 samples (each a batch of calls lasting about 2 ms), the ``eigvalsh``,
 ``eigh`` and ``cholesky`` calls one call makes, and the peak resident set
 size of the process after the call's samples (a high-water mark, so it
-bounds the call's own peak).  Beside every sample it
-runs the benchmark's calibration kernel (``perfbench/calibrate.py``), a
-fixed amount of work that does not touch condchan, and records the median
-kernel time and the median ratio of sample to kernel time.  The ratio
-cancels the machine's speed state, which shifts raw times of unchanged
-calls by 10 % and more between runs.  The calls:
+bounds the call's own peak).  Beside every sample it runs the benchmark's
+calibration kernel (``perfbench/calibrate.py``), a fixed amount of work
+that does not touch condchan, and records the median kernel time and the
+median ratio of sample to kernel time.  The ratio cancels the machine's
+speed state, which shifts raw times of unchanged calls by 10 % and more
+between runs.  The calls:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
@@ -34,11 +34,11 @@ calls by 10 % and more between runs.  The calls:
 Each run appends to ``--out`` one JSON record per line: a ``"run"``
 record with the label, commit, ``src/condchan`` line count and environment,
 then one ``"result"`` record per call, or a ``"failed"`` record naming the
-error for a call that runs out of memory (under ``ulimit -v``, say), so that
-a tree that cannot run a case is recorded as such.  Everything already in the file is
-kept, so one file holds the before and after of a change, and runs of the
-two trees can be interleaved (parent, change, change, parent, ...) to spread
-drift in machine speed over both.
+error for a call that runs out of memory (under ``ulimit -v``, say), so a
+tree that cannot run a case is recorded as such.  Everything already in
+the file is kept, so one file holds the before and after of a change, and
+runs of the two trees can be interleaved (parent, change, change, parent,
+...) to spread drift in machine speed over both.
 """
 
 import os
@@ -126,7 +126,7 @@ def cases(cc):
             yield "apply_matrix", d, cls, partial(cc.channels.apply_matrix, c, stack)
             yield "choi_conditional", d, cls, partial(cc.choi_conditional, c)
             yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
-    # the same for the teleport cases above d = 8
+    # and one more for the teleport cases above d = 8, for the same reason
     yield from teleport_cases(cc, np.random.default_rng(SEED + 2), range(9, 17))
 
 

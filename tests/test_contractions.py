@@ -844,7 +844,7 @@ def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
 
 @pytest.mark.parametrize("d", [*range(2, 9), 16])
 def test_bell_reductions_match_the_effect_contraction(rng, d):
-    # Tr_1((E_ab ⊗ I)(ρ ⊗ I)) over the kron-built basis, on a matrix with
+    # Tr_1(E_ab (ρ ⊗ I)) over the kron-built basis, on a matrix with
     # entries everywhere; at d = 16 only against W ρᵀ W† / d, since the
     # effects would take 268 MB
     rho = random_complex(rng, d, d)

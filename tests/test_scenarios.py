@@ -205,14 +205,6 @@ def bad_bell_basis(kind, position):
     return effects
 
 
-def rejection(run):
-    """The type, invariant, deviation and message ``run`` raises."""
-    with pytest.raises((InvariantViolation, ShapeMismatch)) as caught:
-        run()
-    exc = caught.value
-    return type(exc), getattr(exc, "invariant", None), getattr(exc, "deviation", None), str(exc)
-
-
 class TestBasisValidation:
     """An explicit basis gets the verdict of a POVM of the same effects."""
 
@@ -233,18 +225,18 @@ class TestBasisValidation:
         basis = bad_bell_basis(kind, position)
         with pytest.raises(error, match=message):
             teleport(c, s, measurement_basis=basis)
-        assert rejection(lambda: teleport(c, s, basis, 0)) == rejection(
-            lambda: POVM(AlgebraShape((4,)), basis)
-        )
 
     def test_rejects_an_asymmetry_that_a_povm_rejects(self, rng):
         # 5e-10 lies between INPUT_TOL, which judges a POVM, and IDENTITY_TOL
         c = random_channel(QUBIT, QUBIT, 2, rng)
         basis = [np.array(e) for e in bell_basis(2)]
         basis[1][0, 1] += 5e-10
-        got = rejection(lambda: teleport(c, random_state(QUBIT, rng), basis))
-        assert got == rejection(lambda: POVM(AlgebraShape((4,)), basis))
-        assert got[:2] == (InvariantViolation, "hermitian")
+        with pytest.raises(InvariantViolation) as via_teleport:
+            teleport(c, random_state(QUBIT, rng), basis)
+        with pytest.raises(InvariantViolation) as via_povm:
+            POVM(AlgebraShape((4,)), basis)
+        assert via_teleport.value.invariant == via_povm.value.invariant == "hermitian"
+        assert via_teleport.value.deviation == via_povm.value.deviation
 
     def test_rejects_empty_basis(self, rng):
         c = random_channel(QUBIT, QUBIT, 2, rng)
