@@ -14,9 +14,10 @@ size of the process after the call's samples (a high-water mark, so it
 bounds the call's own peak).  Beside every sample it runs the benchmark's
 calibration kernel (``perfbench/calibrate.py``), a fixed amount of work
 that does not touch condchan, and records the median kernel time and the
-median ratio of sample to kernel time.  The ratio cancels the machine's
-speed state, which shifts raw times of unchanged calls by 10 % and more
-between runs.  The calls:
+median ratio of sample to kernel time, with the quartiles of that ratio
+over the samples (``ratio_q1``, ``ratio_q3``) as its spread.  The ratio
+cancels the machine's speed state, which shifts raw times of unchanged
+calls by 10 % and more between runs.  The calls:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
@@ -29,7 +30,11 @@ between runs.  The calls:
   output block, d = 2…16: its construction from the Kraus tensor,
   ``apply`` to a state, ``apply_matrix`` on a stack of 4 states,
   ``choi_conditional``, and ``channel_from_conditional`` on its
-  conditional form.
+  conditional form;
+* the nine CLI commands (``cli choi`` … ``cli selftest``) through
+  ``cli.main`` in this process, on d = 8 documents of each class written to
+  a temporary directory, with stdout and stderr redirected; ``teleport``
+  runs from ``(8,)`` into the class, and ``selftest --trials 2`` runs once.
 
 Each run appends to ``--out`` one JSON record per line: a ``"run"``
 record with the label, commit, ``src/condchan`` line count and environment,
@@ -47,14 +52,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
+from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -86,8 +94,62 @@ def teleport_cases(cc, rng, dims):
             yield "teleport", d, cls, partial(cc.teleport, c, s)
 
 
-def cases(cc):
-    """(call, d, class, zero-argument callable) for every measured call."""
+def run_cli(cli, argv):
+    """``cli.main(argv)`` with stdout and stderr captured; a nonzero exit raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+
+
+def cli_cases(cc, workdir, rng):
+    """The nine CLI commands on d = 8 documents of each class, written to
+    ``workdir``."""
+    d = 8
+    q = cc.AlgebraShape((d,))
+    for cls, dims in shape_classes(d).items():
+        shape = cc.AlgebraShape(dims)
+        joint = cc.random_joint_state(shape, shape, rng)
+        channel = cc.random_channel(shape, shape, 2, rng)
+        docs = {
+            "channel": channel,
+            "choi": cc.choi_conditional(channel),
+            "joint": joint,
+            "marg_a": cc.reduce(joint, "a"),
+            "marg_b": cc.reduce(joint, "b"),
+            "cond_a": cc.conditional_from_joint(joint, "a"),
+            "cond_b": cc.conditional_from_joint(joint, "b"),
+            "povm_a": cc.random_povm(shape, 4, rng),
+            "povm_b": cc.random_povm(shape, 4, rng),
+            "state": cc.random_state(shape, rng),
+            "teleported": cc.random_channel(q, shape, 2, rng),
+            "input": cc.random_state(q, rng),
+        }
+        path = {name: str(workdir / f"{cls}_{name}.json") for name in docs}
+        for name, obj in docs.items():
+            Path(path[name]).write_text(cc.serialize.serialize(obj), encoding="utf-8")
+        argvs = [
+            ["choi", "--channel", path["channel"]],
+            ["channel", "--conditional", path["choi"]],
+            ["condition", "--joint", path["joint"], "--on", "A"],
+            ["join", "--marginal", path["marg_a"], "--conditional", path["cond_a"]],
+            ["bayes", "--conditional", path["cond_b"],
+             "--marginal-a", path["marg_a"], "--marginal-b", path["marg_b"]],
+            ["verify-theorem", "--joint", path["joint"],
+             "--povm-a", path["povm_a"], "--povm-b", path["povm_b"]],
+            ["teleport", "--channel", path["teleported"], "--input", path["input"]],
+            ["prepare", "--povm", path["povm_a"], "--state", path["state"]],
+        ]
+        if cls == "irreducible":
+            argvs.append(["selftest", "--seed", str(SEED), "--trials", "2"])
+        for argv in argvs:
+            yield f"cli {argv[0]}", d, cls, partial(run_cli, cc.cli, argv)
+
+
+def cases(cc, workdir):
+    """(call, d, class, zero-argument callable) for every measured call; the
+    CLI cases write their documents to ``workdir``."""
     rng = np.random.default_rng(SEED)
     for d in range(2, 17):
         for cls, dims in shape_classes(d).items():
@@ -128,6 +190,8 @@ def cases(cc):
             yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
     # and one more for the teleport cases above d = 8, for the same reason
     yield from teleport_cases(cc, np.random.default_rng(SEED + 2), range(9, 17))
+    # and one for the CLI cases
+    yield from cli_cases(cc, workdir, np.random.default_rng(SEED + 3))
 
 
 def count_calls(fn):
@@ -172,12 +236,16 @@ def measure_call(fn, control, repeats):
     for _ in range(repeats):
         kernel.append(control.sample())
         samples.append(timer.timeit(number) / number)
+    ratios = [s / k for s, k in zip(samples, kernel)]
+    q1, median, q3 = statistics.quantiles(ratios, method="inclusive") if repeats > 1 else ratios * 3
     return {
         "kind": "result",
         "median_ms": 1e3 * statistics.median(samples),
         "first_ms": first,
         "control_ms": 1e3 * statistics.median(kernel),
-        "ratio": statistics.median(s / k for s, k in zip(samples, kernel)),
+        "ratio": median,
+        "ratio_q1": q1,
+        "ratio_q3": q3,
         **count_calls(fn),
         "peak_rss_mb": peak_rss_mb(),
     }
@@ -237,6 +305,7 @@ def main():
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import condchan as cc
+    import condchan.cli  # noqa: F401  (cc.cli and cc.serialize, for the CLI cases)
 
     if Path(cc.__file__).resolve().parent != src / "condchan":
         sys.exit(f"condchan was imported from {cc.__file__}, not from {src}")
@@ -252,10 +321,9 @@ def main():
         "env": environment(),
         "repeats": args.repeats,
     }
-    lines = [run] + [
-        {"run": run["run"], "label": args.label, **row}
-        for row in measure(cases(cc), args.repeats)
-    ]
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = measure(cases(cc, Path(workdir)), args.repeats)
+    lines = [run] + [{"run": run["run"], "label": args.label, **row} for row in rows]
     with args.out.open("a", encoding="utf-8") as out:
         out.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in lines)
 

@@ -19,12 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraShape,
-    block_index,
-    block_support_deviation,
-    pair_support_deviation,
-)
+from .algebra import AlgebraShape, block_index, pair_mask, pair_support_deviation
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
@@ -36,8 +31,8 @@ from .matcore import (
     partial_trace,
     swap_factors,
 )
-from .states import JointState, State, _side, _validate_psd
-from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, RANK_TOL
+from .states import JointState, State, _marginal, _side, _validate_psd
+from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,28 +90,20 @@ def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -
     return (left.swapaxes(1, 2) @ factor).swapaxes(1, 2).reshape(matrix.shape)
 
 
-def _marginal_spectrum(marg: np.ndarray, shape: AlgebraShape) -> EigenSystem:
-    """Spectrum of a joint's marginal, per block of ``shape``.  A valid joint
-    leaks at most BLOCK_TOL per entry off its pair blocks, and the partial
-    trace sums up to the traced dimension of those entries, so a marginal
-    above BLOCK_TOL is decomposed whole."""
-    blocks = block_index(shape)
-    if blocks is not None and block_support_deviation(marg, shape) > BLOCK_TOL:
-        blocks = None
-    return herm_eig(marg, blocks)
-
-
 def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]:
     """The conditional of ``j`` on ``side`` ("a" or "b") and the spectrum of
-    that side's marginal, from which its generalized inverse root was taken."""
+    that side's marginal, from which its generalized inverse root was taken.
+    The sandwich scales the joint's off-block slop by up to 1/λ_min of the
+    marginal, so the result is pinched onto the pair algebra."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
+    shape_in, marg_matrix = _marginal(j, side)
+    marg = herm_eig(marg_matrix, block_index(shape_in))
     if side == "a":
-        marg = _marginal_spectrum(partial_trace(j.matrix, da, db, keep="left"), j.shape_a)
-        out = _sandwich_on_first(marg.inv_root(), j.matrix, db)
-        return ConditionalState(shape_in=j.shape_a, shape_out=j.shape_b, matrix=out), marg
-    marg = _marginal_spectrum(partial_trace(j.matrix, da, db, keep="right"), j.shape_b)
-    out = _sandwich_on_first(marg.inv_root(), swap_factors(j.matrix, da, db), da)
-    return ConditionalState(shape_in=j.shape_b, shape_out=j.shape_a, matrix=out), marg
+        shape_out, matrix, dim_out = j.shape_b, j.matrix, db
+    else:
+        shape_out, matrix, dim_out = j.shape_a, swap_factors(j.matrix, da, db), da
+    out = _sandwich_on_first(marg.inv_root(), matrix, dim_out) * pair_mask(shape_in, shape_out)
+    return ConditionalState(shape_in=shape_in, shape_out=shape_out, matrix=out), marg
 
 
 def conditional_from_joint(j: JointState, condition_on: str = "a") -> ConditionalState:
@@ -170,5 +157,6 @@ def bayes_invert(cond_ab: ConditionalState, marg_a: State, marg_b: State) -> Con
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim
     half = swap_factors(_sandwich_on_first(spectrum_b.root(), cond_ab.matrix, da), db, da)
     inv_a = herm_eig(marg_a.matrix, block_index(marg_a.shape)).inv_root()
-    inverted = _sandwich_on_first(inv_a, half, db)
+    # pinched onto the pair algebra, as in conditioning
+    inverted = _sandwich_on_first(inv_a, half, db) * pair_mask(marg_a.shape, marg_b.shape)
     return ConditionalState(shape_in=marg_a.shape, shape_out=marg_b.shape, matrix=inverted)

@@ -10,7 +10,8 @@ Layout: a document is byte for byte ``json.dumps(to_payload(x),
 sort_keys=True, indent=1) + "\n"``: indent 1, sorted keys.  Each matrix is
 written from one ``%``-template of that layout, filled with the float tokens
 of one ``json.dumps`` call on its flat [re, im] entries, so ``NaN``,
-``Infinity`` and ``-0.0`` appear exactly as json writes them.
+``Infinity`` and ``-0.0`` appear exactly as json writes them.  ``dumps``
+writes any payload in this layout; the CLI's reports go through it too.
 """
 
 from __future__ import annotations
@@ -137,9 +138,16 @@ def _write(value, level: int) -> str:
     return json.dumps(value)
 
 
+def dumps(payload: dict) -> str:
+    """Write a payload in the document layout (indent 1, sorted keys,
+    newline-terminated); a 2-D array is a complex matrix, so a real array
+    is passed as its ``tolist()``."""
+    return _write(payload, 0) + "\n"
+
+
 def serialize(obj) -> str:
     """Serialize to a JSON document string (sorted keys, newline-terminated)."""
-    return _write(_fields(obj), 0) + "\n"
+    return dumps(_fields(obj))
 
 
 def from_payload(obj: dict):

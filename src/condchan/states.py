@@ -11,7 +11,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, pair_support_deviation, block_support_deviation
+from .algebra import AlgebraShape, block_mask, block_support_deviation, pair_support_deviation
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import _min_eigenvalue_unless_certified, as_matrix, partial_trace
 from .tolerances import BLOCK_TOL, INPUT_TOL
@@ -106,10 +106,19 @@ def _side(keep: str) -> str:
     return k
 
 
-def reduce(j: JointState, keep: str) -> State:
-    """Reduced state of one side: partial trace over the discarded factor."""
-    k = _side(keep)
+def _marginal(j: JointState, side: str) -> tuple[AlgebraShape, np.ndarray]:
+    """Algebra and matrix of the reduced state of ``side`` ("a" or "b"): the
+    partial trace over the other factor, pinched onto the algebra.  A valid
+    joint may leave up to BLOCK_TOL on each entry off its pair blocks, and
+    the partial trace sums the traced dimension of them; the pinching drops
+    that sum."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
-    if k == "a":
-        return State(j.shape_a, partial_trace(j.matrix, da, db, keep="left"))
-    return State(j.shape_b, partial_trace(j.matrix, da, db, keep="right"))
+    shape = j.shape_a if side == "a" else j.shape_b
+    marg = partial_trace(j.matrix, da, db, keep="left" if side == "a" else "right")
+    return shape, marg * block_mask(shape)
+
+
+def reduce(j: JointState, keep: str) -> State:
+    """Reduced state of one side: partial trace over the discarded factor,
+    pinched onto the kept algebra."""
+    return State(*_marginal(j, _side(keep)))

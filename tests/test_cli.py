@@ -4,8 +4,10 @@ every library error, and fuzzed over argv and documents."""
 
 import argparse
 import copy
+import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -453,6 +455,27 @@ def test_main_builds_one_parser_for_all_commands(commands, monkeypatch):
     assert built == one_parser
     run_main(*commands["choi"])
     assert built == one_parser
+
+
+def test_reports_and_documents_share_one_layout(commands):
+    # every command, reports included, writes json's indent-1, sorted-key layout
+    for argv in [*commands.values(), [*BIT_TELEPORT, "--classical"]]:
+        code, out, err = run_main(*argv)
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n", argv[0]
+    assert "correctedStates" in json.loads(out)  # the classical report has its list of matrices
+
+
+def test_console_script_target_runs(monkeypatch, capsys):
+    # the [project.scripts] entry of pyproject.toml, read as text
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\ncondchan = "([\w.]+):(\w+)"$', pyproject, re.M)
+    module, name = target.groups()
+    monkeypatch.setattr(sys, "argv", ["condchan", "--help"])
+    with pytest.raises(SystemExit) as exited:
+        getattr(importlib.import_module(module), name)()
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: condchan")
 
 
 def test_store_true_flag_does_not_carry_to_the_next_call(commands):

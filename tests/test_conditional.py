@@ -19,6 +19,7 @@ from condchan import (
     support_projector,
 )
 from condchan.scenarios import random_joint_state, random_state
+from condchan.tolerances import BLOCK_TOL
 from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed
 
 # hand-computed from the diagonal joint (0.1, 0.2, 0.3, 0.4) on a pair of bits:
@@ -211,3 +212,49 @@ class TestValidation:
                 ConditionalState(one, QUBIT, np.diag(diag).astype(complex))
         assert err.value.invariant == "overflow"
         assert err.value.deviation == np.inf
+
+
+class TestDerivedOperatorsArePinched:
+    """A valid input may leave up to BLOCK_TOL on each entry off its blocks.
+    The marginals, conditionals and inversions derived from it are pinched
+    onto their algebras: each equals the result for the leak-free input, and
+    none is rejected for a leak the input was allowed."""
+
+    QUART = AlgebraShape((4,))
+
+    def leaking_joint(self, rho_b):
+        # diag(1/2, 1/2) ⊗ ρ_B on (1, 1) ⊗ (4,), with 0.4·BLOCK_TOL at the
+        # four ((0, k), (1, k)) entries
+        exact = kron(np.diag([0.5, 0.5]), rho_b)
+        m = exact.copy()
+        for k in range(4):
+            m[k, 4 + k] = m[4 + k, k] = 0.4 * BLOCK_TOL
+        return JointState(BIT, self.QUART, m), JointState(BIT, self.QUART, exact)
+
+    def test_marginal_drops_the_summed_leak(self, rng):
+        # the partial trace sums the four leaks to 1.6·BLOCK_TOL off the blocks
+        j, exact = self.leaking_joint(random_state(self.QUART, rng).matrix)
+        assert reduce(j, "a").matrix.tobytes() == reduce(exact, "a").matrix.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conditional_drops_the_amplified_leak(self, seed):
+        # conditioning on B scales the leak by up to 1/λ_min(ρ_B)
+        j, exact = self.leaking_joint(random_state(self.QUART, np.random.default_rng(seed)).matrix)
+        for side in "ab":
+            np.testing.assert_allclose(
+                conditional_from_joint(j, side).matrix,
+                conditional_from_joint(exact, side).matrix, rtol=0, atol=1e-12,
+            )
+
+    def test_bayes_drops_the_amplified_leak(self):
+        # the inverse root of the marginal spectrum (1e-3, 1 - 1e-3) scales a
+        # leak of the conditional by about 30
+        rho_a = np.diag([1e-3, 1 - 1e-3]).astype(complex)
+        exact = kron(np.eye(4), rho_a)
+        m = exact.copy()
+        for k in range(4):
+            m[2 * k, 2 * k + 1] = m[2 * k + 1, 2 * k] = 0.4 * BLOCK_TOL
+        marg_a, marg_b = State(BIT, rho_a), maximally_mixed(self.QUART)
+        inverted = bayes_invert(ConditionalState(self.QUART, BIT, m), marg_a, marg_b)
+        expected = bayes_invert(ConditionalState(self.QUART, BIT, exact), marg_a, marg_b)
+        np.testing.assert_allclose(inverted.matrix, expected.matrix, rtol=0, atol=1e-12)

@@ -1277,20 +1277,23 @@ def test_channel_checks_read_a_leaking_choi_matrix_whole(rng):
     assert not is_isometry(c)  # the pinched Choi matrix has one rank per input block
 
 
-def test_conditioning_reads_a_leaking_marginal_whole(rng):
+def test_conditioning_pinches_a_leaking_marginal(rng):
     # a joint may leave up to BLOCK_TOL on each entry off its pair blocks, and
-    # its marginal sums d_b of them; conditioning then decomposes the whole
-    # marginal, leak included, instead of raising
+    # its marginal sums d_b of them; the marginal is pinched onto its algebra,
+    # so it is decomposed per block and conditioning reads the leak-free joint
     shape_a, shape_b = AlgebraShape((8, 8)), AlgebraShape((4,))
     assert shape_a.total_dim >= BLOCKWISE_MIN_DIM
     p = np.full(16, 0.1 / 14)
     p[0] = p[8] = 0.45
-    m = np.kron(np.diag(p), np.eye(4) / 4)
+    exact = np.kron(np.diag(p), np.eye(4) / 4)
+    m = exact.copy()
     for k in range(4):
         m[k, 32 + k] = m[32 + k, k] = 0.4 * BLOCK_TOL
     j = JointState(shape_a, shape_b, m)
     assert block_support_deviation(partial_trace(m, 16, 4, keep="left"), shape_a) > BLOCK_TOL
-    close(conditional_from_joint(j, "a").matrix, oracle_conditional(j, "a"))
+    assert block_support_deviation(reduce(j, "a").matrix, shape_a) == 0.0
+    leak_free = JointState(shape_a, shape_b, exact)
+    close(conditional_from_joint(j, "a").matrix, oracle_conditional(leak_free, "a"))
     report = verify_theorem(j, random_povm(shape_a, 2, rng), random_povm(shape_b, 3, rng))
     assert report.max_deviation <= 1e-9
 

@@ -55,16 +55,25 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     )
     assert all((row["kind"], row["label"], row["run"]) == ("result", "a", 1) for row in results)
     calls = {row["call"] for row in results}
+    commands = ["choi", "channel", "condition", "join", "bayes", "verify-theorem", "teleport",
+                "prepare", "selftest"]
     assert calls == {
         "State", "JointState", "ConditionalState", "POVM", "teleport", "verify_theorem",
         "conditional_from_joint", "bayes_invert",
         "Channel", "apply", "apply_matrix", "choi_conditional", "channel_from_conditional",
+        *(f"cli {command}" for command in commands),
     }
-    # every sample is timed beside the calibration kernel
+    # eight document commands on each class at d = 8, and selftest once
+    cli_rows = [row for row in results if row["call"].startswith("cli ")]
+    assert len(cli_rows) == 3 * 8 + 1 and {row["d"] for row in cli_rows} == {8}
+    # every sample is timed beside the calibration kernel, and the ratio's
+    # quartiles bracket its median
     assert all(row["control_ms"] > 0 and row["ratio"] > 0 for row in results)
+    assert all(row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"] for row in results)
     assert all(row["peak_rss_mb"] > 0 for row in results)
-    # valid input is certified by Cholesky alone
-    assert all(row["eigvalsh"] == 0 for row in results)
+    # valid input is certified by Cholesky alone (selftest also runs the
+    # eigenvalue checks it tests)
+    assert all(row["eigvalsh"] == 0 for row in results if row["call"] != "cli selftest")
 
 
 def test_bench_records_a_call_that_runs_out_of_memory():
