@@ -35,6 +35,9 @@ calls by 10 % and more between runs.  The calls:
   ``cli.main`` in this process, on d = 8 documents of each class written to
   a temporary directory, with stdout and stderr redirected; ``teleport``
   runs from ``(8,)`` into the class, and ``selftest --trials 2`` runs once.
+  Each of their results also records ``stdout_sha256``, the sha256 of the
+  command's stdout with selftest's ``elapsedSeconds`` masked, so runs of
+  two trees show whether their outputs are identical.
 
 Each run appends to ``--out`` one JSON record per line: a ``"run"``
 record with the label, commit, ``src/condchan`` line count and environment,
@@ -52,9 +55,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import re  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -76,6 +81,7 @@ from calibrate import Calibration  # noqa: E402
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
 BATCH_MS = 2.0
+ELAPSED = re.compile(r'("elapsedSeconds": )[^,\n]+')
 
 
 def shape_classes(d):
@@ -95,12 +101,19 @@ def teleport_cases(cc, rng, dims):
 
 
 def run_cli(cli, argv):
-    """``cli.main(argv)`` with stdout and stderr captured; a nonzero exit raises."""
+    """``cli.main(argv)`` with stdout and stderr captured; returns stdout, and
+    a nonzero exit raises."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+    return out.getvalue()
+
+
+def stdout_sha256(text):
+    """sha256 of a command's stdout, with selftest's run time masked."""
+    return hashlib.sha256(ELAPSED.sub(r"\1null", text).encode()).hexdigest()
 
 
 def cli_cases(cc, workdir, rng):
@@ -257,6 +270,8 @@ def measure(calls, repeats):
     for call, d, cls, fn in calls:
         try:
             row = measure_call(fn, control, repeats)
+            if call.startswith("cli "):
+                row["stdout_sha256"] = stdout_sha256(fn())
         except MemoryError as exc:
             row = {"kind": "failed", "error": type(exc).__name__}
         rows.append({"call": call, "d": d, "class": cls, **row})

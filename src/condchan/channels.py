@@ -195,18 +195,12 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     Kraus operators come from the eigendecomposition of the conditional,
     one per eigenvalue above its support cutoff; from ``BLOCKWISE_MIN_DIM``
     up it is decomposed per block of the tensor-product algebra, so each
-    Kraus operator maps one input block into one output block.  When the
-    conditioning support is a proper projector rather than the identity, the
-    returned channel is defined on that support subalgebra and carries it in
-    ``input_support``.
+    Kraus operator maps one input block into one output block.  A conditioning
+    support other than the identity restricts the channel to its subalgebra and
+    is carried in ``input_support``, which ``Channel`` checks is a projector.
     """
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     support = cond.conditioning_support()
-    proj_dev = max_abs(support @ support - support)
-    if proj_dev > IDENTITY_TOL:
-        raise NotTracePreserving(
-            f"conditioning partial trace deviates from a projector by {proj_dev:.3e}"
-        )
     full = max_abs(support - np.eye(din)) <= IDENTITY_TOL
 
     es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))

@@ -77,6 +77,10 @@ class BlockIndex:
     columns follow the groups, then the blocks, then each block's solver.
     ``compact`` masks the components that exist, and ``scatter`` gives the
     flat position of each (in C order) in the (D, D) eigenvector matrix.
+
+    ``mirror`` and ``compact`` pay for themselves: without them, ``herm_eig`` on
+    1-thread OpenBLAS went from 0.57-0.77 to 5.9-9.4 ms on (1,)*16 ⊗ (1,)*16, 4.5-4.8
+    to 7.1-7.9 ms on (8, 8) ⊗ (8, 8) and 99-118 to 212-241 µs on (1,)*8 ⊗ (1,)*8.
     """
 
     groups: tuple[BlockGroup, ...]

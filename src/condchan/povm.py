@@ -8,7 +8,7 @@ which is what ``prepare`` / ``povm_from_ensemble`` implement.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,8 @@ class POVM:
 
     shape: AlgebraShape
     elements: tuple[np.ndarray, ...]
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         elems = tuple(as_matrix(e) for e in self.elements)
         if not elems:
             raise ShapeMismatch("a POVM needs at least one element")
@@ -36,15 +35,14 @@ class POVM:
             if e.shape != (d, d):
                 raise ShapeMismatch(f"element shape {e.shape} does not match total dim {d}")
         object.__setattr__(self, "elements", elems)
-        if check:
-            stack = np.stack(elems)
-            block_dev = block_support_deviation(stack, self.shape)
-            _validate_psd(stack, block_dev)
-            # elements that pass the PSD checks can still overflow their sum
-            with np.errstate(over="ignore"):
-                sum_dev = max_abs(stack.sum(0) - np.eye(d))
-            if not sum_dev <= IDENTITY_TOL:
-                raise InvariantViolation("povm_sum", sum_dev)
+        stack = np.stack(elems)
+        block_dev = block_support_deviation(stack, self.shape)
+        _validate_psd(stack, block_dev)
+        # elements that pass the PSD checks can still overflow their sum
+        with np.errstate(over="ignore"):
+            sum_dev = max_abs(stack.sum(0) - np.eye(d))
+        if not sum_dev <= IDENTITY_TOL:
+            raise InvariantViolation("povm_sum", sum_dev)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -57,9 +55,8 @@ class Ensemble:
     weights: np.ndarray
     members: tuple[State, ...]
     average: State
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         w = np.array(self.weights, dtype=float, copy=True)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -67,18 +64,17 @@ class Ensemble:
         object.__setattr__(self, "members", members)
         if len(members) != w.size:
             raise ShapeMismatch("one weight per member required")
-        if check:
-            if not np.isfinite(w).all():
-                raise InvariantViolation("finite", np.inf, "weights have non-finite entries")
-            if w.size and float(w.min()) < -IDENTITY_TOL:
-                raise InvariantViolation("weights_nonnegative", -float(w.min()))
-            wsum_dev = abs(float(w.sum()) - 1.0)
-            if wsum_dev > IDENTITY_TOL:
-                raise InvariantViolation("weights_sum", wsum_dev)
-            mix = sum(p * m.matrix for p, m in zip(w, members))
-            mix_dev = max_abs(mix - self.average.matrix)
-            if mix_dev > IDENTITY_TOL:
-                raise InvariantViolation("mixture", mix_dev)
+        if not np.isfinite(w).all():
+            raise InvariantViolation("finite", np.inf, "weights have non-finite entries")
+        if w.size and float(w.min()) < -IDENTITY_TOL:
+            raise InvariantViolation("weights_nonnegative", -float(w.min()))
+        wsum_dev = abs(float(w.sum()) - 1.0)
+        if wsum_dev > IDENTITY_TOL:
+            raise InvariantViolation("weights_sum", wsum_dev)
+        mix = sum(p * m.matrix for p, m in zip(w, members))
+        mix_dev = max_abs(mix - self.average.matrix)
+        if mix_dev > IDENTITY_TOL:
+            raise InvariantViolation("mixture", mix_dev)
 
 
 def measure(m: POVM, s: State) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Randomized invariant suite behind the ``selftest`` CLI command.
 
-Each check draws ``trials`` seeded instances, measures the worst deviation
-of one contract, and compares it against that contract's threshold.  The
-run is deterministic for a given seed.
+Each check draws ``trials`` seeded instances and yields the deviations of
+one contract in the order it draws them; a boolean check yields 1.0 on a
+failure.  ``run_selftest`` folds each stream into its worst deviation and
+compares that against the contract's threshold.  The run is deterministic
+for a given seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,65 +75,54 @@ def _worse(dev: float, x: float) -> float:
 
 
 def _check_matrix_roots(rng, trials):
-    dev = 0.0
     for _ in range(trials):
         s = random_state(MIXED, rng)
         p = s.matrix * 3.0
         spectrum = herm_eig(p)
         root = spectrum.root()
-        dev = _worse(dev, max_abs(root @ root - p))
+        yield max_abs(root @ root - p)
         inv = spectrum.inv_root()
-        dev = _worse(dev, max_abs(inv @ p @ inv - spectrum.support()))
-    return dev
+        yield max_abs(inv @ p @ inv - spectrum.support())
 
 
 def _check_partial_trace(rng, trials):
-    dev = 0.0
     for _ in range(trials):
         j = random_joint_state(QUBIT, QUTRIT, rng)
         left = partial_trace(j.matrix, 2, 3, keep="left")
         right = partial_trace(j.matrix, 2, 3, keep="right")
-        dev = _worse(dev, abs(np.trace(left) - np.trace(j.matrix)))
-        dev = _worse(dev, abs(np.trace(right) - np.trace(j.matrix)))
-    return dev
+        yield abs(np.trace(left) - np.trace(j.matrix))
+        yield abs(np.trace(right) - np.trace(j.matrix))
 
 
 def _check_conditional_round_trip(rng, trials):
-    dev = 0.0
     for i in range(trials):
         shape_a, shape_b = THEOREM_PAIRS[i % len(THEOREM_PAIRS)]
         j = random_joint_state(shape_a, shape_b, rng)
         cond = conditional_from_joint(j, "a")
         back = joint_from_conditional(reduce(j, "a"), cond)
-        dev = _worse(dev, max_abs(back.matrix - j.matrix))
-    return dev
+        yield max_abs(back.matrix - j.matrix)
 
 
 def _check_conditional_support(rng, trials):
-    dev = 0.0
     for i in range(trials):
         rank = 1 + i % 2
         j = random_joint_state(QUBIT, QUBIT, rng, rank_a=rank)
         cond = conditional_from_joint(j, "a")
         p = cond.conditioning_support()
-        dev = _worse(dev, max_abs(p @ p - p))
-        dev = _worse(dev, max_abs(p - support_projector(reduce(j, "a").matrix)))
-    return dev
+        yield max_abs(p @ p - p)
+        yield max_abs(p - support_projector(reduce(j, "a").matrix))
 
 
 def _check_integer_rank(rng, trials):
-    dev = 0.0
     for i in range(trials):
         rank = 1 + i % 2
         j = random_joint_state(QUBIT, QUTRIT, rng, rank_a=rank)
         cond = conditional_from_joint(j, "a")
         trace = float(np.trace(cond.matrix).real)
-        dev = _worse(dev, abs(trace - rank))
-    return dev
+        yield abs(trace - rank)
 
 
 def _check_classical_conditional(rng, trials):
-    dev = 0.0
     for _ in range(trials):
         j = random_joint_state(BIT, BIT, rng)
         cond = conditional_from_joint(j, "a")
@@ -139,41 +131,35 @@ def _check_classical_conditional(rng, trials):
         expected = np.array(
             [diag[0] / marg[0], diag[1] / marg[0], diag[2] / marg[1], diag[3] / marg[1]]
         )
-        dev = _worse(dev, max_abs(np.diag(cond.matrix).real - expected))
-    return dev
+        yield max_abs(np.diag(cond.matrix).real - expected)
 
 
 def _check_isomorphism(rng, trials):
-    dev = 0.0
     for i in range(trials):
         shape_in, shape_out = ISO_PAIRS[i % len(ISO_PAIRS)]
         c = random_channel(shape_in, shape_out, 2, rng)
         cond = choi_conditional(c)
         c2 = channel_from_conditional(cond)
         s = random_state(shape_in, rng)
-        dev = _worse(dev, max_abs(apply(c, s).matrix - apply(c2, s).matrix))
-        dev = _worse(dev, max_abs(apply_via_conditional(cond, s) - apply_matrix(c, s.matrix)))
-    return dev
+        yield max_abs(apply(c, s).matrix - apply(c2, s).matrix)
+        yield max_abs(apply_via_conditional(cond, s) - apply_matrix(c, s.matrix))
 
 
 def _check_purity_isometry(rng, trials):
-    failures = 0.0
     for i in range(trials):
         dim = 2 + i % 3
         shape = AlgebraShape((dim,))
         unitary = Channel(shape, shape, (random_unitary(dim, rng),))
         if not is_isometry(unitary):
-            failures = 1.0
+            yield 1.0
         noisy = random_channel(QUBIT, QUBIT, 2, rng)
         if len(canonical_reduction(noisy).kraus) >= 2 and is_isometry(noisy):
-            failures = 1.0
+            yield 1.0
         if not validate_channel(noisy).ok:
-            failures = 1.0
-    return failures
+            yield 1.0
 
 
 def _check_theorem(rng, trials):
-    dev = 0.0
     for i in range(trials):
         shape_a, shape_b = THEOREM_PAIRS[i % len(THEOREM_PAIRS)]
         rank_a = None if i % 4 else 1
@@ -181,64 +167,55 @@ def _check_theorem(rng, trials):
         n = random_povm(shape_a, 1 + i % 4, rng)
         m = random_povm(shape_b, 1 + (i + 1) % 4, rng)
         report = verify_theorem(j, n, m)
-        dev = _worse(dev, report.max_deviation)
+        yield report.max_deviation
         if not report.distributions_valid():
-            dev = _worse(dev, 1.0)
-    return dev
+            yield 1.0
 
 
 def _check_teleport(rng, trials):
-    dev = 0.0
     for i in range(trials):
         dim = 2 + i % 2
         shape = AlgebraShape((dim,))
         c = random_channel(shape, QUBIT, 2, rng)
         s = random_state(shape, rng)
         report = teleport(c, s)
-        dev = _worse(dev, abs(report.success_probability - 1.0 / dim**2))
-        dev = _worse(dev, max_abs(report.bob_state_on_success.matrix - apply(c, s).matrix))
-    return dev
+        yield abs(report.success_probability - 1.0 / dim**2)
+        yield max_abs(report.bob_state_on_success.matrix - apply(c, s).matrix)
 
 
 def _check_teleport_classical(rng, trials):
-    dev = 0.0
     for _ in range(trials):
         c = random_channel(BIT, BIT, 2, rng)
         s = random_state(BIT, rng)
         report = teleport_classical(c, s)
-        dev = _worse(dev, abs(report.success_probability - 0.5))
-        dev = _worse(dev, max_abs(report.bob_state_on_success.matrix - apply(c, s).matrix))
+        yield abs(report.success_probability - 0.5)
+        yield max_abs(report.bob_state_on_success.matrix - apply(c, s).matrix)
     pad_input = random_state(BIT, rng)
     pad = teleport_classical(identity_channel(BIT), pad_input)
     for corrected in pad.corrected_states:
-        dev = _worse(dev, max_abs(corrected.matrix - pad_input.matrix))
-    return dev
+        yield max_abs(corrected.matrix - pad_input.matrix)
 
 
 def _check_lemma(rng, trials):
-    dev = 0.0
     for i in range(trials):
         s = random_state(QUBIT if i % 2 else MIXED, rng)
         povm = random_povm(s.shape, 2 + i % 3, rng)
         ens = prepare(povm, s)
         mix = sum(p * m.matrix for p, m in zip(ens.weights, ens.members))
-        dev = _worse(dev, max_abs(mix - s.matrix))
+        yield max_abs(mix - s.matrix)
         back = povm_from_ensemble(ens, s)
         for recovered, original in zip(back.elements, povm.elements):
-            dev = _worse(dev, max_abs(recovered - original))
-    return dev
+            yield max_abs(recovered - original)
 
 
 def _check_bayes(rng, trials):
-    dev = 0.0
     for i in range(trials):
         shape = QUBIT if i % 2 else BIT
         j = random_joint_state(shape, shape, rng)
         cond_ab = conditional_from_joint(j, "b")
         direct = conditional_from_joint(j, "a")
         inverted = bayes_invert(cond_ab, reduce(j, "a"), reduce(j, "b"))
-        dev = _worse(dev, max_abs(inverted.matrix - direct.matrix))
-    return dev
+        yield max_abs(inverted.matrix - direct.matrix)
 
 
 def _check_sampling(rng, trials):
@@ -248,11 +225,10 @@ def _check_sampling(rng, trials):
     a = sample(povm, s, np.random.default_rng(seed), 200 * trials)
     b = sample(povm, s, np.random.default_rng(seed), 200 * trials)
     if not np.array_equal(a, b):
-        return 1.0
+        yield 1.0
     probs = measure(povm, s)
     if not (float(probs.min()) >= -NEGLIGIBLE and abs(float(probs.sum()) - 1.0) <= IDENTITY_TOL):
-        return 1.0
-    return 0.0
+        yield 1.0
 
 
 # Tolerance classes: ``--tol`` replaces the threshold of an overridable
@@ -291,6 +267,6 @@ def run_selftest(seed: int, trials: int, tol: float | None = None) -> list[Check
     for (name, fn, threshold, tolerance_class), child in zip(CHECKS, children):
         if tol is not None and tolerance_class == OVERRIDABLE:
             threshold = tol
-        rng = np.random.default_rng(child)
-        results.append(CheckResult(name, float(fn(rng, trials)), float(threshold)))
+        dev = functools.reduce(_worse, fn(np.random.default_rng(child), trials), 0.0)
+        results.append(CheckResult(name, float(dev), float(threshold)))
     return results

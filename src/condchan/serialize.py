@@ -17,6 +17,7 @@ writes any payload in this layout; the CLI's reports go through it too.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,7 +28,22 @@ from .errors import DocumentSyntaxError
 from .povm import POVM, Ensemble
 from .states import JointState, State
 
-KINDS = ("state", "joint_state", "conditional", "channel", "povm", "ensemble")
+_SHAPE, _MATRIX, _MATRICES = "shape", "matrix", "matrices"
+
+# kind: (class, {key: type}): the class's constructor arguments in order, each
+# a shape, a matrix or a nonempty matrix list.  A None value is left out, and an
+# absent key whose argument defaults to None reads as None.  Ensembles stay
+# apart: their document is not their constructor's arguments.
+_SCHEMA = {
+    "state": (State, {"shape": _SHAPE, "matrix": _MATRIX}),
+    "joint_state": (JointState, {"shape_a": _SHAPE, "shape_b": _SHAPE, "matrix": _MATRIX}),
+    "conditional": (ConditionalState, {"shape_in": _SHAPE, "shape_out": _SHAPE, "matrix": _MATRIX}),
+    "channel": (Channel, {"shape_in": _SHAPE, "shape_out": _SHAPE, "kraus": _MATRICES,
+                          "input_support": _MATRIX}),
+    "povm": (POVM, {"shape": _SHAPE, "elements": _MATRICES}),
+}
+KINDS = (*_SCHEMA, "ensemble")
+_ENCODE = {_SHAPE: lambda shape: list(shape.block_dims), _MATRIX: lambda m: m, _MATRICES: list}
 
 
 def _pairs(m: np.ndarray) -> np.ndarray:
@@ -62,36 +78,18 @@ def _require(obj: dict, key: str) -> object:
     return obj[key]
 
 
+def _decode(value, key: str, codec: str, kind: str):
+    if codec == _SHAPE:
+        return _decode_shape(value, key)
+    if codec == _MATRIX:
+        return _decode_matrix(value, key)
+    if not isinstance(value, list) or not value:
+        raise DocumentSyntaxError(f"{kind} document needs a nonempty {key!r} list")
+    return tuple(_decode_matrix(m, f"{key}[{i}]") for i, m in enumerate(value))
+
+
 def _fields(obj) -> dict:
     """Document fields of any serializable object, matrices kept as arrays."""
-    if isinstance(obj, State):
-        return {"kind": "state", "shape": list(obj.shape.block_dims), "matrix": obj.matrix}
-    if isinstance(obj, JointState):
-        return {
-            "kind": "joint_state",
-            "shape_a": list(obj.shape_a.block_dims),
-            "shape_b": list(obj.shape_b.block_dims),
-            "matrix": obj.matrix,
-        }
-    if isinstance(obj, ConditionalState):
-        return {
-            "kind": "conditional",
-            "shape_in": list(obj.shape_in.block_dims),
-            "shape_out": list(obj.shape_out.block_dims),
-            "matrix": obj.matrix,
-        }
-    if isinstance(obj, Channel):
-        fields = {
-            "kind": "channel",
-            "shape_in": list(obj.shape_in.block_dims),
-            "shape_out": list(obj.shape_out.block_dims),
-            "kraus": list(obj.kraus),
-        }
-        if obj.input_support is not None:
-            fields["input_support"] = obj.input_support
-        return fields
-    if isinstance(obj, POVM):
-        return {"kind": "povm", "shape": list(obj.shape.block_dims), "elements": list(obj.elements)}
     if isinstance(obj, Ensemble):
         return {
             "kind": "ensemble",
@@ -100,6 +98,10 @@ def _fields(obj) -> dict:
             "members": [m.matrix for m in obj.members],
             "average": obj.average.matrix,
         }
+    for kind, (cls, keys) in _SCHEMA.items():
+        if isinstance(obj, cls):
+            values = ((key, getattr(obj, key), codec) for key, codec in keys.items())
+            return {"kind": kind} | {k: _ENCODE[c](v) for k, v, c in values if v is not None}
     raise DocumentSyntaxError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -155,36 +157,6 @@ def from_payload(obj: dict):
     if not isinstance(obj, dict):
         raise DocumentSyntaxError("document root must be a JSON object")
     kind = _require(obj, "kind")
-    if kind == "state":
-        shape = _decode_shape(_require(obj, "shape"), "shape")
-        return State(shape, _decode_matrix(_require(obj, "matrix"), "matrix"))
-    if kind == "joint_state":
-        shape_a = _decode_shape(_require(obj, "shape_a"), "shape_a")
-        shape_b = _decode_shape(_require(obj, "shape_b"), "shape_b")
-        return JointState(shape_a, shape_b, _decode_matrix(_require(obj, "matrix"), "matrix"))
-    if kind == "conditional":
-        shape_in = _decode_shape(_require(obj, "shape_in"), "shape_in")
-        shape_out = _decode_shape(_require(obj, "shape_out"), "shape_out")
-        return ConditionalState(
-            shape_in, shape_out, _decode_matrix(_require(obj, "matrix"), "matrix")
-        )
-    if kind == "channel":
-        shape_in = _decode_shape(_require(obj, "shape_in"), "shape_in")
-        shape_out = _decode_shape(_require(obj, "shape_out"), "shape_out")
-        kraus = _require(obj, "kraus")
-        if not isinstance(kraus, list) or not kraus:
-            raise DocumentSyntaxError("channel document needs a nonempty 'kraus' list")
-        ops = tuple(_decode_matrix(k, f"kraus[{i}]") for i, k in enumerate(kraus))
-        support = None
-        if "input_support" in obj:
-            support = _decode_matrix(obj["input_support"], "input_support")
-        return Channel(shape_in, shape_out, ops, input_support=support)
-    if kind == "povm":
-        shape = _decode_shape(_require(obj, "shape"), "shape")
-        elements = _require(obj, "elements")
-        if not isinstance(elements, list) or not elements:
-            raise DocumentSyntaxError("povm document needs a nonempty 'elements' list")
-        return POVM(shape, tuple(_decode_matrix(e, f"elements[{i}]") for i, e in enumerate(elements)))
     if kind == "ensemble":
         shape = _decode_shape(_require(obj, "shape"), "shape")
         weights, members = _require(obj, "weights"), _require(obj, "members")
@@ -199,7 +171,14 @@ def from_payload(obj: dict):
         )
         average = State(shape, _decode_matrix(_require(obj, "average"), "average"))
         return Ensemble(weights=weights, members=members, average=average)
-    raise DocumentSyntaxError(f"unknown document kind {kind!r}; expected one of {KINDS}")
+    if not isinstance(kind, str) or kind not in _SCHEMA:  # a list or an object is unhashable
+        raise DocumentSyntaxError(f"unknown document kind {kind!r}; expected one of {KINDS}")
+    cls, keys = _SCHEMA[kind]
+    optional = {f.name for f in fields(cls) if f.default is None}
+    return cls(**{
+        key: _decode(_require(obj, key), key, codec, kind)
+        for key, codec in keys.items() if key in obj or key not in optional
+    })
 
 
 def parse(text: str):

@@ -86,17 +86,15 @@ class JointState:
     shape_a: AlgebraShape
     shape_b: AlgebraShape
     matrix: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         arr = as_matrix(self.matrix)
         d = self.shape_a.total_dim * self.shape_b.total_dim
         if arr.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
         object.__setattr__(self, "matrix", arr)
-        if check:
-            block_dev = pair_support_deviation(arr, self.shape_a, self.shape_b)
-            _validate_psd(arr[None], block_dev, unit_trace=True)
+        block_dev = pair_support_deviation(arr, self.shape_a, self.shape_b)
+        _validate_psd(arr[None], block_dev, unit_trace=True)
 
 
 def _side(keep: str) -> str:

@@ -162,8 +162,11 @@ class TestChannelFromConditional:
     def test_rejects_non_projector_support(self):
         scaled = max_ent_conditional(QUBIT).matrix * 0.9
         cond = ConditionalState(QUBIT, QUBIT, scaled, check=False)
-        with pytest.raises(NotTracePreserving):
+        # the recovered channel's constructor judges the 0.9·I support
+        with pytest.raises(InvariantViolation) as info:
             channel_from_conditional(cond)
+        assert info.value.invariant == "support_projector"
+        assert info.value.deviation == pytest.approx(9e-2)
 
     def test_support_deficient_conditional_is_flagged(self, rng):
         from condchan import conditional_from_joint

@@ -66,6 +66,9 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     # eight document commands on each class at d = 8, and selftest once
     cli_rows = [row for row in results if row["call"].startswith("cli ")]
     assert len(cli_rows) == 3 * 8 + 1 and {row["d"] for row in cli_rows} == {8}
+    # each CLI result carries the digest of its stdout, and only those do
+    assert all(len(bytes.fromhex(row["stdout_sha256"])) == 32 for row in cli_rows)
+    assert not any("stdout_sha256" in row for row in results if row not in cli_rows)
     # every sample is timed beside the calibration kernel, and the ratio's
     # quartiles bracket its median
     assert all(row["control_ms"] > 0 and row["ratio"] > 0 for row in results)
@@ -74,6 +77,22 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     # valid input is certified by Cholesky alone (selftest also runs the
     # eigenvalue checks it tests)
     assert all(row["eigvalsh"] == 0 for row in results if row["call"] != "cli selftest")
+
+
+def test_bench_digest_masks_only_the_selftest_run_time():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "from bench import stdout_sha256\n"
+        "report = '{\\n \"elapsedSeconds\": %s,\\n \"pass\": %s\\n}\\n'\n"
+        "print(stdout_sha256(report % (0.25, 'true')) == stdout_sha256(report % (3, 'true')),\n"
+        "      stdout_sha256(report % (0.25, 'true')) == stdout_sha256(report % (0.25, 'false')))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["True", "False"]
 
 
 def test_bench_records_a_call_that_runs_out_of_memory():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from condchan import (
     random_state,
 )
 from condchan.channels import choi_conditional
-from condchan.serialize import parse, serialize, to_payload
+from condchan.serialize import _SCHEMA, parse, serialize, to_payload
 from conftest import BIT, MIXED, QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -97,8 +98,17 @@ def test_json_syntax_error_has_position():
 
 
 def test_unknown_kind():
-    with pytest.raises(DocumentSyntaxError):
-        parse('{"kind": "wavefunction", "shape": [2], "matrix": []}')
+    # a list or an object must not reach the kind table as an unhashable key
+    for kind in ('"wavefunction"', "[]", "{}", "null", "1", "true"):
+        with pytest.raises(DocumentSyntaxError, match="unknown document kind"):
+            parse(f'{{"kind": {kind}, "shape": [2], "matrix": []}}')
+
+
+def test_document_keys_are_the_constructor_arguments():
+    # a new constructor field cannot silently drop out of documents; an
+    # InitVar such as ``check`` is not a field
+    for kind, (cls, keys) in _SCHEMA.items():
+        assert list(keys) == [f.name for f in dataclasses.fields(cls) if f.init], kind
 
 
 def test_missing_key():
