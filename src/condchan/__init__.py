@@ -29,29 +29,14 @@ from .conditional import (
     joint_from_conditional,
 )
 from .errors import (
-    BasisNotPOVM,
     CondChanError,
-    DimensionMismatch,
     DocumentSyntaxError,
     InvariantViolation,
     NoConvergence,
-    NotHermitian,
-    NotPositive,
-    NotTracePreserving,
     ShapeMismatch,
     SupportMismatch,
-    SupportViolation,
 )
-from .matcore import (
-    EigenSystem,
-    gen_inv_sqrt,
-    herm_eig,
-    kron,
-    mat_sqrt,
-    partial_trace,
-    support_projector,
-    swap_factors,
-)
+from .matcore import EigenSystem, herm_eig, kron, partial_trace, swap_factors
 from .povm import POVM, Ensemble, measure, povm_from_ensemble, prepare, sample
 from .scenarios import (
     TeleportReport,

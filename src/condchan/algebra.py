@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ShapeMismatch
 from .matcore import BlockIndex, max_abs
 
 
@@ -30,9 +30,9 @@ class AlgebraShape:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.block_dims)
         if not dims:
-            raise DimensionMismatch("an algebra needs at least one block")
+            raise ShapeMismatch("an algebra needs at least one block")
         if any(d < 1 for d in dims):
-            raise DimensionMismatch(f"block dimensions must be positive, got {dims}")
+            raise ShapeMismatch(f"block dimensions must be positive, got {dims}")
         object.__setattr__(self, "block_dims", dims)
 
     @property
@@ -101,7 +101,7 @@ def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
 def _off_support_deviation(m, off: np.ndarray) -> float:
     arr = np.asarray(m)
     if arr.shape[-2:] != off.shape:
-        raise DimensionMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
+        raise ShapeMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
     return max_abs(arr[..., off])
 
 

@@ -31,11 +31,7 @@ from .algebra import (
     pair_support_deviation,
 )
 from .conditional import ConditionalState
-from .errors import (
-    InvariantViolation,
-    NotTracePreserving,
-    ShapeMismatch,
-)
+from .errors import InvariantViolation, ShapeMismatch
 from .matcore import herm_deviation, herm_eig, herm_eigvals, max_abs
 from .states import State
 from .tolerances import BLOCK_TOL, IDENTITY_TOL
@@ -131,8 +127,9 @@ class Channel:
             with np.errstate(over="ignore", invalid="ignore"):
                 tp_dev = max_abs(_kraus_gram(ops) - target)
             if not tp_dev <= IDENTITY_TOL:
-                raise NotTracePreserving(
-                    f"sum of K†K deviates from the required resolution by {tp_dev:.3e}"
+                raise InvariantViolation(
+                    "trace_preserving", tp_dev,
+                    f"sum of K†K deviates from the required resolution by {tp_dev:.3e}",
                 )
         object.__setattr__(self, "_superop", _superoperator(ops))
         if check:
@@ -206,7 +203,8 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
     keep = es.kept
     if not keep.any():
-        raise NotTracePreserving("conditional has no spectral weight above the cutoff")
+        raise InvariantViolation("spectral_weight", es.eigenvalues[0],
+                                 "conditional has no spectral weight above the cutoff")
     # column index convention: vec[a * dout + b] -> K[b, a]
     vecs = es.eigenvectors.T[keep] * np.sqrt(es.eigenvalues[keep])[:, None]
     kraus = vecs.reshape(-1, din, dout).swapaxes(1, 2)

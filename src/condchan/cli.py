@@ -21,7 +21,7 @@ from .channels import Channel, channel_from_conditional, choi_conditional
 from .conditional import ConditionalState, bayes_invert, conditional_from_joint, joint_from_conditional
 from .errors import CondChanError, DocumentSyntaxError, UsageError
 from .povm import POVM, prepare
-from .scenarios import teleport, teleport_classical, verify_theorem
+from .scenarios import CLASSICAL_BIT, teleport, teleport_classical, verify_theorem
 from .selftest import run_selftest
 from .states import JointState, State
 from .tolerances import IDENTITY_TOL
@@ -75,7 +75,9 @@ def _verify_theorem(args) -> tuple[str, str, int]:
 
 
 def _teleport(args) -> tuple[str, str, int]:
-    report = (teleport_classical if args.classical else teleport)(args.channel, args.input)
+    # the input decides the route: the bit algebra groups its Bell outcomes
+    route = teleport_classical if args.channel.shape_in == CLASSICAL_BIT else teleport
+    report = route(args.channel, args.input)
     payload = {
         "kind": "teleport_report",
         "successProbability": report.success_probability,
@@ -158,7 +160,7 @@ COMMANDS = {
     ),
     "teleport": (
         "run noisy-gate teleportation",
-        {"--channel": Channel, "--input": State, "--classical": {"action": "store_true"}},
+        {"--channel": Channel, "--input": State},
         _teleport,
     ),
     "prepare": (

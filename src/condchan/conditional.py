@@ -26,7 +26,6 @@ from .matcore import (
     as_matrix,
     herm_deviation,
     herm_eig,
-    mat_sqrt,
     max_abs,
     partial_trace,
     swap_factors,
@@ -125,7 +124,7 @@ def joint_from_conditional(marg: State, cond: ConditionalState) -> JointState:
     """
     if marg.shape != cond.shape_in:
         raise ShapeMismatch("marginal shape does not match the conditioning algebra")
-    root = mat_sqrt(marg.matrix)
+    root = herm_eig(marg.matrix).root()
     out = _sandwich_on_first(root, cond.matrix, cond.shape_out.total_dim)
     # the measure and threshold of the rebuilt joint's own unit-trace check
     trace = np.trace(out)

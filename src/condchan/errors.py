@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One class per kind of failure: a command line (``UsageError``), a document
+(``DocumentSyntaxError``), shapes that do not fit (``ShapeMismatch``),
+supports that do not nest (``SupportMismatch``), a measured invariant
+(``InvariantViolation``, which names it and carries its deviation) and the
+eigensolver (``NoConvergence``).
+"""
 
 from __future__ import annotations
 
@@ -13,20 +20,8 @@ class CondChanError(Exception):
     exit_code = 3
 
 
-class DimensionMismatch(CondChanError):
-    """Matrix dimensions are incompatible with the requested operation."""
-
-
 class ShapeMismatch(CondChanError):
-    """Algebra shapes of the operands do not match."""
-
-
-class NotHermitian(CondChanError):
-    """Input matrix deviates from Hermiticity beyond tolerance."""
-
-
-class NotPositive(CondChanError):
-    """Input matrix has an eigenvalue below the negativity tolerance."""
+    """Algebra shapes, matrix dimensions or indices do not fit the operation."""
 
 
 class NoConvergence(CondChanError):
@@ -36,23 +31,13 @@ class NoConvergence(CondChanError):
 
 
 class SupportMismatch(CondChanError):
-    """Support conditions between marginal and conditional are violated."""
-
-
-class NotTracePreserving(CondChanError):
-    """The conditioning partial trace is not a projector/identity within tolerance."""
-
-
-class BasisNotPOVM(CondChanError):
-    """The supplied measurement basis is not a valid POVM for the protocol."""
-
-
-class SupportViolation(CondChanError):
-    """An ensemble member leaks outside the support of the decomposed state."""
+    """A support does not lie inside the one it must: a marginal outside its
+    conditional's conditioning support, or an ensemble member outside the
+    support of the decomposed state."""
 
 
 class InvariantViolation(CondChanError):
-    """A validated object failed one of its construction invariants.
+    """A matrix or object failed a measured invariant.
 
     Carries the name of the failing invariant and the measured deviation so
     reports and the CLI can surface both.

@@ -15,8 +15,7 @@ Conventions fixed here once and relied on project-wide:
   root, the generalized inverse root, the support projector and the rank.
   The last three, and Kraus extraction, keep the eigenvalues above one
   cutoff, ``CUTOFF_REL`` times the largest eigenvalue with the floor
-  ``CUTOFF_FLOOR`` (see ``tolerances``); ``mat_sqrt``, ``gen_inv_sqrt`` and
-  ``support_projector`` are the views of a fresh decomposition;
+  ``CUTOFF_FLOOR`` (see ``tolerances``);
 * a matrix of a reducible algebra (or tensor product of algebras) of
   dimension at least ``BLOCKWISE_MIN_DIM`` is decomposed per block:
   ``herm_eig`` and ``herm_eigvals`` take the algebra's ``BlockIndex`` (from
@@ -35,13 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    NoConvergence,
-    NotHermitian,
-    NotPositive,
-)
+from .errors import InvariantViolation, NoConvergence, ShapeMismatch
 from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE
 
 # Smallest matrix dimension given a block index.  Below it one solver call
@@ -130,7 +123,8 @@ class EigenSystem:
     ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[j]``.
     ``root`` clips eigenvalues in [-INPUT_TOL, 0) to 0; ``inv_root``
     and ``support`` keep the eigenvalues above ``cutoff`` and raise
-    ``NotPositive`` for one below -``cutoff``, and ``rank`` counts them.
+    ``InvariantViolation('positive', -λmin)`` for one below -``cutoff``, and
+    ``rank`` counts them.
     """
 
     eigenvalues: np.ndarray
@@ -157,7 +151,9 @@ class EigenSystem:
     def _require_above(self, floor: float) -> None:
         w = self.eigenvalues
         if w.size and w[-1] < -floor:
-            raise NotPositive(f"minimum eigenvalue {w[-1]:.3e} below -{floor:.3e}")
+            raise InvariantViolation(
+                "positive", -w[-1], f"minimum eigenvalue {w[-1]:.3e} below -{floor:.3e}"
+            )
 
     def _with_eigenvalues(self, w: np.ndarray) -> np.ndarray:
         v = self.eigenvectors
@@ -191,7 +187,7 @@ def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D row-major complex128 array (copies; result is read-only)."""
     arr = np.array(m, dtype=np.complex128, copy=True, order="C")
     if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
     arr.setflags(write=False)
     return arr
 
@@ -244,6 +240,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     (all zero, or holding NaN or infinity) are left as they are.
     """
     out = np.array(vectors, copy=True)
+    if not out.size:  # the (0, 0) matrix has no column to rotate
+        return out
     mag = np.abs(out)
     above = mag > NEGLIGIBLE * mag.max(axis=0)
     first = above.argmax(axis=0)
@@ -266,11 +264,10 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
 
     Raises
     ------
-    NotHermitian
-        If the Hermiticity deviation exceeds ``INPUT_TOL``.
     InvariantViolation
-        ``block_support``, if ``blocks`` is given and an entry outside them
-        exceeds ``BLOCK_TOL``.
+        ``finite``, if an entry is NaN or infinite; ``hermitian``, if the
+        Hermiticity deviation exceeds ``INPUT_TOL``; ``block_support``, if
+        ``blocks`` is given and an entry outside them exceeds ``BLOCK_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
@@ -307,14 +304,17 @@ def _solve(solver, arr: np.ndarray):
 
 
 def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
-    """Hermitian part of a square matrix that is Hermitian within INPUT_TOL:
-    the matrix as a list of one, or with ``blocks`` one (n, s, s) stack of
-    its blocks per group, if it is zero outside them within BLOCK_TOL."""
+    """Hermitian part of a finite square matrix that is Hermitian within
+    INPUT_TOL: the matrix as a list of one, or with ``blocks`` one (n, s, s)
+    stack of its blocks per group, if it is zero outside them within
+    BLOCK_TOL.  Finiteness is judged first, as ``states._validate_psd`` does."""
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
+        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     if blocks is not None and arr.shape != blocks.off.shape:
-        raise DimensionMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
+        raise ShapeMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
+    if not np.isfinite(arr).all():
+        raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
     leak = 0.0 if blocks is None else max_abs(arr[blocks.off])
     if blocks is None or not leak <= BLOCK_TOL:
         dev = herm_deviation(arr)
@@ -324,28 +324,15 @@ def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
         entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
         dev = max_abs(entries - adjoint)
     if dev > INPUT_TOL:
-        raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})")
+        raise InvariantViolation(
+            "hermitian", dev, f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})"
+        )
     if not leak <= BLOCK_TOL:
         raise InvariantViolation("block_support", leak)
     if blocks is None:
         return [hermitize(arr)]
     herm = (entries + adjoint) / 2
     return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups]
-
-
-def mat_sqrt(p) -> np.ndarray:
-    """Unique PSD square root of a PSD matrix (``EigenSystem.root``)."""
-    return herm_eig(p).root()
-
-
-def gen_inv_sqrt(p) -> np.ndarray:
-    """Generalized inverse square root (``EigenSystem.inv_root``)."""
-    return herm_eig(p).inv_root()
-
-
-def support_projector(p) -> np.ndarray:
-    """Orthogonal projector onto the support (``EigenSystem.support``)."""
-    return herm_eig(p).support()
 
 
 def kron(a, b) -> np.ndarray:
@@ -356,7 +343,7 @@ def kron(a, b) -> np.ndarray:
 def _check_bipartite(m: np.ndarray, dim_left: int, dim_right: int) -> None:
     total = dim_left * dim_right
     if m.shape != (total, total):
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"matrix shape {m.shape} incompatible with factors {dim_left}x{dim_right}"
         )
 
@@ -374,7 +361,7 @@ def partial_trace(m, dim_left: int, dim_right: int, keep: str) -> np.ndarray:
         return np.einsum("irjr->ij", t)
     if keep == "right":
         return np.einsum("iris->rs", t)
-    raise DimensionMismatch(f"keep must be 'left' or 'right', got {keep!r}")
+    raise ShapeMismatch(f"keep must be 'left' or 'right', got {keep!r}")
 
 
 def swap_factors(m, dim_left: int, dim_right: int) -> np.ndarray:

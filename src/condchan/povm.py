@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraShape, block_index, block_support_deviation
-from .errors import InvariantViolation, ShapeMismatch, SupportViolation
-from .matcore import as_matrix, herm_eig, mat_sqrt, max_abs
+from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
+from .matcore import as_matrix, herm_eig, max_abs
 from .states import State, _validate_psd, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
@@ -89,7 +89,7 @@ def prepare(m: POVM, s: State) -> Ensemble:
     sqrt(s) M_j sqrt(s) normalized.  Outcomes of negligible probability are
     dropped; their conditional state is undefined."""
     probs = measure(m, s)
-    root = mat_sqrt(s.matrix)
+    root = herm_eig(s.matrix).root()
     kept = probs > NEGLIGIBLE
     members = root @ np.stack(m.elements)[kept] @ root / probs[kept, None, None]
     return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
@@ -110,7 +110,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)
         if leak > IDENTITY_TOL:
-            raise SupportViolation(
+            raise SupportMismatch(
                 f"ensemble member leaks outside the support of the state by {leak:.3e}"
             )
     mix_dev = max_abs(sum(p * m.matrix for p, m in zip(e.weights, e.members)) - s.matrix)

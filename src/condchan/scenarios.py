@@ -37,8 +37,8 @@ from .channels import (
     max_ent_matrix,
 )
 from .conditional import ConditionalState, _condition
-from .errors import BasisNotPOVM, DimensionMismatch, ShapeMismatch
-from .matcore import _fix_phases, gen_inv_sqrt, hermitize, kron, max_abs
+from .errors import InvariantViolation, ShapeMismatch
+from .matcore import _fix_phases, herm_eig, hermitize, kron, max_abs
 from .povm import POVM
 from .states import JointState, State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
@@ -149,9 +149,11 @@ def _success_index(effects: np.ndarray, d: int) -> int:
     """Index of the first effect within ``IDENTITY_TOL`` of the normalized
     maximally entangled projector on C^d ⊗ C^d."""
     target = max_ent_matrix(AlgebraShape((d,))) / d
-    matches = np.flatnonzero(np.abs(effects - target).max(axis=(1, 2)) <= IDENTITY_TOL)
+    distances = np.abs(effects - target).max(axis=(1, 2))
+    matches = np.flatnonzero(distances <= IDENTITY_TOL)
     if not matches.size:
-        raise BasisNotPOVM("basis does not contain the maximally entangled success effect")
+        raise InvariantViolation("success_effect", distances.min(),
+                                 "basis does not contain the maximally entangled success effect")
     return int(matches[0])
 
 
@@ -194,12 +196,13 @@ def _run_protocol(
     """Contract the input-side reductions with the resource built from the
     channel's conditional form; report every branch."""
     if not 0 <= success < len(reduced):
-        raise BasisNotPOVM(f"success index {success} out of range")
+        raise ShapeMismatch(f"success index {success} out of range")
     resource = cond.matrix / cond.shape_in.total_dim
     probs, branches = _run_branches(reduced, resource, cond.shape_out)
     bob = branches[success]
     if bob is None:
-        raise BasisNotPOVM("success outcome has vanishing probability")
+        raise InvariantViolation("success_probability", probs[success],
+                                 "success outcome has vanishing probability")
     return TeleportReport(
         success_probability=float(probs[success]),
         outcome_probabilities=probs,
@@ -339,7 +342,7 @@ def random_support_projector(
     """Rank-``rank`` projector inside the algebra (block-diagonal)."""
     d = shape.total_dim
     if not 1 <= rank <= d:
-        raise DimensionMismatch(f"rank must lie in [1, {d}], got {rank}")
+        raise ShapeMismatch(f"rank must lie in [1, {d}], got {rank}")
     u = random_block_unitary(shape, rng)
     picked = rng.choice(d, size=rank, replace=False)
     diag = np.zeros(d)
@@ -376,7 +379,7 @@ def random_channel(
     environment traced out and the output pinched onto its algebra."""
     d_in, d_out = shape_in.total_dim, shape_out.total_dim
     if d_out * env_dim < d_in:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"output dim {d_out} x environment {env_dim} cannot fit input dim {d_in}"
         )
     g = _gaussian_matrix(rng, d_out * env_dim, d_in)
@@ -394,7 +397,7 @@ def random_povm(shape: AlgebraShape, k: int, rng: np.random.Generator) -> POVM:
     """Random POVM with ``k`` outcomes: normalize random PSD algebra elements
     by the inverse square root of their sum."""
     if k < 1:
-        raise DimensionMismatch("a POVM needs at least one element")
+        raise ShapeMismatch("a POVM needs at least one element")
     d = shape.total_dim
     mask = block_mask(shape)
     raw = []
@@ -403,7 +406,7 @@ def random_povm(shape: AlgebraShape, k: int, rng: np.random.Generator) -> POVM:
         wishart = hermitize((g @ g.conj().T) * mask)
         # small ridge keeps the sum well conditioned for the inverse root
         raw.append(wishart + (0.05 * np.trace(wishart).real / d) * np.eye(d))
-    inv = gen_inv_sqrt(sum(raw))
+    inv = herm_eig(sum(raw)).inv_root()
     elements = [inv @ a @ inv for a in raw]
     slack = np.eye(d) - sum(elements)
     if max_abs(slack) > NEGLIGIBLE:

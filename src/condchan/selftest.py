@@ -29,7 +29,7 @@ from .channels import (
     validate_channel,
 )
 from .conditional import bayes_invert, conditional_from_joint, joint_from_conditional
-from .matcore import herm_eig, max_abs, partial_trace, support_projector
+from .matcore import herm_eig, max_abs, partial_trace
 from .povm import measure, povm_from_ensemble, prepare, sample
 from .scenarios import (
     random_channel,
@@ -110,7 +110,7 @@ def _check_conditional_support(rng, trials):
         cond = conditional_from_joint(j, "a")
         p = cond.conditioning_support()
         yield max_abs(p @ p - p)
-        yield max_abs(p - support_projector(reduce(j, "a").matrix))
+        yield max_abs(p - herm_eig(reduce(j, "a").matrix).support())
 
 
 def _check_integer_rank(rng, trials):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condchan import AlgebraShape, DimensionMismatch, kron
+from condchan import AlgebraShape, ShapeMismatch, kron
 from condchan.algebra import (
     block_mask,
     block_projectors,
@@ -37,9 +37,9 @@ class TestShape:
         assert MIXED.total_dim == 3 and not MIXED.is_classical and not MIXED.is_irreducible
 
     def test_rejects_bad_dims(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             AlgebraShape(())
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             AlgebraShape((2, 0))
 
 
@@ -97,7 +97,7 @@ class TestProject:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             block_support_deviation(np.eye(4), MIXED)
 
 

@@ -6,7 +6,6 @@ from condchan import (
     Channel,
     ConditionalState,
     InvariantViolation,
-    NotTracePreserving,
     ShapeMismatch,
     State,
     apply,
@@ -168,6 +167,13 @@ class TestChannelFromConditional:
         assert info.value.invariant == "support_projector"
         assert info.value.deviation == pytest.approx(9e-2)
 
+    def test_rejects_conditional_without_spectral_weight(self):
+        cond = ConditionalState(QUBIT, QUBIT, np.zeros((4, 4)), check=False)
+        with pytest.raises(InvariantViolation) as info:
+            channel_from_conditional(cond)
+        assert (info.value.invariant, info.value.deviation) == ("spectral_weight", 0.0)
+        assert str(info.value) == "conditional has no spectral weight above the cutoff"
+
     def test_support_deficient_conditional_is_flagged(self, rng):
         from condchan import conditional_from_joint
         from condchan.scenarios import random_joint_state
@@ -253,8 +259,11 @@ class TestValidateChannel:
             assert report.ok
 
     def test_constructor_rejects_non_tp(self):
-        with pytest.raises(NotTracePreserving):
+        with pytest.raises(InvariantViolation) as info:
             Channel(QUBIT, QUBIT, (np.eye(2) / np.sqrt(2),))
+        assert info.value.invariant == "trace_preserving"
+        assert info.value.deviation == pytest.approx(0.5)
+        assert str(info.value) == "sum of K†K deviates from the required resolution by 5.000e-01"
 
     def test_constructor_rejects_off_algebra_output(self):
         with pytest.raises(InvariantViolation):
@@ -290,8 +299,10 @@ class TestValidateChannel:
         # finite entries whose K†K overflows make the TP deviation inf or NaN
         k = np.eye(2, dtype=complex)
         k[0, 0] = 1e308 + 1e308j
-        with pytest.raises(NotTracePreserving):
+        with pytest.raises(InvariantViolation) as info:
             Channel(QUBIT, QUBIT, (k,))
+        assert info.value.invariant == "trace_preserving"
+        assert not info.value.deviation <= 1e-9  # inf or NaN
 
     def test_constructor_rejects_ragged_or_missing_kraus(self):
         with pytest.raises(ShapeMismatch):

@@ -20,18 +20,12 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from condchan import (
-    BasisNotPOVM,
     CondChanError,
-    DimensionMismatch,
     DocumentSyntaxError,
     InvariantViolation,
     NoConvergence,
-    NotHermitian,
-    NotPositive,
-    NotTracePreserving,
     ShapeMismatch,
     SupportMismatch,
-    SupportViolation,
     choi_conditional,
     cli,
     conditional_from_joint,
@@ -150,7 +144,6 @@ def test_teleport_classical_reports_half():
         str(FIXTURES / "bit_identity_channel.json"),
         "--input",
         str(FIXTURES / "bit_state.json"),
-        "--classical",
     )
     report = json.loads(out.stdout)
     assert report["successProbability"] == pytest.approx(0.5, abs=1e-12)
@@ -459,7 +452,7 @@ def test_main_builds_one_parser_for_all_commands(commands, monkeypatch):
 
 def test_reports_and_documents_share_one_layout(commands):
     # every command, reports included, writes json's indent-1, sorted-key layout
-    for argv in [*commands.values(), [*BIT_TELEPORT, "--classical"]]:
+    for argv in [*commands.values(), BIT_TELEPORT]:
         code, out, err = run_main(*argv)
         assert code == 0, err
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n", argv[0]
@@ -478,16 +471,16 @@ def test_console_script_target_runs(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("usage: condchan")
 
 
-def test_store_true_flag_does_not_carry_to_the_next_call(commands):
-    code, out, _ = run_main(*BIT_TELEPORT, "--classical")
-    assert code == 0 and json.loads(out)["groupingUsed"] is True
-    code, out, _ = run_main(*commands["teleport"])
-    assert code == 0 and json.loads(out)["groupingUsed"] is False
-    # the bit documents without the flag take the irreducible route, which
-    # rejects them
-    run_main(*BIT_TELEPORT, "--classical")
-    code, _, err = run_main(*BIT_TELEPORT)
-    assert code == 3 and "irreducible input algebra" in err
+def test_teleport_takes_the_route_of_its_input(commands):
+    # the bit algebra groups its Bell outcomes, a qubit takes the Bell basis,
+    # and the route of one call does not reach the next
+    for _ in range(2):
+        code, out, _ = run_main(*BIT_TELEPORT)
+        assert code == 0 and json.loads(out)["groupingUsed"] is True
+        code, out, _ = run_main(*commands["teleport"])
+        assert code == 0 and json.loads(out)["groupingUsed"] is False
+    code, out, err = run_main(*BIT_TELEPORT, "--classical")
+    assert (code, out) == (1, "") and "unrecognized arguments: --classical" in err
 
 
 def test_tolerance_does_not_carry_to_the_next_call():
@@ -506,7 +499,7 @@ def test_tolerance_does_not_carry_to_the_next_call():
 
 @pytest.mark.parametrize("bad", [
     ["teleport", "--channel", str(FIXTURES / "identity_channel.json")],  # missing --input
-    ["teleport", "--classical", "--tol", "1e-9", *BIT_TELEPORT[1:]],
+    ["teleport", "--classical", *BIT_TELEPORT[1:]],  # the route is the input's
     ["frobnicate"],
 ])
 def test_usage_error_does_not_affect_the_next_call(commands, bad):
@@ -535,9 +528,9 @@ def test_help_equals_that_of_a_fresh_parser(commands, argv):
 def test_main_from_threads_matches_sequential_calls(commands):
     script = [
         commands["choi"],
-        [*BIT_TELEPORT, "--classical"],
+        BIT_TELEPORT,
         commands["teleport"],
-        ["teleport", "--classical", "--seed", "0", *commands["teleport"][1:]],
+        ["teleport", "--seed", "0", *commands["teleport"][1:]],
         commands["condition"],
         ["condition", *commands["condition"][1:-1], "b"],
         [*commands["verify-theorem"], "--tol", "1e-30"],
@@ -575,15 +568,23 @@ def test_main_from_threads_matches_sequential_calls(commands):
 
 def _error_cases():
     labels = {1: "usage error", 2: "parse error", 3: "invariant violation", 4: "numerical failure"}
-    invariant = (ShapeMismatch, DimensionMismatch, NotHermitian, NotPositive, SupportMismatch,
-                 NotTracePreserving, BasisNotPOVM, SupportViolation)
     cases = [(UsageError("bad flag"), 1), (DocumentSyntaxError("bad text", 3, 7), 2),
              (InvariantViolation("positive", 0.5), 3),
-             *[(cls(f"{cls.__name__} raised"), 3) for cls in invariant],
+             (ShapeMismatch("ShapeMismatch raised"), 3), (SupportMismatch("SupportMismatch raised"), 3),
              (NoConvergence("eigh did not converge"), 4),
              (FloatingPointError("overflow"), 4), (np.linalg.LinAlgError("singular"), 4)]
+    # an invariant raised with its own message prints that message alone
+    named = [
+        InvariantViolation("hermitian", 2e-3, "matrix deviates from Hermiticity by 2.000e-03 (tol 1.000e-10)"),
+        InvariantViolation("positive", 0.5, "minimum eigenvalue -5.000e-01 below -1.000e-10"),
+        InvariantViolation("trace_preserving", 0.5,
+                           "sum of K†K deviates from the required resolution by 5.000e-01"),
+        InvariantViolation("success_effect", 1.0, "basis does not contain the maximally entangled success effect"),
+    ]
     return [pytest.param(exc, code, f"{labels[code]}: {exc}\n", id=type(exc).__name__)
-            for exc, code in cases]
+            for exc, code in cases] + [
+        pytest.param(exc, 3, f"invariant violation: {exc}\n", id=f"InvariantViolation-{exc.invariant}")
+        for exc in named]
 
 
 def _subclasses(cls):
@@ -672,7 +673,7 @@ OPTIONS = {
     "join": ["--marginal", "--conditional"],
     "bayes": ["--conditional", "--marginal-a", "--marginal-b"],
     "verify-theorem": ["--joint", "--povm-a", "--povm-b", "--tol"],
-    "teleport": ["--channel", "--input", "--classical"],
+    "teleport": ["--channel", "--input"],
     "prepare": ["--povm", "--state"],
     "selftest": ["--seed", "--trials", "--tol"],
 }
@@ -699,9 +700,7 @@ def command_lines(draw, documents):
     for flag in OPTIONS[command]:
         if not draw(OFTEN):
             continue
-        if flag == "--classical":
-            argv.append(flag)
-        elif flag in SLOT_KINDS:
+        if flag in SLOT_KINDS:
             valid = [path for path, kind in documents["valid"] if kind == SLOT_KINDS[flag]]
             argv += [flag, draw(st.sampled_from(valid if draw(OFTEN) else documents["any"]))]
         else:

@@ -14,9 +14,9 @@ from condchan import (
     bayes_invert,
     conditional_from_joint,
     joint_from_conditional,
+    herm_eig,
     kron,
     reduce,
-    support_projector,
 )
 from condchan.scenarios import random_joint_state, random_state
 from condchan.tolerances import BLOCK_TOL
@@ -51,7 +51,7 @@ class TestConditionalFromJoint:
         j = JointState(QUBIT, QUTRIT, kron(a.matrix, b.matrix))
         cond = conditional_from_joint(j, "a")
         np.testing.assert_allclose(
-            cond.matrix, kron(support_projector(a.matrix), b.matrix), atol=1e-10
+            cond.matrix, kron(herm_eig(a.matrix).support(), b.matrix), atol=1e-10
         )
         assert cond.rank == 1
 
@@ -85,7 +85,7 @@ class TestConditionalFromJoint:
             cond = conditional_from_joint(j, "a")
             np.testing.assert_allclose(
                 cond.conditioning_support(),
-                support_projector(reduce(j, "a").matrix),
+                herm_eig(reduce(j, "a").matrix).support(),
                 atol=1e-9,
             )
 

@@ -82,15 +82,13 @@ from condchan.channels import (
     max_ent_matrix,
     validate_channel,
 )
-from condchan.errors import NoConvergence, NotHermitian
+from condchan.errors import NoConvergence
 from condchan.matcore import (
     BLOCKWISE_MIN_DIM,
     _fix_phases,
-    gen_inv_sqrt,
     herm_eig,
     herm_eigvals,
     hermitize,
-    mat_sqrt,
 )
 from condchan.scenarios import (
     CLASSICAL_BIT,
@@ -138,14 +136,14 @@ def oracle_sandwich_on_first(factor, matrix, dim_other):
 def oracle_conditional(j, side):
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     if side == "a":
-        inv = gen_inv_sqrt(partial_trace(j.matrix, da, db, keep="left"))
+        inv = herm_eig(partial_trace(j.matrix, da, db, keep="left")).inv_root()
         return oracle_sandwich_on_first(inv, j.matrix, db)
-    inv = gen_inv_sqrt(partial_trace(j.matrix, da, db, keep="right"))
+    inv = herm_eig(partial_trace(j.matrix, da, db, keep="right")).inv_root()
     return oracle_sandwich_on_first(inv, swap_factors(j.matrix, da, db), da)
 
 
 def oracle_bayes(cond_ab, marg_a, marg_b):
-    op = np.kron(mat_sqrt(marg_b.matrix), gen_inv_sqrt(marg_a.matrix))
+    op = np.kron(herm_eig(marg_b.matrix).root(), herm_eig(marg_a.matrix).inv_root())
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim
     return swap_factors(op @ cond_ab.matrix @ op, db, da)
 
@@ -251,7 +249,7 @@ def test_conditioning_and_joining_match_kron_oracle(rng, shape):
             close(conditional_from_joint(j, side).matrix, oracle_conditional(j, side))
         cond = conditional_from_joint(j, "a")
         marg = reduce(j, "a")
-        expected = oracle_sandwich_on_first(mat_sqrt(marg.matrix), cond.matrix, other.total_dim)
+        expected = oracle_sandwich_on_first(herm_eig(marg.matrix).root(), cond.matrix, other.total_dim)
         close(joint_from_conditional(marg, cond).matrix, expected)
 
 
@@ -528,7 +526,7 @@ def oracle_measure(m, s):
 
 
 def oracle_prepare(m, s):
-    root = mat_sqrt(s.matrix)
+    root = herm_eig(s.matrix).root()
     weights, members = [], []
     for p, e in zip(oracle_measure(m, s), m.elements):
         if p <= NEGLIGIBLE:
@@ -1073,10 +1071,10 @@ def test_spectral_checks_make_one_eigvalsh_call(rng, monkeypatch):
 
 def test_spectral_checks_keep_the_hermiticity_check(rng):
     g = random_complex(rng, 4, 4)
-    with pytest.raises(NotHermitian):
-        herm_eigvals(g)
-    with pytest.raises(NotHermitian):
-        herm_eig(g)
+    for decompose in (herm_eigvals, herm_eig):
+        with pytest.raises(InvariantViolation) as info:
+            decompose(g)
+        assert (info.value.invariant, info.value.deviation) == ("hermitian", np.abs(g - g.conj().T).max())
     assert herm_eigvals(g + g.conj().T).shape == (4,)
 
 
@@ -1250,10 +1248,11 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
     drift[~blocks.off & np.triu(np.ones(m.shape, dtype=bool), 1)] += 1e-11
     for fn in (lambda x: herm_eig(x, blocks).eigenvalues, lambda x: herm_eigvals(x, blocks)):
         assert fn(drift).tobytes() == fn(hermitize(drift)).tobytes()
-    with pytest.raises(NotHermitian):
-        herm_eig(random_complex(rng, 16, 16), blocks)
-    with pytest.raises(NotHermitian):
-        herm_eigvals(random_complex(rng, 16, 16), blocks)
+    for decompose in (herm_eig, herm_eigvals):
+        g = random_complex(rng, 16, 16)
+        with pytest.raises(InvariantViolation) as info:
+            decompose(g, blocks)
+        assert (info.value.invariant, info.value.deviation) == ("hermitian", np.abs(g - g.conj().T).max())
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

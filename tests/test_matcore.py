@@ -4,17 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condchan import (
-    DimensionMismatch,
-    NotHermitian,
-    NotPositive,
-    gen_inv_sqrt,
+    InvariantViolation,
+    ShapeMismatch,
     herm_eig,
     kron,
-    mat_sqrt,
     partial_trace,
-    support_projector,
     swap_factors,
 )
+from condchan.matcore import herm_eigvals
 from conftest import random_hermitian, random_psd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,63 +93,91 @@ class TestHermEig:
             assert abs(pivot.imag) < 1e-12
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvariantViolation) as info:
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert (info.value.invariant, info.value.deviation) == ("hermitian", 1.0)
+        assert str(info.value) == "matrix deviates from Hermiticity by 1.000e+00 (tol 1.000e-10)"
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             herm_eig(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("decompose", [herm_eig, herm_eigvals])
+    def test_rejects_non_finite_before_solving(self, decompose, entry):
+        # judged before Hermiticity and before the solver, which would return a
+        # NaN spectrum for an infinite entry and fail to converge on a NaN
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = entry
+        with pytest.raises(InvariantViolation) as info:
+            decompose(m)
+        assert (info.value.invariant, info.value.deviation) == ("finite", np.inf)
+
+    def test_empty_matrix_has_the_empty_system(self):
+        es = herm_eig(np.zeros((0, 0)))
+        assert es.eigenvalues.shape == (0,) and es.eigenvectors.shape == (0, 0)
+        assert es.rank == 0
+        for view in (es.root(), es.inv_root(), es.support()):
+            assert view.shape == (0, 0)
+        assert herm_eigvals(np.zeros((0, 0))).shape == (0,)
 
 
 class TestMatSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(mat_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(herm_eig(np.eye(3)).root(), np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
-        np.testing.assert_allclose(mat_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+        root = herm_eig(np.diag([4.0, 9.0])).root()
+        np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_random_psd_squares_back(self, rng):
         p = random_psd(rng, 3)
-        root = mat_sqrt(p)
+        root = herm_eig(p).root()
         np.testing.assert_allclose(mul_oracle(root, root), p, atol=1e-9)
 
     def test_rejects_negative(self):
-        with pytest.raises(NotPositive):
-            mat_sqrt(np.diag([1.0, -0.5]))
+        with pytest.raises(InvariantViolation) as info:
+            herm_eig(np.diag([1.0, -0.5])).root()
+        assert (info.value.invariant, info.value.deviation) == ("positive", 0.5)
+        assert str(info.value) == "minimum eigenvalue -5.000e-01 below -1.000e-10"
 
 
 class TestGenInvSqrt:
     def test_nulls_zero_eigenvalue(self):
-        np.testing.assert_allclose(gen_inv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+        inv = herm_eig(np.diag([4.0, 0.0])).inv_root()
+        np.testing.assert_allclose(inv, np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_identity(self):
-        np.testing.assert_allclose(gen_inv_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(herm_eig(np.eye(2)).inv_root(), np.eye(2), atol=1e-14)
 
     def test_resolves_support(self, rng):
         p = random_psd(rng, 4)
-        g = gen_inv_sqrt(p)
-        np.testing.assert_allclose(g @ p @ g, support_projector(p), atol=1e-9)
+        es = herm_eig(p)
+        g = es.inv_root()
+        np.testing.assert_allclose(g @ p @ g, es.support(), atol=1e-9)
 
     def test_resolves_support_rank_deficient(self, rng):
         p = random_psd(rng, 4, rank=2)
-        g = gen_inv_sqrt(p)
-        np.testing.assert_allclose(g @ p @ g, support_projector(p), atol=1e-9)
+        es = herm_eig(p)
+        g = es.inv_root()
+        np.testing.assert_allclose(g @ p @ g, es.support(), atol=1e-9)
 
     def test_all_zero(self):
-        np.testing.assert_allclose(gen_inv_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
+        np.testing.assert_allclose(herm_eig(np.zeros((3, 3))).inv_root(), np.zeros((3, 3)))
 
 
 class TestSupportProjector:
     def test_rank_one_diagonal(self):
-        np.testing.assert_allclose(support_projector(np.diag([0.3, 0.0])), np.diag([1.0, 0.0]), atol=1e-14)
+        proj = herm_eig(np.diag([0.3, 0.0])).support()
+        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_full_rank(self, rng):
         p = random_psd(rng, 3)
-        np.testing.assert_allclose(support_projector(p), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(herm_eig(p).support(), np.eye(3), atol=1e-12)
 
     def test_rank_two_trace(self, rng):
         p = random_psd(rng, 4, rank=2)
-        proj = support_projector(p)
+        proj = herm_eig(p).support()
         # independent rank count straight from the spectrum
         w = np.linalg.eigvalsh((p + p.conj().T) / 2)
         expected_rank = int(np.count_nonzero(w > 1e-10 * w.max()))
@@ -220,7 +245,7 @@ class TestPartialTrace:
             assert abs(np.trace(partial_trace(m, dl, dr, keep)) - np.trace(m)) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             partial_trace(np.eye(5), 2, 3, keep="left")
 
 

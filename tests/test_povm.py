@@ -9,7 +9,7 @@ from condchan import (
     InvariantViolation,
     ShapeMismatch,
     State,
-    SupportViolation,
+    SupportMismatch,
     herm_eig,
     measure,
     povm_from_ensemble,
@@ -173,7 +173,7 @@ class TestPOVMFromEnsemble:
         s = State(QUBIT, np.diag([1.0, 0.0]).astype(complex))
         leaking = State(QUBIT, np.diag([0.0, 1.0]).astype(complex))
         ens = Ensemble(np.array([1.0]), (leaking,), leaking)
-        with pytest.raises(SupportViolation):
+        with pytest.raises(SupportMismatch, match="leaks outside the support of the state by 1.000e"):
             povm_from_ensemble(ens, s)
 
 

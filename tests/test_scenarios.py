@@ -7,7 +7,6 @@ import pytest
 from condchan import (
     POVM,
     AlgebraShape,
-    BasisNotPOVM,
     Channel,
     InvariantViolation,
     JointState,
@@ -15,6 +14,7 @@ from condchan import (
     State,
     apply,
     bell_basis,
+    herm_eig,
     identity_channel,
     kron,
     random_channel,
@@ -162,8 +162,10 @@ class TestTeleport:
     def test_rejects_basis_without_success_effect(self, rng):
         c = Channel(QUBIT, QUBIT, (np.eye(2, dtype=complex),))
         basis = [np.eye(4, dtype=complex)]
-        with pytest.raises(BasisNotPOVM):
+        with pytest.raises(InvariantViolation) as info:
             teleport(c, random_state(QUBIT, rng), measurement_basis=basis)
+        # I − Φ/2 is largest, 1, on the diagonal entries where Φ is zero
+        assert (info.value.invariant, info.value.deviation) == ("success_effect", 1.0)
 
     def test_rejects_non_povm_basis(self, rng):
         c = Channel(QUBIT, QUBIT, (np.eye(2, dtype=complex),))
@@ -245,8 +247,16 @@ class TestBasisValidation:
 
     def test_rejects_success_index_out_of_range(self, rng):
         c = random_channel(QUBIT, QUBIT, 2, rng)
-        with pytest.raises(BasisNotPOVM, match="out of range"):
+        with pytest.raises(ShapeMismatch, match="out of range"):
             teleport(c, random_state(QUBIT, rng), bell_basis(2), 4)
+
+    def test_rejects_success_outcome_of_zero_probability(self, rng):
+        success = bell_basis(2)[0]
+        basis = [success, np.eye(4) - success, np.zeros((4, 4))]
+        with pytest.raises(InvariantViolation) as info:
+            teleport(identity_channel(QUBIT), random_state(QUBIT, rng), basis, 2)
+        assert (info.value.invariant, info.value.deviation) == ("success_probability", 0.0)
+        assert str(info.value) == "success outcome has vanishing probability"
 
     def test_rejects_input_on_another_algebra(self, rng):
         c = random_channel(QUBIT, QUBIT, 2, rng)
@@ -302,13 +312,13 @@ class TestTeleportGeneral:
     def test_reducible_algebra_reports_measured_probability(self, rng):
         # no closed form is asserted for reducible algebras; the measured
         # probability is reported and checked against a loop-trace oracle
-        from condchan import choi_conditional, support_projector
+        from condchan import choi_conditional
         from condchan.channels import max_ent_matrix
 
         c = random_channel(MIXED, QUBIT, 2, rng)
         s = random_state(MIXED, rng)
         d = MIXED.total_dim
-        grouped_success = support_projector(max_ent_matrix(MIXED))
+        grouped_success = herm_eig(max_ent_matrix(MIXED)).support()
         rest = np.eye(d * d, dtype=complex) - grouped_success
         report = teleport(c, s, [grouped_success, rest], 0)
         assert report.grouping_used

@@ -9,8 +9,8 @@ from condchan import (
     InvariantViolation,
     JointState,
     State,
+    herm_eig,
     kron,
-    mat_sqrt,
     reduce,
     swap_factors,
 )
@@ -149,7 +149,7 @@ class TestTranspose:
         np.testing.assert_allclose(
             np.linalg.eigvalsh(t.matrix), np.linalg.eigvalsh(s.matrix), atol=1e-9
         )
-        np.testing.assert_allclose(mat_sqrt(t.matrix), mat_sqrt(s.matrix).T, atol=1e-12)
+        np.testing.assert_allclose(herm_eig(t.matrix).root(), herm_eig(s.matrix).root().T, atol=1e-12)
 
 
 class TestIsClassical:

@@ -13,7 +13,6 @@ from condchan import (
     AlgebraShape,
     Channel,
     ConditionalState,
-    NotTracePreserving,
     State,
     SupportMismatch,
     joint_from_conditional,
@@ -97,7 +96,7 @@ def join_support(delta):
 def verdict(build, delta):
     try:
         build(delta)
-    except (InvariantViolation, NotTracePreserving, SupportMismatch) as exc:
+    except (InvariantViolation, SupportMismatch) as exc:
         return type(exc), getattr(exc, "invariant", None)
     return None
 
@@ -108,7 +107,7 @@ BOUNDARIES = [
     (state_block_support, 1e-12, None, (InvariantViolation, "block_support")),
     (state_trace, 1e-10, None, (InvariantViolation, "trace")),
     (povm_sum, 1e-9, None, (InvariantViolation, "povm_sum")),
-    (channel_trace_preservation, 1e-9, None, (NotTracePreserving, None)),
+    (channel_trace_preservation, 1e-9, None, (InvariantViolation, "trace_preserving")),
     (ensemble_weights_sum, 1e-9, None, (InvariantViolation, "weights_sum")),
     (join_support, 1e-10, None, (SupportMismatch, None)),
 ]
