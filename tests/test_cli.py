@@ -581,10 +581,16 @@ def _error_cases():
                            "sum of K†K deviates from the required resolution by 5.000e-01"),
         InvariantViolation("success_effect", 1.0, "basis does not contain the maximally entangled success effect"),
     ]
+    # a site of a folded class raises the class it was folded into with the
+    # same text; each case is named for the class it replaced
+    folded = [("DimensionMismatch", ShapeMismatch("expected a 2-D matrix, got ndim=3")),
+              ("SupportViolation",
+               SupportMismatch("ensemble member leaks outside the support of the state by 1.000e-02"))]
     return [pytest.param(exc, code, f"{labels[code]}: {exc}\n", id=type(exc).__name__)
             for exc, code in cases] + [
         pytest.param(exc, 3, f"invariant violation: {exc}\n", id=f"InvariantViolation-{exc.invariant}")
-        for exc in named]
+        for exc in named] + [
+        pytest.param(exc, 3, f"invariant violation: {exc}\n", id=former) for former, exc in folded]
 
 
 def _subclasses(cls):
