@@ -40,11 +40,6 @@ class AlgebraShape:
         return sum(self.block_dims)
 
     @property
-    def is_classical(self) -> bool:
-        """All blocks one-dimensional (commutative / diagonal algebra)."""
-        return all(d == 1 for d in self.block_dims)
-
-    @property
     def is_irreducible(self) -> bool:
         """Single block: the full matrix algebra."""
         return len(self.block_dims) == 1
@@ -64,10 +59,11 @@ MASK_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=MASK_CACHE_SIZE)
-def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple[np.ndarray, np.ndarray, BlockIndex | None]:
+def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple:
     """Read-only support mask of the tensor product of ``shapes`` on the kron
-    space, its complement (the off-block entries), and the index of its
-    blocks (see ``BlockIndex.from_labels`` for when it is None)."""
+    space, its complement (the off-block entries), their flat positions
+    (None for a single block, which has none), and the index of its blocks
+    (see ``BlockIndex.from_labels`` for when it is None)."""
     # the block of a kron index is the tuple of its factors' blocks, numbered
     # in the same slow-to-fast order
     labels = np.zeros(1, dtype=np.intp)
@@ -76,9 +72,10 @@ def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple[np.ndarray, np.ndarray, Bl
         labels = (labels[:, None] * n + np.repeat(np.arange(n), shape.block_dims)).ravel()
     mask = labels[:, None] == labels[None, :]
     off = ~mask
-    mask.setflags(write=False)
-    off.setflags(write=False)
-    return mask, off, BlockIndex.from_labels(labels, off)
+    outside = np.flatnonzero(off)
+    for arr in (mask, off, outside):
+        arr.setflags(write=False)
+    return mask, off, outside if outside.size else None, BlockIndex.from_labels(labels, outside)
 
 
 def block_mask(shape: AlgebraShape) -> np.ndarray:
@@ -95,26 +92,22 @@ def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
     """Block index of the tensor product of ``shapes`` (of one algebra when
     one shape is given) on the kron space, for ``herm_eig`` (cached); None
     for a single block or a dimension below ``matcore.BLOCKWISE_MIN_DIM``."""
-    return _masks(shapes)[2]
+    return _masks(shapes)[3]
 
 
-def _off_support_deviation(m, off: np.ndarray) -> float:
-    arr = np.asarray(m)
+def support_index(*shapes: AlgebraShape) -> tuple[np.ndarray | None, BlockIndex | None]:
+    """The ``outside`` and ``blocks`` that ``matcore.validate_psd`` judges an
+    element of the tensor product of ``shapes`` by (cached)."""
+    return _masks(shapes)[2:]
+
+
+def support_deviation(m, *shapes: AlgebraShape) -> float:
+    """Largest entry of m (or of a stack of matrices) outside the support of
+    the tensor product of ``shapes`` (of one algebra when one shape is given)."""
+    arr, off = np.asarray(m), _masks(shapes)[1]
     if arr.shape[-2:] != off.shape:
         raise ShapeMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
     return max_abs(arr[..., off])
-
-
-def block_support_deviation(m, shape: AlgebraShape) -> float:
-    """Largest entry of m (or of a stack of matrices) outside the algebra's
-    block support."""
-    return _off_support_deviation(m, _masks((shape,))[1])
-
-
-def pair_support_deviation(m, shape_a: AlgebraShape, shape_b: AlgebraShape) -> float:
-    """Largest entry of m (or of a stack of matrices) outside the
-    tensor-product algebra's support."""
-    return _off_support_deviation(m, _masks((shape_a, shape_b))[1])
 
 
 def block_projectors(shape: AlgebraShape) -> tuple[np.ndarray, ...]:

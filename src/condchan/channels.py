@@ -28,11 +28,11 @@ from .algebra import (
     block_index,
     block_mask,
     block_projectors,
-    pair_support_deviation,
+    support_deviation,
 )
 from .conditional import ConditionalState
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import herm_deviation, herm_eig, herm_eigvals, max_abs
+from .matcore import herm_eig, herm_eigvals, max_abs
 from .states import State
 from .tolerances import BLOCK_TOL, IDENTITY_TOL
 
@@ -119,7 +119,7 @@ class Channel:
                 target = self.input_support
                 if target.shape != (din, din):
                     raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
-                proj_dev = max(max_abs(target @ target - target), herm_deviation(target))
+                proj_dev = max(max_abs(target @ target - target), max_abs(target - target.conj().T))
                 if not proj_dev <= IDENTITY_TOL:
                     raise InvariantViolation("support_projector", proj_dev)
             # Finite Kraus operators can still overflow K†K; the deviation is
@@ -258,7 +258,7 @@ def _choi_spectrum(c: Channel) -> tuple[np.ndarray, float]:
     exceeds ``BLOCK_TOL`` (a channel accepts up to ``IDENTITY_TOL``); then
     the whole matrix is decomposed, leak included."""
     choi = _choi_matrix(c)
-    leak = pair_support_deviation(choi, c.shape_in, c.shape_out)
+    leak = support_deviation(choi, c.shape_in, c.shape_out)
     blocks = block_index(c.shape_in, c.shape_out) if leak <= BLOCK_TOL else None
     return herm_eigvals(choi, blocks), leak
 

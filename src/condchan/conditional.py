@@ -19,18 +19,18 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, pair_mask, pair_support_deviation
+from .algebra import AlgebraShape, block_index, pair_mask, support_index
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
     as_matrix,
-    herm_deviation,
     herm_eig,
     max_abs,
     partial_trace,
     swap_factors,
+    validate_psd,
 )
-from .states import JointState, State, _marginal, _side, _validate_psd
+from .states import JointState, State, _marginal, _side
 from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL
 
 
@@ -54,14 +54,11 @@ class ConditionalState:
         if arr.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
         object.__setattr__(self, "matrix", arr)
-        if check:
-            self._validate(arr)
-
-    def _validate(self, arr: np.ndarray) -> None:
-        block_dev = pair_support_deviation(arr, self.shape_in, self.shape_out)
-        _validate_psd(arr[None], block_dev)
+        if not check:
+            return
+        validate_psd(arr[None], *support_index(self.shape_in, self.shape_out))
         p = self.conditioning_support()
-        proj_dev = max(max_abs(p @ p - p), herm_deviation(p))
+        proj_dev = max(max_abs(p @ p - p), max_abs(p - p.conj().T))
         if proj_dev > IDENTITY_TOL:
             raise InvariantViolation("support_projector", proj_dev)
         trace = float(np.trace(p).real)
@@ -132,7 +129,8 @@ def joint_from_conditional(marg: State, cond: ConditionalState) -> JointState:
     if trace_dev > INPUT_TOL:
         raise SupportMismatch(
             f"reconstructed joint state has trace deviation {trace_dev:.3e}; "
-            "the marginal leaks outside the conditional's conditioning support"
+            "the marginal leaks outside the conditional's conditioning support",
+            trace_dev,
         )
     return JointState(shape_a=cond.shape_in, shape_b=cond.shape_out, matrix=out)
 
@@ -149,8 +147,10 @@ def bayes_invert(cond_ab: ConditionalState, marg_a: State, marg_b: State) -> Con
     if cond_ab.shape_in != marg_b.shape:
         raise ShapeMismatch("marg_b must live on the conditioning algebra of cond_ab")
     spectrum_b = herm_eig(marg_b.matrix, block_index(marg_b.shape))
-    if spectrum_b.rank < marg_b.shape.total_dim:
-        raise SupportMismatch("marg_b is rank-deficient; Bayes inversion needs full rank")
+    rank = spectrum_b.rank  # the deviation is the largest eigenvalue at or below the cutoff
+    if rank < marg_b.shape.total_dim:
+        raise SupportMismatch("marg_b is rank-deficient; Bayes inversion needs full rank",
+                              spectrum_b.eigenvalues[rank])
     # kron(root_b, inv_a) sandwich, one factor at a time on the slow index,
     # with the factor swap in between that reorders the result to A-slow.
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim

@@ -3,7 +3,7 @@
 One class per kind of failure: a command line (``UsageError``), a document
 (``DocumentSyntaxError``), shapes that do not fit (``ShapeMismatch``),
 supports that do not nest (``SupportMismatch``), a measured invariant
-(``InvariantViolation``, which names it and carries its deviation) and the
+(``InvariantViolation``, which names it; both carry a deviation) and the
 eigensolver (``NoConvergence``).
 """
 
@@ -31,9 +31,13 @@ class NoConvergence(CondChanError):
 
 
 class SupportMismatch(CondChanError):
-    """A support does not lie inside the one it must: a marginal outside its
+    """A support does not lie inside the one it must (a marginal outside its
     conditional's conditioning support, or an ensemble member outside the
-    support of the decomposed state."""
+    support of the decomposed state), by a measured ``deviation``."""
+
+    def __init__(self, message: str, deviation: float):
+        self.deviation = float(deviation)
+        super().__init__(message)
 
 
 class InvariantViolation(CondChanError):

@@ -10,6 +10,8 @@ Conventions fixed here once and relied on project-wide:
   contraction of ``t`` rather than a product with a materialized ``kron``;
 * eigenvalues are returned in descending order, with each eigenvector's
   phase fixed so that its first nonzero component is real and positive;
+* a matrix is judged once, by one routine (``judge``); a constructor certifies
+  its Hermitian part positive (``validate_psd``), or ``herm_eig`` decomposes it;
 * a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the
   library reads off a PSD spectrum is a view of that ``EigenSystem``: the
   root, the generalized inverse root, the support projector and the rank.
@@ -17,19 +19,19 @@ Conventions fixed here once and relied on project-wide:
   cutoff, ``CUTOFF_REL`` times the largest eigenvalue with the floor
   ``CUTOFF_FLOOR`` (see ``tolerances``);
 * a matrix of a reducible algebra (or tensor product of algebras) of
-  dimension at least ``BLOCKWISE_MIN_DIM`` is decomposed per block:
-  ``herm_eig`` and ``herm_eigvals`` take the algebra's ``BlockIndex`` (from
-  ``algebra.block_index``) and run one stacked solver call per distinct
-  block size, so its eigenvectors, and the Kraus operators read off them,
-  are exactly zero outside their block.  Within a degenerate eigenspace the
-  basis (and so a Kraus set) may differ from the one a whole-matrix
-  decomposition gives; the spanned subspaces do not.  A smaller matrix has
-  no index and is decomposed whole, where one solver call is cheaper.
+  dimension at least ``BLOCKWISE_MIN_DIM`` is judged, certified and
+  decomposed per block, by its ``BlockIndex`` (``algebra.block_index``), with
+  one stacked solver call per distinct block size, so its eigenvectors, and
+  the Kraus operators read off them, are exactly zero outside their block.
+  Within a degenerate eigenspace the basis (and so a Kraus set) may differ
+  from the one a whole-matrix decomposition gives; the spanned subspaces do
+  not.  A smaller matrix has no index and is judged and decomposed whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +44,12 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 # gather and scatter: on 1-thread OpenBLAS, over the reducible shape pairs
 # of dimension 4 to 64, the per-block ``herm_eig`` took 1.0-1.5x the
 # whole-matrix time below 16, 0.6-1.5x (median about 0.95x) at 16, and
-# 0.2-1.0x from 25 up.
+# 0.2-1.0x from 25 up.  The per-block Cholesky of ``validate_psd`` pays from
+# about 32: a Cholesky costs a fraction of an eigh, so the leak scan, gather
+# and one call per block size take a larger matrix to repay.  On valid joints
+# it took a median 1.17x (0.9-1.7x) the whole-matrix time at 16, 1.05x at 24,
+# 0.91x at 32, 0.46x at 64 and 0.1-0.2x at 256; one index serves both, at a
+# cost of a few µs per matrix at 16-24.
 BLOCKWISE_MIN_DIM = 16
 
 
@@ -63,7 +70,8 @@ class BlockIndex:
     The blocks are grouped by size, ascending.  ``entries`` lists the flat
     positions of every block entry, group by group, each group as its
     (n, s, s) stack in C order, and ``mirror`` the positions of their
-    transposes.  ``off`` masks the entries outside every block.
+    transposes, and ``outside`` the positions of the entries outside every
+    block.
 
     The eigenvectors are laid out compactly first: column c of an (s_max, D)
     matrix holds the s components of the c-th, zero-padded, where the
@@ -79,16 +87,17 @@ class BlockIndex:
     groups: tuple[BlockGroup, ...]
     entries: np.ndarray
     mirror: np.ndarray
-    off: np.ndarray
+    outside: np.ndarray
     compact: np.ndarray
     scatter: np.ndarray
 
     @classmethod
-    def from_labels(cls, labels: np.ndarray, off: np.ndarray) -> BlockIndex | None:
+    def from_labels(cls, labels: np.ndarray, outside: np.ndarray | None) -> BlockIndex | None:
         """Index of the blocks that ``labels`` (the block 0, 1, ... of each
-        embedding index) defines, with ``off`` its read-only off-block mask;
-        None for a single block or a dimension below ``BLOCKWISE_MIN_DIM``,
-        so that the matrix is decomposed whole."""
+        embedding index) defines, with ``outside`` its read-only off-block
+        positions; None for a single block or a dimension below
+        ``BLOCKWISE_MIN_DIM``, so that the matrix is judged and decomposed
+        whole."""
         d = labels.size
         if d < BLOCKWISE_MIN_DIM or not labels.any():
             return None
@@ -109,7 +118,7 @@ class BlockIndex:
             compact[:size, cols] = True
             target[:size, cols] = np.repeat(idx.T * d, size, axis=1) + np.arange(d)[cols]
             start, col = start + n * size * size, col + n * size
-        arrays = (np.concatenate(entries), np.concatenate(mirror), off, compact, target[compact])
+        arrays = (*map(np.concatenate, (entries, mirror)), outside, compact, target[compact])
         for arr in arrays:
             arr.setflags(write=False)
         return cls(tuple(groups), *arrays)
@@ -198,35 +207,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def _min_eigenvalue_unless_certified(
-    stack: np.ndarray, herm: np.ndarray, psd_tol: float
-) -> float | None:
-    """Certify every matrix of a (n, d, d) stack positive up to ``psd_tol``.
-
-    ``herm`` is the Hermitian part of ``stack`` as a fresh C-contiguous array;
-    its diagonal is shifted by ``psd_tol`` in place and the whole stack goes
-    through one Cholesky factorization.  A factorization that succeeds is a
-    backward-stable certificate that herm + psd_tol·I is positive definite,
-    so every λmin ≥ -psd_tol (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 10), and None is returned without a spectrum.
-    Only when it fails is the Hermitian part rebuilt from ``stack`` and the
-    lowest eigenvalue of the stack returned, from one eigvalsh call, for the
-    caller to judge and report.
-    """
-    n, d = herm.shape[0], herm.shape[-1]
-    herm.reshape(n, d * d)[:, :: d + 1] += psd_tol
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return float(np.linalg.eigvalsh(hermitize(stack)).min())
-    return None
-
-
-def herm_deviation(m: np.ndarray) -> float:
-    """Largest entry of |m - m†|."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude (0 for empty input)."""
     arr = np.asarray(m)
@@ -255,6 +235,95 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def judge(
+    stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
+) -> list[np.ndarray]:
+    """Judge a (n, d, d) stack (a matrix is a batch of one) and return its
+    Hermitian part (m + m†)/2, fresh: the stack, or with ``blocks`` one
+    (n·k, s, s) stack per group of k blocks of size s.  Judged in order over
+    the whole stack: finite, overflow, hermitian, block_support (the entries
+    at the flat positions ``outside``, None for one block, against BLOCK_TOL)
+    and, with ``unit_trace``, trace.  With ``blocks`` and a leak within
+    BLOCK_TOL, only the block entries are gathered: such a leak is finite and
+    moves |m - m†| by at most 2·BLOCK_TOL < INPUT_TOL.  Warnings are off: a
+    Hermitian part that overflows raises ``overflow``."""
+    n = len(stack)
+    flat = stack.reshape(n, -1)
+    leak = 0.0 if outside is None else max_abs(flat.take(outside, axis=1))
+    if blocks is not None and leak <= BLOCK_TOL:
+        entries = flat.take(blocks.entries, axis=1)
+        adjoint = flat.take(blocks.mirror, axis=1).conj()
+    else:
+        blocks, entries, adjoint = None, stack, stack.conj().swapaxes(-1, -2)
+    herm = entries + adjoint
+    herm *= 0.5
+    if not np.isfinite(herm).all():
+        if not np.isfinite(entries).all():
+            raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
+        raise InvariantViolation("overflow", np.inf)
+    dev = max_abs(entries - adjoint)
+    if dev > INPUT_TOL:
+        raise InvariantViolation("hermitian", dev)
+    if not leak <= BLOCK_TOL:
+        raise InvariantViolation("block_support", leak)
+    if unit_trace:
+        traces = stack.trace(axis1=1, axis2=2).tolist()
+        trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
+        if not trace_dev <= INPUT_TOL:
+            raise InvariantViolation("trace", trace_dev)
+    if blocks is None:
+        return [herm]
+    return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in blocks.groups]
+
+
+@lru_cache(maxsize=32)
+def _tol_identity(d: int) -> np.ndarray:
+    """INPUT_TOL·I on C^d (cached, read-only): adding it shifts a diagonal in one step."""
+    out = np.eye(d, dtype=np.complex128) * INPUT_TOL
+    out.setflags(write=False)
+    return out
+
+
+def validate_psd(
+    stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
+) -> None:
+    """``judge`` a (n, d, d) stack, then certify each Hermitian part + INPUT_TOL·I
+    positive definite by one stacked Cholesky, a backward-stable certificate
+    that every λmin ≥ -INPUT_TOL (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 10); per block with ``blocks``, as a block-diagonal
+    matrix is positive exactly when each block is.  Only a failed certificate
+    pays an ``eigvalsh`` of the whole stack, whose lowest eigenvalue decides
+    and is the deviation of ``InvariantViolation('positive')``."""
+    parts = judge(stack, outside, blocks, unit_trace)
+    try:
+        for herm in parts:
+            herm += _tol_identity(herm.shape[-1])
+            np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(hermitize(stack)).min())
+        if not low >= -INPUT_TOL:
+            raise InvariantViolation("positive", -low) from None
+
+
+def _solved(solver, m, blocks: BlockIndex | None) -> list:
+    """``judge`` one square matrix, then run ``solver`` on its Hermitian part,
+    or with ``blocks`` on each group's stack."""
+    arr = as_matrix(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
+    if blocks is None:
+        parts = [judge(arr[None], None, None)[0][0]]
+    elif arr.shape[0] != blocks.compact.shape[1]:
+        raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its block index")
+    else:
+        parts = judge(arr[None], blocks.outside, blocks)
+    try:
+        return [solver(part) for part in parts]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     """Full spectral decomposition of a square matrix that is Hermitian
     within ``INPUT_TOL`` (max entry of |m - m†|); the matrix is
@@ -265,13 +334,14 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     Raises
     ------
     InvariantViolation
-        ``finite``, if an entry is NaN or infinite; ``hermitian``, if the
+        From ``judge``: ``finite``, if an entry is NaN or infinite;
+        ``overflow``, if the Hermitian part overflows; ``hermitian``, if the
         Hermiticity deviation exceeds ``INPUT_TOL``; ``block_support``, if
         ``blocks`` is given and an entry outside them exceeds ``BLOCK_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
-    solved = [_solve(np.linalg.eigh, part) for part in _checked_hermitian(m, blocks)]
+    solved = _solved(np.linalg.eigh, m, blocks)
     if blocks is None:
         w, v = solved[0]
         v = _fix_phases(v)
@@ -290,49 +360,10 @@ def herm_eigvals(m, blocks: BlockIndex | None = None) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending, from one
     ``eigvalsh`` call (one per block size with ``blocks``): ``herm_eig``
     without the eigenvectors, with the same checks and errors."""
-    parts = [_solve(np.linalg.eigvalsh, part) for part in _checked_hermitian(m, blocks)]
+    parts = _solved(np.linalg.eigvalsh, m, blocks)
     if blocks is None:
         return parts[0][::-1]
     return np.sort(np.concatenate([w.ravel() for w in parts]))[::-1]
-
-
-def _solve(solver, arr: np.ndarray):
-    try:
-        return solver(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
-def _checked_hermitian(m, blocks: BlockIndex | None) -> list[np.ndarray]:
-    """Hermitian part of a finite square matrix that is Hermitian within
-    INPUT_TOL: the matrix as a list of one, or with ``blocks`` one (n, s, s)
-    stack of its blocks per group, if it is zero outside them within
-    BLOCK_TOL.  Finiteness is judged first, as ``states._validate_psd`` does."""
-    arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    if blocks is not None and arr.shape != blocks.off.shape:
-        raise ShapeMismatch(f"matrix shape {arr.shape} does not fit blocks {blocks.off.shape}")
-    if not np.isfinite(arr).all():
-        raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
-    leak = 0.0 if blocks is None else max_abs(arr[blocks.off])
-    if blocks is None or not leak <= BLOCK_TOL:
-        dev = herm_deviation(arr)
-    else:
-        # a leak within BLOCK_TOL moves |m - m†| by at most 2·BLOCK_TOL <
-        # INPUT_TOL, so the block entries alone decide Hermiticity
-        entries, adjoint = arr.take(blocks.entries), arr.take(blocks.mirror).conj()
-        dev = max_abs(entries - adjoint)
-    if dev > INPUT_TOL:
-        raise InvariantViolation(
-            "hermitian", dev, f"matrix deviates from Hermiticity by {dev:.3e} (tol {INPUT_TOL:.3e})"
-        )
-    if not leak <= BLOCK_TOL:
-        raise InvariantViolation("block_support", leak)
-    if blocks is None:
-        return [hermitize(arr)]
-    herm = (entries + adjoint) / 2
-    return [herm[g.entries].reshape(g.n, g.size, g.size) for g in blocks.groups]
 
 
 def kron(a, b) -> np.ndarray:

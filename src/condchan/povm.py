@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, block_support_deviation
+from .algebra import AlgebraShape, block_index, support_index
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
-from .matcore import as_matrix, herm_eig, max_abs
-from .states import State, _validate_psd, states_from_stack
+from .matcore import as_matrix, herm_eig, max_abs, validate_psd
+from .states import State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
 
@@ -36,8 +36,7 @@ class POVM:
                 raise ShapeMismatch(f"element shape {e.shape} does not match total dim {d}")
         object.__setattr__(self, "elements", elems)
         stack = np.stack(elems)
-        block_dev = block_support_deviation(stack, self.shape)
-        _validate_psd(stack, block_dev)
+        validate_psd(stack, *support_index(self.shape))
         # elements that pass the PSD checks can still overflow their sum
         with np.errstate(over="ignore"):
             sum_dev = max_abs(stack.sum(0) - np.eye(d))
@@ -111,7 +110,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
         leak = max_abs(complement @ member.matrix @ complement)
         if leak > IDENTITY_TOL:
             raise SupportMismatch(
-                f"ensemble member leaks outside the support of the state by {leak:.3e}"
+                f"ensemble member leaks outside the support of the state by {leak:.3e}", leak
             )
     mix_dev = max_abs(sum(p * m.matrix for p, m in zip(e.weights, e.members)) - s.matrix)
     if mix_dev > IDENTITY_TOL:

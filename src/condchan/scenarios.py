@@ -25,6 +25,7 @@ unitaries used by the test suites and the CLI selftest.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,6 +130,19 @@ def bell_basis(dim: int) -> tuple[np.ndarray, ...]:
     return tuple(vecs[:, :, None] * vecs[:, None, :].conj())
 
 
+@lru_cache(maxsize=16)
+def _bell_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index and phase tables of ``_bell_reduced`` on C^d (cached, read-only)."""
+    j = np.arange(d)
+    back = (j - j[:, None]) % d  # back[a, i] = i − a (mod d)
+    rolled = back[:, None, :] * d + back[:, :, None]  # [a, i, j]: where ρᵀ[i−a, j−a] is in ρ
+    omega = np.exp(2j * np.pi * j / d) / d
+    phases = omega[j[:, None, None] * back.T % d]  # [b, i, j]: ω^(b(i−j)) / d
+    for table in (rolled, phases):
+        table.setflags(write=False)
+    return rolled, phases
+
+
 def _bell_reduced(rho: np.ndarray) -> np.ndarray:
     """What each Bell effect leaves on the resource's input half: the
     operators F_ab = W_ab ρᵀ W_ab† / d, one flattened (d, d) operator per row
@@ -137,12 +151,8 @@ def _bell_reduced(rho: np.ndarray) -> np.ndarray:
     Entry-wise F_ab[i, j] = ω^(b(i−j)) ρᵀ[i−a, j−a] / d, so each row is a
     roll of ρᵀ times a phase: O(d⁴) memory, and no effect is formed."""
     d = rho.shape[0]
-    j = np.arange(d)
-    back = (j - j[:, None]) % d  # back[a, i] = i − a (mod d)
-    rolled = rho.T[back[:, :, None], back[:, None, :]]
-    omega = np.exp(2j * np.pi * j / d) / d
-    phases = omega[j[:, None, None] * back.T % d]  # [b, i, j]: ω^(b(i−j)) / d
-    return (rolled[:, None] * phases).reshape(d * d, d * d)
+    rolled, phases = _bell_tables(d)
+    return (rho.ravel().take(rolled)[:, None] * phases).reshape(d * d, d * d)
 
 
 def _success_index(effects: np.ndarray, d: int) -> int:

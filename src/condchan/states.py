@@ -11,45 +11,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_mask, block_support_deviation, pair_support_deviation
-from .errors import InvariantViolation, ShapeMismatch
-from .matcore import _min_eigenvalue_unless_certified, as_matrix, partial_trace
-from .tolerances import BLOCK_TOL, INPUT_TOL
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _validate_psd(stack: np.ndarray, block_dev: float, unit_trace: bool = False) -> None:
-    """Hermitian-PSD checks on a (n, d, d) stack; a single matrix is a batch
-    of one.  Invariants are checked in the order finite, overflow, hermitian,
-    block_support, trace (unit trace of each matrix, when ``unit_trace``) and
-    positive, each over the whole stack; ``block_dev`` is judged against
-    ``BLOCK_TOL``, the rest against ``INPUT_TOL``.  Positivity is certified by
-    one Cholesky factorization of the Hermitian part shifted by ``INPUT_TOL``;
-    only a stack that fails it pays an eigvalsh call, whose lowest eigenvalue
-    decides and is reported as the deviation.
-
-    Finite entries near the float limit can overflow m + m† and the traces;
-    numpy's warnings are off here, the Hermitian part that overflows raises
-    ``overflow`` and every later test is NaN-safe."""
-    adj = stack.conj().swapaxes(-1, -2)
-    herm = (stack + adj) / 2
-    if not np.isfinite(herm).all():
-        if not np.isfinite(stack).all():
-            raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
-        raise InvariantViolation("overflow", np.inf)
-    dev = float(np.abs(stack - adj).max())
-    if dev > INPUT_TOL:
-        raise InvariantViolation("hermitian", dev)
-    if block_dev > BLOCK_TOL:
-        raise InvariantViolation("block_support", block_dev)
-    if unit_trace:
-        traces = stack.trace(axis1=1, axis2=2).tolist()
-        trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
-        if not trace_dev <= INPUT_TOL:
-            raise InvariantViolation("trace", trace_dev)
-    low = _min_eigenvalue_unless_certified(stack, herm, INPUT_TOL)
-    if low is not None and not low >= -INPUT_TOL:
-        raise InvariantViolation("positive", -low)
+from .algebra import AlgebraShape, block_mask, support_index
+from .errors import ShapeMismatch
+from .matcore import as_matrix, partial_trace, validate_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +31,14 @@ class State:
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
         object.__setattr__(self, "matrix", arr)
         if check:
-            _validate_psd(arr[None], block_support_deviation(arr, self.shape), unit_trace=True)
+            validate_psd(arr[None], *support_index(self.shape), unit_trace=True)
 
 
 def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:
     """Validate a (n, d, d) stack of density matrices with one shared check
-    (one Cholesky factorization for the whole stack) and wrap each matrix as
-    a State."""
+    (one stacked Cholesky factorization) and wrap each matrix as a State."""
     if len(stack):
-        _validate_psd(stack, block_support_deviation(stack, shape), unit_trace=True)
+        validate_psd(stack, *support_index(shape), unit_trace=True)
     return tuple(State(shape, m, check=False) for m in stack)
 
 
@@ -93,8 +56,7 @@ class JointState:
         if arr.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
         object.__setattr__(self, "matrix", arr)
-        block_dev = pair_support_deviation(arr, self.shape_a, self.shape_b)
-        _validate_psd(arr[None], block_dev, unit_trace=True)
+        validate_psd(arr[None], *support_index(self.shape_a, self.shape_b), unit_trace=True)
 
 
 def _side(keep: str) -> str:

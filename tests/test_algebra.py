@@ -5,8 +5,8 @@ from condchan import AlgebraShape, ShapeMismatch, kron
 from condchan.algebra import (
     block_mask,
     block_projectors,
-    block_support_deviation,
     pair_mask,
+    support_deviation,
 )
 from conftest import BIT, MIXED, QUBIT
 from test_matcore import mul_oracle
@@ -32,9 +32,9 @@ def random_element(rng, shape):
 
 class TestShape:
     def test_total_dim_and_flags(self):
-        assert BIT.total_dim == 2 and BIT.is_classical and not BIT.is_irreducible
-        assert QUBIT.total_dim == 2 and QUBIT.is_irreducible and not QUBIT.is_classical
-        assert MIXED.total_dim == 3 and not MIXED.is_classical and not MIXED.is_irreducible
+        assert BIT.total_dim == 2 and not BIT.is_irreducible
+        assert QUBIT.total_dim == 2 and QUBIT.is_irreducible
+        assert MIXED.total_dim == 3 and not MIXED.is_irreducible
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeMismatch):
@@ -73,12 +73,12 @@ class TestProject:
     def test_block_diagonal_fixed_point(self, rng):
         m = random_element(rng, MIXED)
         np.testing.assert_allclose(pinch(m, MIXED), m)
-        assert block_support_deviation(m, MIXED) == 0.0
+        assert support_deviation(m, MIXED) == 0.0
 
     def test_matches_projector_sum_oracle(self, rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         np.testing.assert_allclose(pinch(m, MIXED), eq10_oracle(m, MIXED), atol=1e-13)
-        assert block_support_deviation(m, MIXED) == np.abs(m - eq10_oracle(m, MIXED)).max()
+        assert support_deviation(m, MIXED) == np.abs(m - eq10_oracle(m, MIXED)).max()
 
     def test_linear_positive_trace_preserving_idempotent(self, rng):
         for _ in range(20):
@@ -98,7 +98,7 @@ class TestProject:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            block_support_deviation(np.eye(4), MIXED)
+            support_deviation(np.eye(4), MIXED)
 
 
 class TestTensorShape:

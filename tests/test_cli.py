@@ -570,7 +570,7 @@ def _error_cases():
     labels = {1: "usage error", 2: "parse error", 3: "invariant violation", 4: "numerical failure"}
     cases = [(UsageError("bad flag"), 1), (DocumentSyntaxError("bad text", 3, 7), 2),
              (InvariantViolation("positive", 0.5), 3),
-             (ShapeMismatch("ShapeMismatch raised"), 3), (SupportMismatch("SupportMismatch raised"), 3),
+             (ShapeMismatch("ShapeMismatch raised"), 3), (SupportMismatch("SupportMismatch raised", 1.0), 3),
              (NoConvergence("eigh did not converge"), 4),
              (FloatingPointError("overflow"), 4), (np.linalg.LinAlgError("singular"), 4)]
     # an invariant raised with its own message prints that message alone
@@ -585,7 +585,7 @@ def _error_cases():
     # same text; each case is named for the class it replaced
     folded = [("DimensionMismatch", ShapeMismatch("expected a 2-D matrix, got ndim=3")),
               ("SupportViolation",
-               SupportMismatch("ensemble member leaks outside the support of the state by 1.000e-02"))]
+               SupportMismatch("ensemble member leaks outside the support of the state by 1.000e-02", 1e-2))]
     return [pytest.param(exc, code, f"{labels[code]}: {exc}\n", id=type(exc).__name__)
             for exc, code in cases] + [
         pytest.param(exc, 3, f"invariant violation: {exc}\n", id=f"InvariantViolation-{exc.invariant}")

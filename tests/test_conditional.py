@@ -139,8 +139,11 @@ class TestJointFromConditional:
         # conditional supported on a rank-1 conditioning subspace, full-rank marginal
         j = random_joint_state(QUBIT, QUBIT, rng, rank_a=1)
         cond = conditional_from_joint(j, "a")
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(SupportMismatch) as info:
             joint_from_conditional(maximally_mixed(QUBIT), cond)
+        # the deviation is the trace the rebuilt joint lost, as in the message
+        assert info.value.deviation > 1e-10
+        assert f"trace deviation {info.value.deviation:.3e};" in str(info.value)
 
     def test_shape_mismatch(self, rng):
         cond = conditional_from_joint(random_joint_state(QUBIT, QUBIT, rng), "a")
@@ -182,8 +185,15 @@ class TestBayes:
         j = random_joint_state(QUBIT, QUBIT, rng)
         cond_ab = conditional_from_joint(j, "b")
         deficient = State(QUBIT, np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(SupportMismatch) as info:
             bayes_invert(cond_ab, reduce(j, "a"), deficient)
+        assert info.value.deviation == 0.0
+        # the deviation is the largest eigenvalue at or below the support cutoff
+        j = random_joint_state(QUBIT, QUTRIT, rng)
+        low = State(QUTRIT, np.diag([1.0 - 3e-12, 2e-12, 1e-12]).astype(complex))
+        with pytest.raises(SupportMismatch) as info:
+            bayes_invert(conditional_from_joint(j, "b"), reduce(j, "a"), low)
+        assert info.value.deviation == 2e-12
 
 
 class TestValidation:

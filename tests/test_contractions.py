@@ -9,12 +9,13 @@ stacked Kraus tensor, the cached support masks and the vectorized phase
 convention (the last two bit for bit), and the stacked teleport and
 preparation paths, whose eigendecomposition counts are pinned as well.
 The Cholesky positivity certificate is pinned to the eigvalsh verdict it
-replaced: the same acceptance, exception, invariant and deviation.  The
-single products on the held superoperator and on reordered 4-index views
-are pinned to the per-Kraus sums and einsum contractions they replaced,
-the superoperator is formed once per channel, and the closed-form Bell
-reductions are pinned to the effect contraction over the kron-built basis,
-which no teleport call forms.
+replaced: the same acceptance, exception, invariant and deviation, also
+where it certifies a joint or conditional per block, against the verdict
+of the whole matrix.  The single products on the held superoperator and on
+reordered 4-index views are pinned to the per-Kraus sums and einsum
+contractions they replaced, the superoperator is formed once per channel,
+and the closed-form Bell reductions are pinned to the effect contraction
+over the kron-built basis, which no teleport call forms.
 The isometry and channel checks read the Choi spectrum from one eigvalsh,
 pinned to the verdicts of the full eigendecomposition.  Every public
 correspondence map decomposes each distinct matrix (a matrix and its
@@ -70,9 +71,9 @@ from condchan import (
 from condchan.algebra import (
     block_index,
     block_mask,
-    block_support_deviation,
     pair_mask,
-    pair_support_deviation,
+    support_deviation,
+    support_index,
 )
 from condchan.channels import (
     _kraus_gram,
@@ -89,15 +90,17 @@ from condchan.matcore import (
     herm_eig,
     herm_eigvals,
     hermitize,
+    validate_psd,
 )
 from condchan.scenarios import (
     CLASSICAL_BIT,
     _bell_reduced,
+    _bell_tables,
     _run_branches,
     random_block_unitary,
     random_support_projector,
 )
-from condchan.states import _validate_psd, states_from_stack
+from condchan.states import states_from_stack
 from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, NEGLIGIBLE
 from test_scenarios import bad_bell_basis
 
@@ -435,11 +438,11 @@ def test_cached_masks_are_read_only_and_match_the_loop(rng, shape):
     # the deviation helpers equal the old project-and-subtract formula
     d = shape.total_dim
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    assert block_support_deviation(m, shape) == np.max(np.abs(m - m * oracle_block_mask(shape)))
+    assert support_deviation(m, shape) == np.max(np.abs(m - m * oracle_block_mask(shape)))
     n = other.total_dim * d
     mm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     pair = np.kron(oracle_block_mask(other), oracle_block_mask(shape))
-    assert pair_support_deviation(mm, other, shape) == np.max(np.abs(mm - mm * pair))
+    assert support_deviation(mm, other, shape) == np.max(np.abs(mm - mm * pair))
 
 
 @pytest.mark.parametrize("shape", SHAPES + [AlgebraShape((1,))], ids=shape_id)
@@ -610,7 +613,10 @@ def test_teleport_and_prepare_eigendecomposition_counts(rng, monkeypatch):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def oracle_validate_psd(stack, block_dev, unit_trace=False):
+def oracle_validate_psd(stack, outside, blocks, unit_trace=False):
+    # ``blocks`` is ignored: every matrix is judged whole
+    flat = stack.reshape(len(stack), -1)
+    block_dev = 0.0 if outside is None else float(np.abs(flat[:, outside]).max())
     adj = stack.conj().swapaxes(-1, -2)
     herm = (stack + adj) / 2
     if not np.isfinite(herm).all():
@@ -676,10 +682,10 @@ def density_cases(rng, shape):
 
 
 def psd_verdicts(stack, shape, unit_trace):
-    block_dev = block_support_deviation(stack, shape)
+    index = support_index(shape)
     return (
-        verdict(_validate_psd, stack, block_dev, unit_trace),
-        verdict(oracle_validate_psd, stack, block_dev, unit_trace),
+        verdict(validate_psd, stack, *index, unit_trace),
+        verdict(oracle_validate_psd, stack, *index, unit_trace),
     )
 
 
@@ -748,11 +754,75 @@ def test_constructors_give_the_eigvalsh_verdict(rng, shape, monkeypatch):
 
     got = run()
     for module in ("states", "povm", "conditional"):
-        monkeypatch.setattr(f"condchan.{module}._validate_psd", oracle_validate_psd)
+        monkeypatch.setattr(f"condchan.{module}.validate_psd", oracle_validate_psd)
     want = run()
     assert got == want
     accepted = [True, False, False, True] + [True] * 4 + [False] * 2 + [True, False]
     assert [w is None for w in want] == accepted
+
+
+BLOCK_PAIRS = [((2, 2), (2, 2)), ((1,) * 4, (1,) * 4), ((3, 1), (2, 2)), ((4,), (4,))]
+
+
+def pair_cases(rng, shape_a, shape_b):
+    """(kind, matrix, expected invariant or None) inside the pair algebra:
+    joints and conditionals U diag(w) U† with U = Ua ⊗ Ub block unitary, so
+    each eigenvector lies in one block; λmin = -INPUT_TOL·(1 ∓ 1e-3) sits in
+    the first block, and off-block slop of ±BLOCK_TOL·(1 ∓ 1e-3) fills every
+    entry outside the blocks (a reducible pair only)."""
+    da, db = shape_a.total_dim, shape_b.total_dim
+    u = np.kron(random_block_unitary(shape_a, rng), random_block_unitary(shape_b, rng))
+    off = ~pair_mask(shape_a, shape_b)
+    signs = np.sign(rng.standard_normal((da * db, da * db)))
+    signs = np.triu(signs, 1) + np.triu(signs, 1).T
+    lows = [(None, 0.5 / (da * db)), (None, -INPUT_TOL * (1 - 1e-3))]
+    lows.append(("positive", -INPUT_TOL * (1 + 1e-3)))
+    slops = [(None, 0.0)]
+    if off.any():
+        slops += [(None, BLOCK_TOL * (1 - 1e-3)), ("block_support", BLOCK_TOL * (1 + 1e-3))]
+    for kind in ("joint", "conditional"):
+        for low_fails, low in lows:
+            # w[i, j] is the eigenvalue of column (i, j) of U: a joint's sum to
+            # 1, and a conditional's to 1 over each j, so that its
+            # conditioning partial trace Ua diag(Σ_j w[i, j]) Ua† is I
+            w = rng.random((da, db)) + 0.1
+            w[0, 0] = 0.0
+            if kind == "joint":
+                w *= (1 - low) / w.sum()
+            else:
+                w[0] *= (1 - low) / w[0].sum()
+                w[1:] /= w[1:].sum(axis=1, keepdims=True)
+            w[0, 0] = low
+            m = (u * w.ravel()) @ u.conj().T
+            for slop_fails, slop in slops:
+                fails = slop_fails or low_fails
+                yield kind, m + slop * signs * off, fails
+
+
+@pytest.mark.parametrize("dims_a, dims_b", BLOCK_PAIRS, ids=lambda dims: "x".join(map(str, dims)))
+def test_block_certificate_gives_the_whole_eigvalsh_verdict(rng, dims_a, dims_b, monkeypatch):
+    # from BLOCKWISE_MIN_DIM up, a reducible joint or conditional is judged
+    # and certified per block; the whole-matrix eigvalsh oracle must agree
+    shape_a, shape_b = AlgebraShape(dims_a), AlgebraShape(dims_b)
+    reducible = len(dims_a) * len(dims_b) > 1
+    assert shape_a.total_dim * shape_b.total_dim >= BLOCKWISE_MIN_DIM
+    assert (support_index(shape_a, shape_b)[1] is not None) == reducible
+    cases = list(pair_cases(rng, shape_a, shape_b))
+    build = {"joint": JointState, "conditional": ConditionalState}
+
+    def run():
+        return [verdict(build[kind], shape_a, shape_b, m) for kind, m, _ in cases]
+
+    calls = count_linalg(monkeypatch)
+    got = run()
+    # only the certificate ran on the valid cases, per block when reducible
+    sizes = {shape[-1] for name, shape in calls if name == "cholesky"}
+    assert (max(sizes) < shape_a.total_dim * shape_b.total_dim) == reducible
+    for module in ("states", "conditional"):
+        monkeypatch.setattr(f"condchan.{module}.validate_psd", oracle_validate_psd)
+    want = run()
+    assert got == want
+    assert [w and w[1] for w in want] == [fails for _, _, fails in cases]
 
 
 def teleport_basis(basis):
@@ -782,7 +852,7 @@ def test_effect_certificate_gives_the_eigvalsh_verdict(monkeypatch, kind, positi
     got = verdict(teleport_basis, basis)
     assert got is not None
     assert got == verdict(POVM, AlgebraShape((4,)), basis)
-    monkeypatch.setattr("condchan.povm._validate_psd", oracle_validate_psd)
+    monkeypatch.setattr("condchan.povm.validate_psd", oracle_validate_psd)
     assert got == verdict(teleport_basis, basis)
 
 
@@ -790,7 +860,7 @@ def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge(monkeypatch):
     bases = [edge_bell_basis(INPUT_TOL * (1 - 1e-3)), edge_bell_basis(INPUT_TOL * (1 + 1e-3))]
     bases += [bell_basis(d) for d in range(2, 7)]
     verdicts = [verdict(teleport_basis, basis) for basis in bases]
-    monkeypatch.setattr("condchan.povm._validate_psd", oracle_validate_psd)
+    monkeypatch.setattr("condchan.povm.validate_psd", oracle_validate_psd)
     assert verdicts == [verdict(teleport_basis, basis) for basis in bases]
     assert verdicts[0] is None and verdicts[1][:2] == (InvariantViolation, "positive")
     assert verdicts[2:] == [None] * 5
@@ -847,6 +917,9 @@ def test_bell_reductions_match_the_effect_contraction(rng, d):
     # effects would take 268 MB
     rho = random_complex(rng, d, d)
     got = _bell_reduced(rho).reshape(d * d, d, d)
+    # its index and phase tables are built once per dimension, read-only
+    rolled, phases = _bell_tables(d)
+    assert _bell_tables(d)[0] is rolled and not (rolled.flags.writeable or phases.flags.writeable)
     if d <= 8:
         effects = np.stack(oracle_bell_basis(d)).reshape(d * d, d, d, d, d)
         close(got, np.einsum("ixayb,yx->iab", effects, rho))
@@ -998,7 +1071,7 @@ def test_output_block_deviation_is_read_off_the_superoperator(rng, shape):
     d_out = 3
     kraus = random_channel(shape, AlgebraShape((d_out,)), shape.total_dim, rng).kraus
     for shape_out in (AlgebraShape((2, 1)), AlgebraShape((1, 1, 1))):
-        expected = pair_support_deviation(oracle_choi_matrix(kraus, shape), shape, shape_out)
+        expected = support_deviation(oracle_choi_matrix(kraus, shape), shape, shape_out)
         assert expected > 1e-3
         with pytest.raises(InvariantViolation) as caught:
             Channel(shape, shape_out, kraus)
@@ -1172,6 +1245,14 @@ def choi_from_kraus(kraus):
     return vecs.T @ vecs.conj()
 
 
+def off_mask(blocks):
+    """The (D, D) mask of the entries outside the blocks of an index."""
+    d = blocks.compact.shape[1]
+    off = np.zeros(d * d, dtype=bool)
+    off[blocks.outside] = True
+    return off.reshape(d, d)
+
+
 def block_cases(rng, shape):
     """(matrix, block index, conditional or None) on ``shape``: Choi matrices
     of random channels and of the identity channel (degenerate), conditionals
@@ -1208,10 +1289,10 @@ def test_block_eigenvectors_are_exactly_zero_off_their_block(rng, shape):
             continue
         nonzero = herm_eig(m, blocks).eigenvectors.T != 0
         # no eigenvector has two nonzero entries in different blocks
-        assert not (nonzero[:, :, None] & nonzero[:, None, :] & blocks.off).any()
+        assert not (nonzero[:, :, None] & nonzero[:, None, :] & off_mask(blocks)).any()
         if cond is not None:
             choi = choi_from_kraus(channel_from_conditional(cond).kraus)
-            assert pair_support_deviation(choi, cond.shape_in, cond.shape_out) == 0.0
+            assert support_deviation(choi, cond.shape_in, cond.shape_out) == 0.0
 
 
 def test_block_index_starts_at_the_crossover_dimension():
@@ -1229,7 +1310,8 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
     shape = AlgebraShape((3, 1))
     blocks = block_index(shape, shape)
     m = choi_conditional(random_channel(shape, shape, 2, rng)).matrix
-    i, k = np.argwhere(blocks.off)[0]
+    off = off_mask(blocks)
+    i, k = np.argwhere(off)[0]
     at_tol, leaky = np.array(m), np.array(m)
     at_tol[i, k] = at_tol[k, i] = BLOCK_TOL
     leaky[i, k] = leaky[k, i] = 2 * BLOCK_TOL
@@ -1245,7 +1327,7 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
     close(herm_eigvals(leaky), np.linalg.eigvalsh(leaky)[::-1])
     # drift within INPUT_TOL inside a block is symmetrized away first
     drift = np.array(m)
-    drift[~blocks.off & np.triu(np.ones(m.shape, dtype=bool), 1)] += 1e-11
+    drift[~off & np.triu(np.ones(m.shape, dtype=bool), 1)] += 1e-11
     for fn in (lambda x: herm_eig(x, blocks).eigenvalues, lambda x: herm_eigvals(x, blocks)):
         assert fn(drift).tobytes() == fn(hermitize(drift)).tobytes()
     for decompose in (herm_eig, herm_eigvals):
@@ -1289,8 +1371,8 @@ def test_conditioning_pinches_a_leaking_marginal(rng):
     for k in range(4):
         m[k, 32 + k] = m[32 + k, k] = 0.4 * BLOCK_TOL
     j = JointState(shape_a, shape_b, m)
-    assert block_support_deviation(partial_trace(m, 16, 4, keep="left"), shape_a) > BLOCK_TOL
-    assert block_support_deviation(reduce(j, "a").matrix, shape_a) == 0.0
+    assert support_deviation(partial_trace(m, 16, 4, keep="left"), shape_a) > BLOCK_TOL
+    assert support_deviation(reduce(j, "a").matrix, shape_a) == 0.0
     leak_free = JointState(shape_a, shape_b, exact)
     close(conditional_from_joint(j, "a").matrix, oracle_conditional(leak_free, "a"))
     report = verify_theorem(j, random_povm(shape_a, 2, rng), random_povm(shape_b, 3, rng))

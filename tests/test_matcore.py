@@ -96,7 +96,7 @@ class TestHermEig:
         with pytest.raises(InvariantViolation) as info:
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
         assert (info.value.invariant, info.value.deviation) == ("hermitian", 1.0)
-        assert str(info.value) == "matrix deviates from Hermiticity by 1.000e+00 (tol 1.000e-10)"
+        assert str(info.value) == "invariant 'hermitian' violated (deviation 1.000e+00)"
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeMismatch):
@@ -112,6 +112,14 @@ class TestHermEig:
         with pytest.raises(InvariantViolation) as info:
             decompose(m)
         assert (info.value.invariant, info.value.deviation) == ("finite", np.inf)
+
+    @pytest.mark.parametrize("decompose", [herm_eig, herm_eigvals])
+    def test_rejects_overflow_before_solving(self, decompose):
+        # finite entries whose Hermitian part overflows, named as the
+        # constructors name them, without a numpy warning
+        with pytest.raises(InvariantViolation) as info:
+            decompose(np.array([[1e308] * 2] * 2))
+        assert (info.value.invariant, info.value.deviation) == ("overflow", np.inf)
 
     def test_empty_matrix_has_the_empty_system(self):
         es = herm_eig(np.zeros((0, 0)))

@@ -173,8 +173,9 @@ class TestPOVMFromEnsemble:
         s = State(QUBIT, np.diag([1.0, 0.0]).astype(complex))
         leaking = State(QUBIT, np.diag([0.0, 1.0]).astype(complex))
         ens = Ensemble(np.array([1.0]), (leaking,), leaking)
-        with pytest.raises(SupportMismatch, match="leaks outside the support of the state by 1.000e"):
+        with pytest.raises(SupportMismatch, match="leaks outside the support of the state by 1.000e") as info:
             povm_from_ensemble(ens, s)
+        assert info.value.deviation == 1.0
 
 
 class TestSample:

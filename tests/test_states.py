@@ -14,7 +14,7 @@ from condchan import (
     reduce,
     swap_factors,
 )
-from condchan.algebra import block_support_deviation
+from condchan.algebra import support_deviation
 from condchan.states import states_from_stack
 from condchan.scenarios import random_joint_state, random_state
 from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed
@@ -157,16 +157,16 @@ class TestIsClassical:
     dimension: nothing outside the diagonal."""
 
     def test_diagonal_bit_state(self):
-        assert block_support_deviation(np.diag([0.3, 0.7]).astype(complex), BIT) <= 1e-12
+        assert support_deviation(np.diag([0.3, 0.7]).astype(complex), BIT) <= 1e-12
 
     def test_bell_state_is_not(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
-        assert block_support_deviation(State(QUBIT, plus).matrix, BIT) > 1e-12
+        assert support_deviation(State(QUBIT, plus).matrix, BIT) > 1e-12
 
     def test_dephased_random_state(self, rng):
         s = random_state(QUBIT, rng)
         dephased = State(QUBIT, np.diag(np.diag(s.matrix)))
-        assert block_support_deviation(dephased.matrix, BIT) <= 1e-12
+        assert support_deviation(dephased.matrix, BIT) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
