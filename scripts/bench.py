@@ -31,6 +31,11 @@ calls by 10 % and more between runs.  The calls:
   ``apply`` to a state, ``apply_matrix`` on a stack of 4 states,
   ``choi_conditional``, and ``channel_from_conditional`` on its
   conditional form;
+* ``serialize`` and ``parse`` of a ``JointState`` document, of the
+  ``ConditionalState`` document ``conditional_from_joint`` derives from it
+  (conditioned on the first side), and of the document of a channel with two
+  Kraus operators per output block, each on the class paired with itself,
+  d = 2…16;
 * the nine CLI commands (``cli choi`` … ``cli selftest``) through
   ``cli.main`` in this process, on d = 8 documents of each class written to
   a temporary directory, with stdout and stderr redirected; ``teleport``
@@ -114,6 +119,21 @@ def run_cli(cli, argv):
 def stdout_sha256(text):
     """sha256 of a command's stdout, with selftest's run time masked."""
     return hashlib.sha256(ELAPSED.sub(r"\1null", text).encode()).hexdigest()
+
+
+def document_cases(cc, rng, dims):
+    """``serialize`` and ``parse`` of a joint, its derived conditional and a
+    channel, on the class paired with itself."""
+    for d in dims:
+        for cls, blocks in shape_classes(d).items():
+            shape = cc.AlgebraShape(blocks)
+            joint = cc.random_joint_state(shape, shape, rng)
+            objs = {"JointState": joint, "ConditionalState": cc.conditional_from_joint(joint, "a"),
+                    "Channel": cc.random_channel(shape, shape, 2, rng)}
+            for name, obj in objs.items():
+                text = cc.serialize.serialize(obj)
+                yield f"serialize {name}", d, cls, partial(cc.serialize.serialize, obj)
+                yield f"parse {name}", d, cls, partial(cc.serialize.parse, text)
 
 
 def cli_cases(cc, workdir, rng):
@@ -205,6 +225,8 @@ def cases(cc, workdir):
     yield from teleport_cases(cc, np.random.default_rng(SEED + 2), range(9, 17))
     # and one for the CLI cases
     yield from cli_cases(cc, workdir, np.random.default_rng(SEED + 3))
+    # and one for the documents
+    yield from document_cases(cc, np.random.default_rng(SEED + 4), range(2, 17))
 
 
 def count_calls(fn):

@@ -41,7 +41,6 @@ from .povm import POVM, Ensemble, measure, povm_from_ensemble, prepare, sample
 from .scenarios import (
     TeleportReport,
     TheoremReport,
-    bell_basis,
     random_channel,
     random_joint_state,
     random_povm,

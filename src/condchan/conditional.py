@@ -25,6 +25,7 @@ from .matcore import (
     EigenSystem,
     as_matrix,
     herm_eig,
+    hermitize,
     max_abs,
     partial_trace,
     swap_factors,
@@ -86,11 +87,18 @@ def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -
     return (left.swapaxes(1, 2) @ factor).swapaxes(1, 2).reshape(matrix.shape)
 
 
+def _pinched_hermitian(s: np.ndarray, *shapes: AlgebraShape) -> np.ndarray:
+    """``hermitize(s) * pair_mask(*shapes)``, exactly Hermitian, as (s + s†)·(½·mask)."""
+    out = s + s.conj().T
+    out *= 0.5 * pair_mask(*shapes)
+    return out
+
+
 def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]:
     """The conditional of ``j`` on ``side`` ("a" or "b") and the spectrum of
     that side's marginal, from which its generalized inverse root was taken.
     The sandwich scales the joint's off-block slop by up to 1/λ_min of the
-    marginal, so the result is pinched onto the pair algebra."""
+    marginal, so the result's Hermitian part is pinched onto the pair algebra."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     shape_in, marg_matrix = _marginal(j, side)
     marg = herm_eig(marg_matrix, block_index(shape_in))
@@ -98,7 +106,8 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
         shape_out, matrix, dim_out = j.shape_b, j.matrix, db
     else:
         shape_out, matrix, dim_out = j.shape_a, swap_factors(j.matrix, da, db), da
-    out = _sandwich_on_first(marg.inv_root(), matrix, dim_out) * pair_mask(shape_in, shape_out)
+    out = _sandwich_on_first(marg.inv_root(), matrix, dim_out)
+    out = _pinched_hermitian(out, shape_in, shape_out)
     return ConditionalState(shape_in=shape_in, shape_out=shape_out, matrix=out), marg
 
 
@@ -122,7 +131,7 @@ def joint_from_conditional(marg: State, cond: ConditionalState) -> JointState:
     if marg.shape != cond.shape_in:
         raise ShapeMismatch("marginal shape does not match the conditioning algebra")
     root = herm_eig(marg.matrix).root()
-    out = _sandwich_on_first(root, cond.matrix, cond.shape_out.total_dim)
+    out = hermitize(_sandwich_on_first(root, cond.matrix, cond.shape_out.total_dim))
     # the measure and threshold of the rebuilt joint's own unit-trace check
     trace = np.trace(out)
     trace_dev = abs(trace.real - 1.0) + abs(trace.imag)
@@ -156,6 +165,6 @@ def bayes_invert(cond_ab: ConditionalState, marg_a: State, marg_b: State) -> Con
     da, db = marg_a.shape.total_dim, marg_b.shape.total_dim
     half = swap_factors(_sandwich_on_first(spectrum_b.root(), cond_ab.matrix, da), db, da)
     inv_a = herm_eig(marg_a.matrix, block_index(marg_a.shape)).inv_root()
-    # pinched onto the pair algebra, as in conditioning
-    inverted = _sandwich_on_first(inv_a, half, db) * pair_mask(marg_a.shape, marg_b.shape)
+    # pinched onto the pair algebra and kept Hermitian, as in conditioning
+    inverted = _pinched_hermitian(_sandwich_on_first(inv_a, half, db), marg_a.shape, marg_b.shape)
     return ConditionalState(shape_in=marg_a.shape, shape_out=marg_b.shape, matrix=inverted)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, block_index, support_index
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
-from .matcore import as_matrix, herm_eig, max_abs, validate_psd
+from .matcore import as_matrix, herm_eig, hermitize, max_abs, validate_psd
 from .states import State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
@@ -84,13 +84,13 @@ def measure(m: POVM, s: State) -> np.ndarray:
 
 
 def prepare(m: POVM, s: State) -> Ensemble:
-    """POVM-preparation of a state: weights from the Born rule, members
-    sqrt(s) M_j sqrt(s) normalized.  Outcomes of negligible probability are
-    dropped; their conditional state is undefined."""
+    """POVM-preparation of a state: weights from the Born rule, members the
+    Hermitian parts of sqrt(s) M_j sqrt(s) normalized.  Outcomes of negligible
+    probability are dropped; their conditional state is undefined."""
     probs = measure(m, s)
     root = herm_eig(s.matrix).root()
     kept = probs > NEGLIGIBLE
-    members = root @ np.stack(m.elements)[kept] @ root / probs[kept, None, None]
+    members = hermitize(root @ np.stack(m.elements)[kept] @ root / probs[kept, None, None])
     return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
 
 

@@ -122,14 +122,6 @@ def _weyl_operators(dim: int) -> np.ndarray:
     return (shifts[:, None] * phases[None, :, None, :]).reshape(dim * dim, dim, dim)
 
 
-def bell_basis(dim: int) -> tuple[np.ndarray, ...]:
-    """The dim^2 maximally entangled rank-one effects, ordered so that the
-    plain maximally entangled projector comes first."""
-    # (I ⊗ W) Σ_j |jj> / √d has entry W[i, j] / √d at index j * dim + i
-    vecs = _weyl_operators(dim).swapaxes(1, 2).reshape(dim * dim, -1) / np.sqrt(dim)
-    return tuple(vecs[:, :, None] * vecs[:, None, :].conj())
-
-
 @lru_cache(maxsize=16)
 def _bell_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The index and phase tables of ``_bell_reduced`` on C^d (cached, read-only)."""
@@ -146,7 +138,7 @@ def _bell_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _bell_reduced(rho: np.ndarray) -> np.ndarray:
     """What each Bell effect leaves on the resource's input half: the
     operators F_ab = W_ab ρᵀ W_ab† / d, one flattened (d, d) operator per row
-    of a (d², d²) array, indexed a * d + b as ``bell_basis``.
+    of a (d², d²) array, indexed a * d + b as ``_weyl_operators``.
 
     Entry-wise F_ab[i, j] = ω^(b(i−j)) ρᵀ[i−a, j−a] / d, so each row is a
     roll of ρᵀ times a phase: O(d⁴) memory, and no effect is formed."""

@@ -9,9 +9,12 @@ with Python's shortest round-tripping representation, so
 Layout: a document is byte for byte ``json.dumps(to_payload(x),
 sort_keys=True, indent=1) + "\n"``: indent 1, sorted keys.  Each matrix is
 written from one ``%``-template of that layout, filled with the float tokens
-of one ``json.dumps`` call on its flat [re, im] entries, so ``NaN``,
-``Infinity`` and ``-0.0`` appear exactly as json writes them.  ``dumps``
-writes any payload in this layout; the CLI's reports go through it too.
+of one ``json.dumps`` call, so ``NaN``, ``Infinity`` and ``-0.0`` appear
+exactly as json writes them.  In a square complex matrix with a real diagonal,
+a number below the diagonal equal to its mirror's up to the sign bit takes the
+mirror's token instead (negated if the signs differ; ``NaN`` stays ``NaN``), so
+an exactly Hermitian matrix formats only its upper triangle.  ``dumps`` writes
+any payload in this layout; the CLI's reports go through it too.
 """
 
 from __future__ import annotations
@@ -126,6 +129,22 @@ def _block(items: list, level: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
 
 
+def _tokens(m: np.ndarray) -> list:
+    """json's float tokens of a matrix's flat [re, im] numbers (see the module docstring)."""
+    flat, n = _pairs(m).ravel(), len(m)
+    if m.dtype != np.complex128 or m.shape != (n, n) or n < 2 or m.imag.diagonal().any():
+        return json.dumps(flat.tolist())[1:-1].split(", ")
+    mirror = np.arange(flat.size).reshape(n, n, 2).swapaxes(0, 1).ravel()
+    signs = flat.view(np.uint64) ^ flat.view(np.uint64)[mirror]
+    reused = np.tri(n, k=-1, dtype=bool).repeat(2) & (signs << 1 == 0)  # equal up to the sign
+    tokens = np.empty(flat.size, dtype=object)
+    tokens[~reused] = json.dumps(flat[~reused].tolist())[1:-1].split(", ")
+    tokens[reused] = tokens[mirror[reused]]
+    negate = reused & (signs != 0)
+    tokens[negate] = [t[1:] if t[0] == "-" else t if t == "NaN" else "-" + t for t in tokens[negate]]
+    return tokens.tolist()
+
+
 def _write(value, level: int) -> str:
     if isinstance(value, dict):
         items = [f"{json.dumps(k)}: {_write(value[k], level + 1)}" for k in sorted(value)]
@@ -135,8 +154,7 @@ def _write(value, level: int) -> str:
     if isinstance(value, np.ndarray):
         rows, cols = value.shape
         row = _block([_block(["%s", "%s"], level + 2)] * cols, level + 1)
-        tokens = json.dumps(_pairs(value).ravel().tolist())[1:-1].split(", ")
-        return _block([row] * rows, level) % tuple(tokens)
+        return _block([row] * rows, level) % tuple(_tokens(value))
     return json.dumps(value)
 
 
@@ -162,9 +180,11 @@ def from_payload(obj: dict):
         weights, members = _require(obj, "weights"), _require(obj, "members")
         if not isinstance(weights, list) or not isinstance(members, list):
             raise DocumentSyntaxError("ensemble document needs 'weights' and 'members' lists")
+        if not all(type(w) in (int, float) for w in weights):  # a bool is an int
+            raise DocumentSyntaxError("ensemble weights must be JSON numbers")
         try:
             weights = np.array([float(w) for w in weights])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise DocumentSyntaxError(f"malformed weights: {exc}") from exc
         members = tuple(
             State(shape, _decode_matrix(m, f"members[{i}]")) for i, m in enumerate(members)
@@ -181,16 +201,27 @@ def from_payload(obj: dict):
     })
 
 
+def _nested_boolean(value, depth: int) -> bool:
+    """Whether a boolean sits in a list in a list, where only matrix numbers may."""
+    if isinstance(value, list):
+        return any(_nested_boolean(v, depth + 1) for v in value)
+    return depth > 1 and isinstance(value, bool)
+
+
 def parse(text: str):
     """Parse a JSON document string into a validated object.
 
     JSON syntax errors surface as ``DocumentSyntaxError`` with line/column,
-    and so does nesting too deep for the JSON decoder; failed construction
-    invariants propagate as ``InvariantViolation`` with the invariant's name
-    and measured deviation.
+    and so do nesting too deep for the JSON decoder and a boolean in a matrix
+    (numpy reads it as 0 or 1); failed construction invariants propagate as
+    ``InvariantViolation`` with the invariant's name and measured deviation.
     """
     try:
         payload = json.loads(text)
+        if ("true" in text or "false" in text) and isinstance(payload, dict):
+            for key, value in payload.items():
+                if _nested_boolean(value, 0):
+                    raise DocumentSyntaxError(f"matrix {key!r} must hold numbers, not booleans")
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:

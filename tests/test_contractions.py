@@ -48,7 +48,6 @@ from condchan import (
     apply,
     apply_via_conditional,
     bayes_invert,
-    bell_basis,
     choi_conditional,
     conditional_from_joint,
     identity_channel,
@@ -97,12 +96,12 @@ from condchan.scenarios import (
     _bell_reduced,
     _bell_tables,
     _run_branches,
+    _weyl_operators,
     random_block_unitary,
     random_support_projector,
 )
 from condchan.states import states_from_stack
 from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, NEGLIGIBLE
-from test_scenarios import bad_bell_basis
 
 ATOL = 1e-12
 MIXED_BY_DIM = {3: (2, 1), 4: (2, 1, 1), 5: (3, 2), 6: (3, 2, 1), 7: (4, 2, 1), 8: (4, 2, 1, 1)}
@@ -172,6 +171,32 @@ def oracle_weyl(dim, a, b):
     for j in range(dim):
         x[(j + a) % dim, j] = 1.0
     return x @ np.linalg.matrix_power(z, b)
+
+
+def bell_basis(dim):
+    """The dim^2 maximally entangled rank-one effects from the library's Weyl
+    operators, ordered so that the plain maximally entangled projector comes
+    first: the explicit basis the teleport tests pass."""
+    # (I ⊗ W) Σ_j |jj> / √d has entry W[i, j] / √d at index j * dim + i
+    vecs = _weyl_operators(dim).swapaxes(1, 2).reshape(dim * dim, -1) / np.sqrt(dim)
+    return tuple(vecs[:, :, None] * vecs[:, None, :].conj())
+
+
+def bad_bell_basis(kind, position):
+    """The qubit Bell basis with one effect at ``position`` made invalid."""
+    effects = [np.array(e) for e in bell_basis(2)]
+    other = 1 if position == 0 else 0
+    if kind == "shape":
+        effects[position] = np.eye(3, dtype=complex)
+    elif kind == "hermitian":
+        effects[position][0, 1] += 1e-6
+    elif kind == "negative":
+        # keeps the sum at the identity: the other effect takes the weight
+        effects[position] = effects[position] - 0.1 * effects[other]
+        effects[other] = 1.1 * effects[other]
+    elif kind == "non_finite":
+        effects[position][0, 0] = np.nan
+    return effects
 
 
 def oracle_bell_basis(dim):

@@ -5,6 +5,7 @@ import pytest
 
 from condchan import (
     POVM,
+    AlgebraShape,
     Ensemble,
     InvariantViolation,
     ShapeMismatch,
@@ -113,6 +114,11 @@ class TestPrepare:
         ens = prepare(random_povm(QUBIT, 4, rng), s)
         mix = sum(p * m.matrix for p, m in zip(ens.weights, ens.members))
         np.testing.assert_allclose(mix, s.matrix, atol=1e-9)
+
+    def test_members_are_exactly_hermitian(self, rng):
+        for shape in (QUBIT, MIXED, AlgebraShape((8,))):
+            ens = prepare(random_povm(shape, 4, rng), random_state(shape, rng))
+            assert all(np.array_equal(m.matrix, m.matrix.conj().T) for m in ens.members)
 
     def test_classical_reduces_to_bayesian_conditioning(self, rng):
         probs = rng.random(2)

@@ -13,7 +13,6 @@ from condchan import (
     ShapeMismatch,
     State,
     apply,
-    bell_basis,
     herm_eig,
     identity_channel,
     kron,
@@ -28,6 +27,7 @@ from condchan import (
     verify_theorem,
 )
 from condchan.scenarios import random_block_unitary, random_support_projector
+from test_contractions import bad_bell_basis, bell_basis
 from conftest import BIT, MIXED, QUBIT, QUTRIT
 from test_channels import classical_channel, depolarizing_qubit
 
@@ -188,23 +188,6 @@ class TestTeleport:
                 np.testing.assert_allclose(
                     partial_trace(e, d, d, keep="left"), np.eye(d) / d, atol=1e-12
                 )
-
-
-def bad_bell_basis(kind, position):
-    """The qubit Bell basis with one effect at ``position`` made invalid."""
-    effects = [np.array(e) for e in bell_basis(2)]
-    other = 1 if position == 0 else 0
-    if kind == "shape":
-        effects[position] = np.eye(3, dtype=complex)
-    elif kind == "hermitian":
-        effects[position][0, 1] += 1e-6
-    elif kind == "negative":
-        # keeps the sum at the identity: the other effect takes the weight
-        effects[position] = effects[position] - 0.1 * effects[other]
-        effects[other] = 1.1 * effects[other]
-    elif kind == "non_finite":
-        effects[position][0, 0] = np.nan
-    return effects
 
 
 class TestBasisValidation:

@@ -62,7 +62,13 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
         "conditional_from_joint", "bayes_invert",
         "Channel", "apply", "apply_matrix", "choi_conditional", "channel_from_conditional",
         *(f"cli {command}" for command in commands),
+        *(f"{step} {document}" for step in ("serialize", "parse")
+          for document in ("JointState", "ConditionalState", "Channel")),
     }
+    # each document case on every class, d = 2…16 (no mixed class at d = 2)
+    for call in calls:
+        if call.startswith(("serialize ", "parse ")):
+            assert sum(row["call"] == call for row in results) == 2 + 3 * 14
     # eight document commands on each class at d = 8, and selftest once
     cli_rows = [row for row in results if row["call"].startswith("cli ")]
     assert len(cli_rows) == 3 * 8 + 1 and {row["d"] for row in cli_rows} == {8}

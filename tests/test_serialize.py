@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 from condchan import (
     AlgebraShape,
     CondChanError,
+    ConditionalState,
     DocumentSyntaxError,
     InvariantViolation,
     State,
+    bayes_invert,
     channel_from_conditional,
     conditional_from_joint,
+    joint_from_conditional,
     prepare,
     random_channel,
     random_joint_state,
     random_povm,
     random_state,
+    reduce,
 )
 from condchan.channels import choi_conditional
-from condchan.serialize import _SCHEMA, parse, serialize, to_payload
+from condchan.serialize import _SCHEMA, dumps, encode_matrix, parse, serialize, to_payload
 from conftest import BIT, MIXED, QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,13 +135,16 @@ def test_malformed_matrix():
         "[[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]",
         "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5]]]",
         "[[[true, false], [false, false]], [[false, false], [true, false]]]",
+        "[[[true, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]",
+        "[[[0.5, 0], [0, false]], [[0, 0], [0.5, 0]]]",
         "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [100000000000000000000000, 0.0]]]",
         "[[]]",
         "[]",
         "0.5",
     ],
     ids=["object", "triple", "null", "string", "ragged-rows", "short-pair",
-         "booleans", "huge-int", "empty-row", "empty", "scalar"],
+         "booleans", "boolean-among-floats", "boolean-among-ints", "huge-int", "empty-row",
+         "empty", "scalar"],
 )
 def test_malformed_matrix_entries(matrix):
     with pytest.raises(DocumentSyntaxError, match="matrix"):
@@ -159,7 +166,29 @@ def test_ensemble_lists_must_be_lists(rng, key, value):
         parse(json.dumps(doc))
 
 
-@pytest.mark.parametrize("weight", ["NaN", '"nan"', '"inf"'])
+def test_boolean_in_any_matrix_is_rejected(rng):
+    # the Kraus list and the ensemble's members are matrices too
+    for obj, key in ((random_channel(QUBIT, QUBIT, 2, rng), "kraus"),
+                     (prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng)), "members")):
+        doc = json.loads(serialize(obj))
+        doc[key][0][0][0][1] = False
+        with pytest.raises(DocumentSyntaxError, match=f"matrix '{key}'"):
+            parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "weight", ['"nan"', '"inf"', '"{w!r}"', '" {w!r} "', "true"],
+    ids=["nan", "inf", "number-string", "padded-number-string", "true"],
+)
+def test_weights_must_be_json_numbers(rng, weight):
+    # a string or a boolean is not read as a number, even one that float() reads
+    doc = json.loads(serialize(prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng))))
+    doc["weights"][0] = json.loads(weight.format(w=doc["weights"][0]))
+    with pytest.raises(DocumentSyntaxError, match="weights must be JSON numbers"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("weight", ["NaN"])
 def test_non_finite_weights_are_rejected(rng, weight):
     doc = json.loads(serialize(prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng))))
     doc["weights"] = [json.loads(weight)] * len(doc["weights"])
@@ -246,6 +275,41 @@ def _unchecked_state(*entries):
     return State(QUBIT, np.array(entries, dtype=np.complex128).reshape(2, 2), check=False)
 
 
+def _hermitian_specials(rng):
+    """An exactly Hermitian 4×4 matrix with mirrored signed zeros, infinities,
+    NaNs and subnormals, and a diagonal whose imaginary parts are ±0."""
+    upper = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(np.inf, -np.inf),
+             complex(np.nan, 1.0), complex(5e-324, -1e-320), complex(-np.inf, np.nan)]
+    m = np.diag([complex(0.25, -0.0), -0.0, complex(np.inf, 0.0), 2.2250738585072014e-308])
+    m[np.triu_indices(4, 1)] = upper
+    m[np.tril_indices(4, -1)] = m.T[np.tril_indices(4, -1)].conj()
+    return State(QUART, m, check=False)
+
+
+def _low_bit_flipped(rng):
+    """A derived (exactly Hermitian) conditional with the last bit of one
+    number below the diagonal flipped."""
+    c = conditional_from_joint(random_joint_state(QUBIT, QUBIT, rng), "a")
+    m = c.matrix.copy()
+    m.view(np.uint64)[3, 2 * 1 + 1] ^= 1  # the imaginary part of m[3, 1]
+    return ConditionalState(QUBIT, QUBIT, m, check=False)
+
+
+def _marginals(rng, shape):
+    j = random_joint_state(shape, shape, rng)
+    return j, reduce(j, "a"), reduce(j, "b")
+
+
+def _joined(rng):
+    j, marg_a, _ = _marginals(rng, QUART)
+    return joint_from_conditional(marg_a, conditional_from_joint(j, "a"))
+
+
+def _inverted(rng):
+    j, marg_a, marg_b = _marginals(rng, MIXED)
+    return bayes_invert(conditional_from_joint(j, "b"), marg_a, marg_b)
+
+
 PINNED = {
     "state-1x1": lambda rng: random_state(ONE, rng),
     "state-reducible": lambda rng: random_state(MIXED, rng),
@@ -270,6 +334,13 @@ PINNED = {
     "unchecked-nonfinite": lambda rng: _unchecked_state(np.nan, complex(np.inf, -np.inf), complex(-np.inf, np.nan), 0.5),
     "unchecked-signed-zero": lambda rng: _unchecked_state(complex(-0.0, -0.0), complex(0.0, -0.0), -0.0, 1.0),
     "unchecked-extremes": lambda rng: _unchecked_state(5e-324, complex(2.2250738585072014e-308, -1e300), 1e300, complex(-1.7976931348623157e308, 1e-320)),
+    "hermitian-specials": _hermitian_specials,
+    "hermitian-1x1": lambda rng: State(ONE, np.array([[complex(-0.0, -0.0)]]), check=False),
+    "hermitian-low-bit-flipped": _low_bit_flipped,
+    "channel-non-square": lambda rng: random_channel(QUBIT, QUART, 2, rng),
+    "conditional-derived-d16": lambda rng: conditional_from_joint(random_joint_state(QUART, QUART, rng), "b"),
+    "joint-derived-d16": _joined,
+    "bayes-derived": _inverted,
 }
 
 
@@ -277,6 +348,35 @@ PINNED = {
 def test_serialize_matches_json_layout_byte_for_byte(rng, build):
     obj = build(rng)
     assert serialize(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.arange(6.0).reshape(2, 3), np.array([[1.0, -0.0], [0.0, np.nan]]), np.eye(3, dtype=int)],
+    ids=["real", "real-symmetric-specials", "integer"],
+)
+def test_dumps_writes_a_real_array_as_a_complex_matrix(array):
+    payload = {"kind": "report", "matrix": array}
+    expected = {"kind": "report", "matrix": encode_matrix(array)}
+    assert dumps(payload) == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+
+
+def test_hermitian_matrix_formats_only_its_upper_triangle(rng, monkeypatch):
+    # the numbers json formats: of the d = 16 conditional, its upper triangle
+    # with the diagonal; of a Kraus operator (not Hermitian), all of them
+    formatted = []
+
+    def counting(value, *args, **kwargs):
+        if isinstance(value, list):
+            formatted.append(len(value))
+        return json_dumps(value, *args, **kwargs)
+
+    json_dumps = json.dumps
+    cond = conditional_from_joint(random_joint_state(QUART, QUART, rng), "a")
+    kraus = random_channel(QUBIT, QUBIT, 1, rng).kraus[0]
+    monkeypatch.setattr(json, "dumps", counting)
+    dumps({"c": cond.matrix, "k": kraus})
+    assert formatted == [16 * 17, 2 * 4]
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
