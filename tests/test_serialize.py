@@ -276,23 +276,27 @@ def _unchecked_state(*entries):
 
 
 def _hermitian_specials(rng):
-    """An exactly Hermitian 4×4 matrix with mirrored signed zeros, infinities,
-    NaNs and subnormals, and a diagonal whose imaginary parts are ±0."""
+    """An exactly Hermitian 16×16 matrix (the writer mirrors from 16 on) with
+    mirrored signed zeros, infinities, NaNs and subnormals, and a diagonal
+    whose imaginary parts are ±0."""
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    m = g + g.conj().T
     upper = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(np.inf, -np.inf),
              complex(np.nan, 1.0), complex(5e-324, -1e-320), complex(-np.inf, np.nan)]
-    m = np.diag([complex(0.25, -0.0), -0.0, complex(np.inf, 0.0), 2.2250738585072014e-308])
-    m[np.triu_indices(4, 1)] = upper
-    m[np.tril_indices(4, -1)] = m.T[np.tril_indices(4, -1)].conj()
-    return State(QUART, m, check=False)
+    m[0, 1:7] = upper
+    m[np.tril_indices(16, -1)] = m.T[np.tril_indices(16, -1)].conj()
+    m[1, 2] = m[2, 1] = complex(0.0, -0.0)  # a zero whose mirror has its bits
+    m[np.diag_indices(16)] = [complex(0.25, -0.0), -0.0, complex(np.inf, 0.0)] + [1e-310] * 13
+    return State(AlgebraShape((16,)), m, check=False)
 
 
 def _low_bit_flipped(rng):
-    """A derived (exactly Hermitian) conditional with the last bit of one
-    number below the diagonal flipped."""
-    c = conditional_from_joint(random_joint_state(QUBIT, QUBIT, rng), "a")
+    """A derived (exactly Hermitian) 16×16 conditional with the last bit of
+    one number below the diagonal flipped."""
+    c = conditional_from_joint(random_joint_state(QUART, QUART, rng), "a")
     m = c.matrix.copy()
-    m.view(np.uint64)[3, 2 * 1 + 1] ^= 1  # the imaginary part of m[3, 1]
-    return ConditionalState(QUBIT, QUBIT, m, check=False)
+    m.view(np.uint64)[9, 2 * 4 + 1] ^= 1  # the imaginary part of m[9, 4]
+    return ConditionalState(QUART, QUART, m, check=False)
 
 
 def _marginals(rng, shape):
@@ -363,7 +367,10 @@ def test_dumps_writes_a_real_array_as_a_complex_matrix(array):
 
 def test_hermitian_matrix_formats_only_its_upper_triangle(rng, monkeypatch):
     # the numbers json formats: of the d = 16 conditional, its upper triangle
-    # with the diagonal; of a Kraus operator (not Hermitian), all of them
+    # with the diagonal; of the specials, also the two zeros below the
+    # diagonal whose mirror is the other zero; of a Kraus operator (not
+    # Hermitian) and of a 4×4 state (below the size the writer mirrors
+    # from), all of them
     formatted = []
 
     def counting(value, *args, **kwargs):
@@ -374,9 +381,11 @@ def test_hermitian_matrix_formats_only_its_upper_triangle(rng, monkeypatch):
     json_dumps = json.dumps
     cond = conditional_from_joint(random_joint_state(QUART, QUART, rng), "a")
     kraus = random_channel(QUBIT, QUBIT, 1, rng).kraus[0]
+    specials = _hermitian_specials(rng).matrix
+    state = random_state(QUART, rng).matrix
     monkeypatch.setattr(json, "dumps", counting)
-    dumps({"c": cond.matrix, "k": kraus})
-    assert formatted == [16 * 17, 2 * 4]
+    dumps({"c": cond.matrix, "h": specials, "k": kraus, "s": state})
+    assert formatted == [16 * 17, 16 * 17 + 2, 2 * 4, 2 * 16]
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
