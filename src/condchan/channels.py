@@ -223,32 +223,21 @@ def canonical_reduction(c: Channel) -> Channel:
 
 @dataclass(frozen=True, eq=False)
 class ChannelReport:
-    """Validation report: deviations rather than booleans, plus verdicts."""
+    """Validation report: deviations rather than booleans, and one verdict."""
 
     tp_deviation: float
     choi_min_eigenvalue: float
     block_support_deviation: float
-    tol: float
     input_support_flagged: bool
 
     @property
-    def is_trace_preserving(self) -> bool:
-        return self.tp_deviation <= self.tol
-
-    @property
-    def is_completely_positive(self) -> bool:
-        return self.choi_min_eigenvalue >= -self.tol
-
-    @property
-    def respects_output_algebra(self) -> bool:
-        return self.block_support_deviation <= self.tol
-
-    @property
     def ok(self) -> bool:
+        """Trace preserving, completely positive and inside the output
+        algebra, each within ``IDENTITY_TOL``."""
         return (
-            self.is_trace_preserving
-            and self.is_completely_positive
-            and self.respects_output_algebra
+            self.tp_deviation <= IDENTITY_TOL
+            and self.choi_min_eigenvalue >= -IDENTITY_TOL
+            and self.block_support_deviation <= IDENTITY_TOL
         )
 
 
@@ -272,7 +261,6 @@ def validate_channel(c: Channel) -> ChannelReport:
         tp_deviation=float(tp_dev),
         choi_min_eigenvalue=float(w[-1]) if w.size else 0.0,
         block_support_deviation=float(block_dev),
-        tol=IDENTITY_TOL,
         input_support_flagged=c.input_support is not None,
     )
 

@@ -21,7 +21,7 @@ from .channels import Channel, channel_from_conditional, choi_conditional
 from .conditional import ConditionalState, bayes_invert, conditional_from_joint, joint_from_conditional
 from .errors import CondChanError, DocumentSyntaxError, UsageError
 from .povm import POVM, prepare
-from .scenarios import CLASSICAL_BIT, teleport, teleport_classical, verify_theorem
+from .scenarios import teleport, verify_theorem
 from .selftest import run_selftest
 from .states import JointState, State
 from .tolerances import IDENTITY_TOL
@@ -75,9 +75,7 @@ def _verify_theorem(args) -> tuple[str, str, int]:
 
 
 def _teleport(args) -> tuple[str, str, int]:
-    # the input decides the route: the bit algebra groups its Bell outcomes
-    route = teleport_classical if args.channel.shape_in == CLASSICAL_BIT else teleport
-    report = route(args.channel, args.input)
+    report = teleport(args.channel, args.input)
     payload = {
         "kind": "teleport_report",
         "successProbability": report.success_probability,

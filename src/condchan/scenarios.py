@@ -6,9 +6,10 @@ runnable here:
 * ``verify_theorem`` checks that local measurements on a joint state give
   the same outcome statistics as a prepare-evolve-measure experiment built
   from the transposed marginal and the reconstructed channel;
-* ``teleport`` / ``teleport_classical`` run noisy-gate teleportation with a
-  maximally entangled measurement, including the classical-bit degeneration
-  where grouping parity outcomes doubles the success probability and the
+* ``teleport`` runs noisy-gate teleportation with the maximally entangled
+  measurement its input algebra picks: the Bell basis on an irreducible
+  algebra, and on the classical bit the parity route, where the Bell
+  outcomes grouped by their shift double the success probability and the
   protocol becomes a one-time pad.  The generalized Bell basis is never
   formed: every effect is rank one, and what it leaves on the resource's
   input half is a rolled and phased copy of the transposed input, so all
@@ -24,7 +25,7 @@ unitaries used by the test suites and the CLI selftest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -192,43 +193,7 @@ def _acts_as_identity(cond: ConditionalState) -> bool:
     return max_abs(cond.matrix - max_ent_matrix(cond.shape_in)) <= IDENTITY_TOL
 
 
-def _run_protocol(
-    cond: ConditionalState, reduced: np.ndarray, success: int, grouping_used: bool
-) -> TeleportReport:
-    """Contract the input-side reductions with the resource built from the
-    channel's conditional form; report every branch."""
-    if not 0 <= success < len(reduced):
-        raise ShapeMismatch(f"success index {success} out of range")
-    resource = cond.matrix / cond.shape_in.total_dim
-    probs, branches = _run_branches(reduced, resource, cond.shape_out)
-    bob = branches[success]
-    if bob is None:
-        raise InvariantViolation("success_probability", probs[success],
-                                 "success outcome has vanishing probability")
-    return TeleportReport(
-        success_probability=float(probs[success]),
-        outcome_probabilities=probs,
-        success_index=success,
-        bob_state_on_success=bob,
-        branch_states=tuple(branches),
-        corrected_states=None,
-        grouping_used=grouping_used,
-    )
-
-
-def _corrected(report: TeleportReport, unitaries: np.ndarray, shape: AlgebraShape):
-    """``report`` with each kept branch conjugated by its correction unitary,
-    validated as one stack."""
-    kept = [b is not None for b in report.branch_states]
-    u = unitaries[kept]
-    branches = np.stack([b.matrix for b in report.branch_states if b is not None])
-    corrected = hermitize(u @ branches @ u.conj().swapaxes(1, 2))
-    return replace(report, corrected_states=tuple(_states_where(kept, shape, corrected)))
-
-
-def _check_input(c: Channel, input_state: State) -> None:
-    if input_state.shape != c.shape_in:
-        raise ShapeMismatch("input state does not live on the channel's input algebra")
+CLASSICAL_BIT = AlgebraShape((1, 1))
 
 
 def teleport(
@@ -241,11 +206,15 @@ def teleport(
     half of the resource, the joint state of the channel's conditional form
     and a maximally mixed marginal.
 
-    The default basis is the generalized Bell basis, on an irreducible input
-    algebra; its effects are never formed (``_bell_reduced``).  Its success
-    outcome, index 0, has probability 1/d^2 whatever the channel and input,
-    and leaves Bob with the channel applied to the input.  For the identity
-    channel every outcome's correction is applied (``corrected_states``).
+    With no basis the input algebra picks the measurement.  On an
+    irreducible algebra it is the generalized Bell basis, never formed
+    (``_bell_reduced``), whose success outcome 0 has probability 1/d^2.  On
+    the classical bit the four effects collapse pairwise under the block
+    pinching into the parity route: the Bell outcomes grouped by their shift
+    a, of probability 1/2 each (``grouping_used``).  The success outcome
+    leaves Bob with the channel applied to the input.  For the identity
+    channel every outcome's correction is applied (``corrected_states``);
+    on the bit it is the flip X^a, one-time-pad decryption.
 
     An explicit ``measurement_basis`` works over any input algebra and is
     validated as a ``POVM`` on the input pair.  ``success_index`` defaults
@@ -253,13 +222,18 @@ def teleport(
     entangled projector; ``grouping_used`` says whether an effect has rank
     above one.
     """
-    _check_input(c, input_state)
+    if input_state.shape != c.shape_in:
+        raise ShapeMismatch("input state does not live on the channel's input algebra")
     d = c.shape_in.total_dim
     canonical = measurement_basis is None
     if canonical:
-        if not c.shape_in.is_irreducible:
-            raise ShapeMismatch("the Bell basis needs an irreducible input algebra; pass a basis")
-        reduced, grouping_used = _bell_reduced(input_state.matrix), False
+        grouping_used = c.shape_in == CLASSICAL_BIT
+        if not (grouping_used or c.shape_in.is_irreducible):
+            raise ShapeMismatch("the canonical measurement needs an irreducible input algebra "
+                                "or the classical bit; pass a basis")
+        reduced = _bell_reduced(input_state.matrix)
+        if grouping_used:  # the parity check: outcome a sums the Bell outcomes a * d + b
+            reduced = reduced.reshape(d, d, -1).sum(1)
     else:
         effects = np.stack(POVM(AlgebraShape((d * d,)), tuple(measurement_basis)).elements)
         n = len(effects)
@@ -272,37 +246,38 @@ def teleport(
     else:
         success = 0 if canonical else _success_index(effects, d)
     cond = choi_conditional(c)
-    report = _run_protocol(cond, reduced, success, grouping_used)
-
+    if not 0 <= success < len(reduced):
+        raise ShapeMismatch(f"success index {success} out of range")
+    probs, branches = _run_branches(reduced, cond.matrix / d, c.shape_out)
+    if branches[success] is None:
+        raise InvariantViolation("success_probability", probs[success],
+                                 "success outcome has vanishing probability")
+    corrected = None
     if canonical and _acts_as_identity(cond):
-        # outcome a * d + b is undone by W_ab^T, the conjugate of its Weyl operator
-        return _corrected(report, _weyl_operators(d).swapaxes(1, 2), c.shape_out)
-    return report
-
-
-CLASSICAL_BIT = AlgebraShape((1, 1))
+        # outcome a * d + b is undone by W_ab^T, the conjugate of its Weyl
+        # operator; the grouped outcome a by every d-th of them, X^a
+        kept = [b is not None for b in branches]
+        u = _weyl_operators(d).swapaxes(1, 2)[::d if grouping_used else 1][kept]
+        stack = np.stack([b.matrix for b in branches if b is not None])
+        corrected = tuple(_states_where(kept, c.shape_out,
+                                        hermitize(u @ stack @ u.conj().swapaxes(1, 2))))
+    return TeleportReport(
+        success_probability=float(probs[success]),
+        outcome_probabilities=probs,
+        success_index=success,
+        bob_state_on_success=branches[success],
+        branch_states=tuple(branches),
+        corrected_states=corrected,
+        grouping_used=grouping_used,
+    )
 
 
 def teleport_classical(c: Channel, input_state: State) -> TeleportReport:
-    """Teleportation over the classical bit algebra with parity grouping.
-
-    The four maximally entangled effects collapse pairwise under the block
-    pinching, so Alice's measurement degenerates to a parity check with two
-    outcomes of probability 1/2 each: the Bell outcomes grouped by their
-    shift a.  The success branch outputs the channel applied to the input;
-    for the identity channel the failure branch is corrected by a bit flip,
-    which is exactly one-time-pad decryption.
-    """
+    """``teleport`` on the classical bit algebra, which it requires: the
+    parity check, with the one-time pad for the identity channel."""
     if c.shape_in != CLASSICAL_BIT:
         raise ShapeMismatch("teleport_classical needs the two-block classical bit algebra")
-    _check_input(c, input_state)
-    cond = choi_conditional(c)
-    reduced = _bell_reduced(input_state.matrix).reshape(2, 2, 4).sum(1)
-    report = _run_protocol(cond, reduced, 0, grouping_used=True)
-    if _acts_as_identity(cond):
-        # outcome a is undone by the bit flip X^a: one-time-pad decryption
-        return _corrected(report, _weyl_operators(2)[::2], c.shape_out)
-    return report
+    return teleport(c, input_state)
 
 
 # ---------------------------------------------------------------------------

@@ -231,41 +231,38 @@ def _check_sampling(rng, trials):
         yield 1.0
 
 
-# Tolerance classes: ``--tol`` replaces the threshold of an overridable
-# check (a floating-point identity judged at IDENTITY_TOL); exact-arithmetic,
-# integer-rank and boolean checks keep their own threshold.
-OVERRIDABLE = "overridable"
-EXACT = "exact"
-
+# ``--tol`` replaces the threshold of a floating-point identity, the checks
+# judged at IDENTITY_TOL; exact-arithmetic, integer-rank and boolean checks
+# keep their own threshold.
 CHECKS = (
-    ("matrix_roots", _check_matrix_roots, IDENTITY_TOL, OVERRIDABLE),
-    ("partial_trace_preserves_trace", _check_partial_trace, NEGLIGIBLE, EXACT),
-    ("conditional_round_trip", _check_conditional_round_trip, IDENTITY_TOL, OVERRIDABLE),
-    ("conditioning_support_projector", _check_conditional_support, IDENTITY_TOL, OVERRIDABLE),
-    ("conditional_integer_rank", _check_integer_rank, RANK_TOL, EXACT),
-    ("classical_conditional_rows", _check_classical_conditional, NEGLIGIBLE, EXACT),
-    ("isomorphism_round_trip", _check_isomorphism, IDENTITY_TOL, OVERRIDABLE),
-    ("purity_iff_isometry", _check_purity_isometry, 0.5, EXACT),
-    ("prepare_measure_theorem", _check_theorem, IDENTITY_TOL, OVERRIDABLE),
-    ("teleport_success_probability", _check_teleport, IDENTITY_TOL, OVERRIDABLE),
-    ("classical_teleport_grouping", _check_teleport_classical, NEGLIGIBLE, EXACT),
-    ("povm_preparation_round_trip", _check_lemma, IDENTITY_TOL, OVERRIDABLE),
-    ("bayes_involution", _check_bayes, IDENTITY_TOL, OVERRIDABLE),
-    ("sampling_determinism", _check_sampling, 0.5, EXACT),
+    ("matrix_roots", _check_matrix_roots, IDENTITY_TOL),
+    ("partial_trace_preserves_trace", _check_partial_trace, NEGLIGIBLE),
+    ("conditional_round_trip", _check_conditional_round_trip, IDENTITY_TOL),
+    ("conditioning_support_projector", _check_conditional_support, IDENTITY_TOL),
+    ("conditional_integer_rank", _check_integer_rank, RANK_TOL),
+    ("classical_conditional_rows", _check_classical_conditional, NEGLIGIBLE),
+    ("isomorphism_round_trip", _check_isomorphism, IDENTITY_TOL),
+    ("purity_iff_isometry", _check_purity_isometry, 0.5),
+    ("prepare_measure_theorem", _check_theorem, IDENTITY_TOL),
+    ("teleport_success_probability", _check_teleport, IDENTITY_TOL),
+    ("classical_teleport_grouping", _check_teleport_classical, NEGLIGIBLE),
+    ("povm_preparation_round_trip", _check_lemma, IDENTITY_TOL),
+    ("bayes_involution", _check_bayes, IDENTITY_TOL),
+    ("sampling_determinism", _check_sampling, 0.5),
 )
 
 
 def run_selftest(seed: int, trials: int, tol: float | None = None) -> list[CheckResult]:
     """Run every check with child seeds spawned from ``seed``.
 
-    ``tol`` replaces the threshold of every ``OVERRIDABLE`` check; ``EXACT``
-    checks keep their own.
+    ``tol`` replaces every threshold equal to ``IDENTITY_TOL``; the others
+    stay.
     """
     results = []
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(len(CHECKS))
-    for (name, fn, threshold, tolerance_class), child in zip(CHECKS, children):
-        if tol is not None and tolerance_class == OVERRIDABLE:
+    for (name, fn, threshold), child in zip(CHECKS, children):
+        if tol is not None and threshold == IDENTITY_TOL:
             threshold = tol
         dev = functools.reduce(_worse, fn(np.random.default_rng(child), trials), 0.0)
         results.append(CheckResult(name, float(dev), float(threshold)))

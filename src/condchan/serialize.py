@@ -178,7 +178,7 @@ def _write(value, level: int) -> str:
     if isinstance(value, np.ndarray):
         rows, cols = value.shape
         row = _block([_block(["%s", "%s"], level + 2)] * cols, level + 1)
-        return _block([row] * rows, level) % tuple(_tokens(value))
+        return _block([row] * rows, level) % tuple(_tokens(value) if value.size else ())
     return json.dumps(value)
 
 

@@ -156,8 +156,11 @@ class TestTeleport:
             np.testing.assert_allclose(state.matrix, s.matrix, atol=1e-9)
 
     def test_rejects_reducible_input_algebra(self, rng):
-        with pytest.raises(ShapeMismatch):
-            teleport(identity_channel(BIT), random_state(BIT, rng))
+        # the bit takes the parity route; any other reducible algebra needs a basis
+        for shape in (MIXED, AlgebraShape((1, 1, 1))):
+            with pytest.raises(ShapeMismatch, match=r"^the canonical measurement needs an "
+                               r"irreducible input algebra or the classical bit; pass a basis$"):
+                teleport(identity_channel(shape), random_state(shape, rng))
 
     def test_rejects_basis_without_success_effect(self, rng):
         c = Channel(QUBIT, QUBIT, (np.eye(2, dtype=complex),))
@@ -287,6 +290,30 @@ class TestTeleportClassical:
     def test_requires_bit_algebra(self, rng):
         with pytest.raises(ShapeMismatch):
             teleport_classical(identity_channel(QUBIT), random_state(QUBIT, rng))
+
+    def test_teleport_takes_the_parity_route_on_the_bit(self, rng):
+        channels = (random_channel(BIT, BIT, 2, rng), random_channel(BIT, QUBIT, 2, rng),
+                    identity_channel(BIT))
+        for c in channels:
+            s = random_state(BIT, rng)
+            got, want = teleport(c, s), teleport_classical(c, s)
+            assert got.grouping_used and got.success_index == 0
+            assert abs(got.success_probability - 0.5) < 1e-12
+            assert got.success_probability == want.success_probability
+            np.testing.assert_array_equal(got.outcome_probabilities, want.outcome_probabilities)
+            for field in ("branch_states", "corrected_states"):
+                ours, theirs = getattr(got, field), getattr(want, field)
+                assert (ours is None) == (theirs is None), field
+                for a, b in zip(ours or (), theirs or ()):
+                    assert np.array_equal(a.matrix, b.matrix), field
+            assert np.array_equal(got.bob_state_on_success.matrix, want.bob_state_on_success.matrix)
+
+    def test_teleport_corrects_the_bit_by_the_one_time_pad(self, rng):
+        for s in (random_state(BIT, rng), State(BIT, np.diag([0.0, 1.0]).astype(complex))):
+            report = teleport(identity_channel(BIT), s)
+            assert len(report.corrected_states) == 2
+            for corrected in report.corrected_states:
+                np.testing.assert_allclose(corrected.matrix, s.matrix, atol=1e-12)
 
 
 class TestTeleportGeneral:

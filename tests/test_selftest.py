@@ -5,10 +5,9 @@ import math
 import pytest
 
 from condchan import selftest
-from condchan.selftest import CHECKS, EXACT, OVERRIDABLE, run_selftest
+from condchan.selftest import CHECKS, run_selftest
 
-# The thresholds of the report before the tolerance classes: --tol replaced
-# exactly the 1e-9 thresholds.
+# The thresholds of the report: --tol replaces exactly the 1e-9 ones.
 THRESHOLDS = {
     "matrix_roots": 1e-9,
     "partial_trace_preserves_trace": 1e-12,
@@ -29,7 +28,6 @@ THRESHOLDS = {
 
 def test_every_check_has_a_tolerance_class():
     assert [name for name, *_ in CHECKS] == list(THRESHOLDS)
-    assert {cls for *_, cls in CHECKS} == {OVERRIDABLE, EXACT}
 
 
 @pytest.mark.parametrize("tol", [None, 1e-7])
