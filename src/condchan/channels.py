@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .conditional import ConditionalState
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import herm_eig, herm_eigvals, max_abs
+from .matcore import herm_eig, herm_eigvals, max_abs, projector_deviation
 from .states import State
 from .tolerances import BLOCK_TOL, IDENTITY_TOL
 
@@ -119,7 +119,9 @@ class Channel:
                 target = self.input_support
                 if target.shape != (din, din):
                     raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
-                proj_dev = max(max_abs(target @ target - target), max_abs(target - target.conj().T))
+                if not np.isfinite(target).all():
+                    raise InvariantViolation("finite", np.inf, "input support has non-finite entries")
+                proj_dev = projector_deviation(target)
                 if not proj_dev <= IDENTITY_TOL:
                     raise InvariantViolation("support_projector", proj_dev)
             # Finite Kraus operators can still overflow K†K; the deviation is

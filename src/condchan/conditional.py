@@ -26,8 +26,8 @@ from .matcore import (
     as_matrix,
     herm_eig,
     hermitize,
-    max_abs,
     partial_trace,
+    projector_deviation,
     swap_factors,
     validate_psd,
 )
@@ -59,8 +59,10 @@ class ConditionalState:
             return
         validate_psd(arr[None], *support_index(self.shape_in, self.shape_out))
         p = self.conditioning_support()
-        proj_dev = max(max_abs(p @ p - p), max_abs(p - p.conj().T))
-        if proj_dev > IDENTITY_TOL:
+        if not np.isfinite(p).all():
+            raise InvariantViolation("overflow", np.inf)
+        proj_dev = projector_deviation(p)
+        if not proj_dev <= IDENTITY_TOL:
             raise InvariantViolation("support_projector", proj_dev)
         trace = float(np.trace(p).real)
         rank_dev = abs(trace - round(trace))

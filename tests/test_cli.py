@@ -497,6 +497,40 @@ def test_tolerance_does_not_carry_to_the_next_call():
     assert thresholds() == default
 
 
+def support_channel(entry):
+    """A channel document on the one-dimensional algebra whose input support
+    is the 1×1 matrix [entry]."""
+    return {"kind": "channel", "shape_in": [1], "shape_out": [1],
+            "kraus": [[[[1.0, 0.0]]]], "input_support": [[[entry, 0.0]]]}
+
+
+# a finite PSD conditional whose conditioning partial trace, 3·8e307, overflows
+BIG_CONDITIONAL = {"kind": "conditional", "shape_in": [1], "shape_out": [3], "matrix": [
+    [[8e307 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)
+]}
+
+
+@pytest.mark.parametrize("command, doc, invariant", [
+    ("channel", BIG_CONDITIONAL, "overflow"),
+    ("choi", support_channel(float("inf")), "finite"),
+    ("choi", support_channel(float("nan")), "finite"),
+    ("choi", support_channel(1e200), "support_projector"),
+], ids=["overflowing-conditioning-support", "inf-support", "nan-support", "overflowing-support"])
+def test_unrepresentable_projector_is_one_line_exit_3(tmp_path, command, doc, invariant):
+    # each projector test is NaN-safe and runs without RuntimeWarnings (an
+    # error in this suite), and non-finite input is named before the test
+    text = json.dumps(doc)
+    with pytest.raises(InvariantViolation) as raised:
+        parse(text)
+    assert raised.value.invariant == invariant
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    flag = "--conditional" if command == "channel" else "--channel"
+    code, out, err = run_main(command, flag, str(path))
+    assert (code, out) == (3, "")
+    assert err == f"invariant violation: {raised.value}\n"
+
+
 @pytest.mark.parametrize("bad", [
     ["teleport", "--channel", str(FIXTURES / "identity_channel.json")],  # missing --input
     ["teleport", "--classical", *BIT_TELEPORT[1:]],  # the route is the input's

@@ -30,10 +30,13 @@ which is decomposed whole.
 """
 
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condchan.channels as channels_module
 from condchan import (
@@ -85,10 +88,13 @@ from condchan.channels import (
 from condchan.errors import NoConvergence
 from condchan.matcore import (
     BLOCKWISE_MIN_DIM,
+    SCALAR_MAX_DIM,
+    _accepts_scalar,
     _fix_phases,
     herm_eig,
     herm_eigvals,
     hermitize,
+    judge,
     validate_psd,
 )
 from condchan.scenarios import (
@@ -891,10 +897,11 @@ def test_effect_certificate_gives_the_eigvalsh_verdict_at_the_edge(monkeypatch):
     assert verdicts[2:] == [None] * 5
 
 
-def count_linalg(monkeypatch):
-    """Record (name, input shape) of every eigh, eigvalsh and cholesky call."""
+def count_linalg(monkeypatch, names=("eigh", "eigvalsh", "cholesky")):
+    """Record (name, input shape) of every call of the ``numpy.linalg``
+    functions ``names``."""
     calls = []
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
@@ -920,6 +927,178 @@ def test_valid_input_is_validated_without_eigvalsh(rng, monkeypatch):
     states_from_stack(shape, stack)
     POVM(AlgebraShape((9,)), bell_basis(3))  # how teleport validates an explicit basis
     assert [name for name, _ in calls] == ["cholesky"] * 6
+
+
+# -- the scalar pass against the judge ---------------------------------------
+
+
+def compositions(d):
+    """Every tuple of positive block sizes summing to d."""
+    if d == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, d + 1) for rest in compositions(d - first)]
+
+
+SCALAR_SHAPES = [
+    AlgebraShape(dims) for d in range(1, SCALAR_MAX_DIM + 1) for dims in compositions(d)
+]
+EPS = np.finfo(np.float64).eps
+# every public function of numpy.linalg
+LINALG_FUNCTIONS = tuple(
+    name for name in dir(np.linalg)
+    if not name.startswith("_") and callable(getattr(np.linalg, name))
+    and not isinstance(getattr(np.linalg, name), type)
+)
+
+
+def spectrum(rng, d, low):
+    """d eigenvalues summing to 1, the first of them ``low``."""
+    rest = rng.random(d - 1) + 0.1
+    return np.concatenate([[low], rest * (1 - low) / rest.sum()])
+
+
+def with_trace(m, t):
+    """m with its first diagonal entry moved so that its trace is t."""
+    out = np.array(m)
+    out[0, 0] += t - np.trace(out).real
+    return out
+
+
+def with_leak(m, position, size, phase):
+    """m with ``size``·``phase`` added at the flat off-diagonal ``position``
+    and its conjugate at the mirror position, so m stays Hermitian."""
+    out = np.array(m)
+    i, j = divmod(position, len(out))
+    out[i, j] += size * phase
+    out[j, i] += size * np.conj(phase)
+    return out
+
+
+def with_asymmetry(m, position, size, phase):
+    """m with |m - m†| = ``size`` at the flat ``position``: ``size``·``phase``
+    added there, or on the diagonal an imaginary part of ``size``/2."""
+    out = np.array(m)
+    i, j = divmod(position, len(out))
+    out[i, j] += size * phase if i != j else 0.5j * size
+    return out
+
+
+def scalar_edge_cases(rng, shape):
+    """Matrices inside ``shape`` at each edge that the scalar pass tests:
+    λmin = -tol·(1 ∓ 1e-3) and -tol + k·ε; trace 1 ± tol, ± tol·(1 ± 1e-3)
+    and ± k·ε; Hermitian slop tol·(1 ± 1e-6) and tol ± k ulps; a leak of
+    BLOCK_TOL·(1 ± 1e-6) and ± k ulps at each outside position (Hermitian,
+    so only the leak test decides); NaN or infinity at each position; scale
+    1e308 and 1e-300; and the zero matrix."""
+    d, tol = shape.total_dim, INPUT_TOL
+    valid = with_spectrum(rng, shape, spectrum(rng, d, 1 / d))
+    phase = np.exp(2j * np.pi * rng.random())
+    cases = [valid, np.zeros((d, d), dtype=complex)]
+    lows = [-tol * (1 - 1e-3), -tol * (1 + 1e-3)] + [-tol + k * EPS for k in (-256, -16, -1, 0, 1, 16, 256)]
+    cases += [with_spectrum(rng, shape, spectrum(rng, d, low)) for low in lows]
+    offsets = [s * tol * f for s in (-1, 1) for f in (1 - 1e-3, 1, 1 + 1e-3)]
+    offsets += [s * tol + k * EPS for s in (-1, 1) for k in (-16, -2, 2, 16)]
+    cases += [with_trace(valid, 1 + off) for off in offsets]
+    slops = [tol * (1 - 1e-6), tol * (1 + 1e-6)] + [tol + k * np.spacing(tol) for k in (-4, -1, 0, 1, 4)]
+    cases += [with_asymmetry(valid, p, size, phase) for p in {0, 1 % (d * d)} for size in slops]
+    outside = support_index(shape)[0]
+    leaks = [BLOCK_TOL * (1 - 1e-6), BLOCK_TOL * (1 + 1e-6)]
+    leaks += [BLOCK_TOL + k * np.spacing(BLOCK_TOL) for k in (-4, -1, 0, 1, 4)]
+    for p in [] if outside is None else outside.tolist():
+        cases += [with_leak(valid, p, leak, phase) for leak in leaks]
+    for p in range(d * d):
+        for bad in (np.nan, np.inf, complex(0, -np.inf)):
+            broken = np.array(valid)
+            broken.flat[p] = bad
+            cases.append(broken)
+    projector = random_support_projector(shape, 1, rng)
+    cases += [scale * m for scale in (1e308, 8e307, 1e-300) for m in (valid, projector)]
+    return cases
+
+
+def judge_verdicts(cases, index, monkeypatch):
+    """The verdicts of ``validate_psd`` with and without the scalar pass, each
+    case checked with and without the trace test."""
+    def run():
+        return [verdict(validate_psd, m[None], *index, unit_trace)
+                for m in cases for unit_trace in (False, True)]
+
+    got = run()
+    with monkeypatch.context() as patched:
+        patched.setattr("condchan.matcore.SCALAR_MAX_DIM", 0)
+        want = run()
+    return got, want
+
+
+@pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
+def test_scalar_pass_gives_the_judge_verdict_at_the_edges(rng, shape, monkeypatch):
+    index = support_index(shape)
+    cases = scalar_edge_cases(rng, shape)
+    got, want = judge_verdicts(cases, index, monkeypatch)
+    assert got == want
+    # the pass itself accepts the valid matrix and λmin = -tol·(1 - 1e-3),
+    # so its margins do not hand the clear cases back to the judge
+    accepted = [_accepts_scalar(m, index[0], True) for m in cases[:3]]
+    assert accepted == [True, False, shape.total_dim > 1]
+    # (case, unit_trace) pairs: the valid matrix passes, the zero matrix fails
+    # only its trace, and λmin = -tol·(1 + 1e-3) fails positivity
+    assert want[:3] == [None] * 3 and want[3][1] == "trace" and want[6][1] == "positive"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(SCALAR_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.one_of(
+        st.floats(-INPUT_TOL * 1.01, -INPUT_TOL * 0.99),
+        st.integers(-400, 400).map(lambda k: -INPUT_TOL + k * EPS),
+    ),
+    trace=st.one_of(
+        st.just(1.0),
+        st.sampled_from([-INPUT_TOL, INPUT_TOL]).flatmap(
+            lambda edge: st.integers(-64, 64).map(lambda k: 1 + edge + k * EPS)
+        ),
+    ),
+    slop=st.one_of(st.just(0.0), st.floats(INPUT_TOL * (1 - 1e-6), INPUT_TOL * (1 + 1e-6))),
+    leak=st.one_of(st.just(0.0), st.floats(BLOCK_TOL * (1 - 1e-6), BLOCK_TOL * (1 + 1e-6))),
+    scale=st.sampled_from([1.0, 1e-300, 1e300, 8e307]),
+    unit_trace=st.booleans(),
+)
+def test_scalar_pass_accepts_nothing_the_judge_rejects(
+    shape, seed, low, trace, slop, leak, scale, unit_trace
+):
+    rng = np.random.default_rng(seed)
+    d = shape.total_dim
+    m = with_trace(with_spectrum(rng, shape, spectrum(rng, d, low)), trace)
+    if slop:
+        m = with_asymmetry(m, 1 % (d * d), slop, np.exp(2j * np.pi * rng.random()))
+    outside = support_index(shape)[0]
+    if leak and outside is not None:
+        m = with_leak(m, int(rng.choice(outside)), leak, 1.0)
+    m = scale * m
+    if _accepts_scalar(m, outside, unit_trace):
+        judged = partial(judge, m[None], outside, None, unit_trace)
+        assert verdict(judged) is None
+        herm = judged()[0] + INPUT_TOL * np.eye(d)
+        np.linalg.cholesky(herm)
+
+
+@pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2)], ids=str)
+def test_small_states_are_validated_without_numpy_linalg(rng, dims, monkeypatch):
+    shape = AlgebraShape(dims)
+    c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
+    bad = [with_spectrum(rng, shape, spectrum(rng, shape.total_dim, -0.1)),
+           with_trace(s.matrix, 1 + 2 * INPUT_TOL), with_asymmetry(s.matrix, 1, 1e-6, 1j)]
+    calls = count_linalg(monkeypatch, LINALG_FUNCTIONS)
+    State(shape, s.matrix)
+    apply(c, s)
+    assert calls == []
+    # an invalid matrix still gets the judge's error
+    got = [verdict(State, shape, m) for m in bad]
+    assert [g[1] for g in got] == ["positive", "trace", "hermitian"]
+    assert ("cholesky", (1, *s.matrix.shape)) in calls
+    monkeypatch.setattr("condchan.states.validate_psd", oracle_validate_psd)
+    assert got == [verdict(State, shape, m) for m in bad]
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
