@@ -59,10 +59,10 @@ class ConditionalState:
             return
         validate_psd(arr[None], *support_index(self.shape_in, self.shape_out))
         p = self.conditioning_support()
-        if not np.isfinite(p).all():
-            raise InvariantViolation("overflow", np.inf)
         proj_dev = projector_deviation(p)
         if not proj_dev <= IDENTITY_TOL:
+            if not np.isfinite(p).all():  # the partial trace of a finite matrix overflowed
+                raise InvariantViolation("overflow", np.inf)
             raise InvariantViolation("support_projector", proj_dev)
         trace = float(np.trace(p).real)
         rank_dev = abs(trace - round(trace))

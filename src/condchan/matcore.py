@@ -332,7 +332,7 @@ def _accepts_scalar(m: np.ndarray, outside: np.ndarray | None, unit_trace: bool)
             trace += flat[j * d + j]
         if not abs(trace.real - 1.0) + abs(trace.imag) <= INPUT_TOL - 4 * d * _EPS:
             return False
-    top = max((abs(r[j * d + j].real) for j in range(d)), default=0.0)
+    top = max(abs(r[j * d + j].real) for j in range(d))
     shift = INPUT_TOL - _CHOLESKY_SLACK * d * _EPS * top
     for j in range(d):  # row j of R from the column above its diagonal
         column = [r[k * d + j] for k in range(j)]
