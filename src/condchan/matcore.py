@@ -328,7 +328,7 @@ def _accepts_scalar(m: np.ndarray, outside: np.ndarray | None, unit_trace: bool)
             return False
     if unit_trace:
         trace = 0j
-        for j in range(d):  # a loop, as sum() rounds differently from Python 3.12
+        for j in range(d):  # a loop: sum() of floats is compensated from Python 3.12
             trace += flat[j * d + j]
         if not abs(trace.real - 1.0) + abs(trace.imag) <= INPUT_TOL - 4 * d * _EPS:
             return False

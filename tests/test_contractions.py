@@ -696,6 +696,12 @@ def with_spectrum(rng, shape, eigenvalues):
     return (u * eigenvalues) @ u.conj().T
 
 
+def spectrum(rng, d, low):
+    """d eigenvalues summing to 1, the first of them ``low``."""
+    rest = rng.random(d - 1) + 0.1
+    return np.concatenate([[low], rest * (1 - low) / rest.sum()])
+
+
 def density_cases(rng, shape):
     """Unit-trace Hermitian matrices inside the algebra: full rank, rank one,
     half rank, λmin = -tol·(1 ∓ 1e-3), and one far from positive."""
@@ -703,9 +709,7 @@ def density_cases(rng, shape):
     full = rng.random(d) + 0.1
     half = np.where(np.arange(d) < max(d // 2, 1), rng.random(d) + 0.1, 0.0)
     spectra = [full / full.sum(), np.eye(d)[0], half / half.sum()]
-    for low in (-tol * (1 - 1e-3), -tol * (1 + 1e-3)):
-        rest = rng.random(d - 1) + 0.1
-        spectra.append(np.concatenate([[low], rest * (1 - low) / rest.sum()]))
+    spectra += [spectrum(rng, d, low) for low in (-tol * (1 - 1e-3), -tol * (1 + 1e-3))]
     cases = [with_spectrum(rng, shape, w) for w in spectra]
     far = np.linspace(-1.0, 1.0, d)
     cases.append(with_spectrum(rng, shape, far + (1 - far.sum()) / d))
@@ -949,12 +953,6 @@ LINALG_FUNCTIONS = tuple(
     if not name.startswith("_") and callable(getattr(np.linalg, name))
     and not isinstance(getattr(np.linalg, name), type)
 )
-
-
-def spectrum(rng, d, low):
-    """d eigenvalues summing to 1, the first of them ``low``."""
-    rest = rng.random(d - 1) + 0.1
-    return np.concatenate([[low], rest * (1 - low) / rest.sum()])
 
 
 def with_trace(m, t):
