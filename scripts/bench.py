@@ -3,6 +3,7 @@
 
     python scripts/bench.py --out BENCH.json --label change
     python scripts/bench.py --src OTHER_CHECKOUT/src --out BENCH.json --label parent
+    python scripts/bench.py --out quick.json --label quick --repeats 1 --max-dim 3
 
 Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
 BLAS fixed to one thread.  For each call below and each algebra class
@@ -17,17 +18,18 @@ that does not touch condchan, and records the median kernel time and the
 median ratio of sample to kernel time, with the quartiles of that ratio
 over the samples (``ratio_q1``, ``ratio_q3``) as its spread.  The ratio
 cancels the machine's speed state, which shifts raw times of unchanged
-calls by 10 % and more between runs.  The calls:
+calls by 10 % and more between runs.  The calls, where D is ``--max-dim``
+(default 16, at least 2), which bounds every sweep below but not the CLI's:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
-  class paired with itself) and of a 4-outcome ``POVM``, d = 2…16;
-* ``teleport`` from ``(d,)`` into each class, d = 2…16;
-* ``verify_theorem`` on the class paired with itself, d = 2…16;
+  class paired with itself) and of a 4-outcome ``POVM``, d = 2…D;
+* ``teleport`` from ``(d,)`` into each class, d = 2…D;
+* ``verify_theorem`` on the class paired with itself, d = 2…D;
 * ``conditional_from_joint`` on the class paired with itself (conditioned
   on the first side), and ``bayes_invert`` of the conditional on the second
-  side with the joint's two marginals, d = 2…16;
+  side with the joint's two marginals, d = 2…D;
 * on a channel from the class to itself with two Kraus operators per
-  output block, d = 2…16: its construction from the Kraus tensor,
+  output block, d = 2…D: its construction from the Kraus tensor,
   ``apply`` to a state, ``apply_matrix`` on a stack of 4 states,
   ``choi_conditional``, and ``channel_from_conditional`` on its
   conditional form;
@@ -35,7 +37,7 @@ calls by 10 % and more between runs.  The calls:
   ``ConditionalState`` document ``conditional_from_joint`` derives from it
   (conditioned on the first side), and of the document of a channel with two
   Kraus operators per output block, each on the class paired with itself,
-  d = 2…16;
+  d = 2…D;
 * the nine CLI commands (``cli choi`` … ``cli selftest``) through
   ``cli.main`` in this process, on d = 8 documents of each class written to
   a temporary directory, with stdout and stderr redirected; ``teleport``
@@ -45,7 +47,8 @@ calls by 10 % and more between runs.  The calls:
   two trees show whether their outputs are identical.
 
 Each run appends to ``--out`` one JSON record per line: a ``"run"``
-record with the label, commit, ``src/condchan`` line count and environment,
+record with the label, commit, ``src/condchan`` line count, environment,
+``repeats`` and ``max_dim``,
 then one ``"result"`` record per call, or a ``"failed"`` record naming the
 error for a call that runs out of memory (under ``ulimit -v``, say), so a
 tree that cannot run a case is recorded as such.  Everything already in
@@ -180,11 +183,14 @@ def cli_cases(cc, workdir, rng):
             yield f"cli {argv[0]}", d, cls, partial(run_cli, cc.cli, argv)
 
 
-def cases(cc, workdir):
-    """(call, d, class, zero-argument callable) for every measured call; the
-    CLI cases write their documents to ``workdir``."""
+def cases(cc, workdir, max_dim):
+    """(call, d, class, zero-argument callable) for every measured call, its
+    sweeps over d = 2…``max_dim``; the CLI cases write their documents to
+    ``workdir``.  Sweeps share generators, so runs with another ``max_dim``
+    measure other inputs and are not comparable with them."""
+    sweep = range(2, max_dim + 1)
     rng = np.random.default_rng(SEED)
-    for d in range(2, 17):
+    for d in sweep:
         for cls, dims in shape_classes(d).items():
             shape = cc.AlgebraShape(dims)
             rho = cc.random_state(shape, rng).matrix
@@ -195,8 +201,8 @@ def cases(cc, workdir):
             yield "JointState", d, cls, partial(cc.JointState, shape, shape, joint)
             yield "ConditionalState", d, cls, partial(cc.ConditionalState, shape, shape, cond)
             yield "POVM", d, cls, partial(cc.POVM, shape, elements)
-    yield from teleport_cases(cc, rng, range(2, 9))
-    for d in range(2, 17):
+    yield from teleport_cases(cc, rng, range(2, min(max_dim, 8) + 1))
+    for d in sweep:
         for cls, dims in shape_classes(d).items():
             shape = cc.AlgebraShape(dims)
             j = cc.random_joint_state(shape, shape, rng)
@@ -209,7 +215,7 @@ def cases(cc, workdir):
             yield "bayes_invert", d, cls, partial(cc.bayes_invert, cond_b, marg_a, marg_b)
     # a generator of their own keeps the inputs of the cases above unchanged
     rng = np.random.default_rng(SEED + 1)
-    for d in range(2, 17):
+    for d in sweep:
         for cls, dims in shape_classes(d).items():
             shape = cc.AlgebraShape(dims)
             c = cc.random_channel(shape, shape, 2, rng)
@@ -222,11 +228,11 @@ def cases(cc, workdir):
             yield "choi_conditional", d, cls, partial(cc.choi_conditional, c)
             yield "channel_from_conditional", d, cls, partial(cc.channel_from_conditional, cond)
     # and one more for the teleport cases above d = 8, for the same reason
-    yield from teleport_cases(cc, np.random.default_rng(SEED + 2), range(9, 17))
+    yield from teleport_cases(cc, np.random.default_rng(SEED + 2), range(9, max_dim + 1))
     # and one for the CLI cases
     yield from cli_cases(cc, workdir, np.random.default_rng(SEED + 3))
     # and one for the documents
-    yield from document_cases(cc, np.random.default_rng(SEED + 4), range(2, 17))
+    yield from document_cases(cc, np.random.default_rng(SEED + 4), sweep)
 
 
 def count_calls(fn):
@@ -336,9 +342,12 @@ def main():
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--max-dim", type=int, default=16)
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.max_dim < 2:
+        parser.error("--max-dim must be at least 2")
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import condchan as cc
@@ -357,9 +366,10 @@ def main():
         ),
         "env": environment(),
         "repeats": args.repeats,
+        "max_dim": args.max_dim,
     }
     with tempfile.TemporaryDirectory() as workdir:
-        rows = measure(cases(cc, Path(workdir)), args.repeats)
+        rows = measure(cases(cc, Path(workdir), args.max_dim), args.repeats)
     lines = [run] + [{"run": run["run"], "label": args.label, **row} for row in rows]
     with args.out.open("a", encoding="utf-8") as out:
         out.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in lines)

@@ -34,7 +34,7 @@ from .conditional import ConditionalState
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import herm_eig, herm_eigvals, max_abs, projector_deviation
 from .states import State
-from .tolerances import BLOCK_TOL, IDENTITY_TOL
+from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -91,6 +91,7 @@ class Channel:
     input_support: np.ndarray | None = None
     check: InitVar[bool] = True
     _superop: np.ndarray = field(init=False, repr=False)
+    _certifies = False  # whether ``apply`` may skip judging its outputs
 
     def __post_init__(self, check: bool):
         kraus = self.kraus
@@ -139,6 +140,10 @@ class Channel:
             block_dev = max_abs(self._superop[rows][:, off])  # Choi entries off the pair blocks
             if not block_dev <= IDENTITY_TOL:
                 raise InvariantViolation("output_block_support", block_dev)
+            if (self.input_support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
+                    and din * din * block_dev <= BLOCK_TOL / 4
+                    and _apply_rounding(din, dout, len(ops)) <= INPUT_TOL / 4):
+                object.__setattr__(self, "_certifies", True)
 
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
@@ -149,10 +154,18 @@ def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
 
 
 def apply(c: Channel, s: State) -> State:
-    """Apply the channel to a state of the input algebra."""
+    """Apply the channel to a state of the input algebra.
+
+    The output is judged as any state is, unless the state's scalar pass proved
+    it definite (``matcore._accepts_scalar``) and the checked channel has no input
+    support, d_in·tp_dev ≤ INPUT_TOL/4, d_in²·(Choi leak) ≤ BLOCK_TOL/4 and the
+    rounding bound ``tolerances._apply_rounding`` ≤ INPUT_TOL/4.  The output then
+    passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev
+    + rounding, leak within BLOCK_TOL/4, and Φ(ρ) ≽ λmin(ρ)·Φ(I) ≽ 0 (a Kraus form
+    is CP).  The output is not itself certified: an ``apply`` to it judges it."""
     if s.shape != c.shape_in:
         raise ShapeMismatch("state does not live on the channel's input algebra")
-    return State(c.shape_out, apply_matrix(c, s.matrix))
+    return State(c.shape_out, apply_matrix(c, s.matrix), check=not (c._certifies and s._definite))
 
 
 def identity_channel(shape: AlgebraShape) -> Channel:

@@ -14,7 +14,8 @@ Conventions fixed here once and relied on project-wide:
   its Hermitian part positive (``validate_psd``), or ``herm_eig`` decomposes it;
 * a single matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to a
   pass on Python scalars that can only accept it; ``judge`` still decides
-  every rejection, so errors and deviations do not depend on the pass;
+  every rejection, so errors and deviations do not depend on the pass; a state
+  it proves definite lets ``channels.apply`` skip judging the output;
 * a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the
   library reads off a PSD spectrum is a view of that ``EigenSystem``: the
   root, the generalized inverse root, the support projector and the rank.
@@ -309,50 +310,62 @@ def _tol_identity(d: int) -> np.ndarray:
     return out
 
 
-def _accepts_scalar(m: np.ndarray, outside: np.ndarray | None, unit_trace: bool) -> bool:
+def _accepts_scalar(m: np.ndarray, outside: np.ndarray | None, unit_trace: bool) -> bool | None:
     """Whether ``judge`` and the Cholesky certificate accept one (d, d) matrix,
     by their tests in their order on Python complex scalars, each with a
-    margin over numpy's rounding: True is final, False hands m to them."""
+    margin over numpy's rounding: None hands m to them.  An acceptance is final,
+    and True when m is proved definite: exactly Hermitian, 0 outside its blocks,
+    of trace within INPUT_TOL/4 of 1, and m - μ·I has a factor."""
     d = len(m)
     flat = m.ravel().tolist()
-    r = flat.copy()  # its upper half: the Hermitian part, then R with R†R = it + shift·I
+    h = flat.copy()  # its upper half: the Hermitian part
+    definite = unit_trace  # until a test below fails
     for i in range(d):
         for j in range(i, d):
             x, y = flat[i * d + j], flat[j * d + i].conjugate()
-            h, dev = (x + y) * 0.5, x - y
-            if not (cmath.isfinite(h) and math.hypot(dev.real, dev.imag) <= _HERM_BOUND):
-                return False
-            r[i * d + j] = h
+            h[i * d + j] = herm = (x + y) * 0.5  # abs of a complex is math.hypot
+            if not cmath.isfinite(herm) or x != y and not abs(x - y) <= _HERM_BOUND:
+                return None
+            definite = definite and x == y
     for p in () if outside is None else outside.tolist():
         if not math.hypot(flat[p].real, flat[p].imag) <= _LEAK_BOUND:
-            return False
+            return None
+        definite = definite and not flat[p]
     if unit_trace:
         trace = 0j
         for j in range(d):  # a loop: sum() of floats is compensated from Python 3.12
             trace += flat[j * d + j]
-        if not abs(trace.real - 1.0) + abs(trace.imag) <= INPUT_TOL - 4 * d * _EPS:
-            return False
-    top = max(abs(r[j * d + j].real) for j in range(d))
-    shift = INPUT_TOL - _CHOLESKY_SLACK * d * _EPS * top
-    for j in range(d):  # row j of R from the column above its diagonal
-        column = [r[k * d + j] for k in range(j)]
-        pivot = r[j * d + j].real + shift
-        for z in column:
-            pivot -= z.real * z.real + z.imag * z.imag
-        if not pivot > 0.0:
-            return False
-        root = math.sqrt(pivot)
-        for i in range(j + 1, d):
-            s = r[j * d + i]
-            for k, z in enumerate(column):
-                s -= z.conjugate() * r[k * d + i]
-            r[j * d + i] = s / root
-    return True
+        trace_dev = abs(trace.real - 1.0) + abs(trace.imag)
+        if not trace_dev <= INPUT_TOL - 4 * d * _EPS:
+            return None
+        definite = definite and trace_dev <= INPUT_TOL / 4 - 4 * d * _EPS
+    top = max(abs(h[j * d + j].real) for j in range(d))
+    tries = [(INPUT_TOL - _CHOLESKY_SLACK * d * _EPS * top, False)]
+    if definite:  # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6)
+        tries.insert(0, (-2 * (d + 1) * d * _EPS * top, True))  # μ twice that: λmin(H) > 0
+    for shift, proves_definite in tries:  # R with R†R = H + shift·I, row by row
+        r = h.copy()
+        for j in range(d):  # row j of R from the column above its diagonal
+            column = [r[k * d + j] for k in range(j)]
+            pivot = r[j * d + j].real + shift
+            for z in column:
+                pivot -= z.real * z.real + z.imag * z.imag
+            if not pivot > 0.0:
+                break
+            root = math.sqrt(pivot)
+            for i in range(j + 1, d):
+                s = r[j * d + i]
+                for k, z in enumerate(column):
+                    s -= z.conjugate() * r[k * d + i]
+                r[j * d + i] = s / root
+        else:
+            return proves_definite
+    return None
 
 
 def validate_psd(
     stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
-) -> None:
+) -> bool:
     """``judge`` a (n, d, d) stack, then certify each Hermitian part + INPUT_TOL·I
     positive definite by one stacked Cholesky, a backward-stable certificate
     that every λmin ≥ -INPUT_TOL (Higham, *Accuracy and Stability of Numerical
@@ -361,10 +374,12 @@ def validate_psd(
     pays an ``eigvalsh`` of the whole stack, whose lowest eigenvalue decides
     and is the deviation of ``InvariantViolation('positive')``.  A single
     matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to
-    ``_accepts_scalar``; what it does not accept, the judge decides."""
+    ``_accepts_scalar``; what it does not accept, the judge decides.  Returns
+    whether that pass proved the matrix definite (False from the judge)."""
     if len(stack) == 1 and stack.shape[-1] <= SCALAR_MAX_DIM:
-        if _accepts_scalar(stack[0], outside, unit_trace):
-            return
+        definite = _accepts_scalar(stack[0], outside, unit_trace)
+        if definite is not None:
+            return definite
     parts = judge(stack, outside, blocks, unit_trace)
     try:
         for herm in parts:
@@ -374,6 +389,7 @@ def validate_psd(
         low = float(np.linalg.eigvalsh(hermitize(stack)).min())
         if not low >= -INPUT_TOL:
             raise InvariantViolation("positive", -low) from None
+    return False
 
 
 def _solved(solver, m, blocks: BlockIndex | None) -> list:

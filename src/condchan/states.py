@@ -23,6 +23,7 @@ class State:
     shape: AlgebraShape
     matrix: np.ndarray
     check: InitVar[bool] = True
+    _definite = False  # whether ``validate_psd`` proved the matrix definite; see ``apply``
 
     def __post_init__(self, check: bool):
         arr = as_matrix(self.matrix)
@@ -30,8 +31,8 @@ class State:
         if arr.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
         object.__setattr__(self, "matrix", arr)
-        if check:
-            validate_psd(arr[None], *support_index(self.shape), unit_trace=True)
+        if check and validate_psd(arr[None], *support_index(self.shape), unit_trace=True):
+            object.__setattr__(self, "_definite", True)
 
 
 def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:

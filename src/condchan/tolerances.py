@@ -24,3 +24,11 @@ NEGLIGIBLE = 1e-12
 
 RANK_TOL = 1e-6
 """Distance of a trace from the integer rank it stands for."""
+
+
+def _apply_rounding(d_in: int, d_out: int, kraus_count: int) -> float:
+    """Bound on the spectral-norm and trace error of ``channels.apply`` on a state: twice
+    the first-order γ_n = n·ε/2 of the sums in the superoperator, the product, Σ K†K
+    (what its measured deviation hides) and the trace (Higham, *Accuracy and Stability*, §3)."""
+    terms = d_in * d_out * (kraus_count + d_in * d_in + 4) + d_in * (kraus_count * d_out + 3)
+    return 2.0**-52 * (terms + d_out)

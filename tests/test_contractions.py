@@ -26,7 +26,9 @@ eigenvectors are exactly zero off their block, a matrix below
 ``BLOCKWISE_MIN_DIM`` is decomposed whole, and off-block weight above
 ``BLOCK_TOL`` is rejected rather than dropped, except in a derived matrix
 that may carry it (a joint's marginal, a checked channel's Choi matrix),
-which is decomposed whole.
+which is decomposed whole.  Where the scalar pass proves a state definite and
+a checked channel's bounds fit, ``apply`` skips judging the output: it gives
+the judged path's verdict and bytes, and every output it skips passes the judge.
 """
 
 import importlib.util
@@ -1035,9 +1037,13 @@ def test_scalar_pass_gives_the_judge_verdict_at_the_edges(rng, shape, monkeypatc
     got, want = judge_verdicts(cases, index, monkeypatch)
     assert got == want
     # the pass itself accepts the valid matrix and λmin = -tol·(1 - 1e-3),
-    # so its margins do not hand the clear cases back to the judge
+    # so its margins do not hand the clear cases back to the judge (None)
     accepted = [_accepts_scalar(m, index[0], True) for m in cases[:3]]
-    assert accepted == [True, False, shape.total_dim > 1]
+    assert [a is not None for a in accepted] == [True, False, shape.total_dim > 1]
+    # only a matrix it proved definite is True: the valid one made exactly
+    # Hermitian, but not λmin = -tol·(1 - 1e-3) nor any matrix without the trace test
+    assert accepted[2] is not True and _accepts_scalar(hermitize(cases[0]), index[0], True) is True
+    assert _accepts_scalar(hermitize(cases[0]), index[0], False) is False
     # (case, unit_trace) pairs: the valid matrix passes, the zero matrix fails
     # only its trace, and λmin = -tol·(1 + 1e-3) fails positivity
     assert want[:3] == [None] * 3 and want[3][1] == "trace" and want[6][1] == "positive"
@@ -1097,6 +1103,179 @@ def test_small_states_are_validated_without_numpy_linalg(rng, dims, monkeypatch)
     assert ("cholesky", (1, *s.matrix.shape)) in calls
     monkeypatch.setattr("condchan.states.validate_psd", oracle_validate_psd)
     assert got == [verdict(State, shape, m) for m in bad]
+
+
+# -- apply's certificate against the judge -----------------------------------
+
+
+def apply_outcome(shape_in, shape_out, kraus, support, x):
+    """The verdict of ``apply`` on a channel and a state built from these
+    arrays, its output matrix, and whether the certificate skipped the judge
+    of that output."""
+    out = []
+
+    def run():
+        c, s = Channel(shape_in, shape_out, kraus, support), State(shape_in, x)
+        out.append((apply(c, s).matrix, c._certifies and s._definite))
+
+    return verdict(run), *(out[0] if out else (None, False))
+
+
+def without_scalar_pass(fn, *args):
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr("condchan.matcore.SCALAR_MAX_DIM", 0)
+        return fn(*args)
+
+
+SIGNS = st.sampled_from([-1.0, 1.0])
+TRACE_EDGES = [-INPUT_TOL, -INPUT_TOL / 4, INPUT_TOL / 4, INPUT_TOL]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape_in=st.sampled_from(SCALAR_SHAPES),
+    shape_out=st.sampled_from(SCALAR_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.one_of(
+        st.floats(1e-3, 0.25),
+        st.sampled_from([0.0, -INPUT_TOL]),
+        st.builds(lambda sign, e: sign * 10.0**e, SIGNS, st.floats(-18, -10)),
+    ),
+    exact=st.sampled_from([True, True, False]),
+    trace=st.one_of(
+        st.just(1.0),
+        st.sampled_from(TRACE_EDGES).flatmap(
+            lambda edge: st.integers(-64, 64).map(lambda k: 1 + edge + k * EPS)
+        ),
+    ),
+    slop=st.one_of(st.just(0.0), st.floats(0.0, BLOCK_TOL)),
+    tp=st.one_of(st.just(0.0), st.builds(
+        lambda sign, size, f: sign * size * f, SIGNS,
+        st.sampled_from([INPUT_TOL / 16, INPUT_TOL / 4, INPUT_TOL, IDENTITY_TOL]),
+        st.floats(0.5, 1.05),
+    )),
+    leak=st.one_of(st.just(0.0), st.floats(-16, -9).map(lambda e: 10.0**e)),
+    with_support=st.sampled_from([False, False, True]),
+)
+def test_certified_apply_gives_the_judge_verdict_and_bytes(
+    shape_in, shape_out, seed, low, exact, trace, slop, tp, leak, with_support
+):
+    # inputs at every edge of the certificate: exactly Hermitian or not,
+    # λmin clear of 0, at 0, ±1e-18…1e-10 and -INPUT_TOL, the trace at ±INPUT_TOL and at
+    # ±INPUT_TOL/4, off-block slop up to BLOCK_TOL; channels with Σ K†K off
+    # the identity near INPUT_TOL and IDENTITY_TOL, an output block leak, or an
+    # input support
+    rng = np.random.default_rng(seed)
+    d, d_out = shape_in.total_dim, shape_out.total_dim
+    x = with_trace(with_spectrum(rng, shape_in, spectrum(rng, d, low)), trace)
+    if exact:
+        x = hermitize(x)
+    outside = support_index(shape_in)[0]
+    if slop and outside is not None:
+        x = with_leak(x, int(rng.choice(outside)), slop, np.exp(2j * np.pi * rng.random()))
+    kraus = random_channel(shape_in, shape_out, d, rng).kraus
+    if leak:  # mixed with a channel into the whole output space
+        whole = random_channel(shape_in, AlgebraShape((d_out,)), d, rng).kraus
+        kraus = np.concatenate([kraus * np.sqrt(1 - leak), whole * np.sqrt(leak)])
+    kraus = kraus * np.sqrt(1 + tp)
+    support = None
+    if with_support:
+        support = random_support_projector(shape_in, int(rng.integers(1, d + 1)), rng)
+        kraus = kraus @ support
+    args = (shape_in, shape_out, kraus, support, x)
+    got, out, certified = apply_outcome(*args)
+    want, judged_out, judged = without_scalar_pass(apply_outcome, *args)
+    assert got == want and not judged
+    assert (out is None) == (judged_out is None)
+    if out is not None:
+        assert out.tobytes() == judged_out.tobytes()
+    if certified:
+        index = support_index(shape_out)
+        assert without_scalar_pass(verdict, validate_psd, out[None], *index, True) is None
+        assert verdict(validate_psd, out[None], *index, True) is None
+
+
+@pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2)], ids=str)
+def test_apply_skips_the_judge_of_certified_outputs_only(rng, dims, monkeypatch):
+    shape = AlgebraShape(dims)
+    c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
+    assert c._certifies and s._definite
+    judged = []
+
+    def counted(stack, *args, **kwargs):
+        judged.append(stack.shape)
+        return validate_psd(stack, *args, **kwargs)
+
+    monkeypatch.setattr("condchan.states.validate_psd", counted)
+    out = apply(c, s)
+    assert judged == [] and not out._definite
+    assert out.matrix.tobytes() == apply_matrix(c, s.matrix).tobytes()
+    # a chained apply, a channel with an input support, a state made without
+    # a check and a channel made without one are all judged
+    apply(c, out)
+    proj = np.eye(shape.total_dim)
+    apply(Channel(shape, shape, c.kraus, input_support=proj), s)
+    apply(c, State(shape, s.matrix, check=False))
+    apply(Channel(shape, shape, c.kraus, check=False), s)
+    assert len(judged) == 4
+
+
+# K1 = |0⟩⟨0| + |1⟩⟨2| and K2 = |0⟩⟨1| + |1⟩⟨3| send x[0, 2] + x[1, 3] to entry (0, 1)
+PAIRING = np.array([[[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 1]]], dtype=complex)
+
+
+def uncertified_pair(case):
+    """Shapes, Kraus operators and matrix of a channel and a state that are
+    both accepted, whose output the judge rejects, with its invariant and
+    deviation: the slack that each allows adds up."""
+    tol, qubit = INPUT_TOL, AlgebraShape((2,))
+    if case == "positive":  # λmin = -0.9·tol twice, both sent to |0⟩
+        kraus = np.array([[[1, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0]],
+                          [[0, 0, 0], [0, 0, 1]]], dtype=complex)
+        x = np.diag([-0.9 * tol, -0.9 * tol, 1 + 1.8 * tol]).astype(complex)
+        return AlgebraShape((3,)), qubit, kraus, x, "positive", 1.8 * tol
+    if case == "trace":  # a trace of 1 + 0.9·tol and Σ K†K = 1 + 0.2·tol
+        x, kraus = np.ones((1, 1), dtype=complex), np.full((1, 1, 1), np.sqrt(1 + 0.2 * tol))
+        return AlgebraShape((1,)), AlgebraShape((1,)), kraus, x * (1 + 0.9 * tol), "trace", 1.1 * tol
+    if case == "output_leak":  # the channel puts 1.8·BLOCK_TOL off the output blocks
+        b = 1.8 * BLOCK_TOL
+        kraus = np.array([[[np.sqrt(1 - b * b)], [b]]], dtype=complex)
+        return AlgebraShape((1,)), AlgebraShape((1, 1)), kraus, np.ones((1, 1)), "block_support", b
+    x = np.eye(4, dtype=complex) / 4
+    if case == "hermitian":  # |x - x†| = 0.9·tol at two entries
+        x[0, 2] += 0.9 * tol
+        x[1, 3] += 0.9 * tol
+        return AlgebraShape((4,)), qubit, PAIRING, x, "hermitian", 1.8 * tol
+    for i, j in ((0, 2), (1, 3)):  # a Hermitian leak of 0.9·BLOCK_TOL at two pairs
+        x[i, j] = x[j, i] = 0.9 * BLOCK_TOL
+    return AlgebraShape((1,) * 4), AlgebraShape((1, 1)), PAIRING, x, "block_support", 1.8 * BLOCK_TOL
+
+
+@pytest.mark.parametrize("case", ["positive", "trace", "output_leak", "hermitian", "input_leak"])
+def test_apply_judges_the_output_of_an_inexact_pair(case):
+    # a CPTP map need not send an accepted state to an accepted one: the
+    # slack that the judge allows each of them adds up (positive: λmax(Φ(I))
+    # = 2).  Neither is certified, and apply keeps the judge's error.
+    shape_in, shape_out, kraus, x, invariant, deviation = uncertified_pair(case)
+    c, s = Channel(shape_in, shape_out, kraus), State(shape_in, x)
+    assert c._certifies != s._definite
+    got = verdict(apply, c, s)
+    assert got[:2] == (InvariantViolation, invariant) and got[2] == pytest.approx(deviation)
+    assert got == without_scalar_pass(verdict, apply, c, s)
+
+
+def test_channel_accepted_within_identity_tol_keeps_its_trace_verdict(rng):
+    # Channel accepts Σ K†K within IDENTITY_TOL of the identity, but apply
+    # judges the output's trace at INPUT_TOL: the certificate leaves that
+    # verdict as it was
+    shape = AlgebraShape((2,))
+    kraus = random_channel(shape, shape, 2, rng).kraus * np.sqrt(1 + 2e-10)
+    c = Channel(shape, shape, kraus)
+    s = random_state(shape, rng)
+    assert not c._certifies and s._definite
+    with pytest.raises(InvariantViolation) as err:
+        apply(c, s)
+    assert err.value.invariant == "trace" and err.value.deviation == pytest.approx(2e-10, rel=1e-3)
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):

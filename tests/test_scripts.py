@@ -32,12 +32,14 @@ def test_example_script_runs_without_an_install(tmp_path, script):
 
 
 def test_bench_appends_its_run_under_the_label(tmp_path):
+    # the sweeps stop at d = 3 (the whole grid, to d = 16, takes about 20 s);
+    # every call and the layout of each record are the same at any --max-dim
     out = tmp_path / "bench.json"
     earlier = '{"kind": "run", "label": "b", "run": 0}\n'
     out.write_text(earlier, encoding="utf-8")
     completed = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(out), "--label", "a",
-         "--repeats", "1"],
+         "--repeats", "1", "--max-dim", "3"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -47,8 +49,8 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     assert text.startswith(earlier)
     # one JSON record per line: the run, then one result per call
     run, *results = [json.loads(line) for line in text.splitlines()[1:]]
-    assert (run["kind"], run["label"], run["run"]) == ("run", "a", 1)
-    assert {row["d"] for row in results if row["call"] == "teleport"} == set(range(2, 17))
+    assert (run["kind"], run["label"], run["run"], run["max_dim"]) == ("run", "a", 1, 3)
+    assert {row["d"] for row in results if row["call"] == "teleport"} == {2, 3}
     src = SCRIPTS.parent / "src" / "condchan"
     assert run["src_lines"] == sum(
         len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
@@ -65,10 +67,10 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
         *(f"{step} {document}" for step in ("serialize", "parse")
           for document in ("JointState", "ConditionalState", "Channel")),
     }
-    # each document case on every class, d = 2…16 (no mixed class at d = 2)
+    # each document case on every class, d = 2…3 (no mixed class at d = 2)
     for call in calls:
         if call.startswith(("serialize ", "parse ")):
-            assert sum(row["call"] == call for row in results) == 2 + 3 * 14
+            assert sum(row["call"] == call for row in results) == 2 + 3
     # eight document commands on each class at d = 8, and selftest once
     cli_rows = [row for row in results if row["call"].startswith("cli ")]
     assert len(cli_rows) == 3 * 8 + 1 and {row["d"] for row in cli_rows} == {8}
