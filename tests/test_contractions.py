@@ -1016,25 +1016,27 @@ def scalar_edge_cases(rng, shape):
     return cases
 
 
-def judge_verdicts(cases, index, monkeypatch):
+def judge_verdicts(cases, index):
     """The verdicts of ``validate_psd`` with and without the scalar pass, each
     case checked with and without the trace test."""
     def run():
         return [verdict(validate_psd, m[None], *index, unit_trace)
                 for m in cases for unit_trace in (False, True)]
 
-    got = run()
-    with monkeypatch.context() as patched:
+    return run(), without_scalar_pass(run)
+
+
+def without_scalar_pass(fn, *args):
+    with pytest.MonkeyPatch.context() as patched:
         patched.setattr("condchan.matcore.SCALAR_MAX_DIM", 0)
-        want = run()
-    return got, want
+        return fn(*args)
 
 
 @pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
-def test_scalar_pass_gives_the_judge_verdict_at_the_edges(rng, shape, monkeypatch):
+def test_scalar_pass_gives_the_judge_verdict_at_the_edges(rng, shape):
     index = support_index(shape)
     cases = scalar_edge_cases(rng, shape)
-    got, want = judge_verdicts(cases, index, monkeypatch)
+    got, want = judge_verdicts(cases, index)
     assert got == want
     # the pass itself accepts the valid matrix and λmin = -tol·(1 - 1e-3),
     # so its margins do not hand the clear cases back to the judge (None)
@@ -1119,12 +1121,6 @@ def apply_outcome(shape_in, shape_out, kraus, support, x):
         out.append((apply(c, s).matrix, c._certifies and s._definite))
 
     return verdict(run), *(out[0] if out else (None, False))
-
-
-def without_scalar_pass(fn, *args):
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr("condchan.matcore.SCALAR_MAX_DIM", 0)
-        return fn(*args)
 
 
 SIGNS = st.sampled_from([-1.0, 1.0])
