@@ -30,7 +30,7 @@ from .algebra import (
     block_projectors,
     support_deviation,
 )
-from .conditional import ConditionalState
+from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import herm_eig, herm_eigvals, max_abs, projector_deviation
 from .states import State
@@ -212,9 +212,7 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     is carried in ``input_support``, which ``Channel`` checks is a projector.
     """
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
-    support = cond.conditioning_support()
-    full = max_abs(support - np.eye(din)) <= IDENTITY_TOL
-
+    support = _restricted_support(cond)
     es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
     keep = es.kept
     if not keep.any():
@@ -227,7 +225,7 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
         shape_in=cond.shape_in,
         shape_out=cond.shape_out,
         kraus=kraus,
-        input_support=None if full else support.T,
+        input_support=None if support is None else support.T,
     )
 
 

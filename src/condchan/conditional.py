@@ -26,6 +26,7 @@ from .matcore import (
     as_matrix,
     herm_eig,
     hermitize,
+    max_abs,
     partial_trace,
     projector_deviation,
     swap_factors,
@@ -79,6 +80,12 @@ class ConditionalState:
     def rank(self) -> int:
         """Trace of the conditioning support, rounded to the integer it is."""
         return int(round(float(np.trace(self.matrix).real)))
+
+
+def _restricted_support(cond: ConditionalState) -> np.ndarray | None:
+    """The conditioning support, or None where it is within ``IDENTITY_TOL`` of the identity."""
+    support = cond.conditioning_support()
+    return None if max_abs(support - np.eye(len(support))) <= IDENTITY_TOL else support
 
 
 def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Two operational readings of the channel/conditional correspondence are made
 runnable here:
 
 * ``verify_theorem`` checks that local measurements on a joint state give
-  the same outcome statistics as a prepare-evolve-measure experiment built
-  from the transposed marginal and the reconstructed channel;
+  the same outcome statistics as a preparation from the transposed marginal,
+  evolved by the conditional's Jamiołkowski action (the transposes cancel);
 * ``teleport`` runs noisy-gate teleportation with the maximally entangled
   measurement its input algebra picks: the Bell basis on an irreducible
   algebra, and on the classical bit the parity route, where the Bell
@@ -31,14 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraShape, block_mask, block_projectors, pair_mask
-from .channels import (
-    Channel,
-    apply_matrix,
-    channel_from_conditional,
-    choi_conditional,
-    max_ent_matrix,
-)
-from .conditional import ConditionalState, _condition
+from .channels import Channel, choi_conditional, max_ent_matrix
+from .conditional import ConditionalState, _condition, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import _fix_phases, herm_eig, hermitize, kron, max_abs
 from .povm import POVM
@@ -78,38 +72,39 @@ class TeleportReport:
     grouping_used: bool
 
 
+def _pair_expectations(xs: np.ndarray, matrix: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Tr((X_j ⊗ M_k) C) for all pairs of two stacks, C on kron(a, b) with a slow:
+    Σ X_j[a, x] C[x, y, a, b] M_k[b, y], two products on a reordered view of C."""
+    da, db = xs.shape[1], ms.shape[1]
+    c = matrix.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
+    return (xs.reshape(len(xs), -1) @ c @ ms.reshape(len(ms), -1).T).real
+
+
 def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
     """Compare local-measurement statistics against the prepare-and-measure
     reconstruction.
 
-    The left side measures n (x) m on the joint state directly.  The right
-    side reduces the joint state, conditions on that side, rebuilds the
-    channel, and runs an n-transpose preparation of the transposed marginal
-    through it before measuring m.  Transposes are entry-wise in the fixed
-    embedding basis, the same basis the correspondence itself uses.
+    The left side measures n (x) m on the joint state.  The right side prepares
+    σ_j = √ρ_Aᵀ N_jᵀ √ρ_Aᵀ from the transposed marginal, evolves it by the
+    Jamiołkowski action E(σ) = Tr_A[(σᵀ ⊗ I) ρ_{B|A}] of the conditional on A,
+    and measures m.  Both transposes are entry-wise in the fixed embedding basis
+    and cancel: the right side is the left side's contraction with
+    (√ρ_A N_j √ρ_A, ρ_{B|A}) in place of (N_j, ρ_AB).
     """
     if n.shape != j.shape_a:
         raise ShapeMismatch("POVM n must live on the first factor of the joint state")
     if m.shape != j.shape_b:
         raise ShapeMismatch("POVM m must live on the second factor of the joint state")
-    da, db = j.shape_a.total_dim, j.shape_b.total_dim
     ns, ms = np.stack(n.elements), np.stack(m.elements)
-    # Tr((N_j ⊗ M_k) ρ) for all pairs: Σ N_j[a, x] ρ[x, y, a, b] M_k[b, y], two products
-    rho = j.matrix.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
-    lhs = (ns.reshape(len(ns), -1) @ rho @ ms.reshape(len(ms), -1).T).real
-
+    lhs = _pair_expectations(ns, j.matrix, ms)
     cond, marg_a = _condition(j, "a")
-    chan = channel_from_conditional(cond)
-    root_t = marg_a.root().T  # the root of the transposed marginal
-    # prepare with every N_j transposed, evolve the stack, then Tr(M_k ·) per pair
-    evolved = apply_matrix(chan, root_t @ ns.swapaxes(1, 2) @ root_t)
-    rhs = np.trace(ms @ evolved[:, None], axis1=2, axis2=3).real
-
+    root = marg_a.root()
+    rhs = _pair_expectations(root @ ns @ root, cond.matrix, ms)
     return TheoremReport(
         lhs=lhs,
         rhs=rhs,
         max_deviation=float(np.max(np.abs(lhs - rhs))),
-        support_restricted=chan.input_support is not None,
+        support_restricted=_restricted_support(cond) is not None,
     )
 
 

@@ -1603,7 +1603,8 @@ def test_shared_spectra_take_one_eigh_per_marginal(rng, monkeypatch):
     cond_b = conditional_from_joint(j, "b")
     calls = count_linalg(monkeypatch)
     verify_theorem(j, n, m)
-    assert calls.count(("eigh", (3, 3))) == 1
+    # the marginal's eigh alone: no Kraus channel is rebuilt from the 6 × 6 conditional
+    assert [call for call in calls if call[0] != "cholesky"] == [("eigh", (3, 3))]
     calls.clear()
     bayes_invert(cond_b, reduce(j, "a"), reduce(j, "b"))
     assert calls.count(("eigh", (2, 2))) == 1

@@ -13,6 +13,8 @@ from condchan import (
     ShapeMismatch,
     State,
     apply,
+    channel_from_conditional,
+    conditional_from_joint,
     herm_eig,
     identity_channel,
     kron,
@@ -21,11 +23,13 @@ from condchan import (
     random_povm,
     random_state,
     random_unitary,
+    reduce,
     teleport,
     teleport_classical,
     validate_channel,
     verify_theorem,
 )
+from condchan.channels import apply_matrix
 from condchan.scenarios import random_block_unitary, random_support_projector
 from test_contractions import bad_bell_basis, bell_basis
 from conftest import BIT, MIXED, QUBIT, QUTRIT
@@ -36,7 +40,40 @@ def trivial_povm(shape):
     return POVM(shape, (np.eye(shape.total_dim, dtype=complex),))
 
 
+def kraus_route(j, n, m):
+    """The theorem's right side through a rebuilt Kraus channel, and whether that
+    channel carries an input support: prepare √ρ_Aᵀ N_jᵀ √ρ_Aᵀ, apply, measure."""
+    chan = channel_from_conditional(conditional_from_joint(j, "a"))
+    root_t = herm_eig(reduce(j, "a").matrix).root().T
+    evolved = apply_matrix(chan, root_t @ np.stack(n.elements).swapaxes(1, 2) @ root_t)
+    rhs = np.trace(np.stack(m.elements) @ evolved[:, None], axis1=2, axis2=3).real
+    return rhs, chan.input_support is not None
+
+
+# irreducible, classical and mixed conditioning sides, with d_a ≠ d_b in most pairs
+KRAUS_ROUTE_PAIRS = [(QUBIT, QUTRIT), (QUTRIT, QUBIT), (QUTRIT, QUTRIT), (BIT, QUBIT),
+                     (AlgebraShape((1, 1, 1)), MIXED), (MIXED, BIT), (AlgebraShape((2, 2)), QUBIT),
+                     (AlgebraShape((4,)), AlgebraShape((1, 1, 1)))]
+
+
 class TestVerifyTheorem:
+    @pytest.mark.parametrize("shape_a,shape_b", KRAUS_ROUTE_PAIRS,
+                             ids=lambda s: "x".join(map(str, s.block_dims)))
+    def test_rhs_matches_the_kraus_route(self, rng, shape_a, shape_b):
+        d = shape_a.total_dim
+        restricted = []
+        for rank_a in (None, d - 1, 1):
+            for k in range(3):
+                j = random_joint_state(shape_a, shape_b, rng, rank_a=rank_a)
+                n, m = random_povm(shape_a, 1 + k, rng), random_povm(shape_b, 3 - k, rng)
+                report = verify_theorem(j, n, m)
+                rhs, flagged = kraus_route(j, n, m)
+                np.testing.assert_allclose(report.rhs, rhs, rtol=0, atol=1e-12)
+                assert report.support_restricted == flagged
+                restricted.append(flagged)
+        # both verdicts occur: the full-rank draws and the rank-deficient ones
+        assert restricted[:3] == [False] * 3 and all(restricted[3:])
+
     def test_product_state_trivial_povms(self, rng):
         a, b = random_state(QUBIT, rng), random_state(QUTRIT, rng)
         j = JointState(QUBIT, QUTRIT, kron(a.matrix, b.matrix))

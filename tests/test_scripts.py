@@ -121,3 +121,30 @@ def test_bench_records_a_call_that_runs_out_of_memory():
     assert failed == {"call": "big", "d": 16, "class": "mixed", "kind": "failed",
                       "error": "MemoryError"}
     assert (measured["call"], measured["kind"]) == ("small", "result")
+
+
+@pytest.mark.parametrize("skew,status", [
+    ("rep", 0),
+    ("replace(rep, max_deviation=2 * IDENTITY_TOL)", 1),
+    ("replace(rep, rhs=rep.rhs * float('nan'), max_deviation=float('nan'))", 1),
+    ("replace(rep, lhs=rep.lhs - 2 * IDENTITY_TOL)", 1),
+])
+def test_theorem_sweep_exits_1_on_a_deviation_or_an_invalid_distribution(skew, status):
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import theorem_sweep\n"
+        "from condchan.tolerances import IDENTITY_TOL\n"
+        "real = theorem_sweep.verify_theorem\n"
+        "def skewed(j, n, m):\n"
+        "    rep = real(j, n, m)\n"
+        f"    return {skew}\n"
+        "theorem_sweep.verify_theorem = skewed\n"
+        "sys.exit(theorem_sweep.main(['--instances', '1']))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == status, completed.stderr
+    assert ("FAILED" in completed.stderr) == bool(status)

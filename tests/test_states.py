@@ -142,7 +142,8 @@ class TestSwap:
 class TestTranspose:
     def test_involution_and_spectrum(self, rng):
         # the entry-wise transpose is a valid state with the same spectrum,
-        # and its root is the transposed root (which verify_theorem relies on)
+        # and its root is the transposed root (which the transposed preparation of
+        # the theorem relies on)
         s = random_state(MIXED, rng)
         t = State(MIXED, s.matrix.T)
         np.testing.assert_allclose(t.matrix.T, s.matrix)
