@@ -34,7 +34,7 @@ from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import herm_eig, herm_eigvals, max_abs, projector_deviation
 from .states import State
-from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding
+from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding, _choi_rounding
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -91,7 +91,7 @@ class Channel:
     input_support: np.ndarray | None = None
     check: InitVar[bool] = True
     _superop: np.ndarray = field(init=False, repr=False)
-    _certifies = False  # whether ``apply`` may skip judging its outputs
+    _certifies = False  # whether ``apply`` and ``choi_conditional`` may skip judging their outputs
 
     def __post_init__(self, check: bool):
         kraus = self.kraus
@@ -176,12 +176,16 @@ def identity_channel(shape: AlgebraShape) -> Channel:
 
 def choi_conditional(c: Channel) -> ConditionalState:
     """Conditional-state form of a channel: act with the channel on the
-    conditioned factor of the maximally entangled conditional."""
-    return ConditionalState(
-        shape_in=c.shape_in,
-        shape_out=c.shape_out,
-        matrix=_choi_matrix(c),
-    )
+    conditioned factor of the maximally entangled conditional.
+
+    Built unchecked for a certified channel within ``tolerances._choi_rounding``:
+    C = mask∘Σ vec(K) vec(K)† is PSD but for rounding ‖E‖₂ ≤ γ_r·tr(Σ K†K) ≤
+    ``_apply_rounding`` ≤ INPUT_TOL/4, so C is Hermitian within that and C + INPUT_TOL·I
+    clears the Cholesky margin; its leak is the Choi leak, ≤ BLOCK_TOL/(4·d_in²); its
+    support (Σ K†K)ᵀ∘mask is within INPUT_TOL/(2·d_in) of I (README, Conventions)."""
+    choi = _choi_matrix(c)
+    certified = c._certifies and _choi_rounding(len(choi)) <= INPUT_TOL / 2
+    return ConditionalState(c.shape_in, c.shape_out, choi, check=not certified)
 
 
 def apply_via_conditional(cond: ConditionalState, s: State) -> np.ndarray:

@@ -13,9 +13,9 @@ Conventions fixed here once and relied on project-wide:
 * a matrix is judged once, by one routine (``judge``); a constructor certifies
   its Hermitian part positive (``validate_psd``), or ``herm_eig`` decomposes it;
 * a single matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to a
-  pass on Python scalars that can only accept it; ``judge`` still decides
-  every rejection, so errors and deviations do not depend on the pass; a state
-  it proves definite lets ``channels.apply`` skip judging the output;
+  pass on Python scalars that can only accept it; ``judge`` decides every
+  rejection, so no error or deviation depends on the pass; a certifying channel's
+  Choi form, and its output on a state the pass proves definite, are not judged;
 * a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the
   library reads off a PSD spectrum is a view of that ``EigenSystem``: the
   root, the generalized inverse root, the support projector and the rank.

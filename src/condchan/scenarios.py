@@ -16,8 +16,8 @@ runnable here:
   d² reductions take O(d⁴) memory.  An explicit basis is validated as a
   ``POVM`` and contracted with the input in one product.  The branch states
   (and the identity channel's corrected states) are normalized and
-  validated as one stack, and the channel's conditional form is built and
-  validated once per run.
+  validated as one stack, and the channel's conditional form is built once
+  per run, validated unless the channel certifies.
 
 Also home to the seeded random generators for states, channels, POVMs and
 unitaries used by the test suites and the CLI selftest.

@@ -195,7 +195,15 @@ def serialize(obj) -> str:
 
 
 def from_payload(obj: dict):
-    """Construct the validated object a document payload describes."""
+    """Construct the validated object a document payload describes; a boolean
+    in a matrix is a ``DocumentSyntaxError`` (numpy would read it as 0 or 1)."""
+    for key, value in obj.items() if isinstance(obj, dict) else ():
+        if _nested_boolean(value, 0):
+            raise DocumentSyntaxError(f"matrix {key!r} must hold numbers, not booleans")
+    return _construct(obj)
+
+
+def _construct(obj: dict):
     if not isinstance(obj, dict):
         raise DocumentSyntaxError("document root must be a JSON object")
     kind = _require(obj, "kind")
@@ -226,8 +234,8 @@ def from_payload(obj: dict):
 
 
 def _nested_boolean(value, depth: int) -> bool:
-    """Whether a boolean sits in a list in a list, where only matrix numbers may."""
-    if isinstance(value, list):
+    """Whether a boolean sits where a matrix number may: in a list in a list, at most 4 deep."""
+    if isinstance(value, list) and depth < 4:
         return any(_nested_boolean(v, depth + 1) for v in value)
     return depth > 1 and isinstance(value, bool)
 
@@ -242,12 +250,9 @@ def parse(text: str):
     """
     try:
         payload = json.loads(text)
-        if ("true" in text or "false" in text) and isinstance(payload, dict):
-            for key, value in payload.items():
-                if _nested_boolean(value, 0):
-                    raise DocumentSyntaxError(f"matrix {key!r} must hold numbers, not booleans")
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise DocumentSyntaxError("JSON nesting is too deep") from exc
-    return from_payload(payload)
+    # only a text holding true or false can hold a boolean for from_payload to find
+    return (from_payload if "true" in text or "false" in text else _construct)(payload)

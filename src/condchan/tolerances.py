@@ -32,3 +32,9 @@ def _apply_rounding(d_in: int, d_out: int, kraus_count: int) -> float:
     (what its measured deviation hides) and the trace (Higham, *Accuracy and Stability*, §3)."""
     terms = d_in * d_out * (kraus_count + d_in * d_in + 4) + d_in * (kraus_count * d_out + 3)
     return 2.0**-52 * (terms + d_out)
+
+
+def _choi_rounding(dim: int) -> float:
+    """Cholesky margin for a dim × dim Choi matrix, diagonal ≤ 1 + tp_dev: dim·γ̃_{dim+1}, complex
+    γ̃_{dim+1} ≤ √2·γ_{dim+3}, rounded up (Higham, *Accuracy and Stability*, Thm 10.7)."""
+    return 2.0**-52 * dim * (dim + 3)

@@ -29,6 +29,8 @@ that may carry it (a joint's marginal, a checked channel's Choi matrix),
 which is decomposed whole.  Where the scalar pass proves a state definite and
 a checked channel's bounds fit, ``apply`` skips judging the output: it gives
 the judged path's verdict and bytes, and every output it skips passes the judge.
+So does ``choi_conditional`` for a certified channel, whose unchecked Choi matrix
+passes each constructor test with the margin its proof states.
 """
 
 import importlib.util
@@ -80,6 +82,7 @@ from condchan.algebra import (
     support_index,
 )
 from condchan.channels import (
+    _choi_matrix,
     _kraus_gram,
     apply_matrix,
     channel_from_conditional,
@@ -97,6 +100,7 @@ from condchan.matcore import (
     herm_eigvals,
     hermitize,
     judge,
+    max_abs,
     validate_psd,
 )
 from condchan.scenarios import (
@@ -109,7 +113,7 @@ from condchan.scenarios import (
     random_support_projector,
 )
 from condchan.states import states_from_stack
-from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, NEGLIGIBLE
+from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, NEGLIGIBLE, _choi_rounding
 
 ATOL = 1e-12
 MIXED_BY_DIM = {3: (2, 1), 4: (2, 1, 1), 5: (3, 2), 6: (3, 2, 1), 7: (4, 2, 1), 8: (4, 2, 1, 1)}
@@ -1272,6 +1276,162 @@ def test_channel_accepted_within_identity_tol_keeps_its_trace_verdict(rng):
     with pytest.raises(InvariantViolation) as err:
         apply(c, s)
     assert err.value.invariant == "trace" and err.value.deviation == pytest.approx(2e-10, rel=1e-3)
+
+
+# -- choi_conditional's certificate against the checked constructor ----------
+
+
+def edge_size(size, gate):
+    """A drawn (kind, value): 0, the gate times a factor near 1, or an absolute size."""
+    kind, value = size
+    return value * gate if kind == "gate" else value
+
+
+def leaking_kraus(rng, shape_in, shape_out, leak):
+    """Kraus operators of a random channel whose Choi matrix has ``leak`` as its
+    largest entry off the pair blocks: mixed with a channel into the whole
+    output space, weighted by ``leak`` over that channel's own leak."""
+    d, d_out = shape_in.total_dim, shape_out.total_dim
+    env = max(1, -(-d // d_out))
+    kraus = random_channel(shape_in, shape_out, env, rng).kraus
+    if not leak or shape_out.is_irreducible:
+        return kraus
+    whole = random_channel(shape_in, AlgebraShape((d_out,)), env, rng).kraus
+    own = support_deviation(_choi_matrix(Channel(shape_in, shape_out, whole, check=False)),
+                            shape_in, shape_out)
+    weight = leak / own
+    return np.concatenate([kraus * np.sqrt(1 - weight), whole * np.sqrt(weight)])
+
+
+def check_certified_choi(shape_in, shape_out, kraus, support):
+    """Whether ``choi_conditional`` skips the check on the channel these arrays
+    make (None for a channel its own checks reject).  It gives the checked
+    constructor's verdict on the same matrix, and its bytes.  A Choi matrix it
+    skips passes each constructor test with the margin the proof gives it:
+    Hermitian and above -INPUT_TOL/4, its leak the channel's, within
+    BLOCK_TOL/(4·d_in²), and its conditioning support within INPUT_TOL/(2·d_in)
+    of the identity."""
+    try:
+        c = Channel(shape_in, shape_out, kraus, support)
+    except CondChanError:
+        return None
+    out = []
+    got = verdict(lambda: out.append(choi_conditional(c).matrix))
+    choi = _choi_matrix(c)
+    assert got == verdict(ConditionalState, shape_in, shape_out, choi)
+    if out:
+        assert out[0].tobytes() == choi.tobytes()
+    certified = c._certifies and _choi_rounding(len(choi)) <= INPUT_TOL / 2
+    if certified:
+        d = shape_in.total_dim
+        assert got is None and support is None
+        assert without_scalar_pass(verdict, ConditionalState, shape_in, shape_out, choi) is None
+        assert max_abs(choi - choi.conj().T) <= INPUT_TOL / 4
+        assert np.linalg.eigvalsh(hermitize(choi)).min() >= -INPUT_TOL / 4
+        assert support_deviation(choi, shape_in, shape_out) <= BLOCK_TOL / (4 * d * d)
+        support_dev = max_abs(partial_trace(choi, d, shape_out.total_dim, "left") - np.eye(d))
+        assert support_dev <= INPUT_TOL / (2 * d)
+    return certified
+
+
+# a size relative to the gate, on either side of it, or absolute up to IDENTITY_TOL
+EDGE_SIZES = st.one_of(
+    st.just(("zero", 0.0)),
+    st.tuples(st.just("gate"), st.sampled_from([1 - 1e-3, 1 + 1e-3])),
+    st.tuples(st.just("absolute"), st.floats(-16, -9).map(lambda e: 10.0**e)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape_in=st.sampled_from(SMALL_SHAPES),
+    shape_out=st.sampled_from(SMALL_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    tp=EDGE_SIZES,
+    tp_sign=SIGNS,
+    leak=EDGE_SIZES,
+    with_support=st.sampled_from([False, False, False, True]),
+)
+def test_certified_choi_gives_the_checked_verdict_and_bytes(
+    shape_in, shape_out, seed, tp, tp_sign, leak, with_support
+):
+    # channels with Σ K†K off the identity by ±INPUT_TOL/(4·d_in)·(1 ∓ 1e-3) or
+    # up to IDENTITY_TOL, an output block leak at BLOCK_TOL/(4·d_in²)·(1 ∓ 1e-3)
+    # or up to IDENTITY_TOL, or an input support
+    rng = np.random.default_rng(seed)
+    d = shape_in.total_dim
+    kraus = leaking_kraus(rng, shape_in, shape_out, edge_size(leak, BLOCK_TOL / (4 * d * d)))
+    kraus = kraus * np.sqrt(1 + tp_sign * edge_size(tp, INPUT_TOL / (4 * d)))
+    support = None
+    if with_support:
+        support = random_support_projector(shape_in, int(rng.integers(1, d + 1)), rng)
+        kraus = kraus @ support
+    check_certified_choi(shape_in, shape_out, kraus, support)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shapes", [((16,), (16,)), ((1,) * 16, (1,) * 16), ((8, 8), (4, 4, 8))],
+                         ids=["irreducible", "classical", "mixed"])
+def test_certified_choi_gives_the_checked_verdict_at_dim_16(seed, shapes):
+    rng = np.random.default_rng(seed)
+    shape_in, shape_out = map(AlgebraShape, shapes)
+    d = shape_in.total_dim
+    certified = []
+    for factor in (1 - 1e-3, 1 + 1e-3):
+        base = leaking_kraus(rng, shape_in, shape_out, 0.0)
+        certified.append(check_certified_choi(
+            shape_in, shape_out, base * np.sqrt(1 + factor * INPUT_TOL / (4 * d)), None))
+        if not shape_out.is_irreducible:
+            leaking = leaking_kraus(rng, shape_in, shape_out, factor * BLOCK_TOL / (4 * d * d))
+            certified.append(check_certified_choi(shape_in, shape_out, leaking, None))
+    # each gate is decided on both sides of its edge
+    assert certified == ([True, False] if shape_out.is_irreducible else [True, True, False, False])
+
+
+@pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2), (4, 4)], ids=str)
+def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, monkeypatch):
+    shape = AlgebraShape(dims)
+    c = random_channel(shape, shape, 2, rng)
+    assert c._certifies
+    judged = []
+
+    def counted(stack, *args, **kwargs):
+        judged.append(stack.shape)
+        return validate_psd(stack, *args, **kwargs)
+
+    monkeypatch.setattr("condchan.conditional.validate_psd", counted)
+    calls = count_linalg(monkeypatch, ("cholesky",))
+    cond = choi_conditional(c)
+    assert judged == [] and calls == []
+    assert cond.matrix.tobytes() == _choi_matrix(c).tobytes()
+    # a channel with an input support, one made without a check and one whose
+    # leak is above the gate (but within BLOCK_TOL) are each judged once
+    choi_conditional(Channel(shape, shape, c.kraus, input_support=np.eye(shape.total_dim)))
+    choi_conditional(Channel(shape, shape, c.kraus, check=False))
+    assert len(judged) == 2
+    if not shape.is_irreducible:
+        leaking = Channel(shape, shape, leaking_kraus(rng, shape, shape, BLOCK_TOL / 2))
+        assert not leaking._certifies
+        choi_conditional(leaking)
+        assert len(judged) == 3
+
+
+def test_certified_choi_is_judged_above_the_cholesky_margin(rng, monkeypatch):
+    # a channel (1,) → (d,) certifies for apply at any d here, but from a Choi
+    # matrix of size 474 its Cholesky margin exceeds INPUT_TOL/2
+    judged = []
+
+    def counted(stack, *args, **kwargs):
+        judged.append(stack.shape)
+        return validate_psd(stack, *args, **kwargs)
+
+    monkeypatch.setattr("condchan.conditional.validate_psd", counted)
+    for d in (473, 474):
+        c = random_channel(AlgebraShape((1,)), AlgebraShape((d,)), 1, rng)
+        assert c._certifies
+        choi_conditional(c)
+    assert judged == [(1, 474, 474)]
+    assert _choi_rounding(473) <= INPUT_TOL / 2 < _choi_rounding(474)
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):

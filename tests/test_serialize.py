@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from condchan import (
     AlgebraShape,
+    Channel,
     CondChanError,
     ConditionalState,
     DocumentSyntaxError,
@@ -26,7 +27,16 @@ from condchan import (
     reduce,
 )
 from condchan.channels import choi_conditional
-from condchan.serialize import _SCHEMA, dumps, encode_matrix, parse, serialize, to_payload
+import condchan.serialize as serialize_module
+from condchan.serialize import (
+    _SCHEMA,
+    dumps,
+    encode_matrix,
+    from_payload,
+    parse,
+    serialize,
+    to_payload,
+)
 from conftest import BIT, MIXED, QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -167,13 +177,48 @@ def test_ensemble_lists_must_be_lists(rng, key, value):
 
 
 def test_boolean_in_any_matrix_is_rejected(rng):
-    # the Kraus list and the ensemble's members are matrices too
-    for obj, key in ((random_channel(QUBIT, QUBIT, 2, rng), "kraus"),
-                     (prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng)), "members")):
-        doc = json.loads(serialize(obj))
-        doc[key][0][0][0][1] = False
-        with pytest.raises(DocumentSyntaxError, match=f"matrix '{key}'"):
-            parse(json.dumps(doc))
+    # the Kraus list, the ensemble's members and the input support are matrices
+    # too, and a payload handed to from_payload is judged as its document is
+    channel = random_channel(QUBIT, QUBIT, 2, rng)
+    cases = [
+        (random_state(QUBIT, rng), "matrix", (0, 1, 0)),
+        (channel, "kraus", (0, 0, 0, 1)),
+        (prepare(random_povm(QUBIT, 2, rng), random_state(QUBIT, rng)), "members", (0, 0, 0, 1)),
+        (Channel(QUBIT, QUBIT, channel.kraus, input_support=np.eye(2)), "input_support", (0, 0, 0)),
+    ]
+    for obj, key, index in cases:
+        for value in (False, True):
+            doc = json.loads(serialize(obj))
+            *path, last = index
+            entry = doc[key]
+            for i in path:
+                entry = entry[i]
+            entry[last] = value
+            for read in (lambda: parse(json.dumps(doc)), lambda: from_payload(doc)):
+                with pytest.raises(DocumentSyntaxError, match=f"matrix '{key}' must hold numbers"):
+                    read()
+
+
+def test_parse_walks_for_booleans_only_in_a_text_that_holds_one(rng, monkeypatch):
+    walked = []
+    original = serialize_module._nested_boolean
+    monkeypatch.setattr(serialize_module, "_nested_boolean",
+                        lambda *args: walked.append(args) or original(*args))
+    text = serialize(random_channel(QUBIT, QUBIT, 2, rng))
+    parse(text)
+    assert walked == []
+    from_payload(json.loads(text))
+    assert walked
+
+
+def test_deeply_nested_payload_is_a_syntax_error():
+    # the boolean walk stops at the depth of a matrix number, so a direct call
+    # on nesting deeper than the recursion limit still ends in the decoder's error
+    deep = [[[[0.5, 0.0]]]]
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(DocumentSyntaxError):
+        from_payload({"kind": "state", "shape": [1], "matrix": deep})
 
 
 @pytest.mark.parametrize(
