@@ -1388,11 +1388,8 @@ def test_certified_choi_gives_the_checked_verdict_at_dim_16(seed, shapes):
     assert certified == ([True, False] if shape_out.is_irreducible else [True, True, False, False])
 
 
-@pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2), (4, 4)], ids=str)
-def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, monkeypatch):
-    shape = AlgebraShape(dims)
-    c = random_channel(shape, shape, 2, rng)
-    assert c._certifies
+def count_conditional_judges(monkeypatch):
+    """Record the stack shape of every ``validate_psd`` call a ``ConditionalState`` makes."""
     judged = []
 
     def counted(stack, *args, **kwargs):
@@ -1400,6 +1397,15 @@ def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, mon
         return validate_psd(stack, *args, **kwargs)
 
     monkeypatch.setattr("condchan.conditional.validate_psd", counted)
+    return judged
+
+
+@pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2), (4, 4)], ids=str)
+def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, monkeypatch):
+    shape = AlgebraShape(dims)
+    c = random_channel(shape, shape, 2, rng)
+    assert c._certifies
+    judged = count_conditional_judges(monkeypatch)
     calls = count_linalg(monkeypatch, ("cholesky",))
     cond = choi_conditional(c)
     assert judged == [] and calls == []
@@ -1419,13 +1425,7 @@ def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, mon
 def test_certified_choi_is_judged_above_the_cholesky_margin(rng, monkeypatch):
     # a channel (1,) → (d,) certifies for apply at any d here, but from a Choi
     # matrix of size 474 its Cholesky margin exceeds INPUT_TOL/2
-    judged = []
-
-    def counted(stack, *args, **kwargs):
-        judged.append(stack.shape)
-        return validate_psd(stack, *args, **kwargs)
-
-    monkeypatch.setattr("condchan.conditional.validate_psd", counted)
+    judged = count_conditional_judges(monkeypatch)
     for d in (473, 474):
         c = random_channel(AlgebraShape((1,)), AlgebraShape((d,)), 1, rng)
         assert c._certifies
