@@ -6,7 +6,8 @@
     python scripts/bench.py --out quick.json --label quick --repeats 1 --max-dim 3
 
 Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
-BLAS fixed to one thread.  For each call below and each algebra class
+BLAS fixed to one thread and, where the C library has ``mallopt`` (glibc),
+its mmap threshold fixed at 64 MiB and its trim threshold at 128 MiB.  For each call below and each algebra class
 (irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the time
 of the first call, the median per-call wall time over ``--repeats`` later
 samples (each a batch of calls lasting about 2 ms), the ``eigvalsh``,
@@ -47,8 +48,8 @@ calls by 10 % and more between runs.  The calls, where D is ``--max-dim``
   two trees show whether their outputs are identical.
 
 Each run appends to ``--out`` one JSON record per line: a ``"run"``
-record with the label, commit, ``src/condchan`` line count, environment,
-``repeats`` and ``max_dim``,
+record with the label, commit, ``src/condchan`` line count, environment
+(the two thresholds included, null without ``mallopt``), ``repeats`` and ``max_dim``,
 then one ``"result"`` record per call, or a ``"failed"`` record naming the
 error for a call that runs out of memory (under ``ulimit -v``, say), so a
 tree that cannot run a case is recorded as such.  Everything already in
@@ -57,10 +58,39 @@ runs of the two trees can be interleaved (parent, change, change, parent,
 ...) to spread drift in machine speed over both.
 """
 
+import ctypes
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+# glibc starts its mmap threshold at 128 KB and raises it to the size of each
+# mapped block the process frees, and it trims the heap top above 128 KB, so
+# the time of a call that allocates large arrays depends on what the process
+# freed before it.  choi_conditional on a classical d = 16 channel (1-thread
+# OpenBLAS, glibc 2.36) took 730 µs in a fresh process and 232 µs after a
+# 16 MiB array was freed; with only the mmap threshold fixed, 472 and 487 µs;
+# with both thresholds fixed, 241 and 232 µs.  They are set before numpy loads.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+MALLOC_THRESHOLDS = {
+    "malloc_mmap_threshold": (M_MMAP_THRESHOLD, 64 << 20),
+    "malloc_trim_threshold": (M_TRIM_THRESHOLD, 128 << 20),
+}
+
+
+def fix_malloc_thresholds():
+    """Set the thresholds with ``mallopt`` (looked up in the process's own
+    symbols, which hold the C library's); each value that it accepts, else None."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return dict.fromkeys(MALLOC_THRESHOLDS)
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return {key: value if mallopt(param, value) == 1 else None
+            for key, (param, value) in MALLOC_THRESHOLDS.items()}
+
+
+MALLOC = fix_malloc_thresholds()
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -325,6 +355,7 @@ def environment():
         "numpy": np.__version__,
         "blas": blas_name,
         "blas_threads": 1,
+        **MALLOC,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
     }

@@ -21,7 +21,6 @@ from condchan import (
     random_channel,
     random_state,
     teleport,
-    teleport_classical,
 )
 from condchan.states import State
 
@@ -45,12 +44,12 @@ def main() -> None:
         print(f"{d:>9} {args.instances:>8} {np.mean(probs):>15.10f} {1 / d**2:>9.6f}")
 
     probs = [
-        teleport_classical(random_channel(BIT, BIT, 2, rng), random_state(BIT, rng)).success_probability
+        teleport(random_channel(BIT, BIT, 2, rng), random_state(BIT, rng)).success_probability
         for _ in range(args.instances)
     ]
     print(f"{'bit':>9} {args.instances:>8} {np.mean(probs):>15.10f} {0.5:>9.6f}  (grouped)")
 
-    rep = teleport_classical(identity_channel(BIT), State(BIT, np.diag([1.0, 0.0]).astype(complex)))
+    rep = teleport(identity_channel(BIT), State(BIT, np.diag([1.0, 0.0]).astype(complex)))
     fixed = all(
         np.allclose(s.matrix, np.diag([1.0, 0.0])) for s in rep.corrected_states
     )

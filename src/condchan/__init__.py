@@ -12,7 +12,6 @@ outcome statistics).
 from .algebra import AlgebraShape
 from .channels import (
     Channel,
-    ChannelReport,
     apply,
     apply_via_conditional,
     canonical_reduction,
@@ -20,7 +19,6 @@ from .channels import (
     choi_conditional,
     identity_channel,
     is_isometry,
-    validate_channel,
 )
 from .conditional import (
     ConditionalState,
@@ -47,7 +45,6 @@ from .scenarios import (
     random_state,
     random_unitary,
     teleport,
-    teleport_classical,
     verify_theorem,
 )
 from .states import JointState, State, reduce

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matcore import BlockIndex, max_abs
+from .matcore import BlockIndex
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ MASK_CACHE_SIZE = 32
 @lru_cache(maxsize=MASK_CACHE_SIZE)
 def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple:
     """Read-only support mask of the tensor product of ``shapes`` on the kron
-    space, its complement (the off-block entries), their flat positions
-    (None for a single block, which has none), and the index of its blocks
-    (see ``BlockIndex.from_labels`` for when it is None)."""
+    space, the flat positions of the entries outside it (None for a single
+    block, which has none), and the index of its blocks (see
+    ``BlockIndex.from_labels`` for when it is None)."""
     # the block of a kron index is the tuple of its factors' blocks, numbered
     # in the same slow-to-fast order
     labels = np.zeros(1, dtype=np.intp)
@@ -71,11 +71,10 @@ def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple:
         n = len(shape.block_dims)
         labels = (labels[:, None] * n + np.repeat(np.arange(n), shape.block_dims)).ravel()
     mask = labels[:, None] == labels[None, :]
-    off = ~mask
-    outside = np.flatnonzero(off)
-    for arr in (mask, off, outside):
+    outside = np.flatnonzero(~mask)
+    for arr in (mask, outside):
         arr.setflags(write=False)
-    return mask, off, outside if outside.size else None, BlockIndex.from_labels(labels, outside)
+    return mask, outside if outside.size else None, BlockIndex.from_labels(labels, outside)
 
 
 def block_mask(shape: AlgebraShape) -> np.ndarray:
@@ -92,22 +91,13 @@ def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
     """Block index of the tensor product of ``shapes`` (of one algebra when
     one shape is given) on the kron space, for ``herm_eig`` (cached); None
     for a single block or a dimension below ``matcore.BLOCKWISE_MIN_DIM``."""
-    return _masks(shapes)[3]
+    return _masks(shapes)[2]
 
 
 def support_index(*shapes: AlgebraShape) -> tuple[np.ndarray | None, BlockIndex | None]:
     """The ``outside`` and ``blocks`` that ``matcore.validate_psd`` judges an
     element of the tensor product of ``shapes`` by (cached)."""
-    return _masks(shapes)[2:]
-
-
-def support_deviation(m, *shapes: AlgebraShape) -> float:
-    """Largest entry of m (or of a stack of matrices) outside the support of
-    the tensor product of ``shapes`` (of one algebra when one shape is given)."""
-    arr, off = np.asarray(m), _masks(shapes)[1]
-    if arr.shape[-2:] != off.shape:
-        raise ShapeMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
-    return max_abs(arr[..., off])
+    return _masks(shapes)[1:]
 
 
 def block_projectors(shape: AlgebraShape) -> tuple[np.ndarray, ...]:

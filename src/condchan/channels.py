@@ -19,20 +19,14 @@ the action on algebra elements is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    AlgebraShape,
-    block_index,
-    block_mask,
-    block_projectors,
-    support_deviation,
-)
+from .algebra import AlgebraShape, block_index, block_mask, block_projectors
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import herm_eig, herm_eigvals, max_abs, projector_deviation
+from .matcore import herm_eig, max_abs, projector_deviation
 from .states import State
 from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding, _choi_rounding
 
@@ -75,25 +69,29 @@ def _choi_matrix(c: Channel) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A CP map in Kraus form between two algebras.
+    """A TPCP map in Kraus form between two algebras, valid by construction.
 
     ``kraus`` is one read-only ``(r, d_out, d_in)`` array; iterating it gives
     the Kraus operators, and ``_superop`` holds their superoperator (16 bytes
-    per entry, formed also when ``check`` is False).  ``input_support`` is
-    None for trace-preserving channels; for channels recovered from a
-    conditional with deficient conditioning support it is the projector that
-    the Kraus operators resolve instead of the identity.
+    per entry).  ``input_support`` is None for trace-preserving channels; for
+    channels recovered from a conditional with deficient conditioning support
+    it is the projector that the Kraus operators resolve instead of the
+    identity.  The constructor measures what makes the map valid and raises
+    ``InvariantViolation`` on non-finite entries, on an input support that is
+    not a projector, on Σ K†K off the identity or the support
+    (``trace_preserving``) and on Choi entries off the pair blocks
+    (``output_block_support``), each deviation judged at ``IDENTITY_TOL``.  A
+    Kraus form is CP, so its Choi matrix is PSD but for rounding.
     """
 
     shape_in: AlgebraShape
     shape_out: AlgebraShape
     kraus: np.ndarray
     input_support: np.ndarray | None = None
-    check: InitVar[bool] = True
     _superop: np.ndarray = field(init=False, repr=False)
     _certifies = False  # whether ``apply`` and ``choi_conditional`` may skip judging their outputs
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         kraus = self.kraus
         try:
             if not isinstance(kraus, np.ndarray):
@@ -108,42 +106,39 @@ class Channel:
             raise ShapeMismatch(f"Kraus operator shape {ops.shape[1:]}, expected {(dout, din)}")
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
+        target = np.eye(din)
         if self.input_support is not None:
-            sup = np.array(self.input_support, dtype=np.complex128, copy=True)
-            sup.setflags(write=False)
-            object.__setattr__(self, "input_support", sup)
-        if check:
-            if not np.isfinite(ops).all():
-                raise InvariantViolation("finite", np.inf, "Kraus operators have non-finite entries")
-            target = np.eye(din)
-            if self.input_support is not None:
-                target = self.input_support
-                if target.shape != (din, din):
-                    raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
-                if not np.isfinite(target).all():
-                    raise InvariantViolation("finite", np.inf, "input support has non-finite entries")
-                proj_dev = projector_deviation(target)
-                if not proj_dev <= IDENTITY_TOL:
-                    raise InvariantViolation("support_projector", proj_dev)
-            # Finite Kraus operators can still overflow K†K; the deviation is
-            # then inf or NaN, which the NaN-safe tests here reject.
-            with np.errstate(over="ignore", invalid="ignore"):
-                tp_dev = max_abs(_kraus_gram(ops) - target)
-            if not tp_dev <= IDENTITY_TOL:
-                raise InvariantViolation(
-                    "trace_preserving", tp_dev,
-                    f"sum of K†K deviates from the required resolution by {tp_dev:.3e}",
-                )
+            target = np.array(self.input_support, dtype=np.complex128, copy=True)
+            target.setflags(write=False)
+            object.__setattr__(self, "input_support", target)
+        if not np.isfinite(ops).all():
+            raise InvariantViolation("finite", np.inf, "Kraus operators have non-finite entries")
+        if self.input_support is not None:
+            if target.shape != (din, din):
+                raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
+            if not np.isfinite(target).all():
+                raise InvariantViolation("finite", np.inf, "input support has non-finite entries")
+            proj_dev = projector_deviation(target)
+            if not proj_dev <= IDENTITY_TOL:
+                raise InvariantViolation("support_projector", proj_dev)
+        # Finite Kraus operators can still overflow K†K; the deviation is
+        # then inf or NaN, which the NaN-safe tests here reject.
+        with np.errstate(over="ignore", invalid="ignore"):
+            tp_dev = max_abs(_kraus_gram(ops) - target)
+        if not tp_dev <= IDENTITY_TOL:
+            raise InvariantViolation(
+                "trace_preserving", tp_dev,
+                f"sum of K†K deviates from the required resolution by {tp_dev:.3e}",
+            )
         object.__setattr__(self, "_superop", _superoperator(ops))
-        if check:
-            rows, off = block_mask(self.shape_in).ravel(), ~block_mask(self.shape_out).ravel()
-            block_dev = max_abs(self._superop[rows][:, off])  # Choi entries off the pair blocks
-            if not block_dev <= IDENTITY_TOL:
-                raise InvariantViolation("output_block_support", block_dev)
-            if (self.input_support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
-                    and din * din * block_dev <= BLOCK_TOL / 4
-                    and _apply_rounding(din, dout, len(ops)) <= INPUT_TOL / 4):
-                object.__setattr__(self, "_certifies", True)
+        rows, off = block_mask(self.shape_in).ravel(), ~block_mask(self.shape_out).ravel()
+        block_dev = max_abs(self._superop[rows][:, off])  # Choi entries off the pair blocks
+        if not block_dev <= IDENTITY_TOL:
+            raise InvariantViolation("output_block_support", block_dev)
+        if (self.input_support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
+                and din * din * block_dev <= BLOCK_TOL / 4
+                and _apply_rounding(din, dout, len(ops)) <= INPUT_TOL / 4):
+            object.__setattr__(self, "_certifies", True)
 
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
@@ -157,7 +152,7 @@ def apply(c: Channel, s: State) -> State:
     """Apply the channel to a state of the input algebra.
 
     The output is judged as any state is, unless the state's scalar pass proved
-    it definite (``matcore._accepts_scalar``) and the checked channel has no input
+    it definite (``matcore._accepts_scalar``) and the channel has no input
     support, d_in·tp_dev ≤ INPUT_TOL/4, d_in²·(Choi leak) ≤ BLOCK_TOL/4 and the
     rounding bound ``tolerances._apply_rounding`` ≤ INPUT_TOL/4.  The output then
     passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev
@@ -238,57 +233,11 @@ def canonical_reduction(c: Channel) -> Channel:
     return channel_from_conditional(choi_conditional(c))
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelReport:
-    """Validation report: deviations rather than booleans, and one verdict."""
-
-    tp_deviation: float
-    choi_min_eigenvalue: float
-    block_support_deviation: float
-    input_support_flagged: bool
-
-    @property
-    def ok(self) -> bool:
-        """Trace preserving, completely positive and inside the output
-        algebra, each within ``IDENTITY_TOL``."""
-        return (
-            self.tp_deviation <= IDENTITY_TOL
-            and self.choi_min_eigenvalue >= -IDENTITY_TOL
-            and self.block_support_deviation <= IDENTITY_TOL
-        )
-
-
-def _choi_spectrum(c: Channel) -> tuple[np.ndarray, float]:
-    """Eigenvalues of the Choi matrix, descending, and its largest entry off
-    the pair blocks.  The spectrum is taken per block unless that entry
-    exceeds ``BLOCK_TOL`` (a channel accepts up to ``IDENTITY_TOL``); then
-    the whole matrix is decomposed, leak included."""
-    choi = _choi_matrix(c)
-    leak = support_deviation(choi, c.shape_in, c.shape_out)
-    blocks = block_index(c.shape_in, c.shape_out) if leak <= BLOCK_TOL else None
-    return herm_eigvals(choi, blocks), leak
-
-
-def validate_channel(c: Channel) -> ChannelReport:
-    """Measure trace preservation, complete positivity (via the minimum
-    eigenvalue of the conditional form) and output block support."""
-    tp_dev = max_abs(_kraus_gram(c.kraus) - np.eye(c.shape_in.total_dim))
-    w, block_dev = _choi_spectrum(c)
-    return ChannelReport(
-        tp_deviation=float(tp_dev),
-        choi_min_eigenvalue=float(w[-1]) if w.size else 0.0,
-        block_support_deviation=float(block_dev),
-        input_support_flagged=c.input_support is not None,
-    )
-
-
-def is_isometry(c: Channel, tol: float = IDENTITY_TOL) -> bool:
-    """True iff the conditional form has rank one: a single eigenvalue within
-    tol of the trace and the rest within tol of zero."""
-    w = _choi_spectrum(c)[0]
-    if not w.size:
-        return False
-    trace = float(np.sum(w))
-    if abs(float(w[0]) - trace) > tol:
-        return False
-    return bool(np.all(np.abs(w[1:]) <= tol))
+def is_isometry(c: Channel) -> bool:
+    """True iff the Choi matrix has rank one: of the eigenvalues of one ``herm_eig``
+    of the whole matrix, the largest is within ``IDENTITY_TOL`` of their sum and
+    the rest within it of zero.  A channel on a reducible input algebra is never
+    an isometry: its pinched Choi matrix has rank at least one per input block."""
+    w = herm_eig(_choi_matrix(c)).eigenvalues
+    top_dev, rest_dev = abs(float(w[0]) - float(np.sum(w))), max_abs(w[1:])
+    return top_dev <= IDENTITY_TOL and rest_dev <= IDENTITY_TOL

@@ -392,9 +392,26 @@ def validate_psd(
     return False
 
 
-def _solved(solver, m, blocks: BlockIndex | None) -> list:
-    """``judge`` one square matrix, then run ``solver`` on its Hermitian part,
-    or with ``blocks`` on each group's stack."""
+def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
+    """Full spectral decomposition of a square matrix that is Hermitian
+    within ``INPUT_TOL`` (max entry of |m - m†|), the library's one spectral
+    routine: the matrix is judged and symmetrized first, so floating-point
+    drift cannot leak into spectra.  With ``blocks`` it is decomposed per
+    block, one stacked ``eigh`` per block size, and each eigenvector is
+    exactly zero outside its block.
+
+    Raises
+    ------
+    ShapeMismatch
+        If the matrix is not square, or does not fit ``blocks``.
+    InvariantViolation
+        From ``judge``: ``finite``, if an entry is NaN or infinite;
+        ``overflow``, if the Hermitian part overflows; ``hermitian``, if the
+        Hermiticity deviation exceeds ``INPUT_TOL``; ``block_support``, if
+        ``blocks`` is given and an entry outside them exceeds ``BLOCK_TOL``.
+    NoConvergence
+        If the underlying iterative solver fails.
+    """
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
@@ -405,29 +422,9 @@ def _solved(solver, m, blocks: BlockIndex | None) -> list:
     else:
         parts = judge(arr[None], blocks.outside, blocks)
     try:
-        return [solver(part) for part in parts]
+        solved = [np.linalg.eigh(part) for part in parts]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
-    """Full spectral decomposition of a square matrix that is Hermitian
-    within ``INPUT_TOL`` (max entry of |m - m†|); the matrix is
-    symmetrized first, so floating-point drift cannot leak into spectra.
-    With ``blocks`` it is decomposed per block, one stacked ``eigh`` per
-    block size, and each eigenvector is exactly zero outside its block.
-
-    Raises
-    ------
-    InvariantViolation
-        From ``judge``: ``finite``, if an entry is NaN or infinite;
-        ``overflow``, if the Hermitian part overflows; ``hermitian``, if the
-        Hermiticity deviation exceeds ``INPUT_TOL``; ``block_support``, if
-        ``blocks`` is given and an entry outside them exceeds ``BLOCK_TOL``.
-    NoConvergence
-        If the underlying iterative solver fails.
-    """
-    solved = _solved(np.linalg.eigh, m, blocks)
     if blocks is None:
         w, v = solved[0]
         v = _fix_phases(v)
@@ -440,16 +437,6 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
         v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
     order = np.argsort(-w, kind="stable")
     return EigenSystem(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
-def herm_eigvals(m, blocks: BlockIndex | None = None) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending, from one
-    ``eigvalsh`` call (one per block size with ``blocks``): ``herm_eig``
-    without the eigenvectors, with the same checks and errors."""
-    parts = _solved(np.linalg.eigvalsh, m, blocks)
-    if blocks is None:
-        return parts[0][::-1]
-    return np.sort(np.concatenate([w.ravel() for w in parts]))[::-1]
 
 
 def kron(a, b) -> np.ndarray:

@@ -267,14 +267,6 @@ def teleport(
     )
 
 
-def teleport_classical(c: Channel, input_state: State) -> TeleportReport:
-    """``teleport`` on the classical bit algebra, which it requires: the
-    parity check, with the one-time pad for the identity channel."""
-    if c.shape_in != CLASSICAL_BIT:
-        raise ShapeMismatch("teleport_classical needs the two-block classical bit algebra")
-    return teleport(c, input_state)
-
-
 # ---------------------------------------------------------------------------
 # Seeded random instances
 # ---------------------------------------------------------------------------

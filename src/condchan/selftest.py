@@ -26,7 +26,6 @@ from .channels import (
     choi_conditional,
     identity_channel,
     is_isometry,
-    validate_channel,
 )
 from .conditional import bayes_invert, conditional_from_joint, joint_from_conditional
 from .matcore import herm_eig, max_abs, partial_trace
@@ -38,7 +37,6 @@ from .scenarios import (
     random_state,
     random_unitary,
     teleport,
-    teleport_classical,
     verify_theorem,
 )
 from .states import reduce
@@ -155,8 +153,6 @@ def _check_purity_isometry(rng, trials):
         noisy = random_channel(QUBIT, QUBIT, 2, rng)
         if len(canonical_reduction(noisy).kraus) >= 2 and is_isometry(noisy):
             yield 1.0
-        if not validate_channel(noisy).ok:
-            yield 1.0
 
 
 def _check_theorem(rng, trials):
@@ -187,11 +183,11 @@ def _check_teleport_classical(rng, trials):
     for _ in range(trials):
         c = random_channel(BIT, BIT, 2, rng)
         s = random_state(BIT, rng)
-        report = teleport_classical(c, s)
+        report = teleport(c, s)
         yield abs(report.success_probability - 0.5)
         yield max_abs(report.bob_state_on_success.matrix - apply(c, s).matrix)
     pad_input = random_state(BIT, rng)
-    pad = teleport_classical(identity_channel(BIT), pad_input)
+    pad = teleport(identity_channel(BIT), pad_input)
     for corrected in pad.corrected_states:
         yield max_abs(corrected.matrix - pad_input.matrix)
 

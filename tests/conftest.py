@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condchan import AlgebraShape, ConditionalState, State
+from condchan import AlgebraShape, ConditionalState, ShapeMismatch, State
+from condchan.algebra import _masks
 from condchan.channels import max_ent_matrix
+from condchan.matcore import max_abs
 
 QUBIT = AlgebraShape((2,))
 QUTRIT = AlgebraShape((3,))
@@ -35,6 +37,15 @@ def random_psd(rng, dim, rank=None):
     cols = dim if rank is None else rank
     g = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
     return g @ g.conj().T
+
+
+def support_deviation(m, *shapes):
+    """Largest entry of m (or of a stack of matrices) outside the support of
+    the tensor product of ``shapes`` (of one algebra when one shape is given)."""
+    arr, off = np.asarray(m), ~_masks(shapes)[0]
+    if arr.shape[-2:] != off.shape:
+        raise ShapeMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
+    return max_abs(arr[..., off])
 
 
 def maximally_mixed(shape):

@@ -31,7 +31,6 @@ from condchan import (
     random_unitary,
     reduce,
     teleport,
-    teleport_classical,
     verify_theorem,
 )
 from condchan.channels import identity_channel
@@ -115,14 +114,14 @@ def test_criterion_3_teleportation_numbers():
     worst_classical = 0.0
     for _ in range(50):
         c = random_channel(BIT, BIT, 2, rng)
-        rep = teleport_classical(c, random_state(BIT, rng))
+        rep = teleport(c, random_state(BIT, rng))
         worst_classical = max(worst_classical, abs(rep.success_probability - 0.5))
 
     worst_pad = 0.0
     ident = identity_channel(BIT)
     for probe in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.7]):
         s = State(BIT, np.diag(probe).astype(complex))
-        rep = teleport_classical(ident, s)
+        rep = teleport(ident, s)
         for corrected in rep.corrected_states:
             worst_pad = max(worst_pad, float(np.max(np.abs(corrected.matrix - s.matrix))))
 

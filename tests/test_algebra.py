@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from condchan import AlgebraShape, ShapeMismatch, kron
-from condchan.algebra import (
-    block_mask,
-    block_projectors,
-    pair_mask,
-    support_deviation,
-)
-from conftest import BIT, MIXED, QUBIT
+from condchan.algebra import block_mask, block_projectors, pair_mask
+from conftest import BIT, MIXED, QUBIT, support_deviation
 from test_matcore import mul_oracle
 
 

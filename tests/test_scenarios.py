@@ -25,8 +25,6 @@ from condchan import (
     random_unitary,
     reduce,
     teleport,
-    teleport_classical,
-    validate_channel,
     verify_theorem,
 )
 from condchan.channels import apply_matrix
@@ -292,7 +290,7 @@ class TestTeleportClassical:
     def test_identity_pure_bit(self):
         c = identity_channel(BIT)
         s = State(BIT, np.diag([1.0, 0.0]).astype(complex))
-        report = teleport_classical(c, s)
+        report = teleport(c, s)
         assert report.grouping_used
         assert abs(report.success_probability - 0.5) < 1e-12
         for corrected in report.corrected_states:
@@ -301,14 +299,14 @@ class TestTeleportClassical:
     def test_maximally_mixed_fixed_point(self):
         c = identity_channel(BIT)
         s = State(BIT, np.diag([0.5, 0.5]).astype(complex))
-        report = teleport_classical(c, s)
+        report = teleport(c, s)
         for branch in report.branch_states:
             np.testing.assert_allclose(branch.matrix, s.matrix, atol=1e-12)
 
     def test_binary_symmetric_channel_success_branch(self):
         c = classical_channel([[0.9, 0.1], [0.1, 0.9]])
         s = State(BIT, np.diag([1.0, 0.0]).astype(complex))
-        report = teleport_classical(c, s)
+        report = teleport(c, s)
         assert abs(report.success_probability - 0.5) < 1e-12
         np.testing.assert_allclose(
             report.bob_state_on_success.matrix, np.diag([0.9, 0.1]), atol=1e-12
@@ -318,32 +316,21 @@ class TestTeleportClassical:
     def test_grouped_success_doubles_ungrouped(self, rng):
         c = random_channel(BIT, BIT, 2, rng)
         s = random_state(BIT, rng)
-        grouped = teleport_classical(c, s)
+        grouped = teleport(c, s)
         ungrouped = teleport(c, s, bell_basis(2), 0)
         assert abs(grouped.success_probability - 0.5) < 1e-12
         assert abs(ungrouped.success_probability - 0.25) < 1e-12
         assert grouped.grouping_used and not ungrouped.grouping_used
-
-    def test_requires_bit_algebra(self, rng):
-        with pytest.raises(ShapeMismatch):
-            teleport_classical(identity_channel(QUBIT), random_state(QUBIT, rng))
 
     def test_teleport_takes_the_parity_route_on_the_bit(self, rng):
         channels = (random_channel(BIT, BIT, 2, rng), random_channel(BIT, QUBIT, 2, rng),
                     identity_channel(BIT))
         for c in channels:
             s = random_state(BIT, rng)
-            got, want = teleport(c, s), teleport_classical(c, s)
+            got = teleport(c, s)
             assert got.grouping_used and got.success_index == 0
             assert abs(got.success_probability - 0.5) < 1e-12
-            assert got.success_probability == want.success_probability
-            np.testing.assert_array_equal(got.outcome_probabilities, want.outcome_probabilities)
-            for field in ("branch_states", "corrected_states"):
-                ours, theirs = getattr(got, field), getattr(want, field)
-                assert (ours is None) == (theirs is None), field
-                for a, b in zip(ours or (), theirs or ()):
-                    assert np.array_equal(a.matrix, b.matrix), field
-            assert np.array_equal(got.bob_state_on_success.matrix, want.bob_state_on_success.matrix)
+            np.testing.assert_allclose(got.bob_state_on_success.matrix, apply(c, s).matrix, atol=1e-12)
 
     def test_teleport_corrects_the_bit_by_the_one_time_pad(self, rng):
         for s in (random_state(BIT, rng), State(BIT, np.diag([0.0, 1.0]).astype(complex))):
@@ -395,7 +382,7 @@ class TestTeleportGeneral:
         even = np.diag(np.array([1.0, 0, 0, 1.0], dtype=complex))
         odd = np.diag(np.array([0.0, 1.0, 1.0, 0.0], dtype=complex))
         general = teleport(c, s, [even, odd], 0)
-        dedicated = teleport_classical(c, s)
+        dedicated = teleport(c, s)
         assert general.grouping_used and general.success_index == 0
         assert abs(general.success_probability - dedicated.success_probability) < 1e-12
         np.testing.assert_allclose(
@@ -408,12 +395,6 @@ class TestRandomInstances:
         for seed in range(1000):
             r = np.random.default_rng(seed)
             random_state(MIXED, r)  # constructor validates
-
-    def test_random_channels_always_valid(self):
-        for seed in range(1000):
-            r = np.random.default_rng(seed)
-            c = random_channel(QUBIT, MIXED, 2, r)
-            assert validate_channel(c).ok
 
     def test_determinism(self):
         a = random_state(QUBIT, np.random.default_rng(5)).matrix

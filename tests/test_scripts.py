@@ -50,6 +50,8 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     # one JSON record per line: the run, then one result per call
     run, *results = [json.loads(line) for line in text.splitlines()[1:]]
     assert (run["kind"], run["label"], run["run"], run["max_dim"]) == ("run", "a", 1, 3)
+    thresholds = (run["env"]["malloc_mmap_threshold"], run["env"]["malloc_trim_threshold"])
+    assert thresholds in ((64 << 20, 128 << 20), (None, None))
     assert {row["d"] for row in results if row["call"] == "teleport"} == {2, 3}
     src = SCRIPTS.parent / "src" / "condchan"
     assert run["src_lines"] == sum(

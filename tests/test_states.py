@@ -14,10 +14,9 @@ from condchan import (
     reduce,
     swap_factors,
 )
-from condchan.algebra import support_deviation
 from condchan.states import states_from_stack
 from condchan.scenarios import random_joint_state, random_state
-from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed
+from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed, support_deviation
 from test_matcore import partial_trace_oracle
 
 
