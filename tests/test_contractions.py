@@ -1655,9 +1655,9 @@ def test_channel_constructor_verdict_matches_the_choi_oracle(
 # -- tests: the isometry verdict ---------------------------------------------
 
 
-def oracle_is_isometry(c, tol=IDENTITY_TOL):
+def oracle_is_isometry(c):
     w = np.linalg.eigvalsh(hermitize(oracle_choi_matrix(c.kraus, c.shape_in)))[::-1]
-    return abs(w[0] - w.sum()) <= tol and bool(np.all(np.abs(w[1:]) <= tol))
+    return abs(w[0] - w.sum()) <= IDENTITY_TOL and bool(np.all(np.abs(w[1:]) <= IDENTITY_TOL))
 
 
 def isometry_cases(rng, shape):
