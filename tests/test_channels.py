@@ -22,7 +22,9 @@ from condchan import (
 )
 from condchan.channels import apply_matrix
 from condchan.scenarios import random_channel, random_state, random_unitary
-from conftest import BIT, MIXED, QUBIT, QUTRIT, max_ent_conditional, maximally_mixed
+from condchan.tolerances import IDENTITY_TOL
+from conftest import BIT, MIXED, QUBIT, QUTRIT, max_ent_conditional, maximally_mixed, support_deviation
+from test_contractions import oracle_choi_matrix
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -32,6 +34,18 @@ def depolarizing_qubit():
         np.outer(np.eye(2)[m], np.eye(2)[n]) / np.sqrt(2) for m in range(2) for n in range(2)
     )
     return Channel(QUBIT, QUBIT, kraus)
+
+
+def choi_validity(c):
+    """What makes a channel valid, measured on its Choi matrix as formed from
+    the Kraus tensor and solved by numpy: the deviation of Tr_B from the
+    identity, the largest entry off the pair blocks, the least eigenvalue, and
+    the rounding floor -D·ε·‖C‖ that the least eigenvalue must stay above."""
+    choi = oracle_choi_matrix(np.asarray(c.kraus), c.shape_in)
+    din, dout = c.shape_in.total_dim, c.shape_out.total_dim
+    tp = np.abs(partial_trace(choi, din, dout, "left") - np.eye(din)).max()
+    floor = -din * dout * np.finfo(float).eps * np.linalg.norm(choi, 2)
+    return tp, support_deviation(choi, c.shape_in, c.shape_out), np.linalg.eigvalsh(choi)[0], floor
 
 
 def classical_channel(rows):
@@ -237,6 +251,19 @@ class TestClassicalReduction:
 
 
 class TestValidateChannel:
+    def test_identity_report(self):
+        c = identity_channel(QUBIT)
+        tp, leak, low, _ = choi_validity(c)
+        assert tp < 1e-12 and leak == 0.0
+        assert abs(low) < 1e-12
+        assert c.input_support is None and is_isometry(c)
+
+    def test_random_channels_pass(self, rng):
+        for shapes in [(QUBIT, QUBIT), (MIXED, QUTRIT), (BIT, BIT)]:
+            tp, leak, low, floor = choi_validity(random_channel(*shapes, 2, rng))
+            assert tp <= IDENTITY_TOL and leak <= IDENTITY_TOL
+            assert low >= floor
+
     def test_transpose_map_choi_is_not_cp(self):
         # Choi of the entry-wise transpose: the factor-swap operator, eigenvalue -1
         swap_op = np.zeros((4, 4), dtype=complex)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condchan import (
+    AlgebraShape,
     InvariantViolation,
     ShapeMismatch,
     herm_eig,
@@ -11,6 +12,7 @@ from condchan import (
     partial_trace,
     swap_factors,
 )
+from condchan.algebra import block_index
 from conftest import random_hermitian, random_psd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,6 +118,29 @@ class TestHermEig:
         # constructors name them, without a numpy warning
         with pytest.raises(InvariantViolation) as info:
             herm_eig(np.array([[1e308] * 2] * 2))
+        assert (info.value.invariant, info.value.deviation) == ("overflow", np.inf)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_rejects_non_finite_in_a_block_before_solving(self, entry):
+        # the per-block path judges the matrix before its stacked solves too;
+        # entry (0, 1) sits in the first 4x4 block of (2, 2) ⊗ (2, 2)
+        shape = AlgebraShape((2, 2))
+        blocks = block_index(shape, shape)
+        assert blocks is not None
+        m = np.eye(16, dtype=complex)
+        m[0, 1] = entry
+        with pytest.raises(InvariantViolation) as info:
+            herm_eig(m, blocks)
+        assert (info.value.invariant, info.value.deviation) == ("finite", np.inf)
+
+    def test_rejects_overflow_in_a_block_before_solving(self):
+        shape = AlgebraShape((2, 2))
+        blocks = block_index(shape, shape)
+        assert blocks is not None
+        m = np.zeros((16, 16), dtype=complex)
+        m[:2, :2] = 1e308
+        with pytest.raises(InvariantViolation) as info:
+            herm_eig(m, blocks)
         assert (info.value.invariant, info.value.deviation) == ("overflow", np.inf)
 
     def test_empty_matrix_has_the_empty_system(self):

@@ -29,9 +29,10 @@ from condchan import (
 )
 from condchan.channels import apply_matrix
 from condchan.scenarios import random_block_unitary, random_support_projector
+from condchan.tolerances import IDENTITY_TOL
 from test_contractions import bad_bell_basis, bell_basis
 from conftest import BIT, MIXED, QUBIT, QUTRIT
-from test_channels import classical_channel, depolarizing_qubit
+from test_channels import choi_validity, classical_channel, depolarizing_qubit
 
 
 def trivial_povm(shape):
@@ -322,6 +323,13 @@ class TestTeleportClassical:
         assert abs(ungrouped.success_probability - 0.25) < 1e-12
         assert grouped.grouping_used and not ungrouped.grouping_used
 
+    def test_requires_bit_algebra(self, rng):
+        # the parity route is the bit's alone: an irreducible input takes the
+        # canonical Bell measurement, whose success outcome has probability 1/d²
+        report = teleport(identity_channel(QUBIT), random_state(QUBIT, rng))
+        assert not report.grouping_used
+        assert abs(report.success_probability - 0.25) < 1e-12
+
     def test_teleport_takes_the_parity_route_on_the_bit(self, rng):
         channels = (random_channel(BIT, BIT, 2, rng), random_channel(BIT, QUBIT, 2, rng),
                     identity_channel(BIT))
@@ -395,6 +403,13 @@ class TestRandomInstances:
         for seed in range(1000):
             r = np.random.default_rng(seed)
             random_state(MIXED, r)  # constructor validates
+
+    def test_random_channels_always_valid(self):
+        for seed in range(1000):
+            r = np.random.default_rng(seed)
+            tp, leak, low, floor = choi_validity(random_channel(QUBIT, MIXED, 2, r))
+            assert tp <= IDENTITY_TOL and leak <= IDENTITY_TOL
+            assert low >= floor
 
     def test_determinism(self):
         a = random_state(QUBIT, np.random.default_rng(5)).matrix
