@@ -33,7 +33,7 @@ from .matcore import (
     validate_psd,
 )
 from .states import JointState, State, _marginal, _side
-from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL
+from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL, _choi_rounding, _condition_rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +59,10 @@ class ConditionalState:
         if not check:
             return
         validate_psd(arr[None], *support_index(self.shape_in, self.shape_out))
+        self._require_projector_support()
+
+    def _require_projector_support(self) -> None:
+        """The conditioning support is a projector, of integer trace: run on every conditional."""
         p = self.conditioning_support()
         proj_dev = projector_deviation(p)
         if not proj_dev <= IDENTITY_TOL:
@@ -105,9 +109,11 @@ def _pinched_hermitian(s: np.ndarray, *shapes: AlgebraShape) -> np.ndarray:
 
 def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]:
     """The conditional of ``j`` on ``side`` ("a" or "b") and the spectrum of
-    that side's marginal, from which its generalized inverse root was taken.
+    that side's marginal, from which its generalized inverse root M was taken.
     The sandwich scales the joint's off-block slop by up to 1/λ_min of the
-    marginal, so the result's Hermitian part is pinched onto the pair algebra."""
+    marginal, so the result's Hermitian part is pinched onto the pair algebra.
+    Where ``tolerances._condition_rounding`` ≤ INPUT_TOL/4 and ``_choi_rounding`` ≤ INPUT_TOL/2 it
+    passes the judge and its Cholesky, so only the projector and rank tests run (README)."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     shape_in, marg_matrix = _marginal(j, side)
     marg = herm_eig(marg_matrix, block_index(shape_in))
@@ -117,7 +123,12 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
         shape_out, matrix, dim_out = j.shape_a, swap_factors(j.matrix, da, db), da
     out = _sandwich_on_first(marg.inv_root(), matrix, dim_out)
     out = _pinched_hermitian(out, shape_in, shape_out)
-    return ConditionalState(shape_in=shape_in, shape_out=shape_out, matrix=out), marg
+    bound = _condition_rounding(j._floor, marg.eigenvalues[marg.rank - 1], len(marg_matrix))
+    certified = bound <= INPUT_TOL / 4 and _choi_rounding(len(out)) <= INPUT_TOL / 2
+    cond = ConditionalState(shape_in, shape_out, out, check=not certified)
+    if certified:
+        cond._require_projector_support()
+    return cond, marg
 
 
 def conditional_from_joint(j: JointState, condition_on: str = "a") -> ConditionalState:
@@ -125,7 +136,7 @@ def conditional_from_joint(j: JointState, condition_on: str = "a") -> Conditiona
 
     Sandwiches the joint with the generalized inverse square root of the
     conditioning marginal (tensored with the identity).  A rank-deficient
-    marginal is handled by restriction to its support.
+    marginal is handled by restriction to its support; see ``_condition`` for positivity.
     """
     return _condition(j, _side(condition_on))[0]
 

@@ -10,18 +10,17 @@ Conventions fixed here once and relied on project-wide:
   contraction of ``t`` rather than a product with a materialized ``kron``;
 * eigenvalues are returned in descending order, with each eigenvector's
   phase fixed so that its first nonzero component is real and positive;
-* a matrix is judged once, by one routine (``judge``); a constructor certifies
-  its Hermitian part positive (``validate_psd``), or ``herm_eig`` decomposes it;
-* a single matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to a
-  pass on Python scalars that can only accept it; ``judge`` decides every
-  rejection, so no error or deviation depends on the pass; a certifying channel's
-  Choi form, and its output on a state the pass proves definite, are not judged;
-* a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the
-  library reads off a PSD spectrum is a view of that ``EigenSystem``: the
-  root, the generalized inverse root, the support projector and the rank.
-  The last three, and Kraus extraction, keep the eigenvalues above one
-  cutoff, ``CUTOFF_REL`` times the largest eigenvalue with the floor
-  ``CUTOFF_FLOOR`` (see ``tolerances``);
+* a matrix is judged once, by one routine (``judge``); a constructor certifies its
+  Hermitian part positive (``validate_psd``, with a floor on λmin), or ``herm_eig`` decomposes it;
+* a single matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to a pass
+  on Python scalars that can only accept it; ``judge`` decides every rejection, so no
+  error or deviation depends on the pass; a certifying channel's Choi form, its output
+  on a state the pass proves definite, and a conditional within its bound go unjudged;
+* a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the library
+  reads off a PSD spectrum is a view of that ``EigenSystem``: the root, the
+  generalized inverse root, the support projector and the rank.  The last three, and
+  Kraus extraction, keep the eigenvalues above one cutoff, ``CUTOFF_REL`` times the
+  largest eigenvalue with the floor ``CUTOFF_FLOOR`` (see ``tolerances``);
 * a matrix of a reducible algebra (or tensor product of algebras) of
   dimension at least ``BLOCKWISE_MIN_DIM`` is judged, certified and
   decomposed per block, by its ``BlockIndex`` (``algebra.block_index``), with
@@ -43,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, NoConvergence, ShapeMismatch
-from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE
+from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE, _cholesky_floor
 
 # Smallest matrix dimension given a block index.  Below it one solver call
 # on the whole matrix costs less than one call per block size plus the
@@ -68,6 +67,7 @@ SCALAR_MAX_DIM = 4
 _EPS = float(np.finfo(np.float64).eps)
 _HERM_BOUND, _LEAK_BOUND = INPUT_TOL * (1 - 8 * _EPS), BLOCK_TOL * (1 - 8 * _EPS)
 _CHOLESKY_SLACK = 32
+_tight_floor = lru_cache(maxsize=64)(_cholesky_floor)  # read on every unit-trace validation
 
 
 class BlockGroup(NamedTuple):
@@ -263,16 +263,16 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def judge(
     stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], float]:
     """Judge a (n, d, d) stack (a matrix is a batch of one) and return its
-    Hermitian part (m + m†)/2, fresh: the stack, or with ``blocks`` one
-    (n·k, s, s) stack per group of k blocks of size s.  Judged in order over
-    the whole stack: finite, overflow, hermitian, block_support (the entries
-    at the flat positions ``outside``, None for one block, against BLOCK_TOL)
-    and, with ``unit_trace``, trace.  With ``blocks`` and a leak within
-    BLOCK_TOL, only the block entries are gathered: such a leak is finite and
-    moves |m - m†| by at most 2·BLOCK_TOL < INPUT_TOL.  Warnings are off: a
-    Hermitian part that overflows raises ``overflow``."""
+    Hermitian part (m + m†)/2, fresh: the stack, or with ``blocks`` one (n·k, s, s)
+    stack per group of k blocks of size s; and the largest entry those parts leave
+    out (0.0 for the stack).  Judged in order over the whole stack: finite,
+    overflow, hermitian, block_support (the entries at the flat positions
+    ``outside``, None for one block, against BLOCK_TOL) and, with ``unit_trace``,
+    trace.  With ``blocks`` and a leak within BLOCK_TOL, only the block entries
+    are gathered: such a leak is finite and moves |m - m†| by at most 2·BLOCK_TOL
+    < INPUT_TOL.  Warnings are off: a Hermitian part that overflows raises ``overflow``."""
     n = len(stack)
     flat = stack.reshape(n, -1)
     leak = 0.0 if outside is None else max_abs(flat.take(outside, axis=1))
@@ -298,14 +298,14 @@ def judge(
         if not trace_dev <= INPUT_TOL:
             raise InvariantViolation("trace", trace_dev)
     if blocks is None:
-        return [herm]
-    return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in blocks.groups]
+        return [herm], 0.0
+    return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in blocks.groups], leak
 
 
-@lru_cache(maxsize=32)
-def _tol_identity(d: int) -> np.ndarray:
-    """INPUT_TOL·I on C^d (cached, read-only): adding it shifts a diagonal in one step."""
-    out = np.eye(d, dtype=np.complex128) * INPUT_TOL
+@lru_cache(maxsize=64)
+def _shift_identity(d: int, shift: float) -> np.ndarray:
+    """shift·I on C^d (cached, read-only): adding it shifts a diagonal in one step."""
+    out = np.eye(d, dtype=np.complex128) * shift
     out.setflags(write=False)
     return out
 
@@ -365,7 +365,7 @@ def _accepts_scalar(m: np.ndarray, outside: np.ndarray | None, unit_trace: bool)
 
 def validate_psd(
     stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
-) -> bool:
+) -> float:
     """``judge`` a (n, d, d) stack, then certify each Hermitian part + INPUT_TOL·I
     positive definite by one stacked Cholesky, a backward-stable certificate
     that every λmin ≥ -INPUT_TOL (Higham, *Accuracy and Stability of Numerical
@@ -374,22 +374,34 @@ def validate_psd(
     pays an ``eigvalsh`` of the whole stack, whose lowest eigenvalue decides
     and is the deviation of ``InvariantViolation('positive')``.  A single
     matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to
-    ``_accepts_scalar``; what it does not accept, the judge decides.  Returns
-    whether that pass proved the matrix definite (False from the judge)."""
+    ``_accepts_scalar``; what it does not accept, the judge decides.  Returns a floor,
+    λmin ≥ -floor over the whole Hermitian part: 0.0 where the scalar pass proved it
+    definite, inf after the INPUT_TOL test.  A unit-trace stack first tries the shift of
+    ``tolerances._cholesky_floor`` where its floor + d·(leak left out) ≤ INPUT_TOL/4."""
     if len(stack) == 1 and stack.shape[-1] <= SCALAR_MAX_DIM:
         definite = _accepts_scalar(stack[0], outside, unit_trace)
         if definite is not None:
-            return definite
-    parts = judge(stack, outside, blocks, unit_trace)
+            return 0.0 if definite else math.inf
+    parts, leak = judge(stack, outside, blocks, unit_trace)
+    dim = stack.shape[-1]  # block groups grow in size, and so does their floor: the last is largest
+    floor = _tight_floor(parts[-1].shape[-1], dim)[1] + dim * leak if unit_trace else math.inf
+    if floor <= INPUT_TOL / 4:
+        try:
+            for herm in parts:
+                herm += _shift_identity(herm.shape[-1], _tight_floor(herm.shape[-1], dim)[0])
+                np.linalg.cholesky(herm)
+            return floor
+        except np.linalg.LinAlgError:  # judged again, so the test below sees unshifted parts
+            parts = judge(stack, outside, blocks, unit_trace)[0]
     try:
         for herm in parts:
-            herm += _tol_identity(herm.shape[-1])
+            herm += _shift_identity(herm.shape[-1], INPUT_TOL)
             np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         low = float(np.linalg.eigvalsh(hermitize(stack)).min())
         if not low >= -INPUT_TOL:
             raise InvariantViolation("positive", -low) from None
-    return False
+    return math.inf
 
 
 def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
@@ -416,11 +428,11 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     if arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     if blocks is None:
-        parts = [judge(arr[None], None, None)[0][0]]
+        parts = [h[0] for h in judge(arr[None], None, None)[0]]
     elif arr.shape[0] != blocks.compact.shape[1]:
         raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its block index")
     else:
-        parts = judge(arr[None], blocks.outside, blocks)
+        parts = judge(arr[None], blocks.outside, blocks)[0]
     try:
         solved = [np.linalg.eigh(part) for part in parts]
     except np.linalg.LinAlgError as exc:

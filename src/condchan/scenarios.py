@@ -86,10 +86,10 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
 
     The left side measures n (x) m on the joint state.  The right side prepares
     σ_j = √ρ_Aᵀ N_jᵀ √ρ_Aᵀ from the transposed marginal, evolves it by the
-    Jamiołkowski action E(σ) = Tr_A[(σᵀ ⊗ I) ρ_{B|A}] of the conditional on A,
-    and measures m.  Both transposes are entry-wise in the fixed embedding basis
-    and cancel: the right side is the left side's contraction with
-    (√ρ_A N_j √ρ_A, ρ_{B|A}) in place of (N_j, ρ_AB).
+    Jamiołkowski action E(σ) = Tr_A[(σᵀ ⊗ I) ρ_{B|A}] of the conditional on A, and
+    measures m.  Both transposes are entry-wise in the fixed embedding basis and
+    cancel: the right side is the left side's contraction with (√ρ_A N_j √ρ_A,
+    ρ_{B|A}) in place of (N_j, ρ_AB).  ρ_{B|A} may skip its judge (``_condition``).
     """
     if n.shape != j.shape_a:
         raise ShapeMismatch("POVM n must live on the first factor of the joint state")

@@ -31,7 +31,7 @@ class State:
         if arr.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
         object.__setattr__(self, "matrix", arr)
-        if check and validate_psd(arr[None], *support_index(self.shape), unit_trace=True):
+        if check and validate_psd(arr[None], *support_index(self.shape), unit_trace=True) == 0.0:
             object.__setattr__(self, "_definite", True)
 
 
@@ -57,7 +57,8 @@ class JointState:
         if arr.shape != (d, d):
             raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
         object.__setattr__(self, "matrix", arr)
-        validate_psd(arr[None], *support_index(self.shape_a, self.shape_b), unit_trace=True)
+        index = support_index(self.shape_a, self.shape_b)  # λmin ≥ -_floor; see ``_condition``
+        object.__setattr__(self, "_floor", validate_psd(arr[None], *index, unit_trace=True))
 
 
 def _side(keep: str) -> str:

@@ -38,3 +38,19 @@ def _choi_rounding(dim: int) -> float:
     """Cholesky margin for a dim × dim Choi matrix, diagonal ≤ 1 + tp_dev: dim·γ̃_{dim+1}, complex
     γ̃_{dim+1} ≤ √2·γ_{dim+3}, rounded up (Higham, *Accuracy and Stability*, Thm 10.7)."""
     return 2.0**-52 * dim * (dim + 3)
+
+
+
+
+
+def _cholesky_floor(size: int, dim: int) -> tuple[float, float]:
+    """Shift t₀ = ``_choi_rounding(s)``·(1 + INPUT_TOL) for s × s blocks of unit-trace dim × dim H,
+    and the floor t₀ + γ_{2s+6}·tr(H + t₀·I) ≥ -λmin(H) that a factor of fl(H + t₀·I) proves."""
+    shift, gamma = _choi_rounding(size) * (1 + INPUT_TOL), (2 * size + 6) * 2.0**-53
+    return shift, shift + gamma / (1 - gamma) * (1 + INPUT_TOL + dim * shift)
+
+
+def _condition_rounding(floor: float, kept_min: float, d_in: int) -> float:
+    """-λmin of pinch(herm(fl((M ⊗ I) ρ (M ⊗ I)))) if λmin(herm ρ) ≥ -floor: ‖M‖² ≤ (1 + 8d²ε)/kept_min
+    times floor + γ_{2d+6}·d·‖|ρ|‖₂, ‖|ρ|‖₂ ≤ 2, d = d_in (Higham, §3.5; README, Conventions)."""
+    return (1 + 8 * d_in * d_in * 2.0**-52) / kept_min * (floor + 2.0**-52 * d_in * (2 * d_in + 6))

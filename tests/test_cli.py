@@ -20,18 +20,24 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from condchan import (
+    AlgebraShape,
     CondChanError,
     DocumentSyntaxError,
     InvariantViolation,
+    JointState,
     NoConvergence,
     ShapeMismatch,
     SupportMismatch,
     choi_conditional,
     cli,
     conditional_from_joint,
+    random_joint_state,
+    random_povm,
+    random_unitary,
     reduce,
 )
 from condchan.errors import UsageError
+from condchan.matcore import hermitize
 from condchan.selftest import run_selftest
 from condchan.serialize import KINDS, parse, serialize
 from conftest import QUBIT, maximally_mixed
@@ -121,6 +127,33 @@ def test_verify_theorem_golden_fixture():
     assert report["kind"] == "theorem_report"
     assert report["maxDeviation"] < 1e-9
     assert "maxDeviation" in out.stderr or "PASS" in out.stderr
+
+
+def test_verify_theorem_accepts_a_deviation_equal_to_the_tolerance(tmp_path):
+    # A deviation is accepted when it is at most the tolerance, and the one
+    # reported round-trips through JSON, so it can be handed back as --tol.
+    # The golden fixture cannot show this: its distributions sum to 1 within
+    # 5.6e-16, above its 8.3e-17 deviation, so they fail at that tolerance.
+    # Here ρ_A has an eigenvalue below the support cutoff, which the
+    # conditional drops: a deviation of about 3e-8 on sums within 6e-12.
+    rng = np.random.default_rng(0)
+    qutrit = AlgebraShape((3,))
+    s = (random_unitary(3, rng) * np.sqrt([1, 0.5, 1e-11])) @ random_unitary(3, rng)
+    kron_s = np.kron(s, np.eye(2))
+    sandwich = kron_s @ random_joint_state(qutrit, QUBIT, rng).matrix @ kron_s.conj().T
+    joint = hermitize(sandwich) / np.trace(sandwich).real
+    docs = {"joint": JointState(qutrit, QUBIT, joint), "povm-a": random_povm(qutrit, 3, rng),
+            "povm-b": random_povm(QUBIT, 2, rng)}
+    args = ["verify-theorem"]
+    for name, obj in docs.items():
+        (tmp_path / name).write_text(serialize(obj), encoding="utf-8")
+        args += [f"--{name}", str(tmp_path / name)]
+    deviation = json.loads(run_cli(*args, expect=4).stdout)["maxDeviation"]
+    assert 1e-9 < deviation < 1e-7
+    out = run_cli(*args, "--tol", repr(deviation))
+    assert json.loads(out.stdout)["maxDeviation"] == deviation
+    assert out.stderr.rstrip().endswith(f"(tol {deviation:g}): PASS")
+    run_cli(*args, "--tol", repr(float(np.nextafter(deviation, 0))), expect=4)
 
 
 def test_teleport_identity_qubit_reports_quarter():

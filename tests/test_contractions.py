@@ -31,10 +31,14 @@ decomposed whole.  Where the scalar pass proves a state definite and a
 channel's bounds fit, ``apply`` skips judging the output: it gives
 the judged path's verdict and bytes, and every output it skips passes the judge.
 So does ``choi_conditional`` for a certified channel, whose unchecked Choi matrix
-passes each constructor test with the margin its proof states.
+passes each constructor test with the margin its proof states, and so does
+conditioning a joint whose tight certificate fits the rounding bound: the
+tight-first certificate of a unit-trace stack gives the eigvalsh verdict, and
+every floor it returns holds.
 """
 
 import importlib.util
+import math
 from functools import partial
 from pathlib import Path
 
@@ -93,6 +97,7 @@ from condchan.matcore import (
     hermitize,
     judge,
     max_abs,
+    projector_deviation,
     validate_psd,
 )
 from condchan.scenarios import (
@@ -105,8 +110,15 @@ from condchan.scenarios import (
     random_support_projector,
 )
 from condchan.states import states_from_stack
-from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, NEGLIGIBLE, _choi_rounding
-from conftest import support_deviation
+from condchan.tolerances import (
+    BLOCK_TOL,
+    IDENTITY_TOL,
+    INPUT_TOL,
+    NEGLIGIBLE,
+    _choi_rounding,
+    _cholesky_floor,
+)
+from conftest import QUBIT, QUTRIT, support_deviation
 
 ATOL = 1e-12
 MIXED_BY_DIM = {3: (2, 1), 4: (2, 1, 1), 5: (3, 2), 6: (3, 2, 1), 7: (4, 2, 1), 8: (4, 2, 1, 1)}
@@ -1420,6 +1432,188 @@ def test_certified_choi_is_judged_above_the_cholesky_margin(rng, monkeypatch):
         choi_conditional(c)
     assert judged == [(1, 474, 474)]
     assert _choi_rounding(473) <= INPUT_TOL / 2 < _choi_rounding(474)
+
+
+# -- the tight-first certificate and certified conditioning -------------------
+
+
+# single algebras and pairs, judged whole below BLOCKWISE_MIN_DIM or when
+# irreducible, and per block from it
+TIGHT_SHAPES = [((5,),), ((2, 2, 1),), ((16,),), ((1,) * 16,), ((8, 4, 2, 1, 1),), ((4,), (4,)),
+                ((2, 2), (2, 2)), ((3, 1), (2, 2)), ((8,), (8,)), ((4, 2, 1, 1), (4, 2, 1, 1))]
+
+
+def tight_floor(*shapes):
+    """The number of Cholesky groups of a unit-trace element of the tensor
+    product of ``shapes``, and the floor its tight certificate proves."""
+    d = int(np.prod([shape.total_dim for shape in shapes]))
+    blocks = support_index(*shapes)[1]
+    sizes = [d] if blocks is None else [g.size for g in blocks.groups]
+    return len(sizes), max(_cholesky_floor(size, d)[1] for size in sizes)
+
+
+@pytest.mark.parametrize("dims", TIGHT_SHAPES, ids=lambda dims: "x".join(map(str, dims)))
+def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
+    # unit-trace matrices U diag(w) U† inside the algebra, U = Ua (⊗ Ub) block
+    # unitary, with λmin = w[0] at > 0, 0 (one or half of the eigenvalues),
+    # -floor/2, -2·floor, -1e-12 and -INPUT_TOL·(1 ∓ 1e-3), and, judged per
+    # block, the first with BLOCK_TOL/2 on every entry off the blocks
+    shapes = [AlgebraShape(dim) for dim in dims]
+    index = support_index(*shapes)
+    u = np.kron(*[random_block_unitary(s, rng) for s in shapes]) if len(shapes) == 2 \
+        else random_block_unitary(shapes[0], rng)
+    d = len(u)
+    groups, floor = tight_floor(*shapes)
+    assert floor <= INPUT_TOL / 4
+    half = np.where(np.arange(d) < d // 2, 0.0, rng.random(d) + 0.1)
+    lows = [0.5 / d, 0.0, -floor / 2, -2 * floor, -1e-12, -INPUT_TOL * (1 - 1e-3)]
+    spectra = [spectrum(rng, d, low) for low in lows] + [half / half.sum()]
+    spectra.append(spectrum(rng, d, -INPUT_TOL * (1 + 1e-3)))
+    cases = [(u * w) @ u.conj().T for w in spectra]
+    off = ~pair_mask(*shapes) if len(shapes) == 2 else ~block_mask(shapes[0])
+    if index[1] is not None:
+        cases.append(cases[0] + BLOCK_TOL / 2 * off)
+    stacks = [m[None] for m in cases] + [np.stack(cases[:2]), np.stack([cases[0], cases[3]])]
+    calls = count_linalg(monkeypatch, ("cholesky",))
+
+    def run(stack):
+        calls.clear()
+        floors = []
+        got = verdict(lambda: floors.append(validate_psd(stack, *index, True)))
+        return got, (floors or [None])[0], len(calls)
+
+    got, floors, counts = zip(*map(run, stacks))
+    want = [verdict(oracle_validate_psd, stack, *index, True) for stack in stacks]
+    assert list(got) == want
+    assert [w and w[1] for w in want] == [None] * 7 + ["positive"] + [None] * (len(stacks) - 8)
+    for stack, proved in zip(stacks, floors):  # every floor returned holds
+        if proved is not None:
+            assert np.linalg.eigvalsh(hermitize(stack)).min() >= -proved
+    # one Cholesky per group at or above 0: full rank, rank d - 1, half rank
+    # and the stack of the first two, each proving the tight floor
+    for k in (0, 1, 6, -2):
+        assert counts[k] == groups and floors[k] == floor
+    # below -floor the tight factor fails, and the INPUT_TOL test runs
+    for k in (3, 4, 5, 7, -1):
+        assert groups < counts[k] <= 2 * groups and floors[k] in (None, math.inf)
+    assert (counts[2] == groups) == (floors[2] == floor)
+    if index[1] is not None:  # the leak that the blocks leave out is added,
+        # and a floor above INPUT_TOL/4 is not tried (d = 64 here)
+        leaky = floor + d * (BLOCK_TOL / 2)
+        assert floors[8] == (leaky if leaky <= INPUT_TOL / 4 else math.inf)
+        assert counts[8] == groups
+
+
+COND_PAIRS = [((2,), (2,)), ((3,), (2,)), ((1, 1), (3,)), ((2, 1), (1, 1, 1)), ((4,), (4,)),
+              ((1,) * 4, (1,) * 4), ((3, 1), (2, 2)), ((8,), (8,)), ((1,) * 8, (1,) * 8),
+              ((4, 2, 1, 1), (4, 2, 1, 1))]
+
+
+def record_unchecked(monkeypatch):
+    """Record (shape_in, shape_out, matrix) of every conditional that
+    ``conditional`` builds with ``check=False``."""
+    built = []
+
+    def build(shape_in, shape_out, matrix, check=True):
+        if not check:
+            built.append((shape_in, shape_out, matrix))
+        return ConditionalState(shape_in, shape_out, matrix, check=check)
+
+    monkeypatch.setattr("condchan.conditional.ConditionalState", build)
+    return built
+
+
+def condition_outcomes(cases):
+    """For each (joint, n, m): the verdict of ``conditional_from_joint`` on
+    each side and of ``verify_theorem``, with the bits of what they return."""
+    out = []
+    for j, n, m in cases:
+        for side in ("a", "b"):
+            got = []
+            out.append((verdict(lambda: got.append(conditional_from_joint(j, side))),
+                        [cond.matrix.tobytes() for cond in got]))
+        reports = []
+        out.append((verdict(lambda: reports.append(verify_theorem(j, n, m))),
+                    [(r.lhs.tobytes(), r.rhs.tobytes(), r.max_deviation, r.support_restricted)
+                     for r in reports]))
+    return out
+
+
+def check_certified_conditioning(monkeypatch, cases):
+    """The outcomes of ``condition_outcomes`` are those with the bound made
+    never to fit, and every conditional built unchecked passes the full
+    constructor, exactly Hermitian, 0 off the pair blocks and with λmin at
+    least -INPUT_TOL/4.  Returns how many were built unchecked."""
+    built = record_unchecked(monkeypatch)
+    got = condition_outcomes(cases)
+    certified = len(built)
+    for shape_in, shape_out, m in built:
+        assert verdict(ConditionalState, shape_in, shape_out, m) is None
+        assert without_scalar_pass(verdict, ConditionalState, shape_in, shape_out, m) is None
+        assert np.array_equal(m, m.conj().T) and support_deviation(m, shape_in, shape_out) == 0
+        assert np.linalg.eigvalsh(m).min() >= -INPUT_TOL / 4
+    monkeypatch.setattr("condchan.conditional._condition_rounding", lambda *args: math.inf)
+    assert condition_outcomes(cases) == got
+    assert len(built) == certified
+    return certified
+
+
+@pytest.mark.parametrize("dims_a, dims_b", COND_PAIRS, ids=lambda dims: "x".join(map(str, dims)))
+def test_certified_conditioning_gives_the_checked_verdict_and_bits(rng, dims_a, dims_b,
+                                                                   monkeypatch):
+    # random joints, of full rank and with a rank-deficient first marginal,
+    # and the valid joints of ``pair_cases``: λmin = -INPUT_TOL·(1 - 1e-3), and
+    # off-block slop of ±BLOCK_TOL·(1 - 1e-3) on a reducible pair
+    shape_a, shape_b = AlgebraShape(dims_a), AlgebraShape(dims_b)
+    joints = [random_joint_state(shape_a, shape_b, rng) for _ in range(2)]
+    joints.append(random_joint_state(shape_a, shape_b, rng, rank_a=shape_a.total_dim // 2))
+    edges = [m for kind, m, fails in pair_cases(rng, shape_a, shape_b)
+             if kind == "joint" and fails is None]
+    joints += [JointState(shape_a, shape_b, m) for m in edges]
+    povms = [(random_povm(shape_a, 3, rng), random_povm(shape_b, 3, rng)) for _ in joints]
+    certified = check_certified_conditioning(monkeypatch, [(j, *nm) for j, nm in zip(joints, povms)])
+    # both sides and the theorem of each random joint are certified, but for
+    # a rank-deficient one that the scalar pass takes (floor inf); the joint at
+    # λmin = -INPUT_TOL·(1 - 1e-3) (floor inf) is judged
+    small = shape_a.total_dim * shape_b.total_dim <= SCALAR_MAX_DIM
+    assert (6 if small else 9) <= certified < 3 * len(joints)
+
+
+def test_certified_conditioning_gives_the_checked_verdict_near_the_cutoff(monkeypatch):
+    # the product joints of ``TestNearCutoffVerdicts``, spec(ρ_A) ∝ (1, 0.5, ε)
+    cutoff = importlib.import_module("test_conditional").TestNearCutoffVerdicts
+    rng = np.random.default_rng(7)
+    cases = [(cutoff.joint(eps, seed), random_povm(QUTRIT, 3, rng), random_povm(QUBIT, 2, rng))
+             for eps in cutoff.EPSILONS for seed in cutoff.SEEDS]
+    # certified: every conditioning on B, whose marginal is a random qubit
+    # state, and at ε = 1e-11, below the cutoff, on A and in the theorem
+    assert check_certified_conditioning(monkeypatch, cases) >= 36 + 12
+
+
+@pytest.mark.parametrize("dims", [(3,), (1, 1, 1), (2, 1), (4, 4)], ids=str)
+def test_certified_conditioning_is_built_without_validate_psd_or_cholesky(rng, dims, monkeypatch):
+    # a joint proved within its tight floor is conditioned with no judge and no
+    # Cholesky; one valid only within INPUT_TOL (λmin = -1e-12, below its
+    # floor) is judged once, one Cholesky per block group
+    shape = AlgebraShape(dims)
+    d = shape.total_dim
+    joint = random_joint_state(shape, shape, rng)
+    u = np.kron(random_block_unitary(shape, rng), random_block_unitary(shape, rng))
+    edge = JointState(shape, shape, (u * spectrum(rng, d * d, -1e-12)) @ u.conj().T)
+    assert joint._floor <= INPUT_TOL / 4 and edge._floor == math.inf
+    groups = tight_floor(shape, shape)[0]
+    n, m = random_povm(shape, 3, rng), random_povm(shape, 2, rng)
+    judged = count_conditional_judges(monkeypatch)
+    calls = count_linalg(monkeypatch, ("cholesky",))
+    projector_tests = []  # the projector and rank tests still run on each
+    monkeypatch.setattr("condchan.conditional.projector_deviation",
+                        lambda p: projector_tests.append(p.shape) or projector_deviation(p))
+    for side in ("a", "b"):
+        conditional_from_joint(joint, side)
+    verify_theorem(joint, n, m)
+    assert judged == [] and calls == [] and projector_tests == [(d, d)] * 3
+    conditional_from_joint(edge, "a")
+    assert judged == [(1, d * d, d * d)] and len(calls) == groups
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
