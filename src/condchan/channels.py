@@ -27,7 +27,7 @@ from .algebra import AlgebraShape, block_index, block_mask, block_projectors
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import herm_eig, max_abs, projector_deviation
-from .states import State
+from .states import State, _trusted
 from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding, _choi_rounding
 
 
@@ -151,16 +151,18 @@ def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
 def apply(c: Channel, s: State) -> State:
     """Apply the channel to a state of the input algebra.
 
-    The output is judged as any state is, unless the state's scalar pass proved
-    it definite (``matcore._accepts_scalar``) and the channel has no input
+    The output is judged as any state is, unless the state's floor is 0.0, proved
+    definite by the scalar pass (``matcore._accepts_scalar``), and the channel has no input
     support, d_in·tp_dev ≤ INPUT_TOL/4, d_in²·(Choi leak) ≤ BLOCK_TOL/4 and the
     rounding bound ``tolerances._apply_rounding`` ≤ INPUT_TOL/4.  The output then
     passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev
     + rounding, leak within BLOCK_TOL/4, and Φ(ρ) ≽ λmin(ρ)·Φ(I) ≽ 0 (a Kraus form
-    is CP).  The output is not itself certified: an ``apply`` to it judges it."""
+    is CP).  It is then built by ``_trusted`` with floor inf, so an ``apply`` to it judges it."""
     if s.shape != c.shape_in:
         raise ShapeMismatch("state does not live on the channel's input algebra")
-    return State(c.shape_out, apply_matrix(c, s.matrix), check=not (c._certifies and s._definite))
+    if c._certifies and s.floor == 0.0:
+        return _trusted(State, c.shape_out, apply_matrix(c, s.matrix), floor=np.inf)
+    return State(c.shape_out, apply_matrix(c, s.matrix))
 
 
 def identity_channel(shape: AlgebraShape) -> Channel:
@@ -173,14 +175,15 @@ def choi_conditional(c: Channel) -> ConditionalState:
     """Conditional-state form of a channel: act with the channel on the
     conditioned factor of the maximally entangled conditional.
 
-    Built unchecked for a certified channel within ``tolerances._choi_rounding``:
+    Built by ``_trusted``, floor inf, for a certified channel within ``tolerances._choi_rounding``:
     C = mask∘Σ vec(K) vec(K)† is PSD but for rounding ‖E‖₂ ≤ γ_r·tr(Σ K†K) ≤
     ``_apply_rounding`` ≤ INPUT_TOL/4, so C is Hermitian within that and C + INPUT_TOL·I
     clears the Cholesky margin; its leak is the Choi leak, ≤ BLOCK_TOL/(4·d_in²); its
     support (Σ K†K)ᵀ∘mask is within INPUT_TOL/(2·d_in) of I (README, Conventions)."""
     choi = _choi_matrix(c)
-    certified = c._certifies and _choi_rounding(len(choi)) <= INPUT_TOL / 2
-    return ConditionalState(c.shape_in, c.shape_out, choi, check=not certified)
+    if c._certifies and _choi_rounding(len(choi)) <= INPUT_TOL / 2:
+        return _trusted(ConditionalState, c.shape_in, c.shape_out, choi, floor=np.inf)
+    return ConditionalState(c.shape_in, c.shape_out, choi)
 
 
 def apply_via_conditional(cond: ConditionalState, s: State) -> np.ndarray:

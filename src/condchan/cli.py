@@ -68,7 +68,7 @@ def _verify_theorem(args) -> tuple[str, str, int]:
     report = verify_theorem(args.joint, args.povm_a, args.povm_b)
     payload = {"kind": "theorem_report", "lhs": report.lhs.tolist(), "rhs": report.rhs.tolist(),
                "maxDeviation": report.max_deviation, "supportRestricted": report.support_restricted}
-    ok = report.max_deviation <= args.tol and report.distributions_valid(args.tol)
+    ok = report.max_deviation <= args.tol and report.distributions_valid()
     verdict = "PASS" if ok else "FAIL"
     summary = f"maxDeviation {report.max_deviation:.3e} (tol {args.tol:g}): {verdict}"
     return docs.dumps(payload), summary, EXIT_OK if ok else EXIT_NUMERICAL

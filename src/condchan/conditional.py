@@ -15,24 +15,22 @@ conditional came from a joint state), so its trace is an integer rank.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, pair_mask, support_index
+from .algebra import AlgebraShape, block_index, pair_mask
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
-    as_matrix,
     herm_eig,
     hermitize,
     max_abs,
     partial_trace,
     projector_deviation,
     swap_factors,
-    validate_psd,
 )
-from .states import JointState, State, _marginal, _side
+from .states import JointState, State, _judge, _marginal, _side, _trusted
 from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL, _choi_rounding, _condition_rounding
 
 
@@ -48,17 +46,11 @@ class ConditionalState:
     shape_in: AlgebraShape
     shape_out: AlgebraShape
     matrix: np.ndarray
-    check: InitVar[bool] = True
+    floor: float = field(init=False, repr=False)  # see ``_condition``
 
-    def __post_init__(self, check: bool):
-        arr = as_matrix(self.matrix)
+    def __post_init__(self):
         d = self.shape_in.total_dim * self.shape_out.total_dim
-        if arr.shape != (d, d):
-            raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
-        object.__setattr__(self, "matrix", arr)
-        if not check:
-            return
-        validate_psd(arr[None], *support_index(self.shape_in, self.shape_out))
+        _judge(self, d, self.shape_in, self.shape_out, unit_trace=False)
         self._require_projector_support()
 
     def _require_projector_support(self) -> None:
@@ -112,8 +104,9 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
     that side's marginal, from which its generalized inverse root M was taken.
     The sandwich scales the joint's off-block slop by up to 1/λ_min of the
     marginal, so the result's Hermitian part is pinched onto the pair algebra.
-    Where ``tolerances._condition_rounding`` ≤ INPUT_TOL/4 and ``_choi_rounding`` ≤ INPUT_TOL/2 it
-    passes the judge and its Cholesky, so only the projector and rank tests run (README)."""
+    Where ``tolerances._condition_rounding`` of ``j.floor`` ≤ INPUT_TOL/4 and ``_choi_rounding`` ≤
+    INPUT_TOL/2 it passes the judge and its Cholesky: ``_trusted`` builds it with that bound as
+    its floor, and only the projector and rank tests run (README)."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     shape_in, marg_matrix = _marginal(j, side)
     marg = herm_eig(marg_matrix, block_index(shape_in))
@@ -123,11 +116,11 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
         shape_out, matrix, dim_out = j.shape_a, swap_factors(j.matrix, da, db), da
     out = _sandwich_on_first(marg.inv_root(), matrix, dim_out)
     out = _pinched_hermitian(out, shape_in, shape_out)
-    bound = _condition_rounding(j._floor, marg.eigenvalues[marg.rank - 1], len(marg_matrix))
-    certified = bound <= INPUT_TOL / 4 and _choi_rounding(len(out)) <= INPUT_TOL / 2
-    cond = ConditionalState(shape_in, shape_out, out, check=not certified)
-    if certified:
-        cond._require_projector_support()
+    bound = _condition_rounding(j.floor, marg.eigenvalues[marg.rank - 1], len(marg_matrix))
+    if not (bound <= INPUT_TOL / 4 and _choi_rounding(len(out)) <= INPUT_TOL / 2):
+        return ConditionalState(shape_in, shape_out, out), marg
+    cond = _trusted(ConditionalState, shape_in, shape_out, out, floor=bound)
+    cond._require_projector_support()
     return cond, marg
 
 

@@ -49,12 +49,12 @@ class TheoremReport:
     max_deviation: float
     support_restricted: bool
 
-    def distributions_valid(self, tol: float = IDENTITY_TOL) -> bool:
-        # written so that a NaN entry fails both tests
+    def distributions_valid(self) -> bool:
+        # judged at IDENTITY_TOL, written so that a NaN entry fails both tests
         for mat in (self.lhs, self.rhs):
-            if not float(mat.min()) >= -tol:
+            if not float(mat.min()) >= -IDENTITY_TOL:
                 return False
-            if not abs(float(mat.sum()) - 1.0) <= tol:
+            if not abs(float(mat.sum()) - 1.0) <= IDENTITY_TOL:
                 return False
         return True
 

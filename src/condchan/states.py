@@ -1,13 +1,13 @@
 """Density operators on an algebra and joint states on tensor products.
 
-States are stored in embedded form (a full matrix supported on the block
-diagonal) and validated eagerly at construction; pass ``check=False`` for
-intermediate values that are fixed up before observation.
+States are stored in embedded form (a full matrix supported on the block diagonal).  A
+constructor copies and judges its matrix and keeps ``floor``, λmin(Hermitian part) ≥ -floor;
+a map whose output is valid by a bound builds it with ``_trusted`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,31 +16,40 @@ from .errors import ShapeMismatch
 from .matcore import as_matrix, partial_trace, validate_psd
 
 
+def _judge(obj, d: int, *shapes: AlgebraShape, unit_trace: bool = True) -> None:
+    """Copy ``obj.matrix``, require it (d, d), judge it on ``shapes`` and keep its proved floor."""
+    arr = as_matrix(obj.matrix)
+    if arr.shape != (d, d):
+        raise ShapeMismatch(f"matrix shape {arr.shape}, expected {(d, d)}")
+    object.__setattr__(obj, "matrix", arr)
+    object.__setattr__(obj, "floor", validate_psd(arr[None], *support_index(*shapes), unit_trace))
+
+
+def _trusted(cls, *values, floor: float):
+    """A ``cls`` of ``values`` that takes over the last, a fresh array, with no copy or judge."""
+    obj = object.__new__(cls)
+    values[-1].setflags(write=False)
+    vars(obj).update(zip(cls.__match_args__, values), floor=floor)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """Positive unit-trace element of an algebra, in embedded form."""
 
     shape: AlgebraShape
     matrix: np.ndarray
-    check: InitVar[bool] = True
-    _definite = False  # whether ``validate_psd`` proved the matrix definite; see ``apply``
+    floor: float = field(init=False, repr=False)  # see ``apply``
 
-    def __post_init__(self, check: bool):
-        arr = as_matrix(self.matrix)
-        d = self.shape.total_dim
-        if arr.shape != (d, d):
-            raise ShapeMismatch(f"matrix shape {arr.shape} does not match total dim {d}")
-        object.__setattr__(self, "matrix", arr)
-        if check and validate_psd(arr[None], *support_index(self.shape), unit_trace=True) == 0.0:
-            object.__setattr__(self, "_definite", True)
+    def __post_init__(self):
+        _judge(self, self.shape.total_dim, self.shape)
 
 
 def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:
-    """Validate a (n, d, d) stack of density matrices with one shared check
-    (one stacked Cholesky factorization) and wrap each matrix as a State."""
-    if len(stack):
-        validate_psd(stack, *support_index(shape), unit_trace=True)
-    return tuple(State(shape, m, check=False) for m in stack)
+    """Validate a fresh (n, d, d) stack of density matrices with one shared check
+    (one stacked Cholesky factorization) and take each matrix over as a State."""
+    floor = validate_psd(stack, *support_index(shape), unit_trace=True) if len(stack) else None
+    return tuple(_trusted(State, shape, m, floor=floor) for m in stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,15 +59,10 @@ class JointState:
     shape_a: AlgebraShape
     shape_b: AlgebraShape
     matrix: np.ndarray
+    floor: float = field(init=False, repr=False)  # see ``_condition``
 
     def __post_init__(self):
-        arr = as_matrix(self.matrix)
-        d = self.shape_a.total_dim * self.shape_b.total_dim
-        if arr.shape != (d, d):
-            raise ShapeMismatch(f"matrix shape {arr.shape} does not match kron dim {d}")
-        object.__setattr__(self, "matrix", arr)
-        index = support_index(self.shape_a, self.shape_b)  # λmin ≥ -_floor; see ``_condition``
-        object.__setattr__(self, "_floor", validate_psd(arr[None], *index, unit_trace=True))
+        _judge(self, self.shape_a.total_dim * self.shape_b.total_dim, self.shape_a, self.shape_b)
 
 
 def _side(keep: str) -> str:

@@ -40,9 +40,6 @@ def _choi_rounding(dim: int) -> float:
     return 2.0**-52 * dim * (dim + 3)
 
 
-
-
-
 def _cholesky_floor(size: int, dim: int) -> tuple[float, float]:
     """Shift t₀ = ``_choi_rounding(s)``·(1 + INPUT_TOL) for s × s blocks of unit-trace dim × dim H,
     and the floor t₀ + γ_{2s+6}·tr(H + t₀·I) ≥ -λmin(H) that a factor of fl(H + t₀·I) proves."""

@@ -22,6 +22,7 @@ from condchan import (
 )
 from condchan.channels import apply_matrix
 from condchan.scenarios import random_channel, random_state, random_unitary
+from condchan.states import _trusted
 from condchan.tolerances import IDENTITY_TOL
 from conftest import BIT, MIXED, QUBIT, QUTRIT, max_ent_conditional, maximally_mixed, support_deviation
 from test_contractions import oracle_choi_matrix
@@ -173,7 +174,7 @@ class TestChannelFromConditional:
 
     def test_rejects_non_projector_support(self):
         scaled = max_ent_conditional(QUBIT).matrix * 0.9
-        cond = ConditionalState(QUBIT, QUBIT, scaled, check=False)
+        cond = _trusted(ConditionalState, QUBIT, QUBIT, scaled, floor=np.inf)
         # the recovered channel's constructor judges the 0.9·I support
         with pytest.raises(InvariantViolation) as info:
             channel_from_conditional(cond)
@@ -181,7 +182,7 @@ class TestChannelFromConditional:
         assert info.value.deviation == pytest.approx(9e-2)
 
     def test_rejects_conditional_without_spectral_weight(self):
-        cond = ConditionalState(QUBIT, QUBIT, np.zeros((4, 4)), check=False)
+        cond = _trusted(ConditionalState, QUBIT, QUBIT, np.zeros((4, 4), dtype=complex), floor=np.inf)
         with pytest.raises(InvariantViolation) as info:
             channel_from_conditional(cond)
         assert (info.value.invariant, info.value.deviation) == ("spectral_weight", 0.0)

@@ -26,6 +26,7 @@ from condchan import (
     InvariantViolation,
     JointState,
     NoConvergence,
+    POVM,
     ShapeMismatch,
     SupportMismatch,
     choi_conditional,
@@ -40,6 +41,7 @@ from condchan.errors import UsageError
 from condchan.matcore import hermitize
 from condchan.selftest import run_selftest
 from condchan.serialize import KINDS, parse, serialize
+from condchan.tolerances import IDENTITY_TOL
 from conftest import QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,31 +131,60 @@ def test_verify_theorem_golden_fixture():
     assert "maxDeviation" in out.stderr or "PASS" in out.stderr
 
 
+def theorem_args(tmp_path, docs):
+    """``verify-theorem`` arguments for a joint and two POVMs written to ``tmp_path``."""
+    args = ["verify-theorem"]
+    for name, obj in docs.items():
+        (tmp_path / name).write_text(serialize(obj), encoding="utf-8")
+        args += [f"--{name}", str(tmp_path / name)]
+    return args
+
+
 def test_verify_theorem_accepts_a_deviation_equal_to_the_tolerance(tmp_path):
     # A deviation is accepted when it is at most the tolerance, and the one
     # reported round-trips through JSON, so it can be handed back as --tol.
-    # The golden fixture cannot show this: its distributions sum to 1 within
-    # 5.6e-16, above its 8.3e-17 deviation, so they fail at that tolerance.
-    # Here ρ_A has an eigenvalue below the support cutoff, which the
-    # conditional drops: a deviation of about 3e-8 on sums within 6e-12.
+    # --tol judges only the deviation; the distributions are judged at
+    # IDENTITY_TOL.  The golden fixture's sum to 1 within 5.6e-16, above its
+    # 8.3e-17 deviation.  In the second instance ρ_A has an eigenvalue below
+    # the support cutoff, which the conditional drops: a deviation of about
+    # 3e-8 on sums within 6e-12.
+    golden = ["verify-theorem"] + [
+        arg for name in ("joint", "povm_a", "povm_b")
+        for arg in (f"--{name.replace('_', '-')}", str(FIXTURES / f"theorem_{name}.json"))
+    ]
     rng = np.random.default_rng(0)
     qutrit = AlgebraShape((3,))
     s = (random_unitary(3, rng) * np.sqrt([1, 0.5, 1e-11])) @ random_unitary(3, rng)
     kron_s = np.kron(s, np.eye(2))
     sandwich = kron_s @ random_joint_state(qutrit, QUBIT, rng).matrix @ kron_s.conj().T
     joint = hermitize(sandwich) / np.trace(sandwich).real
-    docs = {"joint": JointState(qutrit, QUBIT, joint), "povm-a": random_povm(qutrit, 3, rng),
-            "povm-b": random_povm(QUBIT, 2, rng)}
-    args = ["verify-theorem"]
-    for name, obj in docs.items():
-        (tmp_path / name).write_text(serialize(obj), encoding="utf-8")
-        args += [f"--{name}", str(tmp_path / name)]
-    deviation = json.loads(run_cli(*args, expect=4).stdout)["maxDeviation"]
-    assert 1e-9 < deviation < 1e-7
-    out = run_cli(*args, "--tol", repr(deviation))
-    assert json.loads(out.stdout)["maxDeviation"] == deviation
-    assert out.stderr.rstrip().endswith(f"(tol {deviation:g}): PASS")
-    run_cli(*args, "--tol", repr(float(np.nextafter(deviation, 0))), expect=4)
+    near_cutoff = theorem_args(tmp_path, {
+        "joint": JointState(qutrit, QUBIT, joint), "povm-a": random_povm(qutrit, 3, rng),
+        "povm-b": random_povm(QUBIT, 2, rng)})
+    for args, default_exit, low, high in ((golden, 0, 0.0, 1e-15), (near_cutoff, 4, 1e-9, 1e-7)):
+        deviation = json.loads(run_cli(*args, expect=default_exit).stdout)["maxDeviation"]
+        assert low < deviation < high
+        out = run_cli(*args, "--tol", repr(deviation))
+        assert json.loads(out.stdout)["maxDeviation"] == deviation
+        assert out.stderr.rstrip().endswith(f"(tol {deviation:g}): PASS")
+        run_cli(*args, "--tol", repr(float(np.nextafter(deviation, 0))), expect=4)
+
+
+def test_verify_theorem_judges_the_distributions_at_identity_tol(tmp_path, rng):
+    # POVMs that each resolve (1 + 0.99·IDENTITY_TOL)·I, which their constructor
+    # accepts, give distributions that sum to 1 + 1.98·IDENTITY_TOL on both
+    # sides, with no deviation between them: a FAIL at any --tol
+    scale = 1 + 0.99 * IDENTITY_TOL
+    povms = [random_povm(shape, 2, rng) for shape in (QUBIT, QUBIT)]
+    args = theorem_args(tmp_path, {
+        "joint": random_joint_state(QUBIT, QUBIT, rng),
+        **{name: POVM(QUBIT, tuple(e * scale for e in p.elements))
+           for name, p in zip(("povm-a", "povm-b"), povms)}})
+    out = run_cli(*args, "--tol", "1", expect=4)
+    report = json.loads(out.stdout)
+    assert report["maxDeviation"] < 1e-15
+    assert abs(sum(map(sum, report["lhs"])) - 1) > 1.9 * IDENTITY_TOL
+    assert out.stderr.rstrip().endswith("(tol 1): FAIL")
 
 
 def test_teleport_identity_qubit_reports_quarter():

@@ -34,7 +34,9 @@ So does ``choi_conditional`` for a certified channel, whose unchecked Choi matri
 passes each constructor test with the margin its proof states, and so does
 conditioning a joint whose tight certificate fits the rounding bound: the
 tight-first certificate of a unit-trace stack gives the eigvalsh verdict, and
-every floor it returns holds.
+every floor it returns holds.  Every output that a map builds by ``_trusted``,
+unjudged, is one its public constructor accepts, read-only and sharing no memory
+with the map's inputs, and its floor holds.
 """
 
 import importlib.util
@@ -109,7 +111,7 @@ from condchan.scenarios import (
     random_block_unitary,
     random_support_projector,
 )
-from condchan.states import states_from_stack
+from condchan.states import _trusted, states_from_stack
 from condchan.tolerances import (
     BLOCK_TOL,
     IDENTITY_TOL,
@@ -797,7 +799,7 @@ def test_constructors_give_the_eigvalsh_verdict(rng, shape, monkeypatch):
         )
 
     got = run()
-    for module in ("states", "povm", "conditional"):
+    for module in ("states", "povm"):
         monkeypatch.setattr(f"condchan.{module}.validate_psd", oracle_validate_psd)
     want = run()
     assert got == want
@@ -862,8 +864,7 @@ def test_block_certificate_gives_the_whole_eigvalsh_verdict(rng, dims_a, dims_b,
     # only the certificate ran on the valid cases, per block when reducible
     sizes = {shape[-1] for name, shape in calls if name == "cholesky"}
     assert (max(sizes) < shape_a.total_dim * shape_b.total_dim) == reducible
-    for module in ("states", "conditional"):
-        monkeypatch.setattr(f"condchan.{module}.validate_psd", oracle_validate_psd)
+    monkeypatch.setattr("condchan.states.validate_psd", oracle_validate_psd)
     want = run()
     assert got == want
     assert [w and w[1] for w in want] == [fails for _, _, fails in cases]
@@ -1125,7 +1126,7 @@ def apply_outcome(shape_in, shape_out, kraus, support, x):
 
     def run():
         c, s = Channel(shape_in, shape_out, kraus, support), State(shape_in, x)
-        out.append((apply(c, s).matrix, c._certifies and s._definite))
+        out.append((apply(c, s).matrix, c._certifies and s.floor == 0.0))
 
     return verdict(run), *(out[0] if out else (None, False))
 
@@ -1202,7 +1203,7 @@ def test_certified_apply_gives_the_judge_verdict_and_bytes(
 def test_apply_skips_the_judge_of_certified_outputs_only(rng, dims, monkeypatch):
     shape = AlgebraShape(dims)
     c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
-    assert c._certifies and s._definite
+    assert c._certifies and s.floor == 0.0
     judged = []
 
     def counted(stack, *args, **kwargs):
@@ -1211,14 +1212,14 @@ def test_apply_skips_the_judge_of_certified_outputs_only(rng, dims, monkeypatch)
 
     monkeypatch.setattr("condchan.states.validate_psd", counted)
     out = apply(c, s)
-    assert judged == [] and not out._definite
+    assert judged == [] and out.floor == math.inf
     assert out.matrix.tobytes() == apply_matrix(c, s.matrix).tobytes()
-    # a chained apply, a channel with an input support and a state made
-    # without a check are all judged
+    # a chained apply, a channel with an input support and a state with no
+    # proved floor are all judged
     apply(c, out)
     proj = np.eye(shape.total_dim)
     apply(Channel(shape, shape, c.kraus, input_support=proj), s)
-    apply(c, State(shape, s.matrix, check=False))
+    apply(c, _trusted(State, shape, np.array(s.matrix), floor=math.inf))
     assert len(judged) == 3
 
 
@@ -1260,7 +1261,7 @@ def test_apply_judges_the_output_of_an_inexact_pair(case):
     # = 2).  Neither is certified, and apply keeps the judge's error.
     shape_in, shape_out, kraus, x, invariant, deviation = uncertified_pair(case)
     c, s = Channel(shape_in, shape_out, kraus), State(shape_in, x)
-    assert c._certifies != s._definite
+    assert c._certifies != (s.floor == 0.0)
     got = verdict(apply, c, s)
     assert got[:2] == (InvariantViolation, invariant) and got[2] == pytest.approx(deviation)
     assert got == without_scalar_pass(verdict, apply, c, s)
@@ -1274,7 +1275,7 @@ def test_channel_accepted_within_identity_tol_keeps_its_trace_verdict(rng):
     kraus = random_channel(shape, shape, 2, rng).kraus * np.sqrt(1 + 2e-10)
     c = Channel(shape, shape, kraus)
     s = random_state(shape, rng)
-    assert not c._certifies and s._definite
+    assert not c._certifies and s.floor == 0.0
     with pytest.raises(InvariantViolation) as err:
         apply(c, s)
     assert err.value.invariant == "trace" and err.value.deviation == pytest.approx(2e-10, rel=1e-3)
@@ -1390,14 +1391,15 @@ def test_certified_choi_gives_the_checked_verdict_at_dim_16(seed, shapes):
 
 
 def count_conditional_judges(monkeypatch):
-    """Record the stack shape of every ``validate_psd`` call a ``ConditionalState`` makes."""
+    """Record the stack shape of every ``validate_psd`` call a ``ConditionalState`` makes: the
+    constructors judge through ``states._judge``, and the callers here build no other state."""
     judged = []
 
     def counted(stack, *args, **kwargs):
         judged.append(stack.shape)
         return validate_psd(stack, *args, **kwargs)
 
-    monkeypatch.setattr("condchan.conditional.validate_psd", counted)
+    monkeypatch.setattr("condchan.states.validate_psd", counted)
     return judged
 
 
@@ -1509,17 +1511,17 @@ COND_PAIRS = [((2,), (2,)), ((3,), (2,)), ((1, 1), (3,)), ((2, 1), (1, 1, 1)), (
               ((4, 2, 1, 1), (4, 2, 1, 1))]
 
 
-def record_unchecked(monkeypatch):
-    """Record (shape_in, shape_out, matrix) of every conditional that
-    ``conditional`` builds with ``check=False``."""
+def record_trusted(monkeypatch):
+    """Patch ``_trusted`` in every module that calls it; the list returned
+    receives each object it builds."""
     built = []
 
-    def build(shape_in, shape_out, matrix, check=True):
-        if not check:
-            built.append((shape_in, shape_out, matrix))
-        return ConditionalState(shape_in, shape_out, matrix, check=check)
+    def build(cls, *values, floor):
+        built.append(_trusted(cls, *values, floor=floor))
+        return built[-1]
 
-    monkeypatch.setattr("condchan.conditional.ConditionalState", build)
+    for module in ("states", "conditional", "channels"):
+        monkeypatch.setattr(f"condchan.{module}._trusted", build)
     return built
 
 
@@ -1544,10 +1546,10 @@ def check_certified_conditioning(monkeypatch, cases):
     never to fit, and every conditional built unchecked passes the full
     constructor, exactly Hermitian, 0 off the pair blocks and with λmin at
     least -INPUT_TOL/4.  Returns how many were built unchecked."""
-    built = record_unchecked(monkeypatch)
+    built = record_trusted(monkeypatch)
     got = condition_outcomes(cases)
     certified = len(built)
-    for shape_in, shape_out, m in built:
+    for shape_in, shape_out, m in ((c.shape_in, c.shape_out, c.matrix) for c in built):
         assert verdict(ConditionalState, shape_in, shape_out, m) is None
         assert without_scalar_pass(verdict, ConditionalState, shape_in, shape_out, m) is None
         assert np.array_equal(m, m.conj().T) and support_deviation(m, shape_in, shape_out) == 0
@@ -1600,7 +1602,7 @@ def test_certified_conditioning_is_built_without_validate_psd_or_cholesky(rng, d
     joint = random_joint_state(shape, shape, rng)
     u = np.kron(random_block_unitary(shape, rng), random_block_unitary(shape, rng))
     edge = JointState(shape, shape, (u * spectrum(rng, d * d, -1e-12)) @ u.conj().T)
-    assert joint._floor <= INPUT_TOL / 4 and edge._floor == math.inf
+    assert joint.floor <= INPUT_TOL / 4 and edge.floor == math.inf
     groups = tight_floor(shape, shape)[0]
     n, m = random_povm(shape, 3, rng), random_povm(shape, 2, rng)
     judged = count_conditional_judges(monkeypatch)
@@ -1614,6 +1616,76 @@ def test_certified_conditioning_is_built_without_validate_psd_or_cholesky(rng, d
     assert judged == [] and calls == [] and projector_tests == [(d, d)] * 3
     conditional_from_joint(edge, "a")
     assert judged == [(1, d * d, d * d)] and len(calls) == groups
+
+
+# -- every trusted output is what the judged path builds ---------------------
+
+
+def held_arrays(*objs):
+    """The arrays that library objects hold: matrices, Kraus tensors, superoperators, effects."""
+    names = ("matrix", "kraus", "_superop", "input_support")
+    arrays = [getattr(obj, name, None) for obj in objs for name in names]
+    arrays += [e for obj in objs for e in getattr(obj, "elements", ())]
+    return [a for a in arrays if a is not None]
+
+
+def check_trusted(out, inputs):
+    """``out`` is read-only, row-major complex128, shares no memory with ``inputs``, is
+    rebuilt from a copy by its public constructor with the same bytes, and its floor holds."""
+    m, cls = out.matrix, type(out)
+    assert m.dtype == np.complex128 and m.flags.c_contiguous and not m.flags.writeable
+    assert not any(np.shares_memory(m, x) for x in inputs)
+    rebuilt = cls(*[getattr(out, name) for name in cls.__match_args__[:-1]], np.array(m))
+    assert rebuilt.matrix.tobytes() == m.tobytes()
+    if math.isfinite(out.floor):
+        assert np.linalg.eigvalsh(hermitize(m)).min() >= -out.floor
+
+
+def trusted_calls(rng, shape):
+    """(map name, function, arguments) of every map with a trusted path, on ``shape``."""
+    d = shape.total_dim
+    c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
+    whole = AlgebraShape((d,))
+    calls = [("apply", apply, (c, s)), ("choi_conditional", choi_conditional, (c,)),
+             ("prepare", prepare, (random_povm(shape, 3, rng), s)),
+             ("teleport", teleport,
+              (random_channel(whole, shape, 2, rng), random_state(whole, rng)))]
+    if shape.is_irreducible or shape == CLASSICAL_BIT:  # the corrected states
+        calls.append(("teleport identity", teleport, (identity_channel(shape), s)))
+    for rank_a in (None, 1):
+        j = random_joint_state(shape, shape, rng, rank_a=rank_a)
+        calls += [(f"condition {side}", conditional_from_joint, (j, side)) for side in "ab"]
+        povms = (random_povm(shape, 3, rng), random_povm(shape, 2, rng))
+        calls.append(("verify_theorem", verify_theorem, (j, *povms)))
+    return calls
+
+
+TRUSTED_SHAPES = [AlgebraShape(dims) for dims in ((2,), (4,), (1, 1), (1,) * 4, (2, 1), (2, 1, 1))]
+
+
+def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
+    # on irreducible, classical and mixed shapes, and on the near-cutoff joints
+    # of ``TestNearCutoffVerdicts``, whose conditioning may fail after its
+    # ``_trusted`` call: what a failed call built never leaves it
+    cutoff = importlib.import_module("test_conditional").TestNearCutoffVerdicts
+    calls = [call for shape in TRUSTED_SHAPES for call in trusted_calls(rng, shape)]
+    for eps in cutoff.EPSILONS:
+        for seed in cutoff.SEEDS:
+            j = cutoff.joint(eps, seed)
+            povms = (random_povm(QUTRIT, 3, rng), random_povm(QUBIT, 2, rng))
+            calls += [(f"condition {side}", conditional_from_joint, (j, side)) for side in "ab"]
+            calls.append(("verify_theorem", verify_theorem, (j, *povms)))
+    built, counts = record_trusted(monkeypatch), {}
+    for name, fn, args in calls:
+        if verdict(fn, *args) is not None:
+            del built[:]
+            continue
+        for out in built:
+            check_trusted(out, held_arrays(*args))
+        counts[name] = counts.get(name, 0) + len(built)
+        del built[:]
+    # every map, and teleport's corrected states, built some outputs unjudged
+    assert sorted(counts) == sorted({name for name, _, _ in calls}) and min(counts.values()) > 0
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
@@ -2069,7 +2141,7 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
     assert (info.value.invariant, info.value.deviation) == ("block_support", 2 * BLOCK_TOL)
     # an unchecked conditional does not lose its leak in Kraus extraction
     with pytest.raises(InvariantViolation, match="block_support"):
-        channel_from_conditional(ConditionalState(shape, shape, leaky, check=False))
+        channel_from_conditional(_trusted(ConditionalState, shape, shape, leaky, floor=np.inf))
     # without an index the whole matrix is decomposed, leak included
     close(herm_eig(leaky).eigenvalues, np.linalg.eigvalsh(leaky)[::-1])
     # drift within INPUT_TOL inside a block is symmetrized away first

@@ -37,6 +37,7 @@ from condchan.serialize import (
     serialize,
     to_payload,
 )
+from condchan.states import _trusted
 from conftest import BIT, MIXED, QUBIT, maximally_mixed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -119,8 +120,8 @@ def test_unknown_kind():
 
 
 def test_document_keys_are_the_constructor_arguments():
-    # a new constructor field cannot silently drop out of documents; an
-    # InitVar such as ``check`` is not a field
+    # a new constructor field cannot silently drop out of documents; a field
+    # the constructor derives, such as ``floor``, is not an argument
     for kind, (cls, keys) in _SCHEMA.items():
         assert list(keys) == [f.name for f in dataclasses.fields(cls) if f.init], kind
 
@@ -278,7 +279,7 @@ def test_shape_must_be_a_list_of_integers(shape):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False, min_value=0.0, max_value=1.0))
 def test_float_payload_round_trips_exactly(x):
-    s = State(QUBIT, np.diag([x, 1.0 - x]).astype(complex), check=False)
+    s = _trusted(State, QUBIT, np.diag([x, 1.0 - x]).astype(complex), floor=np.inf)
     back = parse(serialize(s))
     assert back.matrix[0, 0] == x
 
@@ -322,7 +323,7 @@ def _support_restricted_channel(rng):
 
 
 def _unchecked_state(*entries):
-    return State(QUBIT, np.array(entries, dtype=np.complex128).reshape(2, 2), check=False)
+    return _trusted(State, QUBIT, np.array(entries, dtype=np.complex128).reshape(2, 2), floor=np.inf)
 
 
 def _hermitian_specials(rng):
@@ -337,7 +338,7 @@ def _hermitian_specials(rng):
     m[np.tril_indices(16, -1)] = m.T[np.tril_indices(16, -1)].conj()
     m[1, 2] = m[2, 1] = complex(0.0, -0.0)  # a zero whose mirror has its bits
     m[np.diag_indices(16)] = [complex(0.25, -0.0), -0.0, complex(np.inf, 0.0)] + [1e-310] * 13
-    return State(AlgebraShape((16,)), m, check=False)
+    return _trusted(State, AlgebraShape((16,)), m, floor=np.inf)
 
 
 def _low_bit_flipped(rng):
@@ -346,7 +347,7 @@ def _low_bit_flipped(rng):
     c = conditional_from_joint(random_joint_state(QUART, QUART, rng), "a")
     m = c.matrix.copy()
     m.view(np.uint64)[9, 2 * 4 + 1] ^= 1  # the imaginary part of m[9, 4]
-    return ConditionalState(QUART, QUART, m, check=False)
+    return _trusted(ConditionalState, QUART, QUART, m, floor=np.inf)
 
 
 def _marginals(rng, shape):
@@ -389,7 +390,7 @@ PINNED = {
     "unchecked-signed-zero": lambda rng: _unchecked_state(complex(-0.0, -0.0), complex(0.0, -0.0), -0.0, 1.0),
     "unchecked-extremes": lambda rng: _unchecked_state(5e-324, complex(2.2250738585072014e-308, -1e300), 1e300, complex(-1.7976931348623157e308, 1e-320)),
     "hermitian-specials": _hermitian_specials,
-    "hermitian-1x1": lambda rng: State(ONE, np.array([[complex(-0.0, -0.0)]]), check=False),
+    "hermitian-1x1": lambda rng: _trusted(State, ONE, np.array([[complex(-0.0, -0.0)]]), floor=np.inf),
     "hermitian-low-bit-flipped": _low_bit_flipped,
     "channel-non-square": lambda rng: random_channel(QUBIT, QUART, 2, rng),
     "conditional-derived-d16": lambda rng: conditional_from_joint(random_joint_state(QUART, QUART, rng), "b"),

@@ -83,9 +83,6 @@ class TestValidation:
                     states_from_stack(QUBIT, stack)
             assert err.value.invariant == invariant
 
-    def test_unchecked_constructor_allows_drift(self):
-        State(QUBIT, np.diag([0.7, 0.7]).astype(complex), check=False)
-
     def test_matrices_are_read_only(self):
         s = maximally_mixed(QUBIT)
         with pytest.raises(ValueError):
