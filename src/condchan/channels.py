@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraShape, block_index, block_mask, block_projectors
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import herm_eig, max_abs, projector_deviation
+from .matcore import _as_stack, herm_eig, max_abs, projector_deviation
 from .states import State, _trusted
 from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding, _choi_rounding
 
@@ -92,11 +92,8 @@ class Channel:
     _certifies = False  # whether ``apply`` and ``choi_conditional`` may skip judging their outputs
 
     def __post_init__(self):
-        kraus = self.kraus
         try:
-            if not isinstance(kraus, np.ndarray):
-                kraus = list(kraus)
-            ops = np.array(kraus, dtype=np.complex128, order="C")
+            ops = _as_stack(self.kraus)
         except (TypeError, ValueError) as exc:
             raise ShapeMismatch(f"Kraus operators do not stack into one tensor: {exc}") from exc
         if ops.shape[:1] == (0,):
@@ -104,7 +101,6 @@ class Channel:
         din, dout = self.shape_in.total_dim, self.shape_out.total_dim
         if ops.shape[1:] != (dout, din):
             raise ShapeMismatch(f"Kraus operator shape {ops.shape[1:]}, expected {(dout, din)}")
-        ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         target = np.eye(din)
         if self.input_support is not None:

@@ -218,6 +218,13 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
+def _as_stack(items) -> np.ndarray:
+    """A read-only row-major complex128 copy of an array or a sequence of equal-shape matrices."""
+    arr = np.array(items if isinstance(items, np.ndarray) else [*items], np.complex128, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m†)/2 of a matrix or of each matrix in
     a stack."""

@@ -14,28 +14,35 @@ import numpy as np
 
 from .algebra import AlgebraShape, block_index, support_index
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
-from .matcore import as_matrix, herm_eig, hermitize, max_abs, validate_psd
+from .matcore import _as_stack, as_matrix, herm_eig, hermitize, max_abs, validate_psd
 from .states import State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """Positive elements of an algebra summing to its identity."""
+    """Positive elements of an algebra summing to its identity, held as one read-only tensor."""
 
     shape: AlgebraShape
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(as_matrix(e) for e in self.elements)
-        if not elems:
-            raise ShapeMismatch("a POVM needs at least one element")
         d = self.shape.total_dim
-        for e in elems:
-            if e.shape != (d, d):
-                raise ShapeMismatch(f"element shape {e.shape} does not match total dim {d}")
-        object.__setattr__(self, "elements", elems)
-        stack = np.stack(elems)
+        items = self.elements if isinstance(self.elements, np.ndarray) else list(self.elements)
+        try:
+            stack = _as_stack(items)
+        except (TypeError, ValueError):
+            stack = None
+        if stack is None or stack.shape[1:] != (d, d) or not len(stack):
+            # element by element, so that each malformed input keeps its own error
+            elems = [as_matrix(e) for e in items]
+            if not elems:
+                raise ShapeMismatch("a POVM needs at least one element")
+            for e in elems:
+                if e.shape != (d, d):
+                    raise ShapeMismatch(f"element shape {e.shape} does not match total dim {d}")
+            stack = _as_stack(elems)
+        object.__setattr__(self, "elements", stack)
         validate_psd(stack, *support_index(self.shape))
         # elements that pass the PSD checks can still overflow their sum
         with np.errstate(over="ignore"):
@@ -80,7 +87,7 @@ def measure(m: POVM, s: State) -> np.ndarray:
     """Outcome probabilities Tr(M_j rho) as a real vector."""
     if m.shape != s.shape:
         raise ShapeMismatch("POVM and state live on different algebras")
-    return np.einsum("jab,ba->j", np.stack(m.elements), s.matrix).real
+    return np.einsum("jab,ba->j", m.elements, s.matrix).real
 
 
 def prepare(m: POVM, s: State) -> Ensemble:
@@ -90,7 +97,7 @@ def prepare(m: POVM, s: State) -> Ensemble:
     probs = measure(m, s)
     root = herm_eig(s.matrix).root()
     kept = probs > NEGLIGIBLE
-    members = hermitize(root @ np.stack(m.elements)[kept] @ root / probs[kept, None, None])
+    members = hermitize(root @ m.elements[kept] @ root / probs[kept, None, None])
     return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
 
 

@@ -14,9 +14,9 @@ runnable here:
   formed: every effect is rank one, and what it leaves on the resource's
   input half is a rolled and phased copy of the transposed input, so all
   d² reductions take O(d⁴) memory.  An explicit basis is validated as a
-  ``POVM`` and contracted with the input in one product.  The branch states
-  (and the identity channel's corrected states) are normalized and
-  validated as one stack, and the channel's conditional form is built once
+  ``POVM`` and contracted with the input in one product.  Only the success
+  branch is built and judged as a state (the identity channel's corrected
+  states as one stack), and the channel's conditional form is built once
   per run, validated unless the channel certifies.
 
 Also home to the seeded random generators for states, channels, POVMs and
@@ -61,13 +61,12 @@ class TheoremReport:
 
 @dataclass(frozen=True, eq=False)
 class TeleportReport:
-    """Outcome statistics and Bob's conditional states, per branch."""
+    """Outcome statistics, Bob's state on success and the identity channel's corrected states."""
 
     success_probability: float
     outcome_probabilities: np.ndarray
     success_index: int
     bob_state_on_success: State
-    branch_states: tuple[State | None, ...]
     corrected_states: tuple[State | None, ...] | None
     grouping_used: bool
 
@@ -95,11 +94,10 @@ def verify_theorem(j: JointState, n: POVM, m: POVM) -> TheoremReport:
         raise ShapeMismatch("POVM n must live on the first factor of the joint state")
     if m.shape != j.shape_b:
         raise ShapeMismatch("POVM m must live on the second factor of the joint state")
-    ns, ms = np.stack(n.elements), np.stack(m.elements)
-    lhs = _pair_expectations(ns, j.matrix, ms)
+    lhs = _pair_expectations(n.elements, j.matrix, m.elements)
     cond, marg_a = _condition(j, "a")
     root = marg_a.root()
-    rhs = _pair_expectations(root @ ns @ root, cond.matrix, ms)
+    rhs = _pair_expectations(root @ n.elements @ root, cond.matrix, m.elements)
     return TheoremReport(
         lhs=lhs,
         rhs=rhs,
@@ -171,15 +169,7 @@ def _run_branches(reduced: np.ndarray, resource_matrix: np.ndarray, shape_out: A
     resource = resource_matrix.reshape(d, dim_out, d, dim_out).transpose(2, 0, 1, 3)
     unnormalized = (reduced @ resource.reshape(d * d, -1)).reshape(-1, dim_out, dim_out)
     probs = np.trace(unnormalized, axis1=1, axis2=2).real
-    kept = probs > NEGLIGIBLE
-    branches = hermitize(unnormalized[kept] / probs[kept, None, None])
-    return probs, _states_where(kept, shape_out, branches)
-
-
-def _states_where(kept, shape: AlgebraShape, matrices: np.ndarray) -> list[State | None]:
-    """One State per kept position, validated as one stack; None elsewhere."""
-    states = iter(states_from_stack(shape, matrices))
-    return [next(states) if k else None for k in kept]
+    return probs, probs > NEGLIGIBLE, unnormalized
 
 
 def _acts_as_identity(cond: ConditionalState) -> bool:
@@ -207,9 +197,9 @@ def teleport(
     the classical bit the four effects collapse pairwise under the block
     pinching into the parity route: the Bell outcomes grouped by their shift
     a, of probability 1/2 each (``grouping_used``).  The success outcome
-    leaves Bob with the channel applied to the input.  For the identity
-    channel every outcome's correction is applied (``corrected_states``);
-    on the bit it is the flip X^a, one-time-pad decryption.
+    leaves Bob with the channel applied to the input, the one branch judged as a
+    state.  For the identity channel every outcome's correction is applied
+    (``corrected_states``); on the bit it is the flip X^a, one-time-pad decryption.
 
     An explicit ``measurement_basis`` works over any input algebra and is
     validated as a ``POVM`` on the input pair.  ``success_index`` defaults
@@ -230,7 +220,7 @@ def teleport(
         if grouping_used:  # the parity check: outcome a sums the Bell outcomes a * d + b
             reduced = reduced.reshape(d, d, -1).sum(1)
     else:
-        effects = np.stack(POVM(AlgebraShape((d * d,)), tuple(measurement_basis)).elements)
+        effects = POVM(AlgebraShape((d * d,)), measurement_basis).elements
         n = len(effects)
         # F_i[a, b] = Σ E_i[x, a, y, b] ρ[y, x], one product on a reordered view
         stacked = effects.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(n * d * d, -1)
@@ -243,25 +233,25 @@ def teleport(
     cond = choi_conditional(c)
     if not 0 <= success < len(reduced):
         raise ShapeMismatch(f"success index {success} out of range")
-    probs, branches = _run_branches(reduced, cond.matrix / d, c.shape_out)
-    if branches[success] is None:
+    probs, kept, branches = _run_branches(reduced, cond.matrix / d, c.shape_out)
+    if not kept[success]:
         raise InvariantViolation("success_probability", probs[success],
                                  "success outcome has vanishing probability")
+    # normalized where read: a tiny probability amplifies its branch's rounding
+    bob = states_from_stack(c.shape_out, hermitize(branches[[success]] / probs[success]))[0]
     corrected = None
     if canonical and _acts_as_identity(cond):
         # outcome a * d + b is undone by W_ab^T, the conjugate of its Weyl
         # operator; the grouped outcome a by every d-th of them, X^a
-        kept = [b is not None for b in branches]
         u = _weyl_operators(d).swapaxes(1, 2)[::d if grouping_used else 1][kept]
-        stack = np.stack([b.matrix for b in branches if b is not None])
-        corrected = tuple(_states_where(kept, c.shape_out,
-                                        hermitize(u @ stack @ u.conj().swapaxes(1, 2))))
+        stack = hermitize(branches[kept] / probs[kept, None, None])
+        fixed = iter(states_from_stack(c.shape_out, hermitize(u @ stack @ u.conj().swapaxes(1, 2))))
+        corrected = tuple(next(fixed) if k else None for k in kept)
     return TeleportReport(
         success_probability=float(probs[success]),
         outcome_probabilities=probs,
         success_index=success,
-        bob_state_on_success=branches[success],
-        branch_states=tuple(branches),
+        bob_state_on_success=bob,
         corrected_states=corrected,
         grouping_used=grouping_used,
     )

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condchan import AlgebraShape, ConditionalState, ShapeMismatch, State
+import condchan.scenarios as scenarios_module
+from condchan import AlgebraShape, ConditionalState, ShapeMismatch, State, teleport
 from condchan.algebra import _masks
 from condchan.channels import max_ent_matrix
 from condchan.matcore import max_abs
@@ -57,3 +58,14 @@ def maximally_mixed(shape):
 def max_ent_conditional(shape):
     """The maximally entangled conditional of an algebra with itself."""
     return ConditionalState(shape, shape, max_ent_matrix(shape))
+
+
+def teleport_branches(monkeypatch, *args):
+    """``teleport(*args)`` and what its one ``_run_branches`` call returned: the
+    outcome probabilities, the kept mask and every branch, unnormalized."""
+    seen, run = [], scenarios_module._run_branches
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios_module, "_run_branches", lambda *a: seen.append(run(*a)) or seen[-1])
+        report = teleport(*args)
+    (branches,) = seen
+    return report, branches

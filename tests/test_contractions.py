@@ -8,6 +8,9 @@ The same holds for the batched forms of per-item loops: products over the
 stacked Kraus tensor, the cached support masks and the vectorized phase
 convention (the last two bit for bit), and the stacked teleport and
 preparation paths, whose eigendecomposition counts are pinned as well.
+Teleport judges one state, the success branch, and no unread outcome of
+tiny probability can fail it; a POVM holds one read-only tensor, and input
+that does not stack keeps the error it gets element by element.
 The Cholesky positivity certificate is pinned to the eigvalsh verdict it
 replaced: the same acceptance, exception, invariant and deviation, also
 where it certifies a joint or conditional per block, against the verdict
@@ -58,6 +61,7 @@ from condchan import (
     ConditionalState,
     InvariantViolation,
     JointState,
+    ShapeMismatch,
     State,
     apply,
     apply_via_conditional,
@@ -76,6 +80,7 @@ from condchan import (
     random_state,
     random_unitary,
     reduce,
+    sample,
     swap_factors,
     teleport,
     verify_theorem,
@@ -120,7 +125,7 @@ from condchan.tolerances import (
     _choi_rounding,
     _cholesky_floor,
 )
-from conftest import QUBIT, QUTRIT, support_deviation
+from conftest import QUBIT, QUTRIT, support_deviation, teleport_branches
 
 ATOL = 1e-12
 MIXED_BY_DIM = {3: (2, 1), 4: (2, 1, 1), 5: (3, 2), 6: (3, 2, 1), 7: (4, 2, 1), 8: (4, 2, 1, 1)}
@@ -251,29 +256,36 @@ def oracle_random_unitary(dim, rng):
     return q
 
 
-def check_branches(report, c, s, effects):
-    """Compare a teleport report with the per-effect validator, the kron
-    formula and the per-branch State loop (None at or below the floor);
-    return the oracle's branch states."""
+def check_branches(report, branches, c, s, effects):
+    """Compare a teleport report and its ``_run_branches`` arrays (``teleport_branches``)
+    with the per-effect validator, the kron formula and the per-branch State loop
+    (None at or below the floor): every branch, every kept one normalized, and Bob's
+    state bit for bit against its normalized row; return the oracle's branch states."""
     d = c.shape_in.total_dim
     ops = oracle_povm_effects(effects, d * d)
     resource = oracle_choi(c.kraus, c.shape_in) / d
-    probs, branches = oracle_branches(s.matrix, resource, ops, c.shape_out.total_dim)
+    probs, oracle = oracle_branches(s.matrix, resource, ops, c.shape_out.total_dim)
     states = [
         State(c.shape_out, hermitize(branch / p)) if p > NEGLIGIBLE else None
-        for p, branch in zip(probs, branches)
+        for p, branch in zip(probs, oracle)
     ]
-    close(report.outcome_probabilities, probs)
-    assert [b is None for b in report.branch_states] == [b is None for b in states]
-    for got, want in zip(report.branch_states, states):
-        if want is not None:
-            close(got.matrix, want.matrix)
-    close(report.bob_state_on_success.matrix, states[report.success_index].matrix)
+    got_probs, kept, unnormalized = branches
+    assert got_probs is report.outcome_probabilities
+    close(got_probs, probs)
+    assert kept.tolist() == [state is not None for state in states]
+    close(unnormalized, np.stack(oracle))
+    wanted = [state for state in states if state is not None]
+    for got, p, want in zip(unnormalized[kept], got_probs[kept], wanted, strict=True):
+        close(hermitize(got / p), want.matrix)
+    success = report.success_index
+    row = hermitize(unnormalized[[success]] / got_probs[success])[0]
+    assert report.bob_state_on_success.matrix.tobytes() == row.tobytes()
+    close(report.bob_state_on_success.matrix, states[success].matrix)
     return states
 
 
-def check_explicit_basis(c, s, effects):
-    check_branches(teleport(c, s, effects, 0), c, s, effects)
+def check_explicit_basis(monkeypatch, c, s, effects):
+    check_branches(*teleport_branches(monkeypatch, c, s, effects, 0), c, s, effects)
 
 
 # -- tests -----------------------------------------------------------------
@@ -336,28 +348,28 @@ def test_bell_basis_matches_kron_oracle(dim):
 
 
 @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
-def test_teleport_branches_match_kron_oracle(rng, shape):
+def test_teleport_branches_match_kron_oracle(rng, shape, monkeypatch):
     d = shape.total_dim
     # measuring which basis state the input is in: on the pure first basis
     # state every outcome past the first is a branch below the floor
     which_input = [np.kron(np.diag(np.eye(d)[k]), np.eye(d)) for k in range(d)]
     for shape_out in output_classes(d):
         c = random_channel(shape, shape_out, 2, rng)
-        check_explicit_basis(c, random_state(shape, rng), list(bell_basis(d)))
-        report = teleport(c, pure_first(shape), which_input, 0)
-        assert all(branch is None for branch in report.branch_states[1:])
-        check_branches(report, c, pure_first(shape), which_input)
+        check_explicit_basis(monkeypatch, c, random_state(shape, rng), list(bell_basis(d)))
+        report, branches = teleport_branches(monkeypatch, c, pure_first(shape), which_input, 0)
+        assert branches[1].tolist() == [True] + [False] * (d - 1)
+        check_branches(report, branches, c, pure_first(shape), which_input)
 
 
 @pytest.mark.parametrize("shape", [AlgebraShape((8,)), AlgebraShape((4, 2, 1, 1))], ids=shape_id)
-def test_teleport_branches_match_kron_oracle_at_dim_8(rng, shape):
+def test_teleport_branches_match_kron_oracle_at_dim_8(rng, shape, monkeypatch):
     # a two-outcome basis keeps the 512 x 512 oracle products affordable
     success = bell_basis(8)[0]
     c = random_channel(shape, AlgebraShape((8,)), 2, rng)
-    check_explicit_basis(c, random_state(shape, rng), [success, np.eye(64) - success])
+    check_explicit_basis(monkeypatch, c, random_state(shape, rng), [success, np.eye(64) - success])
 
 
-def test_teleport_classical_matches_kron_oracle(rng):
+def test_teleport_classical_matches_kron_oracle(rng, monkeypatch):
     even = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
     odd = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -365,8 +377,8 @@ def test_teleport_classical_matches_kron_oracle(rng):
     outputs = (CLASSICAL_BIT, AlgebraShape((2,)), AlgebraShape((2, 1)))
     for c in (identity, *(random_channel(CLASSICAL_BIT, out, 2, rng) for out in outputs)):
         for s in (random_state(CLASSICAL_BIT, rng), pure_first(CLASSICAL_BIT)):
-            report = teleport(c, s)
-            _, branch_odd = check_branches(report, c, s, [even, odd])
+            report, branches = teleport_branches(monkeypatch, c, s)
+            _, branch_odd = check_branches(report, branches, c, s, [even, odd])
             if c is identity:
                 close(report.corrected_states[1].matrix, flip @ branch_odd.matrix @ flip)
 
@@ -595,16 +607,16 @@ def pure_first(shape):
 
 
 @pytest.mark.parametrize("d", range(2, 7))
-def test_teleport_matches_loop_oracle(rng, d):
+def test_teleport_matches_loop_oracle(rng, d, monkeypatch):
     shape = AlgebraShape((d,))
     for shape_out in output_classes(d):
         c = random_channel(shape, shape_out, 2, rng)
         s = random_state(shape, rng)
-        check_branches(teleport(c, s), c, s, oracle_bell_basis(d))
+        check_branches(*teleport_branches(monkeypatch, c, s), c, s, oracle_bell_basis(d))
     # the identity channel's corrected states, one Weyl operator at a time
     c, s = identity_channel(shape), random_state(shape, rng)
-    report = teleport(c, s)
-    states = check_branches(report, c, s, oracle_bell_basis(d))
+    report, branches = teleport_branches(monkeypatch, c, s)
+    states = check_branches(report, branches, c, s, oracle_bell_basis(d))
     for idx, (got, branch) in enumerate(zip(report.corrected_states, states, strict=True)):
         u = oracle_weyl(d, *divmod(idx, d)).T
         close(got.matrix, hermitize(u @ branch.matrix @ u.conj().T))
@@ -1689,8 +1701,9 @@ def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
 
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
-    # neither the first call nor a later one validates a (d², d², d²) stack
-    d = 4
+    # neither the first call nor a later one validates a (d², d², d²) stack;
+    # at d = 5 the success state is past the scalar pass, so some call is seen
+    d = 5
     shape = AlgebraShape((d,))
     c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
     bell_stack = (d * d, d * d, d * d)
@@ -1699,6 +1712,98 @@ def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
     second = teleport(c, s)
     assert calls and all(shape != bell_stack for _, shape in calls)
     assert second.outcome_probabilities.tobytes() == first.outcome_probabilities.tobytes()
+
+
+def unread_outcome_case(rng, theta):
+    """A pure qubit input |φ⟩ and the basis {I - E, E}, E = |χ⟩⟨χ| ⊗ |η⟩⟨η| with χ
+    at angle θ from the complement of φ: outcome 1 has a probability of order θ²."""
+    phi, eta = (unit / np.linalg.norm(unit) for unit in random_complex(rng, 2, 2))
+    perp = np.array([-phi[1].conj(), phi[0].conj()])
+    chi = np.cos(theta) * perp + np.sin(theta) * np.exp(2j * np.pi * rng.random()) * phi
+    effect = np.kron(np.outer(chi, chi.conj()), np.outer(eta, eta.conj()))
+    return State(QUBIT, np.outer(phi, phi.conj())), [np.eye(4) - effect, effect]
+
+
+@pytest.mark.parametrize("theta", [1e-4, 1e-5, 1.5e-6])
+def test_teleport_accepts_an_unread_outcome_of_tiny_probability(monkeypatch, theta):
+    # normalized by its probability, about 1e-8 to 1e-12, outcome 1 carries
+    # rounding far above INPUT_TOL; no caller reads it, and only the success
+    # state is built and judged, so no such run raises
+    rng = np.random.default_rng(2027)
+    channels = (identity_channel(QUBIT), random_channel(QUBIT, QUBIT, 1, np.random.default_rng(5)))
+    for _ in range(8):
+        s, basis = unread_outcome_case(rng, theta)
+        for c in channels:
+            report, (probs, kept, branches) = teleport_branches(monkeypatch, c, s, basis, 0)
+            success = hermitize(branches[[0]] / probs[0])[0]
+            bob = report.bob_state_on_success.matrix
+            assert bob.tobytes() == State(QUBIT, success).matrix.tobytes()
+            assert abs(float(probs.sum()) - 1.0) <= IDENTITY_TOL
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_teleport_judges_only_the_success_state(rng, monkeypatch, d):
+    # one validate_psd, on a stack of one: the success state; the basis is
+    # judged as a POVM, and the certified channel's conditional form is not
+    shape = AlgebraShape((d,))
+    judged = []
+
+    def judge_states(stack, *args, **kwargs):
+        judged.append(stack.shape)
+        return validate_psd(stack, *args, **kwargs)
+
+    for shape_out in output_classes(d):
+        c, s = random_channel(shape, shape_out, 2, rng), random_state(shape, rng)
+        assert c._certifies
+        monkeypatch.setattr("condchan.states.validate_psd", judge_states)
+        for basis in (None, bell_basis(d)):
+            judged.clear()
+            teleport(c, s, basis, 0)
+            assert judged == [(1, shape_out.total_dim, shape_out.total_dim)]
+        monkeypatch.undo()
+
+
+def test_povm_holds_its_elements_as_one_read_only_tensor(rng):
+    # from a list, tuple, iterator or array, of integer, float or complex
+    # entries: one fresh row-major complex128 (n, d, d) tensor, read-only
+    shape = AlgebraShape((2, 1))
+    given = [np.array(e) for e in random_povm(shape, 4, rng).elements]
+    s = random_state(shape, rng)
+    expected = np.stack(given)
+    outcomes = []
+    for elements in (given, tuple(given), iter(given), expected):
+        m = POVM(shape, elements)
+        held = m.elements
+        assert held.dtype == np.complex128 and held.shape == (4, 3, 3)
+        assert held.flags.c_contiguous and not held.flags.writeable
+        assert not any(np.shares_memory(held, g) for g in [*given, expected])
+        assert held.tobytes() == expected.tobytes() and len(m) == 4
+        assert [e.tobytes() for e in held] == [g.tobytes() for g in given]
+        assert measure(m, s).tobytes() == np.einsum("jab,ba->j", expected, s.matrix).real.tobytes()
+        outcomes.append(sample(m, s, np.random.default_rng(3), 1000).tolist())
+        back = povm_from_ensemble(prepare(m, s), s)
+        assert back.elements.shape == (4, 3, 3) and not back.elements.flags.writeable
+        close(back.elements, held)
+    assert outcomes[1:] == outcomes[:-1] and sum(outcomes[0]) == 1000
+    for entries in (np.eye(3, dtype=int), np.eye(3)):
+        held = POVM(shape, [entries]).elements
+        assert held.dtype == np.complex128 and held.tobytes() == np.eye(3, dtype=complex)[None].tobytes()
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([], "a POVM needs at least one element"),
+    (np.zeros((0, 2, 2)), "a POVM needs at least one element"),
+    ([np.eye(3)], r"element shape \(3, 3\) does not match total dim 2"),
+    ([np.eye(2) / 2, np.eye(3)], r"element shape \(3, 3\) does not match total dim 2"),
+    (np.eye(2), "expected a 2-D matrix, got ndim=1"),
+    ([np.eye(3), np.zeros((1, 2, 2))], "expected a 2-D matrix, got ndim=3"),
+    ([np.eye(2), [1.0, 0.0]], "expected a 2-D matrix, got ndim=1"),
+], ids=["empty", "empty-array", "shape", "second-shape", "matrix", "ndim-after-shape", "ragged"])
+def test_povm_keeps_its_shape_errors_when_elements_do_not_stack(elements, message):
+    # an input that does not stack into (n, d, d) is checked element by element,
+    # all conversions first, as before the elements were held as one tensor
+    with pytest.raises(ShapeMismatch, match=message):
+        POVM(QUBIT, elements)
 
 
 @pytest.mark.parametrize("d", [*range(2, 9), 16])
@@ -1758,25 +1863,25 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def check_branch_products(rng, shape, c, effects=None):
+def check_branch_products(monkeypatch, rng, shape, c, effects=None):
     """The branches of the Bell basis through its closed-form reduction
     (``effects`` None), or of an explicit basis through ``teleport``,
-    against the einsum contraction over the effects."""
+    against the einsum contraction over the effects: every branch, and every
+    kept one normalized."""
     s = random_state(shape, rng)
     d, dim_out = shape.total_dim, c.shape_out.total_dim
     resource = choi_conditional(c).matrix / d
     if effects is None:
         effects = np.stack(oracle_bell_basis(d))
-        probs, states = _run_branches(_bell_reduced(s.matrix), resource, c.shape_out)
+        probs, kept, branches = _run_branches(_bell_reduced(s.matrix), resource, c.shape_out)
     else:
-        report = teleport(c, s, effects, 0)
-        probs, states = report.outcome_probabilities, report.branch_states
+        probs, kept, branches = teleport_branches(monkeypatch, c, s, effects, 0)[1]
     expected = oracle_einsum_branches(s.matrix, resource, effects, dim_out)
     close(probs, np.trace(expected, axis1=1, axis2=2).real)
-    for p, state, branch in zip(probs, states, expected, strict=True):
-        assert (state is None) == (p <= NEGLIGIBLE)
-        if state is not None:
-            close(state.matrix, hermitize(branch / p))
+    assert kept.tolist() == (probs > NEGLIGIBLE).tolist()
+    close(branches, expected)
+    for got, p, branch in zip(branches[kept], probs[kept], expected[kept], strict=True):
+        close(hermitize(got / p), hermitize(branch / p))
 
 
 D16 = [AlgebraShape((16,)), AlgebraShape((1,) * 16), AlgebraShape((8, 4, 2, 1, 1))]
@@ -1813,20 +1918,20 @@ def test_theorem_lhs_products_match_einsum_oracle(rng, shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_branch_products_match_einsum_oracle(rng, shape):
+def test_branch_products_match_einsum_oracle(rng, shape, monkeypatch):
     d = shape.total_dim
     for shape_out in output_classes(d):
         c = random_channel(shape, shape_out, 2, rng)
-        check_branch_products(rng, shape, c)
-        check_branch_products(rng, shape, c, np.stack(bell_basis(d)))
+        check_branch_products(monkeypatch, rng, shape, c)
+        check_branch_products(monkeypatch, rng, shape, c, np.stack(bell_basis(d)))
 
 
-def test_branch_products_match_einsum_oracle_at_dim_16(rng):
+def test_branch_products_match_einsum_oracle_at_dim_16(rng, monkeypatch):
     # a two-outcome basis keeps the effects at 2 MB instead of 268 MB
     shape = AlgebraShape((16,))
     success = bell_basis(16)[0]
     c = random_channel(shape, AlgebraShape((4, 2)), 3, rng)
-    check_branch_products(rng, shape, c, np.stack([success, np.eye(256) - success]))
+    check_branch_products(monkeypatch, rng, shape, c, np.stack([success, np.eye(256) - success]))
 
 
 def test_superoperator_is_formed_once_per_channel(rng, monkeypatch):

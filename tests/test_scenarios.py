@@ -31,7 +31,7 @@ from condchan.channels import apply_matrix
 from condchan.scenarios import random_block_unitary, random_support_projector
 from condchan.tolerances import IDENTITY_TOL
 from test_contractions import bad_bell_basis, bell_basis
-from conftest import BIT, MIXED, QUBIT, QUTRIT
+from conftest import BIT, MIXED, QUBIT, QUTRIT, teleport_branches
 from test_channels import choi_validity, classical_channel, depolarizing_qubit
 
 
@@ -297,12 +297,13 @@ class TestTeleportClassical:
         for corrected in report.corrected_states:
             np.testing.assert_allclose(corrected.matrix, s.matrix, atol=1e-12)
 
-    def test_maximally_mixed_fixed_point(self):
+    def test_maximally_mixed_fixed_point(self, monkeypatch):
         c = identity_channel(BIT)
         s = State(BIT, np.diag([0.5, 0.5]).astype(complex))
-        report = teleport(c, s)
-        for branch in report.branch_states:
-            np.testing.assert_allclose(branch.matrix, s.matrix, atol=1e-12)
+        _, (probs, kept, branches) = teleport_branches(monkeypatch, c, s)
+        assert kept.all() and len(branches) == 2
+        for p, branch in zip(probs, branches):
+            np.testing.assert_allclose(branch / p, s.matrix, atol=1e-12)
 
     def test_binary_symmetric_channel_success_branch(self):
         c = classical_channel([[0.9, 0.1], [0.1, 0.9]])
