@@ -148,7 +148,7 @@ def apply(c: Channel, s: State) -> State:
     """Apply the channel to a state of the input algebra.
 
     The output is judged as any state is, unless the state's floor is 0.0, proved
-    definite by the scalar pass (``matcore._accepts_scalar``), and the channel has no input
+    definite by the scalar pass (``matcore._proves_definite``), and the channel has no input
     support, d_in·tp_dev ≤ INPUT_TOL/4, d_in²·(Choi leak) ≤ BLOCK_TOL/4 and the
     rounding bound ``tolerances._apply_rounding`` ≤ INPUT_TOL/4.  The output then
     passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev

@@ -12,10 +12,11 @@ Conventions fixed here once and relied on project-wide:
   phase fixed so that its first nonzero component is real and positive;
 * a matrix is judged once, by one routine (``judge``); a constructor certifies its
   Hermitian part positive (``validate_psd``, with a floor on λmin), or ``herm_eig`` decomposes it;
-* a single matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to a pass
-  on Python scalars that can only accept it; ``judge`` decides every rejection, so no
-  error or deviation depends on the pass; a certifying channel's Choi form, its output
-  on a state the pass proves definite, and a conditional within its bound go unjudged;
+* a single unit-trace matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered
+  to a pass on Python scalars that can only prove it definite (floor 0.0); ``judge``
+  decides every matrix it does not prove, so no verdict depends on the pass; a
+  certifying channel's Choi form, its output on a state the pass proves definite, and
+  a conditional within its bound go unjudged;
 * a Hermitian matrix is decomposed once, by ``herm_eig``, and everything the library
   reads off a PSD spectrum is a view of that ``EigenSystem``: the root, the
   generalized inverse root, the support projector and the rank.  The last three, and
@@ -57,16 +58,12 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 # cost of a few µs per matrix at 16-24.
 BLOCKWISE_MIN_DIM = 16
 
-# Largest dimension of a single matrix that ``validate_psd`` first offers to
-# ``_accepts_scalar``, which took about 5, 8, 11, 16 and 22 µs at d = 2 to 6
-# against 17-20 µs for the judge and Cholesky at any of them (timeit).
+# Largest dimension of a single unit-trace matrix that ``validate_psd`` first
+# offers to ``_proves_definite``, which took about 3, 4.5, 7, 10 and 13 µs on a
+# definite state at d = 2 to 6 against 12.5-13 µs for the judge and Cholesky at
+# any of them (timeit, one Xeon core, 1-thread OpenBLAS).
 SCALAR_MAX_DIM = 4
-# Margins of the scalar pass over the judge's rounding: math.hypot and numpy's
-# abs may differ in the last ulp, numpy sums a trace in its own order, and
-# LAPACK's Cholesky has a backward error of order d·ε·max diag.
 _EPS = float(np.finfo(np.float64).eps)
-_HERM_BOUND, _LEAK_BOUND = INPUT_TOL * (1 - 8 * _EPS), BLOCK_TOL * (1 - 8 * _EPS)
-_CHOLESKY_SLACK = 32
 _tight_floor = lru_cache(maxsize=64)(_cholesky_floor)  # read on every unit-trace validation
 
 
@@ -147,10 +144,10 @@ class EigenSystem:
 
     ``eigenvalues`` are real and sorted descending; column ``j`` of
     ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[j]``.
-    ``root`` clips eigenvalues in [-INPUT_TOL, 0) to 0; ``inv_root``
-    and ``support`` keep the eigenvalues above ``cutoff`` and raise
-    ``InvariantViolation('positive', -λmin)`` for one below -``cutoff``, and
-    ``rank`` counts them.
+    Each view raises ``InvariantViolation('positive', -λmin)`` for an eigenvalue
+    below -INPUT_TOL, the rule every constructor applies.  ``root`` clips
+    eigenvalues in [-INPUT_TOL, 0) to 0; ``inv_root`` and ``support`` keep the
+    eigenvalues above ``cutoff``, and ``rank`` counts them.
     """
 
     eigenvalues: np.ndarray
@@ -174,11 +171,11 @@ class EigenSystem:
         """Number of eigenvalues above the cutoff."""
         return int(np.count_nonzero(self.kept))
 
-    def _require_above(self, floor: float) -> None:
+    def _require_above(self) -> None:
         w = self.eigenvalues
-        if w.size and w[-1] < -floor:
+        if w.size and w[-1] < -INPUT_TOL:
             raise InvariantViolation(
-                "positive", -w[-1], f"minimum eigenvalue {w[-1]:.3e} below -{floor:.3e}"
+                "positive", -w[-1], f"minimum eigenvalue {w[-1]:.3e} below -{INPUT_TOL:.3e}"
             )
 
     def _with_eigenvalues(self, w: np.ndarray) -> np.ndarray:
@@ -187,25 +184,21 @@ class EigenSystem:
 
     def root(self) -> np.ndarray:
         """Unique PSD square root."""
-        self._require_above(INPUT_TOL)
+        self._require_above()
         return self._with_eigenvalues(np.sqrt(np.maximum(self.eigenvalues, 0.0)))
 
     def inv_root(self) -> np.ndarray:
         """Generalized inverse square root: 1/sqrt on the eigenvalues above
         the cutoff, 0 on the rest."""
-        cutoff = self.cutoff
-        self._require_above(cutoff)
-        w = self.eigenvalues
+        self._require_above()
+        cutoff, w = self.cutoff, self.eigenvalues
         inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
         return self._with_eigenvalues(inv)
 
     def support(self) -> np.ndarray:
         """Orthogonal projector onto the eigenvectors above the cutoff."""
-        self._require_above(self.cutoff)
+        self._require_above()
         keep = self.eigenvectors[:, self.kept]
-        if keep.shape[1] == 0:
-            d = self.eigenvectors.shape[0]
-            return np.zeros((d, d), dtype=np.complex128)
         return hermitize(keep @ keep.conj().T)
 
 
@@ -317,57 +310,43 @@ def _shift_identity(d: int, shift: float) -> np.ndarray:
     return out
 
 
-def _accepts_scalar(m: np.ndarray, outside: np.ndarray | None, unit_trace: bool) -> bool | None:
-    """Whether ``judge`` and the Cholesky certificate accept one (d, d) matrix,
-    by their tests in their order on Python complex scalars, each with a
-    margin over numpy's rounding: None hands m to them.  An acceptance is final,
-    and True when m is proved definite: exactly Hermitian, 0 outside its blocks,
-    of trace within INPUT_TOL/4 of 1, and m - μ·I has a factor."""
+def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
+    """Whether one unit-trace (d, d) matrix is proved definite on Python complex
+    scalars: exactly Hermitian with a finite Hermitian part (so a real diagonal),
+    exactly 0 at the flat positions ``outside``, of trace within INPUT_TOL/4 of 1
+    with a margin of 4dε for numpy's summation order, and H - μ·I has a Cholesky
+    factor.  Then ``judge`` accepts it and λmin(H) > 0.  False proves nothing."""
     d = len(m)
-    flat = m.ravel().tolist()
-    h = flat.copy()  # its upper half: the Hermitian part
-    definite = unit_trace  # until a test below fails
+    flat = m.ravel().tolist()  # exactly Hermitian: its own Hermitian part
     for i in range(d):
         for j in range(i, d):
-            x, y = flat[i * d + j], flat[j * d + i].conjugate()
-            h[i * d + j] = herm = (x + y) * 0.5  # abs of a complex is math.hypot
-            if not cmath.isfinite(herm) or x != y and not abs(x - y) <= _HERM_BOUND:
-                return None
-            definite = definite and x == y
-    for p in () if outside is None else outside.tolist():
-        if not math.hypot(flat[p].real, flat[p].imag) <= _LEAK_BOUND:
-            return None
-        definite = definite and not flat[p]
-    if unit_trace:
-        trace = 0j
-        for j in range(d):  # a loop: sum() of floats is compensated from Python 3.12
-            trace += flat[j * d + j]
-        trace_dev = abs(trace.real - 1.0) + abs(trace.imag)
-        if not trace_dev <= INPUT_TOL - 4 * d * _EPS:
-            return None
-        definite = definite and trace_dev <= INPUT_TOL / 4 - 4 * d * _EPS
-    top = max(abs(h[j * d + j].real) for j in range(d))
-    tries = [(INPUT_TOL - _CHOLESKY_SLACK * d * _EPS * top, False)]
-    if definite:  # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6)
-        tries.insert(0, (-2 * (d + 1) * d * _EPS * top, True))  # μ twice that: λmin(H) > 0
-    for shift, proves_definite in tries:  # R with R†R = H + shift·I, row by row
-        r = h.copy()
-        for j in range(d):  # row j of R from the column above its diagonal
-            column = [r[k * d + j] for k in range(j)]
-            pivot = r[j * d + j].real + shift
-            for z in column:
-                pivot -= z.real * z.real + z.imag * z.imag
-            if not pivot > 0.0:
-                break
-            root = math.sqrt(pivot)
-            for i in range(j + 1, d):
-                s = r[j * d + i]
-                for k, z in enumerate(column):
-                    s -= z.conjugate() * r[k * d + i]
-                r[j * d + i] = s / root
-        else:
-            return proves_definite
-    return None
+            x = flat[i * d + j]
+            if x != flat[j * d + i].conjugate() or not cmath.isfinite(x + x):
+                return False
+    if outside is not None and any(flat[p] for p in outside.tolist()):
+        return False
+    trace = 0.0
+    for j in range(d):  # a loop: sum() of floats is compensated from Python 3.12
+        trace += flat[j * d + j].real
+    if not abs(trace - 1.0) <= INPUT_TOL / 4 - 4 * d * _EPS:
+        return False
+    # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6);
+    # μ is twice that, so a factor proves λmin(H) > 0.  R overwrites flat's upper half.
+    shift = -2 * (d + 1) * d * _EPS * max(flat[j * d + j].real for j in range(d))
+    for j in range(d):  # row j of R from the column above its diagonal
+        column = [flat[k * d + j] for k in range(j)]
+        pivot = flat[j * d + j].real + shift
+        for z in column:
+            pivot -= z.real * z.real + z.imag * z.imag
+        if not pivot > 0.0:
+            return False
+        root = math.sqrt(pivot)
+        for i in range(j + 1, d):
+            s = flat[j * d + i]
+            for k, z in enumerate(column):
+                s -= z.conjugate() * flat[k * d + i]
+            flat[j * d + i] = s / root
+    return True
 
 
 def validate_psd(
@@ -380,15 +359,14 @@ def validate_psd(
     matrix is positive exactly when each block is.  Only a failed certificate
     pays an ``eigvalsh`` of the whole stack, whose lowest eigenvalue decides
     and is the deviation of ``InvariantViolation('positive')``.  A single
-    matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to
-    ``_accepts_scalar``; what it does not accept, the judge decides.  Returns a floor,
+    unit-trace matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to
+    ``_proves_definite``; what it does not prove, the judge decides.  Returns a floor,
     λmin ≥ -floor over the whole Hermitian part: 0.0 where the scalar pass proved it
     definite, inf after the INPUT_TOL test.  A unit-trace stack first tries the shift of
     ``tolerances._cholesky_floor`` where its floor + d·(leak left out) ≤ INPUT_TOL/4."""
-    if len(stack) == 1 and stack.shape[-1] <= SCALAR_MAX_DIM:
-        definite = _accepts_scalar(stack[0], outside, unit_trace)
-        if definite is not None:
-            return 0.0 if definite else math.inf
+    small = unit_trace and len(stack) == 1 and stack.shape[-1] <= SCALAR_MAX_DIM
+    if small and _proves_definite(stack[0], outside):
+        return 0.0
     parts, leak = judge(stack, outside, blocks, unit_trace)
     dim = stack.shape[-1]  # block groups grow in size, and so does their floor: the last is largest
     floor = _tight_floor(parts[-1].shape[-1], dim)[1] + dim * leak if unit_trace else math.inf

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condchan import (
+    POVM,
     AlgebraShape,
     ConditionalState,
     InvariantViolation,
@@ -16,13 +17,16 @@ from condchan import (
     joint_from_conditional,
     herm_eig,
     kron,
+    povm_from_ensemble,
+    prepare,
     reduce,
+    verify_theorem,
 )
 from condchan.algebra import pair_mask
 from condchan.conditional import _pinched_hermitian
 from condchan.matcore import hermitize
-from condchan.scenarios import random_joint_state, random_state, random_unitary
-from condchan.tolerances import BLOCK_TOL
+from condchan.scenarios import random_joint_state, random_povm, random_state, random_unitary
+from condchan.tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL
 from conftest import BIT, MIXED, QUBIT, QUTRIT, maximally_mixed
 
 # hand-computed from the diagonal joint (0.1, 0.2, 0.3, 0.4) on a pair of bits:
@@ -331,3 +335,33 @@ class TestNearCutoffVerdicts:
             verdicts[name].count(v) for name in verdicts for v in ("accepted", "support_projector")
         )
         assert counts == self.COUNTS[eps]
+
+
+@pytest.mark.any_kernel
+def test_every_map_accepts_what_the_constructors_accept_below_the_cutoff():
+    # ρ on C^8 with λmin = -5e-11 (the rest equal) is a valid State, and ρ ⊗ σ a
+    # valid JointState: every PSD view of its spectrum, and so conditioning, the
+    # theorem, Bayes and povm_from_ensemble, drops that eigenvalue below the
+    # cutoff instead of raising; all three views keep the -INPUT_TOL rule
+    octet = AlgebraShape((8,))
+    rng = np.random.default_rng(2028)
+    w = np.array([-5e-11] + [(1 + 5e-11) / 7] * 7)
+    for _ in range(4):
+        u = random_unitary(8, rng)
+        s = State(octet, (u * w) @ u.conj().T)
+        es = herm_eig(s.matrix)
+        assert es.rank == 7 and np.abs(es.inv_root() @ u[:, 0]).max() < 1e-12
+        np.testing.assert_allclose(es.support(), np.eye(8) - np.outer(u[:, 0], u[:, 0].conj()),
+                                   rtol=0, atol=1e-12)
+        j = JointState(octet, QUBIT, kron(s.matrix, random_state(QUBIT, rng).matrix))
+        assert conditional_from_joint(j, "a").rank == 7
+        report = verify_theorem(j, random_povm(octet, 3, rng), random_povm(QUBIT, 2, rng))
+        assert report.max_deviation <= IDENTITY_TOL
+        bayes_invert(conditional_from_joint(j, "b"), reduce(j, "a"), reduce(j, "b"))
+        eigenbasis = POVM(octet, [np.outer(u[:, k], u[:, k].conj()) for k in range(8)])
+        povm_from_ensemble(prepare(eigenbasis, s), s)
+    below = herm_eig(np.diag([1.0 + 1.5e-10, -1.5e-10]))
+    for view in (below.root, below.inv_root, below.support):
+        with pytest.raises(InvariantViolation) as info:
+            view()
+        assert str(info.value) == f"minimum eigenvalue -1.500e-10 below -{INPUT_TOL:.3e}"

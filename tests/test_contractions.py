@@ -30,8 +30,10 @@ eigenvectors are exactly zero off their block, a matrix below
 ``BLOCKWISE_MIN_DIM`` is decomposed whole, and off-block weight above
 ``BLOCK_TOL`` is rejected rather than dropped, except in a derived matrix
 that may carry it (a joint's marginal, a channel's Choi matrix), which is
-decomposed whole.  Where the scalar pass proves a state definite and a
-channel's bounds fit, ``apply`` skips judging the output: it gives
+decomposed whole.  The scalar pass proves a single unit-trace matrix definite,
+or hands it to the judge and the numpy Cholesky as it does every other matrix,
+and the matrix keeps their verdict and tight floor.  Where the pass proves a
+state definite and a channel's bounds fit, ``apply`` skips judging the output: it gives
 the judged path's verdict and bytes, and every output it skips passes the judge.
 So does ``choi_conditional`` for a certified channel, whose unchecked Choi matrix
 passes each constructor test with the margin its proof states, and so does
@@ -98,8 +100,8 @@ from condchan.errors import NoConvergence
 from condchan.matcore import (
     BLOCKWISE_MIN_DIM,
     SCALAR_MAX_DIM,
-    _accepts_scalar,
     _fix_phases,
+    _proves_definite,
     herm_eig,
     hermitize,
     judge,
@@ -463,6 +465,7 @@ def test_kraus_extraction_is_bit_identical_to_loop(rng, shape):
             np.testing.assert_array_equal(k, want)
 
 
+@pytest.mark.any_kernel
 def test_kraus_are_one_read_only_tensor(rng):
     c = random_channel(AlgebraShape((2, 1)), AlgebraShape((4,)), 3, rng)
     assert c.kraus.shape == (len(c.kraus), 4, 3)
@@ -1052,25 +1055,26 @@ def without_scalar_pass(fn, *args):
         return fn(*args)
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
 def test_scalar_pass_gives_the_judge_verdict_at_the_edges(rng, shape):
     index = support_index(shape)
     cases = scalar_edge_cases(rng, shape)
     got, want = judge_verdicts(cases, index)
     assert got == want
-    # the pass itself accepts the valid matrix and λmin = -tol·(1 - 1e-3),
-    # so its margins do not hand the clear cases back to the judge (None)
-    accepted = [_accepts_scalar(m, index[0], True) for m in cases[:3]]
-    assert [a is not None for a in accepted] == [True, False, shape.total_dim > 1]
-    # only a matrix it proved definite is True: the valid one made exactly
-    # Hermitian, but not λmin = -tol·(1 - 1e-3) nor any matrix without the trace test
-    assert accepted[2] is not True and _accepts_scalar(hermitize(cases[0]), index[0], True) is True
-    assert _accepts_scalar(hermitize(cases[0]), index[0], False) is False
+    # the pass proves the valid matrix made exactly Hermitian definite, but not
+    # the zero matrix nor λmin = -tol·(1 - 1e-3); whatever it proves is definite
+    proved = [_proves_definite(m, index[0]) for m in (hermitize(cases[0]), *cases[1:3])]
+    assert proved == [True, False, False]
+    for m in cases:
+        if _proves_definite(m, index[0]):
+            assert np.linalg.eigvalsh(m).min() > 0
     # (case, unit_trace) pairs: the valid matrix passes, the zero matrix fails
     # only its trace, and λmin = -tol·(1 + 1e-3) fails positivity
     assert want[:3] == [None] * 3 and want[3][1] == "trace" and want[6][1] == "positive"
 
 
+@pytest.mark.any_kernel
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     shape=st.sampled_from(SCALAR_SHAPES),
@@ -1102,13 +1106,101 @@ def test_scalar_pass_accepts_nothing_the_judge_rejects(
     if leak and outside is not None:
         m = with_leak(m, int(rng.choice(outside)), leak, 1.0)
     m = scale * m
-    if _accepts_scalar(m, outside, unit_trace):
+    if _proves_definite(m, outside):
         judged = partial(judge, m[None], outside, None, unit_trace)
         assert verdict(judged) is None
         herm = judged()[0] + INPUT_TOL * np.eye(d)
         np.linalg.cholesky(herm)
+        assert np.linalg.eigvalsh(m).min() > 0
 
 
+def floors(m, index):
+    """What ``validate_psd`` returns for the unit-trace matrix m, with and without
+    the scalar pass."""
+    run = partial(validate_psd, m[None], *index, True)
+    return run(), without_scalar_pass(run)
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("shape", [s for s in SCALAR_SHAPES if s.total_dim > 1], ids=shape_id)
+def test_scalar_pass_hands_what_it_does_not_prove_to_numpy(rng, shape):
+    # states of rank 1 and d - 1, Hermitian slop of 1e-13, a leak of BLOCK_TOL/2
+    # and a trace off by INPUT_TOL/2 are valid but not proved definite: they keep
+    # the verdict and the tight floor of the judge and the numpy Cholesky
+    d, index = shape.total_dim, support_index(shape)
+    valid = hermitize(with_spectrum(rng, shape, spectrum(rng, d, 1 / d)))
+    phase = np.exp(2j * np.pi * rng.random())
+    cases = [random_support_projector(shape, r, rng) / r for r in (1, d - 1) for _ in range(4)]
+    cases += [with_asymmetry(valid, p, 1e-13, phase) for p in (0, 1)]
+    cases += [with_trace(valid, 1 + sign * INPUT_TOL / 2) for sign in (-1, 1)]
+    if index[0] is not None:
+        cases.append(with_leak(valid, int(index[0][0]), BLOCK_TOL / 2, phase))
+    assert _proves_definite(valid, index[0]) and floors(valid, index)[0] == 0.0
+    for m in cases:
+        assert not _proves_definite(m, index[0])
+        got, want = floors(m, index)
+        assert got == want and 0 < got <= INPUT_TOL / 4
+
+
+@pytest.mark.any_kernel
+def test_only_single_unit_trace_matrices_reach_the_scalar_pass(rng, monkeypatch):
+    s, joint = random_state(QUBIT, rng), random_joint_state(QUBIT, QUBIT, rng)
+    cond = choi_conditional(random_channel(QUBIT, QUBIT, 2, rng)).matrix
+    elements, big = random_povm(QUBIT, 1, rng).elements, AlgebraShape((SCALAR_MAX_DIM + 1,))
+    seen, proves = [], _proves_definite
+    monkeypatch.setattr("condchan.matcore._proves_definite",
+                        lambda m, outside: seen.append(m.shape) or proves(m, outside))
+    State(QUBIT, s.matrix)
+    JointState(QUBIT, QUBIT, joint.matrix)
+    states_from_stack(QUBIT, np.array([s.matrix]))
+    assert seen == [(2, 2), (4, 4), (2, 2)]
+    # a stack, a conditional, a POVM and a state past SCALAR_MAX_DIM do not
+    states_from_stack(QUBIT, np.array([s.matrix, s.matrix]))
+    ConditionalState(QUBIT, QUBIT, cond)
+    POVM(QUBIT, elements)
+    random_state(big, rng)
+    assert len(seen) == 3
+
+
+@pytest.mark.any_kernel
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(SCALAR_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, SCALAR_MAX_DIM),
+    low=st.one_of(st.just(0.0), st.integers(-64, 64).map(lambda k: k * EPS)),
+    trace=st.one_of(
+        st.just(1.0),
+        st.sampled_from([-INPUT_TOL / 4, INPUT_TOL / 4]).flatmap(
+            lambda edge: st.integers(-64, 64).map(lambda k: 1 + edge + k * EPS)
+        ),
+    ),
+    leak=st.sampled_from([0.0, 1e-300, EPS, BLOCK_TOL / 2]),
+    slop=st.sampled_from([0.0, 1e-300, EPS, 1e-13]),
+)
+def test_scalar_pass_proves_only_definite_matrices(shape, seed, rank, low, trace, leak, slop):
+    # matrices of any rank, λmin near 0, the trace near 1 ± INPUT_TOL/4, a
+    # Hermitian leak and Hermitian slop: whatever the pass proves is exactly
+    # Hermitian, exactly 0 off its blocks, of trace within INPUT_TOL/4 of 1 and
+    # definite, and the judge and the numpy Cholesky accept it
+    rng = np.random.default_rng(seed)
+    d, index = shape.total_dim, support_index(shape)
+    w = np.where(np.arange(d) < rank, rng.random(d) + 0.1, 0.0)
+    w = np.sort(w / w.sum())
+    w[0] += low
+    m = with_trace(hermitize(with_spectrum(rng, shape, w)), trace)
+    if leak and index[0] is not None:
+        m = with_leak(m, int(rng.choice(index[0])), leak, np.exp(2j * np.pi * rng.random()))
+    if slop:
+        m = with_asymmetry(m, int(rng.integers(d * d)), slop, np.exp(2j * np.pi * rng.random()))
+    if _proves_definite(m, index[0]):
+        assert np.array_equal(m, m.conj().T) and support_deviation(m, shape) == 0
+        assert abs(np.trace(m) - 1) <= INPUT_TOL / 4
+        assert np.linalg.eigvalsh(m).min() > 0
+        assert without_scalar_pass(verdict, validate_psd, m[None], *index, True) is None
+
+
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2)], ids=str)
 def test_small_states_are_validated_without_numpy_linalg(rng, dims, monkeypatch):
     shape = AlgebraShape(dims)
@@ -1147,6 +1239,7 @@ SIGNS = st.sampled_from([-1.0, 1.0])
 TRACE_EDGES = [-INPUT_TOL, -INPUT_TOL / 4, INPUT_TOL / 4, INPUT_TOL]
 
 
+@pytest.mark.any_kernel
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     shape_in=st.sampled_from(SCALAR_SHAPES),
@@ -1211,6 +1304,7 @@ def test_certified_apply_gives_the_judge_verdict_and_bytes(
         assert verdict(validate_psd, out[None], *index, True) is None
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2)], ids=str)
 def test_apply_skips_the_judge_of_certified_outputs_only(rng, dims, monkeypatch):
     shape = AlgebraShape(dims)
@@ -1266,6 +1360,7 @@ def uncertified_pair(case):
     return AlgebraShape((1,) * 4), AlgebraShape((1, 1)), PAIRING, x, "block_support", 1.8 * BLOCK_TOL
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("case", ["positive", "trace", "output_leak", "hermitian", "input_leak"])
 def test_apply_judges_the_output_of_an_inexact_pair(case):
     # a CPTP map need not send an accepted state to an accepted one: the
@@ -1279,6 +1374,7 @@ def test_apply_judges_the_output_of_an_inexact_pair(case):
     assert got == without_scalar_pass(verdict, apply, c, s)
 
 
+@pytest.mark.any_kernel
 def test_channel_accepted_within_identity_tol_keeps_its_trace_verdict(rng):
     # Channel accepts Σ K†K within IDENTITY_TOL of the identity, but apply
     # judges the output's trace at INPUT_TOL: the certificate leaves that
@@ -1356,6 +1452,7 @@ EDGE_SIZES = st.one_of(
 )
 
 
+@pytest.mark.any_kernel
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     shape_in=st.sampled_from(SMALL_SHAPES),
@@ -1383,6 +1480,7 @@ def test_certified_choi_gives_the_checked_verdict_and_bytes(
     check_certified_choi(shape_in, shape_out, kraus, support)
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("shapes", [((16,), (16,)), ((1,) * 16, (1,) * 16), ((8, 8), (4, 4, 8))],
                          ids=["irreducible", "classical", "mixed"])
@@ -1415,6 +1513,7 @@ def count_conditional_judges(monkeypatch):
     return judged
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("dims", [(2,), (1, 1, 1), (3, 1), (2, 2), (4, 4)], ids=str)
 def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, monkeypatch):
     shape = AlgebraShape(dims)
@@ -1436,6 +1535,7 @@ def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, mon
         assert len(judged) == 2
 
 
+@pytest.mark.any_kernel
 def test_certified_choi_is_judged_above_the_cholesky_margin(rng, monkeypatch):
     # a channel (1,) → (d,) certifies for apply at any d here, but from a Choi
     # matrix of size 474 its Cholesky margin exceeds INPUT_TOL/2
@@ -1466,6 +1566,7 @@ def tight_floor(*shapes):
     return len(sizes), max(_cholesky_floor(size, d)[1] for size in sizes)
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("dims", TIGHT_SHAPES, ids=lambda dims: "x".join(map(str, dims)))
 def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
     # unit-trace matrices U diag(w) U† inside the algebra, U = Ua (⊗ Ub) block
@@ -1572,6 +1673,7 @@ def check_certified_conditioning(monkeypatch, cases):
     return certified
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("dims_a, dims_b", COND_PAIRS, ids=lambda dims: "x".join(map(str, dims)))
 def test_certified_conditioning_gives_the_checked_verdict_and_bits(rng, dims_a, dims_b,
                                                                    monkeypatch):
@@ -1586,13 +1688,14 @@ def test_certified_conditioning_gives_the_checked_verdict_and_bits(rng, dims_a, 
     joints += [JointState(shape_a, shape_b, m) for m in edges]
     povms = [(random_povm(shape_a, 3, rng), random_povm(shape_b, 3, rng)) for _ in joints]
     certified = check_certified_conditioning(monkeypatch, [(j, *nm) for j, nm in zip(joints, povms)])
-    # both sides and the theorem of each random joint are certified, but for
-    # a rank-deficient one that the scalar pass takes (floor inf); the joint at
+    # both sides and the theorem of each random joint are certified, at least
+    # 6 of them on a pair small enough for the scalar pass; the joint at
     # λmin = -INPUT_TOL·(1 - 1e-3) (floor inf) is judged
     small = shape_a.total_dim * shape_b.total_dim <= SCALAR_MAX_DIM
     assert (6 if small else 9) <= certified < 3 * len(joints)
 
 
+@pytest.mark.any_kernel
 def test_certified_conditioning_gives_the_checked_verdict_near_the_cutoff(monkeypatch):
     # the product joints of ``TestNearCutoffVerdicts``, spec(ρ_A) ∝ (1, 0.5, ε)
     cutoff = importlib.import_module("test_conditional").TestNearCutoffVerdicts
@@ -1675,12 +1778,22 @@ def trusted_calls(rng, shape):
 TRUSTED_SHAPES = [AlgebraShape(dims) for dims in ((2,), (4,), (1, 1), (1,) * 4, (2, 1), (2, 1, 1))]
 
 
+@pytest.mark.any_kernel
 def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
     # on irreducible, classical and mixed shapes, and on the near-cutoff joints
     # of ``TestNearCutoffVerdicts``, whose conditioning may fail after its
     # ``_trusted`` call: what a failed call built never leaves it
     cutoff = importlib.import_module("test_conditional").TestNearCutoffVerdicts
     calls = [call for shape in TRUSTED_SHAPES for call in trusted_calls(rng, shape)]
+    # rank-deficient joints small enough for the scalar pass, which it hands to
+    # numpy: a pure entangled qubit pair and perfectly correlated bits
+    psi = hermitize(random_support_projector(AlgebraShape((4,)), 1, rng))
+    for shape, m in ((QUBIT, psi), (CLASSICAL_BIT, np.diag([0.3, 0, 0, 0.7]))):
+        j = JointState(shape, shape, m)
+        povms = (random_povm(shape, 3, rng), random_povm(shape, 2, rng))
+        calls += [(f"condition {side} rank-deficient {shape_id(shape)}", conditional_from_joint, (j, side))
+                  for side in "ab"]
+        calls.append((f"verify_theorem rank-deficient {shape_id(shape)}", verify_theorem, (j, *povms)))
     for eps in cutoff.EPSILONS:
         for seed in cutoff.SEEDS:
             j = cutoff.joint(eps, seed)
@@ -1724,6 +1837,7 @@ def unread_outcome_case(rng, theta):
     return State(QUBIT, np.outer(phi, phi.conj())), [np.eye(4) - effect, effect]
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("theta", [1e-4, 1e-5, 1.5e-6])
 def test_teleport_accepts_an_unread_outcome_of_tiny_probability(monkeypatch, theta):
     # normalized by its probability, about 1e-8 to 1e-12, outcome 1 carries
@@ -1741,6 +1855,7 @@ def test_teleport_accepts_an_unread_outcome_of_tiny_probability(monkeypatch, the
             assert abs(float(probs.sum()) - 1.0) <= IDENTITY_TOL
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("d", [2, 5])
 def test_teleport_judges_only_the_success_state(rng, monkeypatch, d):
     # one validate_psd, on a stack of one: the success state; the basis is
@@ -1763,6 +1878,7 @@ def test_teleport_judges_only_the_success_state(rng, monkeypatch, d):
         monkeypatch.undo()
 
 
+@pytest.mark.any_kernel
 def test_povm_holds_its_elements_as_one_read_only_tensor(rng):
     # from a list, tuple, iterator or array, of integer, float or complex
     # entries: one fresh row-major complex128 (n, d, d) tensor, read-only
@@ -1790,6 +1906,7 @@ def test_povm_holds_its_elements_as_one_read_only_tensor(rng):
         assert held.dtype == np.complex128 and held.tobytes() == np.eye(3, dtype=complex)[None].tobytes()
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("elements, message", [
     ([], "a POVM needs at least one element"),
     (np.zeros((0, 2, 2)), "a POVM needs at least one element"),
@@ -1980,6 +2097,7 @@ NEAR_IDENTITY_TOL = st.one_of(
 ).map(lambda f: f * IDENTITY_TOL)
 
 
+@pytest.mark.any_kernel
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(
     shape_in=st.sampled_from(SMALL_SHAPES),

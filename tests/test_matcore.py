@@ -204,6 +204,10 @@ class TestSupportProjector:
         p = random_psd(rng, 3)
         np.testing.assert_allclose(herm_eig(p).support(), np.eye(3), atol=1e-12)
 
+    def test_zero_matrix_has_the_zero_projector(self):
+        proj = herm_eig(np.zeros((3, 3))).support()
+        assert proj.dtype == np.complex128 and proj.shape == (3, 3) and not proj.any()
+
     def test_rank_two_trace(self, rng):
         p = random_psd(rng, 4, rank=2)
         proj = herm_eig(p).support()
