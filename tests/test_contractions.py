@@ -1787,13 +1787,12 @@ def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
     calls = [call for shape in TRUSTED_SHAPES for call in trusted_calls(rng, shape)]
     # rank-deficient joints small enough for the scalar pass, which it hands to
     # numpy: a pure entangled qubit pair and perfectly correlated bits
-    psi = hermitize(random_support_projector(AlgebraShape((4,)), 1, rng))
+    psi = random_support_projector(AlgebraShape((4,)), 1, rng)
     for shape, m in ((QUBIT, psi), (CLASSICAL_BIT, np.diag([0.3, 0, 0, 0.7]))):
-        j = JointState(shape, shape, m)
+        j, tag = JointState(shape, shape, m), f"rank-deficient {shape_id(shape)}"
         povms = (random_povm(shape, 3, rng), random_povm(shape, 2, rng))
-        calls += [(f"condition {side} rank-deficient {shape_id(shape)}", conditional_from_joint, (j, side))
-                  for side in "ab"]
-        calls.append((f"verify_theorem rank-deficient {shape_id(shape)}", verify_theorem, (j, *povms)))
+        calls += [(f"condition {side} {tag}", conditional_from_joint, (j, side)) for side in "ab"]
+        calls.append((f"verify_theorem {tag}", verify_theorem, (j, *povms)))
     for eps in cutoff.EPSILONS:
         for seed in cutoff.SEEDS:
             j = cutoff.joint(eps, seed)
