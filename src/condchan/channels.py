@@ -28,7 +28,7 @@ from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import _as_stack, herm_eig, max_abs, projector_deviation
 from .states import State, _trusted
-from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding, _choi_rounding
+from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding
 
 
 def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
@@ -171,13 +171,13 @@ def choi_conditional(c: Channel) -> ConditionalState:
     """Conditional-state form of a channel: act with the channel on the
     conditioned factor of the maximally entangled conditional.
 
-    Built by ``_trusted``, floor inf, for a certified channel within ``tolerances._choi_rounding``:
+    Built by ``_trusted``, floor inf, for a certified channel, at any size:
     C = mask∘Σ vec(K) vec(K)† is PSD but for rounding ‖E‖₂ ≤ γ_r·tr(Σ K†K) ≤
-    ``_apply_rounding`` ≤ INPUT_TOL/4, so C is Hermitian within that and C + INPUT_TOL·I
-    clears the Cholesky margin; its leak is the Choi leak, ≤ BLOCK_TOL/(4·d_in²); its
+    ``_apply_rounding`` ≤ INPUT_TOL/4, so C is Hermitian within that and λmin(C) ≥ -INPUT_TOL/4,
+    which the judged path accepts; its leak is the Choi leak, ≤ BLOCK_TOL/(4·d_in²); its
     support (Σ K†K)ᵀ∘mask is within INPUT_TOL/(2·d_in) of I (README, Conventions)."""
     choi = _choi_matrix(c)
-    if c._certifies and _choi_rounding(len(choi)) <= INPUT_TOL / 2:
+    if c._certifies:
         return _trusted(ConditionalState, c.shape_in, c.shape_out, choi, floor=np.inf)
     return ConditionalState(c.shape_in, c.shape_out, choi)
 

@@ -31,7 +31,7 @@ from .matcore import (
     swap_factors,
 )
 from .states import JointState, State, _judge, _marginal, _side, _trusted
-from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL, _choi_rounding, _condition_rounding
+from .tolerances import IDENTITY_TOL, INPUT_TOL, RANK_TOL, _condition_rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +104,9 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
     that side's marginal, from which its generalized inverse root M was taken.
     The sandwich scales the joint's off-block slop by up to 1/λ_min of the
     marginal, so the result's Hermitian part is pinched onto the pair algebra.
-    Where ``tolerances._condition_rounding`` of ``j.floor`` ≤ INPUT_TOL/4 and ``_choi_rounding`` ≤
-    INPUT_TOL/2 it passes the judge and its Cholesky: ``_trusted`` builds it with that bound as
-    its floor, and only the projector and rank tests run (README)."""
+    Where ``tolerances._condition_rounding`` of ``j.floor`` ≤ INPUT_TOL/4, its λmin is at least
+    minus that, so it passes the judge and ``validate_psd``: ``_trusted`` builds it with that bound
+    as its floor, and only the projector and rank tests run (README)."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     shape_in, marg_matrix = _marginal(j, side)
     marg = herm_eig(marg_matrix, block_index(shape_in))
@@ -117,7 +117,7 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
     out = _sandwich_on_first(marg.inv_root(), matrix, dim_out)
     out = _pinched_hermitian(out, shape_in, shape_out)
     bound = _condition_rounding(j.floor, marg.eigenvalues[marg.rank - 1], len(marg_matrix))
-    if not (bound <= INPUT_TOL / 4 and _choi_rounding(len(out)) <= INPUT_TOL / 2):
+    if not bound <= INPUT_TOL / 4:
         return ConditionalState(shape_in, shape_out, out), marg
     cond = _trusted(ConditionalState, shape_in, shape_out, out, floor=bound)
     cond._require_projector_support()

@@ -64,7 +64,6 @@ BLOCKWISE_MIN_DIM = 16
 # any of them (timeit, one Xeon core, 1-thread OpenBLAS).
 SCALAR_MAX_DIM = 4
 _EPS = float(np.finfo(np.float64).eps)
-_tight_floor = lru_cache(maxsize=64)(_cholesky_floor)  # read on every unit-trace validation
 
 
 class BlockGroup(NamedTuple):
@@ -303,11 +302,13 @@ def judge(
 
 
 @lru_cache(maxsize=64)
-def _shift_identity(d: int, shift: float) -> np.ndarray:
-    """shift·I on C^d (cached, read-only): adding it shifts a diagonal in one step."""
-    out = np.eye(d, dtype=np.complex128) * shift
+def _tight_shift(size: int, dim: int) -> tuple[np.ndarray, float]:
+    """t·I on C^size (read-only), t the shift of ``tolerances._cholesky_floor``, and the floor a
+    factor of H + t·I proves for unit-trace dim × dim H: cached, as every validation reads it."""
+    shift, floor = _cholesky_floor(size, dim)
+    out = np.eye(size, dtype=np.complex128) * shift
     out.setflags(write=False)
-    return out
+    return out, floor
 
 
 def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
@@ -352,41 +353,33 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
 def validate_psd(
     stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
 ) -> float:
-    """``judge`` a (n, d, d) stack, then certify each Hermitian part + INPUT_TOL·I
-    positive definite by one stacked Cholesky, a backward-stable certificate
-    that every λmin ≥ -INPUT_TOL (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 10); per block with ``blocks``, as a block-diagonal
-    matrix is positive exactly when each block is.  Only a failed certificate
-    pays an ``eigvalsh`` of the whole stack, whose lowest eigenvalue decides
-    and is the deviation of ``InvariantViolation('positive')``.  A single
-    unit-trace matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered to
-    ``_proves_definite``; what it does not prove, the judge decides.  Returns a floor,
-    λmin ≥ -floor over the whole Hermitian part: 0.0 where the scalar pass proved it
-    definite, inf after the INPUT_TOL test.  A unit-trace stack first tries the shift of
-    ``tolerances._cholesky_floor`` where its floor + d·(leak left out) ≤ INPUT_TOL/4."""
+    """``judge`` a (n, d, d) stack, then certify each Hermitian part + t·I positive definite by
+    one stacked Cholesky, per block with ``blocks`` (a block-diagonal matrix is positive exactly
+    when each block is), t the shift of ``tolerances._cholesky_floor`` (Rump, "Verification of
+    positive definiteness", BIT 46, 2006; Higham, *Accuracy and Stability*, ch. 10).  A PSD state,
+    conditional or POVM element has diagonal ≤ 1, so it factors.  A stack that does not pays one
+    ``eigvalsh`` of the whole stack, whose lowest eigenvalue decides against -INPUT_TOL and is the
+    deviation of ``InvariantViolation('positive')``.  A single unit-trace matrix of dimension at
+    most ``SCALAR_MAX_DIM`` is first offered to ``_proves_definite``; what it does not prove, the
+    judge decides.  Returns a floor, λmin ≥ -floor over the whole Hermitian part: 0.0 where the
+    scalar pass proved it definite; for a unit-trace stack that factors, the floor of
+    ``_cholesky_floor`` plus d·(leak the blocks left out); else inf."""
     small = unit_trace and len(stack) == 1 and stack.shape[-1] <= SCALAR_MAX_DIM
     if small and _proves_definite(stack[0], outside):
         return 0.0
     parts, leak = judge(stack, outside, blocks, unit_trace)
-    dim = stack.shape[-1]  # block groups grow in size, and so does their floor: the last is largest
-    floor = _tight_floor(parts[-1].shape[-1], dim)[1] + dim * leak if unit_trace else math.inf
-    if floor <= INPUT_TOL / 4:
-        try:
-            for herm in parts:
-                herm += _shift_identity(herm.shape[-1], _tight_floor(herm.shape[-1], dim)[0])
-                np.linalg.cholesky(herm)
-            return floor
-        except np.linalg.LinAlgError:  # judged again, so the test below sees unshifted parts
-            parts = judge(stack, outside, blocks, unit_trace)[0]
-    try:
+    dim = stack.shape[-1]
+    try:  # block groups grow in size, and so does their floor: the last is the largest
         for herm in parts:
-            herm += _shift_identity(herm.shape[-1], INPUT_TOL)
+            shift, floor = _tight_shift(herm.shape[-1], dim)
+            herm += shift
             np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         low = float(np.linalg.eigvalsh(hermitize(stack)).min())
         if not low >= -INPUT_TOL:
             raise InvariantViolation("positive", -low) from None
-    return math.inf
+        return math.inf
+    return floor + dim * leak if unit_trace else math.inf
 
 
 def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:

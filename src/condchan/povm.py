@@ -92,12 +92,14 @@ def measure(m: POVM, s: State) -> np.ndarray:
 
 def prepare(m: POVM, s: State) -> Ensemble:
     """POVM-preparation of a state: weights from the Born rule, members the
-    Hermitian parts of sqrt(s) M_j sqrt(s) normalized.  Outcomes of negligible
+    Hermitian parts of sqrt(s) M_j sqrt(s), each divided by its own trace, since
+    ``root`` clips a slightly negative eigenvalue of s.  Outcomes of negligible
     probability are dropped; their conditional state is undefined."""
     probs = measure(m, s)
     root = herm_eig(s.matrix).root()
     kept = probs > NEGLIGIBLE
-    members = hermitize(root @ m.elements[kept] @ root / probs[kept, None, None])
+    members = hermitize(root @ m.elements[kept] @ root)
+    members /= members.trace(axis1=1, axis2=2).real[:, None, None]
     return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
 
 

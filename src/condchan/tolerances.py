@@ -34,16 +34,13 @@ def _apply_rounding(d_in: int, d_out: int, kraus_count: int) -> float:
     return 2.0**-52 * (terms + d_out)
 
 
-def _choi_rounding(dim: int) -> float:
-    """Cholesky margin for a dim × dim Choi matrix, diagonal ≤ 1 + tp_dev: dim·γ̃_{dim+1}, complex
-    γ̃_{dim+1} ≤ √2·γ_{dim+3}, rounded up (Higham, *Accuracy and Stability*, Thm 10.7)."""
-    return 2.0**-52 * dim * (dim + 3)
-
-
 def _cholesky_floor(size: int, dim: int) -> tuple[float, float]:
-    """Shift t₀ = ``_choi_rounding(s)``·(1 + INPUT_TOL) for s × s blocks of unit-trace dim × dim H,
-    and the floor t₀ + γ_{2s+6}·tr(H + t₀·I) ≥ -λmin(H) that a factor of fl(H + t₀·I) proves."""
-    shift, gamma = _choi_rounding(size) * (1 + INPUT_TOL), (2 * size + 6) * 2.0**-53
+    """Shift t for s × s blocks of dim × dim H: Thm 10.7's margin s·γ̃_{s+1}·(1 + INPUT_TOL), complex
+    γ̃_{s+1} ≤ √2·γ_{s+3} rounded up, for a PSD H of diagonal ≤ 1 + INPUT_TOL, capped at INPUT_TOL;
+    and for unit-trace H the floor t + γ_{2s+6}·tr(H + t·I) ≥ -λmin(H) that a factor of
+    fl(H + t·I) proves (Higham, *Accuracy and Stability*, Thms 10.3 and 10.7)."""
+    shift = min(2.0**-52 * size * (size + 3) * (1 + INPUT_TOL), INPUT_TOL)
+    gamma = (2 * size + 6) * 2.0**-53
     return shift, shift + gamma / (1 - gamma) * (1 + INPUT_TOL + dim * shift)
 
 

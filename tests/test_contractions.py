@@ -38,10 +38,11 @@ the judged path's verdict and bytes, and every output it skips passes the judge.
 So does ``choi_conditional`` for a certified channel, whose unchecked Choi matrix
 passes each constructor test with the margin its proof states, and so does
 conditioning a joint whose tight certificate fits the rounding bound: the
-tight-first certificate of a unit-trace stack gives the eigvalsh verdict, and
-every floor it returns holds.  Every output that a map builds by ``_trusted``,
-unjudged, is one its public constructor accepts, read-only and sharing no memory
-with the map's inputs, and its floor holds.
+tight certificate, one Cholesky per block group and one eigvalsh of a stack
+that does not factor, gives the eigvalsh verdict, and every floor it returns
+holds.  Every output that a map builds by ``_trusted``, unjudged, is one its
+public constructor accepts, read-only and sharing no memory with the map's
+inputs, and its floor holds.
 """
 
 import importlib.util
@@ -124,7 +125,6 @@ from condchan.tolerances import (
     IDENTITY_TOL,
     INPUT_TOL,
     NEGLIGIBLE,
-    _choi_rounding,
     _cholesky_floor,
 )
 from conftest import QUBIT, QUTRIT, support_deviation, teleport_branches
@@ -790,6 +790,7 @@ def test_psd_certificate_gives_the_eigvalsh_verdict_at_the_edges(rng, shape):
     assert got == want and want[1] == "trace"
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=shape_id)
 def test_constructors_give_the_eigvalsh_verdict(rng, shape, monkeypatch):
     d = shape.total_dim
@@ -860,6 +861,7 @@ def pair_cases(rng, shape_a, shape_b):
                 yield kind, m + slop * signs * off, fails
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("dims_a, dims_b", BLOCK_PAIRS, ids=lambda dims: "x".join(map(str, dims)))
 def test_block_certificate_gives_the_whole_eigvalsh_verdict(rng, dims_a, dims_b, monkeypatch):
     # from BLOCKWISE_MIN_DIM up, a reducible joint or conditional is judged
@@ -1431,7 +1433,7 @@ def check_certified_choi(shape_in, shape_out, kraus, support):
     assert got == verdict(ConditionalState, shape_in, shape_out, choi)
     if out:
         assert out[0].tobytes() == choi.tobytes()
-    certified = c._certifies and _choi_rounding(len(choi)) <= INPUT_TOL / 2
+    certified = c._certifies
     if certified:
         d = shape_in.total_dim
         assert got is None and support is None
@@ -1536,19 +1538,23 @@ def test_certified_choi_is_built_without_validate_psd_or_cholesky(rng, dims, mon
 
 
 @pytest.mark.any_kernel
-def test_certified_choi_is_judged_above_the_cholesky_margin(rng, monkeypatch):
-    # a channel (1,) → (d,) certifies for apply at any d here, but from a Choi
-    # matrix of size 474 its Cholesky margin exceeds INPUT_TOL/2
-    judged = count_conditional_judges(monkeypatch)
+def test_certified_choi_is_trusted_at_every_size(rng, monkeypatch):
+    # a channel (1,) → (d,) certifies at any d here, and its Choi form is built
+    # unchecked at every size, D = 473 and 474 among them: λmin ≥ -INPUT_TOL/4
+    # by the channel's bound, which the judged path accepts
+    built = record_trusted(monkeypatch)
     for d in (473, 474):
         c = random_channel(AlgebraShape((1,)), AlgebraShape((d,)), 1, rng)
         assert c._certifies
-        choi_conditional(c)
-    assert judged == [(1, 474, 474)]
-    assert _choi_rounding(473) <= INPUT_TOL / 2 < _choi_rounding(474)
+        cond = choi_conditional(c)
+        assert built == [cond]
+        del built[:]
+        judged = ConditionalState(cond.shape_in, cond.shape_out, np.array(cond.matrix))
+        assert judged.matrix.tobytes() == cond.matrix.tobytes()
+        assert np.linalg.eigvalsh(hermitize(cond.matrix)).min() >= -INPUT_TOL / 4
 
 
-# -- the tight-first certificate and certified conditioning -------------------
+# -- the tight certificate and certified conditioning -------------------------
 
 
 # single algebras and pairs, judged whole below BLOCKWISE_MIN_DIM or when
@@ -1589,34 +1595,62 @@ def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
     if index[1] is not None:
         cases.append(cases[0] + BLOCK_TOL / 2 * off)
     stacks = [m[None] for m in cases] + [np.stack(cases[:2]), np.stack([cases[0], cases[3]])]
-    calls = count_linalg(monkeypatch, ("cholesky",))
+    calls, judged = count_linalg(monkeypatch, ("cholesky", "eigvalsh")), []
 
-    def run(stack):
+    def counted_judge(*args, **kwargs):
+        judged.append(args[0].shape)
+        return judge(*args, **kwargs)
+
+    monkeypatch.setattr("condchan.matcore.judge", counted_judge)
+
+    def run(fn):
         calls.clear()
+        judged.clear()
         floors = []
-        got = verdict(lambda: floors.append(validate_psd(stack, *index, True)))
-        return got, (floors or [None])[0], len(calls)
+        got = verdict(lambda: floors.append(fn()))
+        names = [name for name, _ in calls]
+        return got, (floors or [None])[0], (len(judged), names.count("cholesky"),
+                                            names.count("eigvalsh"))
 
-    got, floors, counts = zip(*map(run, stacks))
+    got, floors, counts = zip(*(run(partial(validate_psd, stack, *index, True)) for stack in stacks))
     want = [verdict(oracle_validate_psd, stack, *index, True) for stack in stacks]
     assert list(got) == want
     assert [w and w[1] for w in want] == [None] * 7 + ["positive"] + [None] * (len(stacks) - 8)
     for stack, proved in zip(stacks, floors):  # every floor returned holds
         if proved is not None:
             assert np.linalg.eigvalsh(hermitize(stack)).min() >= -proved
-    # one Cholesky per group at or above 0: full rank, rank d - 1, half rank
-    # and the stack of the first two, each proving the tight floor
-    for k in (0, 1, 6, -2):
-        assert counts[k] == groups and floors[k] == floor
-    # below -floor the tight factor fails, and the INPUT_TOL test runs
-    for k in (3, 4, 5, 7, -1):
-        assert groups < counts[k] <= 2 * groups and floors[k] in (None, math.inf)
-    assert (counts[2] == groups) == (floors[2] == floor)
-    if index[1] is not None:  # the leak that the blocks leave out is added,
-        # and a floor above INPUT_TOL/4 is not tried (d = 64 here)
-        leaky = floor + d * (BLOCK_TOL / 2)
-        assert floors[8] == (leaky if leaky <= INPUT_TOL / 4 else math.inf)
-        assert counts[8] == groups
+    # one judge and at most one Cholesky per block group; a stack that factors
+    # proves its floor with no eigvalsh, plus d times the leak the blocks leave
+    # out (the per-block case, finite whatever its size), and one that does not
+    # pays one eigvalsh
+    proves = [floor] * len(stacks)
+    if index[1] is not None:
+        proves[8] = floor + d * (BLOCK_TOL / 2)
+    for (judges, cholesky, eigvalsh), proved, tight in zip(counts, floors, proves):
+        assert judges == 1 and 1 <= cholesky <= groups and eigvalsh in (0, 1)
+        assert (cholesky, proved) == (groups, tight) if eigvalsh == 0 else proved in (None, math.inf)
+    # at or above 0 each factors: full rank, rank d - 1, half rank, the stack of
+    # the first two and the leaky one; below -floor none does
+    factors = (0, 1, 6, -2, 8) if index[1] is not None else (0, 1, 6, -2)
+    assert all(counts[k][2] == 0 for k in factors)
+    assert all(counts[k][2] == 1 for k in (3, 4, 5, 7, -1))
+    # judged without the trace, as effects and conditionals are, and valid only
+    # within INPUT_TOL, λmin = -INPUT_TOL·(1 - 1e-3): a POVM {E, I - E} and a
+    # conditional, each accepted with the counts of a stack that does not factor
+    edge = cases[5]
+    if len(shapes) == 1:
+        builds = [partial(POVM, shapes[0], [edge, np.eye(d) - edge]),
+                  partial(ConditionalState, AlgebraShape((1,)), shapes[0], edge)]
+    else:  # eigenvalue w[i, j] on column (i, j) of U, each row summing to 1
+        w = rng.random((shapes[0].total_dim, shapes[1].total_dim)) + 0.1
+        w[0, 0] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        w[0] *= 1 + INPUT_TOL * (1 - 1e-3)
+        w[0, 0] = -INPUT_TOL * (1 - 1e-3)
+        builds = [partial(ConditionalState, *shapes, (u * w.ravel()) @ u.conj().T)]
+    for build in builds:
+        got, _, (judges, cholesky, eigvalsh) = run(build)
+        assert got is None and judges == 1 and 1 <= cholesky <= groups and eigvalsh == 1
 
 
 COND_PAIRS = [((2,), (2,)), ((3,), (2,)), ((1, 1), (3,)), ((2, 1), (1, 1, 1)), ((4,), (4,)),
@@ -1793,6 +1827,9 @@ def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
         povms = (random_povm(shape, 3, rng), random_povm(shape, 2, rng))
         calls += [(f"condition {side} {tag}", conditional_from_joint, (j, side)) for side in "ab"]
         calls.append((f"verify_theorem {tag}", verify_theorem, (j, *povms)))
+    # a Choi form of size 474, built unchecked as the small ones are
+    wide = random_channel(AlgebraShape((1,)), AlgebraShape((474,)), 1, rng)
+    calls.append(("choi_conditional (1,) → (474,)", choi_conditional, (wide,)))
     for eps in cutoff.EPSILONS:
         for seed in cutoff.SEEDS:
             j = cutoff.joint(eps, seed)

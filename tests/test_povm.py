@@ -17,7 +17,7 @@ from condchan import (
     prepare,
     sample,
 )
-from condchan.scenarios import random_povm, random_state
+from condchan.scenarios import random_povm, random_state, random_unitary
 from conftest import BIT, MIXED, QUBIT
 
 COMPUTATIONAL = POVM(QUBIT, (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
@@ -119,6 +119,23 @@ class TestPrepare:
         for shape in (QUBIT, MIXED, AlgebraShape((8,))):
             ens = prepare(random_povm(shape, 4, rng), random_state(shape, rng))
             assert all(np.array_equal(m.matrix, m.matrix.conj().T) for m in ens.members)
+
+    @pytest.mark.any_kernel
+    def test_members_of_a_state_below_zero_have_unit_trace(self):
+        # ρ on C^8 with λmin = -9e-11 (the rest equal) is a valid State; root()
+        # clips that eigenvalue, so √ρ E √ρ has trace tr(E ρ₊), not the Born
+        # probability tr(E ρ): each member is divided by its own trace
+        octet = AlgebraShape((8,))
+        rng = np.random.default_rng(11)
+        w = np.array([-9e-11] + [(1 + 9e-11) / 7] * 7)
+        for _ in range(4):
+            u = random_unitary(8, rng)
+            s = State(octet, (u * w) @ u.conj().T)
+            povm = random_povm(octet, 3, rng)
+            ens = prepare(povm, s)
+            assert ens.weights.tobytes() == measure(povm, s).tobytes()
+            traces = [np.trace(m.matrix) for m in ens.members]
+            np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-14)
 
     def test_classical_reduces_to_bayesian_conditioning(self, rng):
         probs = rng.random(2)
