@@ -4,6 +4,7 @@
     python scripts/bench.py --out BENCH.json --label change
     python scripts/bench.py --src OTHER_CHECKOUT/src --out BENCH.json --label parent
     python scripts/bench.py --out quick.json --label quick --repeats 1 --max-dim 3
+    python scripts/bench.py --against PARENT_CHECKOUT/src --out BENCH.json --label change
 
 Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
 BLAS fixed to one thread and, where the C library has ``mallopt`` (glibc),
@@ -56,6 +57,21 @@ tree that cannot run a case is recorded as such.  Everything already in
 the file is kept, so one file holds the before and after of a change, and
 runs of the two trees can be interleaved (parent, change, change, parent,
 ...) to spread drift in machine speed over both.
+
+With ``--against OTHER/src`` the two trees run in this one process instead,
+each imported under its own package name (``condchan`` and
+``condchan_against``), so that order, layout and drift between processes do
+not enter their comparison.  Each call's inputs are built by each tree from
+the same generators, so trees that generate alike measure the same inputs.
+For each call the two sides are timed in 2·``--repeats`` rounds, each a batch
+of the same number of calls on either side, in alternating order (this tree
+first, then the other tree first, ...).  The ``"ab"`` record of a call holds
+this tree's median per-call time, its counts and CLI digest, the same of the
+other tree under ``"against"``, and ``speedup``, the median over the rounds
+of the other tree's time over this tree's (above 1 where this tree is
+faster), with its quartiles ``speedup_q1`` and ``speedup_q3``.  The run
+record names the other tree's commit, dirty flag and line count under
+``"against"``.
 """
 
 import ctypes
@@ -94,6 +110,8 @@ MALLOC = fix_malloc_thresholds()
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -322,14 +340,49 @@ def measure_call(fn, control, repeats):
     }
 
 
-def measure(calls, repeats):
+def measure_ab(fn, other, repeats):
+    """``fn`` against ``other``, the same call in the other tree: 2·``repeats``
+    rounds, each timing a batch of each side, the first side alternating."""
+    number = max(1, round(BATCH_MS / min(timed(fn), timed(other))))
+    timers = timeit.Timer(fn), timeit.Timer(other)
+    rounds = []
+    for r in range(2 * repeats):
+        times = [0.0, 0.0]
+        for side in ((0, 1), (1, 0))[r % 2]:
+            times[side] = timers[side].timeit(number) / number
+        rounds.append(times)
+    q1, median, q3 = statistics.quantiles([o / t for t, o in rounds], method="inclusive")
+    return {
+        "kind": "ab",
+        "median_ms": 1e3 * statistics.median(t for t, _ in rounds),
+        "speedup": median,
+        "speedup_q1": q1,
+        "speedup_q3": q3,
+        **count_calls(fn),
+        "against": {"median_ms": 1e3 * statistics.median(o for _, o in rounds),
+                    **count_calls(other)},
+    }
+
+
+def measure(calls, repeats, against=None):
+    """One record per call of ``calls``; with ``against``, the same calls of the
+    other tree, each call is timed against its twin by ``measure_ab``."""
     control = Calibration()
     rows = []
+    twins = iter(against or ())
     for call, d, cls, fn in calls:
         try:
-            row = measure_call(fn, control, repeats)
+            if against is None:
+                row = measure_call(fn, control, repeats)
+            else:
+                *key, other = next(twins)
+                if key != [call, d, cls]:
+                    raise RuntimeError(f"the trees' calls differ: {(call, d, cls)} and {tuple(key)}")
+                row = measure_ab(fn, other, repeats)
             if call.startswith("cli "):
                 row["stdout_sha256"] = stdout_sha256(fn())
+                if against is not None:
+                    row["against"]["stdout_sha256"] = stdout_sha256(other())
         except MemoryError as exc:
             row = {"kind": "failed", "error": type(exc).__name__}
         rows.append({"call": call, "d": d, "class": cls, **row})
@@ -361,6 +414,32 @@ def environment():
     }
 
 
+def load_tree(src, name):
+    """The ``condchan`` package of the tree ``src``, imported as ``name``, with its ``cli``."""
+    init = src / "condchan" / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"no condchan package in {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")  # cc.cli and cc.serialize, for the CLI cases
+    return package
+
+
+def tree(src):
+    """Commit, dirty flag and ``src/condchan`` line count of the tree ``src``."""
+    return {
+        "commit": git(src, "rev-parse", "HEAD"),
+        "dirty": bool(git(src, "status", "--porcelain", "--", ".")),
+        "src_lines": sum(
+            len(p.read_text(encoding="utf-8").splitlines()) for p in (src / "condchan").glob("*.py")
+        ),
+    }
+
+
 def records(path):
     if not path.exists():
         return []
@@ -374,33 +453,32 @@ def main():
     parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--max-dim", type=int, default=16)
+    parser.add_argument("--against", type=Path, help="src/ of another tree, timed against --src")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.max_dim < 2:
         parser.error("--max-dim must be at least 2")
     src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    import condchan as cc
-    import condchan.cli  # noqa: F401  (cc.cli and cc.serialize, for the CLI cases)
-
-    if Path(cc.__file__).resolve().parent != src / "condchan":
-        sys.exit(f"condchan was imported from {cc.__file__}, not from {src}")
+    cc = load_tree(src, "condchan")
     run = {
         "kind": "run",
         "run": sum(rec["kind"] == "run" for rec in records(args.out)),
         "label": args.label,
-        "commit": git(src, "rev-parse", "HEAD"),
-        "dirty": bool(git(src, "status", "--porcelain", "--", ".")),
-        "src_lines": sum(
-            len(p.read_text(encoding="utf-8").splitlines()) for p in (src / "condchan").glob("*.py")
-        ),
+        **tree(src),
         "env": environment(),
         "repeats": args.repeats,
         "max_dim": args.max_dim,
     }
     with tempfile.TemporaryDirectory() as workdir:
-        rows = measure(cases(cc, Path(workdir), args.max_dim), args.repeats)
+        calls = cases(cc, Path(workdir), args.max_dim)
+        against = None
+        if args.against is not None:
+            run["against"] = tree(args.against.resolve())
+            (Path(workdir) / "against").mkdir()
+            other = load_tree(args.against.resolve(), "condchan_against")
+            against = cases(other, Path(workdir) / "against", args.max_dim)
+        rows = measure(calls, args.repeats, against)
     lines = [run] + [{"run": run["run"], "label": args.label, **row} for row in rows]
     with args.out.open("a", encoding="utf-8") as out:
         out.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in lines)

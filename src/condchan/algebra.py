@@ -12,7 +12,8 @@ decompositions that run per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,18 +27,19 @@ class AlgebraShape:
     """Block structure (d1, ..., dn) of a finite-dimensional operator algebra."""
 
     block_dims: tuple[int, ...]
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
+        dims = tuple(self.block_dims)  # integers and numpy integers; not bools, floats or strings
+        if any(isinstance(d, bool) or not hasattr(type(d), "__index__") for d in dims):
+            raise ShapeMismatch(f"block dimensions must be integers, got {dims!r}")
+        dims = tuple(map(operator.index, dims))
         if not dims:
             raise ShapeMismatch("an algebra needs at least one block")
         if any(d < 1 for d in dims):
             raise ShapeMismatch(f"block dimensions must be positive, got {dims}")
         object.__setattr__(self, "block_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_dims)
+        object.__setattr__(self, "total_dim", sum(dims))
 
     @property
     def is_irreducible(self) -> bool:
@@ -98,6 +100,15 @@ def support_index(*shapes: AlgebraShape) -> tuple[np.ndarray | None, BlockIndex 
     """The ``outside`` and ``blocks`` that ``matcore.validate_psd`` judges an
     element of the tensor product of ``shapes`` by (cached)."""
     return _masks(shapes)[1:]
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def choi_leak_index(shape_in: AlgebraShape, shape_out: AlgebraShape) -> np.ndarray | None:
+    """Flat positions, in a channel's (d_in², d_out²) superoperator, of its Choi entries off the
+    pair blocks: rows in the input blocks, columns off the output blocks (read-only, or None)."""
+    out = np.flatnonzero(np.outer(block_mask(shape_in), ~block_mask(shape_out)))
+    out.setflags(write=False)
+    return out if out.size else None
 
 
 def block_projectors(shape: AlgebraShape) -> tuple[np.ndarray, ...]:

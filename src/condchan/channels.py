@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, block_mask, block_projectors
+from .algebra import AlgebraShape, block_index, block_mask, block_projectors, choi_leak_index
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import _as_stack, herm_eig, max_abs, projector_deviation
@@ -127,8 +127,8 @@ class Channel:
                 f"sum of K†K deviates from the required resolution by {tp_dev:.3e}",
             )
         object.__setattr__(self, "_superop", _superoperator(ops))
-        rows, off = block_mask(self.shape_in).ravel(), ~block_mask(self.shape_out).ravel()
-        block_dev = max_abs(self._superop[rows][:, off])  # Choi entries off the pair blocks
+        leak = choi_leak_index(self.shape_in, self.shape_out)
+        block_dev = 0.0 if leak is None else max_abs(self._superop.take(leak))
         if not block_dev <= IDENTITY_TOL:
             raise InvariantViolation("output_block_support", block_dev)
         if (self.input_support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
@@ -140,8 +140,9 @@ class Channel:
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
     """Action of the channel on a raw matrix, or on each matrix of a stack
     (no state validation): one product with the held superoperator."""
-    lead, dout = np.shape(x)[:-2], c.shape_out.total_dim
-    return (np.reshape(x, (*lead, c._superop.shape[0])) @ c._superop).reshape(*lead, dout, dout)
+    x = np.asarray(x)
+    lead, dout = x.shape[:-2], c.shape_out.total_dim
+    return (x.reshape(*lead, c._superop.shape[0]) @ c._superop).reshape(*lead, dout, dout)
 
 
 def apply(c: Channel, s: State) -> State:
@@ -175,10 +176,11 @@ def choi_conditional(c: Channel) -> ConditionalState:
     C = mask∘Σ vec(K) vec(K)† is PSD but for rounding ‖E‖₂ ≤ γ_r·tr(Σ K†K) ≤
     ``_apply_rounding`` ≤ INPUT_TOL/4, so C is Hermitian within that and λmin(C) ≥ -INPUT_TOL/4,
     which the judged path accepts; its leak is the Choi leak, ≤ BLOCK_TOL/(4·d_in²); its
-    support (Σ K†K)ᵀ∘mask is within INPUT_TOL/(2·d_in) of I (README, Conventions)."""
+    support (Σ K†K)ᵀ∘mask is within INPUT_TOL/(2·d_in) ≤ IDENTITY_TOL of I: unrestricted."""
     choi = _choi_matrix(c)
     if c._certifies:
-        return _trusted(ConditionalState, c.shape_in, c.shape_out, choi, floor=np.inf)
+        return _trusted(ConditionalState, c.shape_in, c.shape_out, choi, floor=np.inf,
+                        _restricted=None)
     return ConditionalState(c.shape_in, c.shape_out, choi)
 
 

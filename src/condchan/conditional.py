@@ -40,13 +40,14 @@ class ConditionalState:
 
     ``shape_in`` is the conditioning system, ``shape_out`` the conditioned
     one; the label reads out|in.  The matrix lies on kron(in, out) with the
-    conditioning factor slow.
+    conditioning factor slow.  Its support verdict is settled once (``_restricted_support``).
     """
 
     shape_in: AlgebraShape
     shape_out: AlgebraShape
     matrix: np.ndarray
     floor: float = field(init=False, repr=False)  # see ``_condition``
+    _restricted: np.ndarray | None = field(init=False, repr=False)  # see ``_restricted_support``
 
     def __post_init__(self):
         d = self.shape_in.total_dim * self.shape_out.total_dim
@@ -65,6 +66,7 @@ class ConditionalState:
         rank_dev = abs(trace - round(trace))
         if rank_dev > RANK_TOL:
             raise InvariantViolation("integer_rank", rank_dev)
+        _restricted_support(self, p)
 
     def conditioning_support(self) -> np.ndarray:
         """Partial trace over the conditioned side; a projector on the
@@ -78,10 +80,13 @@ class ConditionalState:
         return int(round(float(np.trace(self.matrix).real)))
 
 
-def _restricted_support(cond: ConditionalState) -> np.ndarray | None:
-    """The conditioning support, or None where it is within ``IDENTITY_TOL`` of the identity."""
-    support = cond.conditioning_support()
-    return None if max_abs(support - np.eye(len(support))) <= IDENTITY_TOL else support
+def _restricted_support(cond: ConditionalState, p: np.ndarray | None = None) -> np.ndarray | None:
+    """The conditioning support, or None within ``IDENTITY_TOL`` of I, settled once per conditional:
+    by the projector test's ``p``, by ``choi_conditional``'s certificate, or here on first use."""
+    if "_restricted" not in vars(cond):
+        p = cond.conditioning_support() if p is None else p
+        vars(cond)["_restricted"] = None if max_abs(p - np.eye(len(p))) <= IDENTITY_TOL else p
+    return cond._restricted
 
 
 def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -> np.ndarray:

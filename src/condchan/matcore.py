@@ -59,9 +59,9 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 BLOCKWISE_MIN_DIM = 16
 
 # Largest dimension of a single unit-trace matrix that ``validate_psd`` first
-# offers to ``_proves_definite``, which took about 3, 4.5, 7, 10 and 13 µs on a
-# definite state at d = 2 to 6 against 12.5-13 µs for the judge and Cholesky at
-# any of them (timeit, one Xeon core, 1-thread OpenBLAS).
+# offers to ``_proves_definite``, which took about 4, 6.5, 11, 15 and 23 µs on a
+# definite state at d = 2 to 6 against 19-22 µs for the judge and Cholesky at any
+# of them (timeit best of 7×1000, one shared Xeon core, 1-thread OpenBLAS).
 SCALAR_MAX_DIM = 4
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -311,6 +311,13 @@ def _tight_shift(size: int, dim: int) -> tuple[np.ndarray, float]:
     return out, floor
 
 
+@lru_cache(maxsize=SCALAR_MAX_DIM)
+def _scalar_plan(d: int) -> tuple[tuple[tuple[int, int], ...], range]:
+    """Flat positions in a (d, d) matrix: the (ij, ji) pairs with i ≤ j, and the diagonal."""
+    pairs = tuple((i * d + j, j * d + i) for i in range(d) for j in range(i, d))
+    return pairs, range(0, d * d, d + 1)
+
+
 def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
     """Whether one unit-trace (d, d) matrix is proved definite on Python complex
     scalars: exactly Hermitian with a finite Hermitian part (so a real diagonal),
@@ -318,25 +325,25 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
     with a margin of 4dε for numpy's summation order, and H - μ·I has a Cholesky
     factor.  Then ``judge`` accepts it and λmin(H) > 0.  False proves nothing."""
     d = len(m)
+    pairs, diagonal = _scalar_plan(d)
     flat = m.ravel().tolist()  # exactly Hermitian: its own Hermitian part
-    for i in range(d):
-        for j in range(i, d):
-            x = flat[i * d + j]
-            if x != flat[j * d + i].conjugate() or not cmath.isfinite(x + x):
-                return False
+    for p, q in pairs:
+        x = flat[p]
+        if x != flat[q].conjugate() or not cmath.isfinite(x + x):
+            return False
     if outside is not None and any(flat[p] for p in outside.tolist()):
         return False
     trace = 0.0
-    for j in range(d):  # a loop: sum() of floats is compensated from Python 3.12
-        trace += flat[j * d + j].real
+    for p in diagonal:  # a loop: sum() of floats is compensated from Python 3.12
+        trace += flat[p].real
     if not abs(trace - 1.0) <= INPUT_TOL / 4 - 4 * d * _EPS:
         return False
     # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6);
     # μ is twice that, so a factor proves λmin(H) > 0.  R overwrites flat's upper half.
-    shift = -2 * (d + 1) * d * _EPS * max(flat[j * d + j].real for j in range(d))
-    for j in range(d):  # row j of R from the column above its diagonal
-        column = [flat[k * d + j] for k in range(j)]
-        pivot = flat[j * d + j].real + shift
+    shift = -2 * (d + 1) * d * _EPS * max(flat[p].real for p in diagonal)
+    for j, p in enumerate(diagonal):  # row j of R from the column above its diagonal
+        column = flat[j : j * d : d]
+        pivot = flat[p].real + shift
         for z in column:
             pivot -= z.real * z.real + z.imag * z.imag
         if not pivot > 0.0:
@@ -344,8 +351,8 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
         root = math.sqrt(pivot)
         for i in range(j + 1, d):
             s = flat[j * d + i]
-            for k, z in enumerate(column):
-                s -= z.conjugate() * flat[k * d + i]
+            for z, y in zip(column, flat[i : j * d : d]):
+                s -= z.conjugate() * y
             flat[j * d + i] = s / root
     return True
 

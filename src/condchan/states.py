@@ -25,11 +25,11 @@ def _judge(obj, d: int, *shapes: AlgebraShape, unit_trace: bool = True) -> None:
     object.__setattr__(obj, "floor", validate_psd(arr[None], *support_index(*shapes), unit_trace))
 
 
-def _trusted(cls, *values, floor: float):
-    """A ``cls`` of ``values`` that takes over the last, a fresh array, with no copy or judge."""
+def _trusted(cls, *values, floor: float, **settled):
+    """A ``cls`` of ``values`` taking over the last, a fresh array, unjudged, and ``settled``."""
     obj = object.__new__(cls)
     values[-1].setflags(write=False)
-    vars(obj).update(zip(cls.__match_args__, values), floor=floor)
+    vars(obj).update(zip(cls.__match_args__, values), floor=floor, **settled)
     return obj
 
 

@@ -37,6 +37,24 @@ class TestShape:
         with pytest.raises(ShapeMismatch):
             AlgebraShape((2, 0))
 
+    @pytest.mark.parametrize("dims", [(2.5,), ("3",), (True, 1), (2, False), (np.True_,),
+                                      (np.float64(2.0),), (2, None)], ids=repr)
+    def test_rejects_non_integral_dims(self, dims):
+        # a float, a string or a bool was truncated to an int: (2.5,) read as (2,)
+        with pytest.raises(ShapeMismatch, match="block dimensions must be integers"):
+            AlgebraShape(dims)
+
+    def test_numpy_integers_are_python_ints(self):
+        shape = AlgebraShape((np.int64(2), np.uint8(1)))
+        assert shape == MIXED and hash(shape) == hash(MIXED)
+        assert all(type(d) is int for d in shape.block_dims)
+
+    def test_total_dim_is_set_once_and_not_compared(self):
+        shape = AlgebraShape([3, 2, 1])
+        assert vars(shape)["total_dim"] == 6 and shape.block_dims == (3, 2, 1)
+        assert repr(shape) == "AlgebraShape(block_dims=(3, 2, 1))"
+        assert AlgebraShape.__match_args__ == ("block_dims",)
+
 
 class TestEmbed:
     """The block mask: the entries an embedded algebra element may occupy."""

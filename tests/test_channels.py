@@ -20,10 +20,13 @@ from condchan import (
     kron,
     partial_trace,
 )
+import condchan.conditional as conditional_module
 from condchan.channels import apply_matrix
-from condchan.scenarios import random_channel, random_state, random_unitary
+from condchan.conditional import _restricted_support, conditional_from_joint
+from condchan.matcore import max_abs
+from condchan.scenarios import random_channel, random_joint_state, random_state, random_unitary
 from condchan.states import _trusted
-from condchan.tolerances import IDENTITY_TOL
+from condchan.tolerances import IDENTITY_TOL, INPUT_TOL
 from conftest import BIT, MIXED, QUBIT, QUTRIT, max_ent_conditional, maximally_mixed, support_deviation
 from test_contractions import oracle_choi_matrix
 
@@ -383,3 +386,97 @@ class TestJointFromChoi:
         cond = max_ent_conditional(QUBIT)
         j = joint_from_conditional(maximally_mixed(QUBIT), cond)
         np.testing.assert_allclose(j.matrix, cond.matrix / 2, atol=1e-12)
+
+
+class TestApplyMatrix:
+    """The action on raw matrices and stacks: one product with the superoperator."""
+
+    def test_matrix_stack_and_nested_lists(self, rng):
+        c = random_channel(QUBIT, QUTRIT, 2, rng)
+        x = random_state(QUBIT, rng).matrix
+        want = sum(k @ x @ k.conj().T for k in c.kraus)
+        np.testing.assert_allclose(apply_matrix(c, x), want, atol=1e-12)
+        stack = np.stack([random_state(QUBIT, rng).matrix for _ in range(3)])
+        out = apply_matrix(c, stack)
+        assert out.shape == (3, 3, 3)
+        for m, o in zip(stack, out):
+            np.testing.assert_allclose(o, apply_matrix(c, m), atol=1e-15)
+        # nested lists of Python numbers, a matrix and a stack, act as their arrays do
+        for nested in ([[1, 0], [0, 0]], [[[0.5, 0.5j], [-0.5j, 0.5]], [[0, 0], [0, 1]]]):
+            got = apply_matrix(c, nested)
+            assert np.array_equal(got, apply_matrix(c, np.array(nested, dtype=complex)))
+
+    @pytest.mark.parametrize("shape,message", [
+        ((3, 3), "cannot reshape array of size 9 into shape (4,)"),
+        ((2, 3, 3), "cannot reshape array of size 18 into shape (2,4)"),
+        ((5,), "cannot reshape array of size 5 into shape (4,)"),
+    ], ids=str)
+    def test_wrong_size_raises_the_reshape_error(self, rng, shape, message):
+        c = random_channel(QUBIT, QUTRIT, 2, rng)
+        with pytest.raises(ValueError) as info:
+            apply_matrix(c, np.zeros(shape))
+        assert str(info.value) == message
+
+
+def fresh_support_verdict(cond):
+    """The conditioning support measured now, or None within IDENTITY_TOL of I."""
+    p = cond.conditioning_support()
+    return None if max_abs(p - np.eye(len(p))) <= IDENTITY_TOL else p
+
+
+class TestSupportVerdict:
+    """A conditional settles its support verdict once, and the verdict it keeps is
+    the one a fresh measurement gives."""
+
+    def assert_kept(self, cond):
+        kept, fresh = _restricted_support(cond), fresh_support_verdict(cond)
+        assert (kept is None) == (fresh is None)
+        assert kept is None or np.array_equal(kept, fresh)
+        assert _restricted_support(cond) is kept
+
+    @pytest.mark.parametrize("rank_a", [None, 1])
+    def test_judged_and_conditioning_trusted(self, rng, rank_a):
+        for shape_in, shape_out in [(QUBIT, QUTRIT), (MIXED, BIT), (QUTRIT, MIXED)]:
+            j = random_joint_state(shape_in, shape_out, rng, rank_a=rank_a)
+            trusted = conditional_from_joint(j, "a")
+            judged = ConditionalState(shape_in, shape_out, np.array(trusted.matrix))
+            assert trusted.floor < np.inf and judged.floor == np.inf
+            for cond in (trusted, judged):
+                assert "_restricted" in vars(cond)  # settled by the projector test
+                assert (_restricted_support(cond) is None) == (rank_a is None)
+                self.assert_kept(cond)
+
+    def test_certified_choi_is_unrestricted_by_its_certificate(self, rng):
+        for shape_in, shape_out in [(QUBIT, QUTRIT), (MIXED, BIT), (BIT, QUBIT)]:
+            c = random_channel(shape_in, shape_out, 2, rng)
+            assert c._certifies
+            cond = choi_conditional(c)
+            assert vars(cond)["_restricted"] is None
+            self.assert_kept(cond)
+            p = cond.conditioning_support()
+            assert max_abs(p - np.eye(len(p))) <= INPUT_TOL / (2 * shape_in.total_dim)
+
+    def test_hand_trusted_is_measured_on_first_use(self):
+        scaled = max_ent_conditional(QUBIT).matrix * 0.9
+        for matrix in (scaled, np.zeros((4, 4), dtype=complex)):
+            cond = _trusted(ConditionalState, QUBIT, QUBIT, matrix, floor=np.inf)
+            assert "_restricted" not in vars(cond)
+            self.assert_kept(cond)
+            assert vars(cond)["_restricted"] is not None
+
+    def test_round_trip_takes_one_partial_trace_at_most(self, rng, monkeypatch):
+        # a certified Choi form takes none, a judged conditional its projector test's
+        traces = []
+        original = conditional_module.partial_trace
+        monkeypatch.setattr(conditional_module, "partial_trace",
+                            lambda *args, **kw: traces.append(args[1:3]) or original(*args, **kw))
+        for dims_in in [(2,), (3,), (2, 1), (1, 1)]:
+            for dims_out in [(2,), (3,), (1, 1)]:
+                c = random_channel(AlgebraShape(dims_in), AlgebraShape(dims_out), 2, rng)
+                cond = choi_conditional(c)
+                channel_from_conditional(cond)
+                assert traces == []
+                judged = ConditionalState(cond.shape_in, cond.shape_out, np.array(cond.matrix))
+                channel_from_conditional(judged)
+                assert len(traces) == 1
+                del traces[:]

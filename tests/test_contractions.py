@@ -45,6 +45,7 @@ public constructor accepts, read-only and sharing no memory with the map's
 inputs, and its floor holds.
 """
 
+import cmath
 import importlib.util
 import math
 from functools import partial
@@ -1164,9 +1165,9 @@ def test_only_single_unit_trace_matrices_reach_the_scalar_pass(rng, monkeypatch)
     assert len(seen) == 3
 
 
-@pytest.mark.any_kernel
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
+# matrices of any rank, λmin near 0, the trace near 1 ± INPUT_TOL/4, a Hermitian
+# leak and Hermitian slop, built by ``near_definite``
+NEAR_DEFINITE = given(
     shape=st.sampled_from(SCALAR_SHAPES),
     seed=st.integers(0, 2**32 - 1),
     rank=st.integers(1, SCALAR_MAX_DIM),
@@ -1180,11 +1181,10 @@ def test_only_single_unit_trace_matrices_reach_the_scalar_pass(rng, monkeypatch)
     leak=st.sampled_from([0.0, 1e-300, EPS, BLOCK_TOL / 2]),
     slop=st.sampled_from([0.0, 1e-300, EPS, 1e-13]),
 )
-def test_scalar_pass_proves_only_definite_matrices(shape, seed, rank, low, trace, leak, slop):
-    # matrices of any rank, λmin near 0, the trace near 1 ± INPUT_TOL/4, a
-    # Hermitian leak and Hermitian slop: whatever the pass proves is exactly
-    # Hermitian, exactly 0 off its blocks, of trace within INPUT_TOL/4 of 1 and
-    # definite, and the judge and the numpy Cholesky accept it
+
+
+def near_definite(shape, seed, rank, low, trace, leak, slop):
+    """A matrix drawn by ``NEAR_DEFINITE``, and the support index of ``shape``."""
     rng = np.random.default_rng(seed)
     d, index = shape.total_dim, support_index(shape)
     w = np.where(np.arange(d) < rank, rng.random(d) + 0.1, 0.0)
@@ -1195,11 +1195,75 @@ def test_scalar_pass_proves_only_definite_matrices(shape, seed, rank, low, trace
         m = with_leak(m, int(rng.choice(index[0])), leak, np.exp(2j * np.pi * rng.random()))
     if slop:
         m = with_asymmetry(m, int(rng.integers(d * d)), slop, np.exp(2j * np.pi * rng.random()))
+    return m, index
+
+
+@pytest.mark.any_kernel
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@NEAR_DEFINITE
+def test_scalar_pass_proves_only_definite_matrices(shape, seed, rank, low, trace, leak, slop):
+    # whatever the pass proves is exactly Hermitian, exactly 0 off its blocks, of
+    # trace within INPUT_TOL/4 of 1 and definite, and the judge and the numpy
+    # Cholesky accept it
+    m, index = near_definite(shape, seed, rank, low, trace, leak, slop)
     if _proves_definite(m, index[0]):
         assert np.array_equal(m, m.conj().T) and support_deviation(m, shape) == 0
         assert abs(np.trace(m) - 1) <= INPUT_TOL / 4
         assert np.linalg.eigvalsh(m).min() > 0
         assert without_scalar_pass(verdict, validate_psd, m[None], *index, True) is None
+
+
+def proves_definite_loop(m, outside):
+    """``matcore._proves_definite`` as written before its per-dimension plan: index
+    arithmetic in every loop and the Cholesky columns built by comprehension."""
+    d, eps = len(m), float(EPS)
+    flat = m.ravel().tolist()
+    for i in range(d):
+        for j in range(i, d):
+            x = flat[i * d + j]
+            if x != flat[j * d + i].conjugate() or not cmath.isfinite(x + x):
+                return False
+    if outside is not None and any(flat[p] for p in outside.tolist()):
+        return False
+    trace = 0.0
+    for j in range(d):
+        trace += flat[j * d + j].real
+    if not abs(trace - 1.0) <= INPUT_TOL / 4 - 4 * d * eps:
+        return False
+    shift = -2 * (d + 1) * d * eps * max(flat[j * d + j].real for j in range(d))
+    for j in range(d):
+        column = [flat[k * d + j] for k in range(j)]
+        pivot = flat[j * d + j].real + shift
+        for z in column:
+            pivot -= z.real * z.real + z.imag * z.imag
+        if not pivot > 0.0:
+            return False
+        root = math.sqrt(pivot)
+        for i in range(j + 1, d):
+            s = flat[j * d + i]
+            for k, z in enumerate(column):
+                s -= z.conjugate() * flat[k * d + i]
+            flat[j * d + i] = s / root
+    return True
+
+
+@pytest.mark.any_kernel
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@NEAR_DEFINITE
+def test_scalar_plan_gives_the_loop_verdict(shape, seed, rank, low, trace, leak, slop):
+    m, index = near_definite(shape, seed, rank, low, trace, leak, slop)
+    for x in (m, hermitize(m), -m):
+        assert _proves_definite(x, index[0]) == proves_definite_loop(x, index[0])
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
+def test_scalar_plan_gives_the_loop_verdict_at_the_edges(rng, shape):
+    cases = scalar_edge_cases(rng, shape)
+    cases.append(hermitize(cases[0]))  # the valid matrix made exactly Hermitian is proved
+    outside = support_index(shape)[0]
+    verdicts = [(_proves_definite(m, outside), proves_definite_loop(m, outside)) for m in cases]
+    assert all(got == want for got, want in verdicts) and any(got for got, _ in verdicts)
 
 
 @pytest.mark.any_kernel
@@ -1663,8 +1727,8 @@ def record_trusted(monkeypatch):
     receives each object it builds."""
     built = []
 
-    def build(cls, *values, floor):
-        built.append(_trusted(cls, *values, floor=floor))
+    def build(cls, *values, floor, **settled):
+        built.append(_trusted(cls, *values, floor=floor, **settled))
         return built[-1]
 
     for module in ("states", "conditional", "channels"):

@@ -27,8 +27,12 @@ from condchan import (
     teleport,
     verify_theorem,
 )
-from condchan.channels import apply_matrix
-from condchan.scenarios import random_block_unitary, random_support_projector
+import condchan.scenarios as scenarios_module
+from condchan import ConditionalState, choi_conditional
+from condchan.channels import apply_matrix, max_ent_matrix
+from condchan.matcore import max_abs
+from condchan.scenarios import _acts_as_identity, random_block_unitary, random_support_projector
+from condchan.states import _trusted
 from condchan.tolerances import IDENTITY_TOL
 from test_contractions import bad_bell_basis, bell_basis
 from conftest import BIT, MIXED, QUBIT, QUTRIT, teleport_branches
@@ -440,3 +444,54 @@ class TestRandomInstances:
         j = random_joint_state(QUTRIT, QUBIT, rng, rank_a=2)
         w = np.linalg.eigvalsh(reduce(j, "a").matrix)
         assert np.count_nonzero(w > 1e-10) == 2
+
+
+def identity_oracle(cond):
+    """The whole comparison with the maximally entangled conditional."""
+    return (cond.shape_in == cond.shape_out
+            and max_abs(cond.matrix - max_ent_matrix(cond.shape_in)) <= IDENTITY_TOL)
+
+
+ONE_OF_EACH_CLASS = [AlgebraShape((3,)), AlgebraShape((1, 1, 1)), AlgebraShape((2, 1))]
+
+
+class TestActsAsIdentity:
+    """``_acts_as_identity`` tests the (0, 0) entry before the whole matrix, with
+    the verdict of the whole comparison."""
+
+    @pytest.mark.parametrize("shape", ONE_OF_EACH_CLASS, ids=str)
+    def test_identity_channels(self, shape):
+        cond = choi_conditional(identity_channel(shape))
+        assert _acts_as_identity(cond) and identity_oracle(cond)
+
+    @pytest.mark.parametrize("shape", ONE_OF_EACH_CLASS, ids=str)
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_channels_near_the_identity(self, rng, shape, factor):
+        # (1 - p)·id + p·N moves the Choi form by p·max|C_N - C_id| = factor·IDENTITY_TOL
+        ident, noise = identity_channel(shape), random_channel(shape, shape, 2, rng)
+        p = factor * IDENTITY_TOL / max_abs(choi_conditional(noise).matrix - max_ent_matrix(shape))
+        kraus = [np.sqrt(1 - p) * k for k in ident.kraus] + [np.sqrt(p) * k for k in noise.kraus]
+        cond = choi_conditional(Channel(shape, shape, kraus))
+        assert _acts_as_identity(cond) == identity_oracle(cond) == (factor < 1)
+
+    @pytest.mark.parametrize("shape", ONE_OF_EACH_CLASS, ids=str)
+    @pytest.mark.parametrize("entry", [(0, 0), (-1, -1), (0, -1)], ids=str)
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, -2.0])
+    def test_one_entry_moved(self, shape, entry, factor):
+        m = max_ent_matrix(shape)
+        m[entry] += factor * IDENTITY_TOL
+        cond = _trusted(ConditionalState, shape, shape, m, floor=np.inf)
+        assert _acts_as_identity(cond) == identity_oracle(cond)
+        if abs(factor) != 1.0:
+            assert _acts_as_identity(cond) == (abs(factor) < 1)
+
+    def test_far_channels_do_not_build_the_max_ent_matrix(self, rng, monkeypatch):
+        built = []
+        monkeypatch.setattr(scenarios_module, "max_ent_matrix",
+                            lambda shape: built.append(shape) or max_ent_matrix(shape))
+        for shape in ONE_OF_EACH_CLASS:
+            cond = choi_conditional(random_channel(shape, shape, 2, rng))
+            assert not _acts_as_identity(cond) and not identity_oracle(cond)
+        assert built == []
+        assert _acts_as_identity(choi_conditional(identity_channel(QUTRIT)))
+        assert built == [QUTRIT]

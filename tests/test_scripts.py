@@ -2,6 +2,7 @@
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,53 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     # valid input is certified by Cholesky alone (selftest also runs the
     # eigenvalue checks it tests)
     assert all(row["eigvalsh"] == 0 for row in results if row["call"] != "cli selftest")
+
+
+def test_bench_against_an_identical_tree_reads_even(tmp_path):
+    # the tree timed against itself, loaded twice in one process: every call
+    # reads the same counts and CLI digests on both sides, and the median
+    # speedup over the calls is within 5 % of 1
+    out = tmp_path / "ab.json"
+    src = SCRIPTS.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--against", str(src), "--out", str(out),
+         "--label", "same", "--repeats", "1", "--max-dim", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    run, *rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert (run["kind"], run["label"], run["max_dim"]) == ("run", "same", 2)
+    assert run["against"] == {key: run[key] for key in ("commit", "dirty", "src_lines")}
+    assert all((row["kind"], row["label"]) == ("ab", "same") for row in rows)
+    assert len({row["call"] for row in rows}) == 13 + 9 + 6
+    for row in rows:
+        assert row["speedup_q1"] <= row["speedup"] <= row["speedup_q3"]
+        assert row["median_ms"] > 0 and row["against"]["median_ms"] > 0
+        for key in ("eigvalsh", "eigh", "cholesky", "stdout_sha256"):
+            assert row.get(key) == row["against"].get(key)
+    assert sum("stdout_sha256" in row for row in rows) == 3 * 8 + 1
+    assert 0.95 <= statistics.median(row["speedup"] for row in rows) <= 1.05
+
+
+def test_bench_loads_two_trees_as_separate_packages():
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench\n"
+        "a = bench.load_tree(bench.ROOT / 'src', 'condchan')\n"
+        "b = bench.load_tree(bench.ROOT / 'src', 'condchan_against')\n"
+        "print(a.AlgebraShape is not b.AlgebraShape, a.cli.__name__, b.cli.__name__,\n"
+        "      b.matcore.herm_eig.__module__, isinstance(b.AlgebraShape((2,)), a.AlgebraShape))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == [
+        "True", "condchan.cli", "condchan_against.cli", "condchan_against.matcore", "False"
+    ]
 
 
 def test_bench_digest_masks_only_the_selftest_run_time():
