@@ -66,7 +66,7 @@ class ConditionalState:
         rank_dev = abs(trace - round(trace))
         if rank_dev > RANK_TOL:
             raise InvariantViolation("integer_rank", rank_dev)
-        _restricted_support(self, p)
+        vars(self)["_support"] = p  # judged on first use by ``_restricted_support``
 
     def conditioning_support(self) -> np.ndarray:
         """Partial trace over the conditioned side; a projector on the
@@ -80,11 +80,11 @@ class ConditionalState:
         return int(round(float(np.trace(self.matrix).real)))
 
 
-def _restricted_support(cond: ConditionalState, p: np.ndarray | None = None) -> np.ndarray | None:
+def _restricted_support(cond: ConditionalState) -> np.ndarray | None:
     """The conditioning support, or None within ``IDENTITY_TOL`` of I, settled once per conditional:
-    by the projector test's ``p``, by ``choi_conditional``'s certificate, or here on first use."""
+    by ``choi_conditional``'s certificate, or on first use from the support the projector test kept."""
     if "_restricted" not in vars(cond):
-        p = cond.conditioning_support() if p is None else p
+        p = vars(cond)["_support"] if "_support" in vars(cond) else cond.conditioning_support()
         vars(cond)["_restricted"] = None if max_abs(p - np.eye(len(p))) <= IDENTITY_TOL else p
     return cond._restricted
 

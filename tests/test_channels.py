@@ -442,7 +442,8 @@ class TestSupportVerdict:
             judged = ConditionalState(shape_in, shape_out, np.array(trusted.matrix))
             assert trusted.floor < np.inf and judged.floor == np.inf
             for cond in (trusted, judged):
-                assert "_restricted" in vars(cond)  # settled by the projector test
+                # the projector test keeps the support it measured, judged on first use
+                assert "_support" in vars(cond) and "_restricted" not in vars(cond)
                 assert (_restricted_support(cond) is None) == (rank_a is None)
                 self.assert_kept(cond)
 
@@ -460,7 +461,7 @@ class TestSupportVerdict:
         scaled = max_ent_conditional(QUBIT).matrix * 0.9
         for matrix in (scaled, np.zeros((4, 4), dtype=complex)):
             cond = _trusted(ConditionalState, QUBIT, QUBIT, matrix, floor=np.inf)
-            assert "_restricted" not in vars(cond)
+            assert "_support" not in vars(cond) and "_restricted" not in vars(cond)
             self.assert_kept(cond)
             assert vars(cond)["_restricted"] is not None
 
