@@ -8,12 +8,14 @@ from condchan import (
     POVM,
     AlgebraShape,
     Channel,
+    ConditionalState,
     InvariantViolation,
     JointState,
     ShapeMismatch,
     State,
     apply,
     channel_from_conditional,
+    choi_conditional,
     conditional_from_joint,
     herm_eig,
     identity_channel,
@@ -28,7 +30,6 @@ from condchan import (
     verify_theorem,
 )
 import condchan.scenarios as scenarios_module
-from condchan import ConditionalState, choi_conditional
 from condchan.channels import apply_matrix, max_ent_matrix
 from condchan.matcore import max_abs
 from condchan.scenarios import _acts_as_identity, random_block_unitary, random_support_projector
