@@ -40,6 +40,12 @@ calls by 10 % and more between runs.  The calls, where D is ``--max-dim``
   (conditioned on the first side), and of the document of a channel with two
   Kraus operators per output block, each on the class paired with itself,
   d = 2…D;
+* the ``matcore`` primitives on the class paired with itself (a d²×d²
+  matrix), d = 2…D: ``herm_eig`` of a channel's Choi matrix, whole and,
+  where the pair has a block index (a reducible class with d² at least
+  ``matcore.BLOCKWISE_MIN_DIM``), per block (``herm_eig blocked``); and
+  ``EigenSystem.root``, ``EigenSystem.inv_root`` and ``partial_trace``
+  (keeping the first factor) of a joint state;
 * the nine CLI commands (``cli choi`` … ``cli selftest``) through
   ``cli.main`` in this process, on d = 8 documents of each class written to
   a temporary directory, with stdout and stderr redirected; ``teleport``
@@ -231,6 +237,25 @@ def cli_cases(cc, workdir, rng):
             yield f"cli {argv[0]}", d, cls, partial(run_cli, cc.cli, argv)
 
 
+def matcore_cases(cc, rng, dims):
+    """``herm_eig`` of a Choi matrix, whole and per block, and the root, the inverse root and
+    the partial trace of a joint state, on the class paired with itself."""
+    mc = cc.matcore
+    for d in dims:
+        for cls, blocks in shape_classes(d).items():
+            shape = cc.AlgebraShape(blocks)
+            choi = cc.choi_conditional(cc.random_channel(shape, shape, 2, rng)).matrix
+            joint = cc.random_joint_state(shape, shape, rng).matrix
+            spectrum = mc.herm_eig(joint)
+            yield "herm_eig", d, cls, partial(mc.herm_eig, choi)
+            index = cc.algebra.block_index(shape, shape)
+            if index is not None:
+                yield "herm_eig blocked", d, cls, partial(mc.herm_eig, choi, index)
+            yield "EigenSystem.root", d, cls, spectrum.root
+            yield "EigenSystem.inv_root", d, cls, spectrum.inv_root
+            yield "partial_trace", d, cls, partial(mc.partial_trace, joint, d, d, "left")
+
+
 def cases(cc, workdir, max_dim):
     """(call, d, class, zero-argument callable) for every measured call, its
     sweeps over d = 2…``max_dim``; the CLI cases write their documents to
@@ -281,6 +306,8 @@ def cases(cc, workdir, max_dim):
     yield from cli_cases(cc, workdir, np.random.default_rng(SEED + 3))
     # and one for the documents
     yield from document_cases(cc, np.random.default_rng(SEED + 4), sweep)
+    # and one for the matcore primitives
+    yield from matcore_cases(cc, np.random.default_rng(SEED + 5), sweep)
 
 
 def count_calls(fn):

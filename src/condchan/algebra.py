@@ -89,6 +89,14 @@ def pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
     return _masks((shape_a, shape_b))[0]
 
 
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def half_pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
+    """0.5 on the support of the tensor-product algebra, 0.0 off it (float64, cached, read-only)."""
+    out = 0.5 * pair_mask(shape_a, shape_b)
+    out.setflags(write=False)
+    return out
+
+
 def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
     """Block index of the tensor product of ``shapes`` (of one algebra when
     one shape is given) on the kron space, for ``herm_eig`` (cached); None

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraShape, block_index, block_mask, block_projectors, choi_leak_index
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import _as_stack, herm_eig, max_abs, projector_deviation
+from .matcore import _as_stack, herm_eig, identity, max_abs, projector_deviation
 from .states import State, _trusted
 from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding
 
@@ -102,7 +102,7 @@ class Channel:
         if ops.shape[1:] != (dout, din):
             raise ShapeMismatch(f"Kraus operator shape {ops.shape[1:]}, expected {(dout, din)}")
         object.__setattr__(self, "kraus", ops)
-        target = np.eye(din)
+        target = identity(din)
         if self.input_support is not None:
             target = np.array(self.input_support, dtype=np.complex128, copy=True)
             target.setflags(write=False)
@@ -155,7 +155,7 @@ def apply(c: Channel, s: State) -> State:
     passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev
     + rounding, leak within BLOCK_TOL/4, and Φ(ρ) ≽ λmin(ρ)·Φ(I) ≽ 0 (a Kraus form
     is CP).  It is then built by ``_trusted`` with floor inf, so an ``apply`` to it judges it."""
-    if s.shape != c.shape_in:
+    if s.shape is not c.shape_in and s.shape != c.shape_in:
         raise ShapeMismatch("state does not live on the channel's input algebra")
     if c._certifies and s.floor == 0.0:
         return _trusted(State, c.shape_out, apply_matrix(c, s.matrix), floor=np.inf)

@@ -3,7 +3,7 @@
 Every subcommand reads JSON documents (see ``serialize``), writes a JSON
 document or report to stdout and a one-line human summary to stderr.  Exit
 codes: 0 success, 1 usage, 2 parse error, 3 invariant violation, 4
-numerical failure.
+numerical failure (running out of memory included).
 """
 
 from __future__ import annotations
@@ -210,10 +210,10 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         sys.stderr.write(summary.rstrip() + "\n")
         return code
-    except (CondChanError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        # numpy's own floating-point and linear-algebra errors are numerical failures
+    except (CondChanError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+        # numpy's floating-point, linear-algebra and memory errors are numerical failures
         code = getattr(exc, "exit_code", EXIT_NUMERICAL)
-        sys.stderr.write(f"{_LABELS[code]}: {exc}\n")
+        sys.stderr.write(f"{_LABELS[code]}: {str(exc) or type(exc).__name__}\n")
         return code
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, pair_mask
+from .algebra import AlgebraShape, block_index, half_pair_mask
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
     herm_eig,
     hermitize,
+    identity,
     max_abs,
     partial_trace,
     projector_deviation,
@@ -85,7 +86,7 @@ def _restricted_support(cond: ConditionalState) -> np.ndarray | None:
     by ``choi_conditional``'s certificate, or on first use from the support the projector test kept."""
     if "_restricted" not in vars(cond):
         p = vars(cond)["_support"] if "_support" in vars(cond) else cond.conditioning_support()
-        vars(cond)["_restricted"] = None if max_abs(p - np.eye(len(p))) <= IDENTITY_TOL else p
+        vars(cond)["_restricted"] = None if max_abs(p - identity(len(p))) <= IDENTITY_TOL else p
     return cond._restricted
 
 
@@ -100,7 +101,7 @@ def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -
 def _pinched_hermitian(s: np.ndarray, *shapes: AlgebraShape) -> np.ndarray:
     """``hermitize(s) * pair_mask(*shapes)``, exactly Hermitian, as (s + s†)·(½·mask)."""
     out = s + s.conj().T
-    out *= 0.5 * pair_mask(*shapes)
+    out *= half_pair_mask(*shapes)
     return out
 
 

@@ -238,23 +238,28 @@ def projector_deviation(p: np.ndarray) -> float:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible component is real positive.
+    """Rotate each column so its first non-negligible component is real positive (a new array).
 
     Columns with no component above ``NEGLIGIBLE`` times their largest one
     (all zero, or holding NaN or infinity) are left as they are.
     """
-    out = np.array(vectors, copy=True)
-    if not out.size:  # the (0, 0) matrix has no column to rotate
-        return out
-    mag = np.abs(out)
+    mag = np.abs(vectors)
+    if not mag.size:  # the (0, 0) matrix has no column to rotate
+        return np.array(vectors, copy=True)
     above = mag > NEGLIGIBLE * mag.max(axis=0)
     first = above.argmax(axis=0)
-    cols = np.flatnonzero(above[first, np.arange(out.shape[1])])
-    pivot = out[first[cols], cols]
-    # Rounded as a per-column loop rounds them, so phases (and documents) stay
-    # bit-stable: hypot matches the scalar abs, which np.abs of a complex array
-    # may not, and each column is scaled by its own broadcast scalar.
+    # Rounded as a per-column loop rounds them, so phases (and documents) stay bit-stable: hypot
+    # matches the scalar abs, which np.abs of a complex array may not; each column is scaled by its
+    # own broadcast scalar, in one product where all have a pivot on two or more rows (on one row,
+    # an in-place product took another numpy kernel and moved the last bit).
+    whole = len(mag) > 1 and above.any(axis=0).all()
+    cols = np.arange(mag.shape[1])
+    cols = cols if whole else np.flatnonzero(above[first, cols])
+    pivot = vectors[first[cols], cols]
     factor = pivot.conjugate() / np.hypot(pivot.real, pivot.imag)
+    if whole:
+        return (vectors.T * factor[:, None]).T
+    out = np.array(vectors, copy=True)
     out.T[cols] = out.T[cols] * factor[:, None]
     return out
 
@@ -299,6 +304,12 @@ def judge(
     if blocks is None:
         return [herm], 0.0
     return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in blocks.groups], leak
+
+
+@lru_cache(maxsize=64)
+def identity(dim: int) -> np.ndarray:
+    """The identity on C^dim (cached, read-only)."""
+    return _as_stack(np.eye(dim))
 
 
 @lru_cache(maxsize=64)
@@ -395,7 +406,7 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     routine: the matrix is judged and symmetrized first, so floating-point
     drift cannot leak into spectra.  With ``blocks`` it is decomposed per
     block, one stacked ``eigh`` per block size, and each eigenvector is
-    exactly zero outside its block.
+    exactly zero outside its block.  Exactly tied eigenvalues keep ``eigh``'s order.
 
     Raises
     ------
@@ -412,14 +423,11 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    if blocks is None:
-        parts = [h[0] for h in judge(arr[None], None, None)[0]]
-    elif arr.shape[0] != blocks.compact.shape[1]:
+    if blocks is not None and arr.shape[0] != blocks.compact.shape[1]:
         raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its block index")
-    else:
-        parts = judge(arr[None], blocks.outside, blocks)[0]
+    parts = judge(arr[None], None if blocks is None else blocks.outside, blocks)[0]
     try:
-        solved = [np.linalg.eigh(part) for part in parts]
+        solved = [np.linalg.eigh(part[0] if blocks is None else part) for part in parts]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     if blocks is None:
@@ -432,7 +440,9 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
             compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
         v = np.zeros((w.size, w.size), dtype=np.complex128)
         v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
-    order = np.argsort(-w, kind="stable")
+    if blocks is None and (w[:-1] < w[1:]).all():  # no tie: reversed, column-major as indexed
+        return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy(order="F"))
+    order = np.argsort(-w, kind="stable")  # tied eigenvectors keep eigh's order
     return EigenSystem(eigenvalues=w[order], eigenvectors=v[:, order])
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, block_index, support_index
 from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
-from .matcore import _as_stack, as_matrix, herm_eig, hermitize, max_abs, validate_psd
+from .matcore import _as_stack, as_matrix, herm_eig, hermitize, identity, max_abs, validate_psd
 from .states import State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
@@ -46,7 +46,7 @@ class POVM:
         validate_psd(stack, *support_index(self.shape))
         # elements that pass the PSD checks can still overflow their sum
         with np.errstate(over="ignore"):
-            sum_dev = max_abs(stack.sum(0) - np.eye(d))
+            sum_dev = max_abs(stack.sum(0) - identity(d))
         if not sum_dev <= IDENTITY_TOL:
             raise InvariantViolation("povm_sum", sum_dev)
 
@@ -114,7 +114,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
     if e.average.shape != s.shape:
         raise ShapeMismatch("ensemble and state live on different algebras")
     spectrum = herm_eig(s.matrix, block_index(s.shape))
-    complement = np.eye(s.shape.total_dim) - spectrum.support()
+    complement = identity(s.shape.total_dim) - spectrum.support()
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)
         if leak > IDENTITY_TOL:
@@ -126,7 +126,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
         raise InvariantViolation("mixture", mix_dev)
     inv_root = spectrum.inv_root()
     elements = [inv_root @ (p * member.matrix) @ inv_root for p, member in zip(e.weights, e.members)]
-    remainder = np.eye(s.shape.total_dim) - sum(elements)
+    remainder = identity(s.shape.total_dim) - sum(elements)
     if max_abs(remainder) > IDENTITY_TOL:
         elements.append(remainder)
     return POVM(shape=s.shape, elements=tuple(elements))

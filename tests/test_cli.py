@@ -670,7 +670,8 @@ def _error_cases():
              (InvariantViolation("positive", 0.5), 3),
              (ShapeMismatch("ShapeMismatch raised"), 3), (SupportMismatch("SupportMismatch raised", 1.0), 3),
              (NoConvergence("eigh did not converge"), 4),
-             (FloatingPointError("overflow"), 4), (np.linalg.LinAlgError("singular"), 4)]
+             (FloatingPointError("overflow"), 4), (np.linalg.LinAlgError("singular"), 4),
+             (MemoryError("Unable to allocate 4.00 GiB for an array with shape (16384, 16384)"), 4)]
     # an invariant raised with its own message prints that message alone
     named = [
         InvariantViolation("hermitian", 2e-3, "matrix deviates from Hermiticity by 2.000e-03 (tol 1.000e-10)"),
@@ -707,6 +708,25 @@ def test_error_raised_inside_a_command_maps_to_its_exit_code(commands, monkeypat
 
     monkeypatch.setattr(cli, "conditional_from_joint", failing)
     assert run_main(*commands["condition"]) == (code, "", stderr)
+
+
+@pytest.mark.parametrize("exc, stderr", [
+    (MemoryError("Unable to allocate 4.00 GiB for an array with shape (16384, 16384) and data type "
+                 "complex128"), "numerical failure: Unable to allocate 4.00 GiB for an array with "
+                                "shape (16384, 16384) and data type complex128\n"),
+    (MemoryError(), "numerical failure: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_is_one_line_exit_4(monkeypatch, exc, stderr):
+    # a valid channel document whose superoperator does not fit in memory (as the
+    # identity channel on (128,) does not in 8 GiB), without allocating it
+    from condchan import channels
+
+    def out_of_memory(kraus):
+        raise exc
+
+    monkeypatch.setattr(channels, "_superoperator", out_of_memory)
+    code, out, err = run_main("choi", "--channel", str(FIXTURES / "identity_channel.json"))
+    assert (code, out, err) == (4, "", stderr)  # one line, no traceback
 
 
 # -- fuzz: main in process over arbitrary argv and documents ------------------

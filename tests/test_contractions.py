@@ -89,7 +89,7 @@ from condchan import (
     teleport,
     verify_theorem,
 )
-from condchan.algebra import block_index, block_mask, pair_mask, support_index
+from condchan.algebra import block_index, block_mask, half_pair_mask, pair_mask, support_index
 from condchan.channels import (
     _choi_matrix,
     _kraus_gram,
@@ -98,6 +98,7 @@ from condchan.channels import (
     is_isometry,
     max_ent_matrix,
 )
+from condchan.conditional import _pinched_hermitian
 from condchan.errors import NoConvergence
 from condchan.matcore import (
     BLOCKWISE_MIN_DIM,
@@ -106,6 +107,7 @@ from condchan.matcore import (
     _proves_definite,
     herm_eig,
     hermitize,
+    identity,
     judge,
     max_abs,
     projector_deviation,
@@ -503,6 +505,41 @@ def test_cached_masks_are_read_only_and_match_the_loop(rng, shape):
     assert support_deviation(mm, other, shape) == np.max(np.abs(mm - mm * pair))
 
 
+def cached_arrays(value):
+    """Every array in a cached value: in tuples, and in the fields of a ``BlockIndex``."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from cached_arrays(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        yield from cached_arrays(list(vars(value).values()))
+
+
+def test_every_cached_constant_is_read_only():
+    from condchan import algebra, cli, matcore, scenarios, serialize
+
+    a, b = AlgebraShape((2, 2)), AlgebraShape((3, 1))
+    calls = {
+        matcore.identity: (3,), matcore._tight_shift: (3, 3), matcore._scalar_plan: (3,),
+        algebra._masks: ((a, b),), algebra.half_pair_mask: (a, b), algebra.choi_leak_index: (a, b),
+        scenarios._bell_tables: (3,), serialize._mirror: (3,),
+    }
+    modules = (algebra, cli, matcore, scenarios, serialize)
+    cached = {obj for mod in modules for obj in vars(mod).values()
+              if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+    assert cached == {*calls, cli._parser}  # the parser is not a constant, and not handed out
+    for fn, args in calls.items():
+        value = fn(*args)
+        assert fn(*args) is value
+        for arr in cached_arrays(value):
+            assert not arr.flags.writeable, fn.__name__
+    assert identity(3).tobytes() == np.eye(3, dtype=complex).tobytes()
+    assert half_pair_mask(a, b).tobytes() == (0.5 * pair_mask(a, b)).tobytes()
+    with pytest.raises(ValueError):
+        identity(2)[0, 0] = 2.0
+
+
 @pytest.mark.parametrize("shape", SHAPES + [AlgebraShape((1,))], ids=shape_id)
 def test_max_ent_matrix_is_bit_identical_to_loop(shape):
     d = shape.total_dim
@@ -565,6 +602,172 @@ def test_fix_phases_is_bit_identical_on_many_random_matrices():
         v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         v[: rng.integers(0, rows + 1)] *= NEGLIGIBLE / 3
         assert _fix_phases(v).tobytes() == oracle_fix_phases(v).tobytes()
+
+
+# -- oracles and tests: herm_eig without a gather-scatter phase fix or an index sort
+
+
+def oracle_herm_eig(m, blocks=None):
+    """(eigenvalues, eigenvectors) as the spectral routine made them with a gather-scatter
+    phase fix and an index sort: the same ``judge`` and ``eigh`` calls, the loop phase fix,
+    and the descending order of ``argsort(-w, kind="stable")``."""
+    arr = np.array(m, dtype=np.complex128, order="C")
+    if blocks is None:
+        parts = [judge(arr[None], None, None)[0][0][0]]
+    else:
+        parts = judge(arr[None], blocks.outside, blocks)[0]
+    solved = [np.linalg.eigh(part) for part in parts]
+    if blocks is None:
+        w, v = solved[0]
+        v = oracle_fix_phases(v)
+    else:
+        w = np.concatenate([pw.ravel() for pw, _ in solved])
+        compact = np.zeros(blocks.compact.shape, dtype=np.complex128)
+        for group, (_, pv) in zip(blocks.groups, solved):
+            compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
+        v = np.zeros((w.size, w.size), dtype=np.complex128)
+        v.ravel()[blocks.scatter] = oracle_fix_phases(compact)[blocks.compact]
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
+def assert_herm_eig_matches_oracle(m, blocks=None):
+    """Same bytes and the same layout as the oracle; returns whether the spectrum has a tie."""
+    got = herm_eig(m, blocks)
+    w, v = oracle_herm_eig(m, blocks)
+    assert got.eigenvalues.tobytes() == w.tobytes()
+    assert got.eigenvectors.tobytes() == v.tobytes()
+    assert (got.eigenvalues.strides, got.eigenvectors.strides) == (w.strides, v.strides)
+    return len(set(w.tolist())) < len(w)
+
+
+def random_hermitian(rng, d):
+    g = random_complex(rng, d, d)
+    return g + g.conj().T
+
+
+def tied_matrices(rng):
+    """Matrices whose spectra have exact ties: repeated diagonals, the identity, the zero matrix
+    and rank-deficient projectors, on the standard basis and rotated into another one."""
+    for d in (2, 3, 5, 8, 12):
+        yield np.eye(d)
+        yield np.zeros((d, d))
+        yield np.diag(rng.integers(0, 3, d).astype(float))
+        yield np.diag(np.repeat([2.0, -1.0], [d - d // 2, d // 2]))
+        yield np.diag((np.arange(d) < d // 2).astype(float))  # a projector of rank d // 2
+        u = random_unitary(d, rng)[:, : max(1, d // 3)]
+        yield hermitize(u @ u.conj().T)
+        w = random_unitary(d, rng)
+        yield hermitize((w * np.repeat([1.0, 0.0], [1, d - 1])) @ w.conj().T)
+
+
+def negligible_leading_row(rng, d):
+    """A Hermitian matrix whose first row and column are below NEGLIGIBLE: the eigenvectors
+    but one have a negligible first component, so their pivot is a later one."""
+    m = random_hermitian(rng, d)
+    m[0] *= NEGLIGIBLE / 100
+    m[:, 0] *= NEGLIGIBLE / 100
+    return m
+
+
+BLOCKED_PAIRS = [((2, 2), (3, 1)), ((1,) * 4, (1,) * 4), ((2, 1), (3, 2, 1)), ((4, 4), (1, 1)),
+                 ((2, 2), (2, 2)), ((3, 2), (1,) * 4)]
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("d", range(1, 13))
+def test_herm_eig_is_bit_identical_to_the_sorting_oracle_on_random_matrices(d):
+    rng = np.random.default_rng(400 + d)
+    for _ in range(20):
+        assert not assert_herm_eig_matches_oracle(random_hermitian(rng, d))
+
+
+@pytest.mark.any_kernel
+def test_herm_eig_keeps_the_stable_order_of_exact_ties():
+    ties = [assert_herm_eig_matches_oracle(m) for m in tied_matrices(np.random.default_rng(413))]
+    assert sum(ties) >= 20  # the stable sort runs, not only the reversal
+
+
+def test_herm_eig_sorts_only_a_spectrum_with_ties(monkeypatch):
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: sorts.append(1) or argsort(*args, **kwargs))
+    rng = np.random.default_rng(418)
+    herm_eig(random_hermitian(rng, 6))
+    assert sorts == []
+    herm_eig(np.diag([1.0, 2.0, 1.0]))
+    assert sorts == [1]
+
+
+@pytest.mark.any_kernel
+def test_herm_eig_is_bit_identical_to_the_sorting_oracle_on_edge_inputs():
+    rng = np.random.default_rng(414)
+    for d in range(2, 10):
+        m = negligible_leading_row(rng, d)
+        assert np.abs(herm_eig(m).eigenvectors[0]).min() < NEGLIGIBLE  # a later pivot is read
+        assert_herm_eig_matches_oracle(m)
+    for entry in (2.5, -1.0, 0.0, 1e-300, 3e8):
+        assert_herm_eig_matches_oracle(np.array([[entry]]))
+    assert_herm_eig_matches_oracle(np.zeros((0, 0)))
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("pair", BLOCKED_PAIRS, ids=lambda p: "-".join(map(shape_id, map(AlgebraShape, p))))
+def test_herm_eig_per_block_is_bit_identical_to_the_sorting_oracle(pair):
+    shapes = tuple(map(AlgebraShape, pair))
+    blocks = block_index(*shapes)
+    assert blocks is not None and blocks.compact.shape[1] >= BLOCKWISE_MIN_DIM
+    rng = np.random.default_rng(415)
+    d = blocks.compact.shape[1]
+    cases = [
+        choi_conditional(random_channel(*shapes, shapes[0].total_dim, rng)).matrix,
+        random_hermitian(rng, d) * pair_mask(*shapes),
+        np.eye(d) * pair_mask(*shapes),
+        np.diag(rng.integers(0, 2, d).astype(float)),
+    ]
+    if shapes[0] == shapes[1]:
+        cases.append(choi_conditional(identity_channel(shapes[0])).matrix)
+    for m in cases:
+        assert_herm_eig_matches_oracle(m, blocks)
+        assert_herm_eig_matches_oracle(m)
+
+
+def mixed_matrices(rng, n):
+    """n matrices of d = 1…11: random, with repeated diagonals, with a negligible leading row,
+    and some of each rotated into another basis."""
+    for k in range(n):
+        d = int(rng.integers(1, 12))
+        m = random_hermitian(rng, d) if k % 3 else np.diag(rng.integers(0, 3, d).astype(float))
+        if k % 5 == 1 and d > 1:
+            m = negligible_leading_row(rng, d)
+        if k % 7 == 2:
+            u = random_unitary(d, rng)
+            m = hermitize(u @ m @ u.conj().T)
+        yield m
+
+
+@pytest.mark.any_kernel
+def test_herm_eig_is_bit_identical_to_the_sorting_oracle_on_many_matrices():
+    ties = [assert_herm_eig_matches_oracle(m) for m in mixed_matrices(np.random.default_rng(416), 1500)]
+    assert 0 < sum(ties) < len(ties)
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("shapes", [(AlgebraShape((3,)), AlgebraShape((2,))),
+                                    (AlgebraShape((1,) * 3), AlgebraShape((1, 1))),
+                                    (AlgebraShape((2, 1)), AlgebraShape((1, 2)))],
+                         ids=["irreducible", "classical", "mixed"])
+def test_pinched_hermitian_is_bit_identical_to_hermitize_then_mask(shapes):
+    rng = np.random.default_rng(417)
+    d = shapes[0].total_dim * shapes[1].total_dim
+    for s in (random_complex(rng, d, d), random_hermitian(rng, d)):
+        expected = hermitize(s) * pair_mask(*shapes)
+        assert _pinched_hermitian(s, *shapes).tobytes() == expected.tobytes()
+    # signed zeros, where that formula differs, against the uncached product it replaced
+    s = -np.zeros((d, d), complex)
+    expected = s + s.conj().T
+    expected *= 0.5 * pair_mask(*shapes)
+    assert _pinched_hermitian(s, *shapes).tobytes() == expected.tobytes()
 
 
 # -- oracles: the per-effect validator, the per-element and per-member loops

@@ -69,6 +69,8 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
         *(f"cli {command}" for command in commands),
         *(f"{step} {document}" for step in ("serialize", "parse")
           for document in ("JointState", "ConditionalState", "Channel")),
+        # no pair of d ≤ 3 reaches BLOCKWISE_MIN_DIM, so no "herm_eig blocked"
+        "herm_eig", "EigenSystem.root", "EigenSystem.inv_root", "partial_trace",
     }
     # each document case on every class, d = 2…3 (no mixed class at d = 2)
     for call in calls:
@@ -108,7 +110,7 @@ def test_bench_against_an_identical_tree_reads_even(tmp_path):
     assert (run["kind"], run["label"], run["max_dim"]) == ("run", "same", 2)
     assert run["against"] == {key: run[key] for key in ("commit", "dirty", "src_lines")}
     assert all((row["kind"], row["label"]) == ("ab", "same") for row in rows)
-    assert len({row["call"] for row in rows}) == 13 + 9 + 6
+    assert len({row["call"] for row in rows}) == 13 + 9 + 6 + 4
     for row in rows:
         assert row["speedup_q1"] <= row["speedup"] <= row["speedup_q3"]
         assert row["median_ms"] > 0 and row["against"]["median_ms"] > 0
@@ -134,6 +136,29 @@ def test_bench_loads_two_trees_as_separate_packages():
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.split() == [
         "True", "condchan.cli", "condchan_against.cli", "condchan_against.matcore", "False"
+    ]
+
+
+def test_bench_matcore_cases_keep_the_earlier_inputs_and_block_where_indexed(tmp_path):
+    # the matcore cases come last, from a generator of their own, so every earlier case keeps
+    # its inputs; at d = 4 the reducible pairs (16 × 16) are decomposed per block as well
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench, numpy as np\n"
+        "cc = bench.load_tree(bench.ROOT / 'src', 'condchan')\n"
+        f"keys = [key for *key, _ in bench.cases(cc, bench.Path({str(tmp_path)!r}), 2)]\n"
+        "tail = [tuple(key) for *key, _ in bench.matcore_cases(cc, np.random.default_rng(0), [2])]\n"
+        "print(keys[-len(tail):] == [list(key) for key in tail])\n"
+        "print(sorted({(c, k) for c, d, k, _ in bench.matcore_cases(cc, np.random.default_rng(0), [4])\n"
+        "              if c == 'herm_eig blocked'}))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines() == [
+        "True", "[('herm_eig blocked', 'classical'), ('herm_eig blocked', 'mixed')]"
     ]
 
 
