@@ -99,7 +99,8 @@ def _sandwich_on_first(factor: np.ndarray, matrix: np.ndarray, dim_other: int) -
 
 
 def _pinched_hermitian(s: np.ndarray, *shapes: AlgebraShape) -> np.ndarray:
-    """``hermitize(s) * pair_mask(*shapes)``, exactly Hermitian, as (s + s†)·(½·mask)."""
+    """``hermitize(s) * pair_mask(*shapes)`` but for the sign of a zero entry, exactly
+    Hermitian, as (s + s†)·(½·mask)."""
     out = s + s.conj().T
     out *= half_pair_mask(*shapes)
     return out
