@@ -69,9 +69,12 @@ each imported under its own package name (``condchan`` and
 ``condchan_against``), so that order, layout and drift between processes do
 not enter their comparison.  Each call's inputs are built by each tree from
 the same generators, so trees that generate alike measure the same inputs.
-For each call the two sides are timed in 2·``--repeats`` rounds, each a batch
-of the same number of calls on either side, in alternating order (this tree
-first, then the other tree first, ...).  The ``"ab"`` record of a call holds
+For each call the two sides are timed in 2·``--repeats`` rounds of the same
+number of calls on either side, in alternating order (this tree first, then
+the other tree first, ...).  A round times a batch of each side, or, for a
+call under 0.1 ms, single calls of the two sides in turn, summing each side's
+``perf_counter`` deltas, so that the short calls of one side do not inherit
+the allocator and cache state of a batch of their own.  The ``"ab"`` record of a call holds
 this tree's median per-call time, its counts and CLI digest, the same of the
 other tree under ``"against"``, and ``speedup``, the median over the rounds
 of the other tree's time over this tree's (above 1 where this tree is
@@ -115,6 +118,7 @@ def fix_malloc_thresholds():
 MALLOC = fix_malloc_thresholds()
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
@@ -143,6 +147,7 @@ from calibrate import Calibration  # noqa: E402
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
 BATCH_MS = 2.0
+SINGLE_MS = 0.1  # calls shorter than this are A/B-timed one call at a time, in turn
 ELAPSED = re.compile(r'("elapsedSeconds": )[^,\n]+')
 
 
@@ -367,17 +372,45 @@ def measure_call(fn, control, repeats):
     }
 
 
+def alternated(calls, order, number):
+    """Per-call seconds of each of two calls over ``number`` turns, each turn one call
+    of each in ``order``: each side's sum of ``perf_counter`` deltas over ``number``.
+    Garbage collection is off while they run, as ``timeit`` turns it off."""
+    clock, sums = time.perf_counter, [0.0, 0.0]
+    first, second = order
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(number):
+            start = clock()
+            calls[first]()
+            middle = clock()
+            calls[second]()
+            sums[first] += middle - start
+            sums[second] += clock() - middle
+    finally:
+        if collecting:
+            gc.enable()
+    return [total / number for total in sums]
+
+
 def measure_ab(fn, other, repeats):
     """``fn`` against ``other``, the same call in the other tree: 2·``repeats``
-    rounds, each timing a batch of each side, the first side alternating."""
-    number = max(1, round(BATCH_MS / min(timed(fn), timed(other))))
+    rounds, the first side alternating.  A round times a batch of each side, or,
+    where a call takes under ``SINGLE_MS``, single calls of the two sides in turn
+    (``alternated``), so that neither side inherits the allocator and cache state
+    of a batch of its own calls."""
+    shortest = min(timed(fn), timed(other))
+    number = max(1, round(BATCH_MS / shortest))
     timers = timeit.Timer(fn), timeit.Timer(other)
     rounds = []
     for r in range(2 * repeats):
-        times = [0.0, 0.0]
-        for side in ((0, 1), (1, 0))[r % 2]:
-            times[side] = timers[side].timeit(number) / number
-        rounds.append(times)
+        order = ((0, 1), (1, 0))[r % 2]
+        if shortest < SINGLE_MS:
+            rounds.append(alternated((fn, other), order, number))
+        else:
+            times = {side: timers[side].timeit(number) / number for side in order}
+            rounds.append([times[0], times[1]])
     q1, median, q3 = statistics.quantiles([o / t for t, o in rounds], method="inclusive")
     return {
         "kind": "ab",

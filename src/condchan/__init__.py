@@ -31,6 +31,7 @@ from .errors import (
     DocumentSyntaxError,
     InvariantViolation,
     NoConvergence,
+    NumericalFailure,
     ShapeMismatch,
     SupportMismatch,
 )

@@ -157,9 +157,11 @@ def apply(c: Channel, s: State) -> State:
     is CP).  It is then built by ``_trusted`` with floor inf, so an ``apply`` to it judges it."""
     if s.shape is not c.shape_in and s.shape != c.shape_in:
         raise ShapeMismatch("state does not live on the channel's input algebra")
+    dout = c.shape_out.total_dim  # ``apply_matrix``'s product, without its leading-axis handling
+    out = (s.matrix.ravel() @ c._superop).reshape(dout, dout)
     if c._certifies and s.floor == 0.0:
-        return _trusted(State, c.shape_out, apply_matrix(c, s.matrix), floor=np.inf)
-    return State(c.shape_out, apply_matrix(c, s.matrix))
+        return _trusted(State, c.shape_out, out, floor=np.inf)
+    return State(c.shape_out, out)
 
 
 def identity_channel(shape: AlgebraShape) -> Channel:
@@ -214,12 +216,12 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     support = _restricted_support(cond)
     es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
-    keep = es.kept
-    if not keep.any():
+    rank = es.rank  # the spectrum descends: the kept eigenvalues come first
+    if not rank:
         raise InvariantViolation("spectral_weight", es.eigenvalues[0],
                                  "conditional has no spectral weight above the cutoff")
     # column index convention: vec[a * dout + b] -> K[b, a]
-    vecs = es.eigenvectors.T[keep] * np.sqrt(es.eigenvalues[keep])[:, None]
+    vecs = es.eigenvectors.T[:rank] * np.sqrt(es.eigenvalues[:rank])[:, None]
     kraus = vecs.reshape(-1, din, dout).swapaxes(1, 2)
     return Channel(
         shape_in=cond.shape_in,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraShape, block_index, half_pair_mask
-from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
+from .errors import InvariantViolation, NumericalFailure, ShapeMismatch, SupportMismatch
 from .matcore import (
     EigenSystem,
     herm_eig,
@@ -113,22 +113,28 @@ def _condition(j: JointState, side: str) -> tuple[ConditionalState, EigenSystem]
     marginal, so the result's Hermitian part is pinched onto the pair algebra.
     Where ``tolerances._condition_rounding`` of ``j.floor`` ≤ INPUT_TOL/4, its λmin is at least
     minus that, so it passes the judge and ``validate_psd``: ``_trusted`` builds it with that bound
-    as its floor, and only the projector and rank tests run (README)."""
+    as its floor, and only the projector and rank tests run (README).  ``j`` was accepted, so any
+    invariant that fails here raises ``NumericalFailure`` with the marginal's κ (NaN if unknown)."""
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     shape_in, marg_matrix = _marginal(j, side)
-    marg = herm_eig(marg_matrix, block_index(shape_in))
-    if side == "a":
-        shape_out, matrix, dim_out = j.shape_b, j.matrix, db
-    else:
-        shape_out, matrix, dim_out = j.shape_a, swap_factors(j.matrix, da, db), da
-    out = _sandwich_on_first(marg.inv_root(), matrix, dim_out)
-    out = _pinched_hermitian(out, shape_in, shape_out)
-    bound = _condition_rounding(j.floor, marg.eigenvalues[marg.rank - 1], len(marg_matrix))
-    if not bound <= INPUT_TOL / 4:
-        return ConditionalState(shape_in, shape_out, out), marg
-    cond = _trusted(ConditionalState, shape_in, shape_out, out, floor=bound)
-    cond._require_projector_support()
-    return cond, marg
+    marg = None
+    try:
+        marg = herm_eig(marg_matrix, block_index(shape_in))
+        if side == "a":
+            shape_out, matrix, dim_out = j.shape_b, j.matrix, db
+        else:
+            shape_out, matrix, dim_out = j.shape_a, swap_factors(j.matrix, da, db), da
+        out = _sandwich_on_first(marg.inv_root(), matrix, dim_out)
+        out = _pinched_hermitian(out, shape_in, shape_out)
+        bound = _condition_rounding(j.floor, marg.eigenvalues[marg.rank - 1], len(marg_matrix))
+        if not bound <= INPUT_TOL / 4:
+            return ConditionalState(shape_in, shape_out, out), marg
+        cond = _trusted(ConditionalState, shape_in, shape_out, out, floor=bound)
+        cond._require_projector_support()
+        return cond, marg
+    except InvariantViolation as exc:
+        kappa = np.nan if marg is None else marg.eigenvalues[0] / marg.eigenvalues[marg.rank - 1]
+        raise NumericalFailure(exc.invariant, exc.deviation, "conditioning", kappa) from exc
 
 
 def conditional_from_joint(j: JointState, condition_on: str = "a") -> ConditionalState:

@@ -3,8 +3,9 @@
 One class per kind of failure: a command line (``UsageError``), a document
 (``DocumentSyntaxError``), shapes that do not fit (``ShapeMismatch``),
 supports that do not nest (``SupportMismatch``), a measured invariant
-(``InvariantViolation``, which names it; both carry a deviation) and the
-eigensolver (``NoConvergence``).
+(``InvariantViolation``, which names it; both carry a deviation), a derived
+value that fails such an invariant although the inputs were valid
+(``NumericalFailure``) and the eigensolver (``NoConvergence``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,19 @@ class InvariantViolation(CondChanError):
         if message is None:
             message = f"invariant {invariant!r} violated (deviation {deviation:.3e})"
         super().__init__(message)
+
+
+class NumericalFailure(InvariantViolation):
+    """Valid inputs gave ``map`` an output that fails ``invariant``: rounding, amplified by up to
+    ``condition_number`` (κ = λmax/λmin over the kept eigenvalues of the marginal it inverts)."""
+
+    exit_code = 4
+
+    def __init__(self, invariant: str, deviation: float, map: str, condition_number: float):
+        self.map = map
+        self.condition_number = float(condition_number)
+        super().__init__(invariant, deviation, f"{map} of valid input: invariant {invariant!r} "
+                         f"violated (deviation {deviation:.3e}, condition number {condition_number:.3e})")
 
 
 class DocumentSyntaxError(CondChanError):

@@ -59,8 +59,8 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 BLOCKWISE_MIN_DIM = 16
 
 # Largest dimension of a single unit-trace matrix that ``validate_psd`` first
-# offers to ``_proves_definite``, which took about 4, 6.5, 11, 15 and 23 µs on a
-# definite state at d = 2 to 6 against 19-22 µs for the judge and Cholesky at any
+# offers to ``_proves_definite``, which took about 2.5, 5, 8.5, 11.5 and 16.5 µs on a
+# definite state at d = 2 to 6 against 16-19 µs for the judge and Cholesky at any
 # of them (timeit best of 7×1000, one shared Xeon core, 1-thread OpenBLAS).
 SCALAR_MAX_DIM = 4
 _EPS = float(np.finfo(np.float64).eps)
@@ -246,12 +246,17 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     mag = np.abs(vectors)
     if not mag.size:  # the (0, 0) matrix has no column to rotate
         return np.array(vectors, copy=True)
-    above = mag > NEGLIGIBLE * mag.max(axis=0)
-    first = above.argmax(axis=0)
     # Rounded as a per-column loop rounds them, so phases (and documents) stay bit-stable: hypot
     # matches the scalar abs, which np.abs of a complex array may not; each column is scaled by its
     # own broadcast scalar, in one product where all have a pivot on two or more rows (on one row,
-    # an in-place product took another numpy kernel and moved the last bit).
+    # an in-place product took another numpy kernel and moved the last bit).  Where row 0 holds
+    # every pivot, as in an irreducible spectrum's eigenvectors, it is read without a search.
+    scale = NEGLIGIBLE * mag.max(axis=0)
+    if len(mag) > 1 and (mag[0] > scale).all():
+        pivot = vectors[0]
+        return (vectors.T * (pivot.conjugate() / np.hypot(pivot.real, pivot.imag))[:, None]).T
+    above = mag > scale
+    first = above.argmax(axis=0)
     whole = len(mag) > 1 and above.any(axis=0).all()
     cols = np.arange(mag.shape[1])
     cols = cols if whole else np.flatnonzero(above[first, cols])
@@ -323,10 +328,11 @@ def _tight_shift(size: int, dim: int) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=SCALAR_MAX_DIM)
-def _scalar_plan(d: int) -> tuple[tuple[tuple[int, int], ...], range]:
-    """Flat positions in a (d, d) matrix: the (ij, ji) pairs with i ≤ j, and the diagonal."""
-    pairs = tuple((i * d + j, j * d + i) for i in range(d) for j in range(i, d))
-    return pairs, range(0, d * d, d + 1)
+def _scalar_plan(d: int) -> tuple[tuple[tuple[int, int], ...], range, float, float]:
+    """Flat positions in a (d, d) matrix, the (ij, ji) pairs with i < j and the diagonal, and
+    ``_proves_definite``'s trace budget and shift coefficient at d."""
+    pairs = tuple((i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d))
+    return pairs, range(0, d * d, d + 1), INPUT_TOL / 4 - 4 * d * _EPS, -2 * (d + 1) * d * _EPS
 
 
 def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
@@ -336,8 +342,14 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
     with a margin of 4dε for numpy's summation order, and H - μ·I has a Cholesky
     factor.  Then ``judge`` accepts it and λmin(H) > 0.  False proves nothing."""
     d = len(m)
-    pairs, diagonal = _scalar_plan(d)
+    pairs, diagonal, budget, coefficient = _scalar_plan(d)
     flat = m.ravel().tolist()  # exactly Hermitian: its own Hermitian part
+    diag = []
+    for p in diagonal:  # x == x̄ with x + x finite, on a diagonal entry
+        x = flat[p]
+        if x.imag or not math.isfinite(2 * x.real):
+            return False
+        diag.append(x.real)
     for p, q in pairs:
         x = flat[p]
         if x != flat[q].conjugate() or not cmath.isfinite(x + x):
@@ -345,16 +357,16 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
     if outside is not None and any(flat[p] for p in outside.tolist()):
         return False
     trace = 0.0
-    for p in diagonal:  # a loop: sum() of floats is compensated from Python 3.12
-        trace += flat[p].real
-    if not abs(trace - 1.0) <= INPUT_TOL / 4 - 4 * d * _EPS:
+    for h in diag:  # a loop: sum() of floats is compensated from Python 3.12
+        trace += h
+    if not abs(trace - 1.0) <= budget:
         return False
     # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6);
     # μ is twice that, so a factor proves λmin(H) > 0.  R overwrites flat's upper half.
-    shift = -2 * (d + 1) * d * _EPS * max(flat[p].real for p in diagonal)
-    for j, p in enumerate(diagonal):  # row j of R from the column above its diagonal
+    shift = coefficient * max(diag)
+    for j, h in enumerate(diag):  # row j of R from the column above its diagonal
         column = flat[j : j * d : d]
-        pivot = flat[p].real + shift
+        pivot = h + shift
         for z in column:
             pivot -= z.real * z.real + z.imag * z.imag
         if not pivot > 0.0:
@@ -440,7 +452,8 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
             compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
         v = np.zeros((w.size, w.size), dtype=np.complex128)
         v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
-    if blocks is None and (w[:-1] < w[1:]).all():  # no tie: reversed, column-major as indexed
+    # no tie (tested on Python floats, cheaper than on the array): reversed, column-major as indexed
+    if blocks is None and all(map(float.__lt__, ws := w.tolist(), ws[1:])):
         return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy(order="F"))
     order = np.argsort(-w, kind="stable")  # tied eigenvectors keep eigh's order
     return EigenSystem(eigenvalues=w[order], eigenvectors=v[:, order])

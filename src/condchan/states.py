@@ -29,7 +29,11 @@ def _trusted(cls, *values, floor: float, **settled):
     """A ``cls`` of ``values`` taking over the last, a fresh array, unjudged, and ``settled``."""
     obj = object.__new__(cls)
     values[-1].setflags(write=False)
-    vars(obj).update(zip(cls.__match_args__, values), floor=floor, **settled)
+    attrs = obj.__dict__  # written directly, in the order the keywords of ``update`` would
+    attrs.update(zip(cls.__match_args__, values))
+    attrs["floor"] = floor
+    if settled:
+        attrs.update(settled)
     return obj
 
 

@@ -26,6 +26,7 @@ from condchan import (
     InvariantViolation,
     JointState,
     NoConvergence,
+    NumericalFailure,
     POVM,
     ShapeMismatch,
     SupportMismatch,
@@ -595,6 +596,58 @@ def test_unrepresentable_projector_is_one_line_exit_3(tmp_path, command, doc, in
     assert err == f"invariant violation: {raised.value}\n"
 
 
+def pure_entangled(eps, rng):
+    """|ψ⟩⟨ψ| on qutrit ⊗ qutrit, |ψ⟩ = Σ √λᵢ uᵢ ⊗ vᵢ with λ ∝ (1, 0.5, ε) and u, v random
+    unitaries: a valid joint whose marginals have κ = λmax/λmin = 1/ε."""
+    lam = np.array([1.0, 0.5, eps]) / (1.5 + eps)
+    u, v = random_unitary(3, rng), random_unitary(3, rng)
+    psi = (np.sqrt(lam) * u)[:, None, :] * v[None, :, :]
+    psi = psi.sum(axis=2).ravel()
+    return np.outer(psi, psi.conj())
+
+
+FAILED_CONDITIONING = re.compile(
+    r"numerical failure: conditioning of valid input: invariant '(\w+)' violated "
+    r"\(deviation (\S+), condition number (\S+)\)\n")
+
+
+@pytest.mark.any_kernel
+def test_valid_joint_whose_conditional_fails_its_check_exits_4(tmp_path):
+    # conditioning a valid pure entangled joint inverts a marginal of κ = 1/ε, and at
+    # ε = 1e-9 the rounding it amplifies fails the derived conditional's check: a
+    # numerical failure (exit 4) that names the invariant, the deviation and κ, never
+    # an invalid document (exit 3); at ε = 1e-6 both commands pass
+    rng = np.random.default_rng(0)
+    qutrit = AlgebraShape((3,))
+    povm = tmp_path / "povm.json"
+    povm.write_text(serialize(random_povm(qutrit, 3, rng)), encoding="utf-8")
+    codes = {}
+    for k, eps in enumerate([1e-9] * 4 + [1e-6]):
+        path = tmp_path / f"joint{k}.json"
+        path.write_text(serialize(JointState(qutrit, qutrit, pure_entangled(eps, rng))),
+                        encoding="utf-8")
+        code, out, err = run_main("condition", "--joint", str(path), "--on", "A")
+        theorem = run_main("verify-theorem", "--joint", str(path), "--povm-a", str(povm),
+                           "--povm-b", str(povm))
+        codes.setdefault(eps, []).append((code, theorem[0]))
+        if code:
+            invariant, deviation, kappa = FAILED_CONDITIONING.fullmatch(err).groups()
+            assert invariant in ("positive", "support_projector") and float(deviation) > 0
+            assert float(kappa) == pytest.approx(1 / eps, rel=1e-6)
+            assert out == "" and theorem[1:] == ("", err)  # the theorem conditions the same way
+    assert {pair for pairs in codes.values() for pair in pairs} <= {(0, 0), (4, 4)}
+    assert (4, 4) in codes[1e-9] and codes[1e-6] == [(0, 0)]
+    # a joint with λmin = -1e-9 is invalid: its document still exits 3
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    u = random_unitary(9, rng)
+    w = np.r_[-1e-9, np.full(8, (1 + 1e-9) / 8)]
+    doc["matrix"] = [[[z.real, z.imag] for z in row] for row in (u * w) @ u.conj().T]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_main("condition", "--joint", str(path), "--on", "A")
+    assert (code, out, err) == (3, "", "invariant violation: invariant 'positive' violated "
+                                       "(deviation 1.000e-09)\n")
+
+
 @pytest.mark.parametrize("bad", [
     ["teleport", "--channel", str(FIXTURES / "identity_channel.json")],  # missing --input
     ["teleport", "--classical", *BIT_TELEPORT[1:]],  # the route is the input's
@@ -670,6 +723,7 @@ def _error_cases():
              (InvariantViolation("positive", 0.5), 3),
              (ShapeMismatch("ShapeMismatch raised"), 3), (SupportMismatch("SupportMismatch raised", 1.0), 3),
              (NoConvergence("eigh did not converge"), 4),
+             (NumericalFailure("positive", 1.229e-08, "conditioning", 1e9), 4),
              (FloatingPointError("overflow"), 4), (np.linalg.LinAlgError("singular"), 4),
              (MemoryError("Unable to allocate 4.00 GiB for an array with shape (16384, 16384)"), 4)]
     # an invariant raised with its own message prints that message alone

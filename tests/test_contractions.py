@@ -2720,6 +2720,191 @@ def test_conditioning_pinches_a_leaking_marginal(rng):
     assert report.max_deviation <= 1e-9
 
 
+# -- oracles and tests: the round trip's per-call forms ----------------------
+
+
+def parent_trusted(cls, *values, floor, **settled):
+    """``states._trusted`` as it was written before its direct writes: one ``update`` call."""
+    obj = object.__new__(cls)
+    values[-1].setflags(write=False)
+    vars(obj).update(zip(cls.__match_args__, values), floor=floor, **settled)
+    return obj
+
+
+def parent_fix_phases(vectors):
+    """``matcore._fix_phases`` as it was written before its first-row path: a pivot search."""
+    mag = np.abs(vectors)
+    if not mag.size:
+        return np.array(vectors, copy=True)
+    above = mag > NEGLIGIBLE * mag.max(axis=0)
+    first = above.argmax(axis=0)
+    whole = len(mag) > 1 and above.any(axis=0).all()
+    cols = np.arange(mag.shape[1])
+    cols = cols if whole else np.flatnonzero(above[first, cols])
+    pivot = vectors[first[cols], cols]
+    factor = pivot.conjugate() / np.hypot(pivot.real, pivot.imag)
+    if whole:
+        return (vectors.T * factor[:, None]).T
+    out = np.array(vectors, copy=True)
+    out.T[cols] = out.T[cols] * factor[:, None]
+    return out
+
+
+def parent_kraus(cond):
+    """The Kraus tensor ``channel_from_conditional`` built by gathering the kept mask."""
+    din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
+    es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
+    keep = es.kept
+    vecs = es.eigenvectors.T[keep] * np.sqrt(es.eigenvalues[keep])[:, None]
+    return np.array(vecs.reshape(-1, din, dout).swapaxes(1, 2), order="C")
+
+
+ROUNDTRIP_PAIRS = [(AlgebraShape(a), AlgebraShape(b))
+                   for a in [(2,), (3,), (2, 1), (1, 1)] for b in [(2,), (3,), (1, 1)]]
+CLASS_PAIRS = [(s, s) for s in map(AlgebraShape, [(2,), (1, 1), (3,), (1, 1, 1), MIXED_BY_DIM[3],
+                                                  (4,), (1,) * 4, MIXED_BY_DIM[4]])]
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("shape_in, shape_out", ROUNDTRIP_PAIRS + CLASS_PAIRS,
+                         ids=lambda s: shape_id(s))
+def test_certified_apply_is_the_product_of_apply_matrix(rng, shape_in, shape_out):
+    # the certified output is apply_matrix's product, bit for bit, C-contiguous,
+    # read-only and of floor inf; the judged output (a state of floor > 0) is too
+    c, s = random_channel(shape_in, shape_out, 2, rng), random_state(shape_in, rng)
+    assert c._certifies and s.floor == 0.0  # the scalar pass proved s definite
+    judged = _trusted(State, shape_in, np.array(s.matrix), floor=1e-15)  # not certifiable
+    outs = [(state, apply(c, state)) for state in (s, judged)]
+    for state, out in outs:
+        assert out.matrix.tobytes() == apply_matrix(c, state.matrix).tobytes()
+        assert out.matrix.flags.c_contiguous and not out.matrix.flags.writeable
+    assert [out.floor == math.inf for _, out in outs] == [True, False]
+
+
+@pytest.mark.any_kernel
+def test_trusted_writes_the_attributes_of_one_update(rng):
+    shape = AlgebraShape((2, 1))
+    cond = conditional_from_joint(random_joint_state(shape, QUBIT, rng), "a")
+    cases = [(State, (shape,), {}), (JointState, (shape, QUBIT), {}),
+             (ConditionalState, (shape, QUBIT), {}),
+             (ConditionalState, (shape, QUBIT), {"_restricted": None})]
+    for cls, shapes, settled in cases:
+        d = int(np.prod([s.total_dim for s in shapes]))
+        m = cond.matrix if d == len(cond.matrix) else random_state(shape, rng).matrix
+        built = [make(cls, *shapes, np.array(m), floor=0.25, **settled)
+                 for make in (_trusted, parent_trusted)]
+        got, want = ([(key, value if key != "matrix" else value.tobytes())
+                      for key, value in vars(obj).items()] for obj in built)
+        assert type(built[0]) is cls and got == want
+        assert not built[0].matrix.flags.writeable
+
+
+def scalar_diagonal_cases(d):
+    """Unit-trace (d, d) matrices, each the definite I/d with one diagonal entry (or an
+    off-diagonal pair) changed: what the scalar pass's one read of the diagonal tests."""
+    base = np.eye(d, dtype=complex) / d
+    x = 1 / d
+    entries = [complex(x, 0.0), complex(x, -0.0), complex(x, np.nan), complex(np.nan, 0.0),
+               complex(x, np.inf), complex(np.inf, 0.0), complex(-np.inf, -0.0),
+               complex(x, 1e-300), complex(x, -1e-17), complex(1e308, 0.0), complex(-1e308, 0.0)]
+    cases = []
+    for entry in entries:
+        for k in {0, d - 1}:
+            m = base.copy()
+            m[k, k] = entry
+            cases.append(m)
+    if d > 1:  # an off-diagonal x + x that overflows, and one that does not
+        for z in (complex(1e308, 1e308), complex(1e308, 0.0), complex(0.0, -1e308), 0.25j):
+            m = base.copy()
+            m[0, d - 1], m[d - 1, 0] = z, z.conjugate()
+            cases.append(m)
+    return cases
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_scalar_pass_reads_the_diagonal_once_with_the_loop_verdict(d):
+    # ±0.0 imaginary parts are proved; NaN or inf in either part, a complex entry,
+    # an overflowing diagonal and an off-diagonal x + x that overflows are not
+    shapes = [AlgebraShape((d,)), AlgebraShape((1,) * d)]
+    verdicts = []
+    for m in scalar_diagonal_cases(d):
+        for outside in (support_index(shape)[0] for shape in shapes):
+            verdicts.append(_proves_definite(m, outside))
+            assert verdicts[-1] == proves_definite_loop(m, outside)
+    assert any(verdicts) and not all(verdicts)
+
+
+class NumpySpy:
+    """numpy, recording each attribute read through it."""
+
+    def __init__(self):
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(np, name)
+
+
+def phase_cases(rng):
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    u = random_unitary(6, rng)
+    zero_row = np.linalg.eigh(g + g.conj().T)[1]
+    zero_row[0] = 0.0
+    zero_column = g.copy()
+    zero_column[:, 3] = 0.0
+    return {
+        "random": g,
+        "eigenvectors": np.linalg.eigh(g + g.conj().T)[1],
+        "tied": np.linalg.eigh((u * [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ u.conj().T)[1],
+        "tied-classical": np.linalg.eigh(np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]) + 0j)[1],
+        "zero-first-row": zero_row,
+        "unit-vectors": np.eye(6, dtype=complex)[:, [3, 0, 5, 1, 4, 2]],
+        "one-by-one": g[:1, :1],
+        "zero-column": zero_column,
+        "one-row": g[:1],
+        "transposed": g.T,
+    }
+
+
+@pytest.mark.any_kernel
+def test_first_row_phase_path_gives_the_parent_bytes_and_strides(rng, monkeypatch):
+    spy = NumpySpy()
+    monkeypatch.setattr("condchan.matcore.np", spy)
+    searched = {}
+    for name, v in phase_cases(rng).items():
+        spy.read.clear()
+        got, want = _fix_phases(v), parent_fix_phases(v)
+        assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides), name
+        searched[name] = "arange" in spy.read  # only the pivot search reads np.arange
+    # where row 0 holds every pivot it is read; the rest search (the eigh bases, whose
+    # zeros depend on the BLAS kernel, are left out)
+    assert {name: searched[name] for name in searched if "tied" not in name} == {
+        "random": False, "eigenvectors": False, "zero-first-row": True, "unit-vectors": True,
+        "one-by-one": True, "zero-column": True, "one-row": True, "transposed": False}
+
+
+PREFIX_PAIRS = [((2,), (2,)), ((3,), (1, 1)), ((2, 1), (3,)), ((1, 1, 1), (1, 1, 1)),
+                ((4,), (4,)), ((2, 2), (2, 2)), ((1,) * 4, (1,) * 4), ((4, 2, 1, 1), (2, 1))]
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("dims_in, dims_out", PREFIX_PAIRS, ids=str)
+def test_kraus_prefix_slice_is_the_kept_mask_gather(rng, dims_in, dims_out):
+    # whole and blocked (a reducible pair of dimension ≥ BLOCKWISE_MIN_DIM) spectra,
+    # full-rank and rank-deficient conditionals, tied classical spectra included
+    shape_in, shape_out = AlgebraShape(dims_in), AlgebraShape(dims_out)
+    d = shape_in.total_dim
+    conds = [choi_conditional(random_channel(shape_in, shape_out, d, rng)),
+             choi_conditional(identity_channel(shape_in)) if shape_in == shape_out else None,
+             conditional_from_joint(random_joint_state(shape_in, shape_out, rng,
+                                                       rank_a=max(1, d // 2)), "a")]
+    for cond in filter(None, conds):
+        es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
+        assert es.kept.tolist() == [True] * es.rank + [False] * (len(es.kept) - es.rank)
+        assert channel_from_conditional(cond).kraus.tobytes() == parent_kraus(cond).tobytes()
+
+
 # -- tests: documents -------------------------------------------------------
 
 

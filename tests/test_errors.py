@@ -1,4 +1,4 @@
-"""One failure vocabulary: ``errors.py`` defines seven classes, every raise in
+"""One failure vocabulary: ``errors.py`` defines eight classes, every raise in
 the package names one of them, and every invariant is named by a literal,
 so the set of invariant names can be read off the source."""
 
@@ -14,6 +14,7 @@ CLASSES = {
     "SupportMismatch",
     "InvariantViolation",
     "NoConvergence",
+    "NumericalFailure",
 }
 
 
@@ -29,7 +30,7 @@ def raised_name(node: ast.Raise):
     return exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
 
 
-def test_errors_module_defines_exactly_the_seven_classes():
+def test_errors_module_defines_exactly_the_eight_classes():
     tree = ast.parse((SOURCE / "errors.py").read_text(encoding="utf-8"))
     assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == CLASSES
 

@@ -120,6 +120,38 @@ def test_bench_against_an_identical_tree_reads_even(tmp_path):
     assert 0.95 <= statistics.median(row["speedup"] for row in rows) <= 1.05
 
 
+def test_bench_times_a_short_call_against_its_twin_one_call_at_a_time():
+    # under SINGLE_MS each round calls the two sides in turn, one call each, the first
+    # side alternating by round; a longer call is timed as a batch of each side
+    code = (
+        "import sys, time\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench\n"
+        "def call(tag, seconds):\n"
+        "    def run():\n"
+        "        start = time.perf_counter()\n"
+        "        while time.perf_counter() - start < seconds:\n"
+        "            pass\n"
+        "        seen.append(tag)\n"
+        "    return run\n"
+        "for seconds in (0.0, 4e-4):\n"
+        "    seen = []\n"
+        "    row = bench.measure_ab(call('a', seconds), call('b', seconds), 1)\n"
+        "    print(''.join(seen), row['speedup_q1'] <= row['speedup'] <= row['speedup_q3'])\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    (short, short_ok), (long, long_ok) = (line.split() for line in completed.stdout.splitlines())
+    # the first call of each side sizes the rounds, and one more of each counts its calls
+    n = (len(short) - 4) // 4
+    assert n > 1 and short == "ab" + "ab" * n + "ba" * n + "ab"
+    n = (len(long) - 4) // 4
+    assert n > 1 and long == "ab" + "a" * n + "b" * n + "b" * n + "a" * n + "ab"
+    assert short_ok == long_ok == "True"
+
+
 def test_bench_loads_two_trees_as_separate_packages():
     code = (
         "import sys\n"
