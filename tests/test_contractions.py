@@ -2723,7 +2723,7 @@ def test_conditioning_pinches_a_leaking_marginal(rng):
 # -- oracles and tests: the round trip's per-call forms ----------------------
 
 
-def parent_trusted(cls, *values, floor, **settled):
+def oracle_update_trusted(cls, *values, floor, **settled):
     """``states._trusted`` as it was written before its direct writes: one ``update`` call."""
     obj = object.__new__(cls)
     values[-1].setflags(write=False)
@@ -2731,7 +2731,7 @@ def parent_trusted(cls, *values, floor, **settled):
     return obj
 
 
-def parent_fix_phases(vectors):
+def oracle_searched_phases(vectors):
     """``matcore._fix_phases`` as it was written before its first-row path: a pivot search."""
     mag = np.abs(vectors)
     if not mag.size:
@@ -2750,7 +2750,7 @@ def parent_fix_phases(vectors):
     return out
 
 
-def parent_kraus(cond):
+def oracle_gathered_kraus(cond):
     """The Kraus tensor ``channel_from_conditional`` built by gathering the kept mask."""
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
@@ -2767,7 +2767,7 @@ CLASS_PAIRS = [(s, s) for s in map(AlgebraShape, [(2,), (1, 1), (3,), (1, 1, 1),
 
 @pytest.mark.any_kernel
 @pytest.mark.parametrize("shape_in, shape_out", ROUNDTRIP_PAIRS + CLASS_PAIRS,
-                         ids=lambda s: shape_id(s))
+                         ids=shape_id)
 def test_certified_apply_is_the_product_of_apply_matrix(rng, shape_in, shape_out):
     # the certified output is apply_matrix's product, bit for bit, C-contiguous,
     # read-only and of floor inf; the judged output (a state of floor > 0) is too
@@ -2792,7 +2792,7 @@ def test_trusted_writes_the_attributes_of_one_update(rng):
         d = int(np.prod([s.total_dim for s in shapes]))
         m = cond.matrix if d == len(cond.matrix) else random_state(shape, rng).matrix
         built = [make(cls, *shapes, np.array(m), floor=0.25, **settled)
-                 for make in (_trusted, parent_trusted)]
+                 for make in (_trusted, oracle_update_trusted)]
         got, want = ([(key, value if key != "matrix" else value.tobytes())
                       for key, value in vars(obj).items()] for obj in built)
         assert type(built[0]) is cls and got == want
@@ -2868,13 +2868,13 @@ def phase_cases(rng):
 
 
 @pytest.mark.any_kernel
-def test_first_row_phase_path_gives_the_parent_bytes_and_strides(rng, monkeypatch):
+def test_first_row_phase_path_gives_the_searched_bytes_and_strides(rng, monkeypatch):
     spy = NumpySpy()
     monkeypatch.setattr("condchan.matcore.np", spy)
     searched = {}
     for name, v in phase_cases(rng).items():
         spy.read.clear()
-        got, want = _fix_phases(v), parent_fix_phases(v)
+        got, want = _fix_phases(v), oracle_searched_phases(v)
         assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides), name
         searched[name] = "arange" in spy.read  # only the pivot search reads np.arange
     # where row 0 holds every pivot it is read; the rest search (the eigh bases, whose
@@ -2902,7 +2902,7 @@ def test_kraus_prefix_slice_is_the_kept_mask_gather(rng, dims_in, dims_out):
     for cond in filter(None, conds):
         es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
         assert es.kept.tolist() == [True] * es.rank + [False] * (len(es.kept) - es.rank)
-        assert channel_from_conditional(cond).kraus.tobytes() == parent_kraus(cond).tobytes()
+        assert channel_from_conditional(cond).kraus.tobytes() == oracle_gathered_kraus(cond).tobytes()
 
 
 # -- tests: documents -------------------------------------------------------
