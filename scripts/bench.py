@@ -74,11 +74,11 @@ number of calls on either side, in alternating order (this tree first, then
 the other tree first, ...).  A round times a batch of each side, or, for a
 call under 0.1 ms, single calls of the two sides in turn, summing each side's
 ``perf_counter`` deltas, so that the short calls of one side do not inherit
-the allocator and cache state of a batch of their own.  The ``"ab"`` record of a call holds
-this tree's median per-call time, its counts and CLI digest, the same of the
-other tree under ``"against"``, and ``speedup``, the median over the rounds
-of the other tree's time over this tree's (above 1 where this tree is
-faster), with its quartiles ``speedup_q1`` and ``speedup_q3``.  The run
+the allocator and cache state of a batch of their own.  The ``"ab"`` record
+of a call holds this tree's median per-call time, its counts and CLI digest,
+the same of the other tree under ``"against"``, and ``speedup``, the median
+over the rounds of the other tree's time over this tree's (above 1 where
+this tree is faster), with its quartiles ``speedup_q1`` and ``speedup_q3``.  The run
 record names the other tree's commit, dirty flag and line count under
 ``"against"``.
 """
