@@ -71,16 +71,15 @@ not enter their comparison.  Each call's inputs are built by each tree from
 the same generators, so trees that generate alike measure the same inputs.
 For each call the two sides are timed in 2·``--repeats`` rounds of the same
 number of calls on either side, in alternating order (this tree first, then
-the other tree first, ...).  A round times a batch of each side, or, for a
-call under 0.1 ms, single calls of the two sides in turn, summing each side's
-``perf_counter`` deltas, so that the short calls of one side do not inherit
-the allocator and cache state of a batch of their own.  The ``"ab"`` record
-of a call holds this tree's median per-call time, its counts and CLI digest,
-the same of the other tree under ``"against"``, and ``speedup``, the median
-over the rounds of the other tree's time over this tree's (above 1 where
-this tree is faster), with its quartiles ``speedup_q1`` and ``speedup_q3``.  The run
-record names the other tree's commit, dirty flag and line count under
-``"against"``.
+the other tree first, ...).  A round calls the two sides in turn, one call
+each, and sums each side's ``perf_counter`` deltas, so that the calls of one
+side do not inherit the allocator and cache state of a batch of their own.
+The ``"ab"`` record of a call holds this tree's median per-call time, its
+counts and CLI digest, the same of the other tree under ``"against"``, and
+``speedup``, the median over the rounds of the other tree's time over this
+tree's (above 1 where this tree is faster), with its quartiles ``speedup_q1``
+and ``speedup_q3``.  The run record names the other tree's commit, dirty flag
+and line count under ``"against"``.
 """
 
 import ctypes
@@ -147,7 +146,6 @@ from calibrate import Calibration  # noqa: E402
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
 BATCH_MS = 2.0
-SINGLE_MS = 0.1  # calls shorter than this are A/B-timed one call at a time, in turn
 ELAPSED = re.compile(r'("elapsedSeconds": )[^,\n]+')
 
 
@@ -386,8 +384,9 @@ def alternated(calls, order, number):
             calls[first]()
             middle = clock()
             calls[second]()
+            end = clock()
             sums[first] += middle - start
-            sums[second] += clock() - middle
+            sums[second] += end - middle
     finally:
         if collecting:
             gc.enable()
@@ -396,21 +395,12 @@ def alternated(calls, order, number):
 
 def measure_ab(fn, other, repeats):
     """``fn`` against ``other``, the same call in the other tree: 2·``repeats``
-    rounds, the first side alternating.  A round times a batch of each side, or,
-    where a call takes under ``SINGLE_MS``, single calls of the two sides in turn
-    (``alternated``), so that neither side inherits the allocator and cache state
-    of a batch of its own calls."""
-    shortest = min(timed(fn), timed(other))
-    number = max(1, round(BATCH_MS / shortest))
-    timers = timeit.Timer(fn), timeit.Timer(other)
-    rounds = []
-    for r in range(2 * repeats):
-        order = ((0, 1), (1, 0))[r % 2]
-        if shortest < SINGLE_MS:
-            rounds.append(alternated((fn, other), order, number))
-        else:
-            times = {side: timers[side].timeit(number) / number for side in order}
-            rounds.append([times[0], times[1]])
+    rounds, the first side alternating.  A round calls the two sides in turn, one
+    call each (``alternated``), so that neither side inherits the allocator and
+    cache state of a batch of its own calls."""
+    number = max(1, round(BATCH_MS / min(timed(fn), timed(other))))
+    rounds = [alternated((fn, other), ((0, 1), (1, 0))[r % 2], number)
+              for r in range(2 * repeats)]
     q1, median, q3 = statistics.quantiles([o / t for t, o in rounds], method="inclusive")
     return {
         "kind": "ab",

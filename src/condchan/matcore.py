@@ -253,15 +253,15 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # every pivot, as in an irreducible spectrum's eigenvectors, it is read without a search.
     above = mag > NEGLIGIBLE * mag.max(axis=0)
     if len(mag) > 1 and all(above[0].tolist()):  # Python's all: a fraction of numpy's cost
-        pivot = vectors[0]
-        return (vectors.T * (pivot.conjugate() / np.hypot(pivot.real, pivot.imag))[:, None]).T
-    first, cols = above.argmax(axis=0), np.arange(mag.shape[1])
-    found = above[first, cols]  # whether the column has a pivot
-    whole = len(mag) > 1 and all(found.tolist())
-    if not whole:
-        cols = np.flatnonzero(found)
-        first = first[cols]
-    pivot = vectors[first, cols]
+        pivot, whole = vectors[0], True
+    else:
+        first, cols = above.argmax(axis=0), np.arange(mag.shape[1])
+        found = above[first, cols]  # whether the column has a pivot
+        whole = len(mag) > 1 and all(found.tolist())
+        if not whole:
+            cols = np.flatnonzero(found)
+            first = first[cols]
+        pivot = vectors[first, cols]
     factor = pivot.conjugate() / np.hypot(pivot.real, pivot.imag)
     if whole:
         return (vectors.T * factor[:, None]).T
