@@ -1,27 +1,20 @@
 #!/usr/bin/env python3
-"""Per-call timings and eigendecomposition counts of the condchan library.
+"""Per-call A/B timings and eigendecomposition counts of two trees of the condchan library.
 
-    python scripts/bench.py --out BENCH.json --label change
-    python scripts/bench.py --src OTHER_CHECKOUT/src --out BENCH.json --label parent
-    python scripts/bench.py --out quick.json --label quick --repeats 1 --max-dim 3
     python scripts/bench.py --against PARENT_CHECKOUT/src --out BENCH.json --label change
+    python scripts/bench.py --against src --out quick.json --label quick --repeats 1 --max-dim 3
 
-Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) with
-BLAS fixed to one thread and, where the C library has ``mallopt`` (glibc),
-its mmap threshold fixed at 64 MiB and its trim threshold at 128 MiB.  For each call below and each algebra class
-(irreducible ``(d,)``, classical ``(1,)*d`` and mixed) it records the time
-of the first call, the median per-call wall time over ``--repeats`` later
-samples (each a batch of calls lasting about 2 ms), the ``eigvalsh``,
-``eigh`` and ``cholesky`` calls one call makes, and the peak resident set
-size of the process after the call's samples (a high-water mark, so it
-bounds the call's own peak).  Beside every sample it runs the benchmark's
-calibration kernel (``perfbench/calibrate.py``), a fixed amount of work
-that does not touch condchan, and records the median kernel time and the
-median ratio of sample to kernel time, with the quartiles of that ratio
-over the samples (``ratio_q1``, ``ratio_q3``) as its spread.  The ratio
-cancels the machine's speed state, which shifts raw times of unchanged
-calls by 10 % and more between runs.  The calls, where D is ``--max-dim``
-(default 16, at least 2), which bounds every sweep below but not the CLI's:
+Imports ``condchan`` from ``--src`` (default: this checkout's ``src/``) and from
+``--against OTHER/src`` into this one process, each under its own package name
+(``condchan`` and ``condchan_against``), so that order, layout and drift between
+processes do not enter their comparison.  BLAS is fixed to one thread and, where the
+C library has ``mallopt`` (glibc), its mmap threshold at 64 MiB and its trim
+threshold at 128 MiB, so that one tree's frees do not move the threshold that the
+other tree's next call sees.  Each tree builds each call's inputs from the same
+generators, so trees that generate alike measure the same inputs.  The calls, for
+each algebra class (irreducible ``(d,)``, classical ``(1,)*d`` and mixed), where D
+is ``--max-dim`` (default 16, at least 2), which bounds every sweep below but not
+the CLI's:
 
 * construction of ``State``, ``JointState`` and ``ConditionalState`` (on the
   class paired with itself) and of a 4-outcome ``POVM``, d = 2…D;
@@ -50,36 +43,31 @@ calls by 10 % and more between runs.  The calls, where D is ``--max-dim``
   ``cli.main`` in this process, on d = 8 documents of each class written to
   a temporary directory, with stdout and stderr redirected; ``teleport``
   runs from ``(8,)`` into the class, and ``selftest --trials 2`` runs once.
-  Each of their results also records ``stdout_sha256``, the sha256 of the
-  command's stdout with selftest's ``elapsedSeconds`` masked, so runs of
-  two trees show whether their outputs are identical.
+  Their records also hold ``stdout_sha256`` on both sides, the sha256 of the
+  command's stdout with selftest's ``elapsedSeconds`` masked, so they show whether
+  the two trees' outputs are identical.
 
-Each run appends to ``--out`` one JSON record per line: a ``"run"``
-record with the label, commit, ``src/condchan`` line count, environment
-(the two thresholds included, null without ``mallopt``), ``repeats`` and ``max_dim``,
-then one ``"result"`` record per call, or a ``"failed"`` record naming the
-error for a call that runs out of memory (under ``ulimit -v``, say), so a
-tree that cannot run a case is recorded as such.  Everything already in
-the file is kept, so one file holds the before and after of a change, and
-runs of the two trees can be interleaved (parent, change, change, parent,
-...) to spread drift in machine speed over both.
-
-With ``--against OTHER/src`` the two trees run in this one process instead,
-each imported under its own package name (``condchan`` and
-``condchan_against``), so that order, layout and drift between processes do
-not enter their comparison.  Each call's inputs are built by each tree from
-the same generators, so trees that generate alike measure the same inputs.
-For each call the two sides are timed in 2·``--repeats`` rounds of the same
-number of calls on either side, in alternating order (this tree first, then
-the other tree first, ...).  A round calls the two sides in turn, one call
-each, and sums each side's ``perf_counter`` deltas, so that the calls of one
+For each call the two sides are timed in 2·``--repeats`` rounds of the same number
+of calls on either side (about 2 ms of calls), in alternating order (this tree
+first, then the other tree first, ...).  A round calls the two sides in turn, one
+call each, and sums each side's ``perf_counter`` deltas, so that the calls of one
 side do not inherit the allocator and cache state of a batch of their own.
-The ``"ab"`` record of a call holds this tree's median per-call time, its
-counts and CLI digest, the same of the other tree under ``"against"``, and
-``speedup``, the median over the rounds of the other tree's time over this
-tree's (above 1 where this tree is faster), with its quartiles ``speedup_q1``
-and ``speedup_q3``.  The run record names the other tree's commit, dirty flag
-and line count under ``"against"``.
+
+Each run appends to ``--out`` one JSON record per line, and keeps everything already
+in the file.  First a ``"run"`` record: the label; the commit, dirty flag and
+``src/condchan`` line count of this tree, and of the other under ``"against"``; the
+environment (the two thresholds included, null without ``mallopt``); ``repeats``,
+``max_dim``; and the 1-, 5- and 15-minute load averages at the start and the end of
+the run (``load_start``, ``load_end``).  Then one ``"ab"`` record per call: this
+tree's median per-call time, the ``eigvalsh``, ``eigh`` and ``cholesky`` calls one
+call makes and its CLI digest, the same of the other tree under ``"against"``;
+``speedup``, the median over the rounds of the other tree's time over this tree's
+(above 1 where this tree is faster), with its quartiles ``speedup_q1`` and
+``speedup_q3``; and ``load_1min``, the 1-minute load average read after the call.
+A call that runs out of memory (under ``ulimit -v``, say) gets a ``"failed"`` record
+naming the error instead, so a tree that cannot run a case is recorded as such.  A
+self A/B, ``--against`` the tree's own ``src/``, shows the spread that unchanged
+calls read on this machine.
 """
 
 import ctypes
@@ -122,16 +110,15 @@ import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import re  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-import timeit  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -139,10 +126,6 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from calibrate import Calibration  # noqa: E402
-
 COUNTED = ("eigvalsh", "eigh", "cholesky")
 SEED = 20260809
 BATCH_MS = 2.0
@@ -341,39 +324,11 @@ def timed(fn):
     return 1e3 * (time.perf_counter() - start)
 
 
-def peak_rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-
-
-def measure_call(fn, control, repeats):
-    first = timed(fn)
-    # each sample times a batch of about BATCH_MS, so that timer
-    # resolution and scheduler noise stay small against short calls
-    number = max(1, round(BATCH_MS / first))
-    timer = timeit.Timer(fn)
-    samples, kernel = [], []
-    for _ in range(repeats):
-        kernel.append(control.sample())
-        samples.append(timer.timeit(number) / number)
-    ratios = [s / k for s, k in zip(samples, kernel)]
-    q1, median, q3 = statistics.quantiles(ratios, method="inclusive") if repeats > 1 else ratios * 3
-    return {
-        "kind": "result",
-        "median_ms": 1e3 * statistics.median(samples),
-        "first_ms": first,
-        "control_ms": 1e3 * statistics.median(kernel),
-        "ratio": median,
-        "ratio_q1": q1,
-        "ratio_q3": q3,
-        **count_calls(fn),
-        "peak_rss_mb": peak_rss_mb(),
-    }
-
-
 def alternated(calls, order, number):
     """Per-call seconds of each of two calls over ``number`` turns, each turn one call
     of each in ``order``: each side's sum of ``perf_counter`` deltas over ``number``.
-    Garbage collection is off while they run, as ``timeit`` turns it off."""
+    Garbage collection is off while they run, so that no collection lands in one side's
+    interval."""
     clock, sums = time.perf_counter, [0.0, 0.0]
     first, second = order
     collecting = gc.isenabled()
@@ -414,25 +369,21 @@ def measure_ab(fn, other, repeats):
     }
 
 
-def measure(calls, repeats, against=None):
-    """One record per call of ``calls``; with ``against``, the same calls of the
-    other tree, each call is timed against its twin by ``measure_ab``."""
-    control = Calibration()
+def measure(calls, repeats, against):
+    """One record per call of ``calls``, timed by ``measure_ab`` against its twin, the
+    call of the same key in ``against``, the other tree's calls in the same order."""
     rows = []
-    twins = iter(against or ())
-    for call, d, cls, fn in calls:
+    for mine, twin in itertools.zip_longest(calls, against):
+        key, twin_key = (None if case is None else tuple(case[:3]) for case in (mine, twin))
+        if key != twin_key:
+            raise RuntimeError(f"the trees' calls differ: {key} and {twin_key}")
+        (call, d, cls, fn), other = mine, twin[3]
         try:
-            if against is None:
-                row = measure_call(fn, control, repeats)
-            else:
-                *key, other = next(twins)
-                if key != [call, d, cls]:
-                    raise RuntimeError(f"the trees' calls differ: {(call, d, cls)} and {tuple(key)}")
-                row = measure_ab(fn, other, repeats)
+            row = measure_ab(fn, other, repeats)
             if call.startswith("cli "):
                 row["stdout_sha256"] = stdout_sha256(fn())
-                if against is not None:
-                    row["against"]["stdout_sha256"] = stdout_sha256(other())
+                row["against"]["stdout_sha256"] = stdout_sha256(other())
+            row["load_1min"] = os.getloadavg()[0]
         except MemoryError as exc:
             row = {"kind": "failed", "error": type(exc).__name__}
         rows.append({"call": call, "d": d, "class": cls, **row})
@@ -503,32 +454,33 @@ def main():
     parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--max-dim", type=int, default=16)
-    parser.add_argument("--against", type=Path, help="src/ of another tree, timed against --src")
+    parser.add_argument("--against", type=Path, required=True,
+                        help="src/ of another tree, timed against --src")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.max_dim < 2:
         parser.error("--max-dim must be at least 2")
-    src = args.src.resolve()
+    src, other = args.src.resolve(), args.against.resolve()
     cc = load_tree(src, "condchan")
+    cc_against = load_tree(other, "condchan_against")
     run = {
         "kind": "run",
         "run": sum(rec["kind"] == "run" for rec in records(args.out)),
         "label": args.label,
         **tree(src),
+        "against": tree(other),
         "env": environment(),
         "repeats": args.repeats,
         "max_dim": args.max_dim,
+        "load_start": os.getloadavg(),
     }
     with tempfile.TemporaryDirectory() as workdir:
+        (Path(workdir) / "against").mkdir()
         calls = cases(cc, Path(workdir), args.max_dim)
-        against = None
-        if args.against is not None:
-            run["against"] = tree(args.against.resolve())
-            (Path(workdir) / "against").mkdir()
-            other = load_tree(args.against.resolve(), "condchan_against")
-            against = cases(other, Path(workdir) / "against", args.max_dim)
+        against = cases(cc_against, Path(workdir) / "against", args.max_dim)
         rows = measure(calls, args.repeats, against)
+    run["load_end"] = os.getloadavg()
     lines = [run] + [{"run": run["run"], "label": args.label, **row} for row in rows]
     with args.out.open("a", encoding="utf-8") as out:
         out.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in lines)

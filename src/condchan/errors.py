@@ -57,7 +57,8 @@ class InvariantViolation(CondChanError):
 
 class NumericalFailure(InvariantViolation):
     """Valid inputs gave ``map`` an output that fails ``invariant``: rounding, amplified by up to
-    ``condition_number`` (κ = λmax/λmin over the kept eigenvalues of the marginal it inverts)."""
+    ``condition_number`` (κ = λmax/λmin over the kept eigenvalues of the marginal it inverts;
+    for ``prepare``, κ = 1/p_min, the least kept outcome probability it divides by)."""
 
     exit_code = 4
 

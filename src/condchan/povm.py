@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraShape, block_index, support_index
-from .errors import InvariantViolation, ShapeMismatch, SupportMismatch
+from .errors import InvariantViolation, NumericalFailure, ShapeMismatch, SupportMismatch
 from .matcore import _as_stack, as_matrix, herm_eig, hermitize, identity, max_abs, validate_psd
 from .states import State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
@@ -94,13 +94,17 @@ def prepare(m: POVM, s: State) -> Ensemble:
     """POVM-preparation of a state: weights from the Born rule, members the
     Hermitian parts of sqrt(s) M_j sqrt(s), each divided by its own trace, since
     ``root`` clips a slightly negative eigenvalue of s.  Outcomes of negligible
-    probability are dropped; their conditional state is undefined."""
+    probability are dropped; their conditional state is undefined.  A member's rounding is
+    scaled by 1/p, so a check that fails on them raises ``NumericalFailure`` with κ = 1/p_min."""
     probs = measure(m, s)
     root = herm_eig(s.matrix).root()
     kept = probs > NEGLIGIBLE
-    members = hermitize(root @ m.elements[kept] @ root)
-    members /= members.trace(axis1=1, axis2=2).real[:, None, None]
-    return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
+    try:
+        members = hermitize(root @ m.elements[kept] @ root)
+        members /= members.trace(axis1=1, axis2=2).real[:, None, None]
+        return Ensemble(weights=probs[kept], members=states_from_stack(s.shape, members), average=s)
+    except InvariantViolation as exc:
+        raise NumericalFailure(exc.invariant, exc.deviation, "prepare", 1 / probs[kept].min()) from exc
 
 
 def povm_from_ensemble(e: Ensemble, s: State) -> POVM:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import condchan.scenarios as scenarios_module
-from condchan import AlgebraShape, ConditionalState, ShapeMismatch, State, teleport
+from condchan import POVM, AlgebraShape, ConditionalState, ShapeMismatch, State, teleport
 from condchan.algebra import _masks
 from condchan.channels import max_ent_matrix
 from condchan.matcore import max_abs
@@ -53,6 +53,18 @@ def maximally_mixed(shape):
     """The identity over the total dimension, as a State."""
     d = shape.total_dim
     return State(shape, np.eye(d, dtype=np.complex128) / d)
+
+
+def tiny_outcome_pair(theta, rng):
+    """A valid qubit state ρ = (1 − 1e-9)|u₀⟩⟨u₀| + 1e-9|u₁⟩⟨u₁| and the POVM {I − |χ⟩⟨χ|, |χ⟩⟨χ|},
+    χ = cos θ·u₁ + sin θ·u₀ for a random unitary u: the outcome χ has probability about
+    θ² + 1e-9, and ``prepare`` divides its member's rounding by that."""
+    u = scenarios_module.random_unitary(2, rng)
+    u0, u1 = u[:, 0], u[:, 1]
+    rho = (1 - 1e-9) * np.outer(u0, u0.conj()) + 1e-9 * np.outer(u1, u1.conj())
+    chi = np.cos(theta) * u1 + np.sin(theta) * u0
+    e = np.outer(chi, chi.conj())
+    return State(QUBIT, rho), POVM(QUBIT, (np.eye(2) - e, e))
 
 
 def max_ent_conditional(shape):

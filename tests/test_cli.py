@@ -33,6 +33,7 @@ from condchan import (
     choi_conditional,
     cli,
     conditional_from_joint,
+    measure,
     random_joint_state,
     random_povm,
     random_unitary,
@@ -43,7 +44,7 @@ from condchan.matcore import hermitize
 from condchan.selftest import run_selftest
 from condchan.serialize import KINDS, parse, serialize
 from condchan.tolerances import IDENTITY_TOL
-from conftest import QUBIT, maximally_mixed
+from conftest import QUBIT, maximally_mixed, tiny_outcome_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -646,6 +647,31 @@ def test_valid_joint_whose_conditional_fails_its_check_exits_4(tmp_path):
     code, out, err = run_main("condition", "--joint", str(path), "--on", "A")
     assert (code, out, err) == (3, "", "invariant violation: invariant 'positive' violated "
                                        "(deviation 1.000e-09)\n")
+
+
+FAILED_PREPARE = re.compile(
+    r"numerical failure: prepare of valid input: invariant 'positive' violated "
+    r"\(deviation (\S+), condition number (\S+)\)\n")
+
+
+@pytest.mark.any_kernel
+def test_valid_documents_whose_prepared_member_fails_its_check_exit_4(tmp_path):
+    # an outcome of probability p ≈ 1.9e-9 scales its member's rounding by 1/p: where
+    # the member fails `positive`, prepare exits 4 with the deviation and κ = 1/p, never 3
+    rng = np.random.default_rng(11)
+    state, povm = tmp_path / "state.json", tmp_path / "povm.json"
+    codes = []
+    for _ in range(20):
+        s, m = tiny_outcome_pair(3e-5, rng)
+        state.write_text(serialize(s), encoding="utf-8")
+        povm.write_text(serialize(m), encoding="utf-8")
+        code, out, err = run_main("prepare", "--povm", str(povm), "--state", str(state))
+        codes.append(code)
+        if code:
+            deviation, kappa = FAILED_PREPARE.fullmatch(err).groups()
+            assert out == "" and float(deviation) > 0
+            assert float(kappa) == pytest.approx(1 / measure(m, s).min(), rel=1e-3)
+    assert set(codes) == {0, 4}
 
 
 @pytest.mark.parametrize("bad", [

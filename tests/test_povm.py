@@ -8,6 +8,7 @@ from condchan import (
     AlgebraShape,
     Ensemble,
     InvariantViolation,
+    NumericalFailure,
     ShapeMismatch,
     State,
     SupportMismatch,
@@ -18,7 +19,7 @@ from condchan import (
     sample,
 )
 from condchan.scenarios import random_povm, random_state, random_unitary
-from conftest import BIT, MIXED, QUBIT
+from conftest import BIT, MIXED, QUBIT, tiny_outcome_pair
 
 COMPUTATIONAL = POVM(QUBIT, (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)))
 
@@ -136,6 +137,27 @@ class TestPrepare:
             assert ens.weights.tobytes() == measure(povm, s).tobytes()
             traces = [np.trace(m.matrix) for m in ens.members]
             np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.any_kernel
+    def test_member_of_a_tiny_probability_outcome_that_fails_is_a_numerical_failure(self):
+        # √ρ E √ρ / p is PSD in exact arithmetic, but its rounding is scaled by 1/p: at
+        # p ≈ 1.9e-9 some members fail `positive`, which blames the computation (exit 4),
+        # not the valid state and POVM, and names κ = 1/p_min
+        rng = np.random.default_rng(11)
+        failures = 0
+        for _ in range(20):
+            s, povm = tiny_outcome_pair(3e-5, rng)
+            try:
+                prepare(povm, s)
+            except NumericalFailure as exc:
+                failures += 1
+                cause = exc.__cause__
+                assert type(cause) is InvariantViolation and exc.exit_code == 4
+                assert (exc.map, exc.invariant, exc.deviation) == ("prepare", cause.invariant,
+                                                                    cause.deviation)
+                assert exc.invariant == "positive"
+                assert exc.condition_number == 1 / measure(povm, s).min()
+        assert failures
 
     def test_classical_reduces_to_bayesian_conditioning(self, rng):
         probs = rng.random(2)

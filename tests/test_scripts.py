@@ -32,15 +32,17 @@ def test_example_script_runs_without_an_install(tmp_path, script):
         assert lines[-1].endswith("reproduce the input: True")
 
 
-def test_bench_appends_its_run_under_the_label(tmp_path):
-    # the sweeps stop at d = 3 (the whole grid, to d = 16, takes about 20 s);
-    # every call and the layout of each record are the same at any --max-dim
-    out = tmp_path / "bench.json"
+def test_bench_times_an_identical_tree_evenly_and_appends_its_run_under_the_label(tmp_path):
+    # the tree timed against itself, loaded twice in one process; the sweeps stop at
+    # d = 3 (the whole grid, to d = 16, takes minutes), and every call and the layout
+    # of each record are the same at any --max-dim
+    out = tmp_path / "ab.json"
     earlier = '{"kind": "run", "label": "b", "run": 0}\n'
     out.write_text(earlier, encoding="utf-8")
+    src = SCRIPTS.parent / "src"
     completed = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(out), "--label", "a",
-         "--repeats", "1", "--max-dim", "3"],
+        [sys.executable, str(SCRIPTS / "bench.py"), "--against", str(src), "--out", str(out),
+         "--label", "a", "--repeats", "1", "--max-dim", "3"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -48,18 +50,21 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     assert completed.returncode == 0, completed.stderr
     text = out.read_text(encoding="utf-8")
     assert text.startswith(earlier)
-    # one JSON record per line: the run, then one result per call
-    run, *results = [json.loads(line) for line in text.splitlines()[1:]]
+    # one JSON record per line: the run, then one A/B record per call
+    run, *rows = [json.loads(line) for line in text.splitlines()[1:]]
     assert (run["kind"], run["label"], run["run"], run["max_dim"]) == ("run", "a", 1, 3)
     thresholds = (run["env"]["malloc_mmap_threshold"], run["env"]["malloc_trim_threshold"])
     assert thresholds in ((64 << 20, 128 << 20), (None, None))
-    assert {row["d"] for row in results if row["call"] == "teleport"} == {2, 3}
-    src = SCRIPTS.parent / "src" / "condchan"
     assert run["src_lines"] == sum(
-        len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py")
+        len(p.read_text(encoding="utf-8").splitlines()) for p in (src / "condchan").glob("*.py")
     )
-    assert all((row["kind"], row["label"], row["run"]) == ("result", "a", 1) for row in results)
-    calls = {row["call"] for row in results}
+    assert run["against"] == {key: run[key] for key in ("commit", "dirty", "src_lines")}
+    # the 1-, 5- and 15-minute load averages at the start and the end of the run
+    assert all(len(run[key]) == 3 and min(run[key]) >= 0 for key in ("load_start", "load_end"))
+    assert all((row["kind"], row["label"], row["run"]) == ("ab", "a", 1) for row in rows)
+    assert all(row["load_1min"] >= 0 for row in rows)
+    assert {row["d"] for row in rows if row["call"] == "teleport"} == {2, 3}
+    calls = {row["call"] for row in rows}
     commands = ["choi", "channel", "condition", "join", "bayes", "verify-theorem", "teleport",
                 "prepare", "selftest"]
     assert calls == {
@@ -75,49 +80,35 @@ def test_bench_appends_its_run_under_the_label(tmp_path):
     # each document case on every class, d = 2…3 (no mixed class at d = 2)
     for call in calls:
         if call.startswith(("serialize ", "parse ")):
-            assert sum(row["call"] == call for row in results) == 2 + 3
+            assert sum(row["call"] == call for row in rows) == 2 + 3
     # eight document commands on each class at d = 8, and selftest once
-    cli_rows = [row for row in results if row["call"].startswith("cli ")]
+    cli_rows = [row for row in rows if row["call"].startswith("cli ")]
     assert len(cli_rows) == 3 * 8 + 1 and {row["d"] for row in cli_rows} == {8}
-    # each CLI result carries the digest of its stdout, and only those do
+    # each CLI record carries the digest of its stdout on both sides, and only those do
     assert all(len(bytes.fromhex(row["stdout_sha256"])) == 32 for row in cli_rows)
-    assert not any("stdout_sha256" in row for row in results if row not in cli_rows)
-    # every sample is timed beside the calibration kernel, and the ratio's
-    # quartiles bracket its median
-    assert all(row["control_ms"] > 0 and row["ratio"] > 0 for row in results)
-    assert all(row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"] for row in results)
-    assert all(row["peak_rss_mb"] > 0 for row in results)
-    # valid input is certified by Cholesky alone (selftest also runs the
-    # eigenvalue checks it tests)
-    assert all(row["eigvalsh"] == 0 for row in results if row["call"] != "cli selftest")
-
-
-def test_bench_against_an_identical_tree_reads_even(tmp_path):
-    # the tree timed against itself, loaded twice in one process: every call
-    # reads the same counts and CLI digests on both sides, and the median
-    # speedup over the calls is within 5 % of 1
-    out = tmp_path / "ab.json"
-    src = SCRIPTS.parent / "src"
-    completed = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench.py"), "--against", str(src), "--out", str(out),
-         "--label", "same", "--repeats", "1", "--max-dim", "2"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-    run, *rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-    assert (run["kind"], run["label"], run["max_dim"]) == ("run", "same", 2)
-    assert run["against"] == {key: run[key] for key in ("commit", "dirty", "src_lines")}
-    assert all((row["kind"], row["label"]) == ("ab", "same") for row in rows)
-    assert len({row["call"] for row in rows}) == 13 + 9 + 6 + 4
+    assert not any("stdout_sha256" in row for row in rows if row not in cli_rows)
     for row in rows:
         assert row["speedup_q1"] <= row["speedup"] <= row["speedup_q3"]
         assert row["median_ms"] > 0 and row["against"]["median_ms"] > 0
         for key in ("eigvalsh", "eigh", "cholesky", "stdout_sha256"):
             assert row.get(key) == row["against"].get(key)
-    assert sum("stdout_sha256" in row for row in rows) == 3 * 8 + 1
+    # valid input is certified by Cholesky alone (selftest also runs the
+    # eigenvalue checks it tests)
+    assert all(row["eigvalsh"] == 0 for row in rows if row["call"] != "cli selftest")
     assert 0.95 <= statistics.median(row["speedup"] for row in rows) <= 1.05
+
+
+def test_bench_needs_a_tree_to_time_against(tmp_path):
+    completed = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "--out", str(tmp_path / "out.json"),
+         "--label", "a"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 2 and completed.stderr.startswith("usage: ")
+    assert "--against" in completed.stderr.splitlines()[-1]
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_bench_times_each_call_against_its_twin_one_call_at_a_time():
@@ -238,7 +229,8 @@ def test_bench_records_a_call_that_runs_out_of_memory():
         "import bench\n"
         "def oom():\n"
         "    raise MemoryError\n"
-        "rows = bench.measure([('big', 16, 'mixed', oom), ('small', 2, 'mixed', int)], 1)\n"
+        "calls = [('big', 16, 'mixed', oom), ('small', 2, 'mixed', int)]\n"
+        "rows = bench.measure(calls, 1, list(calls))\n"
         "print(json.dumps(rows))\n"
     )
     completed = subprocess.run(
@@ -248,7 +240,52 @@ def test_bench_records_a_call_that_runs_out_of_memory():
     failed, measured = json.loads(completed.stdout)
     assert failed == {"call": "big", "d": 16, "class": "mixed", "kind": "failed",
                       "error": "MemoryError"}
-    assert (measured["call"], measured["kind"]) == ("small", "result")
+    assert (measured["call"], measured["kind"]) == ("small", "ab")
+
+
+@pytest.mark.parametrize("calls,twins,message", [
+    ("[('a', 2, 'x', int)]", "[]", "('a', 2, 'x') and None"),
+    ("[]", "[('a', 2, 'x', int)]", "None and ('a', 2, 'x')"),
+    ("[('a', 2, 'x', int)]", "[('a', 2, 'x', int), ('b', 3, 'x', int)]", "None and ('b', 3, 'x')"),
+    ("[('a', 2, 'x', int)]", "[('a', 3, 'x', int)]", "('a', 2, 'x') and ('a', 3, 'x')"),
+])
+def test_bench_refuses_trees_whose_calls_differ(calls, twins, message):
+    # a case that only one tree has, at the end or in place of the other's, is named
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench\n"
+        "try:\n"
+        f"    bench.measure({calls}, 1, {twins})\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == f"the trees' calls differ: {message}\n"
+
+
+def test_bench_records_the_load_average_after_each_call():
+    # the 1-minute value read after each call's rounds and CLI digests; a call that
+    # runs out of memory has no record of its own to hold it
+    code = (
+        "import itertools, json, sys\n"
+        f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
+        "import bench\n"
+        "loads = itertools.count(1)\n"
+        "bench.os.getloadavg = lambda: (next(loads) / 4, 5.0, 15.0)\n"
+        "def oom():\n"
+        "    raise MemoryError\n"
+        "calls = [('a', 2, 'x', int), ('big', 16, 'x', oom), ('b', 2, 'x', int)]\n"
+        "print(json.dumps([row.get('load_1min') for row in bench.measure(calls, 1, calls)]))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == [0.25, None, 0.5]
 
 
 @pytest.mark.parametrize("skew,status", [
