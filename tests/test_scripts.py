@@ -268,8 +268,8 @@ def test_bench_refuses_trees_whose_calls_differ(calls, twins, message):
 
 
 def test_bench_records_the_load_average_after_each_call():
-    # the 1-minute value read after each call's rounds and CLI digests; a call that
-    # runs out of memory has no record of its own to hold it
+    # the 1-minute value, read after each call's rounds and CLI digests; the
+    # "failed" record of a call that runs out of memory holds none
     code = (
         "import itertools, json, sys\n"
         f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
