@@ -148,13 +148,13 @@ def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
 def apply(c: Channel, s: State) -> State:
     """Apply the channel to a state of the input algebra.
 
-    The output is judged as any state is, unless the state's floor is 0.0, proved
-    definite by the scalar pass (``matcore._proves_definite``), and the channel has no input
-    support, d_in·tp_dev ≤ INPUT_TOL/4, d_in²·(Choi leak) ≤ BLOCK_TOL/4 and the
-    rounding bound ``tolerances._apply_rounding`` ≤ INPUT_TOL/4.  The output then
-    passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev
-    + rounding, leak within BLOCK_TOL/4, and Φ(ρ) ≽ λmin(ρ)·Φ(I) ≽ 0 (a Kraus form
-    is CP).  It is then built by ``_trusted`` with floor inf, so an ``apply`` to it judges it."""
+    The output is judged as any state is, unless the state's floor is 0.0, proved definite
+    by the compiled scalar proof (``matcore._proves_definite``, d_in ≤ ``SCALAR_MAX_DIM`` = 6),
+    and the channel has no input support, d_in·tp_dev ≤ INPUT_TOL/4, d_in²·(Choi leak) ≤
+    BLOCK_TOL/4 and the rounding bound ``tolerances._apply_rounding`` ≤ INPUT_TOL/4.  The
+    output then passes the judge: Hermitian but for rounding, trace within tdev + d_in·tp_dev
+    + rounding, leak within BLOCK_TOL/4, and Φ(ρ) ≽ λmin(ρ)·Φ(I) ≽ 0 (a Kraus form is CP).
+    It is then built by ``_trusted`` with floor inf, so an ``apply`` to it judges it."""
     if s.shape is not c.shape_in and s.shape != c.shape_in:
         raise ShapeMismatch("state does not live on the channel's input algebra")
     dout = c.shape_out.total_dim  # ``apply_matrix``'s product, without its leading-axis handling

@@ -58,11 +58,13 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 # cost of a few µs per matrix at 16-24.
 BLOCKWISE_MIN_DIM = 16
 
-# Largest dimension of a single unit-trace matrix that ``validate_psd`` first
-# offers to ``_proves_definite``, which took about 2.5, 5, 8.5, 11.5 and 16.5 µs on a
-# definite state at d = 2 to 6 against 16-19 µs for the judge and Cholesky at any
-# of them (timeit best of 7×1000, one shared Xeon core, 1-thread OpenBLAS).
-SCALAR_MAX_DIM = 4
+# Largest dimension of a single unit-trace matrix that ``validate_psd`` first offers to
+# ``_proves_definite``, whose compiled proof took about 1.3, 2.2, 3.6, 5.3, 7.5, 10.7 and 14.5 µs
+# on a definite state at d = 2 to 8, and 1.2, 1.4, 1.8, 2.2, 2.5, 3 and 3.5 µs to fail on a pure
+# one, against 19-22 µs for the judge and Cholesky at any of them (timeit best of 7×2000, one
+# shared Xeon core, 1-thread OpenBLAS).  A pure ``State`` pays both: 1.11-1.15× its cost without
+# the pass at d = 6, and 1.2-1.25× at d = 7 and 8.
+SCALAR_MAX_DIM = 6
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -329,11 +331,44 @@ def _tight_shift(size: int, dim: int) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=SCALAR_MAX_DIM)
-def _scalar_plan(d: int) -> tuple[tuple[tuple[int, int], ...], range, float, float]:
-    """Flat positions in a (d, d) matrix, the (ij, ji) pairs with i < j and the diagonal, and
-    ``_proves_definite``'s trace budget and shift coefficient at d."""
-    pairs = tuple((i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d))
-    return pairs, range(0, d * d, d + 1), INPUT_TOL / 4 - 4 * d * _EPS, -2 * (d + 1) * d * _EPS
+def _scalar_proof(d: int):
+    """``_proves_definite`` at dimension d, compiled once from straight-line source (as
+    ``dataclasses`` builds ``__init__``): entry p of the (d, d) matrix in the local x{p}, the
+    diagonal's real parts in h{j} and entry (j, i) of the Cholesky factor R in r{j}_{i}.  The
+    source holds only integers and the reprs of the trace budget INPUT_TOL/4 - 4dε and the
+    shift coefficient -2(d+1)dε, and it runs a loop's float operations in that loop's order."""
+    n, x, h = range(d), [f"x{p}" for p in range(d * d)], [f"h{j}" for j in range(d)]
+    diag = [x[j * d + j] for j in n]
+    pairs = [(x[i * d + j], x[j * d + i]) for i in n for j in n[i + 1 :]]
+    budget, coefficient = INPUT_TOL / 4 - 4 * d * _EPS, -2 * (d + 1) * d * _EPS
+    lines = [
+        f"{', '.join(x)}, = flat = m.ravel().tolist()",
+        f"if {' or '.join(z + '.imag' for z in diag)}: return False",
+        f"{', '.join(h)}, = {', '.join(z + '.real' for z in diag)},",
+        f"if not ({' and '.join(f'isfinite(2 * {v})' for v in h)}): return False",
+        # a chain: sum() of floats is compensated from Python 3.12
+        f"if not abs({' + '.join(['0.0', *h])} - 1.0) <= {budget!r}: return False",
+        f"shift = {coefficient!r} * max([{', '.join(h)}])",
+    ]
+    # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6); μ is twice
+    # that, so a factor proves λmin(H) > 0.  R reads m's upper triangle, H's once the tests after
+    # it pass; it raises on no input (root > 0), so a pure state fails early, at the same verdict.
+    for j in n:  # row j of R from the column above its diagonal
+        column = [f"r{k}_{j}" for k in range(j)]
+        norm = "".join(f" - ({r}.real * {r}.real + {r}.imag * {r}.imag)" for r in column)
+        lines += [f"pivot = h{j} + shift{norm}", "if not pivot > 0.0: return False"]
+        lines.append("root = sqrt(pivot)")
+        for i in n[j + 1 :]:
+            dots = "".join(f" - {r}.conjugate() * r{k}_{i}" for k, r in enumerate(column))
+            lines.append(f"r{j}_{i} = ({x[j * d + i]}{dots}) / root")
+    lines += [  # exactly Hermitian, so its own Hermitian part: x == x̄ with x + x finite
+        *(f"if {z} != {w}.conjugate() or not cisfinite({z} + {z}): return False"
+          for z, w in pairs),
+        "if outside is not None and any(map(flat.__getitem__, outside.tolist())): return False",
+    ]
+    scope = {"isfinite": math.isfinite, "cisfinite": cmath.isfinite, "sqrt": math.sqrt}
+    exec("\n ".join(["def proof(m, outside):", *lines, "return True"]), scope)
+    return scope["proof"]
 
 
 def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
@@ -342,43 +377,7 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
     exactly 0 at the flat positions ``outside``, of trace within INPUT_TOL/4 of 1
     with a margin of 4dε for numpy's summation order, and H - μ·I has a Cholesky
     factor.  Then ``judge`` accepts it and λmin(H) > 0.  False proves nothing."""
-    d = len(m)
-    pairs, diagonal, budget, coefficient = _scalar_plan(d)
-    flat = m.ravel().tolist()  # exactly Hermitian: its own Hermitian part
-    diag = []
-    for p in diagonal:  # x == x̄ with x + x finite, on a diagonal entry
-        x = flat[p]
-        if x.imag or not math.isfinite(2 * x.real):
-            return False
-        diag.append(x.real)
-    for p, q in pairs:
-        x = flat[p]
-        if x != flat[q].conjugate() or not cmath.isfinite(x + x):
-            return False
-    if outside is not None and any(flat[p] for p in outside.tolist()):
-        return False
-    trace = 0.0
-    for h in diag:  # a loop: sum() of floats is compensated from Python 3.12
-        trace += h
-    if not abs(trace - 1.0) <= budget:
-        return False
-    # R†R = H - μ·I + E, ‖E‖₂ ≤ γ_{2d+2}·‖R‖²_F ≲ (d+1)·ε·d·top (Higham 10.3, §3.6);
-    # μ is twice that, so a factor proves λmin(H) > 0.  R overwrites flat's upper half.
-    shift = coefficient * max(diag)
-    for j, h in enumerate(diag):  # row j of R from the column above its diagonal
-        column = flat[j : j * d : d]
-        pivot = h + shift
-        for z in column:
-            pivot -= z.real * z.real + z.imag * z.imag
-        if not pivot > 0.0:
-            return False
-        root = math.sqrt(pivot)
-        for i in range(j + 1, d):
-            s = flat[j * d + i]
-            for z, y in zip(column, flat[i : j * d : d]):
-                s -= z.conjugate() * y
-            flat[j * d + i] = s / root
-    return True
+    return _scalar_proof(len(m))(m, outside)
 
 
 def validate_psd(
@@ -395,7 +394,7 @@ def validate_psd(
     judge decides.  Returns a floor, λmin ≥ -floor over the whole Hermitian part: 0.0 where the
     scalar pass proved it definite; for a unit-trace stack that factors, the floor of
     ``_cholesky_floor`` plus d·(leak the blocks left out); else inf."""
-    small = unit_trace and len(stack) == 1 and stack.shape[-1] <= SCALAR_MAX_DIM
+    small = unit_trace and len(stack) == 1 and 0 < stack.shape[-1] <= SCALAR_MAX_DIM
     if small and _proves_definite(stack[0], outside):
         return 0.0
     parts, leak = judge(stack, outside, blocks, unit_trace)

@@ -521,7 +521,7 @@ def test_every_cached_constant_is_read_only():
 
     a, b = AlgebraShape((2, 2)), AlgebraShape((3, 1))
     calls = {
-        matcore.identity: (3,), matcore._tight_shift: (3, 3), matcore._scalar_plan: (3,),
+        matcore.identity: (3,), matcore._tight_shift: (3, 3), matcore._scalar_proof: (3,),
         algebra._masks: ((a, b),), algebra.half_pair_mask: (a, b), algebra.choi_leak_index: (a, b),
         scenarios._bell_tables: (3,), serialize._mirror: (3,),
     }
@@ -1148,10 +1148,11 @@ def count_linalg(monkeypatch, names=("eigh", "eigvalsh", "cholesky")):
 
 
 def test_valid_input_is_validated_without_eigvalsh(rng, monkeypatch):
-    shape, q = AlgebraShape((3, 2)), AlgebraShape((2,))
+    shape, q = AlgebraShape((4, 3)), AlgebraShape((2,))
+    assert shape.total_dim > SCALAR_MAX_DIM  # so the state, too, is certified by numpy
     rho = random_state(shape, rng).matrix
     joint = random_joint_state(shape, q, rng).matrix
-    cond = choi_conditional(random_channel(shape, q, 3, rng)).matrix
+    cond = choi_conditional(random_channel(shape, q, 4, rng)).matrix
     elements = random_povm(shape, 4, rng).elements
     stack = np.stack([random_state(shape, rng).matrix for _ in range(3)])
     calls = count_linalg(monkeypatch)
@@ -1218,7 +1219,7 @@ def scalar_edge_cases(rng, shape):
     and ± k·ε; Hermitian slop tol·(1 ± 1e-6) and tol ± k ulps; a leak of
     BLOCK_TOL·(1 ± 1e-6) and ± k ulps at each outside position (Hermitian,
     so only the leak test decides); NaN or infinity at each position; scale
-    1e308 and 1e-300; and the zero matrix."""
+    1e308 and 1e-300; the zero matrix; and ``pivot_edge_cases``."""
     d, tol = shape.total_dim, INPUT_TOL
     valid = with_spectrum(rng, shape, spectrum(rng, d, 1 / d))
     phase = np.exp(2j * np.pi * rng.random())
@@ -1242,7 +1243,19 @@ def scalar_edge_cases(rng, shape):
             cases.append(broken)
     projector = random_support_projector(shape, 1, rng)
     cases += [scale * m for scale in (1e308, 8e307, 1e-300) for m in (valid, projector)]
-    return cases
+    return cases + pivot_edge_cases(d)
+
+
+def pivot_edge_cases(d):
+    """Diagonal unit-trace (d, d) matrices whose last entry h sits at the scalar pass's shift
+    μ = 2(d+1)·d·ε·top, so that its last pivot h - μ is 0.0 exactly, ±1 ulp or ±1e-3·μ."""
+    if d == 1:  # the one pivot is about 1
+        return []
+    top = 1 / (d - 1)
+    shift = 2 * (d + 1) * d * EPS * top  # the negated shift, rounded as the pass rounds it
+    edges = [shift * (1 - 1e-3), np.nextafter(shift, 0), shift, np.nextafter(shift, 1)]
+    edges.append(shift * (1 + 1e-3))
+    return [np.diag([top] * (d - 1) + [h]).astype(complex) for h in edges]
 
 
 def judge_verdicts(cases, index):
@@ -1369,9 +1382,8 @@ def test_only_single_unit_trace_matrices_reach_the_scalar_pass(rng, monkeypatch)
 
 
 # matrices of any rank, λmin near 0, the trace near 1 ± INPUT_TOL/4, a Hermitian
-# leak and Hermitian slop, built by ``near_definite``
-NEAR_DEFINITE = given(
-    shape=st.sampled_from(SCALAR_SHAPES),
+# leak and Hermitian slop, built by ``near_definite`` for a given shape
+NEAR_DEFINITE_DRAWS = dict(
     seed=st.integers(0, 2**32 - 1),
     rank=st.integers(1, SCALAR_MAX_DIM),
     low=st.one_of(st.just(0.0), st.integers(-64, 64).map(lambda k: k * EPS)),
@@ -1384,6 +1396,7 @@ NEAR_DEFINITE = given(
     leak=st.sampled_from([0.0, 1e-300, EPS, BLOCK_TOL / 2]),
     slop=st.sampled_from([0.0, 1e-300, EPS, 1e-13]),
 )
+NEAR_DEFINITE = given(shape=st.sampled_from(SCALAR_SHAPES), **NEAR_DEFINITE_DRAWS)
 
 
 def near_definite(shape, seed, rank, low, trace, leak, slop):
@@ -1451,9 +1464,10 @@ def proves_definite_loop(m, outside):
 
 
 @pytest.mark.any_kernel
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@NEAR_DEFINITE
-def test_scalar_plan_gives_the_loop_verdict(shape, seed, rank, low, trace, leak, slop):
+@pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(**NEAR_DEFINITE_DRAWS)
+def test_scalar_proof_gives_the_loop_verdict(shape, seed, rank, low, trace, leak, slop):
     m, index = near_definite(shape, seed, rank, low, trace, leak, slop)
     for x in (m, hermitize(m), -m):
         assert _proves_definite(x, index[0]) == proves_definite_loop(x, index[0])
@@ -1461,7 +1475,7 @@ def test_scalar_plan_gives_the_loop_verdict(shape, seed, rank, low, trace, leak,
 
 @pytest.mark.any_kernel
 @pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
-def test_scalar_plan_gives_the_loop_verdict_at_the_edges(rng, shape):
+def test_scalar_proof_gives_the_loop_verdict_at_the_edges(rng, shape):
     cases = scalar_edge_cases(rng, shape)
     cases.append(hermitize(cases[0]))  # the valid matrix made exactly Hermitian is proved
     outside = support_index(shape)[0]
@@ -2118,8 +2132,8 @@ def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
 
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
     # neither the first call nor a later one validates a (d², d², d²) stack;
-    # at d = 5 the success state is past the scalar pass, so some call is seen
-    d = 5
+    # at d = SCALAR_MAX_DIM + 1 the success state is past the scalar pass, so some call is seen
+    d = SCALAR_MAX_DIM + 1
     shape = AlgebraShape((d,))
     c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
     bell_stack = (d * d, d * d, d * d)
@@ -2822,7 +2836,7 @@ def scalar_diagonal_cases(d):
 
 
 @pytest.mark.any_kernel
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
 def test_scalar_pass_reads_the_diagonal_once_with_the_loop_verdict(d):
     # ±0.0 imaginary parts are proved; NaN or inf in either part, a complex entry,
     # an overflowing diagonal and an off-diagonal x + x that overflows are not
