@@ -62,7 +62,7 @@ BLOCKWISE_MIN_DIM = 16
 # ``_proves_definite``, whose compiled proof took about 1.3, 2.2, 3.6, 5.3, 7.5, 10.7 and 14.5 µs
 # on a definite state at d = 2 to 8, and 1.2, 1.4, 1.8, 2.2, 2.5, 3 and 3.5 µs to fail on a pure
 # one, against 19-22 µs for the judge and Cholesky at any of them (timeit best of 7×2000, one
-# shared Xeon core, 1-thread OpenBLAS).  A pure ``State`` pays both: 1.11-1.15× its cost without
+# shared Xeon core, 1-thread OpenBLAS).  A pure ``State`` pays both: 1.11-1.16× its cost without
 # the pass at d = 6, and 1.2-1.25× at d = 7 and 8.
 SCALAR_MAX_DIM = 6
 _EPS = float(np.finfo(np.float64).eps)
