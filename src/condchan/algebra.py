@@ -22,6 +22,11 @@ from .errors import ShapeMismatch
 from .matcore import BlockIndex
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer or a numpy integer, not a bool, a float or a string."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
     """Block structure (d1, ..., dn) of a finite-dimensional operator algebra."""
@@ -30,8 +35,8 @@ class AlgebraShape:
     total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(self.block_dims)  # integers and numpy integers; not bools, floats or strings
-        if any(isinstance(d, bool) or not hasattr(type(d), "__index__") for d in dims):
+        dims = tuple(self.block_dims)
+        if not all(map(is_integer, dims)):
             raise ShapeMismatch(f"block dimensions must be integers, got {dims!r}")
         dims = tuple(map(operator.index, dims))
         if not dims:

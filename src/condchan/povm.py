@@ -140,12 +140,16 @@ def sample(m: POVM, s: State, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` outcomes by inverse-CDF over the outcome index order.
 
     Deterministic given the generator's seed; returns a count per element.
+    A negative ``n`` raises ``ShapeMismatch``.
     """
+    count = int(n)
+    if count < 0:
+        raise ShapeMismatch(f"cannot draw a negative number of outcomes, got {n}")
     probs = np.clip(measure(m, s), 0.0, None)
     cdf = np.cumsum(probs)
     if cdf[-1] <= 0.0:
         raise InvariantViolation("probability_mass", 1.0)
     cdf = cdf / cdf[-1]
-    draws = rng.random(int(n))
+    draws = rng.random(count)
     outcomes = np.searchsorted(cdf, draws, side="right")
     return np.bincount(outcomes, minlength=len(m.elements))

@@ -25,12 +25,13 @@ unitaries used by the test suites and the CLI selftest.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_mask, block_projectors, pair_mask
+from .algebra import AlgebraShape, block_mask, block_projectors, is_integer, pair_mask
 from .channels import Channel, choi_conditional, max_ent_matrix
 from .conditional import ConditionalState, _condition, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
@@ -205,8 +206,9 @@ def teleport(
     An explicit ``measurement_basis`` works over any input algebra and is
     validated as a ``POVM`` on the input pair.  ``success_index`` defaults
     to its first effect within ``IDENTITY_TOL`` of the normalized maximally
-    entangled projector; ``grouping_used`` says whether an effect has rank
-    above one.
+    entangled projector; an index that is not an integer (a float, a bool)
+    raises ``ShapeMismatch``.  ``grouping_used`` says whether an effect has
+    rank above one.
     """
     if input_state.shape != c.shape_in:
         raise ShapeMismatch("input state does not live on the channel's input algebra")
@@ -227,10 +229,12 @@ def teleport(
         stacked = effects.reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(n * d * d, -1)
         reduced = (stacked @ input_state.matrix.T.ravel()).reshape(n, d * d)
         grouping_used = _groups_outcomes(effects)
-    if success_index is not None:
-        success = int(success_index)
-    else:
+    if success_index is None:
         success = 0 if canonical else _success_index(effects, d)
+    elif not is_integer(success_index):
+        raise ShapeMismatch(f"success index must be an integer, got {success_index!r}")
+    else:
+        success = operator.index(success_index)
     cond = choi_conditional(c)
     if not 0 <= success < len(reduced):
         raise ShapeMismatch(f"success index {success} out of range")

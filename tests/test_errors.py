@@ -5,7 +5,8 @@ so the set of invariant names can be read off the source."""
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "condchan"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "condchan"
 CLASSES = {
     "CondChanError",
     "UsageError",
@@ -60,3 +61,17 @@ def test_every_invariant_is_named_by_a_string_literal():
         first = call.args[0] if call.args else None
         assert isinstance(first, ast.Constant) and isinstance(first.value, str), (name, call.lineno)
 
+
+def test_every_invariant_name_is_listed_in_the_readme():
+    # the README's table of invariants names each literal the package raises
+    names = {
+        call.args[0].value
+        for _, tree in parsed_sources()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "InvariantViolation" and call.args
+        and isinstance(call.args[0], ast.Constant)
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(names) >= 18
+    assert sorted(name for name in names if f"| `{name}` |" not in readme) == []

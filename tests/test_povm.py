@@ -6,16 +6,20 @@ import pytest
 from condchan import (
     POVM,
     AlgebraShape,
+    ConditionalState,
     Ensemble,
     InvariantViolation,
     NumericalFailure,
     ShapeMismatch,
     State,
     SupportMismatch,
+    conditional_from_joint,
     herm_eig,
+    joint_from_conditional,
     measure,
     povm_from_ensemble,
     prepare,
+    reduce,
     sample,
 )
 from condchan.scenarios import random_povm, random_state, random_unitary
@@ -236,9 +240,40 @@ class TestSample:
         assert counts.sum() == n
         assert abs(counts[0] / n - 0.5) < 5 * np.sqrt(0.25 / n)
 
+    def test_rejects_a_negative_number_of_draws(self, rng):
+        s = random_state(QUBIT, rng)
+        with pytest.raises(ShapeMismatch, match="negative number of outcomes, got -1"):
+            sample(COMPUTATIONAL, s, np.random.default_rng(1), -1)
+        assert sample(COMPUTATIONAL, s, np.random.default_rng(1), 0).tolist() == [0, 0]
+
     def test_deterministic_given_seed(self, rng):
         povm = random_povm(QUBIT, 3, rng)
         s = random_state(QUBIT, rng)
         a = sample(povm, s, np.random.default_rng(99), 1000)
         b = sample(povm, s, np.random.default_rng(99), 1000)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("dims, outcomes", [((2,), 2), ((3,), 4), ((8,), 3), ((1, 1), 2), ((1,) * 3, 4),
+                                            ((2, 1), 3), ((4, 2, 1, 1), 4)], ids=str)
+def test_povm_is_the_conditional_of_its_outcomes_given_the_system(rng, dims, outcomes):
+    # the hybrid forms (Leifer & Spekkens, arXiv:1107.5849): {E_j} on A is the conditional
+    # Σ_j E_j ⊗ |j⟩⟨j| of the classical outcome algebra given A, of conditioning support I;
+    # joined to ρ it is Σ_j √ρ E_j √ρ ⊗ |j⟩⟨j|, whose outcome marginal is ``measure`` and whose
+    # conditional on the outcome holds ``prepare``'s members on its diagonal blocks
+    shape, outcome = AlgebraShape(dims), AlgebraShape((1,) * outcomes)
+    povm, rho = random_povm(shape, outcomes, rng), random_state(shape, rng)
+    projectors = np.eye(outcomes)[:, :, None] * np.eye(outcomes)[:, None, :]
+    hybrid = ConditionalState(shape, outcome, sum(map(np.kron, povm.elements, projectors)))
+    np.testing.assert_allclose(hybrid.conditioning_support(), np.eye(shape.total_dim), rtol=0, atol=1e-12)
+    joint = joint_from_conditional(rho, hybrid)
+    np.testing.assert_allclose(np.diag(reduce(joint, "b").matrix).real, measure(povm, rho),
+                               rtol=0, atol=1e-12)
+    cond = conditional_from_joint(joint, "b")
+    ensemble = prepare(povm, rho)
+    assert len(ensemble.members) == outcomes
+    d = shape.total_dim
+    blocks = cond.matrix.reshape(outcomes, d, outcomes, d)
+    for j, member in enumerate(ensemble.members):
+        np.testing.assert_allclose(blocks[j, :, j, :], member.matrix, rtol=0, atol=1e-12)

@@ -277,6 +277,14 @@ class TestBasisValidation:
         with pytest.raises(ShapeMismatch, match="out of range"):
             teleport(c, random_state(QUBIT, rng), bell_basis(2), 4)
 
+    def test_rejects_a_success_index_that_is_not_an_integer(self, rng):
+        # a float is not truncated and a bool is not read as 0 or 1; numpy integers are taken
+        c, s = random_channel(QUBIT, QUBIT, 2, rng), random_state(QUBIT, rng)
+        for index in (1.7, 1.0, True, np.True_, "1"):
+            with pytest.raises(ShapeMismatch, match="success index must be an integer"):
+                teleport(c, s, bell_basis(2), index)
+        assert teleport(c, s, bell_basis(2), np.int64(1)).success_index == 1
+
     def test_rejects_success_outcome_of_zero_probability(self, rng):
         success = bell_basis(2)[0]
         basis = [success, np.eye(4) - success, np.zeros((4, 4))]

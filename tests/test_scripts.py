@@ -142,26 +142,36 @@ def test_bench_times_each_call_against_its_twin_one_call_at_a_time():
         assert ordered == "True"
 
 
-def test_bench_reads_two_identical_empty_calls_as_even():
-    # an empty call is shorter than a clock read, so any work charged to one
-    # side's interval and not the other's (a subscript, an add) shows as a bias
-    # that flips sign with the order, and spreads the rounds' ratios by tens of
-    # per cent; without one, their quartiles lie a few per cent apart
+def test_bench_charges_each_side_its_call_and_one_clock_read():
+    # a fake clock advances one tick per read and one per subtraction of two of its
+    # readings (the bookkeeping), and each fake call a fixed number of ticks: in either
+    # order ``alternated`` charges each side exactly its call plus one clock read, so no
+    # work of its own lands in one side's interval and not the other's
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
         "import bench\n"
-        "def empty():\n"
-        "    pass\n"
-        "row = bench.measure_ab(empty, empty, 5)\n"
-        "print(row['speedup_q1'], row['speedup'], row['speedup_q3'])\n"
+        "ticks = [0]\n"
+        "class Reading(float):\n"
+        "    def __sub__(self, other):\n"
+        "        ticks[0] += 1\n"
+        "        return float(self) - float(other)\n"
+        "def clock():\n"
+        "    ticks[0] += 1\n"
+        "    return Reading(ticks[0] - 1)\n"
+        "def call(n):\n"
+        "    def run():\n"
+        "        ticks[0] += n\n"
+        "    return run\n"
+        "bench.time.perf_counter = clock\n"
+        "for order in ((0, 1), (1, 0)):\n"
+        "    print(bench.alternated((call(10), call(30)), order, 3))\n"
     )
     completed = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert completed.returncode == 0, completed.stderr
-    q1, median, q3 = map(float, completed.stdout.split())
-    assert 0.85 <= q1 <= median <= q3 <= 1.15 and q3 - q1 <= 0.15
+    assert completed.stdout.splitlines() == ["[11.0, 31.0]", "[11.0, 31.0]"]
 
 
 def test_bench_loads_two_trees_as_separate_packages():
