@@ -34,11 +34,11 @@ the CLI's:
   Kraus operators per output block, each on the class paired with itself,
   d = 2…D;
 * the ``matcore`` primitives on the class paired with itself (a d²×d²
-  matrix), d = 2…D: ``herm_eig`` of a channel's Choi matrix, whole and,
-  where the pair has a block index (a reducible class with d² at least
-  ``matcore.BLOCKWISE_MIN_DIM``), per block (``herm_eig blocked``); and
+  matrix), d = 2…D: ``herm_eig`` of a channel's whole Choi matrix, and
   ``EigenSystem.root``, ``EigenSystem.inv_root`` and ``partial_trace``
-  (keeping the first factor) of a joint state;
+  (keeping the first factor) of a joint state.  The per-block ``herm_eig``
+  of a reducible pair from ``matcore.BLOCKWISE_MIN_DIM`` up is timed inside
+  ``channel_from_conditional``, ``conditional_from_joint`` and ``bayes_invert``;
 * the nine CLI commands (``cli choi`` … ``cli selftest``) through
   ``cli.main`` in this process, on d = 8 documents of each class written to
   a temporary directory, with stdout and stderr redirected; ``teleport``
@@ -224,8 +224,8 @@ def cli_cases(cc, workdir, rng):
 
 
 def matcore_cases(cc, rng, dims):
-    """``herm_eig`` of a Choi matrix, whole and per block, and the root, the inverse root and
-    the partial trace of a joint state, on the class paired with itself."""
+    """``herm_eig`` of a whole Choi matrix, and the root, the inverse root and the partial
+    trace of a joint state, on the class paired with itself."""
     mc = cc.matcore
     for d in dims:
         for cls, blocks in shape_classes(d).items():
@@ -234,9 +234,6 @@ def matcore_cases(cc, rng, dims):
             joint = cc.random_joint_state(shape, shape, rng).matrix
             spectrum = mc.herm_eig(joint)
             yield "herm_eig", d, cls, partial(mc.herm_eig, choi)
-            index = cc.algebra.block_index(shape, shape)
-            if index is not None:
-                yield "herm_eig blocked", d, cls, partial(mc.herm_eig, choi, index)
             yield "EigenSystem.root", d, cls, spectrum.root
             yield "EigenSystem.inv_root", d, cls, spectrum.inv_root
             yield "partial_trace", d, cls, partial(mc.partial_trace, joint, d, d, "left")

@@ -4,10 +4,10 @@ An algebra is described by its block dimensions (d1, ..., dn) and realized
 concretely as the block-diagonal matrices inside the full matrix algebra of
 dimension d1 + ... + dn.  Elements of a tensor product of two algebras live
 on the kron space of the two embeddings and are supported on the kron of the
-two block masks (see ``pair_mask``); the tensor blocks are not contiguous
-there, which is why composite objects carry the pair of shapes as metadata
-instead of a single merged shape, and ``block_index`` gathers them for the
-decompositions that run per block.
+two block masks; the tensor blocks are not contiguous there, which is why
+composite objects carry the pair of shapes as metadata instead of a single
+merged shape.  ``layout`` describes, once per tuple of shapes, where an element's
+entries may sit and how the decompositions that run per block gather them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matcore import BlockIndex
+from .matcore import Layout
 
 
 def is_integer(value) -> bool:
@@ -61,65 +61,28 @@ class AlgebraShape:
         return tuple(slices)
 
 
-# Shapes whose support masks and block indices are kept; a process touches only a few.
-MASK_CACHE_SIZE = 32
+# Shape tuples whose layouts are kept; a process touches only a few.
+LAYOUT_CACHE_SIZE = 32
 
 
-@lru_cache(maxsize=MASK_CACHE_SIZE)
-def _masks(shapes: tuple[AlgebraShape, ...]) -> tuple:
-    """Read-only support mask of the tensor product of ``shapes`` on the kron
-    space, the flat positions of the entries outside it (None for a single
-    block, which has none), and the index of its blocks (see
-    ``BlockIndex.from_labels`` for when it is None)."""
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def layout(*shapes: AlgebraShape) -> Layout:
+    """The layout of the tensor product of ``shapes`` (of one algebra when one
+    shape is given) on the kron space (cached)."""
     # the block of a kron index is the tuple of its factors' blocks, numbered
     # in the same slow-to-fast order
     labels = np.zeros(1, dtype=np.intp)
     for shape in shapes:
         n = len(shape.block_dims)
         labels = (labels[:, None] * n + np.repeat(np.arange(n), shape.block_dims)).ravel()
-    mask = labels[:, None] == labels[None, :]
-    outside = np.flatnonzero(~mask)
-    for arr in (mask, outside):
-        arr.setflags(write=False)
-    return mask, outside if outside.size else None, BlockIndex.from_labels(labels, outside)
+    return Layout.from_labels(labels)
 
 
-def block_mask(shape: AlgebraShape) -> np.ndarray:
-    """Boolean mask of the entries an algebra element may occupy (cached, read-only)."""
-    return _masks((shape,))[0]
-
-
-def pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
-    """Support mask of the tensor-product algebra on the kron space (cached, read-only)."""
-    return _masks((shape_a, shape_b))[0]
-
-
-@lru_cache(maxsize=MASK_CACHE_SIZE)
-def half_pair_mask(shape_a: AlgebraShape, shape_b: AlgebraShape) -> np.ndarray:
-    """0.5 on the support of the tensor-product algebra, 0.0 off it (float64, cached, read-only)."""
-    out = 0.5 * pair_mask(shape_a, shape_b)
-    out.setflags(write=False)
-    return out
-
-
-def block_index(*shapes: AlgebraShape) -> BlockIndex | None:
-    """Block index of the tensor product of ``shapes`` (of one algebra when
-    one shape is given) on the kron space, for ``herm_eig`` (cached); None
-    for a single block or a dimension below ``matcore.BLOCKWISE_MIN_DIM``."""
-    return _masks(shapes)[2]
-
-
-def support_index(*shapes: AlgebraShape) -> tuple[np.ndarray | None, BlockIndex | None]:
-    """The ``outside`` and ``blocks`` that ``matcore.validate_psd`` judges an
-    element of the tensor product of ``shapes`` by (cached)."""
-    return _masks(shapes)[1:]
-
-
-@lru_cache(maxsize=MASK_CACHE_SIZE)
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def choi_leak_index(shape_in: AlgebraShape, shape_out: AlgebraShape) -> np.ndarray | None:
     """Flat positions, in a channel's (d_in², d_out²) superoperator, of its Choi entries off the
     pair blocks: rows in the input blocks, columns off the output blocks (read-only, or None)."""
-    out = np.flatnonzero(np.outer(block_mask(shape_in), ~block_mask(shape_out)))
+    out = np.flatnonzero(np.outer(layout(shape_in).mask, ~layout(shape_out).mask))
     out.setflags(write=False)
     return out if out.size else None
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, block_mask, block_projectors, choi_leak_index
+from .algebra import AlgebraShape, block_projectors, choi_leak_index, layout
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
 from .matcore import _as_stack, herm_eig, identity, max_abs, projector_deviation
@@ -38,7 +38,7 @@ def max_ent_matrix(shape: AlgebraShape) -> np.ndarray:
     # is 1 exactly when j and k share a block.
     d = shape.total_dim
     out = np.zeros((d * d, d * d), dtype=np.complex128)
-    out[:: d + 1, :: d + 1] = block_mask(shape)
+    out[:: d + 1, :: d + 1] = layout(shape).mask
     return out
 
 
@@ -63,7 +63,7 @@ def _superoperator(kraus: np.ndarray) -> np.ndarray:
 def _choi_matrix(c: Channel) -> np.ndarray:
     # the unpinched Choi matrix with the input block mask on its slow index
     din, dout = c.shape_in.total_dim, c.shape_out.total_dim
-    masked = c._superop * block_mask(c.shape_in).reshape(-1, 1)
+    masked = c._superop * layout(c.shape_in).mask.reshape(-1, 1)
     return masked.reshape(din, din, dout, dout).transpose(0, 2, 1, 3).reshape(din * dout, -1)
 
 
@@ -199,7 +199,7 @@ def apply_via_conditional(cond: ConditionalState, s: State) -> np.ndarray:
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     # Contracting the max-ent factor leaves the pinched transpose of the input
     # on the conditioning index: out[o, r] = Σ ρ[q, p] C[q, o, p, r], p ~ q.
-    pinched_t = s.matrix.T * block_mask(cond.shape_in)
+    pinched_t = s.matrix.T * layout(cond.shape_in).mask
     return np.einsum("pq,qopr->or", pinched_t, cond.matrix.reshape(din, dout, din, dout))
 
 
@@ -215,7 +215,7 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     """
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     support = _restricted_support(cond)
-    es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
+    es = herm_eig(cond.matrix, layout(cond.shape_in, cond.shape_out))
     rank = es.rank  # the spectrum descends: the kept eigenvalues come first
     if not rank:
         raise InvariantViolation("spectral_weight", es.eigenvalues[0],

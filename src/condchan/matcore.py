@@ -22,14 +22,14 @@ Conventions fixed here once and relied on project-wide:
   generalized inverse root, the support projector and the rank.  The last three, and
   Kraus extraction, keep the eigenvalues above one cutoff, ``CUTOFF_REL`` times the
   largest eigenvalue with the floor ``CUTOFF_FLOOR`` (see ``tolerances``);
-* a matrix of a reducible algebra (or tensor product of algebras) of
-  dimension at least ``BLOCKWISE_MIN_DIM`` is judged, certified and
-  decomposed per block, by its ``BlockIndex`` (``algebra.block_index``), with
-  one stacked solver call per distinct block size, so its eigenvectors, and
-  the Kraus operators read off them, are exactly zero outside their block.
-  Within a degenerate eigenspace the basis (and so a Kraus set) may differ
-  from the one a whole-matrix decomposition gives; the spanned subspaces do
-  not.  A smaller matrix has no index and is judged and decomposed whole.
+* every map that judges, certifies or decomposes an element of an algebra (or tensor
+  product of algebras) passes its ``Layout`` (``algebra.layout``).  A reducible layout of
+  dimension at least ``BLOCKWISE_MIN_DIM`` groups its blocks, and the element is judged,
+  certified and decomposed per block, one stacked solver call per block size, so its
+  eigenvectors, and the Kraus operators read off them, are exactly zero outside their
+  block.  Within a degenerate eigenspace the basis (and so a Kraus set) may differ from
+  the one a whole-matrix decomposition gives; the spanned subspaces do not.  Any other
+  layout has no groups, and the element is judged and decomposed whole.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import InvariantViolation, NoConvergence, ShapeMismatch
 from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIBLE, _cholesky_floor
 
-# Smallest matrix dimension given a block index.  Below it one solver call
+# Smallest dimension of a ``Layout`` that groups its blocks.  Below it one solver call
 # on the whole matrix costs less than one call per block size plus the
 # gather and scatter: on 1-thread OpenBLAS, over the reducible shape pairs
 # of dimension 4 to 64, the per-block ``herm_eig`` took 1.0-1.5x the
@@ -54,7 +54,7 @@ from .tolerances import BLOCK_TOL, CUTOFF_FLOOR, CUTOFF_REL, INPUT_TOL, NEGLIGIB
 # about 32: a Cholesky costs a fraction of an eigh, so the leak scan, gather
 # and one call per block size take a larger matrix to repay.  On valid joints
 # it took a median 1.17x (0.9-1.7x) the whole-matrix time at 16, 1.05x at 24,
-# 0.91x at 32, 0.46x at 64 and 0.1-0.2x at 256; one index serves both, at a
+# 0.91x at 32, 0.46x at 64 and 0.1-0.2x at 256; one grouping serves both, at a
 # cost of a few µs per matrix at 16-24.
 BLOCKWISE_MIN_DIM = 16
 
@@ -70,7 +70,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 class BlockGroup(NamedTuple):
     """The n blocks of one size s: where their (n, s, s) stack sits in
-    ``BlockIndex.entries`` and their n·s eigenvectors in its columns."""
+    ``Layout.entries`` and their n·s eigenvectors in its columns."""
 
     n: int
     size: int
@@ -79,43 +79,53 @@ class BlockGroup(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class BlockIndex:
-    """Where the blocks of a block-diagonal (D, D) matrix sit.
+class Layout:
+    """Where the entries of a block-diagonal (D, D) matrix may sit (every array read-only).
 
-    The blocks are grouped by size, ascending.  ``entries`` lists the flat
-    positions of every block entry, group by group, each group as its
-    (n, s, s) stack in C order, and ``mirror`` the positions of their
-    transposes, and ``outside`` the positions of the entries outside every
-    block.
-
-    The eigenvectors are laid out compactly first: column c of an (s_max, D)
-    matrix holds the s components of the c-th, zero-padded, where the
-    columns follow the groups, then the blocks, then each block's solver.
-    ``compact`` masks the components that exist, and ``scatter`` gives the
-    flat position of each (in C order) in the (D, D) eigenvector matrix.
+    ``mask`` is the support and ``outside`` the flat positions off it (None for one block);
+    (m + m†)·``half_mask`` (0.5 on the support, built on first use) pinches exactly.  A
+    reducible layout from ``BLOCKWISE_MIN_DIM`` up groups its blocks by size, ascending;
+    any other has no ``groups`` and None for the four positions.  ``entries`` lists the
+    flat positions of every block entry, group by group, each group as its (n, s, s)
+    stack in C order, and ``mirror`` the positions of their transposes.  The eigenvectors
+    are laid out compactly first: column c of an (s_max, D) matrix holds the s components
+    of the c-th, zero-padded, where the columns follow the groups, then the blocks, then
+    each block's solver.  ``compact`` masks the components that exist, and ``scatter``
+    gives the flat position of each (in C order) in the (D, D) eigenvector matrix.
 
     ``mirror`` and ``compact`` pay for themselves: without them, ``herm_eig`` on
     1-thread OpenBLAS went from 0.57-0.77 to 5.9-9.4 ms on (1,)*16 ⊗ (1,)*16, 4.5-4.8
     to 7.1-7.9 ms on (8, 8) ⊗ (8, 8) and 99-118 to 212-241 µs on (1,)*8 ⊗ (1,)*8.
     """
 
-    groups: tuple[BlockGroup, ...]
-    entries: np.ndarray
-    mirror: np.ndarray
-    outside: np.ndarray
-    compact: np.ndarray
-    scatter: np.ndarray
+    mask: np.ndarray
+    outside: np.ndarray | None
+    groups: tuple[BlockGroup, ...] = ()
+    entries: np.ndarray | None = None
+    mirror: np.ndarray | None = None
+    compact: np.ndarray | None = None
+    scatter: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+    @cached_property
+    def half_mask(self) -> np.ndarray:
+        out = 0.5 * self.mask
+        out.setflags(write=False)
+        return out
 
     @classmethod
-    def from_labels(cls, labels: np.ndarray, outside: np.ndarray | None) -> BlockIndex | None:
-        """Index of the blocks that ``labels`` (the block 0, 1, ... of each
-        embedding index) defines, with ``outside`` its read-only off-block
-        positions; None for a single block or a dimension below
-        ``BLOCKWISE_MIN_DIM``, so that the matrix is judged and decomposed
-        whole."""
+    def from_labels(cls, labels: np.ndarray) -> Layout:
+        """The layout of the blocks that ``labels`` (the block 0, 1, ... of each
+        embedding index) defines."""
         d = labels.size
-        if d < BLOCKWISE_MIN_DIM or not labels.any():
-            return None
+        mask = labels[:, None] == labels[None, :]
+        outside = np.flatnonzero(~mask)
+        if d < BLOCKWISE_MIN_DIM or not outside.size:
+            return cls(mask, outside if outside.size else None)
         sets = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
         sizes = sorted({len(idx) for idx in sets})
         compact = np.zeros((sizes[-1], d), dtype=bool)
@@ -133,10 +143,8 @@ class BlockIndex:
             compact[:size, cols] = True
             target[:size, cols] = np.repeat(idx.T * d, size, axis=1) + np.arange(d)[cols]
             start, col = start + n * size * size, col + n * size
-        arrays = (*map(np.concatenate, (entries, mirror)), outside, compact, target[compact])
-        for arr in arrays:
-            arr.setflags(write=False)
-        return cls(tuple(groups), *arrays)
+        positions = (*map(np.concatenate, (entries, mirror)), compact, target[compact])
+        return cls(mask, outside, tuple(groups), *positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,26 +281,25 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def judge(
-    stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
-) -> tuple[list[np.ndarray], float]:
+def judge(stack: np.ndarray, layout: Layout | None, unit_trace=False) -> tuple[list, float]:
     """Judge a (n, d, d) stack (a matrix is a batch of one) and return its
-    Hermitian part (m + m†)/2, fresh: the stack, or with ``blocks`` one (n·k, s, s)
-    stack per group of k blocks of size s; and the largest entry those parts leave
-    out (0.0 for the stack).  Judged in order over the whole stack: finite,
-    overflow, hermitian, block_support (the entries at the flat positions
-    ``outside``, None for one block, against BLOCK_TOL) and, with ``unit_trace``,
-    trace.  With ``blocks`` and a leak within BLOCK_TOL, only the block entries
-    are gathered: such a leak is finite and moves |m - m†| by at most 2·BLOCK_TOL
-    < INPUT_TOL.  Warnings are off: a Hermitian part that overflows raises ``overflow``."""
+    Hermitian part (m + m†)/2, fresh: the stack, or where ``layout`` groups its blocks
+    one (n·k, s, s) stack per group of k blocks of size s; and the largest entry those
+    parts leave out (0.0 for the stack).  Judged in order over the whole stack: finite,
+    overflow, hermitian, block_support (the entries at the layout's ``outside``, none
+    without a layout, against BLOCK_TOL) and, with ``unit_trace``, trace.  With groups
+    and a leak within BLOCK_TOL, only the block entries are gathered: such a leak is
+    finite and moves |m - m†| by at most 2·BLOCK_TOL < INPUT_TOL.  Warnings are off: a
+    Hermitian part that overflows raises ``overflow``."""
     n = len(stack)
     flat = stack.reshape(n, -1)
+    outside, groups = (None, ()) if layout is None else (layout.outside, layout.groups)
     leak = 0.0 if outside is None else max_abs(flat.take(outside, axis=1))
-    if blocks is not None and leak <= BLOCK_TOL:
-        entries = flat.take(blocks.entries, axis=1)
-        adjoint = flat.take(blocks.mirror, axis=1).conj()
+    if groups and leak <= BLOCK_TOL:
+        entries = flat.take(layout.entries, axis=1)
+        adjoint = flat.take(layout.mirror, axis=1).conj()
     else:
-        blocks, entries, adjoint = None, stack, stack.conj().swapaxes(-1, -2)
+        groups, entries, adjoint = (), stack, stack.conj().swapaxes(-1, -2)
     herm = entries + adjoint
     herm *= 0.5
     if not np.isfinite(herm).all():
@@ -309,9 +316,9 @@ def judge(
         trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
         if not trace_dev <= INPUT_TOL:
             raise InvariantViolation("trace", trace_dev)
-    if blocks is None:
+    if not groups:
         return [herm], 0.0
-    return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in blocks.groups], leak
+    return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in groups], leak
 
 
 @lru_cache(maxsize=64)
@@ -380,11 +387,9 @@ def _proves_definite(m: np.ndarray, outside: np.ndarray | None) -> bool:
     return _scalar_proof(len(m))(m, outside)
 
 
-def validate_psd(
-    stack: np.ndarray, outside: np.ndarray | None, blocks: BlockIndex | None, unit_trace=False
-) -> float:
-    """``judge`` a (n, d, d) stack, then certify each Hermitian part + t·I positive definite by
-    one stacked Cholesky, per block with ``blocks`` (a block-diagonal matrix is positive exactly
+def validate_psd(stack: np.ndarray, layout: Layout, unit_trace=False) -> float:
+    """``judge`` a (n, d, d) stack on ``layout``, then certify each Hermitian part + t·I positive
+    definite by one stacked Cholesky, per block where it groups them (a block-diagonal matrix is positive exactly
     when each block is), t the shift of ``tolerances._cholesky_floor`` (Rump, "Verification of
     positive definiteness", BIT 46, 2006; Higham, *Accuracy and Stability*, ch. 10).  A PSD state,
     conditional or POVM element has diagonal ≤ 1, so it factors.  A stack that does not pays one
@@ -395,9 +400,9 @@ def validate_psd(
     scalar pass proved it definite; for a unit-trace stack that factors, the floor of
     ``_cholesky_floor`` plus d·(leak the blocks left out); else inf."""
     small = unit_trace and len(stack) == 1 and 0 < stack.shape[-1] <= SCALAR_MAX_DIM
-    if small and _proves_definite(stack[0], outside):
+    if small and _proves_definite(stack[0], layout.outside):
         return 0.0
-    parts, leak = judge(stack, outside, blocks, unit_trace)
+    parts, leak = judge(stack, layout, unit_trace)
     dim = stack.shape[-1]
     try:  # block groups grow in size, and so does their floor: the last is the largest
         for herm in parts:
@@ -412,48 +417,49 @@ def validate_psd(
     return floor + dim * leak if unit_trace else math.inf
 
 
-def herm_eig(m, blocks: BlockIndex | None = None) -> EigenSystem:
+def herm_eig(m, layout: Layout | None = None) -> EigenSystem:
     """Full spectral decomposition of a square matrix that is Hermitian
     within ``INPUT_TOL`` (max entry of |m - m†|), the library's one spectral
-    routine: the matrix is judged and symmetrized first, so floating-point
-    drift cannot leak into spectra.  With ``blocks`` it is decomposed per
-    block, one stacked ``eigh`` per block size, and each eigenvector is
-    exactly zero outside its block.  Exactly tied eigenvalues keep ``eigh``'s order.
+    routine: the matrix is judged, on ``layout`` if given, and symmetrized first,
+    so floating-point drift cannot leak into spectra.  Where ``layout`` groups its
+    blocks it is decomposed per block, one stacked ``eigh`` per block size, and each
+    eigenvector is exactly zero outside its block.  Exactly tied eigenvalues keep ``eigh``'s order.
 
     Raises
     ------
     ShapeMismatch
-        If the matrix is not square, or does not fit ``blocks``.
+        If the matrix is not square, or does not fit ``layout``.
     InvariantViolation
         From ``judge``: ``finite``, if an entry is NaN or infinite;
         ``overflow``, if the Hermitian part overflows; ``hermitian``, if the
         Hermiticity deviation exceeds ``INPUT_TOL``; ``block_support``, if
-        ``blocks`` is given and an entry outside them exceeds ``BLOCK_TOL``.
+        ``layout`` is given and an entry off its support exceeds ``BLOCK_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    if blocks is not None and arr.shape[0] != blocks.compact.shape[1]:
-        raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its block index")
-    parts = judge(arr[None], None if blocks is None else blocks.outside, blocks)[0]
+    if layout is not None and arr.shape != layout.mask.shape:
+        raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its layout")
+    parts = judge(arr[None], layout)[0]
+    groups = () if layout is None else layout.groups
     try:
-        solved = [np.linalg.eigh(part[0] if blocks is None else part) for part in parts]
+        solved = [np.linalg.eigh(part if groups else part[0]) for part in parts]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    if blocks is None:
+    if not groups:
         w, v = solved[0]
         v = _fix_phases(v)
     else:
         w = np.concatenate([pw.ravel() for pw, _ in solved])
-        compact = np.zeros(blocks.compact.shape, dtype=np.complex128)
-        for group, (_, pv) in zip(blocks.groups, solved):
+        compact = np.zeros(layout.compact.shape, dtype=np.complex128)
+        for group, (_, pv) in zip(groups, solved):
             compact[: group.size, group.columns] = pv.transpose(1, 0, 2).reshape(group.size, -1)
         v = np.zeros((w.size, w.size), dtype=np.complex128)
-        v.ravel()[blocks.scatter] = _fix_phases(compact)[blocks.compact]
+        v.ravel()[layout.scatter] = _fix_phases(compact)[layout.compact]
     # no tie: reversed, column-major as indexed (on floats: 1 µs less when small, 4 µs more at 64)
-    if blocks is None and all(map(float.__lt__, ws := w.tolist(), ws[1:])):
+    if not groups and all(map(float.__lt__, ws := w.tolist(), ws[1:])):
         return EigenSystem(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy(order="F"))
     order = np.argsort(-w, kind="stable")  # tied eigenvectors keep eigh's order
     return EigenSystem(eigenvalues=w[order], eigenvectors=v[:, order])

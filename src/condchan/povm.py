@@ -8,11 +8,12 @@ which is what ``prepare`` / ``povm_from_ensemble`` implement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_index, support_index
+from .algebra import AlgebraShape, is_integer, layout
 from .errors import InvariantViolation, NumericalFailure, ShapeMismatch, SupportMismatch
 from .matcore import _as_stack, as_matrix, herm_eig, hermitize, identity, max_abs, validate_psd
 from .states import State, states_from_stack
@@ -43,7 +44,7 @@ class POVM:
                     raise ShapeMismatch(f"element shape {e.shape} does not match total dim {d}")
             stack = _as_stack(elems)
         object.__setattr__(self, "elements", stack)
-        validate_psd(stack, *support_index(self.shape))
+        validate_psd(stack, layout(self.shape))
         # elements that pass the PSD checks can still overflow their sum
         with np.errstate(over="ignore"):
             sum_dev = max_abs(stack.sum(0) - identity(d))
@@ -97,7 +98,7 @@ def prepare(m: POVM, s: State) -> Ensemble:
     probability are dropped; their conditional state is undefined.  A member's rounding is
     scaled by 1/p, so a check that fails on them raises ``NumericalFailure`` with κ = 1/p_min."""
     probs = measure(m, s)
-    root = herm_eig(s.matrix).root()
+    root = herm_eig(s.matrix, layout(s.shape)).root()
     kept = probs > NEGLIGIBLE
     try:
         members = hermitize(root @ m.elements[kept] @ root)
@@ -117,7 +118,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
     """
     if e.average.shape != s.shape:
         raise ShapeMismatch("ensemble and state live on different algebras")
-    spectrum = herm_eig(s.matrix, block_index(s.shape))
+    spectrum = herm_eig(s.matrix, layout(s.shape))
     complement = identity(s.shape.total_dim) - spectrum.support()
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)
@@ -140,9 +141,11 @@ def sample(m: POVM, s: State, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` outcomes by inverse-CDF over the outcome index order.
 
     Deterministic given the generator's seed; returns a count per element.
-    A negative ``n`` raises ``ShapeMismatch``.
+    An ``n`` that is negative or not an integer raises ``ShapeMismatch``.
     """
-    count = int(n)
+    if not is_integer(n):
+        raise ShapeMismatch(f"the number of outcomes must be an integer, got {n!r}")
+    count = operator.index(n)
     if count < 0:
         raise ShapeMismatch(f"cannot draw a negative number of outcomes, got {n}")
     probs = np.clip(measure(m, s), 0.0, None)

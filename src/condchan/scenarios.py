@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_mask, block_projectors, is_integer, pair_mask
+from .algebra import AlgebraShape, block_projectors, is_integer, layout
 from .channels import Channel, choi_conditional, max_ent_matrix
 from .conditional import ConditionalState, _condition, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
@@ -291,7 +291,7 @@ def random_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
     """Wishart-style state pinched onto the algebra and renormalized."""
     d = shape.total_dim
     g = _gaussian_matrix(rng, d, d)
-    rho = hermitize((g @ g.conj().T) * block_mask(shape))
+    rho = hermitize((g @ g.conj().T) * layout(shape).mask)
     return State(shape, rho / np.trace(rho).real)
 
 
@@ -319,7 +319,7 @@ def random_joint_state(
     first marginal by sandwiching with a random support projector."""
     d = shape_a.total_dim * shape_b.total_dim
     g = _gaussian_matrix(rng, d, d)
-    rho = hermitize((g @ g.conj().T) * pair_mask(shape_a, shape_b))
+    rho = hermitize((g @ g.conj().T) * layout(shape_a, shape_b).mask)
     if rank_a is not None:
         proj = kron(
             random_support_projector(shape_a, rank_a, rng), np.eye(shape_b.total_dim)
@@ -358,7 +358,7 @@ def random_povm(shape: AlgebraShape, k: int, rng: np.random.Generator) -> POVM:
     if k < 1:
         raise ShapeMismatch("a POVM needs at least one element")
     d = shape.total_dim
-    mask = block_mask(shape)
+    mask = layout(shape).mask
     raw = []
     for _ in range(k):
         g = _gaussian_matrix(rng, d, d)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraShape, block_mask, support_index
+from .algebra import AlgebraShape, layout
 from .errors import ShapeMismatch
 from .matcore import as_matrix, partial_trace, validate_psd
 
@@ -22,7 +22,7 @@ def _judge(obj, d: int, *shapes: AlgebraShape, unit_trace: bool = True) -> None:
     if arr.shape != (d, d):
         raise ShapeMismatch(f"matrix shape {arr.shape}, expected {(d, d)}")
     object.__setattr__(obj, "matrix", arr)
-    object.__setattr__(obj, "floor", validate_psd(arr[None], *support_index(*shapes), unit_trace))
+    object.__setattr__(obj, "floor", validate_psd(arr[None], layout(*shapes), unit_trace))
 
 
 def _trusted(cls, *values, floor: float, **settled):
@@ -52,7 +52,7 @@ class State:
 def states_from_stack(shape: AlgebraShape, stack: np.ndarray) -> tuple[State, ...]:
     """Validate a fresh (n, d, d) stack of density matrices with one shared check
     (one stacked Cholesky factorization) and take each matrix over as a State."""
-    floor = validate_psd(stack, *support_index(shape), unit_trace=True) if len(stack) else None
+    floor = validate_psd(stack, layout(shape), unit_trace=True) if len(stack) else None
     return tuple(_trusted(State, shape, m, floor=floor) for m in stack)
 
 
@@ -70,6 +70,8 @@ class JointState:
 
 
 def _side(keep: str) -> str:
+    if not isinstance(keep, str):
+        raise ShapeMismatch(f"side must be 'a' or 'b', got {keep!r}")
     k = keep.lower()
     if k not in ("a", "b"):
         raise ShapeMismatch(f"side must be 'a' or 'b', got {keep!r}")
@@ -85,7 +87,7 @@ def _marginal(j: JointState, side: str) -> tuple[AlgebraShape, np.ndarray]:
     da, db = j.shape_a.total_dim, j.shape_b.total_dim
     shape = j.shape_a if side == "a" else j.shape_b
     marg = partial_trace(j.matrix, da, db, keep="left" if side == "a" else "right")
-    return shape, marg * block_mask(shape)
+    return shape, marg * layout(shape).mask
 
 
 def reduce(j: JointState, keep: str) -> State:

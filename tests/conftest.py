@@ -6,7 +6,7 @@ import pytest
 
 import condchan.scenarios as scenarios_module
 from condchan import POVM, AlgebraShape, ConditionalState, ShapeMismatch, State, teleport
-from condchan.algebra import _masks
+from condchan.algebra import layout
 from condchan.channels import max_ent_matrix
 from condchan.matcore import max_abs
 
@@ -43,7 +43,7 @@ def random_psd(rng, dim, rank=None):
 def support_deviation(m, *shapes):
     """Largest entry of m (or of a stack of matrices) outside the support of
     the tensor product of ``shapes`` (of one algebra when one shape is given)."""
-    arr, off = np.asarray(m), ~_masks(shapes)[0]
+    arr, off = np.asarray(m), ~layout(*shapes).mask
     if arr.shape[-2:] != off.shape:
         raise ShapeMismatch(f"matrix shape {arr.shape} does not match support {off.shape}")
     return max_abs(arr[..., off])

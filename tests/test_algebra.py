@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from condchan import AlgebraShape, ShapeMismatch, kron
-from condchan.algebra import block_mask, block_projectors, pair_mask
+from condchan.algebra import block_projectors, layout
 from conftest import BIT, MIXED, QUBIT, support_deviation
 from test_matcore import mul_oracle
 
@@ -17,7 +17,7 @@ def eq10_oracle(m, shape):
 
 def pinch(m, shape):
     """Zero every entry outside the algebra's blocks, as the library pinches."""
-    return m * block_mask(shape)
+    return m * layout(shape).mask
 
 
 def random_element(rng, shape):
@@ -60,13 +60,13 @@ class TestEmbed:
     """The block mask: the entries an embedded algebra element may occupy."""
 
     def test_classical_bit(self):
-        np.testing.assert_array_equal(block_mask(BIT), np.eye(2, dtype=bool))
+        np.testing.assert_array_equal(layout(BIT).mask, np.eye(2, dtype=bool))
 
     def test_irreducible_is_the_block(self):
-        assert block_mask(QUBIT).all()
+        assert layout(QUBIT).mask.all()
 
     def test_off_block_entries_zero(self):
-        mask = block_mask(MIXED)
+        mask = layout(MIXED).mask
         for i in range(3):
             for j in range(3):
                 in_block = (i < 2 and j < 2) or (i == 2 and j == 2)
@@ -79,7 +79,7 @@ class TestProject:
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1 / np.sqrt(2)
         bell = np.outer(phi, phi.conj())
-        got = bell * pair_mask(QUBIT, BIT)
+        got = bell * layout(QUBIT, BIT).mask
         expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
@@ -123,28 +123,28 @@ class TestTensorShape:
         return sorted(mask.sum(axis=1).tolist(), reverse=True)
 
     def test_irreducible(self):
-        assert self.block_sizes(pair_mask(QUBIT, QUBIT)) == [4] * 4
+        assert self.block_sizes(layout(QUBIT, QUBIT).mask) == [4] * 4
 
     def test_classical_product(self):
-        np.testing.assert_array_equal(pair_mask(BIT, BIT), np.eye(4, dtype=bool))
+        np.testing.assert_array_equal(layout(BIT, BIT).mask, np.eye(4, dtype=bool))
 
     def test_mixed_lexicographic(self):
-        assert self.block_sizes(pair_mask(MIXED, AlgebraShape((3,)))) == [6] * 6 + [3] * 3
+        assert self.block_sizes(layout(MIXED, AlgebraShape((3,))).mask) == [6] * 6 + [3] * 3
 
     def test_total_dim_multiplies(self):
         for a in (QUBIT, BIT, MIXED):
             for b in (QUBIT, BIT, MIXED):
                 d = a.total_dim * b.total_dim
-                mask = pair_mask(a, b)
+                mask = layout(a, b).mask
                 assert mask.shape == (d, d)
                 assert mask.sum() == sum((x * y) ** 2 for x in a.block_dims for y in b.block_dims)
 
     def test_pair_mask_matches_kron_of_masks(self, rng):
         # the kron-space support is the kron of the single-system supports
         composite = kron(random_element(rng, MIXED), random_element(rng, BIT))
-        mask = pair_mask(MIXED, BIT)
+        mask = layout(MIXED, BIT).mask
         assert np.all(composite[~mask] == 0)
-        np.testing.assert_array_equal(mask, np.kron(block_mask(MIXED), block_mask(BIT)))
+        np.testing.assert_array_equal(mask, np.kron(layout(MIXED).mask, layout(BIT).mask))
 
 
 class TestIdentity:

@@ -22,7 +22,7 @@ from condchan import (
     reduce,
     verify_theorem,
 )
-from condchan.algebra import pair_mask
+from condchan.algebra import layout
 from condchan.conditional import _pinched_hermitian
 from condchan.matcore import hermitize
 from condchan.scenarios import random_joint_state, random_povm, random_state, random_unitary
@@ -44,6 +44,12 @@ def max_ent_joint(d):
 
 
 class TestConditionalFromJoint:
+    def test_rejects_a_side_that_is_not_a_string(self, rng):
+        j = random_joint_state(QUBIT, QUTRIT, rng)
+        for side in (None, 0):
+            with pytest.raises(ShapeMismatch, match="side must be 'a' or 'b'"):
+                conditional_from_joint(j, side)
+
     def test_product_state_factorizes(self, rng):
         a = random_state(QUBIT, rng)
         b = random_state(QUTRIT, rng)
@@ -284,7 +290,7 @@ def test_pinched_hermitian_part_is_hermitize_then_mask(rng, shapes):
     d = shapes[0].total_dim * shapes[1].total_dim
     s = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     out = _pinched_hermitian(s, *shapes)
-    assert out.tobytes() == (hermitize(s) * pair_mask(*shapes)).tobytes()
+    assert out.tobytes() == (hermitize(s) * layout(*shapes).mask).tobytes()
     assert np.array_equal(out, out.conj().T)
 
 

@@ -89,7 +89,7 @@ from condchan import (
     teleport,
     verify_theorem,
 )
-from condchan.algebra import block_index, block_mask, half_pair_mask, pair_mask, support_index
+from condchan.algebra import layout
 from condchan.channels import (
     _choi_matrix,
     _kraus_gram,
@@ -407,7 +407,7 @@ def oracle_kraus_gram(kraus):
 
 def oracle_kraus_from_conditional(cond, cutoff=1e-10, blocks=True):
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
-    es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out) if blocks else None)
+    es = herm_eig(cond.matrix, layout(cond.shape_in, cond.shape_out) if blocks else None)
     thresh = max(cutoff * max(float(es.eigenvalues[0]), 0.0), 1e-14)
     return [
         np.sqrt(lam) * vec.reshape(din, dout).T
@@ -479,22 +479,31 @@ def test_kraus_are_one_read_only_tensor(rng):
     assert all(k.shape == (4, 3) and np.shares_memory(k, c.kraus) for k in ops)
 
 
-# -- tests: cached support masks --------------------------------------------
+# -- tests: cached layouts ---------------------------------------------------
 
 
+@pytest.mark.any_kernel
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_cached_masks_are_read_only_and_match_the_loop(rng, shape):
+def test_layouts_are_cached_read_only_and_match_the_loop(rng, shape):
     other = AlgebraShape((1, 2))
     cases = [
-        (block_mask(shape), oracle_block_mask(shape)),
-        (pair_mask(shape, other), np.kron(oracle_block_mask(shape), oracle_block_mask(other))),
+        ((shape,), oracle_block_mask(shape)),
+        ((shape, other), np.kron(oracle_block_mask(shape), oracle_block_mask(other))),
     ]
-    for got, expected in cases:
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, expected)
+    for shapes, expected in cases:
+        got = layout(*shapes)
+        assert layout(*(AlgebraShape(s.block_dims) for s in shapes)) is got
+        assert got.mask.dtype == bool
+        np.testing.assert_array_equal(got.mask, expected)
+        if expected.all():
+            assert got.outside is None
+        else:
+            np.testing.assert_array_equal(got.outside, np.flatnonzero(~expected))
+        assert got.half_mask.tobytes() == (0.5 * expected).tobytes()
+        arrays = list(cached_arrays(got))
+        assert len(arrays) >= 2 and not any(arr.flags.writeable for arr in arrays)
         with pytest.raises(ValueError):
-            got[0, -1] = not got[0, -1]
-    assert block_mask(AlgebraShape(shape.block_dims)) is block_mask(shape)
+            got.mask[0, -1] = not got.mask[0, -1]
     # the deviation helpers equal the old project-and-subtract formula
     d = shape.total_dim
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -506,7 +515,7 @@ def test_cached_masks_are_read_only_and_match_the_loop(rng, shape):
 
 
 def cached_arrays(value):
-    """Every array in a cached value: in tuples, and in the fields of a ``BlockIndex``."""
+    """Every array in a cached value: in tuples, and in the attributes of a ``Layout``."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, (tuple, list)):
@@ -522,20 +531,20 @@ def test_every_cached_constant_is_read_only():
     a, b = AlgebraShape((2, 2)), AlgebraShape((3, 1))
     calls = {
         matcore.identity: (3,), matcore._tight_shift: (3, 3), matcore._scalar_proof: (3,),
-        algebra._masks: ((a, b),), algebra.half_pair_mask: (a, b), algebra.choi_leak_index: (a, b),
+        algebra.layout: (a, b), algebra.choi_leak_index: (a, b),
         scenarios._bell_tables: (3,), serialize._mirror: (3,),
     }
     modules = (algebra, cli, matcore, scenarios, serialize)
     cached = {obj for mod in modules for obj in vars(mod).values()
               if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
     assert cached == {*calls, cli._parser}  # the parser is not a constant, and not handed out
+    assert layout(a, b).groups and layout(a, b).half_mask.tobytes() == (0.5 * layout(a, b).mask).tobytes()
     for fn, args in calls.items():
         value = fn(*args)
         assert fn(*args) is value
         for arr in cached_arrays(value):
             assert not arr.flags.writeable, fn.__name__
     assert identity(3).tobytes() == np.eye(3, dtype=complex).tobytes()
-    assert half_pair_mask(a, b).tobytes() == (0.5 * pair_mask(a, b)).tobytes()
     with pytest.raises(ValueError):
         identity(2)[0, 0] = 2.0
 
@@ -612,12 +621,10 @@ def oracle_herm_eig(m, blocks=None):
     phase fix and an index sort: the same ``judge`` and ``eigh`` calls, the loop phase fix,
     and the descending order of ``argsort(-w, kind="stable")``."""
     arr = np.array(m, dtype=np.complex128, order="C")
-    if blocks is None:
-        parts = [judge(arr[None], None, None)[0][0][0]]
-    else:
-        parts = judge(arr[None], blocks.outside, blocks)[0]
+    grouped = blocks is not None and blocks.groups
+    parts = judge(arr[None], blocks)[0] if grouped else [judge(arr[None], blocks)[0][0][0]]
     solved = [np.linalg.eigh(part) for part in parts]
-    if blocks is None:
+    if not grouped:
         w, v = solved[0]
         v = oracle_fix_phases(v)
     else:
@@ -715,14 +722,14 @@ def test_herm_eig_is_bit_identical_to_the_sorting_oracle_on_edge_inputs():
 @pytest.mark.parametrize("pair", BLOCKED_PAIRS, ids=lambda p: "-".join(map(shape_id, map(AlgebraShape, p))))
 def test_herm_eig_per_block_is_bit_identical_to_the_sorting_oracle(pair):
     shapes = tuple(map(AlgebraShape, pair))
-    blocks = block_index(*shapes)
-    assert blocks is not None and blocks.compact.shape[1] >= BLOCKWISE_MIN_DIM
+    blocks = layout(*shapes)
+    assert blocks.groups and blocks.compact.shape[1] >= BLOCKWISE_MIN_DIM
     rng = np.random.default_rng(415)
     d = blocks.compact.shape[1]
     cases = [
         choi_conditional(random_channel(*shapes, shapes[0].total_dim, rng)).matrix,
-        random_hermitian(rng, d) * pair_mask(*shapes),
-        np.eye(d) * pair_mask(*shapes),
+        random_hermitian(rng, d) * layout(*shapes).mask,
+        np.eye(d) * layout(*shapes).mask,
         np.diag(rng.integers(0, 2, d).astype(float)),
     ]
     if shapes[0] == shapes[1]:
@@ -761,12 +768,12 @@ def test_pinched_hermitian_is_bit_identical_to_hermitize_then_mask(shapes):
     rng = np.random.default_rng(417)
     d = shapes[0].total_dim * shapes[1].total_dim
     for s in (random_complex(rng, d, d), random_hermitian(rng, d)):
-        expected = hermitize(s) * pair_mask(*shapes)
+        expected = hermitize(s) * layout(*shapes).mask
         assert _pinched_hermitian(s, *shapes).tobytes() == expected.tobytes()
     # signed zeros, where that formula differs, against the uncached product it replaced
     s = -np.zeros((d, d), complex)
     expected = s + s.conj().T
-    expected *= 0.5 * pair_mask(*shapes)
+    expected *= 0.5 * layout(*shapes).mask
     assert _pinched_hermitian(s, *shapes).tobytes() == expected.tobytes()
 
 
@@ -874,9 +881,9 @@ def test_teleport_and_prepare_eigendecomposition_counts(rng, monkeypatch):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def oracle_validate_psd(stack, outside, blocks, unit_trace=False):
-    # ``blocks`` is ignored: every matrix is judged whole
-    flat = stack.reshape(len(stack), -1)
+def oracle_validate_psd(stack, index, unit_trace=False):
+    # the groups of ``index`` are ignored: every matrix is judged whole
+    flat, outside = stack.reshape(len(stack), -1), index.outside
     block_dev = 0.0 if outside is None else float(np.abs(flat[:, outside]).max())
     adj = stack.conj().swapaxes(-1, -2)
     herm = (stack + adj) / 2
@@ -947,10 +954,10 @@ def density_cases(rng, shape):
 
 
 def psd_verdicts(stack, shape, unit_trace):
-    index = support_index(shape)
+    index = layout(shape)
     return (
-        verdict(validate_psd, stack, *index, unit_trace),
-        verdict(oracle_validate_psd, stack, *index, unit_trace),
+        verdict(validate_psd, stack, index, unit_trace),
+        verdict(oracle_validate_psd, stack, index, unit_trace),
     )
 
 
@@ -1038,7 +1045,7 @@ def pair_cases(rng, shape_a, shape_b):
     entry outside the blocks (a reducible pair only)."""
     da, db = shape_a.total_dim, shape_b.total_dim
     u = np.kron(random_block_unitary(shape_a, rng), random_block_unitary(shape_b, rng))
-    off = ~pair_mask(shape_a, shape_b)
+    off = ~layout(shape_a, shape_b).mask
     signs = np.sign(rng.standard_normal((da * db, da * db)))
     signs = np.triu(signs, 1) + np.triu(signs, 1).T
     lows = [(None, 0.5 / (da * db)), (None, -INPUT_TOL * (1 - 1e-3))]
@@ -1073,7 +1080,7 @@ def test_block_certificate_gives_the_whole_eigvalsh_verdict(rng, dims_a, dims_b,
     shape_a, shape_b = AlgebraShape(dims_a), AlgebraShape(dims_b)
     reducible = len(dims_a) * len(dims_b) > 1
     assert shape_a.total_dim * shape_b.total_dim >= BLOCKWISE_MIN_DIM
-    assert (support_index(shape_a, shape_b)[1] is not None) == reducible
+    assert bool(layout(shape_a, shape_b).groups) == reducible
     cases = list(pair_cases(rng, shape_a, shape_b))
     build = {"joint": JointState, "conditional": ConditionalState}
 
@@ -1231,7 +1238,7 @@ def scalar_edge_cases(rng, shape):
     cases += [with_trace(valid, 1 + off) for off in offsets]
     slops = [tol * (1 - 1e-6), tol * (1 + 1e-6)] + [tol + k * np.spacing(tol) for k in (-4, -1, 0, 1, 4)]
     cases += [with_asymmetry(valid, p, size, phase) for p in {0, 1 % (d * d)} for size in slops]
-    outside = support_index(shape)[0]
+    outside = layout(shape).outside
     leaks = [BLOCK_TOL * (1 - 1e-6), BLOCK_TOL * (1 + 1e-6)]
     leaks += [BLOCK_TOL + k * np.spacing(BLOCK_TOL) for k in (-4, -1, 0, 1, 4)]
     for p in [] if outside is None else outside.tolist():
@@ -1262,7 +1269,7 @@ def judge_verdicts(cases, index):
     """The verdicts of ``validate_psd`` with and without the scalar pass, each
     case checked with and without the trace test."""
     def run():
-        return [verdict(validate_psd, m[None], *index, unit_trace)
+        return [verdict(validate_psd, m[None], index, unit_trace)
                 for m in cases for unit_trace in (False, True)]
 
     return run(), without_scalar_pass(run)
@@ -1277,16 +1284,16 @@ def without_scalar_pass(fn, *args):
 @pytest.mark.any_kernel
 @pytest.mark.parametrize("shape", SCALAR_SHAPES, ids=shape_id)
 def test_scalar_pass_gives_the_judge_verdict_at_the_edges(rng, shape):
-    index = support_index(shape)
+    index = layout(shape)
     cases = scalar_edge_cases(rng, shape)
     got, want = judge_verdicts(cases, index)
     assert got == want
     # the pass proves the valid matrix made exactly Hermitian definite, but not
     # the zero matrix nor λmin = -tol·(1 - 1e-3); whatever it proves is definite
-    proved = [_proves_definite(m, index[0]) for m in (hermitize(cases[0]), *cases[1:3])]
+    proved = [_proves_definite(m, index.outside) for m in (hermitize(cases[0]), *cases[1:3])]
     assert proved == [True, False, False]
     for m in cases:
-        if _proves_definite(m, index[0]):
+        if _proves_definite(m, index.outside):
             assert np.linalg.eigvalsh(m).min() > 0
     # (case, unit_trace) pairs: the valid matrix passes, the zero matrix fails
     # only its trace, and λmin = -tol·(1 + 1e-3) fails positivity
@@ -1321,12 +1328,12 @@ def test_scalar_pass_accepts_nothing_the_judge_rejects(
     m = with_trace(with_spectrum(rng, shape, spectrum(rng, d, low)), trace)
     if slop:
         m = with_asymmetry(m, 1 % (d * d), slop, np.exp(2j * np.pi * rng.random()))
-    outside = support_index(shape)[0]
+    outside = layout(shape).outside
     if leak and outside is not None:
         m = with_leak(m, int(rng.choice(outside)), leak, 1.0)
     m = scale * m
     if _proves_definite(m, outside):
-        judged = partial(judge, m[None], outside, None, unit_trace)
+        judged = partial(judge, m[None], layout(shape), unit_trace)
         assert verdict(judged) is None
         herm = judged()[0] + INPUT_TOL * np.eye(d)
         np.linalg.cholesky(herm)
@@ -1336,7 +1343,7 @@ def test_scalar_pass_accepts_nothing_the_judge_rejects(
 def floors(m, index):
     """What ``validate_psd`` returns for the unit-trace matrix m, with and without
     the scalar pass."""
-    run = partial(validate_psd, m[None], *index, True)
+    run = partial(validate_psd, m[None], index, True)
     return run(), without_scalar_pass(run)
 
 
@@ -1346,17 +1353,17 @@ def test_scalar_pass_hands_what_it_does_not_prove_to_numpy(rng, shape):
     # states of rank 1 and d - 1, Hermitian slop of 1e-13, a leak of BLOCK_TOL/2
     # and a trace off by INPUT_TOL/2 are valid but not proved definite: they keep
     # the verdict and the tight floor of the judge and the numpy Cholesky
-    d, index = shape.total_dim, support_index(shape)
+    d, index = shape.total_dim, layout(shape)
     valid = hermitize(with_spectrum(rng, shape, spectrum(rng, d, 1 / d)))
     phase = np.exp(2j * np.pi * rng.random())
     cases = [random_support_projector(shape, r, rng) / r for r in (1, d - 1) for _ in range(4)]
     cases += [with_asymmetry(valid, p, 1e-13, phase) for p in (0, 1)]
     cases += [with_trace(valid, 1 + sign * INPUT_TOL / 2) for sign in (-1, 1)]
-    if index[0] is not None:
-        cases.append(with_leak(valid, int(index[0][0]), BLOCK_TOL / 2, phase))
-    assert _proves_definite(valid, index[0]) and floors(valid, index)[0] == 0.0
+    if index.outside is not None:
+        cases.append(with_leak(valid, int(index.outside[0]), BLOCK_TOL / 2, phase))
+    assert _proves_definite(valid, index.outside) and floors(valid, index)[0] == 0.0
     for m in cases:
-        assert not _proves_definite(m, index[0])
+        assert not _proves_definite(m, index.outside)
         got, want = floors(m, index)
         assert got == want and 0 < got <= INPUT_TOL / 4
 
@@ -1400,15 +1407,15 @@ NEAR_DEFINITE = given(shape=st.sampled_from(SCALAR_SHAPES), **NEAR_DEFINITE_DRAW
 
 
 def near_definite(shape, seed, rank, low, trace, leak, slop):
-    """A matrix drawn by ``NEAR_DEFINITE``, and the support index of ``shape``."""
+    """A matrix drawn by ``NEAR_DEFINITE``, and the layout of ``shape``."""
     rng = np.random.default_rng(seed)
-    d, index = shape.total_dim, support_index(shape)
+    d, index = shape.total_dim, layout(shape)
     w = np.where(np.arange(d) < rank, rng.random(d) + 0.1, 0.0)
     w = np.sort(w / w.sum())
     w[0] += low
     m = with_trace(hermitize(with_spectrum(rng, shape, w)), trace)
-    if leak and index[0] is not None:
-        m = with_leak(m, int(rng.choice(index[0])), leak, np.exp(2j * np.pi * rng.random()))
+    if leak and index.outside is not None:
+        m = with_leak(m, int(rng.choice(index.outside)), leak, np.exp(2j * np.pi * rng.random()))
     if slop:
         m = with_asymmetry(m, int(rng.integers(d * d)), slop, np.exp(2j * np.pi * rng.random()))
     return m, index
@@ -1422,11 +1429,11 @@ def test_scalar_pass_proves_only_definite_matrices(shape, seed, rank, low, trace
     # trace within INPUT_TOL/4 of 1 and definite, and the judge and the numpy
     # Cholesky accept it
     m, index = near_definite(shape, seed, rank, low, trace, leak, slop)
-    if _proves_definite(m, index[0]):
+    if _proves_definite(m, index.outside):
         assert np.array_equal(m, m.conj().T) and support_deviation(m, shape) == 0
         assert abs(np.trace(m) - 1) <= INPUT_TOL / 4
         assert np.linalg.eigvalsh(m).min() > 0
-        assert without_scalar_pass(verdict, validate_psd, m[None], *index, True) is None
+        assert without_scalar_pass(verdict, validate_psd, m[None], index, True) is None
 
 
 def proves_definite_loop(m, outside):
@@ -1470,7 +1477,7 @@ def proves_definite_loop(m, outside):
 def test_scalar_proof_gives_the_loop_verdict(shape, seed, rank, low, trace, leak, slop):
     m, index = near_definite(shape, seed, rank, low, trace, leak, slop)
     for x in (m, hermitize(m), -m):
-        assert _proves_definite(x, index[0]) == proves_definite_loop(x, index[0])
+        assert _proves_definite(x, index.outside) == proves_definite_loop(x, index.outside)
 
 
 @pytest.mark.any_kernel
@@ -1478,7 +1485,7 @@ def test_scalar_proof_gives_the_loop_verdict(shape, seed, rank, low, trace, leak
 def test_scalar_proof_gives_the_loop_verdict_at_the_edges(rng, shape):
     cases = scalar_edge_cases(rng, shape)
     cases.append(hermitize(cases[0]))  # the valid matrix made exactly Hermitian is proved
-    outside = support_index(shape)[0]
+    outside = layout(shape).outside
     verdicts = [(_proves_definite(m, outside), proves_definite_loop(m, outside)) for m in cases]
     assert all(got == want for got, want in verdicts) and any(got for got, _ in verdicts)
 
@@ -1562,7 +1569,7 @@ def test_certified_apply_gives_the_judge_verdict_and_bytes(
     x = with_trace(with_spectrum(rng, shape_in, spectrum(rng, d, low)), trace)
     if exact:
         x = hermitize(x)
-    outside = support_index(shape_in)[0]
+    outside = layout(shape_in).outside
     if slop and outside is not None:
         x = with_leak(x, int(rng.choice(outside)), slop, np.exp(2j * np.pi * rng.random()))
     kraus = random_channel(shape_in, shape_out, d, rng).kraus
@@ -1582,9 +1589,9 @@ def test_certified_apply_gives_the_judge_verdict_and_bytes(
     if out is not None:
         assert out.tobytes() == judged_out.tobytes()
     if certified:
-        index = support_index(shape_out)
-        assert without_scalar_pass(verdict, validate_psd, out[None], *index, True) is None
-        assert verdict(validate_psd, out[None], *index, True) is None
+        index = layout(shape_out)
+        assert without_scalar_pass(verdict, validate_psd, out[None], index, True) is None
+        assert verdict(validate_psd, out[None], index, True) is None
 
 
 @pytest.mark.any_kernel
@@ -1848,8 +1855,7 @@ def tight_floor(*shapes):
     """The number of Cholesky groups of a unit-trace element of the tensor
     product of ``shapes``, and the floor its tight certificate proves."""
     d = int(np.prod([shape.total_dim for shape in shapes]))
-    blocks = support_index(*shapes)[1]
-    sizes = [d] if blocks is None else [g.size for g in blocks.groups]
+    sizes = [g.size for g in layout(*shapes).groups] or [d]
     return len(sizes), max(_cholesky_floor(size, d)[1] for size in sizes)
 
 
@@ -1861,7 +1867,7 @@ def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
     # -floor/2, -2·floor, -1e-12 and -INPUT_TOL·(1 ∓ 1e-3), and, judged per
     # block, the first with BLOCK_TOL/2 on every entry off the blocks
     shapes = [AlgebraShape(dim) for dim in dims]
-    index = support_index(*shapes)
+    index = layout(*shapes)
     u = np.kron(*[random_block_unitary(s, rng) for s in shapes]) if len(shapes) == 2 \
         else random_block_unitary(shapes[0], rng)
     d = len(u)
@@ -1872,8 +1878,8 @@ def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
     spectra = [spectrum(rng, d, low) for low in lows] + [half / half.sum()]
     spectra.append(spectrum(rng, d, -INPUT_TOL * (1 + 1e-3)))
     cases = [(u * w) @ u.conj().T for w in spectra]
-    off = ~pair_mask(*shapes) if len(shapes) == 2 else ~block_mask(shapes[0])
-    if index[1] is not None:
+    off = ~layout(*shapes).mask
+    if index.groups:
         cases.append(cases[0] + BLOCK_TOL / 2 * off)
     stacks = [m[None] for m in cases] + [np.stack(cases[:2]), np.stack([cases[0], cases[3]])]
     calls, judged = count_linalg(monkeypatch, ("cholesky", "eigvalsh")), []
@@ -1893,8 +1899,8 @@ def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
         return got, (floors or [None])[0], (len(judged), names.count("cholesky"),
                                             names.count("eigvalsh"))
 
-    got, floors, counts = zip(*(run(partial(validate_psd, stack, *index, True)) for stack in stacks))
-    want = [verdict(oracle_validate_psd, stack, *index, True) for stack in stacks]
+    got, floors, counts = zip(*(run(partial(validate_psd, stack, index, True)) for stack in stacks))
+    want = [verdict(oracle_validate_psd, stack, index, True) for stack in stacks]
     assert list(got) == want
     assert [w and w[1] for w in want] == [None] * 7 + ["positive"] + [None] * (len(stacks) - 8)
     for stack, proved in zip(stacks, floors):  # every floor returned holds
@@ -1905,14 +1911,14 @@ def test_tight_certificate_keeps_every_verdict(rng, dims, monkeypatch):
     # out (the per-block case, finite whatever its size), and one that does not
     # pays one eigvalsh
     proves = [floor] * len(stacks)
-    if index[1] is not None:
+    if index.groups:
         proves[8] = floor + d * (BLOCK_TOL / 2)
     for (judges, cholesky, eigvalsh), proved, tight in zip(counts, floors, proves):
         assert judges == 1 and 1 <= cholesky <= groups and eigvalsh in (0, 1)
         assert (cholesky, proved) == (groups, tight) if eigvalsh == 0 else proved in (None, math.inf)
     # at or above 0 each factors: full rank, rank d - 1, half rank, the stack of
     # the first two and the leaky one; below -floor none does
-    factors = (0, 1, 6, -2, 8) if index[1] is not None else (0, 1, 6, -2)
+    factors = (0, 1, 6, -2, 8) if index.groups else (0, 1, 6, -2)
     assert all(counts[k][2] == 0 for k in factors)
     assert all(counts[k][2] == 1 for k in (3, 4, 5, 7, -1))
     # judged without the trace, as effects and conditionals are, and valid only
@@ -2275,7 +2281,7 @@ def oracle_choi_matrix(kraus, shape_in):
     r, dout, din = kraus.shape
     vecs = kraus.swapaxes(1, 2).reshape(r, din * dout)
     full = (vecs.T @ vecs.conj()).reshape(din, dout, din, dout)
-    return (full * block_mask(shape_in)[:, None, :, None]).reshape(din * dout, din * dout)
+    return (full * layout(shape_in).mask[:, None, :, None]).reshape(din * dout, din * dout)
 
 
 def oracle_einsum_lhs(j, n, m):
@@ -2490,11 +2496,11 @@ def test_spectral_checks_match_the_full_eigendecomposition(rng, shape):
 
 def test_spectral_checks_make_one_eigh_call(rng, monkeypatch):
     # one eigh of the whole Choi matrix, also where a reducible pair of
-    # dimension 16 has a block index and where its leak is above BLOCK_TOL
+    # dimension 16 has block groups and where its leak is above BLOCK_TOL
     shape = AlgebraShape((4,))
     unitary = Channel(shape, shape, (random_unitary(4, rng),))
     reducible = random_channel(AlgebraShape((2, 2)), AlgebraShape((3, 1)), 3, rng)
-    assert block_index(reducible.shape_in, reducible.shape_out) is not None
+    assert layout(reducible.shape_in, reducible.shape_out).groups
     k = random_block_unitary(AlgebraShape((3, 1)), rng)
     k[3, 0] = 1e-10
     leaking = Channel(AlgebraShape((3, 1)), AlgebraShape((3, 1)), (k,))
@@ -2606,16 +2612,8 @@ def choi_from_kraus(kraus):
     return vecs.T @ vecs.conj()
 
 
-def off_mask(blocks):
-    """The (D, D) mask of the entries outside the blocks of an index."""
-    d = blocks.compact.shape[1]
-    off = np.zeros(d * d, dtype=bool)
-    off[blocks.outside] = True
-    return off.reshape(d, d)
-
-
 def block_cases(rng, shape):
-    """(matrix, block index, conditional or None) on ``shape``: Choi matrices
+    """(matrix, layout, conditional or None) on ``shape``: Choi matrices
     of random channels and of the identity channel (degenerate), conditionals
     of rank-deficient joints, and those joints' rank-deficient marginals."""
     for other in (shape, AlgebraShape((2, 1))):
@@ -2627,8 +2625,8 @@ def block_cases(rng, shape):
         if other == shape:
             conds.append(choi_conditional(identity_channel(shape)))
         for cond in conds:
-            yield cond.matrix, block_index(cond.shape_in, cond.shape_out), cond
-        yield reduce(j, "a").matrix, block_index(shape), None
+            yield cond.matrix, layout(cond.shape_in, cond.shape_out), cond
+        yield reduce(j, "a").matrix, layout(shape), None
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
@@ -2645,32 +2643,64 @@ def test_block_spectra_match_the_full_eigendecomposition(rng, shape):
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_block_eigenvectors_are_exactly_zero_off_their_block(rng, shape):
     for m, blocks, cond in block_cases(rng, shape):
-        if blocks is None:
+        if not blocks.groups:
             continue
         nonzero = herm_eig(m, blocks).eigenvectors.T != 0
         # no eigenvector has two nonzero entries in different blocks
-        assert not (nonzero[:, :, None] & nonzero[:, None, :] & off_mask(blocks)).any()
+        assert not (nonzero[:, :, None] & nonzero[:, None, :] & ~blocks.mask).any()
         if cond is not None:
             choi = choi_from_kraus(channel_from_conditional(cond).kraus)
             assert support_deviation(choi, cond.shape_in, cond.shape_out) == 0.0
 
 
-def test_block_index_starts_at_the_crossover_dimension():
-    # below BLOCKWISE_MIN_DIM (and for one block) there is no index, so the
-    # matrix is decomposed whole
-    shapes = [AlgebraShape(dims) for dims in ((3,), (2, 1), (1, 1, 1), (3, 1), (2, 2), (4, 2, 1, 1))]
-    for a in shapes:
-        for b in shapes:
-            split = a.total_dim * b.total_dim >= BLOCKWISE_MIN_DIM and len(a.block_dims) * len(b.block_dims) > 1
-            assert (block_index(a, b) is not None) == split
-        assert (block_index(a) is not None) == (a.total_dim >= BLOCKWISE_MIN_DIM)
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("dims", [(1,) * 16, (8, 4, 2, 1, 1), (9, 7)], ids=str)
+def test_marginal_roots_are_taken_per_block(rng, dims, monkeypatch):
+    # joint_from_conditional and prepare decompose a reducible marginal from
+    # BLOCKWISE_MIN_DIM up per block, as conditioning and Bayes do, within
+    # rounding of the whole-matrix root
+    shape = AlgebraShape(dims)
+    d = shape.total_dim
+    j = random_joint_state(shape, AlgebraShape((2,)), rng)
+    marg, cond, povm = reduce(j, "a"), conditional_from_joint(j, "a"), random_povm(shape, 3, rng)
+    root = herm_eig(marg.matrix).root()  # the whole-matrix route
+    calls = count_linalg(monkeypatch, ("eigh",))
+    rebuilt = joint_from_conditional(marg, cond)
+    assert calls and all(len(s) == 3 and s[-1] < d for _, s in calls)
+    calls.clear()
+    ensemble = prepare(povm, marg)
+    assert calls and all(len(s) == 3 and s[-1] < d for _, s in calls)
+    whole = np.kron(root, np.eye(2))
+    want = hermitize(whole @ cond.matrix @ whole)
+    np.testing.assert_allclose(rebuilt.matrix, want, rtol=0, atol=1e-12)
+    members = hermitize(root @ povm.elements @ root)
+    members /= members.trace(axis1=1, axis2=2).real[:, None, None]
+    got = np.stack([m.matrix for m in ensemble.members])
+    np.testing.assert_allclose(got, members, rtol=0, atol=1e-12)
+
+
+@pytest.mark.any_kernel
+def test_layout_groups_start_at_the_crossover_dimension():
+    # below BLOCKWISE_MIN_DIM (and for one block) a layout has no groups, so the
+    # matrix is decomposed whole; groups gather every entry of the support once
+    dims = ((3,), (2, 1), (1, 1, 1), (3, 1), (2, 2), (4, 2, 1, 1), (16,), (1,) * 16, (9, 7))
+    shapes = [AlgebraShape(d) for d in dims]
+    for tup in [(a,) for a in shapes] + [(a, b) for a in shapes for b in shapes[:6]]:
+        got, d = layout(*tup), int(np.prod([s.total_dim for s in tup]))
+        split = d >= BLOCKWISE_MIN_DIM and np.prod([len(s.block_dims) for s in tup]) > 1
+        assert bool(got.groups) == split
+        positions = (got.entries, got.mirror, got.compact, got.scatter)
+        assert [p is not None for p in positions] == [split] * 4
+        if split:
+            assert sorted(got.entries.tolist()) == np.flatnonzero(got.mask).tolist()
+            assert sum(g.n * g.size for g in got.groups) == d == got.compact.shape[1]
 
 
 def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkeypatch):
     shape = AlgebraShape((3, 1))
-    blocks = block_index(shape, shape)
+    blocks = layout(shape, shape)
     m = choi_conditional(random_channel(shape, shape, 2, rng)).matrix
-    off = off_mask(blocks)
+    off = ~blocks.mask
     i, k = np.argwhere(off)[0]
     at_tol, leaky = np.array(m), np.array(m)
     at_tol[i, k] = at_tol[k, i] = BLOCK_TOL
@@ -2767,7 +2797,7 @@ def oracle_searched_phases(vectors):
 def oracle_gathered_kraus(cond):
     """The Kraus tensor ``channel_from_conditional`` built by gathering the kept mask."""
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
-    es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
+    es = herm_eig(cond.matrix, layout(cond.shape_in, cond.shape_out))
     keep = es.kept
     vecs = es.eigenvectors.T[keep] * np.sqrt(es.eigenvalues[keep])[:, None]
     return np.array(vecs.reshape(-1, din, dout).swapaxes(1, 2), order="C")
@@ -2843,7 +2873,7 @@ def test_scalar_pass_reads_the_diagonal_once_with_the_loop_verdict(d):
     shapes = [AlgebraShape((d,)), AlgebraShape((1,) * d)]
     verdicts = []
     for m in scalar_diagonal_cases(d):
-        for outside in (support_index(shape)[0] for shape in shapes):
+        for outside in (layout(shape).outside for shape in shapes):
             verdicts.append(_proves_definite(m, outside))
             assert verdicts[-1] == proves_definite_loop(m, outside)
     assert any(verdicts) and not all(verdicts)
@@ -2914,7 +2944,7 @@ def test_kraus_prefix_slice_is_the_kept_mask_gather(rng, dims_in, dims_out):
              conditional_from_joint(random_joint_state(shape_in, shape_out, rng,
                                                        rank_a=max(1, d // 2)), "a")]
     for cond in filter(None, conds):
-        es = herm_eig(cond.matrix, block_index(cond.shape_in, cond.shape_out))
+        es = herm_eig(cond.matrix, layout(cond.shape_in, cond.shape_out))
         assert es.kept.tolist() == [True] * es.rank + [False] * (len(es.kept) - es.rank)
         assert channel_from_conditional(cond).kraus.tobytes() == oracle_gathered_kraus(cond).tobytes()
 

@@ -12,7 +12,7 @@ from condchan import (
     partial_trace,
     swap_factors,
 )
-from condchan.algebra import block_index
+from condchan.algebra import layout
 from conftest import random_hermitian, random_psd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -125,8 +125,8 @@ class TestHermEig:
         # the per-block path judges the matrix before its stacked solves too;
         # entry (0, 1) sits in the first 4x4 block of (2, 2) ⊗ (2, 2)
         shape = AlgebraShape((2, 2))
-        blocks = block_index(shape, shape)
-        assert blocks is not None
+        blocks = layout(shape, shape)
+        assert blocks.groups
         m = np.eye(16, dtype=complex)
         m[0, 1] = entry
         with pytest.raises(InvariantViolation) as info:
@@ -135,8 +135,8 @@ class TestHermEig:
 
     def test_rejects_overflow_in_a_block_before_solving(self):
         shape = AlgebraShape((2, 2))
-        blocks = block_index(shape, shape)
-        assert blocks is not None
+        blocks = layout(shape, shape)
+        assert blocks.groups
         m = np.zeros((16, 16), dtype=complex)
         m[:2, :2] = 1e308
         with pytest.raises(InvariantViolation) as info:

@@ -246,6 +246,14 @@ class TestSample:
             sample(COMPUTATIONAL, s, np.random.default_rng(1), -1)
         assert sample(COMPUTATIONAL, s, np.random.default_rng(1), 0).tolist() == [0, 0]
 
+    def test_rejects_a_number_of_draws_that_is_not_an_integer(self, rng):
+        # a float is not truncated, a bool is not read as 0 or 1 and a string is not parsed
+        s = random_state(QUBIT, rng)
+        for n in (2.7, 2.0, True, np.True_, "3"):
+            with pytest.raises(ShapeMismatch, match="number of outcomes must be an integer"):
+                sample(COMPUTATIONAL, s, np.random.default_rng(1), n)
+        assert sample(COMPUTATIONAL, s, np.random.default_rng(1), np.int64(3)).sum() == 3
+
     def test_deterministic_given_seed(self, rng):
         povm = random_povm(QUBIT, 3, rng)
         s = random_state(QUBIT, rng)

@@ -193,9 +193,9 @@ def test_bench_loads_two_trees_as_separate_packages():
     ]
 
 
-def test_bench_matcore_cases_keep_the_earlier_inputs_and_block_where_indexed(tmp_path):
+def test_bench_matcore_cases_keep_the_earlier_inputs(tmp_path):
     # the matcore cases come last, from a generator of their own, so every earlier case keeps
-    # its inputs; at d = 4 the reducible pairs (16 × 16) are decomposed per block as well
+    # its inputs; at d = 4 every class times the same four calls, herm_eig on the whole matrix
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SCRIPTS)!r})\n"
@@ -204,15 +204,15 @@ def test_bench_matcore_cases_keep_the_earlier_inputs_and_block_where_indexed(tmp
         f"keys = [key for *key, _ in bench.cases(cc, bench.Path({str(tmp_path)!r}), 2)]\n"
         "tail = [tuple(key) for *key, _ in bench.matcore_cases(cc, np.random.default_rng(0), [2])]\n"
         "print(keys[-len(tail):] == [list(key) for key in tail])\n"
-        "print(sorted({(c, k) for c, d, k, _ in bench.matcore_cases(cc, np.random.default_rng(0), [4])\n"
-        "              if c == 'herm_eig blocked'}))\n"
+        "calls = [(c, k) for c, d, k, _ in bench.matcore_cases(cc, np.random.default_rng(0), [4])]\n"
+        "print(len(calls), len(set(calls)), sorted({c for c, _ in calls}))\n"
     )
     completed = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.splitlines() == [
-        "True", "[('herm_eig blocked', 'classical'), ('herm_eig blocked', 'mixed')]"
+        "True", "12 12 ['EigenSystem.inv_root', 'EigenSystem.root', 'herm_eig', 'partial_trace']"
     ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from condchan import (
     InvariantViolation,
     JointState,
+    ShapeMismatch,
     State,
     herm_eig,
     kron,
@@ -108,6 +109,12 @@ class TestReduce:
         np.testing.assert_allclose(
             reduce(j, "b").matrix, partial_trace_oracle(j.matrix, 2, 3, "right"), atol=1e-12
         )
+
+    def test_rejects_a_side_that_is_not_a_string(self, rng):
+        j = random_joint_state(QUBIT, QUTRIT, rng)
+        for side in (1, None, ["a"]):
+            with pytest.raises(ShapeMismatch, match="side must be 'a' or 'b'"):
+                reduce(j, side)
 
     def test_reduced_state_is_valid_and_unit_trace(self, rng):
         for shapes in [(QUBIT, QUBIT), (MIXED, BIT), (BIT, QUTRIT)]:
