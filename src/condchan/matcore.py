@@ -420,10 +420,10 @@ def validate_psd(stack: np.ndarray, layout: Layout, unit_trace=False) -> float:
 def herm_eig(m, layout: Layout | None = None) -> EigenSystem:
     """Full spectral decomposition of a square matrix that is Hermitian
     within ``INPUT_TOL`` (max entry of |m - m†|), the library's one spectral
-    routine: the matrix is judged, on ``layout`` if given, and symmetrized first,
-    so floating-point drift cannot leak into spectra.  Where ``layout`` groups its
-    blocks it is decomposed per block, one stacked ``eigh`` per block size, and each
-    eigenvector is exactly zero outside its block.  Exactly tied eigenvalues keep ``eigh``'s order.
+    routine: the matrix is judged and symmetrized first, so floating-point drift
+    cannot leak into spectra.  Where ``layout`` groups its blocks it is judged on them
+    and decomposed per block, one stacked ``eigh`` per block size, and each
+    eigenvector is exactly zero outside its block; else it is decomposed whole.  Exactly tied eigenvalues keep ``eigh``'s order.
 
     Raises
     ------
@@ -433,7 +433,7 @@ def herm_eig(m, layout: Layout | None = None) -> EigenSystem:
         From ``judge``: ``finite``, if an entry is NaN or infinite;
         ``overflow``, if the Hermitian part overflows; ``hermitian``, if the
         Hermiticity deviation exceeds ``INPUT_TOL``; ``block_support``, if
-        ``layout`` is given and an entry off its support exceeds ``BLOCK_TOL``.
+        ``layout`` groups its blocks and an entry off them exceeds ``BLOCK_TOL``.
     NoConvergence
         If the underlying iterative solver fails.
     """
@@ -442,8 +442,8 @@ def herm_eig(m, layout: Layout | None = None) -> EigenSystem:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     if layout is not None and arr.shape != layout.mask.shape:
         raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its layout")
-    parts = judge(arr[None], layout)[0]
     groups = () if layout is None else layout.groups
+    parts = judge(arr[None], layout if groups else None)[0]
     try:
         solved = [np.linalg.eigh(part if groups else part[0]) for part in parts]
     except np.linalg.LinAlgError as exc:

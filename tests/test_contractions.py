@@ -622,7 +622,7 @@ def oracle_herm_eig(m, blocks=None):
     and the descending order of ``argsort(-w, kind="stable")``."""
     arr = np.array(m, dtype=np.complex128, order="C")
     grouped = blocks is not None and blocks.groups
-    parts = judge(arr[None], blocks)[0] if grouped else [judge(arr[None], blocks)[0][0][0]]
+    parts = judge(arr[None], blocks)[0] if grouped else [judge(arr[None], None)[0][0][0]]
     solved = [np.linalg.eigh(part) for part in parts]
     if not grouped:
         w, v = solved[0]
