@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraShape, block_projectors, choi_leak_index, layout
 from .conditional import ConditionalState, _restricted_support
 from .errors import InvariantViolation, ShapeMismatch
-from .matcore import _as_stack, herm_eig, identity, max_abs, projector_deviation
+from .matcore import _as_stack, _valid_eig, as_matrix, herm_eig, identity, max_abs, projector_deviation
 from .states import State, _trusted
 from .tolerances import BLOCK_TOL, IDENTITY_TOL, INPUT_TOL, _apply_rounding
 
@@ -101,40 +101,40 @@ class Channel:
         din, dout = self.shape_in.total_dim, self.shape_out.total_dim
         if ops.shape[1:] != (dout, din):
             raise ShapeMismatch(f"Kraus operator shape {ops.shape[1:]}, expected {(dout, din)}")
-        object.__setattr__(self, "kraus", ops)
-        target = identity(din)
-        if self.input_support is not None:
-            target = np.array(self.input_support, dtype=np.complex128, copy=True)
-            target.setflags(write=False)
-            object.__setattr__(self, "input_support", target)
         if not np.isfinite(ops).all():
             raise InvariantViolation("finite", np.inf, "Kraus operators have non-finite entries")
-        if self.input_support is not None:
-            if target.shape != (din, din):
-                raise ShapeMismatch(f"input support shape {target.shape} does not fit {din}")
-            if not np.isfinite(target).all():
+        if (support := self.input_support) is not None:
+            support = as_matrix(support)
+            if support.shape != (din, din):
+                raise ShapeMismatch(f"input support shape {support.shape} does not fit {din}")
+            if not np.isfinite(support).all():
                 raise InvariantViolation("finite", np.inf, "input support has non-finite entries")
-            proj_dev = projector_deviation(target)
+            proj_dev = projector_deviation(support)
             if not proj_dev <= IDENTITY_TOL:
                 raise InvariantViolation("support_projector", proj_dev)
-        # Finite Kraus operators can still overflow K†K; the deviation is
-        # then inf or NaN, which the NaN-safe tests here reject.
+        self._measure(ops, support)
+
+    def _measure(self, ops: np.ndarray, support: np.ndarray | None) -> None:
+        """Take over fresh read-only ``ops`` and ``support``, and measure all the certificate reads:
+        Σ K†K (``trace_preserving``), the superoperator, its Choi leak (``output_block_support``)."""
+        din, dout = self.shape_in.total_dim, self.shape_out.total_dim
+        # finite Kraus operators can still overflow K†K, to inf or NaN, which the tests here reject
         with np.errstate(over="ignore", invalid="ignore"):
-            tp_dev = max_abs(_kraus_gram(ops) - target)
+            tp_dev = max_abs(_kraus_gram(ops) - (identity(din) if support is None else support))
         if not tp_dev <= IDENTITY_TOL:
             raise InvariantViolation(
                 "trace_preserving", tp_dev,
                 f"sum of K†K deviates from the required resolution by {tp_dev:.3e}",
             )
-        object.__setattr__(self, "_superop", _superoperator(ops))
+        vars(self).update(kraus=ops, input_support=support, _superop=_superoperator(ops))
         leak = choi_leak_index(self.shape_in, self.shape_out)
         block_dev = 0.0 if leak is None else max_abs(self._superop.take(leak))
         if not block_dev <= IDENTITY_TOL:
             raise InvariantViolation("output_block_support", block_dev)
-        if (self.input_support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
+        if (support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
                 and din * din * block_dev <= BLOCK_TOL / 4
                 and _apply_rounding(din, dout, len(ops)) <= INPUT_TOL / 4):
-            object.__setattr__(self, "_certifies", True)
+            vars(self)["_certifies"] = True
 
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
@@ -206,29 +206,30 @@ def apply_via_conditional(cond: ConditionalState, s: State) -> np.ndarray:
 def channel_from_conditional(cond: ConditionalState) -> Channel:
     """Recover the channel from its conditional-state form.
 
-    Kraus operators come from the eigendecomposition of the conditional,
-    one per eigenvalue above its support cutoff; from ``BLOCKWISE_MIN_DIM``
-    up it is decomposed per block of the tensor-product algebra, so each
-    Kraus operator maps one input block into one output block.  A conditioning
-    support other than the identity restricts the channel to its subalgebra and
-    is carried in ``input_support``, which ``Channel`` checks is a projector.
+    Kraus operators come from the eigendecomposition of the conditional, judged or proved valid
+    when built and not judged again, one per eigenvalue above its support cutoff; from
+    ``BLOCKWISE_MIN_DIM`` up it is decomposed per block of the tensor-product algebra, so each
+    Kraus operator maps one input block into one output block.  A conditioning support other
+    than the identity restricts the channel to its subalgebra and is carried in ``input_support``.
+    The channel is built as ``_trusted`` builds: its Kraus tensor is finite and fits, and its
+    support passed the projector test (here, if built unchecked), so only ``Channel._measure`` runs.
     """
     din, dout = cond.shape_in.total_dim, cond.shape_out.total_dim
     support = _restricted_support(cond)
-    es = herm_eig(cond.matrix, layout(cond.shape_in, cond.shape_out))
+    if support is not None and "_support" not in vars(cond):  # built unchecked: test it here
+        cond._require_projector_support()
+    es = _valid_eig(cond.matrix, layout(cond.shape_in, cond.shape_out))
     rank = es.rank  # the spectrum descends: the kept eigenvalues come first
     if not rank:
         raise InvariantViolation("spectral_weight", es.eigenvalues[0],
                                  "conditional has no spectral weight above the cutoff")
     # column index convention: vec[a * dout + b] -> K[b, a]
     vecs = es.eigenvectors.T[:rank] * np.sqrt(es.eigenvalues[:rank])[:, None]
-    kraus = vecs.reshape(-1, din, dout).swapaxes(1, 2)
-    return Channel(
-        shape_in=cond.shape_in,
-        shape_out=cond.shape_out,
-        kraus=kraus,
-        input_support=None if support is None else support.T,
-    )
+    channel = object.__new__(Channel)  # as ``_trusted`` builds: the spectrum proves the inputs
+    vars(channel).update(shape_in=cond.shape_in, shape_out=cond.shape_out)
+    kraus = _as_stack(vecs.reshape(-1, din, dout).swapaxes(1, 2))
+    channel._measure(kraus, None if support is None else as_matrix(support.T))
+    return channel
 
 
 def canonical_reduction(c: Channel) -> Channel:
@@ -241,6 +242,6 @@ def is_isometry(c: Channel) -> bool:
     of the whole matrix, the largest is within ``IDENTITY_TOL`` of their sum and
     the rest within it of zero.  A channel on a reducible input algebra is never
     an isometry: its pinched Choi matrix has rank at least one per input block."""
-    w = herm_eig(_choi_matrix(c)).eigenvalues
+    w = herm_eig(_choi_matrix(c)).eigenvalues  # judged: a Choi matrix that no constructor built
     top_dev, rest_dev = abs(float(w[0]) - float(np.sum(w))), max_abs(w[1:])
     return top_dev <= IDENTITY_TOL and rest_dev <= IDENTITY_TOL

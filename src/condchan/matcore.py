@@ -10,8 +10,9 @@ Conventions fixed here once and relied on project-wide:
   contraction of ``t`` rather than a product with a materialized ``kron``;
 * eigenvalues are returned in descending order, with each eigenvector's
   phase fixed so that its first nonzero component is real and positive;
-* a matrix is judged once, by one routine (``judge``); a constructor certifies its
-  Hermitian part positive (``validate_psd``, with a floor on λmin), or ``herm_eig`` decomposes it;
+* a matrix is judged once, by one routine (``judge``); a constructor certifies its Hermitian
+  part positive (``validate_psd``, with a floor on λmin), or ``herm_eig`` decomposes it.  A map
+  decomposes a validated object's matrix by ``_valid_eig``, which forms its Hermitian part unjudged;
 * a single unit-trace matrix of dimension at most ``SCALAR_MAX_DIM`` is first offered
   to a pass on Python scalars that can only prove it definite (floor 0.0); ``judge``
   decides every matrix it does not prove, so no verdict depends on the pass; a
@@ -291,17 +292,10 @@ def judge(stack: np.ndarray, layout: Layout | None, unit_trace=False) -> tuple[l
     and a leak within BLOCK_TOL, only the block entries are gathered: such a leak is
     finite and moves |m - m†| by at most 2·BLOCK_TOL < INPUT_TOL.  Warnings are off: a
     Hermitian part that overflows raises ``overflow``."""
-    n = len(stack)
-    flat = stack.reshape(n, -1)
-    outside, groups = (None, ()) if layout is None else (layout.outside, layout.groups)
-    leak = 0.0 if outside is None else max_abs(flat.take(outside, axis=1))
-    if groups and leak <= BLOCK_TOL:
-        entries = flat.take(layout.entries, axis=1)
-        adjoint = flat.take(layout.mirror, axis=1).conj()
-    else:
-        groups, entries, adjoint = (), stack, stack.conj().swapaxes(-1, -2)
-    herm = entries + adjoint
-    herm *= 0.5
+    outside = None if layout is None else layout.outside
+    leak = 0.0 if outside is None else max_abs(stack.reshape(len(stack), -1).take(outside, axis=1))
+    groups = layout.groups if layout is not None and leak <= BLOCK_TOL else ()
+    parts, herm, entries, adjoint = _hermitian_part(stack, layout if groups else None)
     if not np.isfinite(herm).all():
         if not np.isfinite(entries).all():
             raise InvariantViolation("finite", np.inf, "matrix has non-finite entries")
@@ -316,9 +310,22 @@ def judge(stack: np.ndarray, layout: Layout | None, unit_trace=False) -> tuple[l
         trace_dev = max(abs(t.real - 1.0) + abs(t.imag) for t in traces)
         if not trace_dev <= INPUT_TOL:
             raise InvariantViolation("trace", trace_dev)
-    if not groups:
-        return [herm], 0.0
-    return [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in groups], leak
+    return parts, leak if groups else 0.0
+
+
+def _hermitian_part(stack: np.ndarray, layout: Layout | None) -> tuple:
+    """The Hermitian part of a (n, d, d) stack on ``layout`` as ``judge`` returns it, then the whole
+    part and the two terms it adds: the stack and its adjoint, or their (n, N) block entries."""
+    n, groups = len(stack), () if layout is None else layout.groups
+    if groups:
+        flat = stack.reshape(n, -1)
+        entries, adjoint = flat.take(layout.entries, axis=1), flat.take(layout.mirror, axis=1).conj()
+    else:
+        entries, adjoint = stack, stack.conj().swapaxes(-1, -2)
+    herm = entries + adjoint
+    herm *= 0.5
+    parts = [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in groups] or [herm]
+    return parts, herm, entries, adjoint
 
 
 @lru_cache(maxsize=64)
@@ -442,8 +449,15 @@ def herm_eig(m, layout: Layout | None = None) -> EigenSystem:
         raise ShapeMismatch(f"eigendecomposition needs a square matrix, got {arr.shape}")
     if layout is not None and arr.shape != layout.mask.shape:
         raise ShapeMismatch(f"matrix shape {arr.shape} does not fit its layout")
+    grouped = layout if layout is not None and layout.groups else None
+    return _valid_eig(arr, grouped, judge(arr[None], grouped)[0])
+
+
+def _valid_eig(m: np.ndarray, layout: Layout | None, parts: list | None = None) -> EigenSystem:
+    """``herm_eig(m, layout)`` of a matrix that passed the judge: from the ``parts`` it returned, or
+    (a validated object's matrix) from its Hermitian part, formed as ``judge`` forms it, unjudged."""
+    parts = parts or _hermitian_part(m[None], layout)[0]
     groups = () if layout is None else layout.groups
-    parts = judge(arr[None], layout if groups else None)[0]
     try:
         solved = [np.linalg.eigh(part if groups else part[0]) for part in parts]
     except np.linalg.LinAlgError as exc:

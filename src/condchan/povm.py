@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, is_integer, layout
 from .errors import InvariantViolation, NumericalFailure, ShapeMismatch, SupportMismatch
-from .matcore import _as_stack, as_matrix, herm_eig, hermitize, identity, max_abs, validate_psd
+from .matcore import _as_stack, _valid_eig, as_matrix, hermitize, identity, max_abs, validate_psd
 from .states import State, states_from_stack
 from .tolerances import IDENTITY_TOL, NEGLIGIBLE
 
@@ -98,7 +98,7 @@ def prepare(m: POVM, s: State) -> Ensemble:
     probability are dropped; their conditional state is undefined.  A member's rounding is
     scaled by 1/p, so a check that fails on them raises ``NumericalFailure`` with κ = 1/p_min."""
     probs = measure(m, s)
-    root = herm_eig(s.matrix, layout(s.shape)).root()
+    root = _valid_eig(s.matrix, layout(s.shape)).root()
     kept = probs > NEGLIGIBLE
     try:
         members = hermitize(root @ m.elements[kept] @ root)
@@ -118,7 +118,7 @@ def povm_from_ensemble(e: Ensemble, s: State) -> POVM:
     """
     if e.average.shape != s.shape:
         raise ShapeMismatch("ensemble and state live on different algebras")
-    spectrum = herm_eig(s.matrix, layout(s.shape))
+    spectrum = _valid_eig(s.matrix, layout(s.shape))
     complement = identity(s.shape.total_dim) - spectrum.support()
     for member in e.members:
         leak = max_abs(complement @ member.matrix @ complement)

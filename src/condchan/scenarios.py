@@ -300,8 +300,8 @@ def random_support_projector(
 ) -> np.ndarray:
     """Rank-``rank`` projector inside the algebra (block-diagonal)."""
     d = shape.total_dim
-    if not 1 <= rank <= d:
-        raise ShapeMismatch(f"rank must lie in [1, {d}], got {rank}")
+    if not is_integer(rank) or not 1 <= rank <= d:
+        raise ShapeMismatch(f"rank must be an integer in [1, {d}], got {rank!r}")
     u = random_block_unitary(shape, rng)
     picked = rng.choice(d, size=rank, replace=False)
     diag = np.zeros(d)
@@ -337,10 +337,9 @@ def random_channel(
     """Random channel from an isometry into output (x) environment, with the
     environment traced out and the output pinched onto its algebra."""
     d_in, d_out = shape_in.total_dim, shape_out.total_dim
-    if d_out * env_dim < d_in:
-        raise ShapeMismatch(
-            f"output dim {d_out} x environment {env_dim} cannot fit input dim {d_in}"
-        )
+    if not is_integer(env_dim) or d_out * env_dim < d_in:
+        raise ShapeMismatch(f"environment dim {env_dim!r}: an integer with output dim {d_out} x "
+                            f"environment at least input dim {d_in} is required")
     g = _gaussian_matrix(rng, d_out * env_dim, d_in)
     isometry, r = np.linalg.qr(g)
     isometry = isometry * (np.diag(r) / np.abs(np.diag(r)))
@@ -355,8 +354,8 @@ def random_channel(
 def random_povm(shape: AlgebraShape, k: int, rng: np.random.Generator) -> POVM:
     """Random POVM with ``k`` outcomes: normalize random PSD algebra elements
     by the inverse square root of their sum."""
-    if k < 1:
-        raise ShapeMismatch("a POVM needs at least one element")
+    if not is_integer(k) or k < 1:
+        raise ShapeMismatch(f"a POVM needs an integer count of at least one element, got {k!r}")
     d = shape.total_dim
     mask = layout(shape).mask
     raw = []
@@ -365,7 +364,7 @@ def random_povm(shape: AlgebraShape, k: int, rng: np.random.Generator) -> POVM:
         wishart = hermitize((g @ g.conj().T) * mask)
         # small ridge keeps the sum well conditioned for the inverse root
         raw.append(wishart + (0.05 * np.trace(wishart).real / d) * np.eye(d))
-    inv = herm_eig(sum(raw)).inv_root()
+    inv = herm_eig(sum(raw)).inv_root()  # judged: a raw sum, of no validated object
     elements = [inv @ a @ inv for a in raw]
     slack = np.eye(d) - sum(elements)
     if max_abs(slack) > NEGLIGIBLE:

@@ -42,7 +42,11 @@ tight certificate, one Cholesky per block group and one eigvalsh of a stack
 that does not factor, gives the eigvalsh verdict, and every floor it returns
 holds.  Every output that a map builds by ``_trusted``, unjudged, is one its
 public constructor accepts, read-only and sharing no memory with the map's
-inputs, and its floor holds.
+inputs, and its floor holds.  A map decomposes a validated object's matrix
+without a second judge, with the solver calls and bits of the judging route,
+and the channel ``channel_from_conditional`` rebuilds holds the bits and the
+gate the public constructor gives its Kraus tensor: its trace deviation is
+measured, not assumed.
 """
 
 import cmath
@@ -98,7 +102,7 @@ from condchan.channels import (
     is_isometry,
     max_ent_matrix,
 )
-from condchan.conditional import _pinched_hermitian
+from condchan.conditional import _pinched_hermitian, _restricted_support
 from condchan.errors import NoConvergence
 from condchan.matcore import (
     BLOCKWISE_MIN_DIM,
@@ -122,7 +126,7 @@ from condchan.scenarios import (
     random_block_unitary,
     random_support_projector,
 )
-from condchan.states import _trusted, states_from_stack
+from condchan.states import _marginal, _trusted, states_from_stack
 from condchan.tolerances import (
     BLOCK_TOL,
     IDENTITY_TOL,
@@ -2136,6 +2140,168 @@ def test_trusted_outputs_are_what_the_judged_path_builds(rng, monkeypatch):
     assert sorted(counts) == sorted({name for name, _, _ in calls}) and min(counts.values()) > 0
 
 
+def rebuilt_channel_cases(rng):
+    """Conditionals to rebuild a channel from, on the three shape classes and one pair that
+    groups its blocks: certified Choi forms and the same matrices judged, the Choi form of a
+    channel whose leak is above the gate, conditionals of full-rank and rank-deficient joints
+    (a restricted support), and the accepted conditionals of the near-cutoff joints of
+    ``TestNearCutoffVerdicts``."""
+    conds = []
+    for shape in [*TRUSTED_SHAPES, AlgebraShape((2, 2))]:
+        choi = choi_conditional(random_channel(shape, shape, 2, rng))
+        conds += [choi, ConditionalState(shape, shape, np.array(choi.matrix))]
+        if not shape.is_irreducible:
+            conds.append(choi_conditional(Channel(shape, shape, leaking_kraus(
+                rng, shape, shape, BLOCK_TOL / 2))))
+        for rank_a in (None, 1):
+            j = random_joint_state(shape, shape, rng, rank_a=rank_a)
+            conds += [conditional_from_joint(j, side) for side in "ab"]
+    cutoff = importlib.import_module("test_conditional").TestNearCutoffVerdicts
+    for eps in cutoff.EPSILONS:
+        for seed in cutoff.SEEDS:
+            got = []
+            for side in "ab":
+                verdict(lambda: got.append(conditional_from_joint(cutoff.joint(eps, seed), side)))
+            conds += got
+    return conds
+
+
+@pytest.mark.any_kernel
+def test_rebuilt_channel_is_what_the_constructor_builds(rng):
+    # channel_from_conditional takes its Kraus tensor over and skips the input checks;
+    # the public constructor on the same arrays builds the same bits and the same gate
+    restricted, certified = 0, set()
+    for cond in rebuilt_channel_cases(rng):
+        c2 = channel_from_conditional(cond)
+        ref = Channel(c2.shape_in, c2.shape_out, c2.kraus, c2.input_support)
+        for name in ("kraus", "_superop", "input_support"):
+            got, want = getattr(c2, name), getattr(ref, name)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == np.complex128 and got.flags.c_contiguous
+                assert not got.flags.writeable and got.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(x, cond.matrix) for x in held_arrays(c2))
+        assert c2._certifies is ref._certifies
+        restricted += c2.input_support is not None
+        certified.add(c2._certifies)
+    # at least each rank-deficient joint conditioned on its first side is restricted
+    assert restricted >= len(TRUSTED_SHAPES) + 1 and certified == {True, False}
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("dims", [(2,), (1, 1), (2, 1)], ids=str)
+def test_rebuilt_channel_measures_its_trace_deviation(rng, dims, monkeypatch):
+    # a certified Choi conditional scaled by 1 + 5e-10 is valid and its support is within
+    # IDENTITY_TOL of I, so unrestricted; but Σ K†K of its channel is 5e-10 off I, and
+    # d_in·tp_dev > INPUT_TOL/4: the rebuilt channel does not certify, and apply judges
+    # its output, whose trace is 5e-10 off 1, and refuses it
+    shape = AlgebraShape(dims)
+    d = shape.total_dim
+    c, s = random_channel(shape, shape, 2, rng), random_state(shape, rng)
+    assert c._certifies and s.floor == 0.0
+    scaled = ConditionalState(shape, shape, choi_conditional(c).matrix * (1 + 5e-10))
+    assert _restricted_support(scaled) is None
+    c2 = channel_from_conditional(scaled)
+    assert max_abs(_kraus_gram(c2.kraus) - np.eye(d)) == pytest.approx(5e-10, rel=1e-3)
+    assert c2._certifies is False and Channel(shape, shape, c2.kraus)._certifies is False
+    judged = count_conditional_judges(monkeypatch)  # every State judged goes through it
+    apply(channel_from_conditional(choi_conditional(c)), s)
+    assert judged == []
+    with pytest.raises(InvariantViolation) as info:
+        apply(c2, s)
+    assert info.value.invariant == "trace" and info.value.deviation == pytest.approx(5e-10, rel=1e-3)
+    assert judged == [(1, d, d)]
+
+
+# -- a validated object is judged once -----------------------------------------
+
+
+def validated_calls(rng, shape, partner):
+    """(name, map, arguments, the matrices of its validated inputs that it decomposes) of each
+    map that decomposes a ``State`` or ``ConditionalState``, on ``shape`` with ``partner``."""
+    j = random_joint_state(shape, partner, rng)
+    marg_a, marg_b = reduce(j, "a"), reduce(j, "b")
+    env = max(2, -(-shape.total_dim // partner.total_dim))
+    choi = choi_conditional(random_channel(shape, partner, env, rng))
+    restricted = conditional_from_joint(random_joint_state(shape, partner, rng, rank_a=1), "a")
+    judged = ConditionalState(shape, partner, np.array(choi.matrix))
+    s, povm = random_state(shape, rng), random_povm(shape, 3, rng)
+    calls = [(f"channel_from_conditional {kind}", channel_from_conditional, (cond,), [cond.matrix])
+             for kind, cond in (("certified", choi), ("restricted", restricted), ("judged", judged))]
+    ensemble = prepare(povm, s)
+    return calls + [
+        ("joint_from_conditional", joint_from_conditional,
+         (marg_a, conditional_from_joint(j, "a")), [marg_a.matrix]),
+        ("bayes_invert", bayes_invert, (conditional_from_joint(j, "b"), marg_a, marg_b),
+         [marg_a.matrix, marg_b.matrix]),
+        ("prepare", prepare, (povm, s), [s.matrix]),
+        ("povm_from_ensemble", povm_from_ensemble, (ensemble, s), [s.matrix]),
+    ]
+
+
+def output_bytes(out):
+    """The bytes of every array a map's output holds."""
+    objs = [out, *getattr(out, "members", ())]
+    return [a.tobytes() for a in held_arrays(*objs) + [getattr(out, "weights", np.empty(0))]]
+
+
+def count_judges(monkeypatch):
+    """Record a copy of every stack that ``matcore.judge`` is given."""
+    judged = []
+
+    def counted(stack, *args, **kwargs):
+        judged.append(np.array(stack))
+        return judge(stack, *args, **kwargs)
+
+    monkeypatch.setattr("condchan.matcore.judge", counted)
+    return judged
+
+
+def raw_route(m, lay, parts=None):
+    """The decomposition of ``m`` by the public, judging routine."""
+    return herm_eig(m, lay)
+
+
+# irreducible, classical and mixed pairs, one pair of dimension 16 that groups its blocks
+# and one algebra of dimension 16 that groups its own
+JUDGED_ONCE_PAIRS = [((2,), (3,)), ((1, 1, 1), (1, 1)), ((2, 1), (2,)), ((2, 2), (2, 2)),
+                     ((1,) * 16, (1,))]
+
+
+@pytest.mark.any_kernel
+@pytest.mark.parametrize("dims, partner", JUDGED_ONCE_PAIRS, ids=str)
+def test_maps_decompose_validated_inputs_unjudged(rng, dims, partner, monkeypatch):
+    # no judge call on a validated input's matrix, the same solver calls and the same
+    # bits as the raw-matrix route through herm_eig; conditioning still judges its
+    # marginal, a raw partial trace
+    shape, partner = AlgebraShape(dims), AlgebraShape(partner)
+    calls = validated_calls(rng, shape, partner)
+    j = random_joint_state(shape, partner, rng)
+    judged, solved = count_judges(monkeypatch), count_linalg(monkeypatch, ("eigh",))
+    runs = {}
+    for route in ("unjudged", "raw"):
+        if route == "raw":
+            for module in ("channels", "conditional", "povm"):
+                monkeypatch.setattr(f"condchan.{module}._valid_eig", raw_route)
+        for name, fn, args, inputs in calls:
+            judged.clear()
+            solved.clear()
+            out = fn(*args)
+            seen = sum(np.array_equal(m, x) for stack in judged for m in stack for x in inputs)
+            runs[route, name] = output_bytes(out), list(solved), seen
+    for name, _, _, inputs in calls:
+        unjudged, raw = runs["unjudged", name], runs["raw", name]
+        assert unjudged[:2] == raw[:2]
+        assert unjudged[2] == 0 and raw[2] == len(inputs)
+        if layout(shape, partner).groups and name.startswith("channel_from_conditional"):
+            assert all(len(shape) == 3 for _, shape in unjudged[1])  # per block
+    for side in "ab":
+        judged.clear()
+        conditional_from_joint(j, side)
+        marginal = _marginal(j, side)[1]
+        assert any(np.array_equal(stack[0], marginal) for stack in judged)
+
+
 def test_second_teleport_factors_no_bell_stack(rng, monkeypatch):
     # neither the first call nor a later one validates a (d², d², d²) stack;
     # at d = SCALAR_MAX_DIM + 1 the success state is past the scalar pass, so some call is seen
@@ -2709,9 +2875,12 @@ def test_block_spectra_reject_off_block_weight_and_keep_their_errors(rng, monkey
     with pytest.raises(InvariantViolation) as info:
         herm_eig(leaky, blocks)
     assert (info.value.invariant, info.value.deviation) == ("block_support", 2 * BLOCK_TOL)
-    # an unchecked conditional does not lose its leak in Kraus extraction
+    # a conditional with that leak is refused when built, and Kraus extraction does not judge
+    # it again: from one built unchecked it reads the block entries only
     with pytest.raises(InvariantViolation, match="block_support"):
-        channel_from_conditional(_trusted(ConditionalState, shape, shape, leaky, floor=np.inf))
+        ConditionalState(shape, shape, leaky)
+    c = channel_from_conditional(_trusted(ConditionalState, shape, shape, leaky, floor=np.inf))
+    assert support_deviation(_choi_matrix(c), shape, shape) == 0
     # without an index the whole matrix is decomposed, leak included
     close(herm_eig(leaky).eigenvalues, np.linalg.eigvalsh(leaky)[::-1])
     # drift within INPUT_TOL inside a block is symmetrized away first

@@ -454,6 +454,30 @@ class TestRandomInstances:
         w = np.linalg.eigvalsh(reduce(j, "a").matrix)
         assert np.count_nonzero(w > 1e-10) == 2
 
+    # a count that is not an integer (a float, a string, a bool) is refused as a
+    # ShapeMismatch, not a TypeError, and a bool is not read as 1; numpy integers are taken
+    @pytest.mark.any_kernel
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
+    def test_random_povm_rejects_a_count_that_is_not_an_integer(self, rng, k):
+        with pytest.raises(ShapeMismatch, match="integer count"):
+            random_povm(QUBIT, k, rng)
+        assert len(random_povm(QUBIT, np.int64(2), rng)) == 2
+
+    @pytest.mark.any_kernel
+    @pytest.mark.parametrize("env_dim", [1.5, 2.0, "2", True])
+    def test_random_channel_rejects_an_environment_that_is_not_an_integer(self, rng, env_dim):
+        with pytest.raises(ShapeMismatch, match="an integer"):
+            random_channel(QUBIT, QUBIT, env_dim, rng)
+        assert len(random_channel(QUBIT, QUBIT, np.int64(2), rng).kraus) == 2
+
+    @pytest.mark.any_kernel
+    @pytest.mark.parametrize("rank_a", [1.5, 1.0, "1", True])
+    def test_random_joint_state_rejects_a_rank_that_is_not_an_integer(self, rng, rank_a):
+        with pytest.raises(ShapeMismatch, match="an integer"):
+            random_joint_state(QUBIT, QUBIT, rng, rank_a=rank_a)
+        j = random_joint_state(QUBIT, QUBIT, rng, rank_a=np.int64(1))
+        assert np.count_nonzero(np.linalg.eigvalsh(reduce(j, "a").matrix) > 1e-10) == 1
+
 
 def identity_oracle(cond):
     """The whole comparison with the maximally entangled conditional."""
