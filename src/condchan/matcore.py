@@ -316,15 +316,15 @@ def judge(stack: np.ndarray, layout: Layout | None, unit_trace=False) -> tuple[l
 def _hermitian_part(stack: np.ndarray, layout: Layout | None) -> tuple:
     """The Hermitian part of a (n, d, d) stack on ``layout`` as ``judge`` returns it, then the whole
     part and the two terms it adds: the stack and its adjoint, or their (n, N) block entries."""
-    n, groups = len(stack), () if layout is None else layout.groups
-    if groups:
-        flat = stack.reshape(n, -1)
-        entries, adjoint = flat.take(layout.entries, axis=1), flat.take(layout.mirror, axis=1).conj()
-    else:
-        entries, adjoint = stack, stack.conj().swapaxes(-1, -2)
+    if layout is None or not layout.groups:
+        herm = stack + (adjoint := stack.conj().swapaxes(-1, -2))
+        herm *= 0.5
+        return [herm], herm, stack, adjoint
+    flat = stack.reshape(n := len(stack), -1)
+    entries, adjoint = flat.take(layout.entries, axis=1), flat.take(layout.mirror, axis=1).conj()
     herm = entries + adjoint
     herm *= 0.5
-    parts = [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in groups] or [herm]
+    parts = [herm[:, g.entries].reshape(n * g.n, g.size, g.size) for g in layout.groups]
     return parts, herm, entries, adjoint
 
 
