@@ -109,8 +109,7 @@ class Channel:
                 raise ShapeMismatch(f"input support shape {support.shape} does not fit {din}")
             if not np.isfinite(support).all():
                 raise InvariantViolation("finite", np.inf, "input support has non-finite entries")
-            proj_dev = projector_deviation(support)
-            if not proj_dev <= IDENTITY_TOL:
+            if not (proj_dev := projector_deviation(support)) <= IDENTITY_TOL:
                 raise InvariantViolation("support_projector", proj_dev)
         self._measure(ops, support)
 
@@ -122,11 +121,11 @@ class Channel:
         with np.errstate(over="ignore", invalid="ignore"):
             tp_dev = max_abs(_kraus_gram(ops) - (identity(din) if support is None else support))
         if not tp_dev <= IDENTITY_TOL:
-            raise InvariantViolation(
-                "trace_preserving", tp_dev,
-                f"sum of K†K deviates from the required resolution by {tp_dev:.3e}",
-            )
-        vars(self).update(kraus=ops, input_support=support, _superop=_superoperator(ops))
+            raise InvariantViolation("trace_preserving", tp_dev,
+                                     f"sum of K†K deviates from the required resolution by {tp_dev:.3e}")
+        # attribute by attribute, as ``__init__`` sets them: a materialized ``__dict__`` slows every read
+        for name, value in ("kraus", ops), ("input_support", support), ("_superop", _superoperator(ops)):
+            object.__setattr__(self, name, value)
         leak = choi_leak_index(self.shape_in, self.shape_out)
         block_dev = 0.0 if leak is None else max_abs(self._superop.take(leak))
         if not block_dev <= IDENTITY_TOL:
@@ -134,7 +133,7 @@ class Channel:
         if (support is None and din * tp_dev <= INPUT_TOL / 4  # see ``apply``
                 and din * din * block_dev <= BLOCK_TOL / 4
                 and _apply_rounding(din, dout, len(ops)) <= INPUT_TOL / 4):
-            vars(self)["_certifies"] = True
+            object.__setattr__(self, "_certifies", True)
 
 
 def apply_matrix(c: Channel, x: np.ndarray) -> np.ndarray:
@@ -226,7 +225,8 @@ def channel_from_conditional(cond: ConditionalState) -> Channel:
     # column index convention: vec[a * dout + b] -> K[b, a]
     vecs = es.eigenvectors.T[:rank] * np.sqrt(es.eigenvalues[:rank])[:, None]
     channel = object.__new__(Channel)  # as ``_trusted`` builds: the spectrum proves the inputs
-    vars(channel).update(shape_in=cond.shape_in, shape_out=cond.shape_out)
+    object.__setattr__(channel, "shape_in", cond.shape_in)
+    object.__setattr__(channel, "shape_out", cond.shape_out)
     kraus = _as_stack(vecs.reshape(-1, din, dout).swapaxes(1, 2))
     channel._measure(kraus, None if support is None else as_matrix(support.T))
     return channel

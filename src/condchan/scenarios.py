@@ -338,8 +338,7 @@ def random_channel(
     environment traced out and the output pinched onto its algebra."""
     d_in, d_out = shape_in.total_dim, shape_out.total_dim
     if not is_integer(env_dim) or d_out * env_dim < d_in:
-        raise ShapeMismatch(f"environment dim {env_dim!r}: an integer with output dim {d_out} x "
-                            f"environment at least input dim {d_in} is required")
+        raise ShapeMismatch(f"environment dim {env_dim!r} must be an integer with {d_out}·it ≥ {d_in}")
     g = _gaussian_matrix(rng, d_out * env_dim, d_in)
     isometry, r = np.linalg.qr(g)
     isometry = isometry * (np.diag(r) / np.abs(np.diag(r)))
